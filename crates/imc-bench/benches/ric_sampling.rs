@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use imc_community::{BenefitPolicy, CommunitySet, ThresholdPolicy};
-use imc_core::{RicCollection, RicSampler};
+use imc_core::{RicSampler, RicStore};
 use imc_datasets::DatasetId;
 use imc_graph::WeightModel;
 use rand::rngs::StdRng;
@@ -46,7 +46,7 @@ fn bench_collection_build(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("extend_1000", |b| {
         b.iter(|| {
-            let mut col = RicCollection::for_sampler(&sampler);
+            let mut col = RicStore::for_sampler(&sampler);
             let mut rng = StdRng::seed_from_u64(9);
             col.extend_with(&sampler, 1000, &mut rng);
             black_box(col.len())

@@ -5,8 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use imc_community::{CommunitySet, ThresholdPolicy};
 use imc_core::maxr::engine::{greedy_c_with, greedy_nu_with};
 use imc_core::{
-    BtSolver, MafSolver, MaxrSolver, RicCollection, RicSampler, SolveRequest, SolveStrategy,
-    UbgSolver,
+    BtSolver, MafSolver, MaxrSolver, RicSampler, RicStore, SolveRequest, SolveStrategy, UbgSolver,
 };
 use imc_datasets::DatasetId;
 use imc_graph::WeightModel;
@@ -14,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
-fn fixture() -> (CommunitySet, RicCollection) {
+fn fixture() -> (CommunitySet, RicStore) {
     let graph = imc_datasets::generate(DatasetId::Facebook, 0.5, 1)
         .reweighted(WeightModel::WeightedCascade);
     let communities = CommunitySet::builder(&graph)
@@ -24,7 +23,7 @@ fn fixture() -> (CommunitySet, RicCollection) {
         .build()
         .unwrap();
     let sampler = RicSampler::new(&graph, &communities);
-    let mut col = RicCollection::for_sampler(&sampler);
+    let mut col = RicStore::for_sampler(&sampler);
     let mut rng = StdRng::seed_from_u64(5);
     col.extend_with(&sampler, 3_000, &mut rng);
     (communities, col)

@@ -10,7 +10,7 @@ use crate::experiments::ExpOptions;
 use crate::harness::{build_instance, dataset_graph, grade, Formation};
 use crate::report::{fmt_f, fmt_secs, Table};
 use imc_community::ThresholdPolicy;
-use imc_core::{BtSolver, MaxrAlgorithm, MaxrSolver, RicCollection, SolveRequest, UbgSolver};
+use imc_core::{BtSolver, MaxrAlgorithm, MaxrSolver, RicStore, SolveRequest, UbgSolver};
 use imc_datasets::DatasetId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,7 +43,7 @@ pub fn samples(options: &ExpOptions) -> std::io::Result<()> {
         &["|R|", "benefit", "solve seconds"],
     );
     for &size in sizes {
-        let mut collection = RicCollection::for_sampler(&sampler);
+        let mut collection = RicStore::for_sampler(&sampler);
         let mut rng = StdRng::seed_from_u64(options.seed);
         collection.extend_with(&sampler, size, &mut rng);
         let start = Instant::now();
@@ -74,7 +74,7 @@ pub fn btd(options: &ExpOptions) -> std::io::Result<()> {
         options.seed,
     );
     let sampler = instance.sampler();
-    let mut collection = RicCollection::for_sampler(&sampler);
+    let mut collection = RicStore::for_sampler(&sampler);
     let mut rng = StdRng::seed_from_u64(options.seed);
     collection.extend_with(
         &sampler,
@@ -160,7 +160,7 @@ pub fn nonsubmodularity(options: &ExpOptions) -> std::io::Result<()> {
     for &(name, threshold) in regimes {
         let instance = build_instance(&graph, Formation::Louvain, 8, threshold, options.seed);
         let sampler = instance.sampler();
-        let mut collection = RicCollection::for_sampler(&sampler);
+        let mut collection = RicStore::for_sampler(&sampler);
         let mut rng = StdRng::seed_from_u64(options.seed);
         collection.extend_with(&sampler, sample_count, &mut rng);
         let report = imc_core::diagnostics::probe_submodularity(&collection, 4, trials, &mut rng);
@@ -195,7 +195,7 @@ pub fn ratios(options: &ExpOptions) -> std::io::Result<()> {
             .expect("valid blocks");
         let instance = imc_core::ImcInstance::new(graph, cs).expect("valid instance");
         let sampler = instance.sampler();
-        let mut collection = RicCollection::for_sampler(&sampler);
+        let mut collection = RicStore::for_sampler(&sampler);
         collection.extend_with(&sampler, 400, &mut rng);
         let k = 4;
         let opt = exhaustive(&collection, k);

@@ -12,7 +12,7 @@ use crate::harness::{build_instance, dataset_graph, Formation};
 use crate::report::{fmt_f, Table};
 use imc_community::ThresholdPolicy;
 use imc_core::maxr::engine::greedy_nu_with;
-use imc_core::{RicCollection, SolveStrategy};
+use imc_core::{RicStore, SolveStrategy};
 use imc_datasets::DatasetId;
 use imc_diffusion::benefit::{monte_carlo_benefit, monte_carlo_fractional_benefit};
 use imc_diffusion::IndependentCascade;
@@ -47,7 +47,7 @@ pub fn run(options: &ExpOptions) -> std::io::Result<()> {
         for &(regime_name, threshold) in regimes {
             let instance = build_instance(&graph, Formation::Louvain, 8, threshold, options.seed);
             let sampler = instance.sampler();
-            let mut collection = RicCollection::for_sampler(&sampler);
+            let mut collection = RicStore::for_sampler(&sampler);
             let mut rng = StdRng::seed_from_u64(options.seed);
             collection.extend_with(&sampler, sample_count, &mut rng);
             for &k in ks {

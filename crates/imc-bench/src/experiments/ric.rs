@@ -1,6 +1,5 @@
 //! RicStore microbenchmarks — sampling throughput, solver-evaluation
-//! throughput (arena-backed [`RicStore`] vs the legacy owning
-//! [`RicCollection`](imc_core::RicCollection) vs the reusable
+//! throughput (scalar [`RicStore::influenced_count`] vs the reusable
 //! [`CoverageEvaluator`] kernel path), snapshot codec wall times (v2
 //! parse vs v3 parse vs the zero-copy v3 view), and arena memory
 //! footprint.
@@ -10,11 +9,10 @@
 //! record CI archives so throughput regressions show up in review rather
 //! than in production.
 //!
-//! All backends hold bit-identical sample data (the legacy collection is
-//! materialised from the store, the view is opened over the store's own
-//! v3 encoding), and every timed evaluation is checked for agreement —
-//! the speedup numbers are only meaningful if every path returns the
-//! same `ĉ_R(S)`. The `seeds_identical` flag goes further: a full UBG
+//! Both evaluation paths read the same store (and the view is opened
+//! over the store's own v3 encoding), and every timed evaluation is
+//! checked for agreement — the speedup number is only meaningful if both
+//! paths return the same `ĉ_R(S)`. The `seeds_identical` flag goes further: a full UBG
 //! solve over the store, over a decoded v3 snapshot, and over the
 //! zero-copy view must pick bitwise-identical seed sets, which is what
 //! `perf-gate` hard-fails on.
@@ -35,8 +33,10 @@ use std::time::Instant;
 
 /// Schema identifier stamped into `BENCH_ric.json`; bump when fields
 /// change meaning. v2 added `evaluation.kernel`, the `snapshot` section,
-/// and the top-level `seeds_identical` determinism flag.
-pub const BENCH_SCHEMA: &str = "imc-bench/ric/v2";
+/// and the top-level `seeds_identical` determinism flag; v3 dropped
+/// `evaluation.legacy` and `evaluation.speedup` with the backend they
+/// timed, and made `evaluation.kernel_speedup` relative to `store`.
+pub const BENCH_SCHEMA: &str = "imc-bench/ric/v3";
 
 /// One backend's evaluation timing.
 struct EvalTiming {
@@ -82,13 +82,11 @@ pub fn run(options: &ExpOptions) -> std::io::Result<()> {
     let samples_per_sec = samples as f64 / gen_seconds;
 
     // 2. Solver-evaluation throughput: `ĉ_R(S)` on the same seed sets
-    // through three paths. The legacy path scans every sample with
-    // per-seed binary searches; the store walks the inverted index but
+    // through two paths. The store walks the inverted index but
     // rebuilds its scratch state per call; the kernel evaluator buckets
     // the whole batch by sample and sweeps the cover arena in ascending
     // address order, so large arenas stream from memory instead of
     // paying a dependent random load per index entry.
-    let legacy = store.to_collection();
     let node_count = store.node_count() as u32;
     let mut rng = StdRng::seed_from_u64(options.seed ^ 0x51C0_FFEE);
     let seed_sets: Vec<Vec<NodeId>> = (0..eval_sets)
@@ -99,15 +97,6 @@ pub fn run(options: &ExpOptions) -> std::io::Result<()> {
         })
         .collect();
 
-    let legacy_counts: Vec<usize>;
-    let legacy_timing = {
-        let start = Instant::now();
-        legacy_counts = seed_sets
-            .iter()
-            .map(|s| legacy.influenced_count(s))
-            .collect();
-        timing(start.elapsed().as_secs_f64(), eval_sets)
-    };
     let store_counts: Vec<usize>;
     let store_timing = {
         let start = Instant::now();
@@ -125,15 +114,10 @@ pub fn run(options: &ExpOptions) -> std::io::Result<()> {
         timing(start.elapsed().as_secs_f64(), eval_sets)
     };
     assert_eq!(
-        legacy_counts, store_counts,
-        "backends must agree on every influenced count"
-    );
-    assert_eq!(
         store_counts, kernel_counts,
-        "the batched kernel evaluator must agree with the scalar paths"
+        "the batched kernel evaluator must agree with the scalar path"
     );
-    let speedup = store_timing.evals_per_sec / legacy_timing.evals_per_sec;
-    let kernel_speedup = kernel_timing.evals_per_sec / legacy_timing.evals_per_sec;
+    let kernel_speedup = kernel_timing.evals_per_sec / store_timing.evals_per_sec;
 
     // 3. Snapshot codec wall times. The v2 parse rebuilds the inverted
     // index from scratch; the v3 parse adopts the persisted columns after
@@ -207,10 +191,6 @@ pub fn run(options: &ExpOptions) -> std::io::Result<()> {
     table.push_row(vec!["samples".into(), samples.to_string()]);
     table.push_row(vec!["gen samples/sec".into(), fmt_f(samples_per_sec)]);
     table.push_row(vec![
-        "legacy evals/sec".into(),
-        fmt_f(legacy_timing.evals_per_sec),
-    ]);
-    table.push_row(vec![
         "store evals/sec".into(),
         fmt_f(store_timing.evals_per_sec),
     ]);
@@ -218,7 +198,6 @@ pub fn run(options: &ExpOptions) -> std::io::Result<()> {
         "kernel evals/sec".into(),
         fmt_f(kernel_timing.evals_per_sec),
     ]);
-    table.push_row(vec!["speedup".into(), format!("{speedup:.2}x")]);
     table.push_row(vec![
         "kernel speedup".into(),
         format!("{kernel_speedup:.2}x"),
@@ -250,10 +229,8 @@ pub fn run(options: &ExpOptions) -> std::io::Result<()> {
         samples_per_sec,
         eval_sets,
         seeds_per_set,
-        &legacy_timing,
         &store_timing,
         &kernel_timing,
-        speedup,
         kernel_speedup,
         &snapshot_timing,
         seeds_identical,
@@ -286,10 +263,8 @@ fn bench_json(
     samples_per_sec: f64,
     eval_sets: usize,
     seeds_per_set: usize,
-    legacy: &EvalTiming,
     store: &EvalTiming,
     kernel: &EvalTiming,
-    speedup: f64,
     kernel_speedup: f64,
     snap: &SnapshotTiming,
     seeds_identical: bool,
@@ -309,10 +284,8 @@ fn bench_json(
             "  \"evaluation\": {{\n",
             "    \"seed_sets\": {eval_sets},\n",
             "    \"seeds_per_set\": {seeds_per_set},\n",
-            "    \"legacy\": {{ \"seconds\": {ls:.6}, \"evals_per_sec\": {le:.1} }},\n",
             "    \"store\": {{ \"seconds\": {ss:.6}, \"evals_per_sec\": {se:.1} }},\n",
             "    \"kernel\": {{ \"seconds\": {ks:.6}, \"evals_per_sec\": {ke:.1} }},\n",
-            "    \"speedup\": {speedup:.3},\n",
             "    \"kernel_speedup\": {kernel_speedup:.3}\n",
             "  }},\n",
             "  \"snapshot\": {{\n",
@@ -335,13 +308,10 @@ fn bench_json(
         samples_per_sec = samples_per_sec,
         eval_sets = eval_sets,
         seeds_per_set = seeds_per_set,
-        ls = legacy.seconds,
-        le = legacy.evals_per_sec,
         ss = store.seconds,
         se = store.evals_per_sec,
         ks = kernel.seconds,
         ke = kernel.evals_per_sec,
-        speedup = speedup,
         kernel_speedup = kernel_speedup,
         snap_bytes = snap.bytes,
         v2p = snap.v2_parse_seconds,
@@ -369,7 +339,8 @@ mod tests {
         run(&options).unwrap();
         let json = std::fs::read_to_string(dir.join("BENCH_ric.json")).unwrap();
         assert!(json.contains(BENCH_SCHEMA));
-        assert!(json.contains("\"speedup\""));
+        assert!(json.contains("\"kernel_speedup\""));
+        assert!(!json.contains("legacy"));
         assert!(json.contains("\"kernel\""));
         assert!(json.contains("\"v3_view_seconds\""));
         assert!(json.contains("\"seeds_identical\": true"));

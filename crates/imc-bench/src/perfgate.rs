@@ -40,7 +40,7 @@ use std::path::{Path, PathBuf};
 /// Solver schema this gate understands.
 pub const SOLVER_SCHEMA: &str = "imc-bench/solver/v1";
 /// RIC schema this gate understands.
-pub const RIC_SCHEMA: &str = "imc-bench/ric/v2";
+pub const RIC_SCHEMA: &str = "imc-bench/ric/v3";
 /// Cluster service schema this gate understands (`BENCH_service.json`,
 /// written by the `cluster-runner` binary in `imc-cluster`).
 pub const SERVICE_SCHEMA: &str = "imc-bench/service/v1";
@@ -348,7 +348,6 @@ fn gate_ric(gate: &mut Gate, base: &Value, cand: &Value, tolerance: f64) {
     };
     for (metric, path) in [
         ("ric generation", &["generation", "seconds"] as &[&str]),
-        ("ric eval legacy", &["evaluation", "legacy", "seconds"]),
         ("ric eval store", &["evaluation", "store", "seconds"]),
         ("ric eval kernel", &["evaluation", "kernel", "seconds"]),
     ] {

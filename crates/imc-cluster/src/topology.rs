@@ -287,6 +287,28 @@ impl Topology {
         if self.samples == 0 {
             return Err(TopologyError::new("cluster.samples must be at least 1"));
         }
+        // The partition rule of `RicStore::extend_partition`: every shard
+        // daemon owns an equal slice of the fixed sampling-shard plan, and a
+        // draw too small to be sharded cannot be split at all. imc-core
+        // asserts both; a topology file must not be able to reach them.
+        let plan_shards = imc_core::DEFAULT_SAMPLING_SHARDS;
+        if !plan_shards.is_multiple_of(self.shards) {
+            return Err(TopologyError::new(format!(
+                "cluster.shards = {} must divide the {plan_shards} sampling shards evenly \
+                 (DEFAULT_SAMPLING_SHARDS % shards == 0)",
+                self.shards
+            )));
+        }
+        if self.shards > 1
+            && imc_core::sampling_shard_plan(self.samples, self.base_seed, plan_shards).len()
+                != plan_shards
+        {
+            return Err(TopologyError::new(format!(
+                "cluster.samples = {} is too small to split across {} shards \
+                 (samples >= 64 when shards > 1)",
+                self.samples, self.shards
+            )));
+        }
         if self.k == 0 {
             return Err(TopologyError::new("cluster.k must be at least 1"));
         }
@@ -405,5 +427,21 @@ mod tests {
         assert!(Topology::parse("[fault]\nretry_attempts = 0\n").is_err());
         assert!(Topology::parse("[fault]\nretry_jitter = 1.5\n").is_err());
         assert!(Topology::parse("[fault]\ndegrade = 1\n").is_err());
+        // Partitioning rules imc-core would otherwise assert on.
+        let uneven = Topology::parse("[cluster]\nshards = 3\n")
+            .unwrap_err()
+            .to_string();
+        assert!(uneven.contains("cluster.shards"), "{uneven}");
+        assert!(
+            uneven.contains("DEFAULT_SAMPLING_SHARDS % shards == 0"),
+            "{uneven}"
+        );
+        let tiny = Topology::parse("[cluster]\nshards = 2\nsamples = 50\n")
+            .unwrap_err()
+            .to_string();
+        assert!(tiny.contains("cluster.samples"), "{tiny}");
+        assert!(tiny.contains("samples >= 64"), "{tiny}");
+        assert!(Topology::parse("[cluster]\nshards = 1\nsamples = 50\n").is_ok());
+        assert!(Topology::parse("[cluster]\nshards = 16\nsamples = 64\n").is_ok());
     }
 }

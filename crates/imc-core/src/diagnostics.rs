@@ -7,7 +7,7 @@
 //! quantity that governs when the UBG sandwich is tight (Fig. 8) and when
 //! plain greedy is safe.
 
-use crate::RicCollection;
+use crate::RicSamples;
 use imc_graph::NodeId;
 use rand::Rng;
 
@@ -52,8 +52,8 @@ impl SubmodularityReport {
 /// Submodularity would require the marginal never to increase; every
 /// `increasing` count is a concrete counterexample like the paper's
 /// Fig. 2.
-pub fn probe_submodularity<R: Rng + ?Sized>(
-    collection: &RicCollection,
+pub fn probe_submodularity<C: RicSamples, R: Rng + ?Sized>(
+    collection: &C,
     max_base: usize,
     trials: u64,
     rng: &mut R,
@@ -100,7 +100,7 @@ pub fn probe_submodularity<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CoverSet, RicSample};
+    use crate::{CoverSet, RicSample, RicStore};
     use imc_community::CommunityId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -115,15 +115,16 @@ mod tests {
 
     /// The paper's Lemma 2 instance: one sample, two members, each covered
     /// only by itself — the canonical supermodular trap.
-    fn lemma2_collection() -> RicCollection {
-        let mut col = RicCollection::new(2, 1, 1.0);
-        col.push(RicSample {
+    fn lemma2_collection() -> RicStore {
+        let mut col = RicStore::new(2, 1, 1.0);
+        col.push_sample(&RicSample {
             community: CommunityId::new(0),
             threshold: 2,
             community_size: 2,
             nodes: vec![NodeId::new(0), NodeId::new(1)],
             covers: vec![mk(2, &[0]), mk(2, &[1])],
-        });
+        })
+        .unwrap();
         col
     }
 
@@ -140,15 +141,16 @@ mod tests {
     fn unit_thresholds_are_submodular() {
         // All h = 1: coverage is a union — genuinely submodular, so no
         // violations can appear.
-        let mut col = RicCollection::new(3, 1, 1.0);
+        let mut col = RicStore::new(3, 1, 1.0);
         for node in 0..3u32 {
-            col.push(RicSample {
+            col.push_sample(&RicSample {
                 community: CommunityId::new(0),
                 threshold: 1,
                 community_size: 1,
                 nodes: vec![NodeId::new(node)],
                 covers: vec![mk(1, &[0])],
-            });
+            })
+            .unwrap();
         }
         let mut rng = StdRng::seed_from_u64(2);
         let report = probe_submodularity(&col, 2, 2_000, &mut rng);
@@ -158,7 +160,7 @@ mod tests {
 
     #[test]
     fn empty_collection_reports_nothing() {
-        let col = RicCollection::new(5, 1, 1.0);
+        let col = RicStore::new(5, 1, 1.0);
         let mut rng = StdRng::seed_from_u64(3);
         let report = probe_submodularity(&col, 2, 100, &mut rng);
         assert_eq!(report.trials(), 0);

@@ -16,12 +16,14 @@
 //! 1. **RIC sampling** ([`RicSampler`], Alg. 1) — benefit-weighted reverse
 //!    samples rooted at communities, giving the unbiased estimator
 //!    `ĉ_R(S)` (Lemma 1) materialized by the arena-backed [`RicStore`]
-//!    (or the legacy owning [`RicCollection`]; both implement
-//!    [`RicSamples`], so everything downstream is backend-generic).
-//! 2. **MAXR solvers** ([`maxr`]) — [`maxr::ubg`] (sandwich with the
-//!    submodular upper bound `ν_R`), [`maxr::maf`] (most-appearance-first),
-//!    [`maxr::bt`] (bounded thresholds, with the `BT^(d)` recursion) and
-//!    [`maxr::mb`] (MAF ∨ BT, tight to the inapproximability bound).
+//!    (owned) or its zero-copy twin [`snapshot::RicStoreView`] (borrowed
+//!    from snapshot bytes); both implement [`RicSamples`], which is all
+//!    anything downstream sees.
+//! 2. **MAXR solvers** ([`maxr`]) — [`UbgSolver`] (sandwich with the
+//!    submodular upper bound `ν_R`), [`MafSolver`] (most-appearance-first),
+//!    [`BtSolver`] (bounded thresholds, with the `BT^(d)` recursion) and
+//!    [`MbSolver`] (MAF ∨ BT, tight to the inapproximability bound), all
+//!    dispatched by [`MaxrAlgorithm::solve`].
 //! 3. **IMCAF** ([`imcaf`], Alg. 5) — a stop-and-stare outer loop with the
 //!    sample bound `Ψ` (eq. 22) and the Dagum [`estimate`] procedure
 //!    (Alg. 6), turning any `α`-approximate MAXR solver into an
@@ -60,7 +62,6 @@
 #![deny(missing_docs)]
 
 mod bitset;
-mod collection;
 mod error;
 mod generator;
 mod imcaf;
@@ -81,15 +82,9 @@ pub mod obs;
 pub mod snapshot;
 
 pub use bitset::CoverSet;
-pub use collection::{
-    partition_shard_range, sampling_shard_plan, CollectionStats, RicCollection, SampleRef,
-    DEFAULT_SAMPLING_SHARDS,
-};
 pub use error::ImcError;
 pub use generator::{LiveEdgeModel, RicSampler, SampleBuf};
 pub use imcaf::{imcaf, imcaf_with_trace, ImcafConfig, ImcafResult, RoundRecord, StopReason};
-#[allow(deprecated)]
-pub use maxr::MaxrSolution;
 pub use maxr::{
     BtSolver, GainSource, GreedyRun, GreedySolver, LocalSource, MafSolver, MaxrAlgorithm,
     MaxrSolver, MbSolver, SolveReport, SolveRequest, SolveStrategy, SolverExtras, UbgSolver,
@@ -98,7 +93,10 @@ pub use objective::{CoverageEvaluator, CoverageState};
 pub use problem::ImcInstance;
 pub use sample::RicSample;
 pub use samples::RicSamples;
-pub use store::{RicSampleView, RicStore, RicStoreError};
+pub use store::{
+    partition_shard_range, sampling_shard_plan, CollectionStats, RicSampleView, RicStore,
+    RicStoreError, SampleRef, DEFAULT_SAMPLING_SHARDS,
+};
 
 /// Convenience result alias used throughout this crate.
 pub type Result<T> = std::result::Result<T, ImcError>;

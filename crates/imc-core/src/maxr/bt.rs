@@ -15,8 +15,9 @@
 //!
 //! BT solves `O(|V|)` subproblems, which the paper's Fig. 7 shows (and our
 //! benches confirm) is orders of magnitude slower than UBG/MAF —
-//! [`BtConfig::candidate_limit`] optionally restricts pivots to the
-//! most-appearing nodes for an ablation-grade speedup.
+//! [`BtSolver::candidate_limit`](crate::maxr::solver::BtSolver::candidate_limit)
+//! optionally restricts pivots to the most-appearing nodes for an
+//! ablation-grade speedup.
 
 use crate::maxr::engine::{greedy_c_with, shard_map, SolveStrategy};
 use crate::maxr::pad_to_k;
@@ -24,26 +25,7 @@ use crate::samples::limbs_for_width;
 use crate::{RicSamples, RicStore};
 use imc_graph::NodeId;
 
-/// Configuration for [`bt`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BtConfig {
-    /// Threshold bound `d ≥ 2`; samples must have `h_g ≤ d`.
-    pub depth: u32,
-    /// When set, only the `limit` most-appearing nodes are tried as pivots
-    /// (paper-faithful behaviour is `None`: all nodes).
-    pub candidate_limit: Option<usize>,
-}
-
-impl Default for BtConfig {
-    fn default() -> Self {
-        BtConfig {
-            depth: 2,
-            candidate_limit: None,
-        }
-    }
-}
-
-/// Output of [`bt`].
+/// Output of BT ([`BtSolver`](crate::maxr::solver::BtSolver)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BtOutcome {
     /// The winning seed set `K(u*)`, padded to `k`.
@@ -55,37 +37,21 @@ pub struct BtOutcome {
     pub pivot_score: usize,
 }
 
-/// Runs BT (or `BT^(d)` for `config.depth > 2`) on a collection.
+/// Strategy-aware BT core (`BT^(d)` for `depth > 2`) behind
+/// [`BtSolver`](crate::maxr::solver::BtSolver). The per-pivot subproblems
+/// are independent, so they are sharded across workers via the engine; the
+/// reduce below walks results in candidate order, which keeps the winning
+/// pivot (ties broken by smaller pivot id) identical for any thread count.
+/// Inner greedy/recursive calls always run single-threaded — the outer pivot
+/// loop is where the parallelism pays. Returns the outcome plus the total
+/// number of objective evaluations (one `pivot_score` per candidate plus all
+/// inner-greedy gains). With `candidate_limit` set, only that many
+/// most-appearing nodes are tried as pivots.
 ///
 /// # Panics
 ///
-/// Panics if `config.depth < 2` or any sample's threshold exceeds
-/// `config.depth` (the enum wrapper
-/// [`MaxrAlgorithm`](crate::MaxrAlgorithm) checks this fallibly).
-#[deprecated(note = "use `BtSolver` or `MaxrAlgorithm::Bt.solve` (see docs/SOLVER_API.md)")]
-pub fn bt<C: RicSamples>(collection: &C, k: usize, config: &BtConfig) -> BtOutcome {
-    bt_with(
-        collection,
-        k,
-        config.depth,
-        config.candidate_limit,
-        SolveStrategy::Lazy,
-    )
-    .0
-}
-
-/// Strategy-aware BT core used by [`BtSolver`](crate::maxr::solver::BtSolver)
-/// and the deprecated [`bt`] shim. The per-pivot subproblems are independent,
-/// so they are sharded across workers via the engine; the reduce below walks
-/// results in candidate order, which keeps the winning pivot (ties broken by
-/// smaller pivot id) identical for any thread count. Inner greedy/recursive
-/// calls always run single-threaded — the outer pivot loop is where the
-/// parallelism pays. Returns the outcome plus the total number of objective
-/// evaluations (one `pivot_score` per candidate plus all inner-greedy gains).
-///
-/// # Panics
-///
-/// Panics if `depth < 2` or any sample's threshold exceeds `depth`.
+/// Panics if `depth < 2` or any sample's threshold exceeds `depth` (the
+/// solver struct checks both fallibly).
 pub(crate) fn bt_with<C: RicSamples>(
     collection: &C,
     k: usize,
@@ -248,7 +214,7 @@ pub fn pivot_score<C: RicSamples>(collection: &C, u: NodeId, kset: &[NodeId]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CoverSet, RicCollection, RicSample};
+    use crate::{CoverSet, RicSample, RicStore};
     use imc_community::CommunityId;
 
     fn mk_cover(width: usize, bits: &[usize]) -> CoverSet {
@@ -277,31 +243,28 @@ mod tests {
         }
     }
 
-    fn run(col: &RicCollection, k: usize, config: &BtConfig) -> BtOutcome {
-        bt_with(
-            col,
-            k,
-            config.depth,
-            config.candidate_limit,
-            SolveStrategy::Lazy,
-        )
-        .0
+    /// Paper-faithful BT: depth 2, every node a pivot candidate.
+    fn run(col: &RicStore, k: usize) -> BtOutcome {
+        bt_with(col, k, 2, None, SolveStrategy::Lazy).0
     }
 
     /// Node 0 touches all three h=2 samples covering member 0; nodes 1, 2,
     /// 3 each complete one sample.
-    fn hub_collection() -> RicCollection {
-        let mut col = RicCollection::new(5, 3, 3.0);
-        col.push(sample(0, 2, 2, &[(0, &[0]), (1, &[1])]));
-        col.push(sample(1, 2, 2, &[(0, &[0]), (2, &[1])]));
-        col.push(sample(2, 2, 2, &[(0, &[0]), (3, &[1])]));
+    fn hub_collection() -> RicStore {
+        let mut col = RicStore::new(5, 3, 3.0);
+        col.push_sample(&sample(0, 2, 2, &[(0, &[0]), (1, &[1])]))
+            .unwrap();
+        col.push_sample(&sample(1, 2, 2, &[(0, &[0]), (2, &[1])]))
+            .unwrap();
+        col.push_sample(&sample(2, 2, 2, &[(0, &[0]), (3, &[1])]))
+            .unwrap();
         col
     }
 
     #[test]
     fn bt_picks_hub_pivot_and_completers() {
         let col = hub_collection();
-        let out = run(&col, 3, &BtConfig::default());
+        let out = run(&col, 3);
         assert_eq!(out.pivot, Some(NodeId::new(0)));
         // {0} + 2 completers influence 2 samples.
         assert_eq!(out.pivot_score, 2);
@@ -312,7 +275,7 @@ mod tests {
     #[test]
     fn bt_k4_wins_everything() {
         let col = hub_collection();
-        let out = run(&col, 4, &BtConfig::default());
+        let out = run(&col, 4);
         assert_eq!(col.influenced_count(&out.seeds), 3);
         assert_eq!(out.pivot_score, 3);
     }
@@ -321,8 +284,8 @@ mod tests {
     fn k1_pivot_score_counts_solo_wins() {
         // Node 4 covers both members of one sample alone.
         let mut col = hub_collection();
-        col.push(sample(0, 2, 2, &[(4, &[0, 1])]));
-        let out = run(&col, 1, &BtConfig::default());
+        col.push_sample(&sample(0, 2, 2, &[(4, &[0, 1])])).unwrap();
+        let out = run(&col, 1);
         assert_eq!(out.pivot, Some(NodeId::new(4)));
         assert_eq!(out.pivot_score, 1);
         assert_eq!(out.seeds, vec![NodeId::new(4)]);
@@ -343,7 +306,7 @@ mod tests {
     #[test]
     fn reduction_drops_solo_influenced_samples() {
         let mut col = hub_collection();
-        col.push(sample(0, 2, 2, &[(0, &[0, 1])]));
+        col.push_sample(&sample(0, 2, 2, &[(0, &[0, 1])])).unwrap();
         let reduced = reduce_for_pivot(&col, NodeId::new(0));
         assert_eq!(reduced.len(), 3); // the new sample is already won
     }
@@ -351,14 +314,7 @@ mod tests {
     #[test]
     fn candidate_limit_restricts_pivots() {
         let col = hub_collection();
-        let limited = run(
-            &col,
-            3,
-            &BtConfig {
-                depth: 2,
-                candidate_limit: Some(1),
-            },
-        );
+        let limited = bt_with(&col, 3, 2, Some(1), SolveStrategy::Lazy).0;
         // Node 0 is the most-appearing node, so the limit of 1 still finds
         // the right pivot.
         assert_eq!(limited.pivot, Some(NodeId::new(0)));
@@ -368,16 +324,10 @@ mod tests {
     fn btd_depth3_handles_threshold3() {
         // One sample with h=3: members covered by nodes 1, 2, 3; pivot 1
         // reduces to h=2, recursion finds the rest.
-        let mut col = RicCollection::new(5, 1, 1.0);
-        col.push(sample(0, 3, 3, &[(1, &[0]), (2, &[1]), (3, &[2])]));
-        let out = run(
-            &col,
-            3,
-            &BtConfig {
-                depth: 3,
-                candidate_limit: None,
-            },
-        );
+        let mut col = RicStore::new(5, 1, 1.0);
+        col.push_sample(&sample(0, 3, 3, &[(1, &[0]), (2, &[1]), (3, &[2])]))
+            .unwrap();
+        let out = bt_with(&col, 3, 3, None, SolveStrategy::Lazy).0;
         assert_eq!(col.influenced_count(&out.seeds), 1);
         assert_eq!(out.pivot_score, 1);
     }
@@ -385,15 +335,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "threshold bound")]
     fn depth2_rejects_threshold3_samples() {
-        let mut col = RicCollection::new(5, 1, 1.0);
-        col.push(sample(0, 3, 3, &[(1, &[0]), (2, &[1]), (3, &[2])]));
-        let _ = run(&col, 2, &BtConfig::default());
+        let mut col = RicStore::new(5, 1, 1.0);
+        col.push_sample(&sample(0, 3, 3, &[(1, &[0]), (2, &[1]), (3, &[2])]))
+            .unwrap();
+        let _ = run(&col, 2);
     }
 
     #[test]
     fn empty_collection_falls_back_to_padding() {
-        let col = RicCollection::new(4, 1, 1.0);
-        let out = run(&col, 2, &BtConfig::default());
+        let col = RicStore::new(4, 1, 1.0);
+        let out = run(&col, 2);
         assert_eq!(out.pivot, None);
         assert_eq!(out.seeds.len(), 2);
     }
@@ -403,7 +354,7 @@ mod tests {
         // ĉ(S_BT) ≥ (1−1/e)/k · ĉ(S_OPT) must hold on the hub instance:
         // OPT(k=3) = 2 (e.g. {0,1,2}), bound = (1−1/e)/3 · 2 ≈ 0.42.
         let col = hub_collection();
-        let out = run(&col, 3, &BtConfig::default());
+        let out = run(&col, 3);
         let bound = (1.0 - 1.0 / std::f64::consts::E) / 3.0 * 2.0;
         assert!(col.influenced_count(&out.seeds) as f64 >= bound);
     }
@@ -411,18 +362,6 @@ mod tests {
     #[test]
     fn deterministic() {
         let col = hub_collection();
-        assert_eq!(
-            run(&col, 3, &BtConfig::default()),
-            run(&col, 3, &BtConfig::default())
-        );
-    }
-
-    /// The deprecated shim must stay behaviourally pinned to `bt_with`.
-    #[test]
-    #[allow(deprecated)]
-    fn shim_matches_core() {
-        let col = hub_collection();
-        let config = BtConfig::default();
-        assert_eq!(bt(&col, 3, &config), run(&col, 3, &config));
+        assert_eq!(run(&col, 3), run(&col, 3));
     }
 }

@@ -884,7 +884,7 @@ fn greedy_nu_lazy<S: GainSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CoverSet, RicCollection, RicSample};
+    use crate::{CoverSet, RicSample, RicStore};
     use imc_community::CommunityId;
 
     const ALL_STRATEGIES: [SolveStrategy; 6] = [
@@ -906,8 +906,8 @@ mod tests {
 
     /// A pseudo-random collection large and irregular enough to exercise
     /// staleness, ties, and the padding path.
-    fn scrambled_collection(nodes: u32, samples: usize, salt: u64) -> RicCollection {
-        let mut col = RicCollection::new(nodes as usize, 3, samples as f64);
+    fn scrambled_collection(nodes: u32, samples: usize, salt: u64) -> RicStore {
+        let mut drawn = Vec::with_capacity(samples);
         let mut x = salt | 1;
         let mut next = |m: u64| {
             // xorshift64 — deterministic, no external RNG in unit tests.
@@ -930,7 +930,7 @@ mod tests {
                     (NodeId::new(v), mk_cover(width, &[bit]))
                 })
                 .collect();
-            col.push(RicSample {
+            drawn.push(RicSample {
                 community: CommunityId::new(next(3) as u32),
                 threshold,
                 community_size: width as u32,
@@ -938,7 +938,103 @@ mod tests {
                 covers: entries.into_iter().map(|e| e.1).collect(),
             });
         }
-        col
+        RicStore::from_samples(nodes as usize, 3, samples as f64, &drawn).unwrap()
+    }
+
+    /// Collection where the non-submodular trap is visible: sample needs
+    /// BOTH nodes 0 and 1 (h=2); node 2 alone influences a different
+    /// sample.
+    fn trap_collection() -> RicStore {
+        let samples = [
+            RicSample {
+                community: CommunityId::new(0),
+                threshold: 2,
+                community_size: 2,
+                nodes: vec![NodeId::new(0), NodeId::new(1)],
+                covers: vec![mk_cover(2, &[0]), mk_cover(2, &[1])],
+            },
+            RicSample {
+                community: CommunityId::new(1),
+                threshold: 1,
+                community_size: 1,
+                nodes: vec![NodeId::new(2)],
+                covers: vec![mk_cover(1, &[0])],
+            },
+        ];
+        RicStore::from_samples(4, 2, 2.0, &samples).unwrap()
+    }
+
+    fn c(col: &RicStore, k: usize) -> Vec<NodeId> {
+        greedy_c_with(col, k, SolveStrategy::Lazy).seeds
+    }
+
+    fn nu(col: &RicStore, k: usize) -> Vec<NodeId> {
+        greedy_nu_with(col, k, SolveStrategy::Lazy).seeds
+    }
+
+    #[test]
+    fn greedy_c_returns_k_distinct_seeds_and_clamps_to_n() {
+        let col = trap_collection();
+        let s = c(&col, 3);
+        assert_eq!(s.len(), 3);
+        let set: std::collections::HashSet<_> = s.iter().collect();
+        assert_eq!(set.len(), 3);
+        assert_eq!(c(&col, 100).len(), 4);
+    }
+
+    #[test]
+    fn greedy_c_first_pick_is_the_zero_marginal_trap() {
+        // With k=1 no single node influences sample 0; node 2 influences
+        // sample 1 → greedy must pick node 2 first.
+        let col = trap_collection();
+        assert_eq!(c(&col, 1), vec![NodeId::new(2)]);
+    }
+
+    #[test]
+    fn greedy_c_k3_covers_both_samples() {
+        let col = trap_collection();
+        assert_eq!(col.influenced_count(&c(&col, 3)), 2);
+    }
+
+    #[test]
+    fn greedy_nu_sees_through_the_trap() {
+        // ν gain of node 0 or 1 is 1/2 > 0, so greedy_nu picks them even
+        // though their ĉ gain is 0 — the whole point of the sandwich.
+        let col = trap_collection();
+        let s = nu(&col, 3);
+        assert_eq!(col.influenced_count(&s), 2);
+        assert!(s.contains(&NodeId::new(0)) && s.contains(&NodeId::new(1)));
+    }
+
+    #[test]
+    fn greedy_nu_matches_brute_force_on_small_instance() {
+        // ν_R is submodular; CELF must equal plain greedy on ν.
+        let col = trap_collection();
+        let celf = nu(&col, 2);
+        // Plain greedy on ν:
+        let mut state = CoverageState::new(&col);
+        let mut plain = Vec::new();
+        for _ in 0..2 {
+            let best = (0..4u32)
+                .map(NodeId::new)
+                .max_by(|&a, &b| {
+                    state
+                        .marginal_fraction(a)
+                        .total_cmp(&state.marginal_fraction(b))
+                        .then(b.cmp(&a))
+                })
+                .unwrap();
+            state.add_seed(best);
+            plain.push(best);
+        }
+        assert_eq!(col.nu_estimate(&celf), col.nu_estimate(&plain));
+    }
+
+    #[test]
+    fn greedy_is_deterministic() {
+        let col = trap_collection();
+        assert_eq!(c(&col, 3), c(&col, 3));
+        assert_eq!(nu(&col, 3), nu(&col, 3));
     }
 
     #[test]
@@ -1178,7 +1274,7 @@ mod tests {
 
     #[test]
     fn empty_and_oversized_budgets_pad() {
-        let col = RicCollection::new(5, 1, 1.0);
+        let col = RicStore::new(5, 1, 1.0);
         for strategy in ALL_STRATEGIES {
             assert_eq!(greedy_c_with(&col, 2, strategy).seeds.len(), 2);
             assert_eq!(greedy_nu_with(&col, 2, strategy).seeds.len(), 2);

@@ -129,7 +129,7 @@ pub fn incremental_score<C: RicSamples>(collection: &C, seeds: &[NodeId]) -> usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CoverSet, RicCollection, RicSample};
+    use crate::{CoverSet, RicSample, RicStore};
     use imc_community::CommunityId;
 
     fn mk(width: usize, bits: &[usize]) -> CoverSet {
@@ -140,25 +140,27 @@ mod tests {
         c
     }
 
-    fn trap_collection() -> RicCollection {
+    fn trap_collection() -> RicStore {
         // Sample 0 (h=2) needs {0,1}; sample 1 (h=1) taken by 2; sample 2
         // (h=1) taken by 2.
-        let mut col = RicCollection::new(4, 2, 3.0);
-        col.push(RicSample {
+        let mut col = RicStore::new(4, 2, 3.0);
+        col.push_sample(&RicSample {
             community: CommunityId::new(0),
             threshold: 2,
             community_size: 2,
             nodes: vec![NodeId::new(0), NodeId::new(1)],
             covers: vec![mk(2, &[0]), mk(2, &[1])],
-        });
+        })
+        .unwrap();
         for _ in 0..2 {
-            col.push(RicSample {
+            col.push_sample(&RicSample {
                 community: CommunityId::new(1),
                 threshold: 1,
                 community_size: 1,
                 nodes: vec![NodeId::new(2)],
                 covers: vec![mk(1, &[0])],
-            });
+            })
+            .unwrap();
         }
         col
     }
@@ -211,7 +213,7 @@ mod tests {
 
     #[test]
     fn empty_collection() {
-        let col = RicCollection::new(3, 1, 1.0);
+        let col = RicStore::new(3, 1, 1.0);
         let sol = exhaustive(&col, 2);
         assert_eq!(sol.influenced_samples, 0);
         assert!(sol.seeds.is_empty());

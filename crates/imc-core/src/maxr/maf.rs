@@ -19,7 +19,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Output of [`maf`], exposing both candidate sets.
+/// Output of MAF ([`MafSolver`](crate::maxr::solver::MafSolver)), exposing
+/// both candidate sets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MafOutcome {
     /// The chosen seed set (better of `s1` / `s2` under `ĉ_R`).
@@ -32,22 +33,10 @@ pub struct MafOutcome {
     pub chose_s1: bool,
 }
 
-/// Runs MAF over either storage backend. `seed` drives the uniform member
-/// picks inside communities.
-#[deprecated(note = "use `MafSolver` or `MaxrAlgorithm::Maf.solve` (see docs/SOLVER_API.md)")]
-pub fn maf<C: RicSamples>(
-    communities: &CommunitySet,
-    collection: &C,
-    k: usize,
-    seed: u64,
-) -> MafOutcome {
-    maf_with(communities, collection, k, seed).0
-}
-
-/// MAF core used by [`MafSolver`](crate::maxr::solver::MafSolver) and the
-/// deprecated [`maf`] shim. MAF never computes marginal gains — its two
-/// objective evaluations are the final `ĉ_R` comparisons of `S1` vs `S2` —
-/// so the second tuple element is always 2.
+/// MAF core behind [`MafSolver`](crate::maxr::solver::MafSolver). `seed`
+/// drives the uniform member picks inside communities. MAF never computes
+/// marginal gains — its two objective evaluations are the final `ĉ_R`
+/// comparisons of `S1` vs `S2` — so the second tuple element is always 2.
 pub(crate) fn maf_with<C: RicSamples>(
     communities: &CommunitySet,
     collection: &C,
@@ -103,7 +92,7 @@ pub(crate) fn maf_with<C: RicSamples>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CoverSet, RicCollection, RicSample};
+    use crate::{CoverSet, RicSample, RicStore};
     use imc_community::CommunityId;
 
     fn mk_cover(width: usize, bits: &[usize]) -> CoverSet {
@@ -121,7 +110,7 @@ mod tests {
     /// Community 0 = {0, 1} (h=2), community 1 = {2, 3} (h=2). Community 0
     /// sources 3 samples, community 1 sources 1. Each member covers itself
     /// in its community's samples.
-    fn setup() -> (CommunitySet, RicCollection) {
+    fn setup() -> (CommunitySet, RicStore) {
         let cs = CommunitySet::from_parts(
             6,
             vec![
@@ -130,23 +119,25 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut col = RicCollection::new(6, 2, 4.0);
+        let mut col = RicStore::new(6, 2, 4.0);
         for _ in 0..3 {
-            col.push(RicSample {
+            col.push_sample(&RicSample {
                 community: CommunityId::new(0),
                 threshold: 2,
                 community_size: 2,
                 nodes: vec![NodeId::new(0), NodeId::new(1)],
                 covers: vec![mk_cover(2, &[0]), mk_cover(2, &[1])],
-            });
+            })
+            .unwrap();
         }
-        col.push(RicSample {
+        col.push_sample(&RicSample {
             community: CommunityId::new(1),
             threshold: 2,
             community_size: 2,
             nodes: vec![NodeId::new(2), NodeId::new(3)],
             covers: vec![mk_cover(2, &[0]), mk_cover(2, &[1])],
-        });
+        })
+        .unwrap();
         (cs, col)
     }
 
@@ -190,14 +181,6 @@ mod tests {
         assert_eq!(s2, vec![NodeId::new(0), NodeId::new(1)]);
     }
 
-    /// The deprecated shim must stay behaviourally pinned to `maf_with`.
-    #[test]
-    #[allow(deprecated)]
-    fn shim_matches_core() {
-        let (cs, col) = setup();
-        assert_eq!(maf(&cs, &col, 3, 11), run(&cs, &col, 3, 11));
-    }
-
     #[test]
     fn deterministic_under_seed() {
         let (cs, col) = setup();
@@ -216,24 +199,26 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut col = RicCollection::new(4, 2, 11.0);
+        let mut col = RicStore::new(4, 2, 11.0);
         // Unsatisfiable community sources many samples.
         for _ in 0..5 {
-            col.push(RicSample {
+            col.push_sample(&RicSample {
                 community: CommunityId::new(0),
                 threshold: 3,
                 community_size: 1,
                 nodes: vec![NodeId::new(0)],
                 covers: vec![mk_cover(1, &[0])],
-            });
+            })
+            .unwrap();
         }
-        col.push(RicSample {
+        col.push_sample(&RicSample {
             community: CommunityId::new(1),
             threshold: 2,
             community_size: 2,
             nodes: vec![NodeId::new(1), NodeId::new(2)],
             covers: vec![mk_cover(2, &[0]), mk_cover(2, &[1])],
-        });
+        })
+        .unwrap();
         let out = run(&cs, &col, 2, 5);
         assert_eq!(col.influenced_count(&out.seeds), 1);
         let mut s = out.seeds.clone();

@@ -13,7 +13,7 @@ use crate::RicSamples;
 use imc_community::CommunitySet;
 use imc_graph::NodeId;
 
-/// Output of [`mb`].
+/// Output of MB ([`MbSolver`](crate::maxr::solver::MbSolver)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MbOutcome {
     /// The winning seed set.
@@ -26,27 +26,11 @@ pub struct MbOutcome {
     pub chose_bt: bool,
 }
 
-/// Runs MB. `seed` drives MAF's random member picks.
-///
-/// # Panics
-///
-/// Panics if any sample threshold exceeds 2 (checked fallibly by
-/// [`MaxrAlgorithm`](crate::MaxrAlgorithm)).
-#[deprecated(note = "use `MbSolver` or `MaxrAlgorithm::Mb.solve` (see docs/SOLVER_API.md)")]
-pub fn mb<C: RicSamples>(
-    communities: &CommunitySet,
-    collection: &C,
-    k: usize,
-    seed: u64,
-) -> MbOutcome {
-    mb_with(communities, collection, k, seed, SolveStrategy::Lazy).0
-}
-
-/// Strategy-aware MB core used by [`MbSolver`](crate::maxr::solver::MbSolver)
-/// and the deprecated [`mb`] shim. The strategy only accelerates the BT
-/// half (its pivot loop shards across workers); MAF is already linear-time.
-/// Returns the outcome plus the total evaluation count (both halves, plus
-/// the two final `ĉ_R` comparisons).
+/// Strategy-aware MB core behind [`MbSolver`](crate::maxr::solver::MbSolver).
+/// `seed` drives MAF's random member picks. The strategy only accelerates
+/// the BT half (its pivot loop shards across workers); MAF is already
+/// linear-time. Returns the outcome plus the total evaluation count (both
+/// halves, plus the two final `ĉ_R` comparisons).
 ///
 /// # Panics
 ///
@@ -82,7 +66,7 @@ pub(crate) fn mb_with<C: RicSamples>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CoverSet, RicCollection, RicSample};
+    use crate::{CoverSet, RicSample, RicStore};
     use imc_community::CommunityId;
 
     fn mk_cover(width: usize, bits: &[usize]) -> CoverSet {
@@ -93,7 +77,7 @@ mod tests {
         c
     }
 
-    fn setup() -> (CommunitySet, RicCollection) {
+    fn setup() -> (CommunitySet, RicStore) {
         let cs = CommunitySet::from_parts(
             6,
             vec![
@@ -102,27 +86,29 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut col = RicCollection::new(6, 2, 4.0);
+        let mut col = RicStore::new(6, 2, 4.0);
         // Hub node 4 covers member 0 in both communities' samples; nodes
         // 0..4 cover themselves.
-        col.push(RicSample {
+        col.push_sample(&RicSample {
             community: CommunityId::new(0),
             threshold: 2,
             community_size: 2,
             nodes: vec![NodeId::new(0), NodeId::new(1), NodeId::new(4)],
             covers: vec![mk_cover(2, &[0]), mk_cover(2, &[1]), mk_cover(2, &[0])],
-        });
-        col.push(RicSample {
+        })
+        .unwrap();
+        col.push_sample(&RicSample {
             community: CommunityId::new(1),
             threshold: 2,
             community_size: 2,
             nodes: vec![NodeId::new(2), NodeId::new(3), NodeId::new(4)],
             covers: vec![mk_cover(2, &[0]), mk_cover(2, &[1]), mk_cover(2, &[0])],
-        });
+        })
+        .unwrap();
         (cs, col)
     }
 
-    fn run(cs: &CommunitySet, col: &RicCollection, k: usize, seed: u64) -> MbOutcome {
+    fn run(cs: &CommunitySet, col: &RicStore, k: usize, seed: u64) -> MbOutcome {
         mb_with(cs, col, k, seed, SolveStrategy::Lazy).0
     }
 
@@ -170,13 +156,5 @@ mod tests {
     fn deterministic_under_seed() {
         let (cs, col) = setup();
         assert_eq!(run(&cs, &col, 3, 5), run(&cs, &col, 3, 5));
-    }
-
-    /// The deprecated shim must stay behaviourally pinned to `mb_with`.
-    #[test]
-    #[allow(deprecated)]
-    fn shim_matches_core() {
-        let (cs, col) = setup();
-        assert_eq!(mb(&cs, &col, 3, 5), run(&cs, &col, 3, 5));
     }
 }

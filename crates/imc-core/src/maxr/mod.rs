@@ -3,21 +3,24 @@
 //!
 //! | Solver | Ratio (paper) | Requires |
 //! |---|---|---|
-//! | [`greedy`] (plain, on `ĉ_R`) | none (non-submodular) | — |
-//! | [`ubg`] (sandwich on `ν_R`)  | `(ĉ(S_ν)/ν(S_ν))·(1−1/e)` (Thm. 2) | — |
-//! | [`maf`] (most-appearance)    | `⌊k/h⌋ / r` (Thm. 3) | — |
-//! | [`bt`]  (bounded threshold)  | `(1−1/e)/k` (Thm. 4), `(1−1/e)/k^{d−1}` for BT^(d) | `h_i ≤ d` |
-//! | [`mb`]  (MAF ∨ BT)           | `Θ(√((1−1/e)/r))` (Thm. 5) | `h_i ≤ 2` |
+//! | [`GreedySolver`] (plain, on `ĉ_R`) | none (non-submodular) | — |
+//! | [`UbgSolver`] (sandwich on `ν_R`)  | `(ĉ(S_ν)/ν(S_ν))·(1−1/e)` (Thm. 2) | — |
+//! | [`MafSolver`] (most-appearance)    | `⌊k/h⌋ / r` (Thm. 3) | — |
+//! | [`BtSolver`]  (bounded threshold)  | `(1−1/e)/k` (Thm. 4), `(1−1/e)/k^{d−1}` for BT^(d) | `h_i ≤ d` |
+//! | [`MbSolver`]  (MAF ∨ BT)           | `Θ(√((1−1/e)/r))` (Thm. 5) | `h_i ≤ 2` |
 //!
 //! All of them run on the shared [`engine`] (CELF lazy evaluation plus
-//! deterministic sharded parallelism, selected by [`SolveStrategy`]) and
-//! are exposed uniformly through the [`solver`] module's [`MaxrSolver`]
-//! trait; [`MaxrAlgorithm::solve`] is the single dispatch entry point.
+//! deterministic sharded parallelism, selected by [`SolveStrategy`]) over
+//! any [`RicSamples`] implementer ([`RicStore`](crate::RicStore) or
+//! [`RicStoreView`](crate::snapshot::RicStoreView)), and are exposed only
+//! through the [`solver`] module's [`MaxrSolver`] trait;
+//! [`MaxrAlgorithm::solve`] is the single dispatch entry point. The
+//! per-algorithm modules ([`ubg`], [`maf`], [`bt`], [`mb`]) hold the
+//! algorithm bodies and their outcome types.
 
 pub mod bt;
 pub mod engine;
 pub mod exhaustive;
-pub mod greedy;
 pub mod maf;
 pub mod mb;
 pub mod solver;
@@ -51,12 +54,6 @@ pub enum MaxrAlgorithm {
     /// MB = best of MAF and BT (Theorem 5), thresholds ≤ 2.
     Mb,
 }
-
-/// Former name of [`SolveReport`]. The fields `seeds`,
-/// `influenced_samples`, and `estimate` carry over unchanged; the report
-/// adds `evaluations`, `elapsed`, and per-solver `extras`.
-#[deprecated(note = "renamed to `SolveReport`")]
-pub type MaxrSolution = SolveReport;
 
 impl MaxrAlgorithm {
     /// Short name used in reports.
@@ -98,10 +95,10 @@ impl MaxrAlgorithm {
         }
     }
 
-    /// Runs the solver on a sample collection — either storage backend
-    /// ([`RicCollection`](crate::RicCollection) or
-    /// [`RicStore`](crate::RicStore)); the seed sets are identical for
-    /// identical collections and for every [`SolveStrategy`].
+    /// Runs the solver on a sample collection
+    /// ([`RicStore`](crate::RicStore) or a zero-copy
+    /// [`RicStoreView`](crate::snapshot::RicStoreView)); the seed sets are
+    /// identical for identical collections and for every [`SolveStrategy`].
     ///
     /// This is the single dispatch entry point over the unified
     /// [`MaxrSolver`] API: it applies the instance-level budget check, the

@@ -2,10 +2,9 @@
 //! [`MaxrSolver`] trait with a shared [`SolveRequest`] / [`SolveReport`]
 //! pair.
 //!
-//! Historically each solver had its own free function with bespoke
-//! parameters and return types (`greedy_c` returned a bare `Vec<NodeId>`,
-//! `bt` took a `BtConfig`, `maf`/`mb` took the community set, and each
-//! returned its own `*Outcome`). This module folds those differences into:
+//! The algorithms differ in what they need (BT a threshold bound, MAF/MB
+//! the community set and an RNG seed) and in what they can report. This
+//! module folds those differences into:
 //!
 //! * [`SolveRequest`] — budget `k`, RNG seed, BT threshold bound `d`, and
 //!   the engine [`SolveStrategy`];
@@ -16,9 +15,9 @@
 //!   [`MaxrSolver`].
 //!
 //! [`MaxrAlgorithm::solve`](crate::MaxrAlgorithm::solve) dispatches to
-//! these and stays the single entry point; the old free functions remain
-//! as thin `#[deprecated]` shims. See `docs/SOLVER_API.md` for the
-//! migration guide.
+//! these and is the single entry point; the per-solver free functions it
+//! replaced were removed in 0.8.0 (old → new table in
+//! `docs/SOLVER_API.md`).
 
 use crate::maxr::engine::{self, SolveStrategy};
 use crate::maxr::{bt, maf, mb, ubg};
@@ -384,7 +383,7 @@ impl MaxrSolver for MbSolver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CoverSet, RicCollection, RicSample};
+    use crate::{CoverSet, RicSample, RicStore};
     use imc_community::CommunityId;
 
     fn mk_cover(width: usize, bits: &[usize]) -> CoverSet {
@@ -395,7 +394,7 @@ mod tests {
         c
     }
 
-    fn fixture() -> (CommunitySet, RicCollection) {
+    fn fixture() -> (CommunitySet, RicStore) {
         let cs = CommunitySet::from_parts(
             6,
             vec![
@@ -404,23 +403,25 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut col = RicCollection::new(6, 2, 4.0);
+        let mut col = RicStore::new(6, 2, 4.0);
         for _ in 0..3 {
-            col.push(RicSample {
+            col.push_sample(&RicSample {
                 community: CommunityId::new(0),
                 threshold: 2,
                 community_size: 2,
                 nodes: vec![NodeId::new(0), NodeId::new(1)],
                 covers: vec![mk_cover(2, &[0]), mk_cover(2, &[1])],
-            });
+            })
+            .unwrap();
         }
-        col.push(RicSample {
+        col.push_sample(&RicSample {
             community: CommunityId::new(1),
             threshold: 1,
             community_size: 1,
             nodes: vec![NodeId::new(2)],
             covers: vec![mk_cover(1, &[0])],
-        });
+        })
+        .unwrap();
         (cs, col)
     }
 
@@ -484,14 +485,15 @@ mod tests {
             Err(ImcError::InvalidParameter { name: "bt depth" })
         ));
         // A threshold-3 sample under the default depth-2 bound.
-        let mut col3 = RicCollection::new(5, 1, 1.0);
-        col3.push(RicSample {
+        let mut col3 = RicStore::new(5, 1, 1.0);
+        col3.push_sample(&RicSample {
             community: CommunityId::new(0),
             threshold: 3,
             community_size: 3,
             nodes: vec![NodeId::new(1), NodeId::new(2), NodeId::new(3)],
             covers: vec![mk_cover(3, &[0]), mk_cover(3, &[1]), mk_cover(3, &[2])],
-        });
+        })
+        .unwrap();
         assert!(matches!(
             BtSolver::default().solve(&col3, &SolveRequest::new(2)),
             Err(ImcError::ThresholdTooLarge { .. })

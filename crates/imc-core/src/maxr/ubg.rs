@@ -10,7 +10,8 @@ use crate::maxr::engine::{greedy_c_with, greedy_nu_with, SolveStrategy};
 use crate::RicSamples;
 use imc_graph::NodeId;
 
-/// Output of [`ubg`], exposing both candidate sets and the sandwich ratio.
+/// Output of UBG ([`UbgSolver`](crate::maxr::solver::UbgSolver)), exposing
+/// both candidate sets and the sandwich ratio.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UbgOutcome {
     /// The chosen seed set (the better of [`s_nu`](Self::s_nu) /
@@ -27,16 +28,10 @@ pub struct UbgOutcome {
     pub sandwich_ratio: f64,
 }
 
-/// Runs UBG on a collection (either storage backend).
-#[deprecated(note = "use `UbgSolver` or `MaxrAlgorithm::Ubg.solve` (see docs/SOLVER_API.md)")]
-pub fn ubg<C: RicSamples>(collection: &C, k: usize) -> UbgOutcome {
-    ubg_with(collection, k, SolveStrategy::Lazy).0
-}
-
-/// Strategy-aware UBG used by [`UbgSolver`](crate::maxr::solver::UbgSolver)
-/// and the deprecated [`ubg`] shim. Both greedy passes route through the
-/// shared engine so the sandwich bound uses identical pick logic to every
-/// other consumer. Returns the outcome plus the engine's evaluation count.
+/// Strategy-aware UBG behind [`UbgSolver`](crate::maxr::solver::UbgSolver).
+/// Both greedy passes route through the shared engine so the sandwich bound
+/// uses identical pick logic to every other consumer. Returns the outcome
+/// plus the engine's evaluation count.
 pub(crate) fn ubg_with<C: RicSamples>(
     collection: &C,
     k: usize,
@@ -71,7 +66,7 @@ pub(crate) fn ubg_with<C: RicSamples>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CoverSet, RicCollection, RicSample};
+    use crate::{CoverSet, RicSample, RicStore};
     use imc_community::CommunityId;
 
     fn mk_cover(width: usize, bits: &[usize]) -> CoverSet {
@@ -82,31 +77,33 @@ mod tests {
         c
     }
 
-    fn run(col: &RicCollection, k: usize) -> UbgOutcome {
+    fn run(col: &RicStore, k: usize) -> UbgOutcome {
         ubg_with(col, k, SolveStrategy::Lazy).0
     }
 
     /// ĉ-greedy gets trapped: with k = 2, sample 0 (h=2) needs nodes
     /// {0, 1}; node 2 gives an immediate unit gain on sample 1 but wastes
     /// budget. ν-greedy prefers 0/1 (gain 1/2 each on three h=2 samples).
-    fn sandwich_collection() -> RicCollection {
-        let mut col = RicCollection::new(4, 2, 4.0);
+    fn sandwich_collection() -> RicStore {
+        let mut col = RicStore::new(4, 2, 4.0);
         for _ in 0..3 {
-            col.push(RicSample {
+            col.push_sample(&RicSample {
                 community: CommunityId::new(0),
                 threshold: 2,
                 community_size: 2,
                 nodes: vec![NodeId::new(0), NodeId::new(1)],
                 covers: vec![mk_cover(2, &[0]), mk_cover(2, &[1])],
-            });
+            })
+            .unwrap();
         }
-        col.push(RicSample {
+        col.push_sample(&RicSample {
             community: CommunityId::new(1),
             threshold: 1,
             community_size: 1,
             nodes: vec![NodeId::new(2)],
             covers: vec![mk_cover(1, &[0])],
-        });
+        })
+        .unwrap();
         col
     }
 
@@ -132,14 +129,15 @@ mod tests {
     #[test]
     fn ratio_is_one_when_thresholds_are_one() {
         // Lemma 4: with h = 1 everywhere, ĉ_R == ν_R.
-        let mut col = RicCollection::new(3, 1, 1.0);
-        col.push(RicSample {
+        let mut col = RicStore::new(3, 1, 1.0);
+        col.push_sample(&RicSample {
             community: CommunityId::new(0),
             threshold: 1,
             community_size: 2,
             nodes: vec![NodeId::new(0), NodeId::new(1)],
             covers: vec![mk_cover(2, &[0]), mk_cover(2, &[1])],
-        });
+        })
+        .unwrap();
         let out = run(&col, 1);
         assert!((out.sandwich_ratio - 1.0).abs() < 1e-12);
         assert_eq!(col.estimate(&out.seeds), col.nu_estimate(&out.seeds));
@@ -149,14 +147,15 @@ mod tests {
     fn chooses_c_when_it_wins() {
         // One h=1 sample reachable only by node 2; ν and ĉ agree, but make
         // s_c the winner by giving node 2 the only coverage.
-        let mut col = RicCollection::new(3, 1, 1.0);
-        col.push(RicSample {
+        let mut col = RicStore::new(3, 1, 1.0);
+        col.push_sample(&RicSample {
             community: CommunityId::new(0),
             threshold: 1,
             community_size: 1,
             nodes: vec![NodeId::new(2)],
             covers: vec![mk_cover(1, &[0])],
-        });
+        })
+        .unwrap();
         let out = run(&col, 1);
         assert_eq!(out.seeds, vec![NodeId::new(2)]);
         assert_eq!(col.influenced_count(&out.seeds), 1);

@@ -1,10 +1,11 @@
 use crate::kernels;
 use crate::samples::{limbs_for_width, RicSamples};
-use crate::RicCollection;
+use crate::RicStore;
 use imc_graph::NodeId;
 
 /// Incremental evaluator of the MAXR objectives over any [`RicSamples`]
-/// backend ([`RicCollection`] or [`RicStore`](crate::RicStore)).
+/// implementer ([`RicStore`] or
+/// [`RicStoreView`](crate::snapshot::RicStoreView)).
 ///
 /// Maintains, per sample, the union of cover sets of the seeds added so
 /// far — stored as one flat `u64` buffer with per-sample offsets, so a
@@ -24,7 +25,7 @@ use imc_graph::NodeId;
 /// a cluster shard session that outlives the request that pinned the
 /// store.
 #[derive(Debug, Clone)]
-pub struct CoverageState<C: RicSamples = RicCollection> {
+pub struct CoverageState<C: RicSamples = RicStore> {
     collection: C,
     union_offsets: Vec<usize>,
     union_words: Vec<u64>,
@@ -257,7 +258,7 @@ impl<C: RicSamples> CoverageState<C> {
 /// assert_eq!(eval.influenced_count(&seeds), store.influenced_count(&seeds));
 /// ```
 #[derive(Debug, Clone)]
-pub struct CoverageEvaluator<C: RicSamples = RicCollection> {
+pub struct CoverageEvaluator<C: RicSamples = RicStore> {
     collection: C,
     union_offsets: Vec<usize>,
     union_words: Vec<u64>,
@@ -593,11 +594,12 @@ fn fused_influenced_counts<S: AsRef<[NodeId]>>(fused: &mut FusedIndex, sets: &[S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CoverSet, RicSample, RicStore};
+    use crate::snapshot::{encode, SnapshotBytes};
+    use crate::{CoverSet, RicSample};
     use imc_community::CommunityId;
 
-    fn build_collection() -> RicCollection {
-        let mut col = RicCollection::new(6, 2, 4.0);
+    fn build_collection() -> RicStore {
+        let mut col = RicStore::new(6, 2, 4.0);
         // Sample 0: community 0, h = 2, members {a, b} (width 2).
         // node 1 covers a, node 2 covers b, node 3 covers both.
         let mk = |bits: &[usize]| {
@@ -607,31 +609,41 @@ mod tests {
             }
             c
         };
-        col.push(RicSample {
+        col.push_sample(&RicSample {
             community: CommunityId::new(0),
             threshold: 2,
             community_size: 2,
             nodes: vec![NodeId::new(1), NodeId::new(2), NodeId::new(3)],
             covers: vec![mk(&[0]), mk(&[1]), mk(&[0, 1])],
-        });
+        })
+        .unwrap();
         // Sample 1: community 1, h = 1; node 2 covers member 0.
-        col.push(RicSample {
+        col.push_sample(&RicSample {
             community: CommunityId::new(1),
             threshold: 1,
             community_size: 2,
             nodes: vec![NodeId::new(2)],
             covers: vec![mk(&[0])],
-        });
+        })
+        .unwrap();
         col
+    }
+
+    /// Snapshot bytes of `store`; a `RicStoreView` over them answers
+    /// through the naive provided methods of `RicSamples`.
+    fn snapshot_of(store: &RicStore) -> SnapshotBytes {
+        SnapshotBytes::copy_from(&encode(store, 0, 0))
     }
 
     #[test]
     fn marginals_match_brute_force() {
         let col = build_collection();
+        let snapshot = snapshot_of(&col);
+        let naive = snapshot.view().unwrap();
         let mut st = CoverageState::new(&col);
         for v in [1u32, 2, 3, 4] {
             let v = NodeId::new(v);
-            let brute = col.influenced_count(&[v]);
+            let brute = naive.influenced_count(&[v]);
             assert_eq!(st.marginal_influenced(v), brute, "node {v}");
         }
         st.add_seed(NodeId::new(1));
@@ -676,8 +688,10 @@ mod tests {
         st.add_seed(NodeId::new(2));
         st.add_seed(NodeId::new(1));
         let seeds = [NodeId::new(2), NodeId::new(1)];
-        assert_eq!(st.estimate(), col.estimate(&seeds));
-        assert!((st.nu_estimate() - col.nu_estimate(&seeds)).abs() < 1e-12);
+        let snapshot = snapshot_of(&col);
+        let naive = snapshot.view().unwrap();
+        assert_eq!(st.estimate(), naive.estimate(&seeds));
+        assert!((st.nu_estimate() - naive.nu_estimate(&seeds)).abs() < 1e-12);
         assert_eq!(st.influenced_count(), 2);
         assert_eq!(st.covered_counts(), &[2, 1]);
     }
@@ -746,15 +760,8 @@ mod tests {
         let col = build_collection();
         let full = CoverageState::new(&col);
         // Partition 0 = sample 0, partition 1 = sample 1.
-        let mut lo = RicCollection::new(6, 2, 4.0);
-        let mut hi = RicCollection::new(6, 2, 4.0);
-        for (si, s) in col.samples().iter().enumerate() {
-            if si == 0 {
-                lo.push(s.clone());
-            } else {
-                hi.push(s.clone());
-            }
-        }
+        let lo = RicStore::from_samples(6, 2, 4.0, [&col.view(0).to_sample()]).unwrap();
+        let hi = RicStore::from_samples(6, 2, 4.0, [&col.view(1).to_sample()]).unwrap();
         let st_lo = CoverageState::new(&lo);
         let st_hi = CoverageState::new(&hi);
         for v in (0..6).map(NodeId::new) {
@@ -765,8 +772,7 @@ mod tests {
 
     #[test]
     fn evaluator_matches_one_shot_state_across_seed_sets() {
-        let col = build_collection();
-        let store = RicStore::from_collection(&col).unwrap();
+        let store = build_collection();
         let mut eval = CoverageEvaluator::new(&store);
         let sets: Vec<Vec<NodeId>> = vec![
             vec![],
@@ -805,11 +811,13 @@ mod tests {
         }
     }
 
+    /// The state is generic over `RicSamples`: it must track the same
+    /// values over the zero-copy view as over the owned store.
     #[test]
-    fn store_backend_tracks_identical_state() {
-        let col = build_collection();
-        let store = RicStore::from_collection(&col).unwrap();
-        let mut st_col = CoverageState::new(&col);
+    fn view_backend_tracks_identical_state() {
+        let store = build_collection();
+        let snapshot = snapshot_of(&store);
+        let mut st_col = CoverageState::new(snapshot.view().unwrap());
         let mut st_store = CoverageState::new(&store);
         for v in (0..6).map(NodeId::new) {
             assert_eq!(
@@ -829,8 +837,7 @@ mod tests {
 
     #[test]
     fn batched_counts_match_scalar_across_block_boundaries() {
-        let col = build_collection();
-        let store = RicStore::from_collection(&col).unwrap();
+        let store = build_collection();
         let mut eval = CoverageEvaluator::new(&store);
         // Every subset of {1..4} plus duplicates and an empty set; block
         // sizes below the set count force the chunked path to stitch
@@ -857,8 +864,10 @@ mod tests {
         assert_eq!(eval.influenced_counts(&sets), scalar);
         assert!(matches!(eval.fused, FusedState::Ready(_)));
         // The brute-force trait method agrees too.
+        let snapshot = snapshot_of(&store);
+        let naive = snapshot.view().unwrap();
         for (set, &count) in sets.iter().zip(&scalar) {
-            assert_eq!(RicSamples::influenced_count(&col, set), count);
+            assert_eq!(naive.influenced_count(set), count);
         }
     }
 
@@ -866,7 +875,7 @@ mod tests {
     fn batched_counts_fall_back_for_multi_limb_samples() {
         // Width 70 needs two cover limbs, so the fused index refuses and
         // the public API must route through the tiled path.
-        let mut col = RicCollection::new(4, 1, 2.0);
+        let mut store = RicStore::new(4, 1, 2.0);
         let wide = |bits: &[usize]| {
             let mut c = CoverSet::new(70);
             for &b in bits {
@@ -874,21 +883,24 @@ mod tests {
             }
             c
         };
-        col.push(RicSample {
-            community: CommunityId::new(0),
-            threshold: 2,
-            community_size: 70,
-            nodes: vec![NodeId::new(0), NodeId::new(2)],
-            covers: vec![wide(&[0, 69]), wide(&[69])],
-        });
-        col.push(RicSample {
-            community: CommunityId::new(0),
-            threshold: 1,
-            community_size: 70,
-            nodes: vec![NodeId::new(2)],
-            covers: vec![wide(&[65])],
-        });
-        let store = RicStore::from_collection(&col).unwrap();
+        store
+            .push_sample(&RicSample {
+                community: CommunityId::new(0),
+                threshold: 2,
+                community_size: 70,
+                nodes: vec![NodeId::new(0), NodeId::new(2)],
+                covers: vec![wide(&[0, 69]), wide(&[69])],
+            })
+            .unwrap();
+        store
+            .push_sample(&RicSample {
+                community: CommunityId::new(0),
+                threshold: 1,
+                community_size: 70,
+                nodes: vec![NodeId::new(2)],
+                covers: vec![wide(&[65])],
+            })
+            .unwrap();
         let mut eval = CoverageEvaluator::new(&store);
         let sets: Vec<Vec<NodeId>> = vec![
             vec![NodeId::new(0)],

@@ -46,7 +46,7 @@ impl RicSample {
     /// violates it the search may miss a node that is present, or resolve a
     /// duplicated id to either of its entries; no panic, but the answer is
     /// unspecified. [`RicStore::push_sample`](crate::RicStore::push_sample)
-    /// and [`RicStore::from_collection`](crate::RicStore::from_collection)
+    /// and [`RicStore::from_samples`](crate::RicStore::from_samples)
     /// reject such samples up front with
     /// [`RicStoreError::NodesNotStrictlyAscending`](crate::RicStoreError::NodesNotStrictlyAscending).
     pub fn cover_of(&self, v: NodeId) -> Option<&CoverSet> {

@@ -1,22 +1,22 @@
 //! The [`RicSamples`] abstraction — read-only access to a collection of
 //! RIC samples independent of the storage layout.
 //!
-//! Two backends implement it:
+//! Two types implement it (plus the `&T` / `Arc<T>` forwarders):
 //!
-//! * [`RicCollection`](crate::RicCollection) — one heap-allocated
-//!   [`RicSample`](crate::RicSample) per draw, per-node
-//!   [`CoverSet`](crate::CoverSet) enums, per-node `Vec` index. Flexible,
-//!   and the construction target of hand-built test fixtures.
-//! * [`RicStore`](crate::RicStore) — one contiguous arena (CSR node lists,
-//!   flat `u64` cover words, CSR inverted index) for the whole collection.
-//!   The production hot path.
+//! * [`RicStore`](crate::RicStore) — one contiguous owned arena (CSR node
+//!   lists, flat `u64` cover words, CSR inverted index) for the whole
+//!   collection. The production hot path; it overrides the estimator
+//!   methods with index-driven versions.
+//! * [`RicStoreView`](crate::snapshot::RicStoreView) — the same columns
+//!   borrowed zero-copy from version-3 snapshot bytes. It implements only
+//!   the required methods, so it runs the naive provided ones.
 //!
 //! Every MAXR solver, [`CoverageState`](crate::CoverageState) and the
-//! snapshot encoder are generic over this trait, so the two layouts are
-//! interchangeable — and the `store_equivalence` property test holds
-//! them to *identical* solver outputs, not merely equivalent ones.
+//! snapshot encoder are generic over this trait — and the
+//! `store_equivalence` property test holds the two implementers to
+//! *identical* solver outputs, not merely equivalent ones.
 
-use crate::collection::SampleRef;
+use crate::store::SampleRef;
 use imc_community::CommunityId;
 use imc_graph::NodeId;
 
@@ -35,11 +35,11 @@ pub(crate) fn limbs_for_width(width: u32) -> usize {
 /// checks) is provided on top of them. Implementations may override the
 /// provided methods with faster layout-specific versions as long as the
 /// results are identical — `ĉ_R` is integer-exact and `ν_R` must be summed
-/// in sample order so both backends agree bitwise.
+/// in sample order so every implementer agrees bitwise.
 ///
 /// `Sync` is a supertrait so the parallel solve engine can share a
-/// collection across scoped worker threads; both storage backends are
-/// plain owned data and satisfy it automatically.
+/// collection across scoped worker threads; both implementers are plain
+/// (owned or borrowed) data and satisfy it automatically.
 pub trait RicSamples: Sync {
     /// Number of samples `|R|`.
     fn len(&self) -> usize;
@@ -134,7 +134,7 @@ pub trait RicSamples: Sync {
     }
 
     /// The submodular upper-bound estimator `ν_R(S)` (eq. 7). Returns 0
-    /// for an empty collection. Summed in sample order so every backend
+    /// for an empty collection. Summed in sample order so every implementer
     /// produces bitwise-identical values.
     fn nu_estimate(&self, seeds: &[NodeId]) -> f64 {
         if self.is_empty() {
@@ -167,7 +167,7 @@ pub trait RicSamples: Sync {
 
 /// Forwards every trait method (required *and* provided) through a smart
 /// pointer, so layout-specific overrides like
-/// [`RicCollection::estimate`](crate::RicCollection) stay on the forwarded
+/// [`RicStore::estimate`](crate::RicStore::estimate) stay on the forwarded
 /// path instead of falling back to the trait defaults.
 macro_rules! forward_ric_samples {
     () => {
@@ -242,189 +242,92 @@ impl<T: RicSamples + ?Sized + Send> RicSamples for std::sync::Arc<T> {
     forward_ric_samples!();
 }
 
-impl RicSamples for crate::RicCollection {
-    fn len(&self) -> usize {
-        crate::RicCollection::len(self)
-    }
-
-    fn node_count(&self) -> usize {
-        crate::RicCollection::node_count(self)
-    }
-
-    fn community_count(&self) -> usize {
-        crate::RicCollection::community_count(self)
-    }
-
-    fn total_benefit(&self) -> f64 {
-        crate::RicCollection::total_benefit(self)
-    }
-
-    fn sample_community(&self, si: usize) -> CommunityId {
-        self.samples()[si].community
-    }
-
-    fn sample_threshold(&self, si: usize) -> u32 {
-        self.samples()[si].threshold
-    }
-
-    fn sample_width(&self, si: usize) -> u32 {
-        self.samples()[si].community_size
-    }
-
-    fn sample_nodes(&self, si: usize) -> &[NodeId] {
-        &self.samples()[si].nodes
-    }
-
-    fn cover_words(&self, si: usize, pos: usize) -> &[u64] {
-        self.samples()[si].covers[pos].words()
-    }
-
-    fn touched_by(&self, v: NodeId) -> &[SampleRef] {
-        crate::RicCollection::touched_by(self, v)
-    }
-
-    // Forward the derived queries to the long-standing inherent methods so
-    // the trait path is behaviorally indistinguishable from direct calls.
-    fn appearance_count(&self, v: NodeId) -> usize {
-        crate::RicCollection::appearance_count(self, v)
-    }
-
-    fn sample_covered_members(&self, si: usize, seeds: &[NodeId]) -> u32 {
-        self.samples()[si].covered_members(seeds)
-    }
-
-    fn influenced_count(&self, seeds: &[NodeId]) -> usize {
-        crate::RicCollection::influenced_count(self, seeds)
-    }
-
-    fn estimate(&self, seeds: &[NodeId]) -> f64 {
-        crate::RicCollection::estimate(self, seeds)
-    }
-
-    fn nu_estimate(&self, seeds: &[NodeId]) -> f64 {
-        crate::RicCollection::nu_estimate(self, seeds)
-    }
-
-    fn community_frequencies(&self) -> Vec<usize> {
-        crate::RicCollection::community_frequencies(self)
-    }
-
-    fn node_appearance_counts(&self) -> Vec<usize> {
-        crate::RicCollection::node_appearance_counts(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CoverSet, RicCollection, RicSample};
+    use crate::snapshot::{encode, SnapshotBytes};
+    use crate::{CoverSet, RicSample, RicStore};
 
-    fn build() -> RicCollection {
-        let mut col = RicCollection::new(6, 2, 4.0);
-        let mk = |bits: &[usize]| {
-            let mut c = CoverSet::new(2);
-            for &b in bits {
-                c.set(b);
-            }
-            c
-        };
-        col.push(RicSample {
-            community: CommunityId::new(0),
-            threshold: 2,
-            community_size: 2,
-            nodes: vec![NodeId::new(1), NodeId::new(2)],
-            covers: vec![mk(&[0]), mk(&[1])],
-        });
-        col.push(RicSample {
-            community: CommunityId::new(1),
-            threshold: 1,
-            community_size: 2,
-            nodes: vec![NodeId::new(2)],
-            covers: vec![mk(&[0])],
-        });
-        col
+    fn cover(width: usize, bits: &[usize]) -> CoverSet {
+        let mut c = CoverSet::new(width);
+        for &b in bits {
+            c.set(b);
+        }
+        c
     }
 
-    /// The provided (default) trait methods must agree with the inherent
-    /// `RicCollection` implementations they generalize.
+    /// Two narrow samples plus one of width 300 — 5 limbs, past the 4-limb
+    /// inline scratch of `sample_covered_members`, so the heap path runs.
+    fn build() -> RicStore {
+        let samples = [
+            RicSample {
+                community: CommunityId::new(0),
+                threshold: 2,
+                community_size: 2,
+                nodes: vec![NodeId::new(1), NodeId::new(2)],
+                covers: vec![cover(2, &[0]), cover(2, &[1])],
+            },
+            RicSample {
+                community: CommunityId::new(1),
+                threshold: 1,
+                community_size: 2,
+                nodes: vec![NodeId::new(2)],
+                covers: vec![cover(2, &[0])],
+            },
+            RicSample {
+                community: CommunityId::new(1),
+                threshold: 2,
+                community_size: 300,
+                nodes: vec![NodeId::new(1), NodeId::new(4)],
+                covers: vec![cover(300, &[0, 299]), cover(300, &[299])],
+            },
+        ];
+        RicStore::from_samples(6, 2, 4.0, &samples).unwrap()
+    }
+
+    /// The provided (default) trait methods — which `RicStoreView` runs
+    /// un-overridden — must agree with the inherent index-driven `RicStore`
+    /// implementations that override them.
     #[test]
-    fn defaults_match_inherent_collection_queries() {
-        struct Shim<'a>(&'a RicCollection);
-        impl RicSamples for Shim<'_> {
-            fn len(&self) -> usize {
-                RicSamples::len(self.0)
-            }
-            fn node_count(&self) -> usize {
-                RicSamples::node_count(self.0)
-            }
-            fn community_count(&self) -> usize {
-                RicSamples::community_count(self.0)
-            }
-            fn total_benefit(&self) -> f64 {
-                RicSamples::total_benefit(self.0)
-            }
-            fn sample_community(&self, si: usize) -> CommunityId {
-                self.0.sample_community(si)
-            }
-            fn sample_threshold(&self, si: usize) -> u32 {
-                self.0.sample_threshold(si)
-            }
-            fn sample_width(&self, si: usize) -> u32 {
-                self.0.sample_width(si)
-            }
-            fn sample_nodes(&self, si: usize) -> &[NodeId] {
-                self.0.sample_nodes(si)
-            }
-            fn cover_words(&self, si: usize, pos: usize) -> &[u64] {
-                self.0.cover_words(si, pos)
-            }
-            fn touched_by(&self, v: NodeId) -> &[SampleRef] {
-                RicSamples::touched_by(self.0, v)
-            }
-        }
-        let col = build();
-        let shim = Shim(&col);
+    fn provided_methods_match_inherent_store_queries() {
+        let store = build();
+        let snapshot = SnapshotBytes::copy_from(&encode(&store, 0, 0));
+        let naive = snapshot.view().unwrap();
         for seeds in [
             vec![],
             vec![NodeId::new(1)],
             vec![NodeId::new(2)],
+            vec![NodeId::new(4)],
             vec![NodeId::new(1), NodeId::new(2)],
             vec![NodeId::new(5)],
         ] {
-            assert_eq!(shim.influenced_count(&seeds), col.influenced_count(&seeds));
-            assert_eq!(shim.estimate(&seeds), col.estimate(&seeds));
-            assert_eq!(shim.nu_estimate(&seeds), col.nu_estimate(&seeds));
-            for si in 0..col.len() {
+            assert_eq!(
+                naive.influenced_count(&seeds),
+                store.influenced_count(&seeds)
+            );
+            assert_eq!(naive.estimate(&seeds), store.estimate(&seeds));
+            assert_eq!(naive.nu_estimate(&seeds), store.nu_estimate(&seeds));
+            for si in 0..store.len() {
                 assert_eq!(
-                    shim.sample_covered_members(si, &seeds),
-                    col.samples()[si].covered_members(&seeds)
+                    naive.sample_covered_members(si, &seeds),
+                    store.view(si).covered_members(&seeds)
                 );
             }
         }
-        assert_eq!(shim.community_frequencies(), col.community_frequencies());
-        assert_eq!(shim.node_appearance_counts(), col.node_appearance_counts());
-        assert_eq!(shim.appearance_count(NodeId::new(2)), 2);
+        assert_eq!(naive.community_frequencies(), store.community_frequencies());
+        assert_eq!(
+            naive.node_appearance_counts(),
+            store.node_appearance_counts()
+        );
+        assert_eq!(naive.appearance_count(NodeId::new(2)), 2);
     }
 
     #[test]
     fn wide_sample_covered_members_spills_to_heap_scratch() {
-        // width 300 → 5 limbs > the 4-limb inline scratch.
-        let width = 300usize;
-        let mut c = CoverSet::new(width);
-        c.set(0);
-        c.set(299);
-        let mut col = RicCollection::new(3, 1, 1.0);
-        col.push(RicSample {
-            community: CommunityId::new(0),
-            threshold: 2,
-            community_size: width as u32,
-            nodes: vec![NodeId::new(1)],
-            covers: vec![c],
-        });
-        // Route through the default implementation (UFCS on the trait).
-        assert_eq!(
-            RicSamples::sample_covered_members(&col, 0, &[NodeId::new(1)]),
-            2
-        );
+        let store = build();
+        assert_eq!(limbs_for_width(store.sample_width(2)), 5);
+        assert_eq!(store.sample_covered_members(2, &[NodeId::new(1)]), 2);
+        assert_eq!(store.sample_covered_members(2, &[NodeId::new(4)]), 1);
+        assert!(store.sample_influenced(2, &[NodeId::new(4), NodeId::new(1)]));
     }
 }

@@ -59,7 +59,7 @@
 //! over snapshot files you trust (ones this process or its deploy pipeline
 //! wrote).
 
-use crate::collection::SampleRef;
+use crate::store::SampleRef;
 use crate::{RicSamples, RicStore};
 use imc_community::{CommunityId, CommunitySet};
 use imc_graph::{Graph, NodeId};
@@ -241,7 +241,7 @@ fn limbs_for(width: u32) -> usize {
 /// consecutive `u32`s, no padding).
 #[allow(unsafe_code)]
 mod cast {
-    use crate::collection::SampleRef;
+    use crate::store::SampleRef;
     use imc_graph::NodeId;
 
     /// Reinterprets `bytes` as a slice of `T`, or `None` when the pointer
@@ -306,7 +306,7 @@ fn put_u64(out: &mut [u8], at: usize, v: u64) {
     out[at..at + 8].copy_from_slice(&v.to_le_bytes());
 }
 
-/// Encodes a collection (either storage backend) into the current
+/// Encodes a collection (any [`RicSamples`] implementer) into the current
 /// version-3 sectioned snapshot format.
 ///
 /// The inverted index is persisted (sections 7–8) in exactly the order
@@ -1307,7 +1307,7 @@ pub fn load_for_instance(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CoverSet, RicCollection, RicSample, RicSampler};
+    use crate::{CoverSet, RicSample, RicSampler};
     use imc_community::CommunitySet;
     use imc_graph::GraphBuilder;
     use rand::rngs::StdRng;
@@ -1393,17 +1393,6 @@ mod tests {
         assert_eq!(old.generation, 5);
         assert_eq!(old.collection, new.collection);
         assert_eq!(old.collection, col);
-    }
-
-    #[test]
-    fn legacy_collection_backend_encodes_identically() {
-        // `encode` over a `RicCollection` must produce the same bytes as
-        // over the equivalent `RicStore` — the trait accessors hide the
-        // backend entirely.
-        let (g, cs, col) = tiny_collection();
-        let legacy: RicCollection = col.to_collection();
-        let fp = instance_fingerprint(&g, &cs);
-        assert_eq!(encode(&legacy, fp, 9), encode(&col, fp, 9));
     }
 
     #[test]
@@ -1678,6 +1667,9 @@ mod tests {
         }
         // Materializing copies the persisted index verbatim.
         assert_eq!(view.to_store(), col);
+        // `encode` sees only the trait accessors: the view re-encodes to
+        // the bytes it borrows.
+        assert_eq!(encode(&view, fp, 2), arena.as_bytes());
     }
 
     #[test]
@@ -1748,39 +1740,41 @@ mod tests {
     fn threshold_above_community_size_round_trips() {
         // `ThresholdPolicy::Constant` does not clamp, so a singleton
         // community with the default threshold 2 is a legal sample.
-        let mut col = RicCollection::new(3, 1, 1.0);
+        let mut col = RicStore::new(3, 1, 1.0);
         let mut cover = CoverSet::new(1);
         cover.set(0);
-        col.push(RicSample {
+        col.push_sample(&RicSample {
             community: CommunityId::new(0),
             threshold: 2,
             community_size: 1,
             nodes: vec![NodeId::new(2)],
             covers: vec![cover],
-        });
+        })
+        .unwrap();
         let decoded = decode(&encode(&col, 7, 0)).unwrap();
-        assert_eq!(decoded.collection, RicStore::from_collection(&col).unwrap());
+        assert_eq!(decoded.collection, col);
     }
 
     #[test]
     fn large_cover_sets_round_trip() {
         // Hand-build a collection whose community is wider than 64 members.
         let width = 130u32;
-        let mut col = RicCollection::new(4, 1, 1.0);
+        let mut col = RicStore::new(4, 1, 1.0);
         let mut c0 = CoverSet::new(width as usize);
         c0.set(0);
         c0.set(64);
         c0.set(129);
         let mut c1 = CoverSet::new(width as usize);
         c1.set(70);
-        col.push(RicSample {
+        col.push_sample(&RicSample {
             community: CommunityId::new(0),
             threshold: 2,
             community_size: width,
             nodes: vec![NodeId::new(1), NodeId::new(3)],
             covers: vec![c0, c1],
-        });
+        })
+        .unwrap();
         let data = decode(&encode(&col, 42, 1)).unwrap();
-        assert_eq!(data.collection, RicStore::from_collection(&col).unwrap());
+        assert_eq!(data.collection, col);
     }
 }

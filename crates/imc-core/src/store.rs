@@ -1,9 +1,6 @@
 //! [`RicStore`] — the arena-backed RIC collection.
 //!
-//! [`RicCollection`](crate::RicCollection) stores one heap allocation per
-//! sample (`Vec<NodeId>` + `Vec<CoverSet>`, each `Large` cover another
-//! box) and a `Vec<SampleRef>` per node. `RicStore` packs the same data
-//! into four flat buffers:
+//! The whole collection lives in four flat buffers:
 //!
 //! ```text
 //! node_offsets:  [0,        n_0,      n_0+n_1,  ...]          (CSR)
@@ -18,12 +15,112 @@
 //! for `v` is then one linear scan of `index(v)` with direct word loads,
 //! no per-sample binary search and no pointer chasing.
 
-use crate::collection::{CollectionStats, SampleRef};
 use crate::samples::{limbs_for_width, RicSamples};
-use crate::{CoverSet, CoverageState, RicCollection, RicSample, RicSampler};
+use crate::{CoverSet, CoverageState, RicSample, RicSampler};
 use imc_community::CommunityId;
 use imc_graph::NodeId;
 use rand::Rng;
+
+/// Fixed number of deterministic sampling shards used by
+/// [`RicStore::extend_parallel`] when the caller does not pick one
+/// explicitly.
+///
+/// This constant is the **cluster partition key**: a distributed solve
+/// splits the same 16 sampling shards across daemons (shard `j` of `P`
+/// owns sampling shards `[j·16/P, (j+1)·16/P)`), so the concatenation of
+/// the per-daemon stores is bitwise identical to the single-node store.
+/// Changing it invalidates every committed baseline and snapshot seeded
+/// under the old split.
+pub const DEFAULT_SAMPLING_SHARDS: usize = 16;
+
+/// The deterministic sampling-shard plan shared by every parallel
+/// extension path: `(rng_seed, sample_count)` per shard, in shard order.
+///
+/// Shard `i` draws `count/shards` samples (plus one of the `count %
+/// shards` leftovers for the first shards) from
+/// `StdRng::seed_from_u64(base_seed + i)`. Counts below 64 collapse to a
+/// single shard seeded `base_seed`, which makes tiny draws identical to a
+/// sequential `extend_with` run.
+pub fn sampling_shard_plan(count: usize, base_seed: u64, shards: usize) -> Vec<(u64, usize)> {
+    if count == 0 {
+        return Vec::new();
+    }
+    // Fixed shard count (independent of the machine) keeps the output
+    // reproducible across hosts; worker threads just consume shards.
+    let shards = if count < 64 { 1 } else { shards.max(1) };
+    let per = count / shards;
+    let extra = count % shards;
+    (0..shards)
+        .map(|i| {
+            (
+                base_seed.wrapping_add(i as u64),
+                per + usize::from(i < extra),
+            )
+        })
+        .collect()
+}
+
+/// The contiguous slice of sampling shards owned by `partition` of
+/// `partitions` — the cluster partition rule.
+///
+/// Requires `partitions` to divide `shards` evenly so every partition owns
+/// the same number of shards and the concatenation over partitions (in
+/// partition order) reproduces the full shard order exactly.
+///
+/// # Panics
+///
+/// When `partitions == 0`, `partition >= partitions`, or `shards %
+/// partitions != 0`.
+pub fn partition_shard_range(
+    shards: usize,
+    partition: usize,
+    partitions: usize,
+) -> std::ops::Range<usize> {
+    assert!(partitions > 0, "partitions must be positive");
+    assert!(
+        partition < partitions,
+        "partition {partition} out of range for {partitions} partitions"
+    );
+    assert!(
+        shards.is_multiple_of(partitions),
+        "{partitions} partitions must divide the {shards} sampling shards evenly"
+    );
+    let width = shards / partitions;
+    partition * width..(partition + 1) * width
+}
+
+/// Location of one node appearance inside a [`RicStore`]: which sample and
+/// at which position (so the node's cover limbs are
+/// [`cover_words(sample, pos)`](RicSamples::cover_words)).
+// `repr(C)` pins the layout to two consecutive `u32`s (8 bytes, no
+// padding), which is what snapshot format v3 persists and what the
+// zero-copy view reinterprets in place — see `snapshot.rs` and
+// docs/FORMATS.md.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C)]
+pub struct SampleRef {
+    /// Index of the sample within the store.
+    pub sample: u32,
+    /// Position of the node inside that sample's `nodes` array.
+    pub pos: u32,
+}
+
+/// Summary statistics of a [`RicStore`], from [`RicStore::stats`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CollectionStats {
+    /// `|R|`.
+    pub samples: usize,
+    /// Σ_g |g| — the inverted-index size, i.e. one greedy sweep's cost.
+    pub total_index_entries: usize,
+    /// Mean nodes per sample.
+    pub mean_sample_size: f64,
+    /// Largest sample.
+    pub max_sample_size: usize,
+    /// Σ_g |g|² — proxy for BT's total pivot-reduction cost.
+    pub sum_squared_sizes: u64,
+    /// Distinct nodes appearing in at least one sample.
+    pub touched_nodes: usize,
+}
 
 /// Validation failure when feeding a sample into a [`RicStore`].
 ///
@@ -204,12 +301,10 @@ impl<'a> RicSampleView<'a> {
 /// Arena-backed collection `R` of RIC samples with a CSR inverted node
 /// index — the production storage for the MAXR/IMCAF hot path.
 ///
-/// Behaviorally interchangeable with [`RicCollection`] through the
-/// [`RicSamples`] trait: same estimators, same solver outputs (the
-/// `store_equivalence` property test pins this), same deterministic
-/// parallel generation scheme. The layout differences are purely
-/// mechanical: four flat buffers instead of per-sample heap allocations,
-/// and one contiguous inverted index instead of a `Vec` per node.
+/// Its index-driven estimator overrides are held bitwise-equal to the
+/// naive provided methods of [`RicSamples`] (which
+/// [`RicStoreView`](crate::snapshot::RicStoreView) runs un-overridden) by
+/// the `store_equivalence` property test.
 ///
 /// ```
 /// use imc_community::CommunitySet;
@@ -300,27 +395,6 @@ impl RicStore {
         }
         store.rebuild_index();
         Ok(store)
-    }
-
-    /// Converts a legacy [`RicCollection`] into a store, validating every
-    /// sample on the way in.
-    pub fn from_collection(col: &RicCollection) -> Result<Self, RicStoreError> {
-        RicStore::from_samples(
-            col.node_count(),
-            col.community_count(),
-            col.total_benefit(),
-            col.samples(),
-        )
-    }
-
-    /// Materializes the store as a legacy [`RicCollection`] (tests and
-    /// tooling; the hot path never leaves the arena).
-    pub fn to_collection(&self) -> RicCollection {
-        let mut col = RicCollection::new(self.node_count, self.community_count, self.total_benefit);
-        for si in 0..self.len() {
-            col.push(self.view(si).to_sample());
-        }
-        col
     }
 
     /// Appends one sample, validating it and updating the inverted index.
@@ -450,8 +524,7 @@ impl RicStore {
 
     /// Recomputes the CSR inverted index from the node arena with one
     /// counting sort — `O(node_count + Σ_g |g|)`. Entries per node come
-    /// out ordered by `(sample, pos)` ascending, matching the append
-    /// order of [`RicCollection`]'s per-node lists.
+    /// out ordered by `(sample, pos)` ascending.
     pub(crate) fn rebuild_index(&mut self) {
         let mut offsets = vec![0usize; self.node_count + 1];
         for v in &self.nodes {
@@ -498,8 +571,8 @@ impl RicStore {
 
     /// Generates and appends `count` samples from `sampler`, reusing one
     /// scratch buffer so each draw lands in the arena without an owning
-    /// `RicSample` in between. Draws the same RNG stream as
-    /// [`RicCollection::extend_with`].
+    /// `RicSample` in between. Draws the same RNG stream as `count` calls
+    /// of [`RicSampler::sample`].
     pub fn extend_with<R: Rng + ?Sized>(
         &mut self,
         sampler: &RicSampler<'_>,
@@ -520,9 +593,15 @@ impl RicStore {
         self.rebuild_index();
     }
 
-    /// Generates and appends `count` samples using multiple threads;
-    /// bit-identical to [`RicCollection::extend_parallel`] for the same
-    /// `base_seed` (same shard plan, same per-shard RNG streams).
+    /// Generates and appends `count` samples using multiple threads, with
+    /// results bit-identical regardless of thread count or scheduling.
+    ///
+    /// The work is split into a fixed number of shards (independent of the
+    /// machine, see [`sampling_shard_plan`]), shard `i` samples from an RNG
+    /// seeded with `base_seed + i`, and the shards are appended in shard
+    /// order. The sample stream differs from
+    /// [`extend_with`](Self::extend_with) (which draws every sample from
+    /// one sequential RNG), so callers pick one scheme and stay with it.
     pub fn extend_parallel(&mut self, sampler: &RicSampler<'_>, count: usize, base_seed: u64) {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -541,19 +620,13 @@ impl RicStore {
         base_seed: u64,
         workers: usize,
     ) {
-        self.extend_parallel_sharded(
-            sampler,
-            count,
-            base_seed,
-            crate::collection::DEFAULT_SAMPLING_SHARDS,
-            workers,
-        );
+        self.extend_parallel_sharded(sampler, count, base_seed, DEFAULT_SAMPLING_SHARDS, workers);
     }
 
     /// [`extend_parallel_with_workers`](Self::extend_parallel_with_workers)
-    /// with an explicit sampling-shard count — see
-    /// [`sampling_shard_plan`](crate::sampling_shard_plan) for what the
-    /// shard count means and why all producers must agree on it.
+    /// with an explicit sampling-shard count — see [`sampling_shard_plan`]
+    /// for what the shard count means and why all producers must agree on
+    /// it.
     pub fn extend_parallel_sharded(
         &mut self,
         sampler: &RicSampler<'_>,
@@ -562,15 +635,14 @@ impl RicStore {
         shards: usize,
         workers: usize,
     ) {
-        let plan = crate::collection::sampling_shard_plan(count, base_seed, shards);
+        let plan = sampling_shard_plan(count, base_seed, shards);
         self.extend_from_plan(sampler, &plan, workers);
     }
 
     /// Generates and appends only the sampling shards a cluster partition
     /// owns: shard `partition` of `partitions` draws sampling shards
     /// `[partition·16/partitions, (partition+1)·16/partitions)` of the
-    /// full [`sampling_shard_plan`](crate::sampling_shard_plan) for
-    /// `count` samples. Concatenating the partition stores in partition
+    /// full [`sampling_shard_plan`] for `count` samples. Concatenating the partition stores in partition
     /// order is bitwise identical to a single
     /// [`extend_parallel`](Self::extend_parallel) of `count` samples.
     ///
@@ -578,8 +650,7 @@ impl RicStore {
     ///
     /// # Panics
     ///
-    /// When `partitions` does not divide
-    /// [`DEFAULT_SAMPLING_SHARDS`](crate::DEFAULT_SAMPLING_SHARDS) evenly,
+    /// When `partitions` does not divide [`DEFAULT_SAMPLING_SHARDS`] evenly,
     /// or when `partitions > 1` and `count < 64` (tiny draws collapse to a
     /// single shard and cannot be partitioned).
     pub fn extend_partition(
@@ -591,8 +662,8 @@ impl RicStore {
         partitions: usize,
         workers: usize,
     ) {
-        let shards = crate::collection::DEFAULT_SAMPLING_SHARDS;
-        let plan = crate::collection::sampling_shard_plan(count, base_seed, shards);
+        let shards = DEFAULT_SAMPLING_SHARDS;
+        let plan = sampling_shard_plan(count, base_seed, shards);
         if plan.is_empty() {
             assert!(
                 partition < partitions,
@@ -604,7 +675,7 @@ impl RicStore {
             partitions == 1 || plan.len() == shards,
             "count {count} below the shard threshold cannot be split across {partitions} partitions"
         );
-        let range = crate::collection::partition_shard_range(plan.len(), partition, partitions);
+        let range = partition_shard_range(plan.len(), partition, partitions);
         self.extend_from_plan(sampler, &plan[range], workers);
     }
 
@@ -753,7 +824,7 @@ impl RicStore {
     /// The submodular upper-bound estimator `ν_R(S)` (eq. 7). Returns 0
     /// for an empty store. Coverage counts come from the inverted index;
     /// the fractions are then summed in sample order, so the value is
-    /// bitwise-identical to [`RicCollection::nu_estimate`].
+    /// bitwise-identical to the provided [`RicSamples::nu_estimate`].
     pub fn nu_estimate(&self, seeds: &[NodeId]) -> f64 {
         if self.is_empty() {
             return 0.0;
@@ -786,8 +857,9 @@ impl RicStore {
         self.index_offsets.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
-    /// Size and cost statistics — same quantities as
-    /// [`RicCollection::stats`].
+    /// Size and cost statistics of the store — the quantities that govern
+    /// solver runtimes (greedy cost scales with the total index size; BT's
+    /// per-pivot cost with the squared sample sizes).
     pub fn stats(&self) -> CollectionStats {
         let sizes = self.node_offsets.windows(2).map(|w| w[1] - w[0]);
         let total = self.nodes.len();
@@ -918,6 +990,7 @@ impl RicSamples for RicStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{encode, SnapshotBytes};
     use imc_community::CommunitySet;
     use imc_graph::GraphBuilder;
     use rand::rngs::StdRng;
@@ -956,14 +1029,6 @@ mod tests {
         RicStore::from_samples(10, 3, 6.0, &fixture_samples()).unwrap()
     }
 
-    fn fixture_collection() -> RicCollection {
-        let mut col = RicCollection::new(10, 3, 6.0);
-        for s in fixture_samples() {
-            col.push(s);
-        }
-        col
-    }
-
     fn medium_instance() -> (imc_graph::Graph, CommunitySet) {
         let mut b = GraphBuilder::new(30);
         for u in 0..29u32 {
@@ -985,32 +1050,157 @@ mod tests {
     }
 
     #[test]
-    fn store_matches_collection_queries_on_fixture() {
+    fn index_tracks_appearances() {
         let store = fixture_store();
-        let col = fixture_collection();
-        assert_eq!(store.len(), col.len());
-        for v in 0..10u32 {
-            assert_eq!(
-                store.touched_by(NodeId::new(v)),
-                col.touched_by(NodeId::new(v)),
-                "index mismatch at node {v}"
-            );
-        }
+        assert_eq!(store.appearance_count(NodeId::new(2)), 2);
+        assert_eq!(store.appearance_count(NodeId::new(1)), 1);
+        assert_eq!(store.appearance_count(NodeId::new(9)), 0);
+        let refs = store.touched_by(NodeId::new(2));
+        assert_eq!(refs.len(), 2);
+        assert_eq!(refs[0], SampleRef { sample: 0, pos: 1 });
+        assert_eq!(refs[1], SampleRef { sample: 1, pos: 0 });
+    }
+
+    #[test]
+    fn influenced_count_and_estimate() {
+        let store = fixture_store();
+        // {3} influences sample 2 only; {2} influences sample 1 only;
+        // {1,2} influences samples 0 and 1.
+        assert_eq!(store.influenced_count(&[NodeId::new(3)]), 1);
+        assert_eq!(store.influenced_count(&[NodeId::new(2)]), 1);
+        assert_eq!(store.influenced_count(&[NodeId::new(1), NodeId::new(2)]), 2);
+        // ĉ = b * count / |R| = 6 * 2 / 3 = 4.
+        assert_eq!(store.estimate(&[NodeId::new(1), NodeId::new(2)]), 4.0);
+    }
+
+    #[test]
+    fn nu_dominates_c_hat() {
+        let store = fixture_store();
         for seeds in [
-            vec![],
             vec![NodeId::new(1)],
             vec![NodeId::new(2)],
             vec![NodeId::new(3)],
-            vec![NodeId::new(1), NodeId::new(2)],
             vec![NodeId::new(1), NodeId::new(3)],
         ] {
-            assert_eq!(store.influenced_count(&seeds), col.influenced_count(&seeds));
-            assert_eq!(store.estimate(&seeds), col.estimate(&seeds));
-            assert_eq!(store.nu_estimate(&seeds), col.nu_estimate(&seeds));
+            assert!(
+                store.nu_estimate(&seeds) >= store.estimate(&seeds) - 1e-12,
+                "Lemma 3 violated for {seeds:?}"
+            );
         }
-        assert_eq!(store.community_frequencies(), col.community_frequencies());
-        assert_eq!(store.node_appearance_counts(), col.node_appearance_counts());
-        assert_eq!(store.stats(), col.stats());
+    }
+
+    #[test]
+    fn nu_estimate_fractional_value() {
+        let store = fixture_store();
+        // {1}: sample 0 fraction 1/2, others 0 → ν = 6 * 0.5 / 3 = 1.
+        assert!((store.nu_estimate(&[NodeId::new(1)]) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn community_frequencies_counted() {
+        assert_eq!(fixture_store().community_frequencies(), vec![2, 1, 0]);
+    }
+
+    #[test]
+    fn node_appearance_counts_match_index() {
+        let counts = fixture_store().node_appearance_counts();
+        assert_eq!(counts[2], 2);
+        assert_eq!(counts[3], 1);
+        assert_eq!(counts.iter().sum::<usize>(), 4);
+    }
+
+    #[test]
+    fn empty_store_estimates_zero() {
+        let store = RicStore::new(5, 2, 10.0);
+        assert!(store.is_empty());
+        assert_eq!(store.estimate(&[NodeId::new(0)]), 0.0);
+        assert_eq!(store.nu_estimate(&[NodeId::new(0)]), 0.0);
+    }
+
+    #[test]
+    fn stats_reflect_contents() {
+        let st = fixture_store().stats();
+        assert_eq!(st.samples, 3);
+        assert_eq!(st.total_index_entries, 4); // 2 + 1 + 1 nodes
+        assert_eq!(st.max_sample_size, 2);
+        assert!((st.mean_sample_size - 4.0 / 3.0).abs() < 1e-12);
+        assert_eq!(st.sum_squared_sizes, 4 + 1 + 1);
+        assert_eq!(st.touched_nodes, 3); // nodes 1, 2, 3
+    }
+
+    #[test]
+    fn empty_store_stats() {
+        let st = RicStore::new(5, 2, 10.0).stats();
+        assert_eq!(st.samples, 0);
+        assert_eq!(st.mean_sample_size, 0.0);
+        assert_eq!(st.max_sample_size, 0);
+    }
+
+    /// The index-driven inherent queries against the naive per-sample
+    /// binary-search walk of the provided trait methods, which a
+    /// `RicStoreView` over the store's snapshot runs un-overridden.
+    fn assert_matches_provided_methods(store: &RicStore, seed_sets: &[Vec<NodeId>]) {
+        let snapshot = SnapshotBytes::copy_from(&encode(store, 0, 0));
+        let naive = snapshot.view().unwrap();
+        for seeds in seed_sets {
+            assert_eq!(store.influenced_count(seeds), naive.influenced_count(seeds));
+            assert_eq!(store.estimate(seeds), naive.estimate(seeds));
+            assert_eq!(store.nu_estimate(seeds), naive.nu_estimate(seeds));
+        }
+        assert_eq!(store.community_frequencies(), naive.community_frequencies());
+        assert_eq!(
+            store.node_appearance_counts(),
+            naive.node_appearance_counts()
+        );
+    }
+
+    #[test]
+    fn index_driven_queries_match_provided_methods_on_fixture() {
+        assert_matches_provided_methods(
+            &fixture_store(),
+            &[
+                vec![],
+                vec![NodeId::new(1)],
+                vec![NodeId::new(2)],
+                vec![NodeId::new(3)],
+                vec![NodeId::new(1), NodeId::new(2)],
+                vec![NodeId::new(1), NodeId::new(3)],
+                // Seed ids outside the graph are ignored: the naive walk
+                // binary-searches and simply misses.
+                vec![NodeId::new(3), NodeId::new(4000)],
+            ],
+        );
+    }
+
+    #[test]
+    fn shard_plan_covers_count_and_collapses_small_draws() {
+        let plan = sampling_shard_plan(300, 77, DEFAULT_SAMPLING_SHARDS);
+        assert_eq!(plan.len(), 16);
+        assert_eq!(plan.iter().map(|&(_, n)| n).sum::<usize>(), 300);
+        for (i, &(seed, n)) in plan.iter().enumerate() {
+            assert_eq!(seed, 77 + i as u64);
+            // 300 = 16·18 + 12: the first 12 shards draw one extra sample.
+            assert_eq!(n, 18 + usize::from(i < 12));
+        }
+        assert_eq!(sampling_shard_plan(10, 5, 16), vec![(5, 10)]);
+        assert!(sampling_shard_plan(0, 5, 16).is_empty());
+    }
+
+    #[test]
+    fn partition_ranges_tile_the_shard_plan() {
+        for partitions in [1usize, 2, 4, 8, 16] {
+            let mut covered = Vec::new();
+            for p in 0..partitions {
+                covered.extend(partition_shard_range(16, p, partitions));
+            }
+            assert_eq!(covered, (0..16).collect::<Vec<_>>(), "P={partitions}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "divide")]
+    fn partition_ranges_reject_uneven_split() {
+        let _ = partition_shard_range(16, 0, 3);
     }
 
     #[test]
@@ -1056,12 +1246,11 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_through_collection() {
+    fn round_trips_through_owning_samples() {
         let store = fixture_store();
-        let col = store.to_collection();
-        assert_eq!(col.samples().len(), 3);
-        let back = RicStore::from_collection(&col).unwrap();
-        assert_eq!(back, store);
+        let owned: Vec<RicSample> = store.iter().map(|v| v.to_sample()).collect();
+        assert_eq!(owned, fixture_samples());
+        assert_eq!(RicStore::from_samples(10, 3, 6.0, &owned).unwrap(), store);
     }
 
     #[test]
@@ -1168,15 +1357,60 @@ mod tests {
         assert!(e.to_string().contains("node 9"));
     }
 
+    /// The samples `plan` describes, drawn one owning `RicSample` at a time
+    /// — the reference for the scratch-buffer arena paths.
+    fn owning_draws(sampler: &RicSampler<'_>, plan: &[(u64, usize)]) -> RicStore {
+        let mut owned = Vec::new();
+        for &(seed, n) in plan {
+            let mut rng = StdRng::seed_from_u64(seed);
+            owned.extend((0..n).map(|_| sampler.sample(&mut rng)));
+        }
+        RicStore::from_samples(
+            sampler.graph().node_count(),
+            sampler.communities().len(),
+            sampler.communities().total_benefit(),
+            &owned,
+        )
+        .unwrap()
+    }
+
     #[test]
-    fn extend_with_matches_collection_stream() {
+    fn extend_with_matches_owning_sample_stream() {
         let (g, cs) = medium_instance();
         let sampler = RicSampler::new(&g, &cs);
         let mut store = RicStore::for_sampler(&sampler);
         store.extend_with(&sampler, 150, &mut StdRng::seed_from_u64(11));
-        let mut col = RicCollection::for_sampler(&sampler);
-        col.extend_with(&sampler, 150, &mut StdRng::seed_from_u64(11));
-        assert_eq!(store, RicStore::from_collection(&col).unwrap());
+        assert_eq!(store, owning_draws(&sampler, &[(11, 150)]));
+    }
+
+    #[test]
+    fn extend_with_generates_from_sampler() {
+        let mut b = GraphBuilder::new(3);
+        b.add_edge(0, 1, 1.0).unwrap();
+        let g = b.build().unwrap();
+        let cs = CommunitySet::from_parts(
+            3,
+            vec![
+                (vec![NodeId::new(1)], 1, 2.0),
+                (vec![NodeId::new(2)], 1, 2.0),
+            ],
+        )
+        .unwrap();
+        let sampler = RicSampler::new(&g, &cs);
+        let mut store = RicStore::for_sampler(&sampler);
+        let mut rng = StdRng::seed_from_u64(1);
+        store.extend_with(&sampler, 500, &mut rng);
+        assert_eq!(store.len(), 500);
+        assert_eq!(store.total_benefit(), 4.0);
+        // Node 0 reaches member 1 always when community 0 is drawn (~half
+        // the samples).
+        let freq = store.community_frequencies();
+        assert_eq!(freq.iter().sum::<usize>(), 500);
+        assert!(freq[0] > 180 && freq[0] < 320, "freq={freq:?}");
+        // ĉ({0}) ≈ b · Pr[C_0 drawn] = 4 · 0.5 = 2 (node 0 reaches C_0
+        // through the certain edge, never C_1).
+        let est = store.estimate(&[NodeId::new(0)]);
+        assert!((est - 2.0).abs() < 0.4, "est={est}");
     }
 
     #[test]
@@ -1190,10 +1424,31 @@ mod tests {
             store.extend_parallel_with_workers(&sampler, 300, 77, workers);
             assert_eq!(store, reference, "workers={workers}");
         }
-        // And identical to the legacy collection under the same seed.
-        let mut col = RicCollection::for_sampler(&sampler);
-        col.extend_parallel_with_workers(&sampler, 300, 77, 4);
-        assert_eq!(RicStore::from_collection(&col).unwrap(), reference);
+        // The machine-default entry point and the explicit default shard
+        // count agree too.
+        let mut auto = RicStore::for_sampler(&sampler);
+        auto.extend_parallel(&sampler, 300, 77);
+        assert_eq!(auto, reference);
+        let mut explicit = RicStore::for_sampler(&sampler);
+        explicit.extend_parallel_sharded(&sampler, 300, 77, DEFAULT_SAMPLING_SHARDS, 4);
+        assert_eq!(explicit, reference);
+        // And it is the documented stream: shard `i` of the plan drawn
+        // from `StdRng::seed_from_u64(77 + i)`, appended in shard order.
+        let plan = sampling_shard_plan(300, 77, DEFAULT_SAMPLING_SHARDS);
+        assert_eq!(owning_draws(&sampler, &plan), reference);
+    }
+
+    #[test]
+    fn extend_parallel_small_count_single_shard() {
+        let (g, cs) = medium_instance();
+        let sampler = RicSampler::new(&g, &cs);
+        // Below the shard threshold the plan is one shard seeded base_seed,
+        // i.e. identical to a sequential draw from StdRng(base_seed).
+        let mut par = RicStore::for_sampler(&sampler);
+        par.extend_parallel_with_workers(&sampler, 10, 5, 4);
+        let mut seq = RicStore::for_sampler(&sampler);
+        seq.extend_with(&sampler, 10, &mut StdRng::seed_from_u64(5));
+        assert_eq!(par, seq);
     }
 
     #[test]
@@ -1206,35 +1461,20 @@ mod tests {
     }
 
     #[test]
-    fn generated_store_matches_collection_estimates() {
+    fn index_driven_queries_match_provided_methods_on_generated_store() {
         let (g, cs) = medium_instance();
         let sampler = RicSampler::new(&g, &cs);
         let mut store = RicStore::for_sampler(&sampler);
         store.extend_parallel_with_workers(&sampler, 400, 3, 4);
-        let mut col = RicCollection::for_sampler(&sampler);
-        col.extend_parallel_with_workers(&sampler, 400, 3, 4);
-        let seed_sets: Vec<Vec<NodeId>> = vec![
-            vec![NodeId::new(0)],
-            vec![NodeId::new(12), NodeId::new(21)],
-            vec![NodeId::new(2), NodeId::new(14), NodeId::new(22)],
-            (0..30).step_by(5).map(NodeId::new).collect(),
-        ];
-        for seeds in &seed_sets {
-            assert_eq!(store.influenced_count(seeds), col.influenced_count(seeds));
-            assert_eq!(store.estimate(seeds), col.estimate(seeds));
-            assert_eq!(store.nu_estimate(seeds), col.nu_estimate(seeds));
-        }
-    }
-
-    #[test]
-    fn out_of_range_seeds_are_ignored_like_legacy() {
-        let store = fixture_store();
-        let col = fixture_collection();
-        let seeds = [NodeId::new(3), NodeId::new(4000)];
-        // Legacy influenced_count binary-searches and simply misses.
-        assert_eq!(store.influenced_count(&seeds), col.influenced_count(&seeds));
-        assert_eq!(store.estimate(&seeds), col.estimate(&seeds));
-        assert_eq!(store.nu_estimate(&seeds), col.nu_estimate(&seeds));
+        assert_matches_provided_methods(
+            &store,
+            &[
+                vec![NodeId::new(0)],
+                vec![NodeId::new(12), NodeId::new(21)],
+                vec![NodeId::new(2), NodeId::new(14), NodeId::new(22)],
+                (0..30).step_by(5).map(NodeId::new).collect(),
+            ],
+        );
     }
 
     #[test]

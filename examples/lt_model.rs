@@ -13,7 +13,7 @@
 
 use imc::prelude::*;
 use imc_core::maxr::engine::greedy_nu_with;
-use imc_core::{LiveEdgeModel, RicCollection, RicSampler, SolveStrategy};
+use imc_core::{LiveEdgeModel, RicSampler, RicStore, SolveStrategy};
 use imc_diffusion::benefit::monte_carlo_benefit;
 use imc_diffusion::DiffusionModel;
 use rand::rngs::StdRng;
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ] {
         let sampler = RicSampler::with_model(instance.graph(), instance.communities(), live_edge);
-        let mut collection = RicCollection::for_sampler(&sampler);
+        let mut collection = RicStore::for_sampler(&sampler);
         let mut rng = StdRng::seed_from_u64(5);
         collection.extend_with(&sampler, samples, &mut rng);
         let seeds = greedy_nu_with(&collection, k, SolveStrategy::Lazy).seeds;

@@ -54,7 +54,7 @@ pub mod prelude {
     pub use imc_community::{BenefitPolicy, CommunityId, CommunitySet, ThresholdPolicy};
     pub use imc_core::{
         imcaf, imcaf_with_trace, ImcInstance, ImcafConfig, LiveEdgeModel, MaxrAlgorithm,
-        RicCollection, RicSampler,
+        RicSampler, RicStore,
     };
     pub use imc_diffusion::{DiffusionModel, IndependentCascade, LinearThreshold};
     pub use imc_graph::{Graph, GraphBuilder, NodeId, WeightModel};

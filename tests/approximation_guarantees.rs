@@ -12,7 +12,7 @@
 use imc_community::{CommunitySet, ThresholdPolicy};
 use imc_core::maxr::exhaustive::exhaustive;
 use imc_core::{
-    ImcInstance, MaxrAlgorithm, MaxrSolver, RicCollection, SolveRequest, SolverExtras, UbgSolver,
+    ImcInstance, MaxrAlgorithm, MaxrSolver, RicStore, SolveRequest, SolverExtras, UbgSolver,
 };
 use imc_graph::WeightModel;
 use rand::rngs::StdRng;
@@ -20,7 +20,7 @@ use rand::SeedableRng;
 
 struct TinyCase {
     instance: ImcInstance,
-    collection: RicCollection,
+    collection: RicStore,
 }
 
 fn tiny_case(seed: u64, samples: usize) -> TinyCase {
@@ -33,7 +33,7 @@ fn tiny_case(seed: u64, samples: usize) -> TinyCase {
         .build()
         .unwrap();
     let instance = ImcInstance::new(graph, communities).unwrap();
-    let mut collection = RicCollection::for_sampler(&instance.sampler());
+    let mut collection = RicStore::for_sampler(&instance.sampler());
     collection.extend_with(&instance.sampler(), samples, &mut rng);
     TinyCase {
         instance,

@@ -55,7 +55,7 @@ fn ric_with_unit_thresholds_equals_classic_rr_coverage() {
     let parts: Vec<(Vec<NodeId>, u32, f64)> = g.nodes().map(|v| (vec![v], 1, 1.0)).collect();
     let cs = CommunitySet::from_parts(n as u32, parts).unwrap();
     let sampler = RicSampler::new(&g, &cs);
-    let mut col = RicCollection::for_sampler(&sampler);
+    let mut col = RicStore::for_sampler(&sampler);
     let mut rng = StdRng::seed_from_u64(8);
     col.extend_with(&sampler, 30_000, &mut rng);
     for seeds in [

@@ -24,9 +24,9 @@ fn build_instance(threshold: ThresholdPolicy, seed: u64) -> ImcInstance {
     ImcInstance::new(graph, cs).unwrap()
 }
 
-fn collect(instance: &ImcInstance, count: usize, seed: u64) -> RicCollection {
+fn collect(instance: &ImcInstance, count: usize, seed: u64) -> RicStore {
     let sampler = instance.sampler();
-    let mut col = RicCollection::for_sampler(&sampler);
+    let mut col = RicStore::for_sampler(&sampler);
     let mut rng = StdRng::seed_from_u64(seed);
     col.extend_with(&sampler, count, &mut rng);
     col
@@ -168,7 +168,7 @@ fn estimate_variance_shrinks_with_more_samples() {
     let spread = |count: usize, trials: u64| -> f64 {
         let mut values = Vec::new();
         for t in 0..trials {
-            let mut col = RicCollection::for_sampler(&sampler);
+            let mut col = RicStore::for_sampler(&sampler);
             let mut rng = StdRng::seed_from_u64(1000 + t);
             col.extend_with(&sampler, count, &mut rng);
             values.push(col.estimate(&seeds));

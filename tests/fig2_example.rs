@@ -16,7 +16,7 @@
 //! * `c({a,b}) = 1 (C0 seeded) + 0.3² (C1)              = 1.090`.
 
 use imc_community::CommunitySet;
-use imc_core::{ImcInstance, RicCollection};
+use imc_core::{ImcInstance, RicStore};
 use imc_diffusion::benefit::monte_carlo_benefit;
 use imc_diffusion::IndependentCascade;
 use imc_graph::{GraphBuilder, NodeId};
@@ -74,7 +74,7 @@ fn paper_values_reproduced_by_forward_simulation() {
 fn paper_values_reproduced_by_ric_sampling() {
     let inst = fig2_instance();
     let sampler = inst.sampler();
-    let mut col = RicCollection::for_sampler(&sampler);
+    let mut col = RicStore::for_sampler(&sampler);
     let mut rng = StdRng::seed_from_u64(5);
     col.extend_with(&sampler, 400_000, &mut rng);
     let est = |seeds: &[u32]| {
@@ -105,7 +105,7 @@ fn non_submodularity_inequality_of_section_2b() {
 fn diagnostics_flag_the_instance_as_non_submodular() {
     let inst = fig2_instance();
     let sampler = inst.sampler();
-    let mut col = RicCollection::for_sampler(&sampler);
+    let mut col = RicStore::for_sampler(&sampler);
     let mut rng = StdRng::seed_from_u64(11);
     col.extend_with(&sampler, 5_000, &mut rng);
     let report = imc_core::diagnostics::probe_submodularity(&col, 2, 5_000, &mut rng);

@@ -47,7 +47,7 @@ fn converged_runs_pass_the_lambda_checkpoint() {
 }
 
 #[test]
-fn independent_estimate_close_to_collection_estimate_on_convergence() {
+fn independent_estimate_close_to_sample_estimate_on_convergence() {
     let inst = instance(5, 150, 8);
     let cfg = ImcafConfig {
         max_samples: 60_000,

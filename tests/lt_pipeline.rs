@@ -7,7 +7,7 @@
 
 use imc::prelude::*;
 use imc_core::maxr::engine::greedy_nu_with;
-use imc_core::{LiveEdgeModel, RicCollection, RicSampler, SolveStrategy};
+use imc_core::{LiveEdgeModel, RicSampler, RicStore, SolveStrategy};
 use imc_diffusion::benefit::monte_carlo_benefit;
 use imc_graph::NodeId;
 use rand::rngs::StdRng;
@@ -35,7 +35,7 @@ fn lt_ric_estimate_matches_forward_lt_simulation() {
         inst.communities(),
         LiveEdgeModel::LinearThreshold,
     );
-    let mut col = RicCollection::for_sampler(&sampler);
+    let mut col = RicStore::for_sampler(&sampler);
     let mut rng = StdRng::seed_from_u64(4);
     col.extend_with(&sampler, 25_000, &mut rng);
 
@@ -69,7 +69,7 @@ fn lt_seed_selection_beats_random_seeds() {
         inst.communities(),
         LiveEdgeModel::LinearThreshold,
     );
-    let mut col = RicCollection::for_sampler(&sampler);
+    let mut col = RicStore::for_sampler(&sampler);
     let mut rng = StdRng::seed_from_u64(8);
     col.extend_with(&sampler, 8_000, &mut rng);
 

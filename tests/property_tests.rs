@@ -2,7 +2,7 @@
 //! estimator invariants.
 
 use imc_community::CommunitySet;
-use imc_core::{CoverSet, RicCollection, RicSampler};
+use imc_core::{CoverSet, RicSampler, RicStore};
 use imc_graph::{GraphBuilder, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -149,7 +149,7 @@ proptest! {
     fn estimators_monotone_and_sandwiched(ri in instance_strategy(), seed in 0u64..1000) {
         let (graph, cs) = materialize(&ri);
         let sampler = RicSampler::new(&graph, &cs);
-        let mut col = RicCollection::for_sampler(&sampler);
+        let mut col = RicStore::for_sampler(&sampler);
         let mut rng = StdRng::seed_from_u64(seed);
         col.extend_with(&sampler, 60, &mut rng);
 
@@ -177,7 +177,7 @@ proptest! {
     ) {
         let (graph, cs) = materialize(&ri);
         let sampler = RicSampler::new(&graph, &cs);
-        let mut col = RicCollection::for_sampler(&sampler);
+        let mut col = RicStore::for_sampler(&sampler);
         let mut rng = StdRng::seed_from_u64(seed);
         col.extend_with(&sampler, 40, &mut rng);
 
@@ -204,7 +204,7 @@ proptest! {
     fn greedy_nu_respects_submodular_guarantee(ri in instance_strategy(), seed in 0u64..200) {
         let (graph, cs) = materialize(&ri);
         let sampler = RicSampler::new(&graph, &cs);
-        let mut col = RicCollection::for_sampler(&sampler);
+        let mut col = RicStore::for_sampler(&sampler);
         let mut rng = StdRng::seed_from_u64(seed);
         col.extend_with(&sampler, 30, &mut rng);
 

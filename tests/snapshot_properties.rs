@@ -4,14 +4,14 @@
 use imc_community::CommunityId;
 use imc_community::CommunitySet;
 use imc_core::snapshot;
-use imc_core::{CoverSet, RicCollection, RicSample, RicSampler, RicStore};
+use imc_core::{CoverSet, RicSample, RicSampler, RicStore};
 use imc_graph::{generators::erdos_renyi, GraphBuilder, NodeId, WeightModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// A small random instance plus a collection sampled from it.
-fn sampled_collection(seed: u64, samples: usize) -> (u64, RicCollection) {
+fn sampled_collection(seed: u64, samples: usize) -> (u64, RicStore) {
     let mut rng = StdRng::seed_from_u64(seed);
     let graph = erdos_renyi(30, 0.1, &mut rng).reweighted(WeightModel::Uniform(0.3));
     let members: Vec<Vec<NodeId>> = (0..6)
@@ -25,7 +25,7 @@ fn sampled_collection(seed: u64, samples: usize) -> (u64, RicCollection) {
     let communities = CommunitySet::from_parts(30, parts).unwrap();
     let fp = snapshot::instance_fingerprint(&graph, &communities);
     let sampler = RicSampler::new(&graph, &communities);
-    let mut col = RicCollection::for_sampler(&sampler);
+    let mut col = RicStore::for_sampler(&sampler);
     col.extend_with(&sampler, samples, &mut rng);
     (fp, col)
 }
@@ -40,7 +40,7 @@ proptest! {
         let data = snapshot::decode(&bytes).expect("round trip decodes");
         prop_assert_eq!(data.fingerprint, fp);
         prop_assert_eq!(data.generation, seed);
-        prop_assert_eq!(&data.collection, &RicStore::from_collection(&col).unwrap());
+        prop_assert_eq!(&data.collection, &col);
         prop_assert_eq!(data.collection.node_count(), col.node_count());
         prop_assert_eq!(data.collection.total_benefit(), col.total_benefit());
         // The rebuilt inverted index must answer identically for every node.
@@ -74,7 +74,7 @@ proptest! {
         // content; it must never yield a *different* collection.
         match snapshot::decode(&bad) {
             Err(_) => {}
-            Ok(data) => prop_assert_eq!(&data.collection, &RicStore::from_collection(&col).unwrap()),
+            Ok(data) => prop_assert_eq!(&data.collection, &col),
         }
     }
 
@@ -109,7 +109,7 @@ proptest! {
 
 #[test]
 fn empty_collection_round_trips() {
-    let col = RicCollection::new(5, 2, 3.5);
+    let col = RicStore::new(5, 2, 3.5);
     let data = snapshot::decode(&snapshot::encode(&col, 9, 1)).unwrap();
     assert!(data.collection.is_empty());
     assert_eq!(data.collection.node_count(), 5);
@@ -119,18 +119,19 @@ fn empty_collection_round_trips() {
 
 #[test]
 fn hand_built_wide_community_round_trips() {
-    let mut col = RicCollection::new(3, 1, 2.0);
+    let mut col = RicStore::new(3, 1, 2.0);
     let mut cover = CoverSet::new(100);
     cover.set(99);
     cover.set(63);
     cover.set(64);
-    col.push(RicSample {
+    col.push_sample(&RicSample {
         community: CommunityId::new(0),
         threshold: 3,
         community_size: 100,
         nodes: vec![NodeId::new(2)],
         covers: vec![cover],
-    });
+    })
+    .unwrap();
     let data = snapshot::decode(&snapshot::encode(&col, 1, 0)).unwrap();
-    assert_eq!(data.collection, RicStore::from_collection(&col).unwrap());
+    assert_eq!(data.collection, col);
 }

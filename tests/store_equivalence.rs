@@ -1,17 +1,34 @@
-//! Backend-equivalence properties: a collection materialised as the
-//! legacy owning `RicCollection` and as the arena-backed `RicStore` from
-//! the same seed must be indistinguishable — identical estimator values
-//! `ĉ_R(S)` / `ν_R(S)` and identical solver outputs for every MAXR
-//! algorithm, on random small instances.
+//! Equivalence properties of the one sample backend, on random small
+//! instances:
+//!
+//! * **construction** — `RicStore::extend_with` (scratch buffer straight
+//!   into the arena) builds exactly the store `RicStore::from_samples`
+//!   builds from owning `RicSampler::sample` draws of the same RNG;
+//! * **evaluation** — `RicStore`'s index-driven estimator overrides are
+//!   bitwise-equal to the naive per-sample binary-search walk that is the
+//!   *provided* half of `RicSamples`, which a zero-copy `RicStoreView`
+//!   over `snapshot::encode(&store)` runs un-overridden: identical
+//!   `ĉ_R(S)` / `ν_R(S)` and identical solver outputs for every MAXR
+//!   algorithm and every solve strategy.
 
 use imc_community::CommunitySet;
+use imc_core::snapshot::{self, SnapshotBytes};
 use imc_core::{
-    ImcInstance, MaxrAlgorithm, RicCollection, RicSampler, RicStore, SolveRequest, SolveStrategy,
+    ImcInstance, MaxrAlgorithm, RicSample, RicSampler, RicSamples, RicStore, SolveRequest,
+    SolveStrategy,
 };
 use imc_graph::{generators::erdos_renyi, NodeId, WeightModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+const ALGORITHMS: [MaxrAlgorithm; 5] = [
+    MaxrAlgorithm::Greedy,
+    MaxrAlgorithm::Ubg,
+    MaxrAlgorithm::Maf,
+    MaxrAlgorithm::Bt,
+    MaxrAlgorithm::Mb,
+];
 
 /// A random small instance whose thresholds stay ≤ 2, so BT and MB are
 /// admissible alongside GREEDY/UBG/MAF.
@@ -28,18 +45,37 @@ fn small_instance(seed: u64) -> ImcInstance {
     ImcInstance::new(graph, communities).unwrap()
 }
 
-/// Both backends grown from one shared seed — sample for sample the same
-/// collection, reached through two different memory layouts.
-fn both_backends(sampler: &RicSampler<'_>, samples: usize, seed: u64) -> (RicCollection, RicStore) {
-    let mut col = RicCollection::for_sampler(sampler);
-    col.extend_with(sampler, samples, &mut StdRng::seed_from_u64(seed));
+fn sampled_store(sampler: &RicSampler<'_>, samples: usize, seed: u64) -> RicStore {
     let mut store = RicStore::for_sampler(sampler);
     store.extend_with(sampler, samples, &mut StdRng::seed_from_u64(seed));
-    (col, store)
+    store
+}
+
+/// The store's version-3 snapshot bytes in the aligned arena a
+/// `RicStoreView` borrows from.
+fn snapshot_of(store: &RicStore) -> SnapshotBytes {
+    SnapshotBytes::copy_from(&snapshot::encode(store, 0, 0))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn arena_append_matches_owning_draws(seed in 0u64..500, samples in 1usize..120) {
+        let instance = small_instance(seed);
+        let sampler = instance.sampler();
+        let store = sampled_store(&sampler, samples, seed ^ 0xA5A5);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5);
+        let owned: Vec<RicSample> = (0..samples).map(|_| sampler.sample(&mut rng)).collect();
+        let from_owned = RicStore::from_samples(
+            store.node_count(),
+            store.community_count(),
+            store.total_benefit(),
+            &owned,
+        )
+        .unwrap();
+        prop_assert_eq!(&store, &from_owned);
+    }
 
     #[test]
     fn estimators_agree_exactly(
@@ -48,99 +84,69 @@ proptest! {
         raw_seeds in proptest::collection::vec(0u32..40, 0..6),
     ) {
         let instance = small_instance(seed);
-        let sampler = instance.sampler();
-        let (col, store) = both_backends(&sampler, samples, seed ^ 0xA5A5);
-        prop_assert_eq!(&store, &RicStore::from_collection(&col).unwrap());
+        let store = sampled_store(&instance.sampler(), samples, seed ^ 0xA5A5);
+        let bytes = snapshot_of(&store);
+        let view = bytes.view().unwrap();
 
-        // Seed ids above the node count are tolerated (ignored) by both.
         let seeds: Vec<NodeId> = raw_seeds.iter().map(|&v| NodeId::new(v.min(29))).collect();
-        prop_assert_eq!(col.influenced_count(&seeds), store.influenced_count(&seeds));
+        prop_assert_eq!(view.influenced_count(&seeds), store.influenced_count(&seeds));
         // ĉ is exact (an integer count times a shared factor) and ν is
-        // summed in sample order by both backends, so bitwise equality —
-        // not approximate equality — is the contract.
-        prop_assert_eq!(col.estimate(&seeds), store.estimate(&seeds));
-        prop_assert_eq!(col.nu_estimate(&seeds), store.nu_estimate(&seeds));
-    }
-
-    #[test]
-    fn all_solvers_pick_identical_seeds(
-        seed in 0u64..200,
-        samples in 20usize..100,
-        k in 1usize..6,
-    ) {
-        let instance = small_instance(seed);
-        let sampler = instance.sampler();
-        let (col, store) = both_backends(&sampler, samples, seed ^ 0x5A5A);
-        let req = SolveRequest::new(k).with_seed(seed);
-        for algo in [
-            MaxrAlgorithm::Greedy,
-            MaxrAlgorithm::Ubg,
-            MaxrAlgorithm::Maf,
-            MaxrAlgorithm::Bt,
-            MaxrAlgorithm::Mb,
-        ] {
-            let legacy = algo.solve(&instance, &col, &req).unwrap();
-            let arena = algo.solve(&instance, &store, &req).unwrap();
-            // Everything except the wall-clock stamp must match bitwise.
-            prop_assert_eq!(
-                &legacy.seeds, &arena.seeds,
-                "{} seeds diverged between backends", algo.name()
-            );
-            prop_assert_eq!(legacy.influenced_samples, arena.influenced_samples);
-            prop_assert_eq!(legacy.estimate, arena.estimate);
-            prop_assert_eq!(legacy.evaluations, arena.evaluations);
-            prop_assert_eq!(
-                &legacy.extras, &arena.extras,
-                "{} extras diverged between backends", algo.name()
-            );
-        }
+        // summed in sample order by both paths, so bitwise equality — not
+        // approximate equality — is the contract.
+        prop_assert_eq!(view.estimate(&seeds), store.estimate(&seeds));
+        prop_assert_eq!(view.nu_estimate(&seeds), store.nu_estimate(&seeds));
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The tentpole determinism contract: for every solver, the CELF-lazy
-    /// and lazy+parallel strategies at 1/2/4/8 threads return exactly the
-    /// sequential strategy's seeds — on both storage backends.
+    /// The determinism contract: for every solver, the CELF-lazy and
+    /// lazy+parallel strategies at 1/2/4/8 threads return exactly the
+    /// sequential strategy's seeds, and under each strategy the store and
+    /// the view agree on everything but the wall-clock stamp.
     #[test]
-    fn strategies_agree_across_threads_and_backends(
-        seed in 0u64..100,
+    fn solvers_agree_across_strategies_and_implementers(
+        seed in 0u64..200,
         samples in 20usize..100,
         k in 1usize..6,
     ) {
         let instance = small_instance(seed);
-        let sampler = instance.sampler();
-        let (col, store) = both_backends(&sampler, samples, seed ^ 0x3C3C);
+        let store = sampled_store(&instance.sampler(), samples, seed ^ 0x5A5A);
+        let bytes = snapshot_of(&store);
+        let view = bytes.view().unwrap();
         let base = SolveRequest::new(k)
             .with_seed(seed)
             .with_strategy(SolveStrategy::Sequential);
-        for algo in [
-            MaxrAlgorithm::Greedy,
-            MaxrAlgorithm::Ubg,
-            MaxrAlgorithm::Maf,
-            MaxrAlgorithm::Bt,
-            MaxrAlgorithm::Mb,
-        ] {
-            let reference = algo.solve(&instance, &col, &base).unwrap();
-            for threads in [1usize, 2, 4, 8] {
-                // `with_threads(1)` is the lazy strategy, > 1 lazy+parallel.
-                let req = base.with_threads(threads);
-                for report in [
-                    algo.solve(&instance, &col, &req).unwrap(),
-                    algo.solve(&instance, &store, &req).unwrap(),
-                ] {
-                    prop_assert_eq!(
-                        &reference.seeds, &report.seeds,
-                        "{} seeds diverged at {} threads", algo.name(), threads
-                    );
-                    prop_assert_eq!(reference.influenced_samples, report.influenced_samples);
-                    prop_assert_eq!(reference.estimate, report.estimate);
-                    prop_assert_eq!(
-                        &reference.extras, &report.extras,
-                        "{} extras diverged at {} threads", algo.name(), threads
-                    );
-                }
+        // `with_threads(1)` is the lazy strategy, > 1 lazy+parallel.
+        let mut requests = vec![base];
+        requests.extend([1usize, 2, 4, 8].map(|t| base.with_threads(t)));
+        for algo in ALGORITHMS {
+            let reference = algo.solve(&instance, &store, &base).unwrap();
+            for req in &requests {
+                let arena = algo.solve(&instance, &store, req).unwrap();
+                let naive = algo.solve(&instance, &view, req).unwrap();
+                prop_assert_eq!(
+                    &naive.seeds, &arena.seeds,
+                    "{} seeds diverged from the view under {:?}", algo.name(), req.strategy
+                );
+                prop_assert_eq!(naive.influenced_samples, arena.influenced_samples);
+                prop_assert_eq!(naive.estimate, arena.estimate);
+                prop_assert_eq!(naive.evaluations, arena.evaluations);
+                prop_assert_eq!(
+                    &naive.extras, &arena.extras,
+                    "{} extras diverged from the view under {:?}", algo.name(), req.strategy
+                );
+                prop_assert_eq!(
+                    &reference.seeds, &arena.seeds,
+                    "{} seeds diverged under {:?}", algo.name(), req.strategy
+                );
+                prop_assert_eq!(reference.influenced_samples, arena.influenced_samples);
+                prop_assert_eq!(reference.estimate, arena.estimate);
+                prop_assert_eq!(
+                    &reference.extras, &arena.extras,
+                    "{} extras diverged under {:?}", algo.name(), req.strategy
+                );
             }
         }
     }
