@@ -4,16 +4,14 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use imc_community::{CommunitySet, ThresholdPolicy};
 use imc_core::maxr::engine::{greedy_c_with, greedy_nu_with};
-use imc_core::{
-    BtSolver, MafSolver, MaxrSolver, RicSampler, RicStore, SolveRequest, SolveStrategy, UbgSolver,
-};
+use imc_core::{ImcInstance, MaxrAlgorithm, RicStore, SolveRequest, SolveStrategy};
 use imc_datasets::DatasetId;
 use imc_graph::WeightModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
-fn fixture() -> (CommunitySet, RicStore) {
+fn fixture() -> (ImcInstance, RicStore) {
     let graph = imc_datasets::generate(DatasetId::Facebook, 0.5, 1)
         .reweighted(WeightModel::WeightedCascade);
     let communities = CommunitySet::builder(&graph)
@@ -22,15 +20,16 @@ fn fixture() -> (CommunitySet, RicStore) {
         .threshold(ThresholdPolicy::Constant(2))
         .build()
         .unwrap();
-    let sampler = RicSampler::new(&graph, &communities);
+    let instance = ImcInstance::new(graph, communities).unwrap();
+    let sampler = instance.sampler();
     let mut col = RicStore::for_sampler(&sampler);
     let mut rng = StdRng::seed_from_u64(5);
     col.extend_with(&sampler, 3_000, &mut rng);
-    (communities, col)
+    (instance, col)
 }
 
 fn bench_solvers(c: &mut Criterion) {
-    let (communities, col) = fixture();
+    let (instance, col) = fixture();
     let mut group = c.benchmark_group("maxr_solvers");
     group.sample_size(10);
     for k in [5usize, 20] {
@@ -53,16 +52,12 @@ fn bench_solvers(c: &mut Criterion) {
             b.iter(|| black_box(greedy_nu_with(&col, k, SolveStrategy::Lazy)));
         });
         group.bench_with_input(BenchmarkId::new("ubg", k), &k, |b, &k| {
-            b.iter(|| black_box(UbgSolver.solve(&col, &SolveRequest::new(k)).unwrap()));
+            let req = SolveRequest::new(k);
+            b.iter(|| black_box(MaxrAlgorithm::Ubg.solve(&instance, &col, &req).unwrap()));
         });
         group.bench_with_input(BenchmarkId::new("maf", k), &k, |b, &k| {
-            b.iter(|| {
-                black_box(
-                    MafSolver::new(&communities)
-                        .solve(&col, &SolveRequest::new(k))
-                        .unwrap(),
-                )
-            });
+            let req = SolveRequest::new(k);
+            b.iter(|| black_box(MaxrAlgorithm::Maf.solve(&instance, &col, &req).unwrap()));
         });
     }
     group.finish();
@@ -72,15 +67,8 @@ fn bench_solvers(c: &mut Criterion) {
     let mut group = c.benchmark_group("bt");
     group.sample_size(10);
     group.bench_function("bt_capped_100_pivots_k5", |b| {
-        b.iter(|| {
-            black_box(
-                BtSolver {
-                    candidate_limit: Some(100),
-                }
-                .solve(&col, &SolveRequest::new(5))
-                .unwrap(),
-            )
-        });
+        let req = SolveRequest::new(5).with_candidate_limit(100);
+        b.iter(|| black_box(MaxrAlgorithm::Bt.solve(&instance, &col, &req).unwrap()));
     });
     group.finish();
 }

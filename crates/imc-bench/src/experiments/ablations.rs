@@ -10,7 +10,7 @@ use crate::experiments::ExpOptions;
 use crate::harness::{build_instance, dataset_graph, grade, Formation};
 use crate::report::{fmt_f, fmt_secs, Table};
 use imc_community::ThresholdPolicy;
-use imc_core::{BtSolver, MaxrAlgorithm, MaxrSolver, RicStore, SolveRequest, UbgSolver};
+use imc_core::{MaxrAlgorithm, RicStore, SolveRequest};
 use imc_datasets::DatasetId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,9 +47,9 @@ pub fn samples(options: &ExpOptions) -> std::io::Result<()> {
         let mut rng = StdRng::seed_from_u64(options.seed);
         collection.extend_with(&sampler, size, &mut rng);
         let start = Instant::now();
-        let outcome = UbgSolver
-            .solve(&collection, &SolveRequest::new(k))
-            .expect("nonzero budget");
+        let outcome = MaxrAlgorithm::Ubg
+            .solve(&instance, &collection, &SolveRequest::new(k))
+            .expect("budget within the graph");
         let elapsed = start.elapsed();
         let benefit = grade(
             &instance,
@@ -89,11 +89,12 @@ pub fn btd(options: &ExpOptions) -> std::io::Result<()> {
     // BT^3 with a candidate cap (full pivot scan at threshold 3 is the
     // k^{d-1} regime the paper warns about).
     let start = Instant::now();
-    let bt_out = BtSolver {
-        candidate_limit: Some(if options.quick { 10 } else { 50 }),
-    }
-    .solve(&collection, &SolveRequest::new(k).with_depth(3))
-    .expect("thresholds bounded by 3");
+    let bt_req = SolveRequest::new(k)
+        .with_depth(3)
+        .with_candidate_limit(if options.quick { 10 } else { 50 });
+    let bt_out = MaxrAlgorithm::Bt
+        .solve(&instance, &collection, &bt_req)
+        .expect("thresholds bounded by 3");
     let bt_time = start.elapsed();
     let bt_benefit = grade(
         &instance,

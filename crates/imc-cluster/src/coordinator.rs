@@ -2,15 +2,14 @@
 //! fleet of shard daemons and serves the result on the same
 //! protocol-v2 wire format a single daemon speaks.
 //!
-//! Every solver recipe here mirrors its single-node twin *exactly* —
-//! same engine loops ([`greedy_c_over`] / [`greedy_nu_over`]), same
-//! tie-breaks, same padding rule, same evaluation accounting — with the
-//! local [`CoverageState`](imc_core::CoverageState) swapped for a
-//! [`ClusterSource`] and whole-set scoring swapped for chained
-//! `shard_eval` fans. Seed sets and evaluation counts are therefore
-//! bitwise/count identical to [`MaxrAlgorithm::solve`] on the union
-//! collection (asserted by `tests/cluster_equivalence.rs` and the CI
-//! cluster smoke job).
+//! The solvers here *are* the single-node ones: [`cluster_solve`] hands
+//! [`MaxrAlgorithm::solve_over`] a [`SolveBackend`] whose gain sessions
+//! are [`ClusterSource`]s and whose whole-set scores are chained
+//! `shard_eval` fans, so each algorithm body, tie-break, padding rule and
+//! evaluation count is the code [`MaxrAlgorithm::solve`] runs. Seed sets
+//! and evaluation counts are bitwise/count identical to it on the union
+//! collection because the backend's answers are (asserted by
+//! `tests/cluster_equivalence.rs` and the CI cluster smoke job).
 //!
 //! Shard failures are survived, not fatal. Transient transport errors
 //! are retried under the configured [`RetryPolicy`] (backoff jitter
@@ -31,21 +30,19 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use imc_core::maxr::engine::{greedy_c_over, greedy_nu_over};
+use imc_core::maxr::{Objective, Score, SolveBackend, UnionStats};
 use imc_core::{
-    GainSource, GreedyRun, ImcError, ImcInstance, MaxrAlgorithm, SolveRequest, SolveStrategy,
+    GreedyRun, ImcError, ImcInstance, MaxrAlgorithm, SolveReport, SolveRequest, SolveStrategy,
 };
 use imc_graph::NodeId;
 use imc_service::client::{ClientConfig, ClusterError, PeerClient, RetryPolicy};
 use imc_service::json::{self, ObjectBuilder, Value};
 use imc_service::protocol::{self, ErrorCode, Request, SolveMode, SolveTuning};
 use imc_service::server::Shutdown;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 use crate::health::{self, HealthBoard, HealthMonitor, ShardState};
 use crate::obs;
-use crate::source::{field_f64, field_u64, pad_with_appearance, ClusterSource};
+use crate::source::{field_f64, field_u64, ClusterSource};
 
 /// A failure of a cluster solve.
 #[derive(Debug)]
@@ -103,21 +100,13 @@ impl CoordError {
     }
 }
 
-/// Result of a distributed solve, mirroring the fields of the
-/// single-node [`SolveReport`](imc_core::SolveReport) plus the cluster
-/// snapshot coordinates.
+/// Result of a distributed solve: the single-node report plus the
+/// cluster snapshot coordinates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
-    /// Chosen seeds in pick order — bitwise identical to the
+    /// Seeds, estimator, evaluation count and extras — identical to the
     /// single-node solve over the union collection.
-    pub seeds: Vec<NodeId>,
-    /// Union-collection samples influenced by `seeds`.
-    pub influenced_samples: u64,
-    /// The estimator `ĉ_R(seeds)` over the union collection.
-    pub estimate: f64,
-    /// Marginal-gain evaluation count — identical to the single-node
-    /// engine's count.
-    pub evaluations: u64,
+    pub solve: SolveReport,
     /// Total samples across all shards.
     pub samples: u64,
     /// The shard collection generation the solve ran against.
@@ -126,11 +115,9 @@ pub struct ClusterReport {
 
 /// Chained totals of one `shard_eval` fan across all shards.
 struct ShardTotals {
-    influenced: u64,
-    nu_acc: f64,
-    samples: u64,
+    score: Score,
     generation: u64,
-    pivot_score: u64,
+    pivot_score: usize,
 }
 
 /// Scores a seed set across every shard: integer totals sum; the ν_R
@@ -139,13 +126,15 @@ struct ShardTotals {
 fn shard_eval_totals(
     peers: &mut [PeerClient],
     seeds: &[NodeId],
-    pivot: Option<u32>,
+    pivot: Option<NodeId>,
 ) -> Result<ShardTotals, ClusterError> {
     let seeds_field: Vec<u64> = seeds.iter().map(|s| u64::from(s.raw())).collect();
     let mut totals = ShardTotals {
-        influenced: 0,
-        nu_acc: 0.0,
-        samples: 0,
+        score: Score {
+            influenced: 0,
+            nu_acc: 0.0,
+            samples: 0,
+        },
         generation: 0,
         pivot_score: 0,
     };
@@ -154,9 +143,9 @@ fn shard_eval_totals(
         let mut req = ObjectBuilder::new()
             .field("op", "shard_eval")
             .field("seeds", seeds_field.clone())
-            .field("carry", totals.nu_acc);
+            .field("carry", totals.score.nu_acc);
         if let Some(u) = pivot {
-            req = req.field("pivot", u);
+            req = req.field("pivot", u.raw());
         }
         let line = json::to_string(&req.build());
         let addr = peer.addr();
@@ -173,11 +162,11 @@ fn shard_eval_totals(
                 return Err(e);
             }
         };
-        totals.influenced += field_u64(&resp, "influenced", peer)?;
-        totals.nu_acc = field_f64(&resp, "nu_acc", peer)?;
-        totals.samples += field_u64(&resp, "samples", peer)?;
+        totals.score.influenced += field_u64(&resp, "influenced", peer)? as usize;
+        totals.score.nu_acc = field_f64(&resp, "nu_acc", peer)?;
+        totals.score.samples += field_u64(&resp, "samples", peer)? as usize;
         if pivot.is_some() {
-            totals.pivot_score += field_u64(&resp, "pivot_score", peer)?;
+            totals.pivot_score += field_u64(&resp, "pivot_score", peer)? as usize;
         }
         let generation = field_u64(&resp, "generation", peer)?;
         if i == 0 {
@@ -195,214 +184,108 @@ fn shard_eval_totals(
     Ok(totals)
 }
 
-/// `ĉ_R(S)` from summed shard counts — same expression (and evaluation
-/// order) as `RicStore::estimate`.
-fn estimate_from(instance: &ImcInstance, influenced: u64, samples: u64) -> f64 {
-    if samples == 0 {
-        return 0.0;
-    }
-    instance.total_benefit() * influenced as f64 / samples as f64
+/// The shard fleet as a [`SolveBackend`]: sessions are [`ClusterSource`]s
+/// (one `eval_begin` … `eval_end` per shard), whole-set and pivot scores
+/// are `shard_eval` fans, and pivots run one after another.
+struct ClusterBackend<'a> {
+    peers: &'a mut [PeerClient],
+    /// Generation reported by the latest `score` fan.
+    generation: u64,
 }
 
-/// `ν_R(S)` from the chained shard accumulator — same expression as
-/// `RicStore::nu_estimate`.
-fn nu_estimate_from(instance: &ImcInstance, nu_acc: f64, samples: u64) -> f64 {
-    if samples == 0 {
-        return 0.0;
-    }
-    instance.total_benefit() * nu_acc / samples as f64
-}
-
-/// Which engine objective a distributed greedy run evaluates.
-enum Objective {
-    C,
-    Nu,
-}
-
-/// One full engine greedy over a fresh cluster session; fails if any
-/// shard dropped mid-run (the engine itself has no error channel).
-fn greedy_over_cluster(
-    peers: &mut [PeerClient],
-    k: usize,
-    strategy: SolveStrategy,
-    objective: Objective,
-) -> Result<GreedyRun, CoordError> {
-    let mut src = ClusterSource::open(peers, None)?;
-    let (run, telemetry) = match objective {
-        Objective::C => greedy_c_over(&mut src, k, strategy),
-        Objective::Nu => greedy_nu_over(&mut src, k, strategy),
-    };
-    let failure = src.take_error();
-    src.close();
-    drop(src);
-    if let Some(e) = failure {
-        return Err(CoordError::Shard(e));
-    }
-    telemetry.publish();
-    Ok(run)
-}
-
-/// Seals a report: scores the final seed set across shards and derives
-/// the estimator exactly as the single-node `finish` step does.
-fn finish(
-    instance: &ImcInstance,
-    peers: &mut [PeerClient],
-    seeds: Vec<NodeId>,
-    evaluations: u64,
-) -> Result<ClusterReport, CoordError> {
-    let totals = shard_eval_totals(peers, &seeds, None)?;
-    Ok(ClusterReport {
-        estimate: estimate_from(instance, totals.influenced, totals.samples),
-        influenced_samples: totals.influenced,
-        samples: totals.samples,
-        generation: totals.generation,
-        seeds,
-        evaluations,
-    })
-}
-
-/// MAF's two candidate sets (Alg. 3), computed from cluster-summed
-/// community frequencies and appearance counts with the identical RNG
-/// stream, walk order and padding as the single-node `maf_with`.
-fn maf_candidates(
-    instance: &ImcInstance,
-    peers: &mut [PeerClient],
-    k: usize,
-    seed: u64,
-) -> Result<(Vec<NodeId>, Vec<NodeId>), CoordError> {
-    let mut src = ClusterSource::open(peers, None)?;
-    let k = k.min(src.node_count());
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    let freq = src.community_frequencies().to_vec();
-    let mut order: Vec<usize> = (0..freq.len()).collect();
-    order.sort_by(|&a, &b| freq[b].cmp(&freq[a]).then(a.cmp(&b)));
-    let communities = instance.communities();
-    let mut s1: Vec<NodeId> = Vec::with_capacity(k);
-    for ci in order {
-        let community = communities.get(imc_community::CommunityId::new(ci as u32));
-        let h = community.threshold as usize;
-        if h > community.population() || s1.len() + h > k {
-            continue;
-        }
-        let mut members = community.members.clone();
-        members.shuffle(&mut rng);
-        s1.extend(members.into_iter().take(h));
-        if s1.len() == k {
-            break;
-        }
-    }
-    src.pad_seeds(&mut s1, k);
-
-    let counts = src.appearance().to_vec();
-    let mut nodes: Vec<u32> = (0..src.node_count() as u32).collect();
-    nodes.sort_by(|&a, &b| counts[b as usize].cmp(&counts[a as usize]).then(a.cmp(&b)));
-    let s2: Vec<NodeId> = nodes.into_iter().take(k).map(NodeId::new).collect();
-    src.close();
-    Ok((s1, s2))
-}
-
-/// MAF arbitration: the candidate influencing more union samples (ties
-/// to `S1`, as on a single node). Returns the winner and MAF's fixed
-/// evaluation count of 2.
-fn solve_maf(
-    instance: &ImcInstance,
-    peers: &mut [PeerClient],
-    k: usize,
-    seed: u64,
-) -> Result<(Vec<NodeId>, u64), CoordError> {
-    let (s1, s2) = maf_candidates(instance, peers, k, seed)?;
-    let t1 = shard_eval_totals(peers, &s1, None)?;
-    let t2 = shard_eval_totals(peers, &s2, None)?;
-    let chose_s1 = t1.influenced >= t2.influenced;
-    Ok((if chose_s1 { s1 } else { s2 }, 2))
-}
-
-/// Distributed BT (Alg. 4, depth 2): per-pivot inner greedy over the
-/// pivot-reduced cluster session, pivot scores summed across shards,
-/// winner reduced in candidate order with ties to the smaller pivot id.
-fn solve_bt(peers: &mut [PeerClient], k: usize) -> Result<(Vec<NodeId>, u64), CoordError> {
-    // Snapshot the union appearance counts, then close — each pivot
-    // gets its own reduced session and the winner is padded from the
-    // snapshot, so no full-store session stays open across the loop.
-    let appearance = {
-        let mut src = ClusterSource::open(peers, None)?;
-        let snapshot = src.appearance().to_vec();
+impl ClusterBackend<'_> {
+    /// One full engine greedy over a fresh (pivot-reduced) cluster session;
+    /// fails if any shard dropped mid-run (the engine itself has no error
+    /// channel).
+    fn greedy_session(
+        &mut self,
+        pivot: Option<NodeId>,
+        objective: Objective,
+        k: usize,
+        strategy: SolveStrategy,
+    ) -> Result<GreedyRun, CoordError> {
+        let mut src = ClusterSource::open(self.peers, pivot.map(NodeId::raw))?;
+        let (run, telemetry) = match objective {
+            Objective::C => greedy_c_over(&mut src, k, strategy),
+            Objective::Nu => greedy_nu_over(&mut src, k, strategy),
+        };
+        let failure = src.take_error();
         src.close();
-        snapshot
-    };
-    let k = k.min(appearance.len()).max(1);
-
-    let mut by_count: Vec<(u64, u32)> = appearance
-        .iter()
-        .enumerate()
-        .filter_map(|(v, &c)| (c > 0).then_some((c, v as u32)))
-        .collect();
-    by_count.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    let candidates: Vec<u32> = by_count.into_iter().map(|(_, v)| v).collect();
-
-    let mut evaluations = candidates.len() as u64;
-    let mut best: Option<(u64, u32, Vec<NodeId>)> = None;
-    for &u in &candidates {
-        let (kset, inner_evals) = if k == 1 {
-            (vec![NodeId::new(u)], 0)
-        } else {
-            let mut src = ClusterSource::open(peers, Some(u))?;
-            let (run, _) = greedy_c_over(&mut src, k - 1, SolveStrategy::Lazy);
-            let failure = src.take_error();
-            src.close();
-            drop(src);
-            if let Some(e) = failure {
-                return Err(CoordError::Shard(e));
-            }
-            let mut kset = vec![NodeId::new(u)];
-            for h in run.seeds {
-                if h != NodeId::new(u) && kset.len() < k {
-                    kset.push(h);
-                }
-            }
-            (kset, run.evaluations)
-        };
-        evaluations += inner_evals;
-        let totals = shard_eval_totals(peers, &kset, Some(u))?;
-        let score = totals.pivot_score;
-        let better = match &best {
-            None => true,
-            Some((bs, bu, _)) => score > *bs || (score == *bs && u < *bu),
-        };
-        if better {
-            best = Some((score, u, kset));
+        if let Some(e) = failure {
+            return Err(CoordError::Shard(e));
         }
+        telemetry.publish();
+        Ok(run)
     }
-
-    let mut seeds = best.map(|(_, _, kset)| kset).unwrap_or_default();
-    pad_with_appearance(&mut seeds, k, &appearance);
-    Ok((seeds, evaluations))
 }
 
-/// Rejects BT/MB on instances whose thresholds exceed the bound — the
-/// same check (and error) as the single-node dispatch.
-fn require_bounded(instance: &ImcInstance, bound: u32) -> Result<(), CoordError> {
-    let max_threshold = instance.max_threshold();
-    if max_threshold > bound {
-        return Err(CoordError::Solver(ImcError::ThresholdTooLarge {
-            bound,
-            max_threshold,
-        }));
+impl SolveBackend for ClusterBackend<'_> {
+    type Error = CoordError;
+
+    fn stats(&mut self) -> Result<UnionStats, CoordError> {
+        // Snapshot, then close: no full-store session stays open across
+        // BT's pivot loop.
+        let mut src = ClusterSource::open(self.peers, None)?;
+        let as_usize = |counts: &[u64]| counts.iter().map(|&c| c as usize).collect();
+        let stats = UnionStats {
+            appearance: as_usize(src.appearance()),
+            community_frequencies: as_usize(src.community_frequencies()),
+        };
+        src.close();
+        Ok(stats)
     }
-    Ok(())
+
+    fn greedy(
+        &mut self,
+        objective: Objective,
+        k: usize,
+        strategy: SolveStrategy,
+    ) -> Result<GreedyRun, CoordError> {
+        self.greedy_session(None, objective, k, strategy)
+    }
+
+    fn score(&mut self, seeds: &[NodeId]) -> Result<Score, CoordError> {
+        let totals = shard_eval_totals(self.peers, seeds, None)?;
+        self.generation = totals.generation;
+        Ok(totals.score)
+    }
+
+    /// Depth is 2 here (see [`cluster_solve`]), so the helpers are always
+    /// the greedy over the pivot-reduced session.
+    fn helpers(&mut self, pivot: NodeId, k: usize, _depth: u32) -> Result<GreedyRun, CoordError> {
+        self.greedy_session(Some(pivot), Objective::C, k, SolveStrategy::Lazy)
+    }
+
+    fn pivot_score(&mut self, pivot: NodeId, kset: &[NodeId]) -> Result<usize, CoordError> {
+        Ok(shard_eval_totals(self.peers, kset, Some(pivot))?.pivot_score)
+    }
+
+    fn map_pivots<T, F>(
+        &mut self,
+        pivots: &[NodeId],
+        _threads: usize,
+        f: F,
+    ) -> Result<Vec<T>, CoordError>
+    where
+        F: Fn(&mut Self, NodeId) -> Result<T, CoordError>,
+    {
+        pivots.iter().map(|&u| f(self, u)).collect()
+    }
 }
 
 /// Solves MAXR across the shard fleet behind `peers`.
 ///
-/// The answer — seeds, estimator and evaluation count — is identical to
+/// This is [`MaxrAlgorithm::solve_over`] over the fleet, so the answer —
+/// seeds, estimator, evaluation count, extras — is identical to
 /// [`MaxrAlgorithm::solve`] with the same request over the union of the
-/// shard collections. Restrictions of the distributed path:
+/// shard collections. The distributed path has two restrictions, stated
+/// here and nowhere else:
 ///
-/// * `strategy` must be `Sequential` or `Lazy` (the parallel engine
-///   splits per-shard timing, which the scatter layer already does);
-/// * BT runs at depth 2 only (`req.depth` and `Btd(d)` beyond 2 are
-///   rejected as [`CoordError::Unsupported`]).
+/// * `strategy` must be `Sequential` or `Lazy` (the shard fan-out is the
+///   parallelism here; the wire frontend maps `mode=parallel` and
+///   `threads > 1` to `Parallel`);
+/// * BT runs at depth 2 only — a pivot-reduced remote session cannot be
+///   reduced again, which BT^(d)'s recursion needs.
 ///
 /// # Errors
 ///
@@ -416,90 +299,29 @@ pub fn cluster_solve(
     algo: MaxrAlgorithm,
     req: &SolveRequest,
 ) -> Result<ClusterReport, CoordError> {
-    instance.validate_budget(req.k)?;
     if let SolveStrategy::Parallel { .. } = req.strategy {
         return Err(CoordError::Unsupported(
-            "parallel engine strategy is not supported by the cluster coordinator \
-             (shard fan-out already parallelizes; use mode sequential or lazy)"
+            "parallel solving (mode `parallel` or `threads` > 1) is not supported by the \
+             cluster coordinator (shard fan-out already parallelizes; use mode sequential or lazy)"
                 .to_string(),
         ));
     }
-    match algo {
-        MaxrAlgorithm::Greedy => {
-            let run = greedy_over_cluster(peers, req.k, req.strategy, Objective::C)?;
-            finish(instance, peers, run.seeds, run.evaluations)
-        }
-        MaxrAlgorithm::Ubg => {
-            let nu_run = greedy_over_cluster(peers, req.k, req.strategy, Objective::Nu)?;
-            let c_run = greedy_over_cluster(peers, req.k, req.strategy, Objective::C)?;
-            let evaluations = nu_run.evaluations + c_run.evaluations;
-            let t_nu = shard_eval_totals(peers, &nu_run.seeds, None)?;
-            let t_c = shard_eval_totals(peers, &c_run.seeds, None)?;
-            let c_of_nu = estimate_from(instance, t_nu.influenced, t_nu.samples);
-            let c_of_c = estimate_from(instance, t_c.influenced, t_c.samples);
-            let chose_nu = c_of_nu >= c_of_c;
-            let (seeds, totals, estimate) = if chose_nu {
-                (nu_run.seeds, t_nu, c_of_nu)
-            } else {
-                (c_run.seeds, t_c, c_of_c)
-            };
-            Ok(ClusterReport {
-                seeds,
-                influenced_samples: totals.influenced,
-                estimate,
-                evaluations,
-                samples: totals.samples,
-                generation: totals.generation,
-            })
-        }
-        MaxrAlgorithm::Maf => {
-            let (seeds, evaluations) = solve_maf(instance, peers, req.k, req.seed)?;
-            finish(instance, peers, seeds, evaluations)
-        }
-        MaxrAlgorithm::Bt | MaxrAlgorithm::Btd(_) => {
-            let depth = match algo {
-                MaxrAlgorithm::Btd(d) => {
-                    if d < 2 {
-                        return Err(CoordError::Solver(ImcError::InvalidParameter {
-                            name: "bt depth",
-                        }));
-                    }
-                    d
-                }
-                _ => req.depth,
-            };
-            if depth != 2 {
-                return Err(CoordError::Unsupported(format!(
-                    "BT depth {depth} is not supported by the cluster coordinator (only depth 2)"
-                )));
-            }
-            require_bounded(instance, depth)?;
-            let (seeds, evaluations) = solve_bt(peers, req.k)?;
-            finish(instance, peers, seeds, evaluations)
-        }
-        MaxrAlgorithm::Mb => {
-            require_bounded(instance, 2)?;
-            let (maf_seeds, maf_evals) = solve_maf(instance, peers, req.k, req.seed)?;
-            let (bt_seeds, bt_evals) = solve_bt(peers, req.k)?;
-            let t_maf = shard_eval_totals(peers, &maf_seeds, None)?;
-            let t_bt = shard_eval_totals(peers, &bt_seeds, None)?;
-            let chose_bt = t_bt.influenced > t_maf.influenced;
-            let evaluations = maf_evals + bt_evals + 2;
-            let (seeds, totals) = if chose_bt {
-                (bt_seeds, t_bt)
-            } else {
-                (maf_seeds, t_maf)
-            };
-            Ok(ClusterReport {
-                estimate: estimate_from(instance, totals.influenced, totals.samples),
-                influenced_samples: totals.influenced,
-                samples: totals.samples,
-                generation: totals.generation,
-                seeds,
-                evaluations,
-            })
-        }
+    let depth = algo.bt_depth(req);
+    if matches!(algo, MaxrAlgorithm::Bt | MaxrAlgorithm::Btd(_)) && depth > 2 {
+        return Err(CoordError::Unsupported(format!(
+            "BT depth {depth} is not supported by the cluster coordinator (only depth 2)"
+        )));
     }
+    let mut backend = ClusterBackend {
+        peers,
+        generation: 0,
+    };
+    let (solve, score) = algo.solve_over(instance, &mut backend, req)?;
+    Ok(ClusterReport {
+        solve,
+        samples: score.samples as u64,
+        generation: backend.generation,
+    })
 }
 
 /// Coordinator frontend configuration.
@@ -845,19 +667,16 @@ fn elapsed_us(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Resolves the engine strategy for the distributed path: sequential and
-/// lazy map through; anything parallel is rejected (the shard fan-out is
-/// the parallelism here).
-fn cluster_strategy(tuning: &SolveTuning) -> Result<SolveStrategy, String> {
-    if tuning.threads.is_some_and(|t| t > 1) {
-        return Err("`threads` > 1 is not supported by the cluster coordinator".to_string());
-    }
+/// Maps wire tuning to an engine strategy. Any ask for parallel
+/// evaluation (`mode=parallel`, or `threads > 1` under any mode) becomes
+/// `Parallel`, which [`cluster_solve`] rejects.
+fn cluster_strategy(tuning: &SolveTuning) -> SolveStrategy {
+    let threads = tuning.threads.unwrap_or(1);
     match tuning.mode {
-        Some(SolveMode::Sequential) => Ok(SolveStrategy::Sequential),
-        None | Some(SolveMode::Lazy) => Ok(SolveStrategy::Lazy),
-        Some(SolveMode::Parallel) => {
-            Err("mode `parallel` is not supported by the cluster coordinator".to_string())
-        }
+        Some(SolveMode::Parallel) => SolveStrategy::Parallel { threads },
+        _ if threads > 1 => SolveStrategy::Parallel { threads },
+        Some(SolveMode::Sequential) => SolveStrategy::Sequential,
+        None | Some(SolveMode::Lazy) => SolveStrategy::Lazy,
     }
 }
 
@@ -942,15 +761,7 @@ fn dispatch_request(
             imcaf: None,
             tuning,
         } => {
-            let strategy = match cluster_strategy(&tuning) {
-                Ok(strategy) => strategy,
-                Err(message) => {
-                    return (
-                        protocol::error_response(ErrorCode::InvalidParameter, &message),
-                        false,
-                    )
-                }
-            };
+            let strategy = cluster_strategy(&tuning);
             let req = SolveRequest::new(k)
                 .with_seed(seed)
                 .with_depth(tuning.depth.unwrap_or(2))
@@ -965,13 +776,14 @@ fn dispatch_request(
                     lost,
                     participating,
                 }) => {
-                    let seeds: Vec<u32> = report.seeds.iter().map(|v| v.raw()).collect();
+                    let solve = &report.solve;
+                    let seeds: Vec<u32> = solve.seeds.iter().map(|v| v.raw()).collect();
                     let lost_shards: Vec<String> = lost.iter().map(SocketAddr::to_string).collect();
                     let body = ObjectBuilder::new()
                         .field("seeds", seeds)
-                        .field("estimate", report.estimate)
-                        .field("influenced_samples", report.influenced_samples)
-                        .field("evaluations", report.evaluations)
+                        .field("estimate", solve.estimate)
+                        .field("influenced_samples", solve.influenced_samples)
+                        .field("evaluations", solve.evaluations)
                         .field("mode", strategy.label())
                         .field("threads", strategy.threads())
                         .field("samples", report.samples)
@@ -1005,30 +817,28 @@ fn dispatch_request(
             }
             let _estimate_span = imc_obs::Span::enter_with("cluster_estimate", "");
             let outcome = run_resilient(config, board, 0, |peers| {
-                shard_eval_totals(peers, &seeds, None).map_err(CoordError::from)
+                Ok(shard_eval_totals(peers, &seeds, None)?)
             });
             match outcome {
                 Ok(Outcome {
-                    value: totals,
+                    value:
+                        ShardTotals {
+                            score, generation, ..
+                        },
                     lost,
                     participating,
                 }) => {
                     let lost_shards: Vec<String> = lost.iter().map(SocketAddr::to_string).collect();
+                    let b = instance.total_benefit();
                     let body = ObjectBuilder::new()
-                        .field(
-                            "estimate",
-                            estimate_from(instance, totals.influenced, totals.samples),
-                        )
-                        .field(
-                            "nu_estimate",
-                            nu_estimate_from(instance, totals.nu_acc, totals.samples),
-                        )
-                        .field("influenced_samples", totals.influenced)
-                        .field("samples", totals.samples)
-                        .field("generation", totals.generation)
+                        .field("estimate", score.estimate(b))
+                        .field("nu_estimate", score.nu_estimate(b))
+                        .field("influenced_samples", score.influenced)
+                        .field("samples", score.samples)
+                        .field("generation", generation)
                         .field("shards", participating)
                         .field("approximate", !lost.is_empty())
-                        .field("effective_samples", totals.samples)
+                        .field("effective_samples", score.samples)
                         .field("lost_shards", lost_shards)
                         .field("elapsed_us", elapsed_us(start));
                     (protocol::ok_response("estimate", body), false)

@@ -9,8 +9,9 @@
 //!   [`sampling_shard_plan`](imc_core::sampling_shard_plan) rooted at
 //!   `base_seed` — partitions concatenate, in shard order, to exactly
 //!   the plan a single node would draw);
-//! * the [`coordinator`] runs the *same* greedy engine loops as a local
-//!   solve ([`imc_core::maxr::engine`]) but plugs in a
+//! * the [`coordinator`] runs the *same* solver bodies
+//!   ([`imc_core::MaxrAlgorithm::solve_over`]) and greedy engine loops
+//!   ([`imc_core::maxr::engine`]) as a local solve but plugs in a
 //!   [`ClusterSource`]: `ĉ_R` marginal gains are
 //!   integers and sum across shards; `ν_R` marginal gains are `f64`
 //!   left folds in sample order and are **carry-chained** shard to

@@ -544,55 +544,3 @@ impl GainSource for ClusterSource<'_> {
         }
     }
 }
-
-/// Pads `seeds` to `min(k, n)` with unused nodes by appearance count
-/// (descending, ties to the smallest id) — the standalone twin of
-/// `imc_core`'s internal `pad_to_k` for when only the appearance
-/// snapshot is still at hand (the BT pivot loop closes its full-store
-/// sessions before padding the winner).
-pub fn pad_with_appearance(seeds: &mut Vec<imc_graph::NodeId>, k: usize, appearance: &[u64]) {
-    let k = k.min(appearance.len());
-    if seeds.len() >= k {
-        seeds.truncate(k);
-        return;
-    }
-    let mut used = vec![false; appearance.len()];
-    for s in seeds.iter() {
-        used[s.index()] = true;
-    }
-    let mut rest: Vec<(u64, u32)> = (0..appearance.len() as u32)
-        .filter(|&v| !used[v as usize])
-        .map(|v| (appearance[v as usize], v))
-        .collect();
-    rest.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    for (_, v) in rest {
-        if seeds.len() == k {
-            break;
-        }
-        seeds.push(imc_graph::NodeId::new(v));
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use imc_graph::NodeId;
-
-    #[test]
-    fn pad_with_appearance_matches_pad_to_k_rule() {
-        // appearance: node 2 highest, then 0 and 3 tied (smaller id
-        // first), node 1 already used.
-        let appearance = vec![5, 1, 9, 5];
-        let mut seeds = vec![NodeId::new(1)];
-        pad_with_appearance(&mut seeds, 3, &appearance);
-        assert_eq!(seeds, vec![NodeId::new(1), NodeId::new(2), NodeId::new(0)]);
-
-        // Over-long input truncates; k beyond n clamps.
-        let mut long = vec![NodeId::new(3), NodeId::new(0), NodeId::new(1)];
-        pad_with_appearance(&mut long, 2, &appearance);
-        assert_eq!(long, vec![NodeId::new(3), NodeId::new(0)]);
-        let mut all = Vec::new();
-        pad_with_appearance(&mut all, 10, &appearance);
-        assert_eq!(all.len(), 4);
-    }
-}

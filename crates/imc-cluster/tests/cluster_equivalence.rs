@@ -156,6 +156,41 @@ fn all_solvers_bitwise_identical_over_shard_counts() {
     }
 }
 
+/// What the distributed path does not implement is refused with a typed
+/// `invalid_parameter` error — before any shard work — and the
+/// coordinator keeps serving.
+#[test]
+fn cluster_restrictions_are_typed_errors_on_the_wire() {
+    let instance = small_instance(42);
+    let (handles, coordinator) = spawn_cluster(&instance, 2, 64, 77);
+    let mut client = Client::connect(coordinator.addr(), Duration::from_secs(120)).unwrap();
+    for knobs in [
+        r#""algo":"bt","depth":3"#,
+        r#""mode":"parallel""#,
+        r#""threads":2"#,
+        r#""framework":"imcaf""#,
+    ] {
+        let resp = client
+            .request(&format!(r#"{{"op":"solve","k":3,{knobs}}}"#))
+            .unwrap();
+        assert_eq!(
+            resp.get("ok").and_then(Value::as_bool),
+            Some(false),
+            "{knobs}"
+        );
+        let code = resp.get("error").and_then(|e| e.get("code"));
+        assert_eq!(
+            code.and_then(Value::as_str),
+            Some("invalid_parameter"),
+            "{knobs}"
+        );
+    }
+    let health = client.request(r#"{"op":"health"}"#).unwrap();
+    assert_eq!(health.get("status").and_then(Value::as_str), Some("ok"));
+    drop(client);
+    stop_cluster(handles, coordinator);
+}
+
 /// A fast-failing retry policy so dead-shard tests don't sit in
 /// backoff sleeps.
 fn fast_retry() -> RetryPolicy {

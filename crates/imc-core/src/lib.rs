@@ -19,11 +19,11 @@
 //!    (owned) or its zero-copy twin [`snapshot::RicStoreView`] (borrowed
 //!    from snapshot bytes); both implement [`RicSamples`], which is all
 //!    anything downstream sees.
-//! 2. **MAXR solvers** ([`maxr`]) — [`UbgSolver`] (sandwich with the
-//!    submodular upper bound `ν_R`), [`MafSolver`] (most-appearance-first),
-//!    [`BtSolver`] (bounded thresholds, with the `BT^(d)` recursion) and
-//!    [`MbSolver`] (MAF ∨ BT, tight to the inapproximability bound), all
-//!    dispatched by [`MaxrAlgorithm::solve`].
+//! 2. **MAXR solvers** ([`maxr`]) — UBG (sandwich with the submodular
+//!    upper bound `ν_R`), MAF (most-appearance-first), BT (bounded
+//!    thresholds, with the `BT^(d)` recursion) and MB (MAF ∨ BT, tight to
+//!    the inapproximability bound), each written once over
+//!    [`maxr::SolveBackend`] and dispatched by [`MaxrAlgorithm::solve`].
 //! 3. **IMCAF** ([`imcaf`], Alg. 5) — a stop-and-stare outer loop with the
 //!    sample bound `Ψ` (eq. 22) and the Dagum [`estimate`] procedure
 //!    (Alg. 6), turning any `α`-approximate MAXR solver into an
@@ -86,8 +86,8 @@ pub use error::ImcError;
 pub use generator::{LiveEdgeModel, RicSampler, SampleBuf};
 pub use imcaf::{imcaf, imcaf_with_trace, ImcafConfig, ImcafResult, RoundRecord, StopReason};
 pub use maxr::{
-    BtSolver, GainSource, GreedyRun, GreedySolver, LocalSource, MafSolver, MaxrAlgorithm,
-    MaxrSolver, MbSolver, SolveReport, SolveRequest, SolveStrategy, SolverExtras, UbgSolver,
+    GainSource, GreedyRun, LocalSource, MaxrAlgorithm, SolveReport, SolveRequest, SolveStrategy,
+    SolverExtras,
 };
 pub use objective::{CoverageEvaluator, CoverageState};
 pub use problem::ImcInstance;

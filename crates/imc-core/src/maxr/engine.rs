@@ -22,6 +22,7 @@
 //!   under a total order on `(gain, node)` — so the outcome is identical
 //!   for *any* thread count, including 1.
 
+use crate::maxr::pad_to_k;
 use crate::maxr::telemetry::{EngineTelemetry, IterationRecord, MapStats};
 use crate::{CoverageState, RicSamples};
 use imc_graph::NodeId;
@@ -262,33 +263,6 @@ pub trait GainSource {
 
     /// Commits `v` as a seed; every later batch sees the updated state.
     fn add_seed(&mut self, v: u32);
-
-    /// Pads `seeds` to `min(k, node_count)` with unused nodes, highest
-    /// appearance count first, ties to the smallest id — the same rule as
-    /// the single-node `pad_to_k`.
-    fn pad_seeds(&self, seeds: &mut Vec<NodeId>, k: usize) {
-        let k = k.min(self.node_count());
-        if seeds.len() >= k {
-            seeds.truncate(k);
-            return;
-        }
-        let mut used = vec![false; self.node_count()];
-        for s in seeds.iter() {
-            used[s.index()] = true;
-        }
-        let mut rest: Vec<(usize, u32)> = (0..self.node_count() as u32)
-            .filter(|&v| !used[v as usize])
-            .map(|v| (self.appearance_count(v), v))
-            .collect();
-        // Highest appearance first; ties by smallest id for determinism.
-        rest.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        for (_, v) in rest {
-            if seeds.len() >= k {
-                break;
-            }
-            seeds.push(NodeId::new(v));
-        }
-    }
 }
 
 /// [`GainSource`] over an in-process [`RicSamples`] backend: a
@@ -485,7 +459,9 @@ fn greedy_c_sequential<S: GainSource>(source: &mut S, k: usize) -> (GreedyRun, E
             }
         }
     }
-    source.pad_seeds(&mut seeds, k);
+    pad_to_k(&mut seeds, k, source.node_count(), |v| {
+        source.appearance_count(v)
+    });
     telemetry.wall_seconds = wall.elapsed().as_secs_f64();
     (GreedyRun { seeds, evaluations }, telemetry)
 }
@@ -626,7 +602,9 @@ fn greedy_c_lazy<S: GainSource>(
         }
         round_idx += 1;
     }
-    source.pad_seeds(&mut seeds, k);
+    pad_to_k(&mut seeds, k, source.node_count(), |v| {
+        source.appearance_count(v)
+    });
     telemetry.wall_seconds = wall.elapsed().as_secs_f64();
     (GreedyRun { seeds, evaluations }, telemetry)
 }
@@ -685,7 +663,9 @@ fn greedy_nu_sequential<S: GainSource>(source: &mut S, k: usize) -> (GreedyRun, 
             }
         }
     }
-    source.pad_seeds(&mut seeds, k);
+    pad_to_k(&mut seeds, k, source.node_count(), |v| {
+        source.appearance_count(v)
+    });
     telemetry.wall_seconds = wall.elapsed().as_secs_f64();
     (GreedyRun { seeds, evaluations }, telemetry)
 }
@@ -876,7 +856,9 @@ fn greedy_nu_lazy<S: GainSource>(
             }
         }
     }
-    source.pad_seeds(&mut seeds, k);
+    pad_to_k(&mut seeds, k, source.node_count(), |v| {
+        source.appearance_count(v)
+    });
     telemetry.wall_seconds = wall.elapsed().as_secs_f64();
     (GreedyRun { seeds, evaluations }, telemetry)
 }

@@ -6,120 +6,85 @@
 //! `Θ(√((1−1/e)/r))`-approximate for thresholds `≤ 2` — tight to the
 //! `O(r^{1/2(log log r)^c})` inapproximability of Theorem 1.
 
-use crate::maxr::bt::bt_with;
+use crate::maxr::bt::bt_over;
 use crate::maxr::engine::SolveStrategy;
-use crate::maxr::maf::maf_with;
-use crate::RicSamples;
+use crate::maxr::maf::maf_over;
+use crate::maxr::solver::{evaluate, Selection, SolveBackend, SolverExtras};
 use imc_community::CommunitySet;
-use imc_graph::NodeId;
 
-/// Output of MB ([`MbSolver`](crate::maxr::solver::MbSolver)).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MbOutcome {
-    /// The winning seed set.
-    pub seeds: Vec<NodeId>,
-    /// MAF's candidate.
-    pub maf_seeds: Vec<NodeId>,
-    /// BT's candidate.
-    pub bt_seeds: Vec<NodeId>,
-    /// `true` when BT won.
-    pub chose_bt: bool,
-}
-
-/// Strategy-aware MB core behind [`MbSolver`](crate::maxr::solver::MbSolver).
-/// `seed` drives MAF's random member picks. The strategy only accelerates
-/// the BT half (its pivot loop shards across workers); MAF is already
-/// linear-time. Returns the outcome plus the total evaluation count (both
-/// halves, plus the two final `ĉ_R` comparisons).
-///
-/// # Panics
-///
-/// Panics if any sample threshold exceeds 2 (checked fallibly by
-/// [`MaxrAlgorithm`](crate::MaxrAlgorithm)).
-pub(crate) fn mb_with<C: RicSamples>(
+/// MB (Thm. 5) over any [`SolveBackend`]; thresholds must be ≤ 2 (checked
+/// by the dispatch). `seed` drives MAF's random member picks. The strategy
+/// only accelerates the BT half (its pivot loop may fan out); MAF is
+/// already linear-time. The evaluation count is both halves plus the two
+/// final `ĉ_R` comparisons, whose winner's score doubles as the report's.
+pub(crate) fn mb_over<B: SolveBackend>(
+    backend: &mut B,
     communities: &CommunitySet,
-    collection: &C,
     k: usize,
     seed: u64,
     strategy: SolveStrategy,
-) -> (MbOutcome, u64) {
-    let (maf_out, maf_evals) = maf_with(communities, collection, k, seed);
-    let (bt_out, bt_evals) = bt_with(collection, k, 2, None, strategy);
-    let maf_score = collection.influenced_count(&maf_out.seeds);
-    let bt_score = collection.influenced_count(&bt_out.seeds);
-    let chose_bt = bt_score > maf_score;
-    (
-        MbOutcome {
-            seeds: if chose_bt {
-                bt_out.seeds.clone()
-            } else {
-                maf_out.seeds.clone()
-            },
-            maf_seeds: maf_out.seeds,
-            bt_seeds: bt_out.seeds,
+) -> Result<Selection, B::Error> {
+    let maf = maf_over(backend, communities, k, seed)?;
+    let bt = bt_over(backend, k, 2, None, strategy)?;
+    let maf_score = evaluate(backend, "MB", &maf.seeds)?;
+    let bt_score = evaluate(backend, "MB", &bt.seeds)?;
+    let chose_bt = bt_score.influenced > maf_score.influenced;
+    Ok(Selection {
+        seeds: if chose_bt {
+            bt.seeds.clone()
+        } else {
+            maf.seeds.clone()
+        },
+        evaluations: maf.evaluations + bt.evaluations + 2,
+        score: Some(if chose_bt { bt_score } else { maf_score }),
+        extras: SolverExtras::Mb {
+            maf_seeds: maf.seeds,
+            bt_seeds: bt.seeds,
             chose_bt,
         },
-        maf_evals + bt_evals + 2,
-    )
+    })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::{CoverSet, RicSample, RicStore};
-    use imc_community::CommunityId;
+    use crate::maxr::testutil::{instance, sample};
+    use crate::{ImcInstance, MaxrAlgorithm, RicStore, SolveReport, SolveRequest, SolverExtras};
 
-    fn mk_cover(width: usize, bits: &[usize]) -> CoverSet {
-        let mut c = CoverSet::new(width);
-        for &b in bits {
-            c.set(b);
-        }
-        c
-    }
-
-    fn setup() -> (CommunitySet, RicStore) {
-        let cs = CommunitySet::from_parts(
-            6,
-            vec![
-                (vec![NodeId::new(0), NodeId::new(1)], 2, 2.0),
-                (vec![NodeId::new(2), NodeId::new(3)], 2, 2.0),
-            ],
+    /// Hub node 4 covers member 0 in both communities' samples; nodes
+    /// 0..4 cover themselves.
+    fn setup() -> (ImcInstance, RicStore) {
+        let samples = [
+            sample(0, 2, 2, &[(0, &[0]), (1, &[1]), (4, &[0])]),
+            sample(1, 2, 2, &[(2, &[0]), (3, &[1]), (4, &[0])]),
+        ];
+        (
+            instance(6, &[(&[0, 1], 2, 2.0), (&[2, 3], 2, 2.0)]),
+            RicStore::from_samples(6, 2, 4.0, &samples).unwrap(),
         )
-        .unwrap();
-        let mut col = RicStore::new(6, 2, 4.0);
-        // Hub node 4 covers member 0 in both communities' samples; nodes
-        // 0..4 cover themselves.
-        col.push_sample(&RicSample {
-            community: CommunityId::new(0),
-            threshold: 2,
-            community_size: 2,
-            nodes: vec![NodeId::new(0), NodeId::new(1), NodeId::new(4)],
-            covers: vec![mk_cover(2, &[0]), mk_cover(2, &[1]), mk_cover(2, &[0])],
-        })
-        .unwrap();
-        col.push_sample(&RicSample {
-            community: CommunityId::new(1),
-            threshold: 2,
-            community_size: 2,
-            nodes: vec![NodeId::new(2), NodeId::new(3), NodeId::new(4)],
-            covers: vec![mk_cover(2, &[0]), mk_cover(2, &[1]), mk_cover(2, &[0])],
-        })
-        .unwrap();
-        (cs, col)
     }
 
-    fn run(cs: &CommunitySet, col: &RicStore, k: usize, seed: u64) -> MbOutcome {
-        mb_with(cs, col, k, seed, SolveStrategy::Lazy).0
+    fn run((inst, col): &(ImcInstance, RicStore), k: usize, seed: u64) -> SolveReport {
+        MaxrAlgorithm::Mb
+            .solve(inst, col, &SolveRequest::new(k).with_seed(seed))
+            .unwrap()
     }
 
     #[test]
     fn mb_at_least_as_good_as_both_parts() {
-        let (cs, col) = setup();
+        let case = setup();
         for k in 1..=4 {
-            let out = run(&cs, &col, k, 9);
-            let score = col.influenced_count(&out.seeds);
-            assert!(score >= col.influenced_count(&out.maf_seeds));
-            assert!(score >= col.influenced_count(&out.bt_seeds));
+            let out = run(&case, k, 9);
+            let SolverExtras::Mb {
+                maf_seeds,
+                bt_seeds,
+                chose_bt,
+            } = &out.extras
+            else {
+                panic!("MB must report both candidates");
+            };
+            assert_eq!(&out.seeds, if *chose_bt { bt_seeds } else { maf_seeds });
+            assert!(out.influenced_samples >= case.1.influenced_count(maf_seeds));
+            assert!(out.influenced_samples >= case.1.influenced_count(bt_seeds));
         }
     }
 
@@ -128,33 +93,29 @@ mod tests {
         // With k=3, {4, 1, 3} influences both samples (hub covers member 0
         // in each). MAF's community strategy can win only one; BT finds the
         // hub.
-        let (cs, col) = setup();
-        let out = run(&cs, &col, 3, 1);
-        assert_eq!(col.influenced_count(&out.seeds), 2);
+        assert_eq!(run(&setup(), 3, 1).influenced_samples, 2);
     }
 
     #[test]
     fn theorem5_bound_sanity() {
-        let (cs, col) = setup();
+        let case = setup();
         let k = 2;
-        let out = run(&cs, &col, k, 3);
-        let r = cs.len() as f64;
+        let r = case.0.community_count() as f64;
         let bound = ((1.0 - 1.0 / std::f64::consts::E) / r * ((k / 2) as f64 / k as f64)).sqrt();
         // OPT(k=2) influences 1 sample.
         let opt = 1.0;
-        assert!(col.influenced_count(&out.seeds) as f64 >= bound * opt);
+        assert!(run(&case, k, 3).influenced_samples as f64 >= bound * opt);
     }
 
     #[test]
     fn seeds_sized_k() {
-        let (cs, col) = setup();
-        let out = run(&cs, &col, 4, 2);
-        assert_eq!(out.seeds.len(), 4);
+        assert_eq!(run(&setup(), 4, 2).seeds.len(), 4);
     }
 
     #[test]
     fn deterministic_under_seed() {
-        let (cs, col) = setup();
-        assert_eq!(run(&cs, &col, 3, 5), run(&cs, &col, 3, 5));
+        let case = setup();
+        let (a, b) = (run(&case, 3, 5), run(&case, 3, 5));
+        assert_eq!((a.seeds, a.extras), (b.seeds, b.extras));
     }
 }

@@ -1,22 +1,23 @@
 //! Solvers for the MAXR problem (Definition 3): given a collection `R` of
 //! RIC samples, pick `k` seeds maximizing the number of influenced samples.
 //!
-//! | Solver | Ratio (paper) | Requires |
+//! | [`MaxrAlgorithm`] | Ratio (paper) | Requires |
 //! |---|---|---|
-//! | [`GreedySolver`] (plain, on `ĉ_R`) | none (non-submodular) | — |
-//! | [`UbgSolver`] (sandwich on `ν_R`)  | `(ĉ(S_ν)/ν(S_ν))·(1−1/e)` (Thm. 2) | — |
-//! | [`MafSolver`] (most-appearance)    | `⌊k/h⌋ / r` (Thm. 3) | — |
-//! | [`BtSolver`]  (bounded threshold)  | `(1−1/e)/k` (Thm. 4), `(1−1/e)/k^{d−1}` for BT^(d) | `h_i ≤ d` |
-//! | [`MbSolver`]  (MAF ∨ BT)           | `Θ(√((1−1/e)/r))` (Thm. 5) | `h_i ≤ 2` |
+//! | `Greedy` (plain, on `ĉ_R`) | none (non-submodular) | — |
+//! | `Ubg` (sandwich on `ν_R`)  | `(ĉ(S_ν)/ν(S_ν))·(1−1/e)` (Thm. 2) | — |
+//! | `Maf` (most-appearance)    | `⌊k/h⌋ / r` (Thm. 3) | — |
+//! | `Bt` / `Btd(d)` (bounded threshold) | `(1−1/e)/k` (Thm. 4), `(1−1/e)/k^{d−1}` for BT^(d) | `h_i ≤ d` |
+//! | `Mb` (MAF ∨ BT)            | `Θ(√((1−1/e)/r))` (Thm. 5) | `h_i ≤ 2` |
 //!
 //! All of them run on the shared [`engine`] (CELF lazy evaluation plus
-//! deterministic sharded parallelism, selected by [`SolveStrategy`]) over
-//! any [`RicSamples`] implementer ([`RicStore`](crate::RicStore) or
-//! [`RicStoreView`](crate::snapshot::RicStoreView)), and are exposed only
-//! through the [`solver`] module's [`MaxrSolver`] trait;
-//! [`MaxrAlgorithm::solve`] is the single dispatch entry point. The
-//! per-algorithm modules ([`ubg`], [`maf`], [`bt`], [`mb`]) hold the
-//! algorithm bodies and their outcome types.
+//! deterministic sharded parallelism, selected by [`SolveStrategy`]).
+//! Each algorithm body ([`ubg`], [`maf`], [`bt`], [`mb`]) is written once
+//! over the [`SolveBackend`] contract of the [`solver`] module;
+//! [`MaxrAlgorithm::solve`] instantiates it over any [`RicSamples`]
+//! implementer ([`RicStore`](crate::RicStore) or
+//! [`RicStoreView`](crate::snapshot::RicStoreView)) and is the single
+//! local entry point, and `imc-cluster`'s coordinator instantiates the
+//! same bodies over its shard fleet.
 
 pub mod bt;
 pub mod engine;
@@ -29,12 +30,12 @@ pub mod ubg;
 
 pub use engine::{GainSource, GreedyRun, LocalSource, SolveStrategy};
 pub use solver::{
-    BtSolver, GreedySolver, MafSolver, MaxrSolver, MbSolver, SolveReport, SolveRequest,
-    SolverExtras, UbgSolver,
+    LocalBackend, Objective, Score, SolveBackend, SolveReport, SolveRequest, SolverExtras,
+    UnionStats,
 };
 pub use telemetry::{EngineTelemetry, IterationRecord, MapStats};
 
-use crate::{ImcError, ImcInstance, Result, RicSamples};
+use crate::{ImcInstance, Result, RicSamples};
 use imc_graph::NodeId;
 
 /// Which MAXR solver the framework should run.
@@ -100,21 +101,23 @@ impl MaxrAlgorithm {
     /// [`RicStoreView`](crate::snapshot::RicStoreView)); the seed sets are
     /// identical for identical collections and for every [`SolveStrategy`].
     ///
-    /// This is the single dispatch entry point over the unified
-    /// [`MaxrSolver`] API: it applies the instance-level budget check, the
-    /// per-algorithm threshold bounds, and records the `maxr_solve` metric,
-    /// then delegates to the matching solver struct. `req.seed` drives
-    /// MAF's random member picks (the only randomized solver);
-    /// `req.depth` is the `d` of BT^(d) (forced to the variant's `d` for
-    /// [`MaxrAlgorithm::Btd`], and to 2 nowhere — MB checks thresholds ≤ 2
-    /// directly).
+    /// This is [`solve_over`](Self::solve_over) instantiated with a
+    /// [`LocalBackend`], plus the `maxr_solve` metric: it applies the
+    /// instance-level budget check and the per-algorithm threshold
+    /// bounds, then runs the algorithm body. `req.seed` drives MAF's
+    /// random member picks (the only randomized solver); `req.depth` is
+    /// the `d` of BT^(d) (overridden by the variant's `d` for
+    /// [`MaxrAlgorithm::Btd`]; MB always checks thresholds ≤ 2).
     ///
     /// # Errors
     ///
-    /// * [`ImcError::InvalidBudget`] for `req.k == 0` or `req.k > n`.
-    /// * [`ImcError::InvalidParameter`] for a BT depth below 2.
-    /// * [`ImcError::ThresholdTooLarge`] when BT/BT^(d)/MB run on an
-    ///   instance whose thresholds exceed their bound.
+    /// * [`InvalidBudget`](crate::ImcError::InvalidBudget) for `req.k == 0`
+    ///   or `req.k > n`.
+    /// * [`InvalidParameter`](crate::ImcError::InvalidParameter) for a BT
+    ///   depth below 2.
+    /// * [`ThresholdTooLarge`](crate::ImcError::ThresholdTooLarge) when
+    ///   BT/BT^(d)/MB run on an instance whose thresholds exceed their
+    ///   bound.
     ///
     /// ```
     /// use imc_community::CommunitySet;
@@ -147,32 +150,10 @@ impl MaxrAlgorithm {
         collection: &C,
         req: &SolveRequest,
     ) -> Result<SolveReport> {
-        instance.validate_budget(req.k)?;
         let start = std::time::Instant::now();
-        let max_h = instance.max_threshold();
-        let report = {
+        let (report, _) = {
             let _select_span = imc_obs::Span::enter_with("maxr_select", self.name());
-            match self {
-                MaxrAlgorithm::Greedy => GreedySolver.solve(collection, req),
-                MaxrAlgorithm::Ubg => UbgSolver.solve(collection, req),
-                MaxrAlgorithm::Maf => MafSolver::new(instance.communities()).solve(collection, req),
-                MaxrAlgorithm::Bt => {
-                    require_bounded(max_h, req.depth)?;
-                    BtSolver::default().solve(collection, req)
-                }
-                MaxrAlgorithm::Btd(d) => {
-                    if *d < 2 {
-                        return Err(ImcError::InvalidParameter { name: "bt depth" });
-                    }
-                    require_bounded(max_h, *d)?;
-                    let sub = req.with_depth(*d);
-                    BtSolver::default().solve(collection, &sub)
-                }
-                MaxrAlgorithm::Mb => {
-                    require_bounded(max_h, 2)?;
-                    MbSolver::new(instance.communities()).solve(collection, req)
-                }
-            }?
+            self.solve_over(instance, &mut LocalBackend(collection), req)?
         };
         crate::obs::record_maxr_solve(
             self.name(),
@@ -184,48 +165,105 @@ impl MaxrAlgorithm {
     }
 }
 
-fn require_bounded(max_threshold: u32, bound: u32) -> Result<()> {
-    if max_threshold > bound {
-        Err(ImcError::ThresholdTooLarge {
-            bound,
-            max_threshold,
-        })
-    } else {
-        Ok(())
-    }
-}
-
-/// Pads `seeds` up to `k` with the unused nodes that appear in the most
-/// samples (extra seeds never hurt the objective). Shared by all solvers so
-/// every algorithm returns exactly `min(k, n)` seeds, matching how the
-/// paper compares fixed-budget solutions.
-pub(crate) fn pad_to_k<C: RicSamples>(collection: &C, seeds: &mut Vec<NodeId>, k: usize) {
-    let k = k.min(collection.node_count());
+/// Pads `seeds` up to `min(k, node_count)` with the unused nodes that
+/// appear in the most samples, ties to the smallest id (extra seeds never
+/// hurt the objective) — and truncates an over-long set. The one padding
+/// rule: the engine's greedy loops, MAF and BT all end here, so every
+/// algorithm returns exactly `min(k, n)` seeds, matching how the paper
+/// compares fixed-budget solutions.
+pub(crate) fn pad_to_k(
+    seeds: &mut Vec<NodeId>,
+    k: usize,
+    node_count: usize,
+    appearance: impl Fn(u32) -> usize,
+) {
+    let k = k.min(node_count);
     if seeds.len() >= k {
         seeds.truncate(k);
         return;
     }
-    let mut used = vec![false; collection.node_count()];
+    let mut used = vec![false; node_count];
     for s in seeds.iter() {
         used[s.index()] = true;
     }
-    let mut rest: Vec<(usize, u32)> = (0..collection.node_count() as u32)
+    let mut rest: Vec<(usize, u32)> = (0..node_count as u32)
         .filter(|&v| !used[v as usize])
-        .map(|v| (collection.appearance_count(NodeId::new(v)), v))
+        .map(|v| (appearance(v), v))
         .collect();
     // Highest appearance first; ties by smallest id for determinism.
     rest.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    for (_, v) in rest {
-        if seeds.len() >= k {
-            break;
+    seeds.extend(
+        rest.into_iter()
+            .take(k - seeds.len())
+            .map(|(_, v)| NodeId::new(v)),
+    );
+}
+
+/// Fixtures shared by the solver test modules.
+#[cfg(test)]
+pub(crate) mod testutil {
+    use crate::{CoverSet, ImcInstance, RicSample};
+    use imc_community::{CommunityId, CommunitySet};
+    use imc_graph::{GraphBuilder, NodeId};
+
+    /// A sample of `community` with threshold `h` over `width` members;
+    /// `entries` lists `(node, member positions it covers)`.
+    pub(crate) fn sample(
+        community: u32,
+        threshold: u32,
+        width: usize,
+        entries: &[(u32, &[usize])],
+    ) -> RicSample {
+        let cover = |bits: &[usize]| {
+            let mut c = CoverSet::new(width);
+            bits.iter().for_each(|&b| c.set(b));
+            c
+        };
+        RicSample {
+            community: CommunityId::new(community),
+            threshold,
+            community_size: width as u32,
+            nodes: entries.iter().map(|&(v, _)| NodeId::new(v)).collect(),
+            covers: entries.iter().map(|&(_, bits)| cover(bits)).collect(),
         }
-        seeds.push(NodeId::new(v));
+    }
+
+    /// An edgeless `n`-node instance with `(members, threshold, benefit)`
+    /// communities — what `MaxrAlgorithm::solve` validates a hand-built
+    /// store against.
+    pub(crate) fn instance(n: u32, parts: &[(&[u32], u32, f64)]) -> ImcInstance {
+        let parts = parts
+            .iter()
+            .map(|&(members, h, b)| (members.iter().map(|&v| NodeId::new(v)).collect(), h, b))
+            .collect();
+        let communities = CommunitySet::from_parts(n, parts).unwrap();
+        ImcInstance::new(GraphBuilder::new(n).build().unwrap(), communities).unwrap()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The one unit test of the one padding rule.
+    #[test]
+    fn pad_to_k_rule() {
+        // appearance: node 2 highest, then 0 and 3 tied (smaller id
+        // first), node 1 already used.
+        let appearance = [5, 1, 9, 5];
+        let pad = |seeds: &mut Vec<NodeId>, k| pad_to_k(seeds, k, 4, |v| appearance[v as usize]);
+        let mut seeds = vec![NodeId::new(1)];
+        pad(&mut seeds, 3);
+        assert_eq!(seeds, vec![NodeId::new(1), NodeId::new(2), NodeId::new(0)]);
+
+        // Over-long input truncates; k beyond n clamps.
+        let mut long = vec![NodeId::new(3), NodeId::new(0), NodeId::new(1)];
+        pad(&mut long, 2);
+        assert_eq!(long, vec![NodeId::new(3), NodeId::new(0)]);
+        let mut all = Vec::new();
+        pad(&mut all, 10);
+        assert_eq!(all.len(), 4);
+    }
 
     #[test]
     fn names_are_distinct() {

@@ -1,28 +1,25 @@
-//! The unified solver API: every MAXR algorithm behind one
-//! [`MaxrSolver`] trait with a shared [`SolveRequest`] / [`SolveReport`]
-//! pair.
+//! The one MAXR solve path: the shared [`SolveRequest`] / [`SolveReport`]
+//! pair, the [`SolveBackend`] contract the algorithm bodies are written
+//! against, and the dispatch ([`MaxrAlgorithm::solve_over`]) that
+//! validates a request, runs the matching body and seals the report.
 //!
-//! The algorithms differ in what they need (BT a threshold bound, MAF/MB
-//! the community set and an RNG seed) and in what they can report. This
-//! module folds those differences into:
+//! Each of Alg. 2–4 and MB exists once, as a function generic over
+//! [`SolveBackend`] in [`ubg`], [`maf`], [`bt`] and [`mb`]. A backend
+//! answers what those bodies need beyond the engine's gain batches: union
+//! appearance statistics, whole-set scores, engine greedy runs over a
+//! fresh gain session, and BT's per-pivot queries. [`LocalBackend`]
+//! answers from an in-process [`RicSamples`] collection
+//! ([`MaxrAlgorithm::solve`]); `imc-cluster`'s coordinator answers by
+//! scatter-gathering shard daemons. Given bitwise-equal backend answers,
+//! seeds, evaluation counts and extras are identical across the two by
+//! construction.
 //!
-//! * [`SolveRequest`] — budget `k`, RNG seed, BT threshold bound `d`, and
-//!   the engine [`SolveStrategy`];
-//! * [`SolveReport`] — seeds, influenced-sample count, `ĉ_R` estimate,
-//!   evaluation count, wall-clock time, and per-solver [`SolverExtras`];
-//! * one solver struct per algorithm ([`GreedySolver`], [`UbgSolver`],
-//!   [`MafSolver`], [`BtSolver`], [`MbSolver`]), all implementing
-//!   [`MaxrSolver`].
-//!
-//! [`MaxrAlgorithm::solve`](crate::MaxrAlgorithm::solve) dispatches to
-//! these and is the single entry point; the per-solver free functions it
-//! replaced were removed in 0.8.0 (old → new table in
-//! `docs/SOLVER_API.md`).
+//! The solver structs and `*Outcome` types this replaced were removed in
+//! 0.9.0 (old → new table in `docs/SOLVER_API.md`).
 
-use crate::maxr::engine::{self, SolveStrategy};
-use crate::maxr::{bt, maf, mb, ubg};
-use crate::{ImcError, Result, RicSamples};
-use imc_community::CommunitySet;
+use crate::maxr::engine::{self, shard_map, GreedyRun, SolveStrategy};
+use crate::maxr::{bt, maf, mb, ubg, MaxrAlgorithm};
+use crate::{CoverageState, ImcError, ImcInstance, RicSamples};
 use imc_graph::NodeId;
 use std::time::{Duration, Instant};
 
@@ -37,18 +34,23 @@ pub struct SolveRequest {
     /// Threshold bound `d ≥ 2` for BT^(d) (ignored by other solvers; MB
     /// always uses `d = 2`).
     pub depth: u32,
+    /// When set, BT/BT^(d) try only the `limit` most-appearing nodes as
+    /// pivots (paper-faithful behaviour is `None`: all nodes). Other
+    /// solvers — including MB's BT half — ignore it.
+    pub candidate_limit: Option<usize>,
     /// Engine strategy for marginal-gain evaluation.
     pub strategy: SolveStrategy,
 }
 
 impl SolveRequest {
     /// A request with budget `k` and defaults everywhere else: seed 1,
-    /// depth 2, lazy single-threaded evaluation.
+    /// depth 2, every node a BT pivot, lazy single-threaded evaluation.
     pub fn new(k: usize) -> Self {
         SolveRequest {
             k,
             seed: 1,
             depth: 2,
+            candidate_limit: None,
             strategy: SolveStrategy::Lazy,
         }
     }
@@ -62,6 +64,12 @@ impl SolveRequest {
     /// Replaces the BT threshold bound.
     pub fn with_depth(mut self, depth: u32) -> Self {
         self.depth = depth;
+        self
+    }
+
+    /// Caps BT's pivot candidates at the `limit` most-appearing nodes.
+    pub fn with_candidate_limit(mut self, limit: usize) -> Self {
+        self.candidate_limit = Some(limit);
         self
     }
 
@@ -140,69 +148,213 @@ pub struct SolveReport {
     pub extras: SolverExtras,
 }
 
-/// A MAXR solver with the uniform `solve(samples, request)` entry point.
-///
-/// Implementations validate the request (`k = 0` is rejected, `k > n` is
-/// clamped — note [`MaxrAlgorithm::solve`](crate::MaxrAlgorithm::solve)
-/// additionally enforces the instance-level budget `k ≤ n` strictly),
-/// select seeds through the shared engine, and fill in the report's
-/// evaluation fields.
-pub trait MaxrSolver {
-    /// Short name used in reports and trace spans.
-    fn name(&self) -> &'static str;
-
-    /// Solves MAXR over `samples` under `req`.
-    ///
-    /// # Errors
-    ///
-    /// * [`ImcError::InvalidBudget`] for `req.k == 0`.
-    /// * [`ImcError::InvalidParameter`] / [`ImcError::ThresholdTooLarge`]
-    ///   for BT/MB depth violations.
-    fn solve<C: RicSamples>(&self, samples: &C, req: &SolveRequest) -> Result<SolveReport>;
+/// Which engine objective a greedy run maximizes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Objective {
+    /// `ĉ_R` — the number of influenced samples.
+    C,
+    /// `ν_R` — the submodular upper bound.
+    Nu,
 }
 
-/// Rejects `k == 0`, clamps `k > n`.
-fn validate_k<C: RicSamples>(samples: &C, k: usize) -> Result<usize> {
-    if k == 0 {
-        return Err(ImcError::InvalidBudget {
+/// Union statistics of a backend's whole collection.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnionStats {
+    /// `appearance[v]` = samples node `v` appears in; its length is the
+    /// node count.
+    pub appearance: Vec<usize>,
+    /// `community_frequencies[c]` = samples community `c` sources.
+    pub community_frequencies: Vec<usize>,
+}
+
+/// A seed set scored against a backend's whole collection.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Score {
+    /// Samples the seed set influences.
+    pub influenced: usize,
+    /// `Σ_g min(|I_g(S)|/h_g, 1)` folded in sample order (shard to shard,
+    /// in partition order, on a cluster).
+    pub nu_acc: f64,
+    /// Samples scored.
+    pub samples: usize,
+}
+
+impl Score {
+    /// Scores `seeds` (out-of-range ids skipped) against `samples` in one
+    /// coverage pass, continuing the ν fold from `carry` — `0.0` for a
+    /// whole collection, the previous shard's `nu_acc` for a cluster
+    /// partition, which is what makes the chained fold bitwise equal to
+    /// [`RicSamples::nu_estimate`]'s.
+    pub fn of<C: RicSamples>(samples: &C, seeds: &[NodeId], carry: f64) -> Score {
+        let mut state = CoverageState::new(samples);
+        for &s in seeds {
+            if s.index() < samples.node_count() {
+                state.add_seed(s);
+            }
+        }
+        let mut nu_acc = carry;
+        for (si, &count) in state.covered_counts().iter().enumerate() {
+            nu_acc += (f64::from(count) / f64::from(samples.sample_threshold(si))).min(1.0);
+        }
+        Score {
+            influenced: state.influenced_count(),
+            nu_acc,
+            samples: samples.len(),
+        }
+    }
+
+    /// `ĉ_R(S)` (eq. 3); 0 over an empty collection.
+    pub fn estimate(&self, total_benefit: f64) -> f64 {
+        if self.samples == 0 {
+            return 0.0;
+        }
+        total_benefit * self.influenced as f64 / self.samples as f64
+    }
+
+    /// `ν_R(S)` (eq. 7); 0 over an empty collection.
+    pub fn nu_estimate(&self, total_benefit: f64) -> f64 {
+        if self.samples == 0 {
+            return 0.0;
+        }
+        total_benefit * self.nu_acc / self.samples as f64
+    }
+}
+
+/// What the algorithm bodies need from a sample collection beyond the
+/// engine's gain batches. Implemented by [`LocalBackend`] and by
+/// `imc-cluster`'s coordinator; any implementation whose answers equal a
+/// [`LocalBackend`]'s over the same samples yields the same seeds,
+/// evaluation counts and extras, because all control flow lives in the
+/// generic bodies.
+pub trait SolveBackend {
+    /// A failed backend query (a local backend never fails one).
+    type Error;
+
+    /// Appearance counts and community source frequencies.
+    fn stats(&mut self) -> Result<UnionStats, Self::Error>;
+
+    /// One engine greedy run over a fresh gain session on the whole
+    /// collection.
+    fn greedy(
+        &mut self,
+        objective: Objective,
+        k: usize,
+        strategy: SolveStrategy,
+    ) -> Result<GreedyRun, Self::Error>;
+
+    /// Scores `seeds` against the whole collection.
+    fn score(&mut self, seeds: &[NodeId]) -> Result<Score, Self::Error>;
+
+    /// BT's `k` helpers for `pivot`: lazy ĉ-greedy over a gain session on
+    /// the pivot-reduced collection (Alg. 4 lines 2–8) or, when
+    /// `depth > 2` leaves residual thresholds above 1, `BT^(depth−1)` on
+    /// it.
+    fn helpers(&mut self, pivot: NodeId, k: usize, depth: u32) -> Result<GreedyRun, Self::Error>;
+
+    /// `|D_R(K, u)|`: samples `pivot` touches that `kset` influences.
+    fn pivot_score(&mut self, pivot: NodeId, kset: &[NodeId]) -> Result<usize, Self::Error>;
+
+    /// Maps `f` over `pivots`, results in pivot order. `f` gets a backend
+    /// over the same collection, so an implementation may fan the pivots
+    /// out over `threads` workers.
+    fn map_pivots<T, F>(
+        &mut self,
+        pivots: &[NodeId],
+        threads: usize,
+        f: F,
+    ) -> Result<Vec<T>, Self::Error>
+    where
+        T: Send,
+        F: Fn(&mut Self, NodeId) -> Result<T, Self::Error> + Sync;
+}
+
+/// [`SolveBackend`] over an in-process [`RicSamples`] collection.
+#[derive(Debug)]
+pub struct LocalBackend<'a, C: RicSamples>(pub &'a C);
+
+impl<C: RicSamples> SolveBackend for LocalBackend<'_, C> {
+    type Error = ImcError;
+
+    fn stats(&mut self) -> crate::Result<UnionStats> {
+        Ok(UnionStats {
+            appearance: self.0.node_appearance_counts(),
+            community_frequencies: self.0.community_frequencies(),
+        })
+    }
+
+    fn greedy(
+        &mut self,
+        objective: Objective,
+        k: usize,
+        strategy: SolveStrategy,
+    ) -> crate::Result<GreedyRun> {
+        Ok(match objective {
+            Objective::C => engine::greedy_c_with(self.0, k, strategy),
+            Objective::Nu => engine::greedy_nu_with(self.0, k, strategy),
+        })
+    }
+
+    fn score(&mut self, seeds: &[NodeId]) -> crate::Result<Score> {
+        Ok(Score::of(self.0, seeds, 0.0))
+    }
+
+    fn helpers(&mut self, pivot: NodeId, k: usize, depth: u32) -> crate::Result<GreedyRun> {
+        let reduced = bt::reduce_for_pivot(self.0, pivot);
+        if depth <= 2 || (0..reduced.len()).all(|si| reduced.sample_threshold(si) <= 1) {
+            return Ok(engine::greedy_c_with(&reduced, k, SolveStrategy::Lazy));
+        }
+        let sub = bt::bt_over(
+            &mut LocalBackend(&reduced),
             k,
-            node_count: samples.node_count(),
-        });
+            depth - 1,
+            None,
+            SolveStrategy::Lazy,
+        )?;
+        Ok(GreedyRun {
+            seeds: sub.seeds,
+            evaluations: sub.evaluations,
+        })
     }
-    Ok(k.min(samples.node_count()))
+
+    fn pivot_score(&mut self, pivot: NodeId, kset: &[NodeId]) -> crate::Result<usize> {
+        Ok(bt::pivot_score(self.0, pivot, kset))
+    }
+
+    fn map_pivots<T, F>(&mut self, pivots: &[NodeId], threads: usize, f: F) -> crate::Result<Vec<T>>
+    where
+        T: Send,
+        F: Fn(&mut Self, NodeId) -> crate::Result<T> + Sync,
+    {
+        let samples = self.0;
+        shard_map(pivots.len(), threads, |i| {
+            f(&mut LocalBackend(samples), pivots[i])
+        })
+        .into_iter()
+        .collect()
+    }
 }
 
-/// Shared report assembly: evaluates the chosen seeds once (under the
-/// `maxr_evaluate` span) and stamps timing.
-fn finish<C: RicSamples>(
-    samples: &C,
+/// What an algorithm body hands back to the dispatch.
+pub(crate) struct Selection {
+    pub(crate) seeds: Vec<NodeId>,
+    pub(crate) evaluations: u64,
+    pub(crate) extras: SolverExtras,
+    /// The winner's whole-set score when the body's own arbitration
+    /// already computed it (UBG, MB).
+    pub(crate) score: Option<Score>,
+}
+
+/// Scores `seeds` under the `maxr_evaluate` span.
+pub(crate) fn evaluate<B: SolveBackend>(
+    backend: &mut B,
     name: &'static str,
-    seeds: Vec<NodeId>,
-    evaluations: u64,
-    started: Instant,
-    extras: SolverExtras,
-) -> SolveReport {
-    let influenced = {
-        let _eval_span = imc_obs::Span::enter_with("maxr_evaluate", name);
-        samples.influenced_count(&seeds)
-    };
-    let estimate = samples.estimate(&seeds);
-    SolveReport {
-        seeds,
-        influenced_samples: influenced,
-        estimate,
-        evaluations,
-        elapsed: started.elapsed(),
-        extras,
-    }
+    seeds: &[NodeId],
+) -> Result<Score, B::Error> {
+    let _eval_span = imc_obs::Span::enter_with("maxr_evaluate", name);
+    backend.score(seeds)
 }
 
-/// Checks BT/MB's threshold bound against the samples at hand.
-fn require_bounded_samples<C: RicSamples>(samples: &C, bound: u32) -> Result<()> {
-    let max_threshold = (0..samples.len())
-        .map(|si| samples.sample_threshold(si))
-        .max()
-        .unwrap_or(0);
+fn require_bounded(max_threshold: u32, bound: u32) -> crate::Result<()> {
     if max_threshold > bound {
         return Err(ImcError::ThresholdTooLarge {
             bound,
@@ -212,301 +364,195 @@ fn require_bounded_samples<C: RicSamples>(samples: &C, bound: u32) -> Result<()>
     Ok(())
 }
 
-/// Plain greedy on `ĉ_R` — no guarantee (non-submodular), strong in
-/// practice.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GreedySolver;
-
-impl MaxrSolver for GreedySolver {
-    fn name(&self) -> &'static str {
-        "GREEDY"
-    }
-
-    fn solve<C: RicSamples>(&self, samples: &C, req: &SolveRequest) -> Result<SolveReport> {
-        let started = Instant::now();
-        let k = validate_k(samples, req.k)?;
-        let run = engine::greedy_c_with(samples, k, req.strategy);
-        Ok(finish(
-            samples,
-            self.name(),
-            run.seeds,
-            run.evaluations,
-            started,
-            SolverExtras::None,
-        ))
-    }
-}
-
-/// Upper Bound Greedy (Alg. 2): sandwich with the submodular `ν_R`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UbgSolver;
-
-impl MaxrSolver for UbgSolver {
-    fn name(&self) -> &'static str {
-        "UBG"
-    }
-
-    fn solve<C: RicSamples>(&self, samples: &C, req: &SolveRequest) -> Result<SolveReport> {
-        let started = Instant::now();
-        let k = validate_k(samples, req.k)?;
-        let (out, evaluations) = ubg::ubg_with(samples, k, req.strategy);
-        Ok(finish(
-            samples,
-            self.name(),
-            out.seeds,
-            evaluations,
-            started,
-            SolverExtras::Ubg {
-                s_nu: out.s_nu,
-                s_c: out.s_c,
-                chose_nu: out.chose_nu,
-                sandwich_ratio: out.sandwich_ratio,
-            },
-        ))
-    }
-}
-
-/// Most Appearance First (Alg. 3). Carries the community set the samples
-/// were drawn from (for the `S1` community walk).
-#[derive(Debug, Clone, Copy)]
-pub struct MafSolver<'a> {
-    communities: &'a CommunitySet,
-}
-
-impl<'a> MafSolver<'a> {
-    /// A MAF solver over `communities`.
-    pub fn new(communities: &'a CommunitySet) -> Self {
-        MafSolver { communities }
-    }
-}
-
-impl MaxrSolver for MafSolver<'_> {
-    fn name(&self) -> &'static str {
-        "MAF"
-    }
-
-    fn solve<C: RicSamples>(&self, samples: &C, req: &SolveRequest) -> Result<SolveReport> {
-        let started = Instant::now();
-        let k = validate_k(samples, req.k)?;
-        let (out, evaluations) = maf::maf_with(self.communities, samples, k, req.seed);
-        Ok(finish(
-            samples,
-            self.name(),
-            out.seeds,
-            evaluations,
-            started,
-            SolverExtras::Maf {
-                s1: out.s1,
-                s2: out.s2,
-                chose_s1: out.chose_s1,
-            },
-        ))
-    }
-}
-
-/// Bounded-threshold algorithm (Alg. 4) / recursive `BT^(d)` for
-/// `req.depth > 2`. Requires every sample threshold ≤ `req.depth`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BtSolver {
-    /// When set, only the `limit` most-appearing nodes are tried as pivots
-    /// (paper-faithful behaviour is `None`: all nodes).
-    pub candidate_limit: Option<usize>,
-}
-
-impl MaxrSolver for BtSolver {
-    fn name(&self) -> &'static str {
-        "BT"
-    }
-
-    fn solve<C: RicSamples>(&self, samples: &C, req: &SolveRequest) -> Result<SolveReport> {
-        let started = Instant::now();
-        if req.depth < 2 {
-            return Err(ImcError::InvalidParameter { name: "bt depth" });
+impl MaxrAlgorithm {
+    /// The threshold bound `d` BT runs at under `req`: the variant's own
+    /// for [`Btd`](Self::Btd), else `req.depth` (which only
+    /// [`Bt`](Self::Bt) reads).
+    pub fn bt_depth(&self, req: &SolveRequest) -> u32 {
+        match *self {
+            MaxrAlgorithm::Btd(d) => d,
+            _ => req.depth,
         }
-        require_bounded_samples(samples, req.depth)?;
-        let k = validate_k(samples, req.k)?;
-        let (out, evaluations) =
-            bt::bt_with(samples, k, req.depth, self.candidate_limit, req.strategy);
-        Ok(finish(
-            samples,
-            self.name(),
-            out.seeds,
-            evaluations,
-            started,
-            SolverExtras::Bt {
-                pivot: out.pivot,
-                pivot_score: out.pivot_score,
-            },
-        ))
-    }
-}
-
-/// MB = best of MAF and BT (Theorem 5); requires thresholds ≤ 2
-/// regardless of `req.depth`.
-#[derive(Debug, Clone, Copy)]
-pub struct MbSolver<'a> {
-    communities: &'a CommunitySet,
-}
-
-impl<'a> MbSolver<'a> {
-    /// An MB solver over `communities`.
-    pub fn new(communities: &'a CommunitySet) -> Self {
-        MbSolver { communities }
-    }
-}
-
-impl MaxrSolver for MbSolver<'_> {
-    fn name(&self) -> &'static str {
-        "MB"
     }
 
-    fn solve<C: RicSamples>(&self, samples: &C, req: &SolveRequest) -> Result<SolveReport> {
+    /// Runs this solver over an arbitrary [`SolveBackend`] — the body
+    /// shared by [`solve`](Self::solve) and the cluster coordinator.
+    /// Returns the report plus the winning seed set's [`Score`] (whose
+    /// `samples` a coordinator reports).
+    ///
+    /// # Errors
+    ///
+    /// The validation failures listed on [`solve`](Self::solve), converted
+    /// into the backend's error type, and any failed backend query.
+    pub fn solve_over<B: SolveBackend>(
+        &self,
+        instance: &ImcInstance,
+        backend: &mut B,
+        req: &SolveRequest,
+    ) -> Result<(SolveReport, Score), B::Error>
+    where
+        B::Error: From<ImcError>,
+    {
         let started = Instant::now();
-        require_bounded_samples(samples, 2)?;
-        let k = validate_k(samples, req.k)?;
-        let (out, evaluations) = mb::mb_with(self.communities, samples, k, req.seed, req.strategy);
-        Ok(finish(
-            samples,
-            self.name(),
-            out.seeds,
-            evaluations,
-            started,
-            SolverExtras::Mb {
-                maf_seeds: out.maf_seeds,
-                bt_seeds: out.bt_seeds,
-                chose_bt: out.chose_bt,
-            },
-        ))
+        instance.validate_budget(req.k)?;
+        let max_h = instance.max_threshold();
+        let communities = instance.communities();
+        let b = instance.total_benefit();
+        let picked = match *self {
+            MaxrAlgorithm::Greedy => {
+                let run = backend.greedy(Objective::C, req.k, req.strategy)?;
+                Selection {
+                    seeds: run.seeds,
+                    evaluations: run.evaluations,
+                    extras: SolverExtras::None,
+                    score: None,
+                }
+            }
+            MaxrAlgorithm::Ubg => ubg::ubg_over(backend, b, req.k, req.strategy)?,
+            MaxrAlgorithm::Maf => maf::maf_over(backend, communities, req.k, req.seed)?,
+            MaxrAlgorithm::Bt | MaxrAlgorithm::Btd(_) => {
+                let depth = self.bt_depth(req);
+                if depth < 2 {
+                    return Err(ImcError::InvalidParameter { name: "bt depth" }.into());
+                }
+                require_bounded(max_h, depth)?;
+                bt::bt_over(backend, req.k, depth, req.candidate_limit, req.strategy)?
+            }
+            MaxrAlgorithm::Mb => {
+                require_bounded(max_h, 2)?;
+                mb::mb_over(backend, communities, req.k, req.seed, req.strategy)?
+            }
+        };
+        let score = match picked.score {
+            Some(score) => score,
+            None => evaluate(backend, self.name(), &picked.seeds)?,
+        };
+        let report = SolveReport {
+            seeds: picked.seeds,
+            influenced_samples: score.influenced,
+            estimate: score.estimate(b),
+            evaluations: picked.evaluations,
+            elapsed: started.elapsed(),
+            extras: picked.extras,
+        };
+        Ok((report, score))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CoverSet, RicSample, RicStore};
-    use imc_community::CommunityId;
+    use crate::maxr::testutil::{instance, sample};
+    use crate::RicStore;
 
-    fn mk_cover(width: usize, bits: &[usize]) -> CoverSet {
-        let mut c = CoverSet::new(width);
-        for &b in bits {
-            c.set(b);
-        }
-        c
-    }
+    const ALL: [MaxrAlgorithm; 6] = [
+        MaxrAlgorithm::Greedy,
+        MaxrAlgorithm::Ubg,
+        MaxrAlgorithm::Maf,
+        MaxrAlgorithm::Bt,
+        MaxrAlgorithm::Btd(2),
+        MaxrAlgorithm::Mb,
+    ];
 
-    fn fixture() -> (CommunitySet, RicStore) {
-        let cs = CommunitySet::from_parts(
-            6,
-            vec![
-                (vec![NodeId::new(0), NodeId::new(1)], 2, 2.0),
-                (vec![NodeId::new(2), NodeId::new(3)], 2, 2.0),
-            ],
+    fn fixture() -> (ImcInstance, RicStore) {
+        let pair = sample(0, 2, 2, &[(0, &[0]), (1, &[1])]);
+        let samples = [
+            pair.clone(),
+            pair.clone(),
+            pair,
+            sample(1, 1, 1, &[(2, &[0])]),
+        ];
+        (
+            instance(6, &[(&[0, 1], 2, 2.0), (&[2, 3], 1, 2.0)]),
+            RicStore::from_samples(6, 2, 4.0, &samples).unwrap(),
         )
-        .unwrap();
-        let mut col = RicStore::new(6, 2, 4.0);
-        for _ in 0..3 {
-            col.push_sample(&RicSample {
-                community: CommunityId::new(0),
-                threshold: 2,
-                community_size: 2,
-                nodes: vec![NodeId::new(0), NodeId::new(1)],
-                covers: vec![mk_cover(2, &[0]), mk_cover(2, &[1])],
-            })
-            .unwrap();
-        }
-        col.push_sample(&RicSample {
-            community: CommunityId::new(1),
-            threshold: 1,
-            community_size: 1,
-            nodes: vec![NodeId::new(2)],
-            covers: vec![mk_cover(1, &[0])],
-        })
-        .unwrap();
-        (cs, col)
     }
 
     #[test]
     fn every_solver_fills_the_report() {
-        let (cs, col) = fixture();
+        let (inst, col) = fixture();
         let req = SolveRequest::new(2).with_seed(7);
-        let greedy = GreedySolver.solve(&col, &req).unwrap();
-        assert_eq!(greedy.seeds.len(), 2);
-        assert!(greedy.evaluations > 0);
-        assert!(matches!(greedy.extras, SolverExtras::None));
-
-        let ubg = UbgSolver.solve(&col, &req).unwrap();
-        assert_eq!(ubg.seeds.len(), 2);
-        assert!(matches!(ubg.extras, SolverExtras::Ubg { .. }));
-
-        let maf = MafSolver::new(&cs).solve(&col, &req).unwrap();
-        assert_eq!(maf.seeds.len(), 2);
-        assert!(matches!(maf.extras, SolverExtras::Maf { .. }));
-
-        let bt = BtSolver::default().solve(&col, &req).unwrap();
-        assert_eq!(bt.seeds.len(), 2);
-        assert!(matches!(bt.extras, SolverExtras::Bt { .. }));
-
-        let mb = MbSolver::new(&cs).solve(&col, &req).unwrap();
-        assert_eq!(mb.seeds.len(), 2);
-        assert!(matches!(mb.extras, SolverExtras::Mb { .. }));
+        for algo in ALL {
+            let report = algo.solve(&inst, &col, &req).unwrap();
+            assert_eq!(report.seeds.len(), 2, "{algo:?}");
+            assert!(report.evaluations > 0, "{algo:?}");
+            assert_eq!(
+                report.influenced_samples,
+                col.influenced_count(&report.seeds)
+            );
+            assert_eq!(report.estimate, col.estimate(&report.seeds), "{algo:?}");
+            let extras_match = match algo {
+                MaxrAlgorithm::Greedy => matches!(report.extras, SolverExtras::None),
+                MaxrAlgorithm::Ubg => matches!(report.extras, SolverExtras::Ubg { .. }),
+                MaxrAlgorithm::Maf => matches!(report.extras, SolverExtras::Maf { .. }),
+                MaxrAlgorithm::Bt | MaxrAlgorithm::Btd(_) => {
+                    matches!(report.extras, SolverExtras::Bt { .. })
+                }
+                MaxrAlgorithm::Mb => matches!(report.extras, SolverExtras::Mb { .. }),
+            };
+            assert!(extras_match, "{algo:?}: {:?}", report.extras);
+        }
     }
 
     #[test]
-    fn zero_budget_is_rejected_uniformly() {
-        let (cs, col) = fixture();
-        let req = SolveRequest::new(0);
-        assert!(matches!(
-            GreedySolver.solve(&col, &req),
-            Err(ImcError::InvalidBudget { .. })
-        ));
-        assert!(matches!(
-            UbgSolver.solve(&col, &req),
-            Err(ImcError::InvalidBudget { .. })
-        ));
-        assert!(matches!(
-            MafSolver::new(&cs).solve(&col, &req),
-            Err(ImcError::InvalidBudget { .. })
-        ));
-        assert!(matches!(
-            BtSolver::default().solve(&col, &req),
-            Err(ImcError::InvalidBudget { .. })
-        ));
-        assert!(matches!(
-            MbSolver::new(&cs).solve(&col, &req),
-            Err(ImcError::InvalidBudget { .. })
-        ));
+    fn out_of_range_budgets_are_rejected_uniformly() {
+        let (inst, col) = fixture();
+        for algo in ALL {
+            for k in [0, 7] {
+                assert!(
+                    matches!(
+                        algo.solve(&inst, &col, &SolveRequest::new(k)),
+                        Err(ImcError::InvalidBudget { .. })
+                    ),
+                    "{algo:?} k={k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn budget_beyond_the_collection_is_clamped() {
+        // A collection over fewer nodes than the instance (the bodies clamp
+        // to what the backend reports, the dispatch to the instance).
+        let (inst, _) = fixture();
+        let col = RicStore::new(4, 2, 4.0);
+        for algo in ALL {
+            let report = algo.solve(&inst, &col, &SolveRequest::new(6)).unwrap();
+            assert_eq!(report.seeds.len(), 4, "{algo:?}");
+        }
     }
 
     #[test]
     fn bt_depth_validation_is_fallible() {
-        let (_, col) = fixture();
-        assert!(matches!(
-            BtSolver::default().solve(&col, &SolveRequest::new(2).with_depth(1)),
-            Err(ImcError::InvalidParameter { name: "bt depth" })
-        ));
-        // A threshold-3 sample under the default depth-2 bound.
-        let mut col3 = RicStore::new(5, 1, 1.0);
-        col3.push_sample(&RicSample {
-            community: CommunityId::new(0),
-            threshold: 3,
-            community_size: 3,
-            nodes: vec![NodeId::new(1), NodeId::new(2), NodeId::new(3)],
-            covers: vec![mk_cover(3, &[0]), mk_cover(3, &[1]), mk_cover(3, &[2])],
-        })
-        .unwrap();
-        assert!(matches!(
-            BtSolver::default().solve(&col3, &SolveRequest::new(2)),
-            Err(ImcError::ThresholdTooLarge { .. })
-        ));
+        let (inst, col) = fixture();
+        for algo in [MaxrAlgorithm::Bt, MaxrAlgorithm::Btd(1)] {
+            assert!(matches!(
+                algo.solve(&inst, &col, &SolveRequest::new(2).with_depth(1)),
+                Err(ImcError::InvalidParameter { name: "bt depth" })
+            ));
+        }
+        // A threshold-3 instance under the default depth-2 bound.
+        let inst3 = instance(5, &[(&[1, 2, 3], 3, 1.0)]);
+        let samples = [sample(0, 3, 3, &[(1, &[0]), (2, &[1]), (3, &[2])])];
+        let col3 = RicStore::from_samples(5, 1, 1.0, &samples).unwrap();
+        for algo in [MaxrAlgorithm::Bt, MaxrAlgorithm::Mb] {
+            assert!(matches!(
+                algo.solve(&inst3, &col3, &SolveRequest::new(2)),
+                Err(ImcError::ThresholdTooLarge {
+                    bound: 2,
+                    max_threshold: 3
+                })
+            ));
+        }
         // Raising the bound to 3 makes it admissible.
-        assert!(BtSolver::default()
-            .solve(&col3, &SolveRequest::new(2).with_depth(3))
+        assert!(MaxrAlgorithm::Bt
+            .solve(&inst3, &col3, &SolveRequest::new(2).with_depth(3))
             .is_ok());
     }
 
     #[test]
-    fn strategies_agree_through_the_trait() {
-        let (cs, col) = fixture();
+    fn strategies_agree_through_the_dispatch() {
+        let (inst, col) = fixture();
         let strategies = [
             SolveStrategy::Sequential,
             SolveStrategy::Lazy,
@@ -515,8 +561,8 @@ mod tests {
         let baseline: Vec<SolveReport> = strategies
             .iter()
             .map(|&s| {
-                UbgSolver
-                    .solve(&col, &SolveRequest::new(2).with_strategy(s))
+                MaxrAlgorithm::Ubg
+                    .solve(&inst, &col, &SolveRequest::new(2).with_strategy(s))
                     .unwrap()
             })
             .collect();
@@ -526,7 +572,6 @@ mod tests {
             assert_eq!(w[0].estimate, w[1].estimate);
             assert_eq!(w[0].extras, w[1].extras);
         }
-        let _ = cs;
     }
 
     #[test]
@@ -534,14 +579,17 @@ mod tests {
         let req = SolveRequest::new(5)
             .with_seed(9)
             .with_depth(3)
+            .with_candidate_limit(7)
             .with_threads(4);
         assert_eq!(req.k, 5);
         assert_eq!(req.seed, 9);
         assert_eq!(req.depth, 3);
+        assert_eq!(req.candidate_limit, Some(7));
         assert_eq!(req.strategy, SolveStrategy::Parallel { threads: 4 });
         assert_eq!(
             SolveRequest::new(5).with_threads(1).strategy,
             SolveStrategy::Lazy
         );
+        assert_eq!(SolveRequest::new(5).candidate_limit, None);
     }
 }

@@ -6,173 +6,153 @@
 //! data-dependent guarantee of `(ĉ_R(S_ν)/ν_R(S_ν))·(1 − 1/e)` — the ratio
 //! reported in the paper's Fig. 8.
 
-use crate::maxr::engine::{greedy_c_with, greedy_nu_with, SolveStrategy};
-use crate::RicSamples;
-use imc_graph::NodeId;
+use crate::maxr::engine::SolveStrategy;
+use crate::maxr::solver::{evaluate, Objective, Selection, SolveBackend, SolverExtras};
 
-/// Output of UBG ([`UbgSolver`](crate::maxr::solver::UbgSolver)), exposing
-/// both candidate sets and the sandwich ratio.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UbgOutcome {
-    /// The chosen seed set (the better of [`s_nu`](Self::s_nu) /
-    /// [`s_c`](Self::s_c) under `ĉ_R`).
-    pub seeds: Vec<NodeId>,
-    /// Greedy solution for the upper bound `ν_R`.
-    pub s_nu: Vec<NodeId>,
-    /// Greedy solution for the objective `ĉ_R`.
-    pub s_c: Vec<NodeId>,
-    /// `true` when `s_nu` won.
-    pub chose_nu: bool,
-    /// The sample-based sandwich ratio `ĉ_R(S_ν) / ν_R(S_ν)` (1.0 when
-    /// `ν_R(S_ν) = 0`).
-    pub sandwich_ratio: f64,
-}
-
-/// Strategy-aware UBG behind [`UbgSolver`](crate::maxr::solver::UbgSolver).
-/// Both greedy passes route through the shared engine so the sandwich bound
-/// uses identical pick logic to every other consumer. Returns the outcome
-/// plus the engine's evaluation count.
-pub(crate) fn ubg_with<C: RicSamples>(
-    collection: &C,
+/// UBG (Alg. 2) over any [`SolveBackend`]. Both greedy passes route
+/// through the shared engine so the sandwich bound uses identical pick
+/// logic to every other consumer; the winner's score doubles as the
+/// report's. `total_benefit` scales the two estimators.
+pub(crate) fn ubg_over<B: SolveBackend>(
+    backend: &mut B,
+    total_benefit: f64,
     k: usize,
     strategy: SolveStrategy,
-) -> (UbgOutcome, u64) {
-    let nu_run = greedy_nu_with(collection, k, strategy);
-    let c_run = greedy_c_with(collection, k, strategy);
+) -> Result<Selection, B::Error> {
+    let nu_run = backend.greedy(Objective::Nu, k, strategy)?;
+    let c_run = backend.greedy(Objective::C, k, strategy)?;
     let evaluations = nu_run.evaluations + c_run.evaluations;
-    let s_nu = nu_run.seeds;
-    let s_c = c_run.seeds;
-    let c_of_nu = collection.estimate(&s_nu);
-    let c_of_c = collection.estimate(&s_c);
-    let nu_of_nu = collection.nu_estimate(&s_nu);
+    let (s_nu, s_c) = (nu_run.seeds, c_run.seeds);
+    let score_nu = evaluate(backend, "UBG", &s_nu)?;
+    let score_c = evaluate(backend, "UBG", &s_c)?;
+    let c_of_nu = score_nu.estimate(total_benefit);
+    let nu_of_nu = score_nu.nu_estimate(total_benefit);
     let sandwich_ratio = if nu_of_nu > 0.0 {
         c_of_nu / nu_of_nu
     } else {
         1.0
     };
-    let chose_nu = c_of_nu >= c_of_c;
-    (
-        UbgOutcome {
-            seeds: if chose_nu { s_nu.clone() } else { s_c.clone() },
+    let chose_nu = c_of_nu >= score_c.estimate(total_benefit);
+    Ok(Selection {
+        seeds: if chose_nu { s_nu.clone() } else { s_c.clone() },
+        evaluations,
+        score: Some(if chose_nu { score_nu } else { score_c }),
+        extras: SolverExtras::Ubg {
             s_nu,
             s_c,
             chose_nu,
             sandwich_ratio,
         },
-        evaluations,
-    )
+    })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::{CoverSet, RicSample, RicStore};
-    use imc_community::CommunityId;
+    use crate::maxr::testutil::{instance, sample};
+    use crate::{
+        ImcInstance, MaxrAlgorithm, RicSample, RicStore, SolveReport, SolveRequest, SolverExtras,
+    };
+    use imc_graph::NodeId;
 
-    fn mk_cover(width: usize, bits: &[usize]) -> CoverSet {
-        let mut c = CoverSet::new(width);
-        for &b in bits {
-            c.set(b);
-        }
-        c
-    }
+    /// The UBG report plus its `(s_nu, s_c, chose_nu, sandwich_ratio)`.
+    type Ubg = (SolveReport, Vec<NodeId>, Vec<NodeId>, bool, f64);
 
-    fn run(col: &RicStore, k: usize) -> UbgOutcome {
-        ubg_with(col, k, SolveStrategy::Lazy).0
+    fn run((inst, col): &(ImcInstance, RicStore), k: usize) -> Ubg {
+        let report = MaxrAlgorithm::Ubg
+            .solve(inst, col, &SolveRequest::new(k))
+            .unwrap();
+        let SolverExtras::Ubg {
+            s_nu,
+            s_c,
+            chose_nu,
+            sandwich_ratio,
+        } = report.extras.clone()
+        else {
+            panic!("UBG must report sandwich extras");
+        };
+        (report, s_nu, s_c, chose_nu, sandwich_ratio)
     }
 
     /// ĉ-greedy gets trapped: with k = 2, sample 0 (h=2) needs nodes
     /// {0, 1}; node 2 gives an immediate unit gain on sample 1 but wastes
     /// budget. ν-greedy prefers 0/1 (gain 1/2 each on three h=2 samples).
-    fn sandwich_collection() -> RicStore {
-        let mut col = RicStore::new(4, 2, 4.0);
-        for _ in 0..3 {
-            col.push_sample(&RicSample {
-                community: CommunityId::new(0),
-                threshold: 2,
-                community_size: 2,
-                nodes: vec![NodeId::new(0), NodeId::new(1)],
-                covers: vec![mk_cover(2, &[0]), mk_cover(2, &[1])],
-            })
-            .unwrap();
-        }
-        col.push_sample(&RicSample {
-            community: CommunityId::new(1),
-            threshold: 1,
-            community_size: 1,
-            nodes: vec![NodeId::new(2)],
-            covers: vec![mk_cover(1, &[0])],
-        })
-        .unwrap();
-        col
+    fn sandwich_collection() -> (ImcInstance, RicStore) {
+        let pair = sample(0, 2, 2, &[(0, &[0]), (1, &[1])]);
+        let samples = [
+            pair.clone(),
+            pair.clone(),
+            pair,
+            sample(1, 1, 1, &[(2, &[0])]),
+        ];
+        (
+            instance(4, &[(&[0, 1], 2, 2.0), (&[2], 1, 2.0)]),
+            RicStore::from_samples(4, 2, 4.0, &samples).unwrap(),
+        )
+    }
+
+    /// The single `h = 1` sample `s` of the single community `members`.
+    fn unit_threshold_case(members: &[u32], s: RicSample) -> (ImcInstance, RicStore) {
+        (
+            instance(3, &[(members, 1, 1.0)]),
+            RicStore::from_samples(3, 1, 1.0, &[s]).unwrap(),
+        )
     }
 
     #[test]
     fn ubg_beats_plain_greedy_on_trap() {
-        let col = sandwich_collection();
-        let out = run(&col, 2);
+        let case = sandwich_collection();
+        let (report, s_nu, s_c, chose_nu, _) = run(&case, 2);
         // Plain ĉ-greedy picks node 2 first (gain 1), then one of {0,1}:
         // total influenced = 1. ν-greedy picks {0,1}: influenced = 3.
-        assert_eq!(col.influenced_count(&out.s_c), 1);
-        assert_eq!(col.influenced_count(&out.s_nu), 3);
-        assert!(out.chose_nu);
-        assert_eq!(col.influenced_count(&out.seeds), 3);
+        assert_eq!(case.1.influenced_count(&s_c), 1);
+        assert_eq!(case.1.influenced_count(&s_nu), 3);
+        assert!(chose_nu);
+        // The winner's arbitration score is the report's.
+        assert_eq!(report.seeds, s_nu);
+        assert_eq!(report.influenced_samples, 3);
+        assert_eq!(report.estimate, case.1.estimate(&s_nu));
     }
 
     #[test]
     fn sandwich_ratio_in_unit_interval() {
-        let col = sandwich_collection();
-        let out = run(&col, 2);
-        assert!(out.sandwich_ratio > 0.0 && out.sandwich_ratio <= 1.0 + 1e-12);
+        let case = sandwich_collection();
+        let (_, s_nu, _, _, ratio) = run(&case, 2);
+        assert!(ratio > 0.0 && ratio <= 1.0 + 1e-12);
+        assert_eq!(ratio, case.1.estimate(&s_nu) / case.1.nu_estimate(&s_nu));
     }
 
     #[test]
     fn ratio_is_one_when_thresholds_are_one() {
         // Lemma 4: with h = 1 everywhere, ĉ_R == ν_R.
-        let mut col = RicStore::new(3, 1, 1.0);
-        col.push_sample(&RicSample {
-            community: CommunityId::new(0),
-            threshold: 1,
-            community_size: 2,
-            nodes: vec![NodeId::new(0), NodeId::new(1)],
-            covers: vec![mk_cover(2, &[0]), mk_cover(2, &[1])],
-        })
-        .unwrap();
-        let out = run(&col, 1);
-        assert!((out.sandwich_ratio - 1.0).abs() < 1e-12);
-        assert_eq!(col.estimate(&out.seeds), col.nu_estimate(&out.seeds));
+        let case = unit_threshold_case(&[0, 1], sample(0, 1, 2, &[(0, &[0]), (1, &[1])]));
+        let (report, _, _, _, ratio) = run(&case, 1);
+        assert!((ratio - 1.0).abs() < 1e-12);
+        assert_eq!(
+            case.1.estimate(&report.seeds),
+            case.1.nu_estimate(&report.seeds)
+        );
     }
 
     #[test]
     fn chooses_c_when_it_wins() {
         // One h=1 sample reachable only by node 2; ν and ĉ agree, but make
         // s_c the winner by giving node 2 the only coverage.
-        let mut col = RicStore::new(3, 1, 1.0);
-        col.push_sample(&RicSample {
-            community: CommunityId::new(0),
-            threshold: 1,
-            community_size: 1,
-            nodes: vec![NodeId::new(2)],
-            covers: vec![mk_cover(1, &[0])],
-        })
-        .unwrap();
-        let out = run(&col, 1);
-        assert_eq!(out.seeds, vec![NodeId::new(2)]);
-        assert_eq!(col.influenced_count(&out.seeds), 1);
+        let case = unit_threshold_case(&[2], sample(0, 1, 1, &[(2, &[0])]));
+        let (report, ..) = run(&case, 1);
+        assert_eq!(report.seeds, vec![NodeId::new(2)]);
+        assert_eq!(report.influenced_samples, 1);
     }
 
     #[test]
     fn seeds_have_requested_size() {
-        let col = sandwich_collection();
-        let out = run(&col, 3);
-        assert_eq!(out.seeds.len(), 3);
-        assert_eq!(out.s_nu.len(), 3);
-        assert_eq!(out.s_c.len(), 3);
+        let (report, s_nu, s_c, ..) = run(&sandwich_collection(), 3);
+        assert_eq!((report.seeds.len(), s_nu.len(), s_c.len()), (3, 3, 3));
     }
 
     #[test]
     fn deterministic() {
-        let col = sandwich_collection();
-        assert_eq!(run(&col, 2), run(&col, 2));
+        let case = sandwich_collection();
+        let (a, b) = (run(&case, 2).0, run(&case, 2).0);
+        assert_eq!((a.seeds, a.extras), (b.seeds, b.extras));
     }
 }

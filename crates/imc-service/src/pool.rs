@@ -2,6 +2,7 @@
 //! are handled by a bounded set of threads so a flood of clients cannot
 //! exhaust the process.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -30,7 +31,10 @@ impl ThreadPool {
                         // Hold the lock only for the recv itself.
                         let job = receiver.lock().expect("pool queue lock").recv();
                         match job {
-                            Ok(job) => job(),
+                            // A panicking job (one request's handler) must
+                            // cost its connection, not this worker: the
+                            // pool never respawns threads.
+                            Ok(job) => drop(catch_unwind(AssertUnwindSafe(job))),
                             Err(_) => break, // all senders dropped → shut down
                         }
                     })
@@ -100,6 +104,19 @@ mod tests {
             d.store(1, Ordering::SeqCst);
         });
         drop(pool);
+        assert_eq!(done.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn worker_survives_a_panicking_job() {
+        let pool = ThreadPool::new(1);
+        pool.execute(|| panic!("request handler bug"));
+        let done = Arc::new(AtomicUsize::new(0));
+        let d = Arc::clone(&done);
+        pool.execute(move || {
+            d.store(1, Ordering::SeqCst);
+        });
+        drop(pool); // joins; the only worker must still have run job 2
         assert_eq!(done.load(Ordering::SeqCst), 1);
     }
 

@@ -16,7 +16,7 @@ use crate::pool::ThreadPool;
 use crate::protocol::{self, ErrorCode, EvalKind, Request, SolveMode, SolveTuning};
 use crate::refresher;
 use crate::ServiceState;
-use imc_core::maxr::bt;
+use imc_core::maxr::{bt, Score};
 use imc_core::{
     imcaf, CoverageState, ImcafConfig, RicSamples, RicStore, SolveRequest, SolveStrategy,
 };
@@ -959,28 +959,30 @@ fn execute(
         } => {
             let (collection, generation) = state.pinned();
             let node_count = collection.node_count();
-            // Mirror RicStore::influenced_count's guard: out-of-range
-            // seeds are skipped, not rejected, so a coordinator padding
-            // from a wider node space still gets coherent partial sums.
-            let mut cov = CoverageState::new(Arc::clone(&collection));
-            for &s in &seeds {
-                if s.index() < node_count {
-                    cov.add_seed(s);
-                }
+            if let Some(u) = pivot.filter(|u| u.index() >= node_count) {
+                state.metrics().record(OpKind::Error, start.elapsed(), 0);
+                return (
+                    protocol::error_response(
+                        ErrorCode::OutOfRange,
+                        &format!(
+                            "pivot {} out of range (graph has {node_count} nodes)",
+                            u.raw()
+                        ),
+                    ),
+                    false,
+                );
             }
-            // ν_R fold continued from `carry` in sample order — bitwise
-            // the same as RicStore::nu_estimate's fold when chained
-            // across contiguous partitions (see DESIGN.md §8).
-            let counts = cov.covered_counts();
-            let mut nu_acc = carry;
-            for (si, &count) in counts.iter().enumerate() {
-                let h = collection.sample_threshold(si) as f64;
-                nu_acc += (count as f64 / h).min(1.0);
-            }
+            // Out-of-range seeds are skipped, not rejected (as in
+            // RicStore::influenced_count), so a coordinator padding from
+            // a wider node space still gets coherent partial sums; the
+            // ν_R fold continues from `carry` in sample order, so chained
+            // across contiguous partitions it is bitwise
+            // RicStore::nu_estimate's (see DESIGN.md §8).
+            let score = Score::of(&*collection, &seeds, carry);
             let mut body = ObjectBuilder::new()
-                .field("influenced", cov.influenced_count())
-                .field("nu_acc", nu_acc)
-                .field("samples", collection.len())
+                .field("influenced", score.influenced)
+                .field("nu_acc", score.nu_acc)
+                .field("samples", score.samples)
                 .field("generation", generation);
             if let Some(u) = pivot {
                 body = body.field(

@@ -381,6 +381,28 @@ fn malformed_requests_get_error_responses_not_disconnects() {
     server.stop_and_join();
 }
 
+/// An out-of-range `pivot` used to index past the inverted index and
+/// panic the worker thread; two such lines left a 1-worker daemon with
+/// nobody to serve `health`.
+#[test]
+fn out_of_range_shard_eval_pivot_is_a_typed_error_not_a_dead_worker() {
+    let server = start(Arc::new(build_state(40)), 1);
+    for _ in 0..2 {
+        // A fresh connection each time: a dead worker would hang it.
+        let mut client = Client::connect(server.addr(), TIMEOUT).unwrap();
+        let resp = client
+            .request(r#"{"op":"shard_eval","seeds":[1,2],"pivot":99999}"#)
+            .unwrap();
+        assert_eq!(resp.get("ok").unwrap().as_bool(), Some(false));
+        let code = resp.get("error").unwrap().get("code").unwrap();
+        assert_eq!(code.as_str(), Some("out_of_range"));
+    }
+    let mut client = Client::connect(server.addr(), TIMEOUT).unwrap();
+    let resp = client.request(r#"{"op":"health"}"#).unwrap();
+    assert_eq!(resp.get("status").unwrap().as_str(), Some("ok"));
+    server.stop_and_join();
+}
+
 #[test]
 fn solve_response_trace_id_links_engine_iteration_records_in_the_sink() {
     let dir = std::env::temp_dir().join(format!("imc-e2e-trace-{}", std::process::id()));

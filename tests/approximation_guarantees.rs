@@ -11,9 +11,7 @@
 
 use imc_community::{CommunitySet, ThresholdPolicy};
 use imc_core::maxr::exhaustive::exhaustive;
-use imc_core::{
-    ImcInstance, MaxrAlgorithm, MaxrSolver, RicStore, SolveRequest, SolverExtras, UbgSolver,
-};
+use imc_core::{ImcInstance, MaxrAlgorithm, RicStore, SolveRequest, SolverExtras};
 use imc_graph::WeightModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -94,9 +92,9 @@ fn ubg_sandwich_bound_holds() {
         if opt.influenced_samples == 0 {
             continue;
         }
-        let out = UbgSolver
-            .solve(&case.collection, &SolveRequest::new(k))
-            .expect("nonzero budget");
+        let out = MaxrAlgorithm::Ubg
+            .solve(&case.instance, &case.collection, &SolveRequest::new(k))
+            .expect("budget within the graph");
         let SolverExtras::Ubg { sandwich_ratio, .. } = out.extras else {
             panic!("UBG must report sandwich extras");
         };
