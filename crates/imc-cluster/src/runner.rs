@@ -126,6 +126,11 @@ pub struct RunnerReport {
     pub solve_seconds: f64,
     /// Evaluations reported by the distributed solve.
     pub solve_evaluations: u64,
+    /// Scatter rounds the solve made (`imc_cluster_scatter_total` over
+    /// the solve RPC; the runner's shards and coordinator share one
+    /// process and nothing else scatters meanwhile). One per CELF window,
+    /// so far below `solve_evaluations`.
+    pub solve_scatter_rounds: u64,
     /// Open-loop requests completed.
     pub load_requests: usize,
     /// Concurrent load connections.
@@ -176,6 +181,7 @@ impl RunnerReport {
                 ObjectBuilder::new()
                     .field("seconds", self.solve_seconds)
                     .field("evaluations", self.solve_evaluations)
+                    .field("scatter_rounds", self.solve_scatter_rounds)
                     .build(),
             )
             .field(
@@ -709,9 +715,11 @@ fn run_chaos(
             .field("mode", "lazy")
             .build(),
     );
+    let scatter_before = obs::scatter_total().get();
     let solve_start = Instant::now();
     let solve = roundtrip(&mut client, &solve_line, "chaos solve")?;
     let solve_seconds = solve_start.elapsed().as_secs_f64();
+    let solve_scatter_rounds = obs::scatter_total().get() - scatter_before;
     drop(client);
     let seeds = seeds_field(&solve, "chaos solve")?;
     let solve_evaluations = solve
@@ -809,6 +817,7 @@ fn run_chaos(
         eval_roundtrip: true,
         solve_seconds,
         solve_evaluations,
+        solve_scatter_rounds,
         load_requests: 0,
         load_connections: 0,
         throughput_rps: 0.0,
@@ -865,9 +874,11 @@ fn run_against(
             .field("mode", "lazy")
             .build(),
     );
+    let scatter_before = obs::scatter_total().get();
     let solve_start = Instant::now();
     let solve = roundtrip(&mut client, &solve_line, "cluster solve")?;
     let solve_seconds = solve_start.elapsed().as_secs_f64();
+    let solve_scatter_rounds = obs::scatter_total().get() - scatter_before;
     let seeds: Vec<u64> = solve
         .get("seeds")
         .and_then(Value::as_array)
@@ -909,6 +920,7 @@ fn run_against(
         eval_roundtrip: true,
         solve_seconds,
         solve_evaluations,
+        solve_scatter_rounds,
         load_requests,
         load_connections: topo.load_connections,
         throughput_rps,

@@ -89,16 +89,16 @@ fn field_f64_array(value: &Value, key: &str, peer: &PeerClient) -> Result<Vec<f6
 /// shard-side trace file onto its shard.
 fn timed_session_rpc(
     peer: &mut PeerClient,
+    addr: &str,
     line: &str,
     op: &'static str,
 ) -> Result<(Value, f64), ClusterError> {
-    let addr = peer.addr();
     let _rpc = imc_obs::Span::enter_with("rpc_client", format!("{op} {addr}"));
     let start = Instant::now();
     let result = peer.request_session(line);
     let secs = start.elapsed().as_secs_f64();
     obs::shard_rpc_seconds().observe(secs);
-    obs::rpc_duration_seconds(op, &addr.to_string()).observe(secs);
+    obs::rpc_duration_seconds(op, addr).observe(secs);
     if result.is_err() {
         obs::shard_errors_total().inc();
     }
@@ -144,6 +144,32 @@ fn emit_round_attribution(
     );
 }
 
+/// Widest window of CELF queue entries one scatter round carries
+/// ([`GainSource::window_cap`]). A constant, not a knob: the engine's
+/// window doubles from 1 inside every greedy round and most rounds end
+/// within a few entries, so the cap only bounds the rare long round — on
+/// the 2-shard benchmark solve (`ladder-cluster`, seed 7) caps of 16 / 64
+/// / 256 / 4096 gave 1.15 / 0.97 / 0.88 / 0.85 s against 4.44 s at one
+/// entry per round.
+const WINDOW_CAP: usize = 64;
+
+/// One shard's `eval_batch` line around the round's node array, which is
+/// serialised once per round (`nodes_json`) instead of once per shard.
+/// Keys are in the sorted order [`json::to_string`] writes, so the bytes
+/// on the wire are the builder's.
+fn eval_batch_line(session: u64, kind: &str, nodes_json: &str, carry: Option<&[f64]>) -> String {
+    let carry = carry.map_or_else(String::new, |c| {
+        format!(r#""carry":{},"#, json::to_string(&Value::from(c.to_vec())))
+    });
+    format!(
+        r#"{{{carry}"kind":"{kind}","nodes":{nodes_json},"op":"eval_batch","session":{session}}}"#
+    )
+}
+
+fn nodes_json(nodes: &[u32]) -> String {
+    json::to_string(&Value::from(nodes.to_vec()))
+}
+
 /// One shard's answer to a ĉ batch: per-node gains, per-node
 /// influenced counts, and the shard's RPC wall time in seconds.
 type ShardCBatch = (Vec<u64>, Vec<u64>, f64);
@@ -159,6 +185,9 @@ type ShardCBatch = (Vec<u64>, Vec<u64>, f64);
 #[derive(Debug)]
 pub struct ClusterSource<'a> {
     peers: &'a mut [PeerClient],
+    /// `peers[i].addr()` rendered once: the `shard` metric label and the
+    /// text of every span and attribution event.
+    addrs: Vec<String>,
     sessions: Vec<u64>,
     /// Element-wise sum of per-shard appearance counts = appearance over
     /// the union collection.
@@ -183,6 +212,7 @@ impl<'a> ClusterSource<'a> {
         }
         let line = json::to_string(&line.build());
 
+        let addrs: Vec<String> = peers.iter().map(|p| p.addr().to_string()).collect();
         let mut sessions: Vec<u64> = Vec::with_capacity(peers.len());
         let mut appearance: Vec<u64> = Vec::new();
         let mut communities: Vec<u64> = Vec::new();
@@ -190,7 +220,8 @@ impl<'a> ClusterSource<'a> {
         let mut generation = 0u64;
         let mut failure: Option<ClusterError> = None;
         for (i, peer) in peers.iter_mut().enumerate() {
-            let resp = match timed_session_rpc(peer, &line, "eval_begin").and_then(|(resp, _)| {
+            let begun = timed_session_rpc(peer, &addrs[i], &line, "eval_begin");
+            let resp = match begun.and_then(|(resp, _)| {
                 let session = field_u64(&resp, "session", peer)?;
                 let shard_gen = field_u64(&resp, "generation", peer)?;
                 let app = field_u64_array(&resp, "appearance", peer)?;
@@ -248,6 +279,7 @@ impl<'a> ClusterSource<'a> {
         }
         Ok(ClusterSource {
             peers,
+            addrs,
             sessions,
             appearance,
             communities,
@@ -336,8 +368,7 @@ impl GainSource for ClusterSource<'_> {
         }
         obs::scatter_total().inc();
         let _round = imc_obs::Span::enter_with("scatter_round", "c");
-        let nodes_field: Vec<u64> = nodes.iter().map(|&v| u64::from(v)).collect();
-        let addrs: Vec<String> = self.peers.iter().map(|p| p.addr().to_string()).collect();
+        let nodes_json = nodes_json(nodes);
         // Spawned scope threads do NOT inherit the thread-local trace
         // context — capture it here and re-install it inside each
         // worker, or the per-shard rpc_client spans (and the span
@@ -353,22 +384,16 @@ impl GainSource for ClusterSource<'_> {
                 .peers
                 .iter_mut()
                 .zip(&self.sessions)
-                .map(|(peer, &session)| {
-                    let line = json::to_string(
-                        &ObjectBuilder::new()
-                            .field("op", "eval_batch")
-                            .field("session", session)
-                            .field("kind", "c")
-                            .field("nodes", nodes_field.clone())
-                            .build(),
-                    );
+                .zip(&self.addrs)
+                .map(|((peer, &session), addr)| {
+                    let line = eval_batch_line(session, "c", &nodes_json, None);
                     let trace_id = trace_id.clone();
                     let parent_span = parent_span.clone();
                     scope.spawn(move || {
                         let _ctx = trace_id.as_deref().map(|tid| {
                             imc_obs::trace::TraceCtx::enter_remote(tid, parent_span.as_deref())
                         });
-                        let (resp, secs) = timed_session_rpc(peer, &line, "eval_batch")?;
+                        let (resp, secs) = timed_session_rpc(peer, addr, &line, "eval_batch")?;
                         let gains = field_u64_array(&resp, "gains", peer)?;
                         let potentials = field_u64_array(&resp, "potentials", peer)?;
                         Ok((gains, potentials, secs))
@@ -417,7 +442,7 @@ impl GainSource for ClusterSource<'_> {
         emit_round_attribution(
             "c",
             nodes.len(),
-            &addrs,
+            &self.addrs,
             &shard_seconds,
             scatter_s,
             reduce_s,
@@ -448,8 +473,7 @@ impl GainSource for ClusterSource<'_> {
         }
         obs::scatter_total().inc();
         let _round = imc_obs::Span::enter_with("scatter_round", "nu");
-        let nodes_field: Vec<u64> = nodes.iter().map(|&v| u64::from(v)).collect();
-        let addrs: Vec<String> = self.peers.iter().map(|p| p.addr().to_string()).collect();
+        let nodes_json = nodes_json(nodes);
         let round_start = Instant::now();
         // Sequential by necessity: shard i's fold starts from shard
         // i−1's accumulators (the non-associative ν_R carry chain).
@@ -457,23 +481,16 @@ impl GainSource for ClusterSource<'_> {
         // while the peer iterator is live.
         let ClusterSource {
             peers,
+            addrs,
             sessions,
             error,
             ..
         } = self;
         let mut carry: Option<Vec<f64>> = None;
         let mut shard_seconds = Vec::with_capacity(peers.len());
-        for (peer, &session) in peers.iter_mut().zip(sessions.iter()) {
-            let mut req = ObjectBuilder::new()
-                .field("op", "eval_batch")
-                .field("session", session)
-                .field("kind", "nu")
-                .field("nodes", nodes_field.clone());
-            if let Some(c) = &carry {
-                req = req.field("carry", c.clone());
-            }
-            let line = json::to_string(&req.build());
-            let accs = match timed_session_rpc(peer, &line, "eval_batch")
+        for ((peer, &session), addr) in peers.iter_mut().zip(sessions.iter()).zip(addrs.iter()) {
+            let line = eval_batch_line(session, "nu", &nodes_json, carry.as_deref());
+            let accs = match timed_session_rpc(peer, addr, &line, "eval_batch")
                 .and_then(|(resp, secs)| Ok((field_f64_array(&resp, "accs", peer)?, secs)))
             {
                 Ok((accs, secs)) if accs.len() == nodes.len() => {
@@ -505,7 +522,7 @@ impl GainSource for ClusterSource<'_> {
         emit_round_attribution(
             "nu",
             nodes.len(),
-            &addrs,
+            addrs,
             &shard_seconds,
             round_start.elapsed().as_secs_f64(),
             0.0,
@@ -519,17 +536,22 @@ impl GainSource for ClusterSource<'_> {
         )
     }
 
+    fn window_cap(&self) -> usize {
+        WINDOW_CAP
+    }
+
     fn add_seed(&mut self, v: u32) {
         if self.error.is_some() {
             return;
         }
         let ClusterSource {
             peers,
+            addrs,
             sessions,
             error,
             ..
         } = self;
-        for (peer, &session) in peers.iter_mut().zip(sessions.iter()) {
+        for ((peer, &session), addr) in peers.iter_mut().zip(sessions.iter()).zip(addrs.iter()) {
             let line = json::to_string(
                 &ObjectBuilder::new()
                     .field("op", "eval_seed")
@@ -537,10 +559,35 @@ impl GainSource for ClusterSource<'_> {
                     .field("node", v)
                     .build(),
             );
-            if let Err(e) = timed_session_rpc(peer, &line, "eval_seed") {
+            if let Err(e) = timed_session_rpc(peer, addr, &line, "eval_seed") {
                 error.get_or_insert(e);
                 return;
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn eval_batch_line_is_byte_identical_to_the_builder() {
+        let nodes = [7u32, 0, 4_000_000_000];
+        let carry = [0.5f64, 3.0, 1e-17];
+        for (kind, carry) in [("c", None), ("nu", None), ("nu", Some(&carry[..]))] {
+            let mut built = ObjectBuilder::new()
+                .field("op", "eval_batch")
+                .field("session", 42u64)
+                .field("kind", kind)
+                .field("nodes", nodes.to_vec());
+            if let Some(c) = carry {
+                built = built.field("carry", c.to_vec());
+            }
+            assert_eq!(
+                eval_batch_line(42, kind, &nodes_json(&nodes), carry),
+                json::to_string(&built.build())
+            );
         }
     }
 }

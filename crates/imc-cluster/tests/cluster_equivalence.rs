@@ -8,7 +8,7 @@
 //! fold for ν).
 
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
 use imc_cluster::{Coordinator, CoordinatorConfig, CoordinatorHandle};
@@ -89,6 +89,16 @@ fn stop_cluster(handles: Vec<ServerHandle>, coordinator: CoordinatorHandle) {
     }
 }
 
+/// `imc_cluster_scatter_total` is one counter per process, and this file's
+/// tests run on parallel threads: the acceptance test, which pins the
+/// counter's growth over one solve, holds this exclusively; every other
+/// test that makes a coordinator scatter holds it shared.
+static SCATTER_TOTAL: RwLock<()> = RwLock::new(());
+
+fn scatter_shared() -> RwLockReadGuard<'static, ()> {
+    SCATTER_TOTAL.read().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One solve against the coordinator; returns (seeds, evaluations).
 fn cluster_solve(addr: SocketAddr, algo: &str, k: usize, seed: u64) -> (Vec<NodeId>, u64) {
     let mut client = Client::connect(addr, Duration::from_secs(120)).unwrap();
@@ -126,6 +136,7 @@ fn assert_equivalence(
     full.extend_parallel_with_workers(&sampler, samples, base_seed, 2);
 
     let (handles, coordinator) = spawn_cluster(instance, shards, samples, base_seed);
+    let _shared = scatter_shared();
     for (name, algo) in ALGOS {
         let solver_seed = base_seed ^ 0x5EED;
         let reference = algo
@@ -212,6 +223,7 @@ fn dead_shard_degrades_the_solve_and_names_it() {
 
     // Degrade is the default: the solve completes over the surviving
     // shard, flagged approximate, naming the lost one.
+    let _shared = scatter_shared();
     let mut client = Client::connect(coordinator.addr(), Duration::from_secs(30)).unwrap();
     let resp = client
         .request(r#"{"op":"solve","k":3,"algo":"greedy","seed":1}"#)
@@ -306,6 +318,7 @@ fn degrade_disabled_keeps_the_shard_unavailable_error() {
     let dead_addr = dead.addr();
     dead.stop_and_join();
 
+    let _shared = scatter_shared();
     let mut client = Client::connect(coordinator.addr(), Duration::from_secs(30)).unwrap();
     let resp = client
         .request(r#"{"op":"solve","k":3,"algo":"greedy","seed":1}"#)
@@ -348,7 +361,8 @@ proptest! {
 
 /// The ISSUE acceptance bar: a 2-shard cluster over the wiki-vote
 /// analog (40k samples) solves GREEDY at k=25 bitwise identically to a
-/// single node, lazily evaluated on both sides.
+/// single node, lazily evaluated on both sides — in an eighth as many
+/// scatter rounds as evaluations, or fewer.
 #[test]
 fn acceptance_wiki_vote_two_shard_greedy_bitwise() {
     let (graph, _source) =
@@ -375,9 +389,21 @@ fn acceptance_wiki_vote_two_shard_greedy_bitwise() {
         .unwrap();
 
     let (handles, coordinator) = spawn_cluster(&instance, 2, samples, base_seed);
+    let exclusive = SCATTER_TOTAL
+        .write()
+        .unwrap_or_else(PoisonError::into_inner);
+    let before = imc_cluster::obs::scatter_total().get();
     let (seeds, evaluations) = cluster_solve(coordinator.addr(), "greedy", k, base_seed);
+    let rounds = imc_cluster::obs::scatter_total().get() - before;
+    drop(exclusive);
     stop_cluster(handles, coordinator);
 
     assert_eq!(seeds, reference.seeds);
     assert_eq!(evaluations, reference.evaluations);
+    // One scatter round per CELF *window*, not per evaluation: a loop that
+    // pays a round trip for every re-check makes `evaluations` of them.
+    assert!(
+        rounds * 8 < evaluations,
+        "{rounds} scatter rounds for {evaluations} evaluations"
+    );
 }

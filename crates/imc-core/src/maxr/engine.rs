@@ -14,13 +14,15 @@
 //!   which only shrinks as seeds are added and always dominates the
 //!   gain. Both queues break ties toward the smaller [`NodeId`] and a
 //!   round ends only when no queued entry can beat the verified best, so
-//!   the pick equals the sequential argmax every round.
-//! * [`SolveStrategy::Parallel`] evaluates queue batches on scoped worker
-//!   threads. Work is split into fixed-width shards whose boundaries
-//!   depend only on the item count, each shard's results are written back
-//!   in shard order, and the argmax reduction runs over that fixed order
-//!   under a total order on `(gain, node)` — so the outcome is identical
-//!   for *any* thread count, including 1.
+//!   the pick equals the sequential argmax every round. The queue is
+//!   re-checked a *window* at a time (`lazy_rounds`); the window's width
+//!   belongs to the [`GainSource`] and changes no decision.
+//! * [`SolveStrategy::Parallel`] is the same loop over a source that
+//!   evaluates its batches on scoped worker threads and asks for a
+//!   thread-scaled window. Work is split into fixed-width shards whose
+//!   boundaries depend only on the item count and each shard's results
+//!   are written back in shard order — so seeds *and* evaluation counts
+//!   equal `Lazy`'s for *any* thread count, including 1.
 
 use crate::maxr::pad_to_k;
 use crate::maxr::telemetry::{EngineTelemetry, IterationRecord, MapStats};
@@ -82,8 +84,12 @@ impl SolveStrategy {
 pub struct GreedyRun {
     /// Selected seeds, in pick order, padded to exactly `min(k, n)`.
     pub seeds: Vec<NodeId>,
-    /// Marginal-gain evaluations performed — the engine's work measure.
-    /// Deterministic for a fixed strategy; lazy strategies report fewer.
+    /// Marginal-gain evaluations **consumed** — gains the greedy loop
+    /// fetched from its source and acted on; the engine's work measure.
+    /// `Sequential` consumes every live candidate every round; `Lazy` and
+    /// `Parallel` consume the same, smaller, number whatever the window
+    /// width. Gains a wide window fetched in vain are reported apart, in
+    /// [`IterationRecord::speculative_evaluations`].
     pub evaluations: u64,
 }
 
@@ -200,36 +206,14 @@ where
     )
 }
 
-/// Entries popped per evaluation batch: classic one-at-a-time CELF when
-/// single-threaded, a thread-scaled batch when parallel. Evaluating a
-/// slightly larger superset of candidates never changes the argmax.
-fn batch_cap(threads: usize) -> usize {
-    if threads <= 1 {
-        1
-    } else {
-        threads * 64
-    }
-}
-
-/// Within one popped batch, evaluations run in chunks of this many items
-/// per worker thread; after each chunk the round's best-so-far is
-/// re-checked against the cached keys of the still-unevaluated remainder.
-const CHUNK_PER_THREAD: usize = 16;
-
-/// Evaluation chunk width for the best-so-far re-check. Single-threaded
-/// strategies already pop one entry at a time, so chunking is a no-op
-/// there.
-fn eval_chunk(threads: usize) -> usize {
-    if threads <= 1 {
-        1
-    } else {
-        threads * CHUNK_PER_THREAD
-    }
-}
+/// Window entries a [`LocalSource`] serves per worker thread: enough for
+/// the shard map to have work for every worker, small enough that a cut
+/// wastes little.
+const WINDOW_PER_THREAD: usize = 16;
 
 /// A marginal-gain oracle the greedy loops run against.
 ///
-/// The engine keeps the CELF queues, batching, tie-breaks and evaluation
+/// The engine keeps the CELF queues, windows, tie-breaks and evaluation
 /// accounting to itself; a source only answers gain queries against the
 /// seed set committed so far. Two implementations exist:
 ///
@@ -263,6 +247,16 @@ pub trait GainSource {
 
     /// Commits `v` as a seed; every later batch sees the updated state.
     fn add_seed(&mut self, v: u32);
+
+    /// The widest window of queue entries the lazy loops may ask for in
+    /// one batch call. `1` is classic one-at-a-time CELF; a source whose
+    /// batch call has a fixed cost (a thread fan-out, a network round)
+    /// returns more. The width changes how many gains are *fetched*, never
+    /// which are *consumed*: seeds, [`GreedyRun::evaluations`] and the
+    /// queue after every round are the same for every cap.
+    fn window_cap(&self) -> usize {
+        1
+    }
 }
 
 /// [`GainSource`] over an in-process [`RicSamples`] backend: a
@@ -320,6 +314,157 @@ impl<C: RicSamples> GainSource for LocalSource<C> {
     fn add_seed(&mut self, v: u32) {
         self.state.add_seed(NodeId::new(v));
     }
+
+    /// One entry at a time single-threaded (an in-process call has no
+    /// fixed cost to amortise), a thread-scaled window otherwise.
+    fn window_cap(&self) -> usize {
+        if self.threads <= 1 {
+            1
+        } else {
+            self.threads * WINDOW_PER_THREAD
+        }
+    }
+}
+
+/// What the greedy loops need to know about the objective they maximise.
+/// Everything else — queue, window, replay, tie-break, accounting — is
+/// written once over this.
+trait EngineObjective {
+    /// Gain and queue-key type.
+    type Value: Copy;
+    /// One node's entry in the source's batch reply.
+    type Answer: Copy;
+    /// Telemetry label.
+    const LABEL: &'static str;
+    /// Whether a measured gain is itself the node's next queue key, exact
+    /// until the next seed is committed (ν_R's CELF cache: a re-pop in the
+    /// round it was measured in needs no evaluation). `ĉ_R` queues the
+    /// potential instead, which bounds the gain and never equals it.
+    const KEY_IS_GAIN: bool;
+
+    /// Total order on gains and keys.
+    fn cmp(a: Self::Value, b: Self::Value) -> Ordering;
+    /// Whether a gain is worth a seed (and a key worth queueing).
+    fn positive(v: Self::Value) -> bool;
+    /// The gain as reported in [`IterationRecord::best_gain`].
+    fn as_f64(v: Self::Value) -> f64;
+    /// One batch call on the source.
+    fn fetch<S: GainSource>(source: &mut S, nodes: &[u32]) -> (Vec<Self::Answer>, MapStats);
+    /// The marginal gain an answer carries.
+    fn gain(answer: Self::Answer) -> Self::Value;
+    /// The key the answered node re-enters the lazy queue with.
+    fn key(answer: Self::Answer) -> Self::Value;
+    /// Lazy-queue keys for `candidates` before any seed is committed;
+    /// whatever evaluation that costs is booked on `telemetry`.
+    fn initial_keys<S: GainSource>(
+        source: &mut S,
+        candidates: &[u32],
+        telemetry: &mut EngineTelemetry,
+    ) -> Vec<Self::Value>;
+}
+
+/// `ĉ_R`, the number of influenced samples. Non-submodular (Lemma 2), so
+/// the lazy queue is keyed by the node's *potential* — samples it touches
+/// that are not yet influenced — which upper-bounds every future gain.
+struct CHat;
+
+impl EngineObjective for CHat {
+    type Value = usize;
+    type Answer = (usize, usize);
+    const LABEL: &'static str = "c_hat";
+    const KEY_IS_GAIN: bool = false;
+
+    fn cmp(a: usize, b: usize) -> Ordering {
+        a.cmp(&b)
+    }
+    fn positive(v: usize) -> bool {
+        v > 0
+    }
+    fn as_f64(v: usize) -> f64 {
+        v as f64
+    }
+    fn fetch<S: GainSource>(source: &mut S, nodes: &[u32]) -> (Vec<(usize, usize)>, MapStats) {
+        source.eval_c_batch(nodes)
+    }
+    fn gain((gain, _): (usize, usize)) -> usize {
+        gain
+    }
+    fn key((_, potential): (usize, usize)) -> usize {
+        potential
+    }
+    /// No sample is influenced yet, so the potential is the appearance
+    /// count: no evaluation needed.
+    fn initial_keys<S: GainSource>(
+        source: &mut S,
+        candidates: &[u32],
+        _: &mut EngineTelemetry,
+    ) -> Vec<usize> {
+        candidates
+            .iter()
+            .map(|&v| source.appearance_count(v))
+            .collect()
+    }
+}
+
+/// A gain below this is treated as zero for `ν_R` (matches the historical
+/// CELF cut-off).
+const NU_EPS: f64 = 1e-15;
+
+/// `ν_R`, the submodular upper bound (Lemma 3): classic CELF on cached
+/// gains, compared under `f64::total_cmp`.
+struct Nu;
+
+impl EngineObjective for Nu {
+    type Value = f64;
+    type Answer = f64;
+    const LABEL: &'static str = "nu";
+    const KEY_IS_GAIN: bool = true;
+
+    fn cmp(a: f64, b: f64) -> Ordering {
+        a.total_cmp(&b)
+    }
+    fn positive(v: f64) -> bool {
+        v > NU_EPS
+    }
+    fn as_f64(v: f64) -> f64 {
+        v
+    }
+    fn fetch<S: GainSource>(source: &mut S, nodes: &[u32]) -> (Vec<f64>, MapStats) {
+        source.eval_nu_batch(nodes)
+    }
+    fn gain(answer: f64) -> f64 {
+        answer
+    }
+    fn key(answer: f64) -> f64 {
+        answer
+    }
+    /// The initial full gain scan is the single biggest evaluation wave —
+    /// one batch, fanned out across the source's workers.
+    fn initial_keys<S: GainSource>(
+        source: &mut S,
+        candidates: &[u32],
+        telemetry: &mut EngineTelemetry,
+    ) -> Vec<f64> {
+        let (gains, stats) = source.eval_nu_batch(candidates);
+        telemetry.absorb(stats);
+        telemetry.initial_evaluations = candidates.len() as u64;
+        gains
+    }
+}
+
+/// Whether `(value, node)` displaces `best` under the round's total order:
+/// larger value first, smaller id on a tie, nothing non-positive. Asked of
+/// a queue key it says the entry can still win the round; asked of a
+/// measured gain, that it now leads it.
+fn beats<O: EngineObjective>(value: O::Value, node: u32, best: Option<(O::Value, u32)>) -> bool {
+    match best {
+        None => O::positive(value),
+        Some((best_value, best_node)) => match O::cmp(value, best_value) {
+            Ordering::Greater => true,
+            Ordering::Equal => node < best_node,
+            Ordering::Less => false,
+        },
+    }
 }
 
 /// Strategy-aware greedy on `ĉ_R` (the number of influenced samples).
@@ -345,10 +490,7 @@ pub fn greedy_c_with_telemetry<C: RicSamples>(
     k: usize,
     strategy: SolveStrategy,
 ) -> (GreedyRun, EngineTelemetry) {
-    let mut source = LocalSource::new(collection, strategy.threads());
-    let (run, telemetry) = greedy_c_over(&mut source, k, strategy);
-    telemetry.publish();
-    (run, telemetry)
+    greedy_published::<CHat, C>(collection, k, strategy)
 }
 
 /// [`greedy_c_with`] over an arbitrary [`GainSource`] — the engine entry
@@ -360,10 +502,7 @@ pub fn greedy_c_over<S: GainSource>(
     k: usize,
     strategy: SolveStrategy,
 ) -> (GreedyRun, EngineTelemetry) {
-    match strategy {
-        SolveStrategy::Sequential => greedy_c_sequential(source, k),
-        SolveStrategy::Lazy | SolveStrategy::Parallel { .. } => greedy_c_lazy(source, k, strategy),
-    }
+    greedy_over::<CHat, S>(source, k, strategy)
 }
 
 /// Strategy-aware CELF greedy on the submodular upper bound `ν_R`.
@@ -389,10 +528,7 @@ pub fn greedy_nu_with_telemetry<C: RicSamples>(
     k: usize,
     strategy: SolveStrategy,
 ) -> (GreedyRun, EngineTelemetry) {
-    let mut source = LocalSource::new(collection, strategy.threads());
-    let (run, telemetry) = greedy_nu_over(&mut source, k, strategy);
-    telemetry.publish();
-    (run, telemetry)
+    greedy_published::<Nu, C>(collection, k, strategy)
 }
 
 /// [`greedy_nu_with`] over an arbitrary [`GainSource`] — see
@@ -402,465 +538,248 @@ pub fn greedy_nu_over<S: GainSource>(
     k: usize,
     strategy: SolveStrategy,
 ) -> (GreedyRun, EngineTelemetry) {
-    match strategy {
-        SolveStrategy::Sequential => greedy_nu_sequential(source, k),
-        SolveStrategy::Lazy | SolveStrategy::Parallel { .. } => greedy_nu_lazy(source, k, strategy),
-    }
+    greedy_over::<Nu, S>(source, k, strategy)
 }
 
-fn greedy_c_sequential<S: GainSource>(source: &mut S, k: usize) -> (GreedyRun, EngineTelemetry) {
-    let wall = Instant::now();
-    let mut telemetry = EngineTelemetry::new("c_hat", "sequential", 1);
-    let k = k.min(source.node_count());
-    let candidates: Vec<u32> = (0..source.node_count() as u32)
-        .filter(|&v| source.appearance_count(v) > 0)
-        .collect();
-    let mut used = vec![false; source.node_count()];
-    let mut remaining = candidates.len();
-    let mut seeds = Vec::with_capacity(k);
-    let mut evaluations = 0u64;
-    let mut alive: Vec<u32> = Vec::with_capacity(candidates.len());
-    for round in 0..k {
-        let round_start = Instant::now();
-        let mut rec = IterationRecord::begin(round as u32, remaining);
-        alive.clear();
-        alive.extend(candidates.iter().copied().filter(|&v| !used[v as usize]));
-        // One batch per round: the state is fixed within a round, so the
-        // batched gains equal a per-candidate ascending scan exactly.
-        let (gains, stats) = source.eval_c_batch(&alive);
-        rec.absorb(&stats);
-        telemetry.absorb(stats);
-        evaluations += alive.len() as u64;
-        rec.evaluations += alive.len() as u64;
-        let mut best: Option<(usize, u32)> = None;
-        for (&v, &(gain, _)) in alive.iter().zip(&gains) {
-            let better = match best {
-                None => gain > 0,
-                Some((bg, bv)) => gain > bg || (gain == bg && gain > 0 && v < bv),
-            };
-            if better {
-                best = Some((gain, v));
-            }
-        }
-        rec.pops = rec.evaluations;
-        match best {
-            Some((gain, v)) => {
-                source.add_seed(v);
-                used[v as usize] = true;
-                remaining -= 1;
-                seeds.push(NodeId::new(v));
-                rec.finish(gain as f64, true, round_start);
-                telemetry.rounds.push(rec);
-            }
-            None => {
-                rec.finish(0.0, false, round_start);
-                telemetry.rounds.push(rec);
-                break;
-            }
-        }
-    }
-    pad_to_k(&mut seeds, k, source.node_count(), |v| {
-        source.appearance_count(v)
-    });
-    telemetry.wall_seconds = wall.elapsed().as_secs_f64();
-    (GreedyRun { seeds, evaluations }, telemetry)
+fn greedy_published<O: EngineObjective, C: RicSamples>(
+    collection: &C,
+    k: usize,
+    strategy: SolveStrategy,
+) -> (GreedyRun, EngineTelemetry) {
+    let mut source = LocalSource::new(collection, strategy.threads());
+    let (run, telemetry) = greedy_over::<O, _>(&mut source, k, strategy);
+    telemetry.publish();
+    (run, telemetry)
 }
 
-/// Lazy-queue entry for `ĉ_R`: keyed by the node's *potential* (samples it
-/// touches that are not yet influenced), which upper-bounds every future
-/// gain even though `ĉ_R` is non-submodular.
-#[derive(Debug, PartialEq, Eq)]
-struct UbEntry {
-    ub: usize,
-    node: u32,
-}
-
-impl Ord for UbEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.ub
-            .cmp(&other.ub)
-            .then_with(|| other.node.cmp(&self.node)) // prefer smaller id on tie
-    }
-}
-
-impl PartialOrd for UbEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-fn greedy_c_lazy<S: GainSource>(
+fn greedy_over<O: EngineObjective, S: GainSource>(
     source: &mut S,
     k: usize,
     strategy: SolveStrategy,
 ) -> (GreedyRun, EngineTelemetry) {
-    let threads = strategy.threads();
     let wall = Instant::now();
-    let mut telemetry = EngineTelemetry::new("c_hat", strategy.label(), threads);
-    let k = k.min(source.node_count());
-    // Initial potential = appearance count (no sample is influenced yet).
-    let mut heap: BinaryHeap<UbEntry> = (0..source.node_count() as u32)
-        .filter_map(|v| {
-            let ub = source.appearance_count(v);
-            (ub > 0).then_some(UbEntry { ub, node: v })
-        })
-        .collect();
-    let cap = batch_cap(threads);
-    let chunk = eval_chunk(threads);
-    let mut seeds = Vec::with_capacity(k);
-    let mut evaluations = 0u64;
-    let mut round_idx = 0u32;
-    let mut batch: Vec<UbEntry> = Vec::new();
-    let mut evaluated: Vec<UbEntry> = Vec::new();
-    while seeds.len() < k {
-        let round_start = Instant::now();
-        let mut rec = IterationRecord::begin(round_idx, heap.len());
-        let mut best: Option<(usize, u32)> = None;
-        evaluated.clear();
-        loop {
-            batch.clear();
-            while batch.len() < cap {
-                let viable = match (heap.peek(), best) {
-                    (None, _) => false,
-                    (Some(top), None) => top.ub > 0,
-                    (Some(top), Some((bg, bv))) => top.ub > bg || (top.ub == bg && top.node < bv),
-                };
-                if !viable {
-                    break;
-                }
-                batch.push(heap.pop().expect("peeked entry"));
-            }
-            if batch.is_empty() {
-                break;
-            }
-            rec.batches += 1;
-            rec.pops += batch.len() as u64;
-            // Evaluate the batch in chunks; between chunks, entries whose
-            // cached upper bound can no longer beat the updated best go
-            // back to the queue *unevaluated*. Pops arrive in the queue's
-            // total order, so the first non-viable entry marks the cut.
-            let mut idx = 0;
-            while idx < batch.len() {
-                let hi = (idx + chunk).min(batch.len());
-                let ids: Vec<u32> = batch[idx..hi].iter().map(|e| e.node).collect();
-                let (gains, stats) = source.eval_c_batch(&ids);
-                rec.absorb(&stats);
-                telemetry.absorb(stats);
-                evaluations += (hi - idx) as u64;
-                rec.evaluations += (hi - idx) as u64;
-                rec.stale_rechecks += (hi - idx) as u64;
-                for (e, &(gain, potential)) in batch[idx..hi].iter().zip(&gains) {
-                    let better = match best {
-                        None => gain > 0,
-                        Some((bg, bv)) => gain > bg || (gain == bg && gain > 0 && e.node < bv),
-                    };
-                    if better {
-                        best = Some((gain, e.node));
-                    }
-                    evaluated.push(UbEntry {
-                        ub: potential,
-                        node: e.node,
-                    });
-                }
-                idx = hi;
-                if idx < batch.len() {
-                    if let Some((bg, bv)) = best {
-                        let cut = batch[idx..]
-                            .iter()
-                            .position(|e| !(e.ub > bg || (e.ub == bg && e.node < bv)))
-                            .map_or(batch.len(), |p| idx + p);
-                        if cut < batch.len() {
-                            rec.saved_evaluations += (batch.len() - cut) as u64;
-                            for e in batch.drain(cut..) {
-                                heap.push(e);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        match best {
-            Some((gain, v)) => {
-                source.add_seed(v);
-                seeds.push(NodeId::new(v));
-                // Non-winners return with their freshly measured potential
-                // (still an upper bound after the new seed: potentials only
-                // shrink). Zero-potential nodes can never gain again.
-                for e in evaluated.drain(..) {
-                    if e.node != v && e.ub > 0 {
-                        heap.push(e);
-                    }
-                }
-                rec.finish(gain as f64, true, round_start);
-                telemetry.rounds.push(rec);
-            }
-            None => {
-                rec.finish(0.0, false, round_start);
-                telemetry.rounds.push(rec);
-                break;
-            }
-        }
-        round_idx += 1;
-    }
-    pad_to_k(&mut seeds, k, source.node_count(), |v| {
-        source.appearance_count(v)
-    });
-    telemetry.wall_seconds = wall.elapsed().as_secs_f64();
-    (GreedyRun { seeds, evaluations }, telemetry)
-}
-
-/// A gain below this is treated as zero for `ν_R` (matches the historical
-/// CELF cut-off).
-const NU_EPS: f64 = 1e-15;
-
-fn greedy_nu_sequential<S: GainSource>(source: &mut S, k: usize) -> (GreedyRun, EngineTelemetry) {
-    let wall = Instant::now();
-    let mut telemetry = EngineTelemetry::new("nu", "sequential", 1);
+    let mut telemetry = EngineTelemetry::new(O::LABEL, strategy.label(), strategy.threads());
     let k = k.min(source.node_count());
     let candidates: Vec<u32> = (0..source.node_count() as u32)
         .filter(|&v| source.appearance_count(v) > 0)
         .collect();
-    let mut used = vec![false; source.node_count()];
-    let mut remaining = candidates.len();
-    let mut seeds = Vec::with_capacity(k);
-    let mut evaluations = 0u64;
-    let mut alive: Vec<u32> = Vec::with_capacity(candidates.len());
-    for round in 0..k {
-        let round_start = Instant::now();
-        let mut rec = IterationRecord::begin(round as u32, remaining);
-        alive.clear();
-        alive.extend(candidates.iter().copied().filter(|&v| !used[v as usize]));
-        let (gains, stats) = source.eval_nu_batch(&alive);
-        rec.absorb(&stats);
-        telemetry.absorb(stats);
-        evaluations += alive.len() as u64;
-        rec.evaluations += alive.len() as u64;
-        let mut best: Option<(f64, u32)> = None;
-        for (&v, &gain) in alive.iter().zip(&gains) {
-            // Ascending scan keeps the smallest id on exact ties.
-            let better = match best {
-                None => gain > NU_EPS,
-                Some((bg, _)) => gain.total_cmp(&bg) == Ordering::Greater,
-            };
-            if better {
-                best = Some((gain, v));
-            }
+    let mut seeds = match strategy {
+        SolveStrategy::Sequential => {
+            sequential_rounds::<O, S>(source, k, candidates, &mut telemetry)
         }
-        rec.pops = rec.evaluations;
-        match best {
-            Some((gain, v)) => {
-                source.add_seed(v);
-                used[v as usize] = true;
-                remaining -= 1;
-                seeds.push(NodeId::new(v));
-                rec.finish(gain, true, round_start);
-                telemetry.rounds.push(rec);
-            }
-            None => {
-                rec.finish(0.0, false, round_start);
-                telemetry.rounds.push(rec);
-                break;
-            }
+        SolveStrategy::Lazy | SolveStrategy::Parallel { .. } => {
+            lazy_rounds::<O, S>(source, k, &candidates, &mut telemetry)
         }
-    }
+    };
     pad_to_k(&mut seeds, k, source.node_count(), |v| {
         source.appearance_count(v)
     });
     telemetry.wall_seconds = wall.elapsed().as_secs_f64();
+    let evaluations = telemetry.evaluations();
     (GreedyRun { seeds, evaluations }, telemetry)
 }
 
-/// CELF entry for `ν_R`: cached gain with a staleness stamp.
-#[derive(Debug, PartialEq)]
-struct NuEntry {
-    gain: f64,
+/// Seals `rec` into `telemetry` and commits the round's pick, if any.
+/// Returns the pick; `None` ends the greedy run.
+fn close_round<O: EngineObjective, S: GainSource>(
+    source: &mut S,
+    seeds: &mut Vec<NodeId>,
+    telemetry: &mut EngineTelemetry,
+    mut rec: IterationRecord,
+    best: Option<(O::Value, u32)>,
+    started: Instant,
+) -> Option<u32> {
+    if let Some((_, v)) = best {
+        source.add_seed(v);
+        seeds.push(NodeId::new(v));
+    }
+    rec.finish(
+        best.map_or(0.0, |(gain, _)| O::as_f64(gain)),
+        best.is_some(),
+        started,
+    );
+    telemetry.rounds.push(rec);
+    best.map(|(_, v)| v)
+}
+
+/// The reference: every live candidate re-evaluated every round.
+fn sequential_rounds<O: EngineObjective, S: GainSource>(
+    source: &mut S,
+    k: usize,
+    mut alive: Vec<u32>,
+    telemetry: &mut EngineTelemetry,
+) -> Vec<NodeId> {
+    let mut seeds = Vec::with_capacity(k);
+    while seeds.len() < k {
+        let round_start = Instant::now();
+        let mut rec = IterationRecord::begin(seeds.len() as u32, alive.len());
+        // One batch per round: the state is fixed within a round, so the
+        // batched gains equal a per-candidate ascending scan exactly —
+        // which also keeps the smallest id on exact ties.
+        let (answers, stats) = O::fetch(source, &alive);
+        rec.absorb(&stats);
+        telemetry.absorb(stats);
+        rec.evaluations = alive.len() as u64;
+        rec.pops = rec.evaluations;
+        let mut best = None;
+        for (&v, &answer) in alive.iter().zip(&answers) {
+            let gain = O::gain(answer);
+            if beats::<O>(gain, v, best) {
+                best = Some((gain, v));
+            }
+        }
+        match close_round::<O, S>(source, &mut seeds, telemetry, rec, best, round_start) {
+            Some(v) => alive.retain(|&a| a != v),
+            None => break,
+        }
+    }
+    seeds
+}
+
+/// An entry's key was never an exact gain (`ĉ_R`'s potentials).
+const NEVER_FRESH: u32 = u32::MAX;
+
+/// Lazy-queue entry: a key that upper-bounds the node's gain, and the
+/// round the key was measured in when it *is* the gain.
+struct Entry<O: EngineObjective> {
+    key: O::Value,
     node: u32,
     stamp: u32,
 }
 
-impl Eq for NuEntry {}
-
-impl Ord for NuEntry {
+impl<O: EngineObjective> Ord for Entry<O> {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.gain
-            .total_cmp(&other.gain)
-            .then_with(|| other.node.cmp(&self.node)) // prefer smaller id on tie
+        O::cmp(self.key, other.key).then_with(|| other.node.cmp(&self.node)) // prefer smaller id on tie
     }
 }
 
-impl PartialOrd for NuEntry {
+impl<O: EngineObjective> PartialOrd for Entry<O> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-fn greedy_nu_lazy<S: GainSource>(
+impl<O: EngineObjective> PartialEq for Entry<O> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<O: EngineObjective> Eq for Entry<O> {}
+
+/// Lazy greedy: a max-queue of upper-bound keys, re-checked a window at a
+/// time.
+///
+/// Within one round the queue only shrinks and the best-so-far only
+/// grows, so the entries a one-at-a-time loop goes on to evaluate are a
+/// *prefix* of the queue's order — for `ĉ_R`'s potential keys as much as
+/// for `ν_R`'s cached gains, since both bound the gain from above. A
+/// window of that prefix is therefore fetched in one source call and then
+/// **replayed** in pop order against the running best: the first entry
+/// that can no longer win, and everything behind it, returns to the queue
+/// with its old key, unconsumed and uncounted. Every decision is the
+/// one-at-a-time loop's; the width only trades source calls against gains
+/// fetched in vain ([`IterationRecord::speculative_evaluations`]). It
+/// doubles from 1 inside each round up to [`GainSource::window_cap`],
+/// because most rounds find their best within a few entries.
+fn lazy_rounds<O: EngineObjective, S: GainSource>(
     source: &mut S,
     k: usize,
-    strategy: SolveStrategy,
-) -> (GreedyRun, EngineTelemetry) {
-    let threads = strategy.threads();
-    let wall = Instant::now();
-    let mut telemetry = EngineTelemetry::new("nu", strategy.label(), threads);
-    let k = k.min(source.node_count());
-    let candidates: Vec<u32> = (0..source.node_count() as u32)
-        .filter(|&v| source.appearance_count(v) > 0)
-        .collect();
-    // The initial full gain scan is the single biggest evaluation wave —
-    // fan it out across the workers.
-    let (initial, scan_stats) = source.eval_nu_batch(&candidates);
-    telemetry.absorb(scan_stats);
-    telemetry.initial_evaluations = candidates.len() as u64;
-    let mut evaluations = candidates.len() as u64;
-    let mut heap: BinaryHeap<NuEntry> = candidates
+    candidates: &[u32],
+    telemetry: &mut EngineTelemetry,
+) -> Vec<NodeId> {
+    let keys = O::initial_keys(source, candidates, telemetry);
+    // Initial keys that are gains are exact for round 0.
+    let stamp = if O::KEY_IS_GAIN { 0 } else { NEVER_FRESH };
+    let mut heap: BinaryHeap<Entry<O>> = candidates
         .iter()
-        .zip(&initial)
-        .map(|(&v, &g)| NuEntry {
-            gain: g,
-            node: v,
-            stamp: 0,
-        })
+        .zip(keys)
+        .map(|(&node, key)| Entry { key, node, stamp })
         .collect();
-    let cap = batch_cap(threads);
-    let chunk = eval_chunk(threads);
+    let cap = source.window_cap().max(1);
     let mut seeds = Vec::with_capacity(k);
-    let mut round = 0u32;
-    let mut stale: Vec<NuEntry> = Vec::new();
-    let mut evaluated: Vec<(f64, u32)> = Vec::new();
+    let mut window: Vec<Entry<O>> = Vec::new();
+    let mut stale: Vec<u32> = Vec::new();
+    let mut measured: Vec<Entry<O>> = Vec::new();
     while seeds.len() < k {
         let round_start = Instant::now();
+        let round = seeds.len() as u32;
+        // What a key measured this round is stamped with on its way back.
+        let restamp = if O::KEY_IS_GAIN { round } else { NEVER_FRESH };
         let mut rec = IterationRecord::begin(round, heap.len());
-        let mut best: Option<(f64, u32)> = None;
-        evaluated.clear();
+        let mut best: Option<(O::Value, u32)> = None;
+        let mut width = 1;
         loop {
-            stale.clear();
-            let mut popped_fresh = false;
-            while stale.len() < cap {
-                let viable = match (heap.peek(), best) {
-                    (None, _) => false,
-                    (Some(top), None) => top.gain > NU_EPS,
-                    (Some(top), Some((bg, bv))) => match top.gain.total_cmp(&bg) {
-                        Ordering::Greater => true,
-                        Ordering::Equal => top.node < bv,
-                        Ordering::Less => false,
-                    },
-                };
-                if !viable {
-                    break;
-                }
-                let e = heap.pop().expect("peeked entry");
-                rec.pops += 1;
-                if e.stamp == round {
-                    // Gain is exact under the current seed set: contends
-                    // for the argmax without re-evaluation.
-                    let better = match best {
-                        None => e.gain > NU_EPS,
-                        Some((bg, bv)) => match e.gain.total_cmp(&bg) {
-                            Ordering::Greater => true,
-                            Ordering::Equal => e.node < bv,
-                            Ordering::Less => false,
-                        },
-                    };
-                    if better {
-                        best = Some((e.gain, e.node));
-                    }
-                    evaluated.push((e.gain, e.node));
-                    rec.fresh_hits += 1;
-                    popped_fresh = true;
-                } else {
-                    stale.push(e);
-                }
+            while window.len() < width
+                && heap
+                    .peek()
+                    .is_some_and(|top| beats::<O>(top.key, top.node, best))
+            {
+                window.push(heap.pop().expect("peeked entry"));
             }
-            if stale.is_empty() {
-                if popped_fresh {
-                    continue;
-                }
+            if window.is_empty() {
                 break;
             }
-            rec.batches += 1;
-            // Re-evaluate the stale pops in chunks; between chunks, stale
-            // entries whose cached (upper-bound) gain can no longer beat
-            // the updated best go back to the queue unevaluated. Pops
-            // arrive in the queue's total order, so the first non-viable
-            // entry marks the cut.
-            let mut idx = 0;
-            while idx < stale.len() {
-                let hi = (idx + chunk).min(stale.len());
-                let ids: Vec<u32> = stale[idx..hi].iter().map(|e| e.node).collect();
-                let (gains, stats) = source.eval_nu_batch(&ids);
+            rec.pops += window.len() as u64;
+            // A key stamped this round is already the exact gain.
+            stale.clear();
+            stale.extend(window.iter().filter(|e| e.stamp != round).map(|e| e.node));
+            let answers = if stale.is_empty() {
+                Vec::new()
+            } else {
+                let (answers, stats) = O::fetch(source, &stale);
+                debug_assert_eq!(answers.len(), stale.len(), "one answer per node");
+                rec.batches += 1;
                 rec.absorb(&stats);
                 telemetry.absorb(stats);
-                evaluations += (hi - idx) as u64;
-                rec.evaluations += (hi - idx) as u64;
-                rec.stale_rechecks += (hi - idx) as u64;
-                for (e, &gain) in stale[idx..hi].iter().zip(&gains) {
-                    let better = match best {
-                        None => gain > NU_EPS,
-                        Some((bg, bv)) => match gain.total_cmp(&bg) {
-                            Ordering::Greater => true,
-                            Ordering::Equal => e.node < bv,
-                            Ordering::Less => false,
-                        },
-                    };
-                    if better {
-                        best = Some((gain, e.node));
-                    }
-                    evaluated.push((gain, e.node));
+                answers
+            };
+            let mut fetched = answers.iter();
+            let mut consumed = 0;
+            for e in &window {
+                if !beats::<O>(e.key, e.node, best) {
+                    break;
                 }
-                idx = hi;
-                if idx < stale.len() {
-                    if let Some((bg, bv)) = best {
-                        let cut = stale[idx..]
-                            .iter()
-                            .position(|e| match e.gain.total_cmp(&bg) {
-                                Ordering::Greater => false,
-                                Ordering::Equal => e.node >= bv,
-                                Ordering::Less => true,
-                            })
-                            .map_or(stale.len(), |p| idx + p);
-                        if cut < stale.len() {
-                            rec.saved_evaluations += (stale.len() - cut) as u64;
-                            for e in stale.drain(cut..) {
-                                heap.push(e);
-                            }
-                        }
-                    }
+                let (gain, key) = if e.stamp == round {
+                    rec.fresh_hits += 1;
+                    (e.key, e.key)
+                } else {
+                    let &answer = fetched.next().expect("one answer per stale entry");
+                    rec.evaluations += 1;
+                    (O::gain(answer), O::key(answer))
+                };
+                if beats::<O>(gain, e.node, best) {
+                    best = Some((gain, e.node));
                 }
+                measured.push(Entry {
+                    key,
+                    node: e.node,
+                    stamp: restamp,
+                });
+                consumed += 1;
             }
+            let returned = (window.len() - consumed) as u64;
+            rec.speculative_evaluations += fetched.len() as u64;
+            rec.saved_evaluations += returned - fetched.len() as u64;
+            heap.extend(window.drain(consumed..));
+            window.clear();
+            width = width.saturating_mul(2).min(cap);
         }
-        match best {
-            Some((gain, v)) => {
-                source.add_seed(v);
-                seeds.push(NodeId::new(v));
-                // Re-queue the non-winners with their freshly measured
-                // gains, stamped with the round they were measured in; the
-                // round bump below marks them stale. Submodularity lets
-                // exhausted (≤ ε) entries drop out for good.
-                for &(g, node) in &evaluated {
-                    if node != v && g > NU_EPS {
-                        heap.push(NuEntry {
-                            gain: g,
-                            node,
-                            stamp: round,
-                        });
-                    }
-                }
-                round += 1;
-                rec.finish(gain, true, round_start);
-                telemetry.rounds.push(rec);
-            }
-            None => {
-                rec.finish(0.0, false, round_start);
-                telemetry.rounds.push(rec);
-                break;
-            }
-        }
+        rec.stale_rechecks = rec.evaluations;
+        let Some(v) = close_round::<O, S>(source, &mut seeds, telemetry, rec, best, round_start)
+        else {
+            break;
+        };
+        // Non-winners return with their freshly measured keys, still upper
+        // bounds after the new seed (potentials only shrink; ν_R is
+        // submodular). A non-positive key can never win again.
+        heap.extend(
+            measured
+                .drain(..)
+                .filter(|e| e.node != v && O::positive(e.key)),
+        );
     }
-    pad_to_k(&mut seeds, k, source.node_count(), |v| {
-        source.appearance_count(v)
-    });
-    telemetry.wall_seconds = wall.elapsed().as_secs_f64();
-    (GreedyRun { seeds, evaluations }, telemetry)
+    seeds
 }
 
 #[cfg(test)]
@@ -1155,11 +1074,20 @@ mod tests {
             let picked = telemetry.rounds.iter().filter(|r| r.picked).count();
             assert!(picked <= k);
             assert!(telemetry.rounds.len() <= k + 1);
-            // Queue depth at round start can never be below what is left
-            // to pop that round.
             for rec in &telemetry.rounds {
-                assert!(rec.pops <= rec.queue_depth as u64 + rec.saved_evaluations);
+                // A replay cut ends the round, so no entry pops twice.
+                assert!(rec.pops <= rec.queue_depth as u64);
                 assert!(rec.wasted_evaluations <= rec.evaluations);
+                if strategy != SolveStrategy::Sequential {
+                    // Every pop ends exactly one of four ways.
+                    assert_eq!(
+                        rec.pops,
+                        rec.evaluations
+                            + rec.fresh_hits
+                            + rec.speculative_evaluations
+                            + rec.saved_evaluations
+                    );
+                }
             }
             assert!(telemetry.wall_seconds >= 0.0);
 
@@ -1201,35 +1129,200 @@ mod tests {
         }
     }
 
-    /// The thread-scaling fix: a wide parallel batch must push part of its
-    /// popped entries back unevaluated once the best-so-far proves they
-    /// cannot win — with seeds still bitwise identical to sequential.
+    /// [`LocalSource`] reporting an arbitrary window cap, counting the
+    /// batch calls the engine makes.
+    struct CappedSource<'a> {
+        inner: LocalSource<&'a RicStore>,
+        cap: usize,
+        calls: u64,
+    }
+
+    impl<'a> CappedSource<'a> {
+        fn new(col: &'a RicStore, cap: usize) -> Self {
+            CappedSource {
+                inner: LocalSource::new(col, 1),
+                cap,
+                calls: 0,
+            }
+        }
+    }
+
+    impl GainSource for CappedSource<'_> {
+        fn node_count(&self) -> usize {
+            self.inner.node_count()
+        }
+        fn appearance_count(&self, v: u32) -> usize {
+            self.inner.appearance_count(v)
+        }
+        fn eval_c_batch(&mut self, nodes: &[u32]) -> (Vec<(usize, usize)>, MapStats) {
+            self.calls += 1;
+            self.inner.eval_c_batch(nodes)
+        }
+        fn eval_nu_batch(&mut self, nodes: &[u32]) -> (Vec<f64>, MapStats) {
+            self.calls += 1;
+            self.inner.eval_nu_batch(nodes)
+        }
+        fn add_seed(&mut self, v: u32) {
+            self.inner.add_seed(v);
+        }
+        fn window_cap(&self) -> usize {
+            self.cap
+        }
+    }
+
+    /// Equal gains everywhere and keys that tie in groups, so the id
+    /// tie-break decides where a window is cut: every node sits alone in
+    /// three threshold-1 samples (ĉ gain 3), and every third node shares
+    /// two threshold-2 samples with its successor — raising both nodes'
+    /// potential above their gain, and the successor's ĉ gain once the
+    /// node is a seed.
+    fn tie_collection() -> RicStore {
+        let mut drawn = Vec::new();
+        for v in 0..16u32 {
+            for _ in 0..3 {
+                drawn.push(RicSample {
+                    community: CommunityId::new(0),
+                    threshold: 1,
+                    community_size: 1,
+                    nodes: vec![NodeId::new(v)],
+                    covers: vec![mk_cover(1, &[0])],
+                });
+            }
+            if v % 3 == 2 {
+                for _ in 0..2 {
+                    drawn.push(RicSample {
+                        community: CommunityId::new(1),
+                        threshold: 2,
+                        community_size: 2,
+                        nodes: vec![NodeId::new(v), NodeId::new((v + 1) % 16)],
+                        covers: vec![mk_cover(2, &[0]), mk_cover(2, &[1])],
+                    });
+                }
+            }
+        }
+        RicStore::from_samples(16, 2, drawn.len() as f64, &drawn).unwrap()
+    }
+
+    /// The tie fixture is not vacuous: wide windows do get cut on it, and
+    /// — all its gains being equal — by the id tie-break alone.
     #[test]
-    fn chunked_recheck_saves_evaluations_without_changing_seeds() {
+    fn tie_fixture_cuts_windows_on_the_id_tie_break() {
+        let col = tie_collection();
+        let mut source = CappedSource::new(&col, 64);
+        let (_, telemetry) = greedy_c_over(&mut source, 8, SolveStrategy::Lazy);
+        assert!(telemetry.speculative_evaluations() > 0);
+    }
+
+    /// Source calls a round needs for `pops` entries when every window but
+    /// the last is full: widths double from 1 up to `cap`.
+    fn windows_for(pops: u64, cap: usize) -> u32 {
+        let (mut left, mut width, mut windows) = (pops, 1u64, 0);
+        while left > 0 {
+            left = left.saturating_sub(width);
+            width = width.saturating_mul(2).min(cap as u64);
+            windows += 1;
+        }
+        windows
+    }
+
+    /// What a round decided, as opposed to how it was fetched.
+    fn decisions(t: &EngineTelemetry) -> Vec<(u64, u64, u64, u64)> {
+        t.rounds
+            .iter()
+            .map(|r| {
+                let unconsumed = r.speculative_evaluations + r.saved_evaluations;
+                (
+                    r.pops - unconsumed,
+                    r.fresh_hits,
+                    r.evaluations,
+                    r.best_gain.to_bits(),
+                )
+            })
+            .collect()
+    }
+
+    const WINDOW_CAPS: [usize; 6] = [1, 2, 3, 7, 64, usize::MAX];
+
+    proptest::proptest! {
+        /// The tentpole contract: a window of any width is replayed into
+        /// exactly the decisions of the one-at-a-time loop, for the
+        /// submodular ν queue and the potential-keyed ĉ queue alike, and
+        /// costs the source no more calls than the doubling schedule.
+        #[test]
+        fn every_window_width_replays_the_one_at_a_time_loop(
+            fixture in 0usize..3,
+            salt in 1u64..10_000,
+            k in 1usize..20,
+            cap_idx in 0usize..WINDOW_CAPS.len(),
+        ) {
+            let col = match fixture {
+                0 => scrambled_collection(40, 120, salt),
+                1 => trap_collection(),
+                _ => tie_collection(),
+            };
+            let cap = WINDOW_CAPS[cap_idx];
+            for nu in [false, true] {
+                let run = |cap: usize| {
+                    let mut source = CappedSource::new(&col, cap);
+                    let (run, telemetry) = if nu {
+                        greedy_nu_over(&mut source, k, SolveStrategy::Lazy)
+                    } else {
+                        greedy_c_over(&mut source, k, SolveStrategy::Lazy)
+                    };
+                    (run, telemetry, source.calls)
+                };
+                let (reference, ref_telemetry, ref_calls) = run(1);
+                let (windowed, telemetry, calls) = run(cap);
+                proptest::prop_assert_eq!(&windowed, &reference, "cap={} nu={}", cap, nu);
+                proptest::prop_assert_eq!(decisions(&telemetry), decisions(&ref_telemetry));
+                // Width 1 fetches nothing it does not consume: one call per
+                // re-check (plus ν's initial scan).
+                let initial_scan = u64::from(nu);
+                proptest::prop_assert_eq!(ref_telemetry.speculative_evaluations(), 0);
+                proptest::prop_assert_eq!(
+                    ref_calls,
+                    initial_scan + reference.evaluations - ref_telemetry.initial_evaluations
+                );
+                let batches: u64 = telemetry.rounds.iter().map(|r| u64::from(r.batches)).sum();
+                proptest::prop_assert_eq!(calls, initial_scan + batches);
+                for rec in &telemetry.rounds {
+                    let schedule = windows_for(rec.pops, cap);
+                    if nu {
+                        // All-fresh windows are not fetched.
+                        proptest::prop_assert!(rec.batches <= schedule);
+                    } else {
+                        proptest::prop_assert_eq!(rec.batches, schedule);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `Parallel` is `Lazy` over a wider window: same seeds, same consumed
+    /// evaluations, the surplus reported as speculative.
+    #[test]
+    fn parallel_consumes_what_lazy_consumes() {
         let col = scrambled_collection(400, 1200, 21);
         let k = 6;
-        let reference_nu = greedy_nu_with(&col, k, SolveStrategy::Sequential);
-        let reference_c = greedy_c_with(&col, k, SolveStrategy::Sequential);
+        let (lazy_nu, lazy_nu_telemetry) = greedy_nu_with_telemetry(&col, k, SolveStrategy::Lazy);
+        let (lazy_c, lazy_c_telemetry) = greedy_c_with_telemetry(&col, k, SolveStrategy::Lazy);
+        assert_eq!(lazy_nu_telemetry.speculative_evaluations(), 0);
+        assert_eq!(lazy_c_telemetry.speculative_evaluations(), 0);
         let strategy = SolveStrategy::Parallel { threads: 8 };
         let (nu_run, nu_telemetry) = greedy_nu_with_telemetry(&col, k, strategy);
         let (c_run, c_telemetry) = greedy_c_with_telemetry(&col, k, strategy);
-        assert_eq!(nu_run.seeds, reference_nu.seeds);
-        assert_eq!(c_run.seeds, reference_c.seeds);
+        assert_eq!(nu_run, lazy_nu);
+        assert_eq!(c_run, lazy_c);
+        assert_eq!(decisions(&nu_telemetry), decisions(&lazy_nu_telemetry));
+        assert_eq!(decisions(&c_telemetry), decisions(&lazy_c_telemetry));
         assert!(
-            nu_telemetry.saved_evaluations() > 0,
-            "ν saved no evaluations: {} pops, {} evaluations",
-            nu_telemetry.rounds.iter().map(|r| r.pops).sum::<u64>(),
-            nu_telemetry.evaluations(),
+            c_telemetry.speculative_evaluations() > 0,
+            "a 128-wide window over {} ĉ evaluations cut nothing off",
+            c_run.evaluations
         );
-        assert!(
-            c_telemetry.saved_evaluations() > 0,
-            "ĉ saved no evaluations: {} pops, {} evaluations",
-            c_telemetry.rounds.iter().map(|r| r.pops).sum::<u64>(),
-            c_telemetry.evaluations(),
-        );
-        // Single-threaded CELF pops one entry at a time — nothing to save.
-        let (_, lazy_telemetry) = greedy_nu_with_telemetry(&col, k, SolveStrategy::Lazy);
-        assert_eq!(lazy_telemetry.saved_evaluations(), 0);
+        let batches = |t: &EngineTelemetry| t.rounds.iter().map(|r| r.batches).sum::<u32>();
+        assert!(batches(&c_telemetry) < batches(&lazy_c_telemetry));
+        assert!(batches(&nu_telemetry) <= batches(&lazy_nu_telemetry));
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //! thread, so the events join the surrounding request's
 //! [`TraceCtx`](imc_obs::trace::TraceCtx) span tree.
 //!
-//! This is the instrumentation that turned the committed
-//! `BENCH_solver.json` 8-thread regression into a diagnosable number:
-//! `wasted_evaluations` counts batch-popped candidates whose evaluation
-//! bought nothing, `saved_evaluations` counts the ones the chunked
-//! best-so-far re-check pushed back unevaluated (see
-//! `docs/BENCHMARKS.md`).
+//! A popped queue entry ends one of four ways, each counted: its gain is
+//! fetched and **consumed** (`evaluations`; all but the winner are also
+//! `wasted_evaluations`), fetched but **unconsumed** because the replay
+//! cut the window before it (`speculative_evaluations`), returned by that
+//! cut **without ever being fetched** (`saved_evaluations`), or consumed
+//! without a fetch because its cached gain was already exact
+//! (`fresh_hits`). Per round `pops` is the sum of the four.
 
 use std::time::Instant;
 
@@ -27,8 +28,8 @@ pub struct IterationRecord {
     /// CELF queue depth (or live candidate count for the sequential
     /// strategy) when the round started.
     pub queue_depth: usize,
-    /// Entries taken off the queue this round (every candidate, for the
-    /// sequential strategy).
+    /// Entries taken off the queue this round, including those a replay
+    /// cut put back (every candidate, for the sequential strategy).
     pub pops: u64,
     /// ν only: pops whose cached gain was stamped fresh for this round
     /// and contended for the argmax without re-evaluation.
@@ -37,16 +38,27 @@ pub struct IterationRecord {
     /// bound-only key (for `ĉ_R` every evaluation is such a re-check —
     /// its potential key is never an exact gain).
     pub stale_rechecks: u64,
-    /// Marginal-gain evaluations performed this round.
+    /// Marginal-gain evaluations **consumed** this round: gains that were
+    /// fetched from the source and replayed against the running best. The
+    /// same for every window width.
     pub evaluations: u64,
     /// Evaluations whose result was discarded — everything this round
     /// evaluated except the winning pick.
     pub wasted_evaluations: u64,
-    /// Popped entries pushed back **unevaluated** because the chunked
-    /// best-so-far re-check proved their cached upper bound could no
-    /// longer win the round.
+    /// Gains **fetched but unconsumed**: the window's replay proved, before
+    /// reaching them, that their entries could no longer win the round, so
+    /// the entries went back to the queue with their old keys. Source work
+    /// a width-1 window would not have asked for; zero when the cap is 1.
+    pub speculative_evaluations: u64,
+    /// Entries **popped but never fetched** that a replay cut put back:
+    /// ν entries behind the cut whose cached gain was already exact for
+    /// the round. They cost a pop and a push, no source work. Zero while
+    /// windows start at width 1: only round 0 holds such entries and its
+    /// first, one-entry window decides it.
     pub saved_evaluations: u64,
-    /// Queue batches drained this round.
+    /// Windows fetched this round — one source batch call each (one
+    /// scatter round on a cluster). A window of fresh ν entries only is
+    /// not fetched and not counted.
     pub batches: u32,
     /// Evaluation shards executed this round (1 per inline map).
     pub shards: u32,
@@ -150,7 +162,7 @@ impl EngineTelemetry {
         self.busy_fractions.extend(stats.busy_fractions);
     }
 
-    /// Total marginal-gain evaluations, initial scan included. Equals
+    /// Total consumed marginal-gain evaluations, initial scan included. Equals
     /// [`GreedyRun::evaluations`](crate::maxr::GreedyRun::evaluations)
     /// for the run that produced this telemetry.
     pub fn evaluations(&self) -> u64 {
@@ -167,7 +179,12 @@ impl EngineTelemetry {
         self.rounds.iter().map(|r| r.wasted_evaluations).sum()
     }
 
-    /// Total evaluations skipped by the chunked best-so-far re-check.
+    /// Total gains fetched from the source but cut off unconsumed.
+    pub fn speculative_evaluations(&self) -> u64 {
+        self.rounds.iter().map(|r| r.speculative_evaluations).sum()
+    }
+
+    /// Total entries popped and put back without being fetched.
     pub fn saved_evaluations(&self) -> u64 {
         self.rounds.iter().map(|r| r.saved_evaluations).sum()
     }
@@ -194,6 +211,7 @@ impl EngineTelemetry {
                     .field("stale_rechecks", rec.stale_rechecks)
                     .field("evaluations", rec.evaluations)
                     .field("wasted_evaluations", rec.wasted_evaluations)
+                    .field("speculative_evaluations", rec.speculative_evaluations)
                     .field("saved_evaluations", rec.saved_evaluations)
                     .field("batches", rec.batches)
                     .field("shards", rec.shards)
@@ -235,6 +253,7 @@ impl EngineTelemetry {
                 .field("evaluations", self.evaluations())
                 .field("stale_rechecks", self.stale_rechecks())
                 .field("wasted_evaluations", self.wasted_evaluations())
+                .field("speculative_evaluations", self.speculative_evaluations())
                 .field("saved_evaluations", self.saved_evaluations())
                 .field("shards", self.shard_seconds.len())
                 .field("busy_fraction_min", busy_min)

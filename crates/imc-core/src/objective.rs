@@ -161,9 +161,22 @@ impl<C: RicSamples> CoverageState<C> {
     /// order, exactly like the scalar method, so results are bitwise
     /// identical.
     pub fn eval_nu_shard(&self, nodes: &[u32], out: &mut Vec<f64>) {
+        self.eval_nu_shard_from(nodes, None, out);
+    }
+
+    /// [`eval_nu_shard`](Self::eval_nu_shard) with candidate `i`'s fold
+    /// continuing from `carry[i]` (see
+    /// [`marginal_fraction_from`](Self::marginal_fraction_from)): what a
+    /// cluster shard runs for every partition but the first.
+    ///
+    /// # Panics
+    ///
+    /// If `carry` is given and shorter than `nodes`.
+    pub fn eval_nu_shard_from(&self, nodes: &[u32], carry: Option<&[f64]>, out: &mut Vec<f64>) {
         out.reserve(nodes.len());
-        for &v in nodes {
-            out.push(self.marginal_fraction_from(NodeId::new(v), 0.0));
+        for (i, &v) in nodes.iter().enumerate() {
+            let acc = carry.map_or(0.0, |c| c[i]);
+            out.push(self.marginal_fraction_from(NodeId::new(v), acc));
         }
     }
 

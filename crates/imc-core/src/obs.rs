@@ -157,7 +157,7 @@ const ENGINE_COUNTERS: [(&str, &str); 5] = [
     ),
     (
         "imc_engine_evaluations_total",
-        "Marginal-gain evaluations performed by the solve engine.",
+        "Marginal-gain evaluations consumed by the solve engine.",
     ),
     (
         "imc_engine_stale_rechecks_total",
@@ -169,9 +169,19 @@ const ENGINE_COUNTERS: [(&str, &str); 5] = [
     ),
     (
         "imc_engine_saved_evaluations_total",
-        "Popped entries returned to the queue unevaluated by the best-so-far re-check.",
+        "Popped entries a window's replay cut returned to the queue without fetching a gain.",
     ),
 ];
+
+/// Labelled by strategy as well as objective: the count is a property of
+/// the window width, which the strategy (and the gain source) sets.
+fn engine_speculative_evaluations(objective: &str, strategy: &str) -> Arc<Counter> {
+    imc_obs::global().counter_with(
+        "imc_engine_speculative_evaluations_total",
+        "Gains fetched in a lazy window that its replay cut off unconsumed.",
+        &[("objective", objective), ("strategy", strategy)],
+    )
+}
 
 /// Publishes one engine run's telemetry into the `imc_engine_*` families.
 pub(crate) fn record_engine_run(telemetry: &crate::maxr::EngineTelemetry) {
@@ -187,6 +197,8 @@ pub(crate) fn record_engine_run(telemetry: &crate::maxr::EngineTelemetry) {
     for ((name, help), total) in ENGINE_COUNTERS.iter().zip(totals) {
         registry.counter_with(name, help, &labels).inc_by(total);
     }
+    engine_speculative_evaluations(telemetry.objective, telemetry.strategy)
+        .inc_by(telemetry.speculative_evaluations());
     for rec in &telemetry.rounds {
         engine_queue_depth().observe(rec.queue_depth as f64);
     }
@@ -307,6 +319,9 @@ pub fn register() {
         for (name, help) in ENGINE_COUNTERS {
             let _ = imc_obs::global().counter_with(name, help, &[("objective", objective)]);
         }
+        for strategy in ["lazy", "parallel"] {
+            let _ = engine_speculative_evaluations(objective, strategy);
+        }
     }
 }
 
@@ -338,6 +353,7 @@ mod tests {
             "imc_engine_stale_rechecks_total",
             "imc_engine_wasted_evaluations_total",
             "imc_engine_saved_evaluations_total",
+            "imc_engine_speculative_evaluations_total",
             "imc_engine_queue_depth",
             "imc_engine_shard_duration_seconds",
             "imc_engine_thread_busy_fraction",

@@ -15,7 +15,7 @@
 //! {"op":"eval_begin"}                                 — open a shard evaluation session
 //! {"op":"eval_begin","pivot":7}                       — session over the pivot-reduced store
 //! {"op":"eval_batch","session":1,"kind":"c",
-//!  "nodes":[3,17]}                                    — ĉ_R marginal gains + potentials
+//!  "nodes":[3,17]}                                    — ĉ_R marginal gains + potentials (at most n nodes)
 //! {"op":"eval_batch","session":1,"kind":"nu",
 //!  "nodes":[3,17],"carry":[0.0,0.0]}                  — ν_R gain folds continued from `carry`
 //! {"op":"eval_seed","session":1,"node":3}             — commit a seed into the session

@@ -20,7 +20,6 @@ use imc_core::maxr::{bt, Score};
 use imc_core::{
     imcaf, CoverageState, ImcafConfig, RicSamples, RicStore, SolveRequest, SolveStrategy,
 };
-use imc_graph::NodeId;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -855,6 +854,21 @@ fn execute(
                 );
             };
             let node_count = sess.state.collection().node_count();
+            // No engine batch repeats a node, so a longer list is not a
+            // solve: refuse it before it buys unbounded work with one line.
+            if nodes.len() > node_count {
+                state.metrics().record(OpKind::Error, start.elapsed(), 0);
+                return (
+                    protocol::error_response(
+                        ErrorCode::InvalidParameter,
+                        &format!(
+                            "`nodes` lists {} nodes but the graph has {node_count}",
+                            nodes.len()
+                        ),
+                    ),
+                    false,
+                );
+            }
             if let Some(&bad) = nodes.iter().find(|&&v| v as usize >= node_count) {
                 state.metrics().record(OpKind::Error, start.elapsed(), 0);
                 return (
@@ -868,28 +882,20 @@ fn execute(
             let scanned = nodes.len() as u64;
             let body = match kind {
                 EvalKind::C => {
-                    let mut gains = Vec::with_capacity(nodes.len());
-                    let mut potentials = Vec::with_capacity(nodes.len());
-                    for &v in &nodes {
-                        let (gain, potential) = sess
-                            .state
-                            .marginal_influenced_with_potential(NodeId::new(v));
-                        gains.push(gain as u64);
-                        potentials.push(potential as u64);
-                    }
+                    let mut answers = Vec::new();
+                    sess.state.eval_c_shard(&nodes, &mut answers);
+                    let (gains, potentials): (Vec<u64>, Vec<u64>) = answers
+                        .into_iter()
+                        .map(|(gain, potential)| (gain as u64, potential as u64))
+                        .unzip();
                     ObjectBuilder::new()
                         .field("gains", gains)
                         .field("potentials", potentials)
                 }
                 EvalKind::Nu => {
-                    let accs: Vec<f64> = nodes
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &v)| {
-                            let acc = carry.as_ref().map_or(0.0, |c| c[i]);
-                            sess.state.marginal_fraction_from(NodeId::new(v), acc)
-                        })
-                        .collect();
+                    let mut accs = Vec::new();
+                    sess.state
+                        .eval_nu_shard_from(&nodes, carry.as_deref(), &mut accs);
                     ObjectBuilder::new().field("accs", accs)
                 }
             };
@@ -1087,6 +1093,7 @@ mod tests {
     use super::*;
     use crate::json;
     use crate::tests::tiny_state;
+    use imc_graph::NodeId;
 
     #[test]
     fn dispatch_solve_estimate_stats_health() {

@@ -403,6 +403,42 @@ fn out_of_range_shard_eval_pivot_is_a_typed_error_not_a_dead_worker() {
     server.stop_and_join();
 }
 
+/// An `eval_batch` may not list more nodes than the graph has (no engine
+/// batch does): before the cap, in-range ids repeated without bound
+/// bought unbounded evaluation work with one line.
+#[test]
+fn oversized_eval_batch_is_refused_and_the_session_survives() {
+    let server = start(Arc::new(build_state(40)), 1);
+    let mut client = Client::connect(server.addr(), TIMEOUT).unwrap();
+    let resp = client.request(r#"{"op":"eval_begin"}"#).unwrap();
+    let session = resp.get("session").unwrap().as_u64().unwrap();
+    let batch = |nodes: &[u32], kind: &str| {
+        let nodes: Vec<String> = nodes.iter().map(u32::to_string).collect();
+        format!(
+            r#"{{"op":"eval_batch","session":{session},"kind":"{kind}","nodes":[{}]}}"#,
+            nodes.join(",")
+        )
+    };
+    for kind in ["c", "nu"] {
+        let resp = client.request(&batch(&[3; 41], kind)).unwrap();
+        assert_eq!(resp.get("ok").unwrap().as_bool(), Some(false), "{kind}");
+        let code = resp.get("error").unwrap().get("code").unwrap();
+        assert_eq!(code.as_str(), Some("invalid_parameter"), "{kind}");
+    }
+    // Exactly the graph's size is a legal (sequential-strategy) batch, and
+    // the session that refused the oversized one still answers it.
+    let all: Vec<u32> = (0..40).collect();
+    let resp = client.request(&batch(&all, "c")).unwrap();
+    assert_eq!(resp.get("ok").unwrap().as_bool(), Some(true));
+    assert_eq!(resp.get("gains").unwrap().as_array().unwrap().len(), 40);
+    // The lone worker is alive for a second connection once this one ends.
+    drop(client);
+    let mut client = Client::connect(server.addr(), TIMEOUT).unwrap();
+    let resp = client.request(r#"{"op":"health"}"#).unwrap();
+    assert_eq!(resp.get("status").unwrap().as_str(), Some("ok"));
+    server.stop_and_join();
+}
+
 #[test]
 fn solve_response_trace_id_links_engine_iteration_records_in_the_sink() {
     let dir = std::env::temp_dir().join(format!("imc-e2e-trace-{}", std::process::id()));
