@@ -1,8 +1,7 @@
 //! RicStore microbenchmarks — sampling throughput, solver-evaluation
 //! throughput (scalar [`RicStore::influenced_count`] vs the reusable
-//! [`CoverageEvaluator`] kernel path), snapshot codec wall times (v2
-//! parse vs v3 parse vs the zero-copy v3 view), and arena memory
-//! footprint.
+//! [`CoverageEvaluator`] kernel path), snapshot codec wall times (v3
+//! parse vs the zero-copy v3 view), and arena memory footprint.
 //!
 //! Besides the usual table, this experiment writes `BENCH_ric.json`
 //! (schema documented in `docs/BENCHMARKS.md`), the machine-readable
@@ -35,8 +34,9 @@ use std::time::Instant;
 /// change meaning. v2 added `evaluation.kernel`, the `snapshot` section,
 /// and the top-level `seeds_identical` determinism flag; v3 dropped
 /// `evaluation.legacy` and `evaluation.speedup` with the backend they
-/// timed, and made `evaluation.kernel_speedup` relative to `store`.
-pub const BENCH_SCHEMA: &str = "imc-bench/ric/v3";
+/// timed, and made `evaluation.kernel_speedup` relative to `store`; v4
+/// dropped `snapshot.v2_parse_seconds` with the version-2 decoder.
+pub const BENCH_SCHEMA: &str = "imc-bench/ric/v4";
 
 /// One backend's evaluation timing.
 struct EvalTiming {
@@ -47,7 +47,6 @@ struct EvalTiming {
 /// Wall times for the snapshot codec paths, plus the encoded size.
 struct SnapshotTiming {
     bytes: usize,
-    v2_parse_seconds: f64,
     v3_parse_seconds: f64,
     v3_view_seconds: f64,
 }
@@ -119,24 +118,15 @@ pub fn run(options: &ExpOptions) -> std::io::Result<()> {
     );
     let kernel_speedup = kernel_timing.evals_per_sec / store_timing.evals_per_sec;
 
-    // 3. Snapshot codec wall times. The v2 parse rebuilds the inverted
-    // index from scratch; the v3 parse adopts the persisted columns after
-    // structural validation; the v3 view never copies the arena at all.
+    // 3. Snapshot codec wall times. The v3 parse adopts the persisted
+    // columns after full validation; the v3 view never copies the arena
+    // at all.
     let fingerprint = snapshot::instance_fingerprint(instance.graph(), instance.communities());
     let v3_bytes = snapshot::encode(&store, fingerprint, 1);
-    let v2_bytes = snapshot::encode_v2(&store, fingerprint, 1);
     let snapshot_timing = {
-        let start = Instant::now();
-        let from_v2 = snapshot::decode(&v2_bytes).expect("v2 snapshot decodes");
-        let v2_parse_seconds = start.elapsed().as_secs_f64();
-
         let start = Instant::now();
         let from_v3 = snapshot::decode(&v3_bytes).expect("v3 snapshot decodes");
         let v3_parse_seconds = start.elapsed().as_secs_f64();
-        assert_eq!(
-            from_v2.collection, from_v3.collection,
-            "both snapshot versions must decode to the same store"
-        );
 
         let arena = SnapshotBytes::copy_from(&v3_bytes);
         let start = Instant::now();
@@ -168,7 +158,6 @@ pub fn run(options: &ExpOptions) -> std::io::Result<()> {
 
         SnapshotTiming {
             bytes: v3_bytes.len(),
-            v2_parse_seconds,
             v3_parse_seconds,
             v3_view_seconds,
         }
@@ -205,10 +194,6 @@ pub fn run(options: &ExpOptions) -> std::io::Result<()> {
     table.push_row(vec![
         "snapshot bytes".into(),
         snapshot_timing.bytes.to_string(),
-    ]);
-    table.push_row(vec![
-        "v2 parse ms".into(),
-        fmt_f(snapshot_timing.v2_parse_seconds * 1e3),
     ]);
     table.push_row(vec![
         "v3 parse ms".into(),
@@ -290,7 +275,6 @@ fn bench_json(
             "  }},\n",
             "  \"snapshot\": {{\n",
             "    \"bytes\": {snap_bytes},\n",
-            "    \"v2_parse_seconds\": {v2p:.6},\n",
             "    \"v3_parse_seconds\": {v3p:.6},\n",
             "    \"v3_view_seconds\": {v3v:.6}\n",
             "  }},\n",
@@ -314,7 +298,6 @@ fn bench_json(
         ke = kernel.evals_per_sec,
         kernel_speedup = kernel_speedup,
         snap_bytes = snap.bytes,
-        v2p = snap.v2_parse_seconds,
         v3p = snap.v3_parse_seconds,
         v3v = snap.v3_view_seconds,
         seeds_identical = seeds_identical,

@@ -20,7 +20,7 @@
 //!   this is what keeps the `--quick` CI job non-flaky.
 //! * A matched wall-time row fails when the candidate is more than
 //!   `tolerance` (default 25%) slower than the baseline. The snapshot
-//!   codec rows (v2 parse / v3 parse / v3 view) additionally get 50ms
+//!   codec rows (v3 parse / v3 view) additionally get 50ms
 //!   of absolute slack: they are single-shot, millisecond-scale
 //!   timings, and a real regression there is orders of magnitude.
 //! * Evaluation counts and memory sizes are reported in the trend table
@@ -40,7 +40,7 @@ use std::path::{Path, PathBuf};
 /// Solver schema this gate understands.
 pub const SOLVER_SCHEMA: &str = "imc-bench/solver/v1";
 /// RIC schema this gate understands.
-pub const RIC_SCHEMA: &str = "imc-bench/ric/v3";
+pub const RIC_SCHEMA: &str = "imc-bench/ric/v4";
 /// Cluster service schema this gate understands (`BENCH_service.json`,
 /// written by the `cluster-runner` binary in `imc-cluster`).
 pub const SERVICE_SCHEMA: &str = "imc-bench/service/v1";
@@ -363,10 +363,9 @@ fn gate_ric(gate: &mut Gate, base: &Value, cand: &Value, tolerance: f64) {
     // milliseconds.
     for (metric, path) in [
         (
-            "ric snapshot v2 parse",
-            &["snapshot", "v2_parse_seconds"] as &[&str],
+            "ric snapshot v3 parse",
+            &["snapshot", "v3_parse_seconds"] as &[&str],
         ),
-        ("ric snapshot v3 parse", &["snapshot", "v3_parse_seconds"]),
         ("ric snapshot v3 view", &["snapshot", "v3_view_seconds"]),
     ] {
         match (nested_f64(base, path), nested_f64(cand, path)) {

@@ -404,28 +404,15 @@ mod tests {
 
     #[test]
     fn snapshot_upgrade_lifts_legacy_files() {
-        let (graph_path, comm_path) = instance_files("upgrade");
+        // The committed version-2 file of a legacy deployment.
+        let v2: &[u8] = include_bytes!("../../imc-core/tests/fixtures/snapshot_v2.snap");
         let snap_path = tmp("upgrade.snap");
-        run_str(
-            "snapshot save",
-            &[
-                "--graph",
-                &graph_path,
-                "--communities",
-                &comm_path,
-                "--samples",
-                "60",
-                "--seed",
-                "4",
-                "--out",
-                &snap_path,
-            ],
-        )
-        .unwrap();
-        // Downgrade the file to version 2 to simulate a legacy deployment.
-        let data = imc_core::snapshot::load(std::path::Path::new(&snap_path)).unwrap();
-        let v2 = imc_core::snapshot::encode_v2(&data.collection, data.fingerprint, data.generation);
-        std::fs::write(&snap_path, &v2).unwrap();
+        std::fs::write(&snap_path, v2).unwrap();
+        // Nothing but `snapshot upgrade` reads it any more.
+        assert!(matches!(
+            imc_core::snapshot::load(std::path::Path::new(&snap_path)),
+            Err(imc_core::snapshot::SnapshotError::UnsupportedVersion(2))
+        ));
 
         // --out keeps the original untouched.
         let lifted_path = tmp("upgrade-lifted.snap");
@@ -438,21 +425,23 @@ mod tests {
         assert_eq!(std::fs::read(&snap_path).unwrap(), v2);
         let lifted = std::fs::read(&lifted_path).unwrap();
         assert_eq!(lifted[7], imc_core::snapshot::FORMAT_VERSION);
+        assert_eq!(
+            lifted,
+            include_bytes!("../../imc-core/tests/fixtures/snapshot_v3.snap")
+        );
 
         // In-place upgrade rewrites the file itself.
         run_str("snapshot upgrade", &["--file", &snap_path]).unwrap();
         let in_place = std::fs::read(&snap_path).unwrap();
         assert_eq!(in_place, lifted);
         let upgraded = imc_core::snapshot::load(std::path::Path::new(&snap_path)).unwrap();
-        assert_eq!(upgraded.collection, data.collection);
-        assert_eq!(upgraded.generation, data.generation);
+        assert_eq!(upgraded.collection.len(), 200);
+        assert_eq!(upgraded.generation, 3);
 
         // Upgrading a current-version file is byte-stable.
         run_str("snapshot upgrade", &["--file", &snap_path]).unwrap();
         assert_eq!(std::fs::read(&snap_path).unwrap(), lifted);
 
-        std::fs::remove_file(&graph_path).ok();
-        std::fs::remove_file(&comm_path).ok();
         std::fs::remove_file(&snap_path).ok();
         std::fs::remove_file(&lifted_path).ok();
     }

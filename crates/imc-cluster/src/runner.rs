@@ -312,20 +312,16 @@ fn load_or_build_shard_store(
         topo.workers,
     );
     if let Some(path) = &cache_path {
-        let bytes = snapshot::encode(&store, fingerprint, 0);
         let written = path
             .parent()
             .map(fs::create_dir_all)
             .transpose()
-            .and_then(|_| {
-                let tmp = path.with_extension("snap.tmp");
-                fs::write(&tmp, &bytes)?;
-                fs::rename(&tmp, path)
-            });
+            .map_err(snapshot::SnapshotError::Io)
+            .and_then(|_| snapshot::save(path, &store, fingerprint, 0));
         match written {
             Ok(()) => log(&format!(
-                "shard {partition}: cached {} bytes at {}",
-                bytes.len(),
+                "shard {partition}: cached {} samples at {}",
+                store.len(),
                 path.display()
             )),
             Err(e) => log(&format!(

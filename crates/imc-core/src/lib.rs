@@ -17,8 +17,9 @@
 //!    samples rooted at communities, giving the unbiased estimator
 //!    `ĉ_R(S)` (Lemma 1) materialized by the arena-backed [`RicStore`]
 //!    (owned) or its zero-copy twin [`snapshot::RicStoreView`] (borrowed
-//!    from snapshot bytes); both implement [`RicSamples`], which is all
-//!    anything downstream sees.
+//!    from snapshot bytes); both lend the one columnar layout,
+//!    [`RicColumns`], through [`RicSamples`], which is all anything
+//!    downstream sees.
 //! 2. **MAXR solvers** ([`maxr`]) — UBG (sandwich with the submodular
 //!    upper bound `ν_R`), MAF (most-appearance-first), BT (bounded
 //!    thresholds, with the `BT^(d)` recursion) and MB (MAF ∨ BT, tight to
@@ -92,7 +93,7 @@ pub use maxr::{
 pub use objective::{CoverageEvaluator, CoverageState};
 pub use problem::ImcInstance;
 pub use sample::RicSample;
-pub use samples::RicSamples;
+pub use samples::{RicColumns, RicSamples};
 pub use store::{
     partition_shard_range, sampling_shard_plan, CollectionStats, RicSampleView, RicStore,
     RicStoreError, SampleRef, DEFAULT_SAMPLING_SHARDS,

@@ -1,15 +1,19 @@
 //! The [`RicSamples`] abstraction — read-only access to a collection of
-//! RIC samples independent of the storage layout.
+//! RIC samples — and [`RicColumns`], the one columnar layout behind it.
 //!
-//! Two types implement it (plus the `&T` / `Arc<T>` forwarders):
+//! A collection is nine columns (the sections of a version-3 snapshot, see
+//! `docs/FORMATS.md`) plus three instance scalars. [`RicColumns`] borrows
+//! them and owns the offset arithmetic; [`RicSamples`] has one required
+//! method, [`columns`](RicSamples::columns), and provides everything else
+//! on top of it. Two types lend columns (plus the `&T` / `Arc<T>`
+//! forwarders):
 //!
-//! * [`RicStore`](crate::RicStore) — one contiguous owned arena (CSR node
-//!   lists, flat `u64` cover words, CSR inverted index) for the whole
-//!   collection. The production hot path; it overrides the estimator
-//!   methods with index-driven versions.
+//! * [`RicStore`](crate::RicStore) — owns the columns as vectors. The
+//!   production hot path; it overrides the estimator methods with
+//!   index-driven versions.
 //! * [`RicStoreView`](crate::snapshot::RicStoreView) — the same columns
 //!   borrowed zero-copy from version-3 snapshot bytes. It implements only
-//!   the required methods, so it runs the naive provided ones.
+//!   `columns`, so it runs the naive provided estimators.
 //!
 //! Every MAXR solver, [`CoverageState`](crate::CoverageState) and the
 //! snapshot encoder are generic over this trait — and the
@@ -28,50 +32,176 @@ pub(crate) fn limbs_for_width(width: u32) -> usize {
     (width as usize).div_ceil(64).max(1)
 }
 
+/// Mask of the bits the top limb of a `width`-bit cover may use. Bits
+/// beyond the community width are meaningless and would corrupt union
+/// popcounts, so every ingest path rejects them; lower limbs are always
+/// fully usable.
+pub(crate) fn top_limb_mask(width: u32) -> u64 {
+    let used = width as usize - (limbs_for_width(width) - 1) * 64;
+    if used == 64 {
+        u64::MAX
+    } else {
+        (1u64 << used) - 1
+    }
+}
+
+/// The columnar layout of a collection, borrowed: three instance scalars
+/// and the nine columns of snapshot sections 0–8, in the element types the
+/// file stores. Lent by [`RicSamples::columns`]; `Copy`, so hot loops can
+/// hoist it once and index through it.
+///
+/// Fields are crate-private: a value only ever comes from a
+/// [`RicStore`](crate::RicStore) (valid by construction) or from
+/// [`RicStoreView::open`](crate::snapshot::RicStoreView::open) (offsets
+/// validated), so the slicing below is in bounds for every sample index
+/// `< len()`, position `< sample_nodes(si).len()` and node `< node_count`.
+#[derive(Debug, Clone, Copy)]
+pub struct RicColumns<'a> {
+    pub(crate) node_count: usize,
+    pub(crate) community_count: usize,
+    pub(crate) total_benefit: f64,
+    // Per-sample metadata columns.
+    pub(crate) communities: &'a [u32],
+    pub(crate) thresholds: &'a [u32],
+    pub(crate) widths: &'a [u32],
+    // CSR node lists: sample si owns nodes[node_offsets[si]..node_offsets[si+1]].
+    pub(crate) node_offsets: &'a [u64],
+    pub(crate) nodes: &'a [NodeId],
+    // Flat cover bitsets: sample si owns cover_words[cover_offsets[si]..
+    // cover_offsets[si+1]], as len(si) consecutive groups of limbs(si) limbs.
+    pub(crate) cover_offsets: &'a [u64],
+    pub(crate) cover_words: &'a [u64],
+    // CSR inverted index: node v touches index_entries[index_offsets[v]..
+    // index_offsets[v+1]], ordered by (sample, pos) ascending.
+    pub(crate) index_offsets: &'a [u64],
+    pub(crate) index_entries: &'a [SampleRef],
+}
+
+impl<'a> RicColumns<'a> {
+    /// Number of samples `|R|`.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.communities.len()
+    }
+
+    /// `true` when the collection holds no samples.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.communities.is_empty()
+    }
+
+    /// Nodes touching sample `si`, sorted ascending by id.
+    #[inline]
+    pub fn sample_nodes(self, si: usize) -> &'a [NodeId] {
+        &self.nodes[self.node_offsets[si] as usize..self.node_offsets[si + 1] as usize]
+    }
+
+    /// All cover limbs of sample `si`: one group of `limbs(width)` limbs
+    /// per node, in node order.
+    #[inline]
+    pub fn sample_words(self, si: usize) -> &'a [u64] {
+        &self.cover_words[self.cover_offsets[si] as usize..self.cover_offsets[si + 1] as usize]
+    }
+
+    /// Cover limbs of the node at position `pos` within sample `si`.
+    #[inline]
+    pub fn cover_words(self, si: usize, pos: usize) -> &'a [u64] {
+        let limbs = limbs_for_width(self.widths[si]);
+        let start = self.cover_offsets[si] as usize + pos * limbs;
+        &self.cover_words[start..start + limbs]
+    }
+
+    /// Samples touched by `v`, ordered by `(sample, pos)` ascending.
+    #[inline]
+    pub fn touched_by(self, v: NodeId) -> &'a [SampleRef] {
+        let v = v.index();
+        &self.index_entries[self.index_offsets[v] as usize..self.index_offsets[v + 1] as usize]
+    }
+}
+
 /// Read-only view of a collection `R` of RIC samples.
 ///
-/// The ten required methods are the layout primitives; everything the
-/// solvers consume (estimators, appearance statistics, per-sample influence
-/// checks) is provided on top of them. Implementations may override the
-/// provided methods with faster layout-specific versions as long as the
-/// results are identical — `ĉ_R` is integer-exact and `ν_R` must be summed
-/// in sample order so every implementer agrees bitwise.
+/// The one required method lends the collection's [`RicColumns`]; the
+/// layout accessors and everything the solvers consume (estimators,
+/// appearance statistics, per-sample influence checks) are provided on top
+/// of it. An implementation may override the provided *estimator and
+/// statistics* methods with faster versions as long as the results are
+/// identical — `ĉ_R` is integer-exact and `ν_R` must be summed in sample
+/// order so every implementer agrees bitwise. [`RicStore`](crate::RicStore)
+/// overrides exactly the six its inverted index speeds up
+/// (`appearance_count`, `influenced_count`, `estimate`, `nu_estimate`,
+/// `community_frequencies`, `node_appearance_counts`);
+/// [`RicStoreView`](crate::snapshot::RicStoreView) overrides none and so
+/// stays the naive oracle the tests compare against.
 ///
 /// `Sync` is a supertrait so the parallel solve engine can share a
 /// collection across scoped worker threads; both implementers are plain
 /// (owned or borrowed) data and satisfy it automatically.
 pub trait RicSamples: Sync {
+    /// The collection's columns.
+    fn columns(&self) -> RicColumns<'_>;
+
     /// Number of samples `|R|`.
-    fn len(&self) -> usize;
+    #[inline]
+    fn len(&self) -> usize {
+        self.columns().len()
+    }
 
     /// Node count of the underlying graph.
-    fn node_count(&self) -> usize;
+    #[inline]
+    fn node_count(&self) -> usize {
+        self.columns().node_count
+    }
 
     /// Number of communities of the underlying instance.
-    fn community_count(&self) -> usize;
+    #[inline]
+    fn community_count(&self) -> usize {
+        self.columns().community_count
+    }
 
     /// Total benefit `b` of the underlying instance.
-    fn total_benefit(&self) -> f64;
+    #[inline]
+    fn total_benefit(&self) -> f64 {
+        self.columns().total_benefit
+    }
 
     /// Source community `C_g` of sample `si`.
-    fn sample_community(&self, si: usize) -> CommunityId;
+    #[inline]
+    fn sample_community(&self, si: usize) -> CommunityId {
+        CommunityId::new(self.columns().communities[si])
+    }
 
     /// Activation threshold `h_g` of sample `si`.
-    fn sample_threshold(&self, si: usize) -> u32;
+    #[inline]
+    fn sample_threshold(&self, si: usize) -> u32 {
+        self.columns().thresholds[si]
+    }
 
     /// `|C_g|` — the cover-set width of sample `si`.
-    fn sample_width(&self, si: usize) -> u32;
+    #[inline]
+    fn sample_width(&self, si: usize) -> u32 {
+        self.columns().widths[si]
+    }
 
     /// Nodes touching sample `si`, sorted ascending by id.
-    fn sample_nodes(&self, si: usize) -> &[NodeId];
+    #[inline]
+    fn sample_nodes(&self, si: usize) -> &[NodeId] {
+        self.columns().sample_nodes(si)
+    }
 
     /// Cover words of the node at position `pos` within sample `si` —
     /// exactly `max(1, ⌈width/64⌉)` little-endian `u64` limbs.
-    fn cover_words(&self, si: usize, pos: usize) -> &[u64];
+    #[inline]
+    fn cover_words(&self, si: usize, pos: usize) -> &[u64] {
+        self.columns().cover_words(si, pos)
+    }
 
     /// Samples touched by `v` (the paper's `G_R(u)`), ordered by
     /// `(sample, pos)` ascending.
-    fn touched_by(&self, v: NodeId) -> &[SampleRef];
+    #[inline]
+    fn touched_by(&self, v: NodeId) -> &[SampleRef] {
+        self.columns().touched_by(v)
+    }
 
     /// `true` when the collection holds no samples.
     fn is_empty(&self) -> bool {
@@ -165,56 +295,17 @@ pub trait RicSamples: Sync {
     }
 }
 
-/// Forwards every trait method (required *and* provided) through a smart
-/// pointer, so layout-specific overrides like
-/// [`RicStore::estimate`](crate::RicStore::estimate) stay on the forwarded
-/// path instead of falling back to the trait defaults.
+/// Forwards the lender and the six methods [`RicStore`](crate::RicStore)
+/// overrides through a smart pointer, so the index-driven versions stay on
+/// the forwarded path instead of falling back to the trait defaults.
 macro_rules! forward_ric_samples {
     () => {
-        fn len(&self) -> usize {
-            (**self).len()
-        }
-        fn node_count(&self) -> usize {
-            (**self).node_count()
-        }
-        fn community_count(&self) -> usize {
-            (**self).community_count()
-        }
-        fn total_benefit(&self) -> f64 {
-            (**self).total_benefit()
-        }
-        fn sample_community(&self, si: usize) -> CommunityId {
-            (**self).sample_community(si)
-        }
-        fn sample_threshold(&self, si: usize) -> u32 {
-            (**self).sample_threshold(si)
-        }
-        fn sample_width(&self, si: usize) -> u32 {
-            (**self).sample_width(si)
-        }
-        fn sample_nodes(&self, si: usize) -> &[NodeId] {
-            (**self).sample_nodes(si)
-        }
-        fn cover_words(&self, si: usize, pos: usize) -> &[u64] {
-            (**self).cover_words(si, pos)
-        }
-        fn touched_by(&self, v: NodeId) -> &[SampleRef] {
-            (**self).touched_by(v)
-        }
-        fn is_empty(&self) -> bool {
-            (**self).is_empty()
+        #[inline]
+        fn columns(&self) -> RicColumns<'_> {
+            (**self).columns()
         }
         fn appearance_count(&self, v: NodeId) -> usize {
             (**self).appearance_count(v)
-        }
-        fn sample_covered_members(&self, si: usize, seeds: &[NodeId]) -> u32 {
-            (**self).sample_covered_members(si, seeds)
-        }
-        fn sample_influenced(&self, si: usize, seeds: &[NodeId]) -> bool {
-            (**self).sample_influenced(si, seeds)
-        }
-        fn sample_fractional_coverage(&self, si: usize, seeds: &[NodeId]) -> f64 {
-            (**self).sample_fractional_coverage(si, seeds)
         }
         fn influenced_count(&self, seeds: &[NodeId]) -> usize {
             (**self).influenced_count(seeds)
@@ -310,7 +401,7 @@ mod tests {
             for si in 0..store.len() {
                 assert_eq!(
                     naive.sample_covered_members(si, &seeds),
-                    store.view(si).covered_members(&seeds)
+                    store.sample_covered_members(si, &seeds)
                 );
             }
         }
@@ -329,5 +420,15 @@ mod tests {
         assert_eq!(store.sample_covered_members(2, &[NodeId::new(1)]), 2);
         assert_eq!(store.sample_covered_members(2, &[NodeId::new(4)]), 1);
         assert!(store.sample_influenced(2, &[NodeId::new(4), NodeId::new(1)]));
+    }
+
+    #[test]
+    fn top_limb_mask_boundaries() {
+        assert_eq!(top_limb_mask(0), 0);
+        assert_eq!(top_limb_mask(4), 0b1111);
+        assert_eq!(top_limb_mask(64), !0);
+        assert_eq!(top_limb_mask(65), 1);
+        assert_eq!(top_limb_mask(128), !0);
+        assert_eq!(top_limb_mask(130), 0b11);
     }
 }

@@ -13,12 +13,16 @@
 //! Version 3 is an offset-based, alignment-padded columnar layout: a
 //! 64-byte header, a 9-entry section table, then one 8-byte-aligned
 //! section per [`RicStore`] column — **including the CSR inverted
-//! node→(sample, pos) index**, so decoding never rebuilds it. Because
-//! every section is stored exactly as the arena holds it in memory, the
-//! columns can also be *borrowed* straight out of an 8-byte-aligned byte
-//! buffer (a memory-mapped file or a [`SnapshotBytes`]) through
-//! [`RicStoreView`] — cold-starting a multi-GB store in the time it takes
-//! to validate `O(samples + nodes)` offsets rather than parse the file.
+//! node→(sample, pos) index**, so decoding never rebuilds it. Every
+//! section is one column of [`RicColumns`](crate::RicColumns), stored
+//! exactly as [`RicStore`] holds it in memory: [`encode`] is header +
+//! section table + nine column copies + checksum, [`decode`] is a verified
+//! [`RicStoreView`] + nine `to_vec()`s, and the columns can also be
+//! *borrowed* straight out of an 8-byte-aligned byte buffer (a
+//! memory-mapped file or a [`SnapshotBytes`]) through [`RicStoreView`] —
+//! cold-starting a multi-GB store in the time it takes to validate
+//! `O(samples + nodes)` offsets rather than parse the file. Both
+//! directions therefore need a little-endian host.
 //!
 //! ```text
 //! offset  size  field
@@ -41,16 +45,17 @@
 //! end-8   8     FNV-1a checksum over every preceding byte
 //! ```
 //!
+//! Version 3 is the only format [`decode`], [`load`] and the view read;
+//! older version bytes get [`SnapshotError::UnsupportedVersion`].
 //! Version-2 files (columnar without the section table or the persisted
-//! index) and version-1 files (row-major) are still decoded transparently;
-//! [`encode`] always writes version 3, and [`upgrade`] rewrites any
-//! readable snapshot as version 3. See `docs/FORMATS.md` for the
-//! byte-level specification of all three versions, the alignment rules,
-//! and a worked hexdump.
+//! index) stay liftable through [`upgrade`] alone, which rewrites them as
+//! version 3; version-1 files are rejected everywhere. See
+//! `docs/FORMATS.md` for the byte-level specification, the alignment
+//! rules, and a worked hexdump.
 //!
 //! Decoding validates the magic, version, checksum and every structural
 //! invariant (sorted in-range nodes, in-range community ids, zero padding
-//! bits, and for v3 that the persisted inverted index is *exactly* the one
+//! bits, and that the persisted inverted index is *exactly* the one
 //! [`RicStore`] would rebuild) before reconstructing the collection, so a
 //! truncated or corrupted file is rejected rather than producing a
 //! silently wrong index. [`RicStoreView::open`] intentionally skips the
@@ -59,7 +64,7 @@
 //! over snapshot files you trust (ones this process or its deploy pipeline
 //! wrote).
 
-use crate::store::SampleRef;
+use crate::samples::{limbs_for_width, top_limb_mask, RicColumns};
 use crate::{RicSamples, RicStore};
 use imc_community::{CommunityId, CommunitySet};
 use imc_graph::{Graph, NodeId};
@@ -68,12 +73,10 @@ use std::path::Path;
 
 /// Leading magic bytes of every snapshot file.
 pub const MAGIC: &[u8; 7] = b"IMCSNAP";
-/// Format version written by [`encode`].
+/// Format version written by [`encode`] — and the only one [`decode`] reads.
 pub const FORMAT_VERSION: u8 = 3;
-/// Oldest format version [`decode`] still reads.
-pub const MIN_FORMAT_VERSION: u8 = 1;
 
-/// Header length shared by the legacy versions 1 and 2.
+/// Header length of the legacy version 2 (read by [`upgrade`] only).
 const HEADER_LEN: usize = 7 + 1 + 8 * 6;
 /// Version-3 header: the legacy header plus the index entry count.
 const HEADER_LEN_V3: usize = HEADER_LEN + 8;
@@ -120,7 +123,7 @@ impl fmt::Display for SnapshotError {
             SnapshotError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported snapshot format version {v} (this build reads {MIN_FORMAT_VERSION}..={FORMAT_VERSION})"
+                    "unsupported snapshot format version {v} (this build reads version {FORMAT_VERSION}; `snapshot upgrade` lifts version 2)"
                 )
             }
             SnapshotError::Truncated => write!(f, "snapshot file is truncated"),
@@ -152,7 +155,8 @@ impl From<std::io::Error> for SnapshotError {
 /// A decoded snapshot: the collection plus the provenance recorded with it.
 #[derive(Debug, Clone)]
 pub struct SnapshotData {
-    /// The reconstructed sample collection (inverted index rebuilt).
+    /// The reconstructed sample collection (persisted inverted index
+    /// validated and adopted verbatim).
     pub collection: RicStore,
     /// Fingerprint of the instance the samples were drawn from.
     pub fingerprint: u64,
@@ -226,19 +230,14 @@ pub fn instance_fingerprint(graph: &Graph, communities: &CommunitySet) -> u64 {
     h.finish()
 }
 
-/// Number of `u64` limbs a cover set of `width` bits serializes to.
-fn limbs_for(width: u32) -> usize {
-    (width as usize).div_ceil(64).max(1)
-}
-
 /// The one audited escape hatch from the crate-wide `deny(unsafe_code)`:
 /// reinterpreting 8-byte-aligned little-endian snapshot bytes as the typed
-/// columns they store, and a `u64` arena as raw bytes. Every cast checks
-/// alignment at runtime (`align_to` with an empty prefix/suffix) rather
-/// than assuming it, and is only instantiated at types whose every bit
-/// pattern is a valid value: `u32`, `u64`, `NodeId`
-/// (`repr(transparent)` over `u32`) and `SampleRef` (`repr(C)`, two
-/// consecutive `u32`s, no padding).
+/// columns they store, and typed columns as raw bytes. Every cast from
+/// bytes checks alignment at runtime (`align_to` with an empty
+/// prefix/suffix) rather than assuming it, and both directions are only
+/// instantiated at types whose every bit pattern is a valid value and that
+/// have no padding bytes: `u32`, `u64`, `NodeId` (`repr(transparent)` over
+/// `u32`) and `SampleRef` (`repr(C)`, two consecutive `u32`s).
 #[allow(unsafe_code)]
 mod cast {
     use crate::store::SampleRef;
@@ -282,12 +281,32 @@ mod cast {
         typed(bytes)
     }
 
-    /// Views a `u64` arena as bytes (for writing a buffer to disk).
-    pub(super) fn u64s_as_bytes(words: &[u64]) -> &[u8] {
-        // SAFETY: every byte of an initialized `u64` slice is initialized,
-        // `u8` has alignment 1, and the length cannot overflow `isize`
-        // (the source allocation already exists).
-        unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), words.len() * 8) }
+    /// Views a column as its bytes (for copying it into a snapshot).
+    ///
+    /// Private on purpose, like [`typed`]: only instantiated below, at the
+    /// four padding-free plain-old-data types listed in the module doc.
+    fn bytes_of<T>(items: &[T]) -> &[u8] {
+        // SAFETY: the only `T`s used have no padding (see module doc), so
+        // every byte of an initialized `[T]` is initialized; `u8` has
+        // alignment 1, and `size_of_val` cannot overflow `isize` (the
+        // source allocation already exists).
+        unsafe { std::slice::from_raw_parts(items.as_ptr().cast(), size_of_val(items)) }
+    }
+
+    pub(super) fn u32s_as_bytes(items: &[u32]) -> &[u8] {
+        bytes_of(items)
+    }
+
+    pub(super) fn u64s_as_bytes(items: &[u64]) -> &[u8] {
+        bytes_of(items)
+    }
+
+    pub(super) fn node_ids_as_bytes(items: &[NodeId]) -> &[u8] {
+        bytes_of(items)
+    }
+
+    pub(super) fn sample_refs_as_bytes(items: &[SampleRef]) -> &[u8] {
+        bytes_of(items)
     }
 
     /// Mutable byte view of a `u64` arena (for copying a file into it).
@@ -298,163 +317,69 @@ mod cast {
     }
 }
 
-fn put_u32(out: &mut [u8], at: usize, v: u32) {
-    out[at..at + 4].copy_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut [u8], at: usize, v: u64) {
-    out[at..at + 8].copy_from_slice(&v.to_le_bytes());
-}
-
 /// Encodes a collection (any [`RicSamples`] implementer) into the current
-/// version-3 sectioned snapshot format.
+/// version-3 sectioned snapshot format: header, section table, the nine
+/// columns copied byte for byte (zero-padded to 8), checksum.
 ///
 /// The inverted index is persisted (sections 7–8) in exactly the order
 /// [`RicStore`] rebuilds it — per node, `(sample, pos)` ascending — so
 /// decoding adopts it verbatim instead of re-deriving it, and
 /// [`RicStoreView`] can serve `touched_by` straight from the file bytes.
+///
+/// # Panics
+///
+/// On a big-endian host: sections are the in-memory columns, and the
+/// format is little-endian.
 pub fn encode<C: RicSamples>(collection: &C, fingerprint: u64, generation: u64) -> Vec<u8> {
-    let s = collection.len();
-    let node_count = collection.node_count();
-    let mut n_total = 0usize; // Σ_g |g| = node-section and index-entry count
-    let mut w_total = 0usize; // total cover limbs
-    for si in 0..s {
-        let n = collection.sample_nodes(si).len();
-        n_total += n;
-        w_total += n * limbs_for(collection.sample_width(si));
+    if cfg!(target_endian = "big") {
+        panic!("snapshot encoding requires a little-endian host");
     }
-    let lens: [usize; SECTION_COUNT] = [
-        s * 4,                // 0 communities
-        s * 4,                // 1 thresholds
-        s * 4,                // 2 widths
-        (s + 1) * 8,          // 3 node_offsets
-        n_total * 4,          // 4 nodes
-        (s + 1) * 8,          // 5 cover_offsets
-        w_total * 8,          // 6 cover_words
-        (node_count + 1) * 8, // 7 index_offsets
-        n_total * 8,          // 8 index_entries
+    let c = collection.columns();
+    let sections: [&[u8]; SECTION_COUNT] = [
+        cast::u32s_as_bytes(c.communities),
+        cast::u32s_as_bytes(c.thresholds),
+        cast::u32s_as_bytes(c.widths),
+        cast::u64s_as_bytes(c.node_offsets),
+        cast::node_ids_as_bytes(c.nodes),
+        cast::u64s_as_bytes(c.cover_offsets),
+        cast::u64s_as_bytes(c.cover_words),
+        cast::u64s_as_bytes(c.index_offsets),
+        cast::sample_refs_as_bytes(c.index_entries),
     ];
-    let mut offsets = [0usize; SECTION_COUNT];
-    let mut cursor = SECTIONS_START;
-    for (o, &len) in offsets.iter_mut().zip(&lens) {
-        *o = cursor;
-        cursor = align8(cursor + len);
-    }
-    let mut out = vec![0u8; cursor];
-    out[..MAGIC.len()].copy_from_slice(MAGIC);
-    out[MAGIC.len()] = FORMAT_VERSION;
+    let body_len = sections
+        .iter()
+        .fold(SECTIONS_START, |at, sec| align8(at + sec.len()));
+    let mut out = Vec::with_capacity(body_len + CHECKSUM_LEN);
+    out.extend_from_slice(MAGIC);
+    out.push(FORMAT_VERSION);
     let header = [
         fingerprint,
-        node_count as u64,
-        collection.community_count() as u64,
-        collection.total_benefit().to_bits(),
+        c.node_count as u64,
+        c.community_count as u64,
+        c.total_benefit.to_bits(),
         generation,
-        s as u64,
-        n_total as u64,
+        c.len() as u64,
+        c.nodes.len() as u64,
     ];
-    for (i, &v) in header.iter().enumerate() {
-        put_u64(&mut out, 8 + i * 8, v);
+    for v in header {
+        out.extend_from_slice(&v.to_le_bytes());
     }
-    for i in 0..SECTION_COUNT {
-        put_u64(&mut out, HEADER_LEN_V3 + i * 16, offsets[i] as u64);
-        put_u64(&mut out, HEADER_LEN_V3 + i * 16 + 8, lens[i] as u64);
+    let mut at = SECTIONS_START;
+    for sec in &sections {
+        out.extend_from_slice(&(at as u64).to_le_bytes());
+        out.extend_from_slice(&(sec.len() as u64).to_le_bytes());
+        at = align8(at + sec.len());
     }
-    // Sections 0–2: per-sample metadata columns.
-    for si in 0..s {
-        put_u32(
-            &mut out,
-            offsets[0] + si * 4,
-            collection.sample_community(si).raw(),
-        );
-        put_u32(
-            &mut out,
-            offsets[1] + si * 4,
-            collection.sample_threshold(si),
-        );
-        put_u32(&mut out, offsets[2] + si * 4, collection.sample_width(si));
-    }
-    // Sections 3–6: the CSR node arena and cover limbs.
-    let mut node_off = 0u64;
-    let mut limb_off = 0u64;
-    let mut node_at = offsets[4];
-    let mut word_at = offsets[6];
-    for si in 0..s {
-        put_u64(&mut out, offsets[3] + si * 8, node_off);
-        put_u64(&mut out, offsets[5] + si * 8, limb_off);
-        let nodes = collection.sample_nodes(si);
-        for &v in nodes {
-            put_u32(&mut out, node_at, v.raw());
-            node_at += 4;
-        }
-        for pos in 0..nodes.len() {
-            for &w in collection.cover_words(si, pos) {
-                put_u64(&mut out, word_at, w);
-                word_at += 8;
-            }
-        }
-        node_off += nodes.len() as u64;
-        limb_off += (nodes.len() * limbs_for(collection.sample_width(si))) as u64;
-    }
-    put_u64(&mut out, offsets[3] + s * 8, node_off);
-    put_u64(&mut out, offsets[5] + s * 8, limb_off);
-    // Sections 7–8: the persisted inverted index.
-    let mut entry_off = 0u64;
-    let mut entry_at = offsets[8];
-    for v in 0..node_count {
-        put_u64(&mut out, offsets[7] + v * 8, entry_off);
-        let refs = collection.touched_by(NodeId::new(v as u32));
-        for r in refs {
-            put_u32(&mut out, entry_at, r.sample);
-            put_u32(&mut out, entry_at + 4, r.pos);
-            entry_at += 8;
-        }
-        entry_off += refs.len() as u64;
-    }
-    put_u64(&mut out, offsets[7] + node_count * 8, entry_off);
-    let checksum = fnv1a(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
-}
-
-/// Encodes the legacy version-2 columnar byte format.
-///
-/// Kept public so the upgrade matrix stays testable (and so fixtures for
-/// older deployments can still be produced); [`encode`] always writes the
-/// current version 3.
-pub fn encode_v2<C: RicSamples>(collection: &C, fingerprint: u64, generation: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + 64 * collection.len() + CHECKSUM_LEN);
-    out.extend_from_slice(MAGIC);
-    out.push(2u8);
-    out.extend_from_slice(&fingerprint.to_le_bytes());
-    out.extend_from_slice(&(collection.node_count() as u64).to_le_bytes());
-    out.extend_from_slice(&(collection.community_count() as u64).to_le_bytes());
-    out.extend_from_slice(&collection.total_benefit().to_bits().to_le_bytes());
-    out.extend_from_slice(&generation.to_le_bytes());
-    out.extend_from_slice(&(collection.len() as u64).to_le_bytes());
-    for si in 0..collection.len() {
-        out.extend_from_slice(&collection.sample_community(si).raw().to_le_bytes());
-        out.extend_from_slice(&collection.sample_threshold(si).to_le_bytes());
-        out.extend_from_slice(&collection.sample_width(si).to_le_bytes());
-        out.extend_from_slice(&(collection.sample_nodes(si).len() as u32).to_le_bytes());
-    }
-    for si in 0..collection.len() {
-        for &v in collection.sample_nodes(si) {
-            out.extend_from_slice(&v.raw().to_le_bytes());
-        }
-    }
-    for si in 0..collection.len() {
-        for pos in 0..collection.sample_nodes(si).len() {
-            for &w in collection.cover_words(si, pos) {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-        }
+    for sec in &sections {
+        out.extend_from_slice(sec);
+        out.resize(align8(out.len()), 0);
     }
     let checksum = fnv1a(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
 
-/// Bounds-checked little-endian reader over the snapshot body.
+/// Bounds-checked little-endian reader over a version-2 snapshot body.
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -484,7 +409,8 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Validates a sample's metadata fields shared by both format versions.
+/// Validates a sample's metadata fields (shared by the view and the
+/// version-2 reader).
 fn check_meta(community: u32, threshold: u32, community_count: u64) -> Result<(), SnapshotError> {
     if u64::from(community) >= community_count {
         return Err(SnapshotError::Corrupt(
@@ -532,15 +458,8 @@ fn read_covers(
     community_size: u32,
     out: &mut Vec<u64>,
 ) -> Result<(), SnapshotError> {
-    let limbs = limbs_for(community_size);
-    // Bits at positions >= community_size must be zero: they are
-    // meaningless and would corrupt union popcounts.
-    let used_in_top = community_size as usize - (limbs - 1) * 64;
-    let top_mask = if used_in_top == 64 {
-        u64::MAX
-    } else {
-        (1u64 << used_in_top) - 1
-    };
+    let limbs = limbs_for_width(community_size);
+    let top_mask = top_limb_mask(community_size);
     for _ in 0..n {
         let start = out.len();
         for _ in 0..limbs {
@@ -555,33 +474,75 @@ fn read_covers(
     Ok(())
 }
 
-/// Decodes snapshot bytes, validating magic, version, checksum and every
-/// structural invariant. Accepts the current sectioned version 3, the
-/// columnar version 2 and the legacy row-major version 1.
-///
-/// Version-3 input skips the inverted-index rebuild entirely: the
-/// persisted index is validated to be exactly what
-/// `RicStore::rebuild_index` would produce, then adopted verbatim.
-///
-/// # Errors
-///
-/// Any [`SnapshotError`] variant except `Io` and `FingerprintMismatch`
-/// (fingerprints are checked by [`load_for_instance`], which knows the
-/// expected value).
-pub fn decode(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
+/// Validates the instance scalars of a header (shared by the view and the
+/// version-2 reader).
+fn check_instance(
+    node_count: u64,
+    community_count: u64,
+    total_benefit: f64,
+) -> Result<(), SnapshotError> {
+    if node_count > u64::from(u32::MAX) {
+        return Err(SnapshotError::Corrupt("node count exceeds u32 range"));
+    }
+    // Communities are non-empty and disjoint, so there are at most as many
+    // as nodes; this also bounds every per-community table by the file.
+    if community_count > node_count {
+        return Err(SnapshotError::Corrupt("community count exceeds node count"));
+    }
+    if !total_benefit.is_finite() || total_benefit < 0.0 {
+        return Err(SnapshotError::Corrupt(
+            "total benefit is not a finite non-negative number",
+        ));
+    }
+    Ok(())
+}
+
+/// The format version byte, after checking the magic.
+fn version_of(bytes: &[u8]) -> Result<u8, SnapshotError> {
     if bytes.len() < MAGIC.len() + 1 {
         return Err(SnapshotError::Truncated);
     }
     if &bytes[..MAGIC.len()] != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    let version = bytes[MAGIC.len()];
-    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    if version == 3 {
-        return decode_v3(bytes);
-    }
+    Ok(bytes[MAGIC.len()])
+}
+
+/// Decodes version-3 snapshot bytes, validating magic, version, checksum
+/// and every structural invariant: open a view, verify it fully, then
+/// copy the nine columns into an owned [`RicStore`]. The persisted
+/// inverted index is validated to be exactly what `RicStore` would
+/// rebuild, then adopted verbatim.
+///
+/// # Errors
+///
+/// Any [`SnapshotError`] variant except `Io` and `FingerprintMismatch`
+/// (fingerprints are checked by [`load_for_instance`], which knows the
+/// expected value). Version-1 and version-2 bytes get
+/// [`UnsupportedVersion`](SnapshotError::UnsupportedVersion); [`upgrade`]
+/// lifts version 2.
+pub fn decode(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
+    // `std::fs::read` makes no alignment promise; copy into an 8-aligned
+    // arena when needed so the typed casts apply.
+    let owned;
+    let aligned = if (bytes.as_ptr() as usize).is_multiple_of(8) {
+        bytes
+    } else {
+        owned = SnapshotBytes::copy_from(bytes);
+        owned.as_bytes()
+    };
+    let view = RicStoreView::open_verified(aligned)?;
+    Ok(SnapshotData {
+        fingerprint: view.fingerprint(),
+        generation: view.generation(),
+        collection: view.to_store(),
+    })
+}
+
+/// Reads a legacy version-2 file — columnar (metadata block, node block,
+/// cover block) without a section table or persisted index — for
+/// [`upgrade`], its only caller.
+fn decode_v2(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
     if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
         return Err(SnapshotError::Truncated);
     }
@@ -601,15 +562,7 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
     let total_benefit = f64::from_bits(cur.u64()?);
     let generation = cur.u64()?;
     let sample_count = cur.u64()?;
-
-    if node_count > u64::from(u32::MAX) {
-        return Err(SnapshotError::Corrupt("node count exceeds u32 range"));
-    }
-    if !total_benefit.is_finite() || total_benefit < 0.0 {
-        return Err(SnapshotError::Corrupt(
-            "total benefit is not a finite non-negative number",
-        ));
-    }
+    check_instance(node_count, community_count, total_benefit)?;
     // Each sample takes at least 16 body bytes, which bounds a plausible
     // count long before any allocation happens.
     if sample_count > (body.len() / 16) as u64 {
@@ -618,76 +571,6 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
         ));
     }
 
-    let mut store = RicStore::new(node_count as usize, community_count as usize, total_benefit);
-    match version {
-        1 => decode_body_v1(
-            &mut cur,
-            &mut store,
-            sample_count,
-            community_count,
-            node_count,
-        )?,
-        2 => decode_body_v2(
-            &mut cur,
-            &mut store,
-            sample_count,
-            community_count,
-            node_count,
-        )?,
-        _ => unreachable!("version range checked above"),
-    }
-    if cur.pos != body.len() {
-        return Err(SnapshotError::Corrupt("trailing bytes after last sample"));
-    }
-    store.rebuild_index();
-    Ok(SnapshotData {
-        collection: store,
-        fingerprint,
-        generation,
-    })
-}
-
-/// Legacy row-major body: each sample's metadata, nodes and covers
-/// interleaved.
-fn decode_body_v1(
-    cur: &mut Cursor<'_>,
-    store: &mut RicStore,
-    sample_count: u64,
-    community_count: u64,
-    node_count: u64,
-) -> Result<(), SnapshotError> {
-    let mut nodes: Vec<NodeId> = Vec::new();
-    let mut words: Vec<u64> = Vec::new();
-    for _ in 0..sample_count {
-        let community = cur.u32()?;
-        let threshold = cur.u32()?;
-        let community_size = cur.u32()?;
-        let n = cur.u32()? as usize;
-        check_meta(community, threshold, community_count)?;
-        nodes.clear();
-        words.clear();
-        read_nodes(cur, n, node_count, &mut nodes)?;
-        read_covers(cur, n, community_size, &mut words)?;
-        store.push_raw(
-            CommunityId::new(community),
-            threshold,
-            community_size,
-            &nodes,
-            &words,
-        );
-    }
-    Ok(())
-}
-
-/// Columnar body: the metadata block, then the node block, then the cover
-/// block.
-fn decode_body_v2(
-    cur: &mut Cursor<'_>,
-    store: &mut RicStore,
-    sample_count: u64,
-    community_count: u64,
-    node_count: u64,
-) -> Result<(), SnapshotError> {
     let mut metas: Vec<(u32, u32, u32, usize)> = Vec::with_capacity(sample_count as usize);
     for _ in 0..sample_count {
         let community = cur.u32()?;
@@ -701,13 +584,14 @@ fn decode_body_v2(
     let mut node_offsets: Vec<usize> = Vec::with_capacity(metas.len() + 1);
     node_offsets.push(0);
     for &(_, _, _, n) in &metas {
-        read_nodes(cur, n, node_count, &mut flat_nodes)?;
+        read_nodes(&mut cur, n, node_count, &mut flat_nodes)?;
         node_offsets.push(flat_nodes.len());
     }
+    let mut store = RicStore::new(node_count as usize, community_count as usize, total_benefit);
     let mut words: Vec<u64> = Vec::new();
     for (i, &(community, threshold, community_size, n)) in metas.iter().enumerate() {
         words.clear();
-        read_covers(cur, n, community_size, &mut words)?;
+        read_covers(&mut cur, n, community_size, &mut words)?;
         store.push_raw(
             CommunityId::new(community),
             threshold,
@@ -716,28 +600,14 @@ fn decode_body_v2(
             &words,
         );
     }
-    Ok(())
-}
-
-/// Decodes a version-3 file: open a view, verify it fully, then copy the
-/// columns into an owned [`RicStore`] — no index rebuild.
-fn decode_v3(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
-    if (bytes.as_ptr() as usize).is_multiple_of(8) {
-        decode_v3_aligned(bytes)
-    } else {
-        // `std::fs::read` makes no alignment promise; copy into an
-        // 8-aligned arena so the typed casts apply.
-        let owned = SnapshotBytes::copy_from(bytes);
-        decode_v3_aligned(owned.as_bytes())
+    if cur.pos != body.len() {
+        return Err(SnapshotError::Corrupt("trailing bytes after last sample"));
     }
-}
-
-fn decode_v3_aligned(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
-    let view = RicStoreView::open_verified(bytes)?;
+    store.rebuild_index();
     Ok(SnapshotData {
-        fingerprint: view.fingerprint(),
-        generation: view.generation(),
-        collection: view.to_store(),
+        collection: store,
+        fingerprint,
+        generation,
     })
 }
 
@@ -745,10 +615,12 @@ fn decode_v3_aligned(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
 ///
 /// Every [`RicStore`] column — metadata, CSR node lists, cover limbs and
 /// the inverted index — is borrowed directly from the underlying byte
-/// buffer, so "loading" a snapshot is an `O(samples + nodes)` validation
-/// pass with no parsing, no allocation proportional to the file, and no
-/// index rebuild. The view implements [`RicSamples`], so estimators and
-/// MAXR solvers run on it exactly as on an owned store.
+/// buffer as one [`RicColumns`], so "loading" a snapshot is an
+/// `O(samples + nodes)` validation pass with no parsing, no allocation
+/// proportional to the file, and no index rebuild. The view implements
+/// [`RicSamples`] by lending those columns and nothing else, so estimators
+/// and MAXR solvers run on it through the naive provided methods — it is
+/// the oracle the `RicStore` overrides are tested against.
 ///
 /// The buffer must be 8-byte aligned (a page-aligned memory map qualifies,
 /// as does [`SnapshotBytes`]) and the host little-endian; [`open`](Self::open)
@@ -797,18 +669,7 @@ pub struct RicStoreView<'a> {
     raw: &'a [u8],
     fingerprint: u64,
     generation: u64,
-    node_count: usize,
-    community_count: usize,
-    total_benefit: f64,
-    communities: &'a [u32],
-    thresholds: &'a [u32],
-    widths: &'a [u32],
-    node_offsets: &'a [u64],
-    nodes: &'a [NodeId],
-    cover_offsets: &'a [u64],
-    cover_words: &'a [u64],
-    index_offsets: &'a [u64],
-    index_entries: &'a [SampleRef],
+    columns: RicColumns<'a>,
 }
 
 impl<'a> RicStoreView<'a> {
@@ -828,14 +689,9 @@ impl<'a> RicStoreView<'a> {
                 "zero-copy snapshot views require a little-endian host",
             ));
         }
-        if bytes.len() < MAGIC.len() + 1 {
-            return Err(SnapshotError::Truncated);
-        }
-        if &bytes[..MAGIC.len()] != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        if bytes[MAGIC.len()] != 3 {
-            return Err(SnapshotError::UnsupportedVersion(bytes[MAGIC.len()]));
+        let version = version_of(bytes)?;
+        if version != FORMAT_VERSION {
+            return Err(SnapshotError::UnsupportedVersion(version));
         }
         if !(bytes.as_ptr() as usize).is_multiple_of(8) {
             return Err(SnapshotError::Corrupt(
@@ -858,14 +714,7 @@ impl<'a> RicStoreView<'a> {
         let generation = u64_at(40);
         let sample_count = u64_at(48);
         let entry_count = u64_at(56);
-        if node_count64 > u64::from(u32::MAX) {
-            return Err(SnapshotError::Corrupt("node count exceeds u32 range"));
-        }
-        if !total_benefit.is_finite() || total_benefit < 0.0 {
-            return Err(SnapshotError::Corrupt(
-                "total benefit is not a finite non-negative number",
-            ));
-        }
+        check_instance(node_count64, community_count, total_benefit)?;
         let body_len = (bytes.len() - CHECKSUM_LEN) as u64;
         // Coarse count bounds: every later `usize` length computation fits
         // without overflow once each count is at most the body length.
@@ -930,10 +779,7 @@ impl<'a> RicStoreView<'a> {
         let sec = |i: usize| &bytes[offs[i]..offs[i] + lens[i]];
         const MISALIGNED: SnapshotError =
             SnapshotError::Corrupt("section not aligned for its element type");
-        let view = RicStoreView {
-            raw: bytes,
-            fingerprint,
-            generation,
+        let c = RicColumns {
             node_count,
             community_count: community_count as usize,
             total_benefit,
@@ -951,45 +797,49 @@ impl<'a> RicStoreView<'a> {
         // take is in bounds: node/cover offsets are monotone and span
         // their sections, and cover offsets agree with each sample's node
         // count × limb width.
-        if view.node_offsets.first() != Some(&0) || view.node_offsets.last() != Some(&entry_count) {
+        if c.node_offsets.first() != Some(&0) || c.node_offsets.last() != Some(&entry_count) {
             return Err(SnapshotError::Corrupt(
                 "node offsets do not span the node section",
             ));
         }
         let w_total = (lens[6] / 8) as u64;
-        if view.cover_offsets.first() != Some(&0) || view.cover_offsets.last() != Some(&w_total) {
+        if c.cover_offsets.first() != Some(&0) || c.cover_offsets.last() != Some(&w_total) {
             return Err(SnapshotError::Corrupt(
                 "cover offsets do not span the cover-words section",
             ));
         }
         for si in 0..s {
-            let n_si = view.node_offsets[si + 1]
-                .checked_sub(view.node_offsets[si])
+            let n_si = c.node_offsets[si + 1]
+                .checked_sub(c.node_offsets[si])
                 .ok_or(SnapshotError::Corrupt("node offsets are not monotone"))?;
-            let limbs = limbs_for(view.widths[si]) as u64;
-            if view.cover_offsets[si + 1]
-                != view.cover_offsets[si].saturating_add(n_si.saturating_mul(limbs))
+            let limbs = limbs_for_width(c.widths[si]) as u64;
+            if c.cover_offsets[si + 1]
+                != c.cover_offsets[si].saturating_add(n_si.saturating_mul(limbs))
             {
                 return Err(SnapshotError::Corrupt(
                     "cover offsets disagree with node counts and widths",
                 ));
             }
-            check_meta(view.communities[si], view.thresholds[si], community_count)?;
+            check_meta(c.communities[si], c.thresholds[si], community_count)?;
         }
-        if view.index_offsets.first() != Some(&0) || view.index_offsets.last() != Some(&entry_count)
-        {
+        if c.index_offsets.first() != Some(&0) || c.index_offsets.last() != Some(&entry_count) {
             return Err(SnapshotError::Corrupt(
                 "index offsets do not span the entry section",
             ));
         }
         let mut prev = 0u64;
-        for &o in view.index_offsets {
+        for &o in c.index_offsets {
             if o < prev {
                 return Err(SnapshotError::Corrupt("index offsets are not monotone"));
             }
             prev = o;
         }
-        Ok(view)
+        Ok(RicStoreView {
+            raw: bytes,
+            fingerprint,
+            generation,
+            columns: c,
+        })
     }
 
     /// Opens a view and immediately runs the full [`verify`](Self::verify)
@@ -1017,12 +867,13 @@ impl<'a> RicStoreView<'a> {
         if fnv1a(body) != declared {
             return Err(SnapshotError::ChecksumMismatch);
         }
-        for si in 0..self.communities.len() {
-            let nodes = self.sample_nodes(si);
+        let c = self.columns;
+        for si in 0..c.len() {
+            let nodes = c.sample_nodes(si);
             let mut prev: Option<u32> = None;
             for v in nodes {
                 let v = v.raw();
-                if v as usize >= self.node_count {
+                if v as usize >= c.node_count {
                     return Err(SnapshotError::Corrupt("sample node id out of range"));
                 }
                 if prev.is_some_and(|p| p >= v) {
@@ -1032,41 +883,29 @@ impl<'a> RicStoreView<'a> {
                 }
                 prev = Some(v);
             }
-            let width = self.widths[si];
-            let limbs = limbs_for(width);
-            let used_in_top = width as usize - (limbs - 1) * 64;
-            let top_mask = if used_in_top == 64 {
-                u64::MAX
-            } else {
-                (1u64 << used_in_top) - 1
-            };
+            let limbs = limbs_for_width(c.widths[si]);
+            let top_mask = top_limb_mask(c.widths[si]);
             for pos in 0..nodes.len() {
-                let words = self.cover_words(si, pos);
-                if words[limbs - 1] & !top_mask != 0 {
+                if c.cover_words(si, pos)[limbs - 1] & !top_mask != 0 {
                     return Err(SnapshotError::Corrupt(
                         "cover set has bits beyond community size",
                     ));
                 }
             }
         }
-        let s = self.communities.len();
-        for v in 0..self.node_count {
-            let lo = self.index_offsets[v] as usize;
-            let hi = self.index_offsets[v + 1] as usize;
+        for v in 0..c.node_count {
             let mut prev: Option<(u32, u32)> = None;
-            for r in &self.index_entries[lo..hi] {
+            for r in c.touched_by(NodeId::new(v as u32)) {
                 let si = r.sample as usize;
-                if si >= s {
+                if si >= c.len() {
                     return Err(SnapshotError::Corrupt(
                         "index entry references an out-of-range sample",
                     ));
                 }
-                let start = self.node_offsets[si] as usize;
-                let n_si = self.node_offsets[si + 1] as usize - start;
-                if r.pos as usize >= n_si {
+                let Some(node) = c.sample_nodes(si).get(r.pos as usize) else {
                     return Err(SnapshotError::Corrupt("index entry position out of range"));
-                }
-                if self.nodes[start + r.pos as usize].raw() != v as u32 {
+                };
+                if node.raw() != v as u32 {
                     return Err(SnapshotError::Corrupt(
                         "index entry does not point back at its node",
                     ));
@@ -1097,72 +936,18 @@ impl<'a> RicStoreView<'a> {
         self.raw
     }
 
-    /// Materializes an owned [`RicStore`] by copying the columns — no
+    /// Materializes an owned [`RicStore`] by copying the nine columns — no
     /// index rebuild, since the persisted index is adopted verbatim. Run
     /// [`verify`](Self::verify) first when the bytes are untrusted.
     pub fn to_store(&self) -> RicStore {
-        RicStore::from_raw_columns(
-            self.node_count,
-            self.community_count,
-            self.total_benefit,
-            self.communities
-                .iter()
-                .map(|&c| CommunityId::new(c))
-                .collect(),
-            self.thresholds.to_vec(),
-            self.widths.to_vec(),
-            self.node_offsets.iter().map(|&o| o as usize).collect(),
-            self.nodes.to_vec(),
-            self.cover_offsets.iter().map(|&o| o as usize).collect(),
-            self.cover_words.to_vec(),
-            self.index_offsets.iter().map(|&o| o as usize).collect(),
-            self.index_entries.to_vec(),
-        )
+        self.columns.to_store()
     }
 }
 
 impl RicSamples for RicStoreView<'_> {
-    fn len(&self) -> usize {
-        self.communities.len()
-    }
-
-    fn node_count(&self) -> usize {
-        self.node_count
-    }
-
-    fn community_count(&self) -> usize {
-        self.community_count
-    }
-
-    fn total_benefit(&self) -> f64 {
-        self.total_benefit
-    }
-
-    fn sample_community(&self, si: usize) -> CommunityId {
-        CommunityId::new(self.communities[si])
-    }
-
-    fn sample_threshold(&self, si: usize) -> u32 {
-        self.thresholds[si]
-    }
-
-    fn sample_width(&self, si: usize) -> u32 {
-        self.widths[si]
-    }
-
-    fn sample_nodes(&self, si: usize) -> &[NodeId] {
-        &self.nodes[self.node_offsets[si] as usize..self.node_offsets[si + 1] as usize]
-    }
-
-    fn cover_words(&self, si: usize, pos: usize) -> &[u64] {
-        let limbs = limbs_for(self.widths[si]);
-        let start = self.cover_offsets[si] as usize + pos * limbs;
-        &self.cover_words[start..start + limbs]
-    }
-
-    fn touched_by(&self, v: NodeId) -> &[SampleRef] {
-        &self.index_entries
-            [self.index_offsets[v.index()] as usize..self.index_offsets[v.index() + 1] as usize]
+    #[inline]
+    fn columns(&self) -> RicColumns<'_> {
+        self.columns
     }
 }
 
@@ -1213,9 +998,10 @@ impl SnapshotBytes {
     }
 }
 
-/// Rewrites any readable snapshot as the current version 3, preserving the
-/// recorded fingerprint and generation. Upgrading an already-v3 snapshot
-/// is a validated fixpoint: the output bytes equal the input bytes.
+/// Rewrites a version-2 or version-3 snapshot as the current version 3,
+/// preserving the recorded fingerprint and generation — the only reader of
+/// version-2 bytes. Upgrading an already-v3 snapshot is a validated
+/// fixpoint: the output bytes equal the input bytes.
 ///
 /// ```
 /// use imc_core::snapshot::{self, FORMAT_VERSION};
@@ -1234,27 +1020,35 @@ impl SnapshotBytes {
 /// };
 /// let store = RicStore::from_samples(2, 1, 1.0, [&sample]).unwrap();
 ///
-/// let old = snapshot::encode_v2(&store, 42, 5);
-/// assert_eq!(old[7], 2);
-/// let new = snapshot::upgrade(&old).unwrap();
+/// let new = snapshot::encode(&store, 42, 5);
 /// assert_eq!(new[7], FORMAT_VERSION);
-/// let data = snapshot::decode(&new).unwrap();
-/// assert_eq!((data.fingerprint, data.generation), (42, 5));
-/// assert_eq!(data.collection, store);
 /// // Upgrading is idempotent: v3 input re-encodes to identical bytes.
 /// assert_eq!(snapshot::upgrade(&new).unwrap(), new);
+/// // Version-1 bytes are not readable any more, not even here.
+/// let mut v1 = new.clone();
+/// v1[7] = 1;
+/// assert!(matches!(
+///     snapshot::upgrade(&v1),
+///     Err(snapshot::SnapshotError::UnsupportedVersion(1))
+/// ));
 /// ```
 ///
 /// # Errors
 ///
 /// Everything [`decode`] can raise.
 pub fn upgrade(bytes: &[u8]) -> Result<Vec<u8>, SnapshotError> {
-    let data = decode(bytes)?;
+    let data = if version_of(bytes)? == 2 {
+        decode_v2(bytes)?
+    } else {
+        decode(bytes)?
+    };
     Ok(encode(&data.collection, data.fingerprint, data.generation))
 }
 
 /// Writes a snapshot to `path` (atomically where the filesystem allows:
-/// write to `<path>.tmp`, then rename over the destination).
+/// write to `<path>.tmp` — the full file name plus `.tmp`, so siblings
+/// that differ only in extension never share a temp file — then rename
+/// over the destination).
 ///
 /// # Errors
 ///
@@ -1266,7 +1060,8 @@ pub fn save<C: RicSamples>(
     generation: u64,
 ) -> Result<(), SnapshotError> {
     let bytes = encode(collection, fingerprint, generation);
-    let tmp = path.with_extension("tmp");
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
     std::fs::write(&tmp, &bytes)?;
     std::fs::rename(&tmp, path)?;
     Ok(())
@@ -1333,37 +1128,9 @@ mod tests {
         (g, cs, col)
     }
 
-    /// Writes the legacy row-major version-1 byte format, reproducing the
-    /// pre-columnar encoder for compatibility tests.
-    fn encode_v1<C: RicSamples>(collection: &C, fingerprint: u64, generation: u64) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.push(1u8);
-        out.extend_from_slice(&fingerprint.to_le_bytes());
-        out.extend_from_slice(&(collection.node_count() as u64).to_le_bytes());
-        out.extend_from_slice(&(collection.community_count() as u64).to_le_bytes());
-        out.extend_from_slice(&collection.total_benefit().to_bits().to_le_bytes());
-        out.extend_from_slice(&generation.to_le_bytes());
-        out.extend_from_slice(&(collection.len() as u64).to_le_bytes());
-        for si in 0..collection.len() {
-            out.extend_from_slice(&collection.sample_community(si).raw().to_le_bytes());
-            out.extend_from_slice(&collection.sample_threshold(si).to_le_bytes());
-            out.extend_from_slice(&collection.sample_width(si).to_le_bytes());
-            let nodes = collection.sample_nodes(si);
-            out.extend_from_slice(&(nodes.len() as u32).to_le_bytes());
-            for &v in nodes {
-                out.extend_from_slice(&v.raw().to_le_bytes());
-            }
-            for pos in 0..nodes.len() {
-                for &w in collection.cover_words(si, pos) {
-                    out.extend_from_slice(&w.to_le_bytes());
-                }
-            }
-        }
-        let checksum = fnv1a(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
-    }
+    /// The committed version-2 file (see `tests/snapshot_compat.rs`) — the
+    /// only version-2 bytes left now that nothing writes the format.
+    const V2_FIXTURE: &[u8] = include_bytes!("../tests/fixtures/snapshot_v2.snap");
 
     #[test]
     fn round_trip_preserves_samples_and_header() {
@@ -1374,25 +1141,13 @@ mod tests {
         assert_eq!(data.fingerprint, fp);
         assert_eq!(data.generation, 7);
         assert_eq!(data.collection, col);
-        // Rebuilt inverted index answers identically.
+        // The adopted inverted index answers identically.
         for v in 0..6 {
             assert_eq!(
                 data.collection.touched_by(NodeId::new(v)),
                 col.touched_by(NodeId::new(v))
             );
         }
-    }
-
-    #[test]
-    fn v1_row_major_bytes_decode_identically() {
-        let (g, cs, col) = tiny_collection();
-        let fp = instance_fingerprint(&g, &cs);
-        let old = decode(&encode_v1(&col, fp, 5)).unwrap();
-        let new = decode(&encode(&col, fp, 5)).unwrap();
-        assert_eq!(old.fingerprint, new.fingerprint);
-        assert_eq!(old.generation, 5);
-        assert_eq!(old.collection, new.collection);
-        assert_eq!(old.collection, col);
     }
 
     #[test]
@@ -1415,18 +1170,27 @@ mod tests {
     }
 
     #[test]
-    fn future_version_rejected() {
+    fn every_other_version_rejected() {
         let (g, cs, col) = tiny_collection();
         let mut bytes = encode(&col, instance_fingerprint(&g, &cs), 0);
-        bytes[7] = FORMAT_VERSION + 1;
+        for version in [0, 1, 2, FORMAT_VERSION + 1] {
+            bytes[7] = version;
+            assert!(matches!(
+                decode(&bytes),
+                Err(SnapshotError::UnsupportedVersion(v)) if v == version
+            ));
+        }
+        // `upgrade` additionally reads version 2 — and nothing older.
         assert!(matches!(
-            decode(&bytes),
-            Err(SnapshotError::UnsupportedVersion(_))
+            decode(V2_FIXTURE),
+            Err(SnapshotError::UnsupportedVersion(2))
         ));
-        bytes[7] = 0;
+        assert!(upgrade(V2_FIXTURE).is_ok());
+        let mut v1 = V2_FIXTURE.to_vec();
+        v1[7] = 1;
         assert!(matches!(
-            decode(&bytes),
-            Err(SnapshotError::UnsupportedVersion(0))
+            upgrade(&restamp(v1)),
+            Err(SnapshotError::UnsupportedVersion(1))
         ));
     }
 
@@ -1446,6 +1210,18 @@ mod tests {
         ] {
             assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} accepted");
         }
+        for cut in [
+            8,
+            HEADER_LEN - 1,
+            HEADER_LEN,
+            V2_FIXTURE.len() / 2,
+            V2_FIXTURE.len() - 1,
+        ] {
+            assert!(
+                upgrade(&V2_FIXTURE[..cut]).is_err(),
+                "v2 cut at {cut} lifted"
+            );
+        }
     }
 
     #[test]
@@ -1456,6 +1232,11 @@ mod tests {
             let mut bad = bytes.clone();
             bad[at] ^= 0x40;
             assert!(decode(&bad).is_err(), "flip at {at} accepted");
+        }
+        for &at in &[8usize, 20, HEADER_LEN + 3, V2_FIXTURE.len() - 12] {
+            let mut bad = V2_FIXTURE.to_vec();
+            bad[at] ^= 0x40;
+            assert!(upgrade(&bad).is_err(), "v2 flip at {at} lifted");
         }
     }
 
@@ -1487,6 +1268,39 @@ mod tests {
         let data = load_for_instance(&path, &inst).unwrap();
         assert_eq!(data.generation, 3);
         assert_eq!(data.collection, col);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sibling_saves_do_not_share_a_temp_file() {
+        let (g, cs, col) = tiny_collection();
+        let fp = instance_fingerprint(&g, &cs);
+        let mut other = col.clone();
+        other.push_sample(&col.view(0).to_sample()).unwrap();
+        let dir = std::env::temp_dir().join(format!("imc-snap-tmp-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (snap, bak, mine) = (dir.join("a.snap"), dir.join("a.bak"), dir.join("a.tmp"));
+        // A user's own `a.tmp` is not ours to overwrite and rename away.
+        std::fs::write(&mine, b"mine").unwrap();
+        // Interleave saves to two paths that differ only in extension;
+        // sharing one temp name makes a rename lose its source.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for (path, store) in [(&snap, &col), (&bak, &other)] {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    for generation in 0..50 {
+                        save(path, store, fp, generation).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(std::fs::read(&snap).unwrap(), encode(&col, fp, 49));
+        assert_eq!(std::fs::read(&bak).unwrap(), encode(&other, fp, 49));
+        assert_eq!(load(&snap).unwrap().collection, col);
+        assert_eq!(load(&bak).unwrap().collection, other);
+        assert_eq!(std::fs::read(&mine).unwrap(), b"mine");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1531,31 +1345,28 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_structural_fields_rejected_with_fixed_checksum() {
-        // Legacy layouts: the first sample's community/threshold sit at the
-        // same offsets in v1 and v2 (v2's metadata block starts where v1's
-        // first sample did).
-        let (g, cs, col) = tiny_collection();
-        let bytes = encode_v2(&col, instance_fingerprint(&g, &cs), 0);
+    fn corrupt_v2_fields_rejected_by_upgrade_with_fixed_checksum() {
+        // Version 2: the metadata block starts right after the header.
+        let bytes = V2_FIXTURE.to_vec();
         // Out-of-range community id in the first sample.
         let mut bad = bytes.clone();
         bad[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&99u32.to_le_bytes());
         assert!(matches!(
-            decode(&restamp(bad)),
+            upgrade(&restamp(bad)),
             Err(SnapshotError::Corrupt(_))
         ));
         // Zero threshold.
         let mut bad = bytes.clone();
         bad[HEADER_LEN + 4..HEADER_LEN + 8].copy_from_slice(&0u32.to_le_bytes());
         assert!(matches!(
-            decode(&restamp(bad)),
+            upgrade(&restamp(bad)),
             Err(SnapshotError::Corrupt(_))
         ));
         // Absurd sample count.
         let mut bad = bytes.clone();
         bad[48..56].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
-            decode(&restamp(bad)),
+            upgrade(&restamp(bad)),
             Err(SnapshotError::Corrupt(_))
         ));
     }
@@ -1583,6 +1394,14 @@ mod tests {
         // Absurd sample count breaks the section-length cross-check.
         let mut bad = bytes.clone();
         bad[48..56].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            decode(&restamp(bad)),
+            Err(SnapshotError::Corrupt(_))
+        ));
+        // A community count no instance on `node_count` nodes can have —
+        // accepted, it would size every per-community table.
+        let mut bad = bytes.clone();
+        bad[24..32].copy_from_slice(&(1u64 << 56).to_le_bytes());
         assert!(matches!(
             decode(&restamp(bad)),
             Err(SnapshotError::Corrupt(_))
@@ -1667,8 +1486,8 @@ mod tests {
         }
         // Materializing copies the persisted index verbatim.
         assert_eq!(view.to_store(), col);
-        // `encode` sees only the trait accessors: the view re-encodes to
-        // the bytes it borrows.
+        // `encode` copies whatever columns it is lent: the view re-encodes
+        // to the bytes it borrows.
         assert_eq!(encode(&view, fp, 2), arena.as_bytes());
     }
 
@@ -1699,28 +1518,6 @@ mod tests {
             encode(&data.collection, data.fingerprint, data.generation),
             bytes
         );
-    }
-
-    #[test]
-    fn upgrade_lifts_v1_and_v2_to_identical_v3_bytes() {
-        let (g, cs, col) = tiny_collection();
-        let fp = instance_fingerprint(&g, &cs);
-        let v1 = encode_v1(&col, fp, 6);
-        let v2 = encode_v2(&col, fp, 6);
-        let v3 = encode(&col, fp, 6);
-        assert_eq!(upgrade(&v1).unwrap(), v3);
-        assert_eq!(upgrade(&v2).unwrap(), v3);
-        assert_eq!(upgrade(&v3).unwrap(), v3);
-    }
-
-    #[test]
-    fn v2_columnar_bytes_decode_identically() {
-        let (g, cs, col) = tiny_collection();
-        let fp = instance_fingerprint(&g, &cs);
-        let old = decode(&encode_v2(&col, fp, 5)).unwrap();
-        assert_eq!(old.fingerprint, fp);
-        assert_eq!(old.generation, 5);
-        assert_eq!(old.collection, col);
     }
 
     #[test]

@@ -14,8 +14,13 @@
 //! paper's `G_R(u)`, materialized contiguously. A greedy gain evaluation
 //! for `v` is then one linear scan of `index(v)` with direct word loads,
 //! no per-sample binary search and no pointer chasing.
+//!
+//! Together with the three per-sample metadata columns these are the nine
+//! columns of [`RicColumns`], held in the element types a version-3
+//! snapshot stores (`u32` ids, `u64` offsets): the store lends them as
+//! they are, and the snapshot codec copies them out byte for byte.
 
-use crate::samples::{limbs_for_width, RicSamples};
+use crate::samples::{limbs_for_width, top_limb_mask, RicColumns, RicSamples};
 use crate::{CoverSet, CoverageState, RicSample, RicSampler};
 use imc_community::CommunityId;
 use imc_graph::NodeId;
@@ -254,33 +259,8 @@ impl<'a> RicSampleView<'a> {
             .map(|pos| self.cover_words_of(pos))
     }
 
-    /// `|I_g(S)|` — distinct members reached by `seeds`.
-    pub fn covered_members(&self, seeds: &[NodeId]) -> u32 {
-        let limbs = limbs_for_width(self.community_size);
-        let mut union = vec![0u64; limbs];
-        for &s in seeds {
-            if let Some(words) = self.cover_of(s) {
-                for (u, &w) in union.iter_mut().zip(words) {
-                    *u |= w;
-                }
-            }
-        }
-        union.iter().map(|w| w.count_ones()).sum()
-    }
-
-    /// The indicator `X_g(S)`.
-    pub fn influenced_by(&self, seeds: &[NodeId]) -> bool {
-        self.covered_members(seeds) >= self.threshold
-    }
-
-    /// `min(|I_g(S)|/h_g, 1)` — the sample's `ν` contribution.
-    pub fn fractional_coverage(&self, seeds: &[NodeId]) -> f64 {
-        (self.covered_members(seeds) as f64 / self.threshold as f64).min(1.0)
-    }
-
     /// Materializes the view as an owning [`RicSample`].
     pub fn to_sample(&self) -> RicSample {
-        let limbs = limbs_for_width(self.community_size);
         RicSample {
             community: self.community,
             threshold: self.threshold,
@@ -288,10 +268,7 @@ impl<'a> RicSampleView<'a> {
             nodes: self.nodes.to_vec(),
             covers: (0..self.nodes.len())
                 .map(|pos| {
-                    CoverSet::from_words(
-                        self.community_size as usize,
-                        &self.cover_words[pos * limbs..(pos + 1) * limbs],
-                    )
+                    CoverSet::from_words(self.community_size as usize, self.cover_words_of(pos))
                 })
                 .collect(),
         }
@@ -333,20 +310,17 @@ pub struct RicStore {
     node_count: usize,
     community_count: usize,
     total_benefit: f64,
-    // Per-sample metadata columns.
-    communities: Vec<CommunityId>,
+    // The nine columns of `RicColumns`, owned, in the element types a
+    // version-3 snapshot stores — so `columns()` lends them as they are
+    // and `snapshot::encode` copies them out byte for byte.
+    communities: Vec<u32>,
     thresholds: Vec<u32>,
     widths: Vec<u32>,
-    // CSR node lists: sample si owns nodes[node_offsets[si]..node_offsets[si+1]].
-    node_offsets: Vec<usize>,
+    node_offsets: Vec<u64>,
     nodes: Vec<NodeId>,
-    // Flat cover bitsets: sample si owns cover_words[cover_offsets[si]..
-    // cover_offsets[si+1]], as len(si) consecutive groups of limbs(si) limbs.
-    cover_offsets: Vec<usize>,
+    cover_offsets: Vec<u64>,
     cover_words: Vec<u64>,
-    // CSR inverted index: node v touches index_entries[index_offsets[v]..
-    // index_offsets[v+1]], ordered by (sample, pos) ascending.
-    index_offsets: Vec<usize>,
+    index_offsets: Vec<u64>,
     index_entries: Vec<SampleRef>,
 }
 
@@ -432,35 +406,33 @@ impl RicStore {
         if sample.covers.len() != sample.nodes.len() {
             return Err(RicStoreError::CoverShapeMismatch { sample: si });
         }
-        let width = sample.community_size as usize;
         let limbs = limbs_for_width(sample.community_size);
+        let top_mask = top_limb_mask(sample.community_size);
         for cover in &sample.covers {
             let words = cover.words();
             if words.len() != limbs {
                 return Err(RicStoreError::CoverShapeMismatch { sample: si });
             }
-            for (li, &w) in words.iter().enumerate() {
-                if w & !allowed_mask(width, li) != 0 {
-                    return Err(RicStoreError::CoverBitsOutOfRange { sample: si });
-                }
+            if words[limbs - 1] & !top_mask != 0 {
+                return Err(RicStoreError::CoverBitsOutOfRange { sample: si });
             }
         }
-        self.communities.push(sample.community);
+        self.communities.push(sample.community.raw());
         self.thresholds.push(sample.threshold);
         self.widths.push(sample.community_size);
         self.nodes.extend_from_slice(&sample.nodes);
         for cover in &sample.covers {
             self.cover_words.extend_from_slice(cover.words());
         }
-        self.node_offsets.push(self.nodes.len());
-        self.cover_offsets.push(self.cover_words.len());
+        self.node_offsets.push(self.nodes.len() as u64);
+        self.cover_offsets.push(self.cover_words.len() as u64);
         Ok(())
     }
 
     /// Appends already-validated raw sample parts without touching the
     /// index. `words` is `nodes.len() × limbs(width)` limbs. Used by the
     /// trusted in-crate producers (sampler output, BT pivot reductions,
-    /// snapshot decode); callers must finish with
+    /// the version-2 snapshot reader); callers must finish with
     /// [`rebuild_index`](Self::rebuild_index).
     pub(crate) fn push_raw(
         &mut self,
@@ -472,61 +444,20 @@ impl RicStore {
     ) {
         debug_assert_eq!(words.len(), nodes.len() * limbs_for_width(width));
         debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]));
-        self.communities.push(community);
+        self.communities.push(community.raw());
         self.thresholds.push(threshold);
         self.widths.push(width);
         self.nodes.extend_from_slice(nodes);
         self.cover_words.extend_from_slice(words);
-        self.node_offsets.push(self.nodes.len());
-        self.cover_offsets.push(self.cover_words.len());
-    }
-
-    /// Assembles a store directly from its raw columns — the version-3
-    /// snapshot decode path, which persists the inverted index instead of
-    /// rebuilding it. The caller (the snapshot codec) is responsible for
-    /// having validated every structural invariant, including that
-    /// `index_offsets`/`index_entries` are exactly what
-    /// [`rebuild_index`](Self::rebuild_index) would produce.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_raw_columns(
-        node_count: usize,
-        community_count: usize,
-        total_benefit: f64,
-        communities: Vec<CommunityId>,
-        thresholds: Vec<u32>,
-        widths: Vec<u32>,
-        node_offsets: Vec<usize>,
-        nodes: Vec<NodeId>,
-        cover_offsets: Vec<usize>,
-        cover_words: Vec<u64>,
-        index_offsets: Vec<usize>,
-        index_entries: Vec<SampleRef>,
-    ) -> Self {
-        debug_assert_eq!(node_offsets.len(), communities.len() + 1);
-        debug_assert_eq!(cover_offsets.len(), communities.len() + 1);
-        debug_assert_eq!(index_offsets.len(), node_count + 1);
-        debug_assert_eq!(index_entries.len(), nodes.len());
-        RicStore {
-            node_count,
-            community_count,
-            total_benefit,
-            communities,
-            thresholds,
-            widths,
-            node_offsets,
-            nodes,
-            cover_offsets,
-            cover_words,
-            index_offsets,
-            index_entries,
-        }
+        self.node_offsets.push(self.nodes.len() as u64);
+        self.cover_offsets.push(self.cover_words.len() as u64);
     }
 
     /// Recomputes the CSR inverted index from the node arena with one
     /// counting sort — `O(node_count + Σ_g |g|)`. Entries per node come
     /// out ordered by `(sample, pos)` ascending.
     pub(crate) fn rebuild_index(&mut self) {
-        let mut offsets = vec![0usize; self.node_count + 1];
+        let mut offsets = vec![0u64; self.node_count + 1];
         for v in &self.nodes {
             offsets[v.index() + 1] += 1;
         }
@@ -535,14 +466,11 @@ impl RicStore {
         }
         let mut cursor = offsets.clone();
         let mut entries = vec![SampleRef { sample: 0, pos: 0 }; self.nodes.len()];
+        let cols = self.columns();
         for si in 0..self.len() {
-            let start = self.node_offsets[si];
-            for (pos, v) in self.nodes[start..self.node_offsets[si + 1]]
-                .iter()
-                .enumerate()
-            {
+            for (pos, v) in cols.sample_nodes(si).iter().enumerate() {
                 let slot = &mut cursor[v.index()];
-                entries[*slot] = SampleRef {
+                entries[*slot as usize] = SampleRef {
                     sample: si as u32,
                     pos: pos as u32,
                 };
@@ -556,8 +484,8 @@ impl RicStore {
     /// Appends another store's arena (metadata, nodes, covers) without
     /// rebuilding the index — the shard-merge step of parallel generation.
     fn append_arena(&mut self, other: &RicStore) {
-        let node_base = self.nodes.len();
-        let word_base = self.cover_words.len();
+        let node_base = self.nodes.len() as u64;
+        let word_base = self.cover_words.len() as u64;
         self.communities.extend_from_slice(&other.communities);
         self.thresholds.extend_from_slice(&other.thresholds);
         self.widths.extend_from_slice(&other.widths);
@@ -775,12 +703,13 @@ impl RicStore {
 
     /// Borrowed view of sample `si`.
     pub fn view(&self, si: usize) -> RicSampleView<'_> {
+        let cols = self.columns();
         RicSampleView {
-            community: self.communities[si],
+            community: CommunityId::new(self.communities[si]),
             threshold: self.thresholds[si],
             community_size: self.widths[si],
-            nodes: &self.nodes[self.node_offsets[si]..self.node_offsets[si + 1]],
-            cover_words: &self.cover_words[self.cover_offsets[si]..self.cover_offsets[si + 1]],
+            nodes: cols.sample_nodes(si),
+            cover_words: cols.sample_words(si),
         }
     }
 
@@ -792,12 +721,12 @@ impl RicStore {
     /// Samples touched by `v` (the paper's `G_R(u)`), ordered by
     /// `(sample, pos)` ascending.
     pub fn touched_by(&self, v: NodeId) -> &[SampleRef] {
-        &self.index_entries[self.index_offsets[v.index()]..self.index_offsets[v.index() + 1]]
+        self.columns().touched_by(v)
     }
 
     /// Number of samples `v` appears in — MAF's node-appearance count.
     pub fn appearance_count(&self, v: NodeId) -> usize {
-        self.index_offsets[v.index() + 1] - self.index_offsets[v.index()]
+        (self.index_offsets[v.index() + 1] - self.index_offsets[v.index()]) as usize
     }
 
     /// Number of samples influenced by `S`, computed through the inverted
@@ -846,22 +775,25 @@ impl RicStore {
     /// table.
     pub fn community_frequencies(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.community_count];
-        for c in &self.communities {
-            counts[c.index()] += 1;
+        for &c in &self.communities {
+            counts[c as usize] += 1;
         }
         counts
     }
 
     /// Appearance count for every node.
     pub fn node_appearance_counts(&self) -> Vec<usize> {
-        self.index_offsets.windows(2).map(|w| w[1] - w[0]).collect()
+        self.index_offsets
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .collect()
     }
 
     /// Size and cost statistics of the store — the quantities that govern
     /// solver runtimes (greedy cost scales with the total index size; BT's
     /// per-pivot cost with the squared sample sizes).
     pub fn stats(&self) -> CollectionStats {
-        let sizes = self.node_offsets.windows(2).map(|w| w[1] - w[0]);
+        let sizes = self.node_offsets.windows(2).map(|w| (w[1] - w[0]) as usize);
         let total = self.nodes.len();
         let max = sizes.clone().max().unwrap_or(0);
         let sum_sq: u64 = sizes.map(|s| (s * s) as u64).sum();
@@ -889,14 +821,14 @@ impl RicStore {
     /// and inverted-index entries; excludes `Vec` growth slack).
     pub fn arena_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.communities.len() * size_of::<CommunityId>()
+        self.communities.len() * size_of::<u32>()
             + self.thresholds.len() * size_of::<u32>()
             + self.widths.len() * size_of::<u32>()
-            + self.node_offsets.len() * size_of::<usize>()
+            + self.node_offsets.len() * size_of::<u64>()
             + self.nodes.len() * size_of::<NodeId>()
-            + self.cover_offsets.len() * size_of::<usize>()
+            + self.cover_offsets.len() * size_of::<u64>()
             + self.cover_words.len() * size_of::<u64>()
-            + self.index_offsets.len() * size_of::<usize>()
+            + self.index_offsets.len() * size_of::<u64>()
             + self.index_entries.len() * size_of::<SampleRef>()
     }
 
@@ -906,60 +838,44 @@ impl RicStore {
     }
 }
 
-/// Mask of the bit positions limb `limb` may legally use for a cover of
-/// `width` bits.
-fn allowed_mask(width: usize, limb: usize) -> u64 {
-    let lo = limb * 64;
-    if width <= lo {
-        0
-    } else if width >= lo + 64 {
-        !0
-    } else {
-        (!0u64) >> (64 - (width - lo))
+impl RicColumns<'_> {
+    /// Copies the columns into an owned [`RicStore`] — the inverted index
+    /// is adopted verbatim, not rebuilt.
+    pub fn to_store(self) -> RicStore {
+        RicStore {
+            node_count: self.node_count,
+            community_count: self.community_count,
+            total_benefit: self.total_benefit,
+            communities: self.communities.to_vec(),
+            thresholds: self.thresholds.to_vec(),
+            widths: self.widths.to_vec(),
+            node_offsets: self.node_offsets.to_vec(),
+            nodes: self.nodes.to_vec(),
+            cover_offsets: self.cover_offsets.to_vec(),
+            cover_words: self.cover_words.to_vec(),
+            index_offsets: self.index_offsets.to_vec(),
+            index_entries: self.index_entries.to_vec(),
+        }
     }
 }
 
 impl RicSamples for RicStore {
-    fn len(&self) -> usize {
-        RicStore::len(self)
-    }
-
-    fn node_count(&self) -> usize {
-        RicStore::node_count(self)
-    }
-
-    fn community_count(&self) -> usize {
-        RicStore::community_count(self)
-    }
-
-    fn total_benefit(&self) -> f64 {
-        RicStore::total_benefit(self)
-    }
-
-    fn sample_community(&self, si: usize) -> CommunityId {
-        self.communities[si]
-    }
-
-    fn sample_threshold(&self, si: usize) -> u32 {
-        self.thresholds[si]
-    }
-
-    fn sample_width(&self, si: usize) -> u32 {
-        self.widths[si]
-    }
-
-    fn sample_nodes(&self, si: usize) -> &[NodeId] {
-        &self.nodes[self.node_offsets[si]..self.node_offsets[si + 1]]
-    }
-
-    fn cover_words(&self, si: usize, pos: usize) -> &[u64] {
-        let limbs = limbs_for_width(self.widths[si]);
-        let start = self.cover_offsets[si] + pos * limbs;
-        &self.cover_words[start..start + limbs]
-    }
-
-    fn touched_by(&self, v: NodeId) -> &[SampleRef] {
-        RicStore::touched_by(self, v)
+    #[inline]
+    fn columns(&self) -> RicColumns<'_> {
+        RicColumns {
+            node_count: self.node_count,
+            community_count: self.community_count,
+            total_benefit: self.total_benefit,
+            communities: &self.communities,
+            thresholds: &self.thresholds,
+            widths: &self.widths,
+            node_offsets: &self.node_offsets,
+            nodes: &self.nodes,
+            cover_offsets: &self.cover_offsets,
+            cover_words: &self.cover_words,
+            index_offsets: &self.index_offsets,
+            index_entries: &self.index_entries,
+        }
     }
 
     fn appearance_count(&self, v: NodeId) -> usize {
@@ -1265,10 +1181,13 @@ mod tests {
         assert_eq!(v.cover_of(NodeId::new(1)), Some(&[0b01u64][..]));
         assert_eq!(v.cover_of(NodeId::new(2)), Some(&[0b10u64][..]));
         assert_eq!(v.cover_of(NodeId::new(7)), None);
-        assert_eq!(v.covered_members(&[NodeId::new(1), NodeId::new(2)]), 2);
-        assert!(v.influenced_by(&[NodeId::new(1), NodeId::new(2)]));
-        assert!(!v.influenced_by(&[NodeId::new(1)]));
-        assert!((v.fractional_coverage(&[NodeId::new(1)]) - 0.5).abs() < 1e-12);
+        assert_eq!(
+            store.sample_covered_members(0, &[NodeId::new(1), NodeId::new(2)]),
+            2
+        );
+        assert!(store.sample_influenced(0, &[NodeId::new(1), NodeId::new(2)]));
+        assert!(!store.sample_influenced(0, &[NodeId::new(1)]));
+        assert!((store.sample_fractional_coverage(0, &[NodeId::new(1)]) - 0.5).abs() < 1e-12);
         assert_eq!(v.to_sample(), fixture_samples()[0]);
     }
 
@@ -1486,15 +1405,5 @@ mod tests {
                                               // index entries (8B).
         let expect = 3 * 4 * 3 + (4 + 4) * 8 + 4 * 4 + 4 * 8 + 11 * 8 + 4 * 8;
         assert_eq!(store.arena_bytes(), expect);
-    }
-
-    #[test]
-    fn allowed_mask_boundaries() {
-        assert_eq!(allowed_mask(4, 0), 0b1111);
-        assert_eq!(allowed_mask(64, 0), !0);
-        assert_eq!(allowed_mask(64, 1), 0);
-        assert_eq!(allowed_mask(0, 0), 0);
-        assert_eq!(allowed_mask(130, 1), !0);
-        assert_eq!(allowed_mask(130, 2), 0b11);
     }
 }

@@ -1,36 +1,40 @@
-//! Backward-compatibility checks against committed legacy snapshots.
+//! Compatibility checks against committed snapshot files.
 //!
-//! `fixtures/snapshot_v1.snap` was written by the row-major version-1
-//! encoder before the columnar format landed; `fixtures/snapshot_v2.snap`
-//! by the columnar version-2 encoder before the sectioned version 3. Both
-//! must keep decoding — and decode to exactly the collection a fresh
-//! deterministic regeneration produces — for as long as
-//! `MIN_FORMAT_VERSION` is 1. The v2 fixture additionally proves the
-//! upgrade path: lifting it to version 3 must be bitwise-stable (the
-//! upgraded bytes are a re-encode fixpoint).
+//! All three fixtures hold the same deterministic collection
+//! ([`fixture_store`], fingerprint of [`fixture_instance`], generation 3):
+//!
+//! * `fixtures/snapshot_v3.snap` was written by `encode` at the commit
+//!   *before* `encode` became header + column copies. It pins the
+//!   version-3 bytes across commits: a changed section order, padding or
+//!   element type fails here even though every same-commit round trip
+//!   would still pass.
+//! * `fixtures/snapshot_v2.snap` was written by the columnar version-2
+//!   encoder (since deleted). Only `upgrade` still reads it, and must lift
+//!   it to exactly the v3 fixture's bytes.
+//! * `fixtures/snapshot_v1.snap` was written by the row-major version-1
+//!   encoder. Nothing reads it any more.
+//!
+//! Every reader other than `upgrade` answers v1 and v2 bytes with a typed
+//! `UnsupportedVersion`.
 
 use imc_community::CommunitySet;
-use imc_core::snapshot::{decode, encode, instance_fingerprint, load_for_instance, upgrade};
+use imc_core::snapshot::{
+    decode, encode, instance_fingerprint, load, load_for_instance, upgrade, RicStoreView,
+    SnapshotBytes, SnapshotError,
+};
 use imc_core::{ImcInstance, RicStore};
 use imc_graph::{GraphBuilder, NodeId};
-use std::path::PathBuf;
 
-fn fixture_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+fn fixture(name: &str) -> Vec<u8> {
+    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("fixtures")
+        .join(name);
+    std::fs::read(path).expect("committed fixture present")
 }
 
-fn fixture_path() -> PathBuf {
-    fixture_dir().join("snapshot_v1.snap")
-}
-
-fn v2_fixture_path() -> PathBuf {
-    fixture_dir().join("snapshot_v2.snap")
-}
-
-/// The instance the fixture was sampled from (mirrors the service crate's
-/// `tiny_state` test helper at the time the fixture was written).
+/// The instance the fixtures were sampled from (mirrors the service crate's
+/// `tiny_state` test helper at the time the first fixture was written).
 fn fixture_instance() -> ImcInstance {
     let mut b = GraphBuilder::new(6);
     b.add_edge(0, 1, 0.9).unwrap();
@@ -48,76 +52,84 @@ fn fixture_instance() -> ImcInstance {
     ImcInstance::new(graph, communities).unwrap()
 }
 
-#[test]
-fn v1_fixture_still_loads() {
-    let bytes = std::fs::read(fixture_path()).expect("committed fixture present");
-    assert_eq!(bytes[7], 1, "fixture must remain a version-1 file");
-    let data = decode(&bytes).expect("v1 fixture decodes");
-    assert_eq!(data.generation, 3);
-    assert_eq!(data.collection.len(), 200);
-
-    // The fixture was generated deterministically: same sampler, same
-    // seed/sharding — so a fresh store must match sample for sample.
+/// The deterministic collection every fixture was sampled from, with the
+/// fingerprint recorded in them.
+fn fixture_store() -> (ImcInstance, u64, RicStore) {
     let instance = fixture_instance();
-    assert_eq!(
-        data.fingerprint,
-        instance_fingerprint(instance.graph(), instance.communities())
-    );
-    let sampler = instance.sampler();
-    let mut fresh = RicStore::for_sampler(&sampler);
-    fresh.extend_parallel_with_workers(&sampler, 200, 7, 1);
-    assert_eq!(data.collection, fresh);
-}
-
-/// The deterministic collection both fixtures were sampled from.
-fn fixture_store() -> (ImcInstance, RicStore) {
-    let instance = fixture_instance();
+    let fp = instance_fingerprint(instance.graph(), instance.communities());
     let sampler = instance.sampler();
     let mut store = RicStore::for_sampler(&sampler);
     store.extend_parallel_with_workers(&sampler, 200, 7, 1);
-    (instance, store)
-}
-
-/// One-off generator for `fixtures/snapshot_v2.snap` — run with
-/// `cargo test -p imc-core --test snapshot_compat -- --ignored` if the
-/// fixture ever needs regenerating (it should not: that would defeat the
-/// purpose of a compatibility fixture).
-#[test]
-#[ignore = "writes the committed v2 fixture"]
-fn regenerate_v2_fixture() {
-    let (instance, store) = fixture_store();
-    let fp = instance_fingerprint(instance.graph(), instance.communities());
-    let bytes = imc_core::snapshot::encode_v2(&store, fp, 3);
-    std::fs::write(v2_fixture_path(), bytes).unwrap();
+    (instance, fp, store)
 }
 
 #[test]
-fn v2_fixture_still_loads() {
-    let bytes = std::fs::read(v2_fixture_path()).expect("committed fixture present");
-    assert_eq!(bytes[7], 2, "fixture must remain a version-2 file");
-    let data = decode(&bytes).expect("v2 fixture decodes");
-    assert_eq!(data.generation, 3);
-    assert_eq!(data.collection.len(), 200);
-    let (instance, fresh) = fixture_store();
-    assert_eq!(
-        data.fingerprint,
-        instance_fingerprint(instance.graph(), instance.communities())
-    );
+fn v3_bytes_are_pinned_across_commits() {
+    let committed = fixture("snapshot_v3.snap");
+    assert_eq!(committed[7], 3, "fixture must remain a version-3 file");
+    let (instance, fp, fresh) = fixture_store();
+    assert_eq!(encode(&fresh, fp, 3), committed);
+
+    let data = decode(&committed).expect("v3 fixture decodes");
+    assert_eq!((data.fingerprint, data.generation), (fp, 3));
     assert_eq!(data.collection, fresh);
+
+    // The same bytes pass the fingerprint gate from disk.
+    let dir = std::env::temp_dir().join(format!("imc-compat-v3-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("fixture.snap");
+    std::fs::write(&path, &committed).unwrap();
+    let gated = load_for_instance(&path, &instance).expect("fingerprint matches");
+    assert_eq!(gated.collection, fresh);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn v1_and_v2_bytes_are_unsupported_by_every_live_reader() {
+    let instance = fixture_instance();
+    let dir = std::env::temp_dir().join(format!("imc-compat-old-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, version) in [("snapshot_v1.snap", 1u8), ("snapshot_v2.snap", 2u8)] {
+        let bytes = fixture(name);
+        assert_eq!(
+            bytes[7], version,
+            "{name} must remain a version-{version} file"
+        );
+        let unsupported =
+            |e: &SnapshotError| matches!(e, SnapshotError::UnsupportedVersion(v) if *v == version);
+
+        assert!(unsupported(&decode(&bytes).unwrap_err()), "decode {name}");
+        let aligned = SnapshotBytes::copy_from(&bytes);
+        assert!(
+            unsupported(&RicStoreView::open(aligned.as_bytes()).unwrap_err()),
+            "RicStoreView::open {name}"
+        );
+        let path = dir.join(name);
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(unsupported(&load(&path).unwrap_err()), "load {name}");
+        assert!(
+            unsupported(&load_for_instance(&path, &instance).unwrap_err()),
+            "load_for_instance {name}"
+        );
+    }
+    // Version 1 is not liftable either.
+    assert!(matches!(
+        upgrade(&fixture("snapshot_v1.snap")),
+        Err(SnapshotError::UnsupportedVersion(1))
+    ));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn v2_fixture_upgrades_to_v3_bitwise_stably() {
-    let old = std::fs::read(v2_fixture_path()).expect("committed fixture present");
-    let lifted = upgrade(&old).expect("v2 fixture upgrades");
-    assert_eq!(lifted[7], 3, "upgrade must emit the current version");
+    let lifted = upgrade(&fixture("snapshot_v2.snap")).expect("v2 fixture upgrades");
+    // Same collection, fingerprint and generation → the pinned v3 bytes.
+    assert_eq!(lifted, fixture("snapshot_v3.snap"));
 
-    // The upgraded file decodes to the identical collection and metadata.
-    let before = decode(&old).unwrap();
+    let (_, fp, fresh) = fixture_store();
     let after = decode(&lifted).unwrap();
-    assert_eq!(before.fingerprint, after.fingerprint);
-    assert_eq!(before.generation, after.generation);
-    assert_eq!(before.collection, after.collection);
+    assert_eq!((after.fingerprint, after.generation), (fp, 3));
+    assert_eq!(after.collection, fresh);
 
     // Bitwise stability: re-saving the upgraded snapshot changes nothing,
     // so repeated load/save cycles cannot drift.
@@ -126,13 +138,4 @@ fn v2_fixture_upgrades_to_v3_bitwise_stably() {
         lifted
     );
     assert_eq!(upgrade(&lifted).unwrap(), lifted);
-}
-
-#[test]
-fn v1_fixture_passes_fingerprint_gate() {
-    let instance = fixture_instance();
-    let data = load_for_instance(&fixture_path(), &instance).expect("fingerprint matches");
-    assert_eq!(data.collection.node_count(), 6);
-    assert_eq!(data.collection.community_count(), 2);
-    assert_eq!(data.collection.total_benefit(), 5.0);
 }

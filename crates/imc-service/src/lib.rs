@@ -258,6 +258,26 @@ mod tests {
     }
 
     #[test]
+    fn from_snapshot_path_refuses_pre_v3_files() {
+        // The committed legacy fixtures were sampled from `tiny_state`'s
+        // instance, so only their format version stands in the way.
+        let instance = tiny_state(1).instance().clone();
+        let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("../imc-core/tests/fixtures");
+        for (name, version) in [("snapshot_v1.snap", 1), ("snapshot_v2.snap", 2)] {
+            assert!(
+                matches!(
+                    ServiceState::from_snapshot_path(instance.clone(), &fixtures.join(name)),
+                    Err(SnapshotError::UnsupportedVersion(v)) if v == version
+                ),
+                "{name}"
+            );
+        }
+        assert!(
+            ServiceState::from_snapshot_path(instance, &fixtures.join("snapshot_v3.snap")).is_ok()
+        );
+    }
+
+    #[test]
     fn from_snapshot_rejects_foreign_instance() {
         let state = tiny_state(10);
         let dir = std::env::temp_dir().join(format!("imc-svc-fp-{}", std::process::id()));

@@ -1,17 +1,21 @@
 //! Property-based tests (proptest) for the snapshot store: encode/decode
-//! round-trips, and rejection of truncated or corrupted files.
+//! round-trips, rejection of truncated or corrupted files, and — with the
+//! checksum re-stamped so only the structural validators stand in the way —
+//! hostile bytes that must be refused or be safe to solve over.
 
 use imc_community::CommunityId;
 use imc_community::CommunitySet;
-use imc_core::snapshot;
-use imc_core::{CoverSet, RicSample, RicSampler, RicStore};
+use imc_core::snapshot::{self, RicStoreView, SnapshotBytes};
+use imc_core::{
+    CoverSet, ImcInstance, MaxrAlgorithm, RicSample, RicSamples, RicStore, SolveRequest,
+};
 use imc_graph::{generators::erdos_renyi, GraphBuilder, NodeId, WeightModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// A small random instance plus a collection sampled from it.
-fn sampled_collection(seed: u64, samples: usize) -> (u64, RicStore) {
+fn sampled_instance(seed: u64, samples: usize) -> (ImcInstance, u64, RicStore) {
     let mut rng = StdRng::seed_from_u64(seed);
     let graph = erdos_renyi(30, 0.1, &mut rng).reweighted(WeightModel::Uniform(0.3));
     let members: Vec<Vec<NodeId>> = (0..6)
@@ -24,10 +28,74 @@ fn sampled_collection(seed: u64, samples: usize) -> (u64, RicStore) {
         .collect();
     let communities = CommunitySet::from_parts(30, parts).unwrap();
     let fp = snapshot::instance_fingerprint(&graph, &communities);
-    let sampler = RicSampler::new(&graph, &communities);
+    let instance = ImcInstance::new(graph, communities).unwrap();
+    let sampler = instance.sampler();
     let mut col = RicStore::for_sampler(&sampler);
     col.extend_with(&sampler, samples, &mut rng);
+    (instance, fp, col)
+}
+
+fn sampled_collection(seed: u64, samples: usize) -> (u64, RicStore) {
+    let (_, fp, col) = sampled_instance(seed, samples);
     (fp, col)
+}
+
+/// The committed version-2 file and the instance it was sampled from (see
+/// `crates/imc-core/tests/snapshot_compat.rs`) — the only version-2 bytes
+/// left now that nothing writes the format.
+fn v2_fixture() -> (ImcInstance, Vec<u8>) {
+    let mut b = GraphBuilder::new(6);
+    b.add_edge(0, 1, 0.9).unwrap();
+    b.add_edge(1, 2, 0.5).unwrap();
+    b.add_edge(3, 4, 0.8).unwrap();
+    let communities = CommunitySet::from_parts(
+        6,
+        vec![
+            (vec![NodeId::new(1), NodeId::new(2)], 1, 2.0),
+            (vec![NodeId::new(4), NodeId::new(5)], 1, 3.0),
+        ],
+    )
+    .unwrap();
+    let instance = ImcInstance::new(b.build().unwrap(), communities).unwrap();
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/imc-core/tests/fixtures/snapshot_v2.snap"
+    );
+    (
+        instance,
+        std::fs::read(path).expect("committed fixture present"),
+    )
+}
+
+/// Overwrites one byte per site — `(in_head, position fraction, value)`,
+/// `in_head` aiming at the first `head_len` bytes (header, section table or
+/// leading metadata) where a random hit would otherwise be rare — and
+/// re-stamps a valid FNV-1a trailer, so the checksum no longer shields the
+/// structural validators.
+fn mutate_and_restamp(bytes: &[u8], head_len: usize, sites: &[(u8, f64, u8)]) -> Vec<u8> {
+    let mut bad = bytes.to_vec();
+    let body = bad.len() - 8;
+    for &(in_head, frac, value) in sites {
+        let span = if in_head == 0 {
+            head_len.min(body)
+        } else {
+            body
+        };
+        bad[(span as f64 * frac) as usize] = value;
+    }
+    let sum = snapshot::fnv1a(&bad[..body]);
+    bad[body..].copy_from_slice(&sum.to_le_bytes());
+    bad
+}
+
+/// What "accepted" must mean for hostile bytes: a full `verify()` passes
+/// over the collection's own encoding and a solve runs to completion.
+fn assert_safe_to_solve(instance: &ImcInstance, samples: &impl RicSamples) {
+    let bytes = SnapshotBytes::copy_from(&snapshot::encode(samples, 0, 0));
+    bytes.view().expect("reopens").verify().expect("verifies");
+    MaxrAlgorithm::Ubg
+        .solve(instance, samples, &SolveRequest::new(3))
+        .expect("k=3 UBG solve completes");
 }
 
 proptest! {
@@ -104,6 +172,63 @@ proptest! {
             snapshot::instance_fingerprint(&build(w), &cs),
             snapshot::instance_fingerprint(&build(w2), &cs)
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn hostile_v3_bytes_are_refused_or_safe(
+        seed in 0u64..50,
+        sites in prop::collection::vec((0u8..2, 0.0f64..1.0, 0u8..=255), 1..=8),
+    ) {
+        let (instance, fp, col) = sampled_instance(seed, 20);
+        // 208 = header + section table.
+        let bad = mutate_and_restamp(&snapshot::encode(&col, fp, 0), 208, &sites);
+        if let Ok(data) = snapshot::decode(&bad) {
+            assert_safe_to_solve(&instance, &data.collection);
+        }
+        let aligned = SnapshotBytes::copy_from(&bad);
+        if let Ok(view) = RicStoreView::open_verified(aligned.as_bytes()) {
+            assert_safe_to_solve(&instance, &view);
+        }
+        if let Ok(lifted) = snapshot::upgrade(&bad) {
+            let data = snapshot::decode(&lifted).expect("upgrade output decodes");
+            assert_safe_to_solve(&instance, &data.collection);
+        }
+    }
+
+    #[test]
+    fn hostile_v2_bytes_are_refused_or_lift_to_something_safe(
+        sites in prop::collection::vec((0u8..2, 0.0f64..1.0, 0u8..=255), 1..=8),
+    ) {
+        let (instance, fixture) = v2_fixture();
+        // 56-byte header, then 16 bytes of metadata per sample.
+        let bad = mutate_and_restamp(&fixture, 56 + 16 * 8, &sites);
+        prop_assert!(snapshot::decode(&bad).is_err(), "decode reads version 3 only");
+        if let Ok(lifted) = snapshot::upgrade(&bad) {
+            let data = snapshot::decode(&lifted).expect("upgrade output decodes");
+            assert_safe_to_solve(&instance, &data.collection);
+        }
+    }
+}
+
+#[test]
+fn v2_truncation_and_bit_flips_never_upgrade() {
+    let (_, fixture) = v2_fixture();
+    for cut in 0..fixture.len() {
+        assert!(
+            snapshot::upgrade(&fixture[..cut]).is_err(),
+            "cut at {cut} lifted"
+        );
+    }
+    for pos in (0..fixture.len()).step_by(7) {
+        let mut bad = fixture.clone();
+        bad[pos] ^= 1 << (pos % 8);
+        // FNV-1a catches any single-bit flip; a flipped version byte is
+        // refused before the checksum is even looked at.
+        assert!(snapshot::upgrade(&bad).is_err(), "flip at {pos} lifted");
     }
 }
 
