@@ -17,12 +17,16 @@
 //!   the pick equals the sequential argmax every round. The queue is
 //!   re-checked a *window* at a time (`lazy_rounds`); the window's width
 //!   belongs to the [`GainSource`] and changes no decision.
-//! * [`SolveStrategy::Parallel`] is the same loop over a source that
-//!   evaluates its batches on scoped worker threads and asks for a
-//!   thread-scaled window. Work is split into fixed-width shards whose
-//!   boundaries depend only on the item count and each shard's results
-//!   are written back in shard order — so seeds *and* evaluation counts
-//!   equal `Lazy`'s for *any* thread count, including 1.
+//! * [`SolveStrategy::Parallel`] is the same loop over a source that asks
+//!   for a thread-scaled window (`threads × 16` entries) and fans a batch
+//!   of at least `MIN_PARALLEL_ITEMS` (192) nodes out to scoped worker
+//!   threads. A window reaches that size only from 12 threads up, so
+//!   below that the one batch that fans out is the initial `ν_R` scan —
+//!   and `ĉ_R` batches never do: a `ĉ_R` gain is a table read (see
+//!   [`CoverageState::eval_c_shard`]). Work is split into fixed-width
+//!   shards whose boundaries depend only on the item count and each
+//!   shard's results are written back in shard order — so seeds *and*
+//!   evaluation counts equal `Lazy`'s for *any* thread count, including 1.
 
 use crate::maxr::pad_to_k;
 use crate::maxr::telemetry::{EngineTelemetry, IterationRecord, MapStats};
@@ -130,7 +134,7 @@ where
 /// map, so a chunk closure that evaluates its range in ascending order is
 /// bit-identical to `shard_map_stats` — while paying closure dispatch once
 /// per 256-candidate shard rather than once per candidate. This is how
-/// [`LocalSource`] serves a whole CELF shard from one sweep of the
+/// [`LocalSource`] serves a whole `ν_R` shard from one sweep of the
 /// inverted index (see `docs/KERNELS.md`).
 pub(crate) fn shard_map_chunks_stats<T, F>(
     len: usize,
@@ -260,8 +264,8 @@ pub trait GainSource {
 }
 
 /// [`GainSource`] over an in-process [`RicSamples`] backend: a
-/// [`CoverageState`] plus the worker count used to fan each evaluation
-/// batch out through the deterministic shard map.
+/// [`CoverageState`] plus the worker count used to fan each `ν_R`
+/// evaluation batch out through the deterministic shard map.
 #[derive(Debug)]
 pub struct LocalSource<C: RicSamples> {
     state: CoverageState<C>,
@@ -293,13 +297,17 @@ impl<C: RicSamples> GainSource for LocalSource<C> {
         self.state.collection().appearance_count(NodeId::new(v))
     }
 
+    /// Table reads (see [`CoverageState::eval_c_shard`]): nothing to fan
+    /// out, so the batch is one inline shard at any thread count.
     fn eval_c_batch(&mut self, nodes: &[u32]) -> (Vec<(usize, usize)>, MapStats) {
-        let state = &self.state;
-        shard_map_chunks_stats(nodes.len(), self.threads, |lo, hi| {
-            let mut out = Vec::with_capacity(hi - lo);
-            state.eval_c_shard(&nodes[lo..hi], &mut out);
-            out
-        })
+        let start = Instant::now();
+        let mut out = Vec::with_capacity(nodes.len());
+        self.state.eval_c_shard(nodes, &mut out);
+        let stats = MapStats {
+            shard_seconds: vec![start.elapsed().as_secs_f64()],
+            busy_fractions: Vec::new(),
+        };
+        (out, stats)
     }
 
     fn eval_nu_batch(&mut self, nodes: &[u32]) -> (Vec<f64>, MapStats) {
@@ -758,9 +766,7 @@ fn lazy_rounds<O: EngineObjective, S: GainSource>(
                 });
                 consumed += 1;
             }
-            let returned = (window.len() - consumed) as u64;
             rec.speculative_evaluations += fetched.len() as u64;
-            rec.saved_evaluations += returned - fetched.len() as u64;
             heap.extend(window.drain(consumed..));
             window.clear();
             width = width.saturating_mul(2).min(cap);
@@ -1079,13 +1085,10 @@ mod tests {
                 assert!(rec.pops <= rec.queue_depth as u64);
                 assert!(rec.wasted_evaluations <= rec.evaluations);
                 if strategy != SolveStrategy::Sequential {
-                    // Every pop ends exactly one of four ways.
+                    // Every pop ends exactly one of three ways.
                     assert_eq!(
                         rec.pops,
-                        rec.evaluations
-                            + rec.fresh_hits
-                            + rec.speculative_evaluations
-                            + rec.saved_evaluations
+                        rec.evaluations + rec.fresh_hits + rec.speculative_evaluations
                     );
                 }
             }
@@ -1230,9 +1233,8 @@ mod tests {
         t.rounds
             .iter()
             .map(|r| {
-                let unconsumed = r.speculative_evaluations + r.saved_evaluations;
                 (
-                    r.pops - unconsumed,
+                    r.pops - r.speculative_evaluations,
                     r.fresh_hits,
                     r.evaluations,
                     r.best_gain.to_bits(),

@@ -10,13 +10,14 @@
 //! thread, so the events join the surrounding request's
 //! [`TraceCtx`](imc_obs::trace::TraceCtx) span tree.
 //!
-//! A popped queue entry ends one of four ways, each counted: its gain is
+//! A popped queue entry ends one of three ways, each counted: its gain is
 //! fetched and **consumed** (`evaluations`; all but the winner are also
 //! `wasted_evaluations`), fetched but **unconsumed** because the replay
-//! cut the window before it (`speculative_evaluations`), returned by that
-//! cut **without ever being fetched** (`saved_evaluations`), or consumed
+//! cut the window before it (`speculative_evaluations`), or consumed
 //! without a fetch because its cached gain was already exact
-//! (`fresh_hits`). Per round `pops` is the sum of the four.
+//! (`fresh_hits`). Per round `pops` is the sum of the three: a cut never
+//! returns an unfetched entry, because cached-exact `ν_R` entries exist
+//! only in round 0, whose first, one-entry window decides it.
 
 use std::time::Instant;
 
@@ -50,12 +51,6 @@ pub struct IterationRecord {
     /// the entries went back to the queue with their old keys. Source work
     /// a width-1 window would not have asked for; zero when the cap is 1.
     pub speculative_evaluations: u64,
-    /// Entries **popped but never fetched** that a replay cut put back:
-    /// ν entries behind the cut whose cached gain was already exact for
-    /// the round. They cost a pop and a push, no source work. Zero while
-    /// windows start at width 1: only round 0 holds such entries and its
-    /// first, one-entry window decides it.
-    pub saved_evaluations: u64,
     /// Windows fetched this round — one source batch call each (one
     /// scatter round on a cluster). A window of fresh ν entries only is
     /// not fetched and not counted.
@@ -184,11 +179,6 @@ impl EngineTelemetry {
         self.rounds.iter().map(|r| r.speculative_evaluations).sum()
     }
 
-    /// Total entries popped and put back without being fetched.
-    pub fn saved_evaluations(&self) -> u64 {
-        self.rounds.iter().map(|r| r.saved_evaluations).sum()
-    }
-
     /// Publishes the run into the `imc_engine_*` metric families and —
     /// when a trace sink is installed — emits one `engine_iteration`
     /// event per round plus an `engine_solve` summary.
@@ -212,7 +202,6 @@ impl EngineTelemetry {
                     .field("evaluations", rec.evaluations)
                     .field("wasted_evaluations", rec.wasted_evaluations)
                     .field("speculative_evaluations", rec.speculative_evaluations)
-                    .field("saved_evaluations", rec.saved_evaluations)
                     .field("batches", rec.batches)
                     .field("shards", rec.shards)
                     .field("shard_seconds_sum", rec.shard_seconds_sum)
@@ -254,7 +243,6 @@ impl EngineTelemetry {
                 .field("stale_rechecks", self.stale_rechecks())
                 .field("wasted_evaluations", self.wasted_evaluations())
                 .field("speculative_evaluations", self.speculative_evaluations())
-                .field("saved_evaluations", self.saved_evaluations())
                 .field("shards", self.shard_seconds.len())
                 .field("busy_fraction_min", busy_min)
                 .field("busy_fraction_mean", busy_mean)

@@ -2,28 +2,43 @@ use crate::kernels;
 use crate::samples::{limbs_for_width, RicSamples};
 use crate::RicStore;
 use imc_graph::NodeId;
+use std::sync::OnceLock;
 
 /// Incremental evaluator of the MAXR objectives over any [`RicSamples`]
 /// implementer ([`RicStore`] or
 /// [`RicStoreView`](crate::snapshot::RicStoreView)).
 ///
 /// Maintains, per sample, the union of cover sets of the seeds added so
-/// far — stored as one flat `u64` buffer with per-sample offsets, so a
-/// gain evaluation is a linear scan of the node's inverted-index entries
-/// with direct word loads. Both greedy solvers drive it:
+/// far — stored as one flat `u64` buffer with per-sample offsets. Both
+/// greedy solvers drive it:
 ///
-/// * `marginal_influenced(v)` — how many *additional* samples become
-///   influenced if `v` is added (the ĉ_R greedy gain; **not** submodular,
-///   so the plain greedy re-evaluates candidates every round);
+/// * the ĉ_R gain — how many *additional* samples become influenced if `v`
+///   is added (**not** submodular, so a cached gain bounds nothing and the
+///   lazy queue re-asks for it every round). [`eval_c_shard`] answers it
+///   from two per-node tables (gain and potential) that the first ĉ
+///   evaluation builds with one sample-major sweep and
+///   [`add_seed`](Self::add_seed) keeps exact — see `docs/KERNELS.md`,
+///   *Incremental ĉ gain tables*. The index walks
+///   [`marginal_influenced`](Self::marginal_influenced) and
+///   [`marginal_influenced_with_potential`](Self::marginal_influenced_with_potential)
+///   compute the same numbers from scratch and are the oracle the tables
+///   are tested against.
 /// * `marginal_fraction(v)` — the increase of
 ///   `Σ_g min(|I_g|/h_g, 1)` (the ν_R greedy gain; submodular by Lemma 3,
-///   so CELF lazy evaluation is sound).
+///   so CELF lazy evaluation is sound). Always a linear scan of the node's
+///   inverted-index entries: its value is an f64 fold in ascending sample
+///   order, which a delta update could not reproduce bit for bit.
+///
+/// A state that is never asked for a ĉ gain (the ν greedy, whole-set
+/// scoring, estimates) neither builds nor maintains the tables.
 ///
 /// The backend is held *by value*: pass `&collection` for the usual
 /// borrowed use (blanket `RicSamples` impls cover `&T` and `Arc<T>`), or
 /// an owned `Arc<RicStore>` when the state must be self-contained — e.g.
 /// a cluster shard session that outlives the request that pinned the
 /// store.
+///
+/// [`eval_c_shard`]: Self::eval_c_shard
 #[derive(Debug, Clone)]
 pub struct CoverageState<C: RicSamples = RicStore> {
     collection: C,
@@ -34,6 +49,53 @@ pub struct CoverageState<C: RicSamples = RicStore> {
     influenced_count: usize,
     fraction_sum: f64,
     seeds: Vec<NodeId>,
+    /// Built by the first ĉ evaluation, from whatever unions the state
+    /// holds then; exact for the current seed set ever after.
+    tables: OnceLock<GainTables>,
+}
+
+/// The ĉ_R answer for every node under the current seed set `S`, over the
+/// samples `g` that `S` has not influenced yet (`U_g` is the union of the
+/// seeds' covers in `g`):
+///
+/// * `potential[v] = #{g : v ∈ g}`;
+/// * `gain[v] = #{g : v ∈ g, |U_g ∪ cover_v(g)| ≥ h_g}`.
+///
+/// A sample's terms depend on `U_g` alone, so committing a seed can only
+/// change them for the samples that seed touches.
+#[derive(Debug, Clone)]
+struct GainTables {
+    gain: Vec<u32>,
+    potential: Vec<u32>,
+}
+
+impl GainTables {
+    /// Adds (`open`) or removes the terms of one uninfluenced sample with
+    /// union `union`: one pass over its contiguous node and cover rows.
+    fn sweep(&mut self, nodes: &[NodeId], covers: &[u64], union: &[u64], h: u32, open: bool) {
+        for (&v, cover) in nodes.iter().zip(covers.chunks_exact(union.len())) {
+            let crosses = u32::from(kernels::union_count(union, cover) >= h);
+            let v = v.index();
+            if open {
+                self.potential[v] += 1;
+                self.gain[v] += crosses;
+            } else {
+                self.potential[v] -= 1;
+                self.gain[v] -= crosses;
+            }
+        }
+    }
+
+    /// A still-uninfluenced sample's union grew from `old` to `new`: every
+    /// node that crosses `h` with the new union but did not with the old
+    /// one gains the sample.
+    fn grow(&mut self, nodes: &[NodeId], covers: &[u64], old: &[u64], new: &[u64], h: u32) {
+        for (&v, cover) in nodes.iter().zip(covers.chunks_exact(new.len())) {
+            if kernels::union_count(new, cover) >= h && kernels::union_count(old, cover) < h {
+                self.gain[v.index()] += 1;
+            }
+        }
+    }
 }
 
 impl<C: RicSamples> CoverageState<C> {
@@ -55,6 +117,7 @@ impl<C: RicSamples> CoverageState<C> {
             influenced_count: 0,
             fraction_sum: 0.0,
             seeds: Vec::new(),
+            tables: OnceLock::new(),
         }
     }
 
@@ -140,18 +203,40 @@ impl<C: RicSamples> CoverageState<C> {
         (gain, potential)
     }
 
-    /// Batched ĉ_R evaluation:
+    /// Batched ĉ_R evaluation: `(gain, potential)` for every candidate of
+    /// one CELF shard, in slice order — element-wise what
     /// [`marginal_influenced_with_potential`](Self::marginal_influenced_with_potential)
-    /// for every candidate of one CELF shard, in slice order.
+    /// returns, read from the gain tables.
     ///
-    /// One call walks the inverted index for a whole shard of candidates
-    /// instead of paying per-candidate dispatch; results are element-wise
-    /// identical to the scalar method (see `docs/KERNELS.md`).
+    /// The first call on a state builds the tables with one sample-major
+    /// sweep of the arena (`O(index entries of uninfluenced samples)`);
+    /// every later call is two array reads per node, whatever seeds were
+    /// committed in between (see `docs/KERNELS.md`, *Incremental ĉ gain
+    /// tables*).
     pub fn eval_c_shard(&self, nodes: &[u32], out: &mut Vec<(usize, usize)>) {
-        out.reserve(nodes.len());
-        for &v in nodes {
-            out.push(self.marginal_influenced_with_potential(NodeId::new(v)));
+        let tables = self.tables.get_or_init(|| self.build_tables());
+        out.extend(nodes.iter().map(|&v| {
+            let v = v as usize;
+            (tables.gain[v] as usize, tables.potential[v] as usize)
+        }));
+    }
+
+    /// The gain tables for the unions held right now.
+    fn build_tables(&self) -> GainTables {
+        let cols = self.collection.columns();
+        let mut tables = GainTables {
+            gain: vec![0; cols.node_count],
+            potential: vec![0; cols.node_count],
+        };
+        let mut swept = 0;
+        for si in (0..cols.len()).filter(|&si| !self.influenced[si]) {
+            let nodes = cols.sample_nodes(si);
+            let h = cols.thresholds[si];
+            tables.sweep(nodes, cols.sample_words(si), self.union_of(si), h, true);
+            swept += nodes.len();
         }
+        crate::obs::c_table_entries_swept().inc_by(swept as u64);
+        tables
     }
 
     /// Batched ν_R evaluation: [`marginal_fraction`](Self::marginal_fraction)
@@ -215,22 +300,53 @@ impl<C: RicSamples> CoverageState<C> {
     /// Adds `v` as a seed, updating all per-sample state. Adding a
     /// duplicate seed is a no-op for the objective (unions are idempotent)
     /// but still records the seed.
+    ///
+    /// Once the gain tables exist this is also where ĉ evaluation is paid
+    /// for: every sample `v` touches that was uninfluenced and whose union
+    /// changed is swept once (its node and cover rows are contiguous), and
+    /// no other sample's terms can have moved.
     pub fn add_seed(&mut self, v: NodeId) {
-        for r in self.collection.touched_by(v) {
+        let cols = self.collection.columns();
+        let mut tables = self.tables.get_mut();
+        let mut old = Vec::new();
+        let mut swept = 0;
+        for r in cols.touched_by(v) {
             let si = r.sample as usize;
-            let cover = self.collection.cover_words(si, r.pos as usize);
-            let h = self.collection.sample_threshold(si) as f64;
+            let cover = cols.cover_words(si, r.pos as usize);
+            let threshold = cols.thresholds[si];
+            let h = threshold as f64;
             let before = (self.counts[si] as f64 / h).min(1.0);
             let lo = self.union_offsets[si];
             let union = &mut self.union_words[lo..lo + cover.len()];
+            let was_open = !self.influenced[si];
+            if was_open && tables.is_some() {
+                old.clear();
+                old.extend_from_slice(union);
+            }
             let count = kernels::or_assign_count(union, cover);
+            // A union only gains bits, so it changed iff its popcount rose.
+            let grew = count != self.counts[si];
             self.counts[si] = count;
             let after = (count as f64 / h).min(1.0);
             self.fraction_sum += after - before;
-            if !self.influenced[si] && count >= self.collection.sample_threshold(si) {
+            let closes = was_open && count >= threshold;
+            if closes {
                 self.influenced[si] = true;
                 self.influenced_count += 1;
             }
+            if let (true, Some(tables)) = (was_open, tables.as_deref_mut()) {
+                let (nodes, covers) = (cols.sample_nodes(si), cols.sample_words(si));
+                if closes {
+                    tables.sweep(nodes, covers, &old, threshold, false);
+                    swept += nodes.len();
+                } else if grew {
+                    tables.grow(nodes, covers, &old, union, threshold);
+                    swept += nodes.len();
+                }
+            }
+        }
+        if tables.is_some() {
+            crate::obs::c_table_entries_swept().inc_by(swept as u64);
         }
         self.seeds.push(v);
     }
@@ -607,9 +723,11 @@ fn fused_influenced_counts<S: AsRef<[NodeId]>>(fused: &mut FusedIndex, sets: &[S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::samples::top_limb_mask;
     use crate::snapshot::{encode, SnapshotBytes};
     use crate::{CoverSet, RicSample};
     use imc_community::CommunityId;
+    use proptest::prelude::*;
 
     fn build_collection() -> RicStore {
         let mut col = RicStore::new(6, 2, 4.0);
@@ -925,5 +1043,141 @@ mod tests {
         assert_eq!(eval.influenced_counts(&sets), scalar);
         assert!(matches!(eval.fused, FusedState::Unsupported));
         assert_eq!(scalar, vec![1, 1, 2, 0]);
+    }
+
+    /// A state driven only through the ν greedy's calls and seed commits
+    /// never builds the ĉ tables, so it never pays to maintain them; the
+    /// first ĉ evaluation builds them from the unions held by then.
+    #[test]
+    fn tables_are_built_by_the_first_c_evaluation_only() {
+        let col = build_collection();
+        let mut st = CoverageState::new(&col);
+        let nodes: Vec<u32> = (0..6).collect();
+        let mut nu_out = Vec::new();
+        for seed in [1u32, 2] {
+            st.eval_nu_shard(&nodes, &mut nu_out);
+            st.add_seed(NodeId::new(seed));
+            let _ = (st.estimate(), st.nu_estimate(), st.covered_counts());
+            assert!(st.tables.get().is_none(), "ν-only state built ĉ tables");
+        }
+        assert!(st.clone().tables.get().is_none());
+        let mut c_out = Vec::new();
+        st.eval_c_shard(&nodes, &mut c_out);
+        assert!(st.tables.get().is_some());
+        // Seeds 1 and 2 influenced both samples: nothing is left to gain.
+        assert_eq!(c_out, vec![(0, 0); 6]);
+    }
+
+    /// Nodes `0..TOUCHING` may appear in samples; ids up to `NODES` exist
+    /// but touch nothing.
+    const TOUCHING: u32 = 12;
+    const NODES: u32 = 14;
+
+    /// A sample of width 1–200 (1–4 cover limbs) with 0–6 distinct nodes,
+    /// covers about a quarter full, and a threshold anywhere from 1 to
+    /// `width + 1` — the last can never be met.
+    fn sample_strategy() -> impl Strategy<Value = RicSample> {
+        let word = (0u64..=u64::MAX, 0u64..=u64::MAX).prop_map(|(a, b)| a & b);
+        let row = (0..TOUCHING, prop::collection::vec(word, 4));
+        (1u32..=200, 0u32..=200, prop::collection::vec(row, 0..7)).prop_map(
+            |(width, t, mut rows)| {
+                rows.sort_by_key(|r| r.0);
+                rows.dedup_by_key(|r| r.0);
+                let limbs = limbs_for_width(width);
+                RicSample {
+                    community: CommunityId::new(0),
+                    threshold: 1 + t % (width + 1),
+                    community_size: width,
+                    nodes: rows.iter().map(|r| NodeId::new(r.0)).collect(),
+                    covers: rows
+                        .iter()
+                        .map(|(_, words)| {
+                            let mut words = words[..limbs].to_vec();
+                            words[limbs - 1] &= top_limb_mask(width);
+                            CoverSet::from_words(width as usize, &words)
+                        })
+                        .collect(),
+                }
+            },
+        )
+    }
+
+    /// Every table answer for `nodes` equals the index walk.
+    fn assert_tables_equal_walk<C: RicSamples>(st: &CoverageState<C>, nodes: &[u32]) {
+        let mut out = Vec::new();
+        st.eval_c_shard(nodes, &mut out);
+        assert_eq!(out.len(), nodes.len());
+        for (&v, &answer) in nodes.iter().zip(&out) {
+            let walk = st.marginal_influenced_with_potential(NodeId::new(v));
+            assert_eq!(answer, walk, "node {v} after seeds {:?}", st.seeds());
+        }
+    }
+
+    /// Replays `ops` — `(kind, node, batch)`: commit `node` as a seed
+    /// (kinds 0–1) or evaluate `batch` (kind 2) — checking every answer
+    /// against the walk. Evaluations before op `first_eval` are skipped, so
+    /// the tables are built from whatever the seeds before it left. At op
+    /// `fork_at` the state is cloned; from then on the twin commits
+    /// different seeds and answers the same batches.
+    fn drive<C: RicSamples + Clone>(
+        collection: C,
+        saturate: bool,
+        ops: &[(u32, u32, Vec<u32>)],
+        first_eval: usize,
+        fork_at: usize,
+    ) {
+        let mut st = CoverageState::new(collection);
+        if saturate {
+            // Everything that can be influenced is, before the build.
+            (0..NODES).for_each(|v| st.add_seed(NodeId::new(v)));
+        }
+        let mut twin = None;
+        for (i, (kind, node, batch)) in ops.iter().enumerate() {
+            if i == fork_at {
+                twin = Some(st.clone());
+            }
+            if *kind < 2 {
+                st.add_seed(NodeId::new(*node));
+                if let Some(twin) = &mut twin {
+                    twin.add_seed(NodeId::new((node + 1) % NODES));
+                }
+            } else if i >= first_eval {
+                assert_tables_equal_walk(&st, batch);
+                if let Some(twin) = &twin {
+                    assert_tables_equal_walk(twin, batch);
+                }
+            }
+        }
+        let all: Vec<u32> = (0..NODES).collect();
+        assert_tables_equal_walk(&st, &all);
+        if let Some(twin) = &twin {
+            assert_tables_equal_walk(twin, &all);
+        }
+    }
+
+    proptest! {
+        /// The tentpole contract: whatever interleaving of seed commits
+        /// (duplicates and no-op seeds included) and evaluations a state
+        /// sees, and wherever its first evaluation falls, the gain tables
+        /// answer exactly what the index walk computes from scratch — over
+        /// the owned store and over a view of its snapshot, and in both
+        /// copies after a `clone()`.
+        #[test]
+        fn gain_tables_equal_the_index_walk(
+            samples in prop::collection::vec(sample_strategy(), 0..12),
+            saturate in (0u32..4).prop_map(|x| x == 0),
+            ops in prop::collection::vec(
+                (0u32..3, 0..NODES, prop::collection::vec(0..NODES, 0..8)),
+                1..24,
+            ),
+            first_eval in 0usize..24,
+            fork_at in 0usize..24,
+        ) {
+            let store =
+                RicStore::from_samples(NODES as usize, 1, samples.len() as f64, &samples).unwrap();
+            drive(&store, saturate, &ops, first_eval, fork_at);
+            let snapshot = snapshot_of(&store);
+            drive(snapshot.view().unwrap(), saturate, &ops, first_eval, fork_at);
+        }
     }
 }

@@ -111,6 +111,19 @@ pub(crate) fn maxr_coverage_ratio() -> &'static Arc<Histogram> {
     })
 }
 
+/// Where ĉ_R evaluation time goes since gains are table reads: the build
+/// and every seed commit add the index entries they swept, one `inc_by`
+/// each. Exact and seed-deterministic for a given solve.
+pub(crate) fn c_table_entries_swept() -> &'static Arc<Counter> {
+    static H: OnceLock<Arc<Counter>> = OnceLock::new();
+    H.get_or_init(|| {
+        imc_obs::global().counter(
+            "imc_objective_table_entries_swept_total",
+            "Index entries swept to build the c_hat gain tables and to keep them exact on seed commits.",
+        )
+    })
+}
+
 /// Worker utilisation buckets for `imc_engine_thread_busy_fraction`.
 const BUSY_FRACTION_BUCKETS: &[f64] = &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
 
@@ -150,7 +163,7 @@ pub(crate) fn engine_thread_busy_fraction() -> &'static Arc<Histogram> {
 /// The `imc_engine_*` counter families, labelled by objective
 /// (`c_hat` / `nu`). Help strings live here so every registration of a
 /// family is identical.
-const ENGINE_COUNTERS: [(&str, &str); 5] = [
+const ENGINE_COUNTERS: [(&str, &str); 4] = [
     (
         "imc_engine_rounds_total",
         "Greedy rounds executed by the solve engine.",
@@ -166,10 +179,6 @@ const ENGINE_COUNTERS: [(&str, &str); 5] = [
     (
         "imc_engine_wasted_evaluations_total",
         "Evaluations whose result was discarded (everything but the round's pick).",
-    ),
-    (
-        "imc_engine_saved_evaluations_total",
-        "Popped entries a window's replay cut returned to the queue without fetching a gain.",
     ),
 ];
 
@@ -192,7 +201,6 @@ pub(crate) fn record_engine_run(telemetry: &crate::maxr::EngineTelemetry) {
         telemetry.evaluations(),
         telemetry.stale_rechecks(),
         telemetry.wasted_evaluations(),
-        telemetry.saved_evaluations(),
     ];
     for ((name, help), total) in ENGINE_COUNTERS.iter().zip(totals) {
         registry.counter_with(name, help, &labels).inc_by(total);
@@ -291,6 +299,7 @@ pub fn register() {
     let _ = estimate_exhausted_total();
     let _ = estimate_samples();
     let _ = maxr_coverage_ratio();
+    let _ = c_table_entries_swept();
     for algo in ["GREEDY", "UBG", "MAF", "BT", "BT^d", "MB"] {
         let registry = imc_obs::global();
         let _ = registry.counter_with(
@@ -343,6 +352,7 @@ mod tests {
             "imc_maxr_solves_total",
             "imc_maxr_solve_duration_seconds",
             "imc_maxr_coverage_ratio",
+            "imc_objective_table_entries_swept_total",
             "imc_imcaf_rounds_total",
             "imc_imcaf_runs_total",
             "imc_estimate_calls_total",
@@ -352,7 +362,6 @@ mod tests {
             "imc_engine_evaluations_total",
             "imc_engine_stale_rechecks_total",
             "imc_engine_wasted_evaluations_total",
-            "imc_engine_saved_evaluations_total",
             "imc_engine_speculative_evaluations_total",
             "imc_engine_queue_depth",
             "imc_engine_shard_duration_seconds",

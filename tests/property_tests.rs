@@ -188,10 +188,15 @@ proptest! {
             // Gain reported must equal the delta of the batch evaluator.
             let before = col.influenced_count(&seeds);
             let gain = state.marginal_influenced(v);
+            // The gain tables (built by the first pick's call, kept exact
+            // by every add_seed since) must report the same delta.
+            let mut table = Vec::new();
+            state.eval_c_shard(&[v.raw()], &mut table);
             state.add_seed(v);
             seeds.push(v);
             let after = col.influenced_count(&seeds);
             prop_assert_eq!(gain, after - before, "marginal mismatch");
+            prop_assert_eq!(table[0].0, after - before, "table gain mismatch");
             prop_assert_eq!(state.influenced_count(), after);
             prop_assert!((state.estimate() - col.estimate(&seeds)).abs() < 1e-9);
             prop_assert!((state.nu_estimate() - col.nu_estimate(&seeds)).abs() < 1e-9);
