@@ -7,8 +7,6 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
-pub mod ric;
-pub mod solver;
 pub mod table1;
 
 use std::path::PathBuf;

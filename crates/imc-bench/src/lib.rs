@@ -16,5 +16,4 @@
 
 pub mod experiments;
 pub mod harness;
-pub mod perfgate;
 pub mod report;

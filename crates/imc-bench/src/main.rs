@@ -15,19 +15,11 @@
 //!   ablation-btd      BT^(3) on a threshold-3 instance
 //!   ablation-nonsub   submodularity violation rate per threshold regime
 //!   ablation-ratios   empirical ratios vs the exact MAXR optimum
-//!   ric               RicStore microbenchmarks (writes BENCH_ric.json)
-//!   solver            solve-engine strategies: sequential vs lazy vs parallel
-//!                     (writes BENCH_solver.json)
 //!   all               everything above
-//!
-//! perf-gate [--baseline-dir DIR] [--candidate-dir DIR] [--tolerance F]
-//!           [--report FILE] [--quick]
-//!   compare candidate BENCH_ric.json/BENCH_solver.json against the
-//!   committed baselines; exit nonzero on a wall-time regression past the
-//!   tolerance (default 0.25) or on seeds_identical=false. --quick first
-//!   regenerates quick-mode bench files into the candidate dir (a temp
-//!   dir when none is given).
 //! ```
+//!
+//! Performance is measured by the standalone `benchmark/` package
+//! (`BENCHMARK.json`, `docs/BENCHMARKS.md`), not here.
 
 use imc_bench::experiments::{self, ExpOptions};
 use std::path::PathBuf;
@@ -40,12 +32,9 @@ fn main() -> ExitCode {
             "usage: imc-bench <experiment> [--scale F] [--quick] [--runs N] [--seed N] [--out DIR] \
              [--trace FILE] [--metrics-out FILE]"
         );
-        eprintln!("experiments: table1 fig4 fig5 fig6 fig7 fig8 ablation-samples ablation-btd ablation-nonsub ablation-ratios ric solver all");
+        eprintln!("experiments: table1 fig4 fig5 fig6 fig7 fig8 ablation-samples ablation-btd ablation-nonsub ablation-ratios all");
         return ExitCode::FAILURE;
     };
-    if command == "perf-gate" {
-        return perf_gate_main(&args[1..]);
-    }
     let mut options = ExpOptions::default();
     let mut metrics_out: Option<PathBuf> = None;
     let mut i = 1;
@@ -128,8 +117,6 @@ fn main() -> ExitCode {
         "ablation-btd" => experiments::ablations::btd(&options),
         "ablation-nonsub" => experiments::ablations::nonsubmodularity(&options),
         "ablation-ratios" => experiments::ablations::ratios(&options),
-        "ric" => experiments::ric::run(&options),
-        "solver" => experiments::solver::run(&options),
         "all" => experiments::table1::run(&options)
             .and_then(|_| experiments::fig4::run(&options))
             .and_then(|_| experiments::fig5::run(&options))
@@ -139,9 +126,7 @@ fn main() -> ExitCode {
             .and_then(|_| experiments::ablations::samples(&options))
             .and_then(|_| experiments::ablations::btd(&options))
             .and_then(|_| experiments::ablations::nonsubmodularity(&options))
-            .and_then(|_| experiments::ablations::ratios(&options))
-            .and_then(|_| experiments::ric::run(&options))
-            .and_then(|_| experiments::solver::run(&options)),
+            .and_then(|_| experiments::ablations::ratios(&options)),
         other => return usage_error(&format!("unknown experiment {other}")),
     };
     // Dump the accumulated solver metrics (same registry the daemon
@@ -174,86 +159,4 @@ fn main() -> ExitCode {
 fn usage_error(message: &str) -> ExitCode {
     eprintln!("error: {message}");
     ExitCode::FAILURE
-}
-
-/// `imc-bench perf-gate`: flag parsing + the gate run. With `--quick`,
-/// regenerates quick-mode bench files into the candidate dir first so a
-/// single command is a complete CI job.
-fn perf_gate_main(args: &[String]) -> ExitCode {
-    use imc_bench::perfgate::{self, GateOptions};
-    let mut options = GateOptions::default();
-    let mut quick = false;
-    let mut candidate_dir: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--baseline-dir" => {
-                i += 1;
-                options.baseline_dir = match args.get(i) {
-                    Some(v) => PathBuf::from(v),
-                    None => return usage_error("--baseline-dir expects a directory"),
-                };
-            }
-            "--candidate-dir" => {
-                i += 1;
-                candidate_dir = match args.get(i) {
-                    Some(v) => Some(PathBuf::from(v)),
-                    None => return usage_error("--candidate-dir expects a directory"),
-                };
-            }
-            "--tolerance" => {
-                i += 1;
-                options.tolerance = match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(v) => v,
-                    None => return usage_error("--tolerance expects a number"),
-                };
-            }
-            "--report" => {
-                i += 1;
-                options.report_path = match args.get(i) {
-                    Some(v) => Some(PathBuf::from(v)),
-                    None => return usage_error("--report expects a file path"),
-                };
-            }
-            other => return usage_error(&format!("unknown perf-gate flag {other}")),
-        }
-        i += 1;
-    }
-    options.candidate_dir = match candidate_dir {
-        Some(dir) => dir,
-        None if quick => std::env::temp_dir().join(format!("imc-perfgate-{}", std::process::id())),
-        None => return usage_error("perf-gate needs --candidate-dir (or --quick)"),
-    };
-    if quick {
-        if let Err(e) = std::fs::create_dir_all(&options.candidate_dir) {
-            eprintln!("error: cannot create candidate dir: {e}");
-            return ExitCode::FAILURE;
-        }
-        let bench = ExpOptions {
-            quick: true,
-            out_dir: Some(options.candidate_dir.clone()),
-            ..ExpOptions::default()
-        };
-        if let Err(e) =
-            experiments::ric::run(&bench).and_then(|()| experiments::solver::run(&bench))
-        {
-            eprintln!("[perf-gate] quick bench run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    match perfgate::run(&options) {
-        Ok(outcome) => {
-            print!("{}", outcome.report);
-            if outcome.passed {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("[perf-gate] failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }

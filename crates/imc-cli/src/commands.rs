@@ -90,12 +90,13 @@ fn trace<W: Write>(args: &Args, out: &mut W) -> Result<()> {
 /// `imc cluster --topology FILE [--out FILE] [--data-dir DIR]
 /// [--chaos SPEC] [--trace FILE] [--quiet]` — spawn a sharded solve
 /// cluster from a topology file, verify the distributed solve is
-/// bitwise identical to single-node, drive open-loop load and print
-/// the `imc-bench/service/v1` report. With `--chaos
+/// bitwise identical to single-node in seeds and evaluation count, and
+/// print the `imc-cluster/smoke/v1` report (identity flags and exact
+/// counts; it times nothing). With `--chaos
 /// kind:shard@after[:millis]` (kill | drop | hang | slow) one shard is
-/// put behind a fault-injecting proxy and the run verifies degraded
-/// completion instead of driving load; `--trace` appends each
-/// request's JSONL trace events to the named file.
+/// put behind a fault-injecting proxy and the run also verifies the
+/// recovery contract; `--trace` appends each request's JSONL trace
+/// events to the named file.
 fn cluster<W: Write>(args: &Args, out: &mut W) -> Result<()> {
     let topology = imc_cluster::Topology::load(Path::new(args.required("topology")?))
         .map_err(|e| CliError::Usage(e.to_string()))?;

@@ -11,8 +11,9 @@
 //!   stats        structural statistics of a graph
 //!   dot          render graph (+communities, +seeds) as Graphviz DOT
 //!   cluster      run a sharded solve cluster from a topology file (--topology FILE,
-//!                --out BENCH_service.json, --data-dir DIR, --quiet); verifies the
-//!                distributed solve bitwise against single-node and load-tests it
+//!                --out FILE, --data-dir DIR, --chaos SPEC, --quiet); verifies the
+//!                distributed solve bitwise against single-node (seeds and
+//!                evaluation count) and, with --chaos, the fault-recovery contract
 //!   trace        stitch JSONL trace files into a solve timeline
 //!                (--input FILE[,FILE...], --trace-id ID, --folded FILE for
 //!                flamegraph folded stacks, --out FILE for the report):

@@ -1,18 +1,18 @@
 //! `cluster-runner` — spawn a sharded imc cluster from a topology file,
-//! verify distributed/single-node seed identity, drive open-loop load,
-//! and write a `BENCH_service.json` artifact.
+//! verify distributed/single-node identity of seeds and evaluation
+//! count, and write an artifact of identity flags and exact counts.
 //!
 //! ```text
-//! cluster-runner --topology data/topology.toml --out BENCH_service.json
+//! cluster-runner --topology data/topology.toml --out data/cluster_smoke.json
 //! ```
 //!
 //! With `--chaos kind:shard@after[:millis]` the named shard is put
-//! behind a fault-injecting proxy and the run verifies the
-//! coordinator's recovery contract instead of driving load: a
-//! transient fault (`drop` / `hang` / `slow`) must leave the answer
-//! bitwise identical to single-node; a permanent fault (`kill`) must
-//! complete degraded (`approximate: true`, the lost shard named) with
-//! seeds matching a fresh solve over the surviving shard set.
+//! behind a fault-injecting proxy and the run also verifies the
+//! coordinator's recovery contract: a transient fault (`drop` / `hang`
+//! / `slow`) must leave the answer bitwise identical to single-node; a
+//! permanent fault (`kill`) must complete degraded (`approximate:
+//! true`, the lost shard named) with seeds matching a fresh solve over
+//! the surviving shard set.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -20,7 +20,7 @@ use std::process::ExitCode;
 use imc_cluster::{run, ChaosSpec, RunnerOptions, Topology};
 
 const USAGE: &str = "usage: cluster-runner --topology <topology.toml> \
-     [--out <BENCH_service.json>] [--chaos <kind:shard@after[:millis]>] \
+     [--out <cluster_smoke.json>] [--chaos <kind:shard@after[:millis]>] \
      [--trace <trace.jsonl>] [--quiet]";
 
 fn main() -> ExitCode {

@@ -595,6 +595,7 @@ impl Coordinator {
     ) -> std::io::Result<CoordinatorHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
+        obs::register(&config.shards);
         obs::shards_gauge().set(config.shards.len() as f64);
         let board = Arc::new(HealthBoard::new(&config.shards, DEAD_THRESHOLD));
         let monitor = config.probe_interval.map(|interval| {
@@ -893,6 +894,14 @@ fn dispatch_request(
                 .field("elapsed_us", elapsed_us(start));
             (protocol::ok_response("ping", body), false)
         }
+        Request::Metrics => {
+            // Same shape as the daemon's `metrics` answer: the
+            // `imc_cluster_*` families live in this process only.
+            let body = ObjectBuilder::new()
+                .field("format", "prometheus-0.0.4")
+                .field("body", imc_obs::encode::to_prometheus(imc_obs::global()));
+            (protocol::ok_response("metrics", body), false)
+        }
         Request::Shutdown => (
             protocol::ok_response("shutdown", ObjectBuilder::new()),
             true,
@@ -901,7 +910,7 @@ fn dispatch_request(
             protocol::error_response(
                 ErrorCode::InvalidParameter,
                 "op not supported by the cluster coordinator \
-                 (expected solve | estimate | health | ping | shutdown)",
+                 (expected solve | estimate | metrics | health | ping | shutdown)",
             ),
             false,
         ),

@@ -18,9 +18,9 @@
 //!   shard (partition order) instead of summed, so the non-associative
 //!   float fold reproduces the single-node value bit for bit;
 //! * the [`runner`] spawns the whole topology in one process from a
-//!   TOML file, checks cluster-vs-local seed identity, drives open-loop
-//!   load, and writes a `BENCH_service.json` the `imc-bench perf-gate`
-//!   understands.
+//!   TOML file, checks cluster-vs-local identity of seeds and
+//!   evaluation count, rehearses faults (`--chaos`), and writes an
+//!   artifact of identity flags and exact counts.
 //!
 //! The wire protocol is `imc-service`'s newline-delimited JSON with the
 //! shard-role ops (`eval_begin` / `eval_batch` / `eval_seed` /
@@ -46,6 +46,6 @@ pub use coordinator::{
     cluster_solve, ClusterReport, CoordError, Coordinator, CoordinatorConfig, CoordinatorHandle,
 };
 pub use health::{HealthBoard, HealthMonitor, ShardState};
-pub use runner::{run, RunnerOptions, RunnerReport, SERVICE_SCHEMA};
+pub use runner::{run, RunnerOptions, RunnerReport, SMOKE_SCHEMA};
 pub use source::ClusterSource;
 pub use topology::Topology;

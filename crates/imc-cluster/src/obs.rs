@@ -4,6 +4,7 @@
 //! Handles are cached in `OnceLock` statics so hot paths pay a single
 //! atomic load; see `docs/METRICS.md` for the rendered catalogue.
 
+use std::net::SocketAddr;
 use std::sync::{Arc, OnceLock};
 
 use imc_obs::{Counter, Gauge, Histogram, DEFAULT_DURATION_BUCKETS};
@@ -43,11 +44,14 @@ pub fn shard_rpc_seconds() -> &'static Arc<Histogram> {
     })
 }
 
+/// The closed vocabulary of the `op` label on
+/// [`rpc_duration_seconds`]: the shard RPCs a coordinator times.
+pub const RPC_OPS: [&str; 4] = ["eval_begin", "eval_batch", "eval_seed", "shard_eval"];
+
 /// Latency of one shard RPC, broken out by operation and shard address.
 /// The unlabeled [`shard_rpc_seconds`] aggregate stays for dashboards
 /// that predate the breakout; this family is what straggler hunting
-/// reads (`op` ∈ eval_begin | eval_batch | eval_seed | eval_end |
-/// shard_eval).
+/// reads (`op` ∈ [`RPC_OPS`]).
 pub fn rpc_duration_seconds(op: &str, shard: &str) -> Arc<Histogram> {
     imc_obs::global().histogram_with(
         "imc_cluster_rpc_duration_seconds",
@@ -134,6 +138,29 @@ pub fn probe_failures_total() -> &'static Arc<Counter> {
             "Health probes that timed out or returned an error",
         )
     })
+}
+
+/// Forces registration of every coordinator-side metric family
+/// (including the zero-valued children for each of `shards`' addresses)
+/// so a fresh coordinator's first scrape already lists them. Called by
+/// [`Coordinator::start`](crate::Coordinator::start); idempotent.
+pub fn register(shards: &[SocketAddr]) {
+    let _ = scatter_total();
+    let _ = shard_errors_total();
+    let _ = shard_rpc_seconds();
+    let _ = request_duration_seconds();
+    let _ = shards_gauge();
+    let _ = retries_total();
+    let _ = degraded_solves_total();
+    let _ = probes_total();
+    let _ = probe_failures_total();
+    for addr in shards {
+        let addr = addr.to_string();
+        let _ = shard_state_gauge(&addr);
+        for op in RPC_OPS {
+            let _ = rpc_duration_seconds(op, &addr);
+        }
+    }
 }
 
 #[cfg(test)]

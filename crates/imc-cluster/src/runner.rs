@@ -1,8 +1,12 @@
-//! The cluster load-test runner: spawns a whole topology (N shard
-//! daemons + one coordinator) inside one process, proves the cluster
-//! solve identical to a single-node reference, drives open-loop load,
-//! and emits a `BENCH_service.json` the `imc-bench perf-gate`
-//! understands (`imc-bench/service/v1`).
+//! The cluster runner: spawns a whole topology (N shard daemons + one
+//! coordinator) inside one process, round-trips the raw shard ops,
+//! proves the cluster solve identical to a single-node reference in
+//! seeds *and* evaluation count, and — with `--chaos` — rehearses the
+//! coordinator's fault-recovery contract. It measures nothing: the
+//! artifact it writes (`imc-cluster/smoke/v1`, committed as
+//! `data/cluster_smoke.json`) holds identity flags and exact counts
+//! that any machine reproduces bit for bit. Timings live in the
+//! standalone `benchmark/` package (`docs/BENCHMARKS.md`).
 //!
 //! Everything is deterministic: the instance comes from the synthetic
 //! dataset analogs, every shard draws partition `i` of the
@@ -16,8 +20,7 @@ use std::fs;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use imc_community::{BenefitPolicy, CommunitySet, ThresholdPolicy};
 use imc_core::snapshot;
@@ -33,8 +36,8 @@ use crate::coordinator::{Coordinator, CoordinatorConfig, CoordinatorHandle};
 use crate::obs;
 use crate::topology::Topology;
 
-/// Schema tag of the emitted benchmark artifact.
-pub const SERVICE_SCHEMA: &str = "imc-bench/service/v1";
+/// Schema tag of the emitted artifact.
+pub const SMOKE_SCHEMA: &str = "imc-cluster/smoke/v1";
 
 /// A runner failure, with a human-readable message.
 #[derive(Debug)]
@@ -75,7 +78,7 @@ impl From<std::io::Error> for RunnerError {
 pub struct RunnerOptions {
     /// The parsed topology.
     pub topology: Topology,
-    /// Where to write `BENCH_service.json` (`None` skips the write).
+    /// Where to write the artifact (`None` skips the write).
     pub out: Option<PathBuf>,
     /// Dataset directory for `imc-datasets` drop-in files (the bench
     /// harness convention is `data/`).
@@ -83,8 +86,7 @@ pub struct RunnerOptions {
     /// Print progress lines to stderr.
     pub verbose: bool,
     /// Fault to inject (`--chaos`): puts one shard behind a
-    /// [`ChaosProxy`] and verifies the coordinator's recovery story
-    /// instead of driving load.
+    /// [`ChaosProxy`] and verifies the coordinator's recovery story.
     pub chaos: Option<ChaosSpec>,
     /// JSONL trace sink (`--trace`): every request's trace events are
     /// appended here for the run's duration.
@@ -105,7 +107,9 @@ impl RunnerOptions {
     }
 }
 
-/// Everything the run measured; serialized by [`RunnerReport::to_json`].
+/// Everything the run checked and counted; serialized by
+/// [`RunnerReport::to_json`]. No field depends on the machine or the
+/// clock.
 #[derive(Debug, Clone)]
 pub struct RunnerReport {
     /// Dataset name from the topology.
@@ -122,8 +126,6 @@ pub struct RunnerReport {
     pub evaluations_identical: bool,
     /// The raw shard eval ops round-tripped on shard 0.
     pub eval_roundtrip: bool,
-    /// Wall seconds of the distributed solve RPC.
-    pub solve_seconds: f64,
     /// Evaluations reported by the distributed solve.
     pub solve_evaluations: u64,
     /// Scatter rounds the solve made (`imc_cluster_scatter_total` over
@@ -131,17 +133,6 @@ pub struct RunnerReport {
     /// process and nothing else scatters meanwhile). One per CELF window,
     /// so far below `solve_evaluations`.
     pub solve_scatter_rounds: u64,
-    /// Open-loop requests completed.
-    pub load_requests: usize,
-    /// Concurrent load connections.
-    pub load_connections: usize,
-    /// Completed requests per wall second during the load phase.
-    pub throughput_rps: f64,
-    /// p50 request latency (µs) from the
-    /// `imc_cluster_request_duration_seconds` histogram.
-    pub p50_us: u64,
-    /// p99 request latency (µs) from the same histogram.
-    pub p99_us: u64,
     /// Chaos-mode outcome (`None` for normal runs).
     pub chaos: Option<ChaosReport>,
 }
@@ -165,10 +156,10 @@ pub struct ChaosReport {
 }
 
 impl RunnerReport {
-    /// Serializes the report as the `imc-bench/service/v1` artifact.
+    /// Serializes the report as the `imc-cluster/smoke/v1` artifact.
     pub fn to_json(&self) -> String {
         let value = ObjectBuilder::new()
-            .field("schema", SERVICE_SCHEMA)
+            .field("schema", SMOKE_SCHEMA)
             .field("dataset", self.dataset.as_str())
             .field("samples", self.samples)
             .field("k", u64::from(self.k))
@@ -179,19 +170,8 @@ impl RunnerReport {
             .field(
                 "solve",
                 ObjectBuilder::new()
-                    .field("seconds", self.solve_seconds)
                     .field("evaluations", self.solve_evaluations)
                     .field("scatter_rounds", self.solve_scatter_rounds)
-                    .build(),
-            )
-            .field(
-                "load",
-                ObjectBuilder::new()
-                    .field("requests", self.load_requests)
-                    .field("connections", self.load_connections)
-                    .field("throughput_rps", self.throughput_rps)
-                    .field("p50_us", self.p50_us)
-                    .field("p99_us", self.p99_us)
                     .build(),
             );
         let value = match &self.chaos {
@@ -393,10 +373,11 @@ impl Cluster {
         let fingerprint = snapshot::instance_fingerprint(instance.graph(), instance.communities());
         let mut shard_handles = Vec::with_capacity(topo.shards);
         let mut daemon_addrs = Vec::with_capacity(topo.shards);
-        // Connections occupy shard pool workers for their lifetime, so
-        // the pool must cover every concurrent coordinator connection
-        // (load connections + the solve/check connection + slack).
-        let workers = (topo.load_connections + 2).max(topo.workers);
+        // A connection occupies a shard pool worker for its lifetime, so
+        // the pool must cover what the coordinator can hold open at once:
+        // the solve session, a retry's reconnect while a hung connection
+        // lingers, and a health probe — with one to spare.
+        let workers = topo.workers.max(4);
         for partition in 0..topo.shards {
             let store = load_or_build_shard_store(
                 &sampler,
@@ -520,63 +501,7 @@ fn check_eval_roundtrip(addr: SocketAddr, node_count: usize) -> Result<(), Runne
     Ok(())
 }
 
-/// Drives `requests` estimate calls over `connections` concurrent
-/// clients against the coordinator; returns (completed, wall seconds).
-fn drive_load(
-    addr: SocketAddr,
-    topo: &Topology,
-    node_count: usize,
-) -> Result<(usize, f64), RunnerError> {
-    let connections = topo.load_connections;
-    let total = topo.load_requests;
-    let per_connection = total / connections;
-    let remainder = total % connections;
-    let start = Instant::now();
-    let completed: usize = thread::scope(|scope| {
-        let handles: Vec<_> = (0..connections)
-            .map(|c| {
-                let requests = per_connection + usize::from(c < remainder);
-                let seeds_per_request = topo.load_seeds_per_request;
-                scope.spawn(move || {
-                    let Ok(mut client) = Client::connect(addr, Duration::from_secs(30)) else {
-                        return 0usize;
-                    };
-                    let mut done = 0usize;
-                    for r in 0..requests {
-                        // Deterministic, connection-and-round varied
-                        // seed sets within the node-id space.
-                        let seeds: Vec<u64> = (0..seeds_per_request)
-                            .map(|s| ((c * 7919 + r * 104_729 + s * 31) % node_count) as u64)
-                            .collect();
-                        let line = json::to_string(
-                            &ObjectBuilder::new()
-                                .field("op", "estimate")
-                                .field("seeds", seeds)
-                                .build(),
-                        );
-                        match client.request(&line) {
-                            Ok(v) if v.get("ok").and_then(Value::as_bool) == Some(true) => {
-                                done += 1;
-                            }
-                            _ => break,
-                        }
-                    }
-                    done
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap_or(0)).sum()
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-    if completed != total {
-        return Err(RunnerError::new(format!(
-            "load drive completed only {completed}/{total} requests"
-        )));
-    }
-    Ok((completed, elapsed))
-}
-
-/// Runs the full harness: spawn, verify, load, report.
+/// Runs the full harness: spawn, verify, report.
 ///
 /// # Errors
 ///
@@ -621,17 +546,14 @@ pub fn run(options: &RunnerOptions) -> Result<RunnerReport, RunnerError> {
             ));
         }
     }
-    let result = match &options.chaos {
-        Some(spec) => run_chaos(&cluster, &instance, topo, spec, &log),
-        None => run_against(&cluster, &instance, topo, &log),
-    };
+    let result = run_against(&cluster, &instance, topo, options.chaos.as_ref(), &log);
     cluster.stop();
     let (mut report, cluster_seeds) = result?;
 
     // For a permanent fault the answer is *supposed* to differ from the
     // full-R single-node solve (its R shrank); identity was already
     // checked against a fresh solve over the surviving shard set inside
-    // `run_chaos`. Every other run compares against single-node.
+    // `check_recovery`. Every other run compares against single-node.
     let expects_full_r = !matches!(
         options.chaos,
         Some(ChaosSpec {
@@ -678,31 +600,27 @@ pub fn run(options: &RunnerOptions) -> Result<RunnerReport, RunnerError> {
     Ok(report)
 }
 
-/// The chaos-mode phases: solve through the fault, assert the recovery
-/// contract, and (for a permanent fault) prove the degraded answer
-/// equals a fresh solve over the surviving shard set. Skips the load
-/// phase — the artifact's `load` block is zeroed.
-fn run_chaos(
-    cluster: &Cluster,
-    instance: &Arc<ImcInstance>,
+/// One GREEDY solve answered by a coordinator, with the scatter rounds
+/// it made (`imc_cluster_scatter_total` over the RPC; the runner's
+/// shards and coordinators share one process and nothing else scatters
+/// meanwhile).
+struct ClusterSolve {
+    response: Value,
+    seeds: Vec<u64>,
+    evaluations: u64,
+    scatter_rounds: u64,
+}
+
+/// Sends the topology's solve (`greedy`, `k`, `base_seed`, lazy) to the
+/// coordinator at `addr`.
+fn solve_through(
+    addr: SocketAddr,
     topo: &Topology,
-    spec: &ChaosSpec,
-    log: &dyn Fn(&str),
-) -> Result<(RunnerReport, Vec<u64>), RunnerError> {
-    let node_count = instance.node_count();
-
-    // Direct daemon check, bypassing the proxy so the trigger count is
-    // untouched.
-    log("checking shard eval round-trip (direct)");
-    check_eval_roundtrip(cluster.daemon_addrs[0], node_count)?;
-
-    log(&format!(
-        "distributed GREEDY solve at k={} with {spec} armed",
-        topo.k
-    ));
-    let mut client = Client::connect(cluster.coordinator.addr(), Duration::from_secs(600))
-        .map_err(|e| RunnerError::new(format!("coordinator connect: {e}")))?;
-    let solve_line = json::to_string(
+    what: &str,
+) -> Result<ClusterSolve, RunnerError> {
+    let mut client = Client::connect(addr, Duration::from_secs(600))
+        .map_err(|e| RunnerError::new(format!("{what}: coordinator connect: {e}")))?;
+    let line = json::to_string(
         &ObjectBuilder::new()
             .field("op", "solve")
             .field("algo", "greedy")
@@ -712,21 +630,91 @@ fn run_chaos(
             .build(),
     );
     let scatter_before = obs::scatter_total().get();
-    let solve_start = Instant::now();
-    let solve = roundtrip(&mut client, &solve_line, "chaos solve")?;
-    let solve_seconds = solve_start.elapsed().as_secs_f64();
-    let solve_scatter_rounds = obs::scatter_total().get() - scatter_before;
-    drop(client);
-    let seeds = seeds_field(&solve, "chaos solve")?;
-    let solve_evaluations = solve
+    let response = roundtrip(&mut client, &line, what)?;
+    let scatter_rounds = obs::scatter_total().get() - scatter_before;
+    let seeds = response
+        .get("seeds")
+        .and_then(Value::as_array)
+        .ok_or_else(|| RunnerError::new(format!("{what} returned no seeds")))?
+        .iter()
+        .map(|v| {
+            v.as_u64()
+                .ok_or_else(|| RunnerError::new(format!("{what}: non-integer seed")))
+        })
+        .collect::<Result<_, _>>()?;
+    let evaluations = response
         .get("evaluations")
         .and_then(Value::as_u64)
-        .ok_or_else(|| RunnerError::new("chaos solve returned no evaluation count"))?;
-    let approximate = solve
+        .ok_or_else(|| RunnerError::new(format!("{what} returned no evaluation count")))?;
+    Ok(ClusterSolve {
+        response,
+        seeds,
+        evaluations,
+        scatter_rounds,
+    })
+}
+
+/// The cluster-side phases (everything that needs live daemons): the
+/// raw shard-op round-trip, the distributed solve and, with a chaos
+/// spec armed, the recovery contract. Returns the report (single-node
+/// identity flags unfilled) plus the cluster's seed set for the
+/// caller's single-node comparison.
+fn run_against(
+    cluster: &Cluster,
+    instance: &Arc<ImcInstance>,
+    topo: &Topology,
+    chaos: Option<&ChaosSpec>,
+    log: &dyn Fn(&str),
+) -> Result<(RunnerReport, Vec<u64>), RunnerError> {
+    // Straight at the daemon, never through a chaos proxy, whose trigger
+    // count it would consume.
+    log("checking shard eval round-trip");
+    check_eval_roundtrip(cluster.daemon_addrs[0], instance.node_count())?;
+
+    let armed = chaos.map_or_else(String::new, |spec| format!(" with {spec} armed"));
+    log(&format!("distributed GREEDY solve at k={}{armed}", topo.k));
+    let solve = solve_through(cluster.coordinator.addr(), topo, "cluster solve")?;
+    let chaos = chaos
+        .map(|spec| check_recovery(cluster, instance, topo, spec, &solve, log))
+        .transpose()?;
+
+    // A kill fault settles identity in `check_recovery` (against the
+    // survivors); every other run leaves it to `run`'s single-node
+    // comparison.
+    let settled = chaos.as_ref().is_some_and(|c| c.degraded_match);
+    let report = RunnerReport {
+        dataset: topo.dataset.clone(),
+        samples: topo.samples,
+        k: topo.k,
+        shards: topo.shards,
+        seeds_identical: settled,
+        evaluations_identical: settled,
+        eval_roundtrip: true,
+        solve_evaluations: solve.evaluations,
+        solve_scatter_rounds: solve.scatter_rounds,
+        chaos,
+    };
+    Ok((report, solve.seeds))
+}
+
+/// Asserts the recovery contract on a solve made with `spec` armed: a
+/// transient fault must not degrade the answer; a permanent one must
+/// degrade it, name exactly the lost shard, and pick the seeds a fresh
+/// solve over the surviving shard set picks.
+fn check_recovery(
+    cluster: &Cluster,
+    instance: &Arc<ImcInstance>,
+    topo: &Topology,
+    spec: &ChaosSpec,
+    solve: &ClusterSolve,
+    log: &dyn Fn(&str),
+) -> Result<ChaosReport, RunnerError> {
+    let response = &solve.response;
+    let approximate = response
         .get("approximate")
         .and_then(Value::as_bool)
         .unwrap_or(false);
-    let lost_shards: Vec<String> = solve
+    let lost_shards: Vec<String> = response
         .get("lost_shards")
         .and_then(Value::as_array)
         .map(|a| {
@@ -735,7 +723,7 @@ fn run_chaos(
                 .collect()
         })
         .unwrap_or_default();
-    let effective_samples = solve
+    let effective_samples = response
         .get("effective_samples")
         .and_then(Value::as_u64)
         .unwrap_or(0);
@@ -745,8 +733,7 @@ fn run_chaos(
         cluster.proxy.as_ref().is_some_and(ChaosProxy::tripped)
     ));
 
-    let mut degraded_match = false;
-    match spec.fault {
+    let degraded_match = match spec.fault {
         ChaosFault::Kill => {
             if !approximate {
                 return Err(RunnerError::new(
@@ -773,21 +760,18 @@ fn run_chaos(
                 .collect();
             let fresh =
                 Coordinator::start(Arc::clone(instance), coordinator_config(topo, survivors))?;
-            let mut client = Client::connect(fresh.addr(), Duration::from_secs(600))
-                .map_err(|e| RunnerError::new(format!("fresh coordinator connect: {e}")))?;
-            let verify = roundtrip(&mut client, &solve_line, "fresh survivor solve");
-            drop(client);
+            let verify = solve_through(fresh.addr(), topo, "fresh survivor solve");
             fresh.stop_and_join();
-            let verify = verify?;
-            let fresh_seeds = seeds_field(&verify, "fresh survivor solve")?;
-            degraded_match = seeds == fresh_seeds;
-            if !degraded_match {
+            let fresh_seeds = verify?.seeds;
+            if solve.seeds != fresh_seeds {
                 return Err(RunnerError::new(format!(
-                    "degraded seeds {seeds:?} differ from the fresh survivor solve's \
-                     {fresh_seeds:?}"
+                    "degraded seeds {:?} differ from the fresh survivor solve's \
+                     {fresh_seeds:?}",
+                    solve.seeds
                 )));
             }
             log("degraded seeds match the fresh survivor solve bitwise");
+            true
         }
         ChaosFault::DropOnce | ChaosFault::Hang(_) | ChaosFault::Slow(_) => {
             if approximate || !lost_shards.is_empty() {
@@ -798,133 +782,16 @@ fn run_chaos(
             }
             // `run` fills seeds_identical (and mirrors it into
             // chaos.degraded_match) from the single-node reference.
+            false
         }
-    }
-
-    let report = RunnerReport {
-        dataset: topo.dataset.clone(),
-        samples: topo.samples,
-        k: topo.k,
-        shards: topo.shards,
-        // Kill faults settle identity here; transient faults leave it
-        // to `run`'s single-node comparison.
-        seeds_identical: degraded_match,
-        evaluations_identical: degraded_match,
-        eval_roundtrip: true,
-        solve_seconds,
-        solve_evaluations,
-        solve_scatter_rounds,
-        load_requests: 0,
-        load_connections: 0,
-        throughput_rps: 0.0,
-        p50_us: 0,
-        p99_us: 0,
-        chaos: Some(ChaosReport {
-            spec: spec.to_string(),
-            approximate,
-            lost_shards,
-            effective_samples,
-            degraded_match,
-        }),
     };
-    Ok((report, seeds))
-}
-
-/// Extracts the `seeds` array from a solve response.
-fn seeds_field(solve: &Value, what: &str) -> Result<Vec<u64>, RunnerError> {
-    solve
-        .get("seeds")
-        .and_then(Value::as_array)
-        .ok_or_else(|| RunnerError::new(format!("{what} returned no seeds")))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .ok_or_else(|| RunnerError::new(format!("{what}: non-integer seed")))
-        })
-        .collect()
-}
-
-/// The cluster-side phases (everything that needs live daemons).
-/// Returns the report (identity flags unfilled) plus the cluster's
-/// seed set for the caller's single-node comparison.
-fn run_against(
-    cluster: &Cluster,
-    instance: &Arc<ImcInstance>,
-    topo: &Topology,
-    log: &dyn Fn(&str),
-) -> Result<(RunnerReport, Vec<u64>), RunnerError> {
-    let node_count = instance.node_count();
-
-    log("checking shard eval round-trip");
-    check_eval_roundtrip(cluster.daemon_addrs[0], node_count)?;
-
-    log(&format!("distributed GREEDY solve at k={}", topo.k));
-    let mut client = Client::connect(cluster.coordinator.addr(), Duration::from_secs(600))
-        .map_err(|e| RunnerError::new(format!("coordinator connect: {e}")))?;
-    let solve_line = json::to_string(
-        &ObjectBuilder::new()
-            .field("op", "solve")
-            .field("algo", "greedy")
-            .field("k", u64::from(topo.k))
-            .field("seed", topo.base_seed)
-            .field("mode", "lazy")
-            .build(),
-    );
-    let scatter_before = obs::scatter_total().get();
-    let solve_start = Instant::now();
-    let solve = roundtrip(&mut client, &solve_line, "cluster solve")?;
-    let solve_seconds = solve_start.elapsed().as_secs_f64();
-    let solve_scatter_rounds = obs::scatter_total().get() - scatter_before;
-    let seeds: Vec<u64> = solve
-        .get("seeds")
-        .and_then(Value::as_array)
-        .ok_or_else(|| RunnerError::new("solve returned no seeds"))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .ok_or_else(|| RunnerError::new("non-integer seed"))
-        })
-        .collect::<Result<_, _>>()?;
-    let solve_evaluations = solve
-        .get("evaluations")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| RunnerError::new("solve returned no evaluation count"))?;
-    drop(client);
-
-    log(&format!(
-        "driving load: {} requests over {} connections",
-        topo.load_requests, topo.load_connections
-    ));
-    let (load_requests, load_seconds) = drive_load(cluster.coordinator.addr(), topo, node_count)?;
-    let histogram = obs::request_duration_seconds();
-    let p50_us = (histogram.quantile(0.5) * 1e6).round() as u64;
-    let p99_us = (histogram.quantile(0.99) * 1e6).round() as u64;
-    let throughput_rps = if load_seconds > 0.0 {
-        load_requests as f64 / load_seconds
-    } else {
-        0.0
-    };
-
-    let report = RunnerReport {
-        dataset: topo.dataset.clone(),
-        samples: topo.samples,
-        k: topo.k,
-        shards: topo.shards,
-        // Filled in by `run` once the single-node reference finishes.
-        seeds_identical: false,
-        evaluations_identical: false,
-        eval_roundtrip: true,
-        solve_seconds,
-        solve_evaluations,
-        solve_scatter_rounds,
-        load_requests,
-        load_connections: topo.load_connections,
-        throughput_rps,
-        p50_us,
-        p99_us,
-        chaos: None,
-    };
-    Ok((report, seeds))
+    Ok(ChaosReport {
+        spec: spec.to_string(),
+        approximate,
+        lost_shards,
+        effective_samples,
+        degraded_match,
+    })
 }
 
 #[cfg(test)]

@@ -5,6 +5,9 @@
 //! or double-quoted strings. Comments start with `#`. That is all the
 //! cluster runner needs, and it keeps the crate std-only (the container
 //! image has no TOML crate and the repo policy forbids adding one).
+//! Validation is strict: a key no field consumes (a typo, a mistyped
+//! section, a section this version no longer has) is an error naming
+//! it, never a silent default.
 //!
 //! ```toml
 //! [cluster]
@@ -52,7 +55,9 @@ enum Scalar {
     Str(String),
 }
 
-/// Flat `section.key -> value` view of a parsed file.
+/// Flat `section.key -> value` view of a parsed file. Each getter takes
+/// its entry out, so what is left after every field has been read is
+/// exactly the set of keys nothing consumed.
 #[derive(Debug, Default)]
 struct Table {
     entries: BTreeMap<String, Scalar>,
@@ -145,41 +150,41 @@ impl Table {
         None
     }
 
-    fn u64(&self, key: &str, default: u64) -> Result<u64, TopologyError> {
-        match self.entries.get(key) {
+    fn u64(&mut self, key: &str, default: u64) -> Result<u64, TopologyError> {
+        match self.entries.remove(key) {
             None => Ok(default),
-            Some(Scalar::Int(i)) if *i >= 0 => Ok(*i as u64),
+            Some(Scalar::Int(i)) if i >= 0 => Ok(i as u64),
             Some(other) => Err(TopologyError::new(format!(
                 "{key} must be a non-negative integer, got {other:?}"
             ))),
         }
     }
 
-    fn f64(&self, key: &str, default: f64) -> Result<f64, TopologyError> {
-        match self.entries.get(key) {
+    fn f64(&mut self, key: &str, default: f64) -> Result<f64, TopologyError> {
+        match self.entries.remove(key) {
             None => Ok(default),
-            Some(Scalar::Float(f)) => Ok(*f),
-            Some(Scalar::Int(i)) => Ok(*i as f64),
+            Some(Scalar::Float(f)) => Ok(f),
+            Some(Scalar::Int(i)) => Ok(i as f64),
             Some(other) => Err(TopologyError::new(format!(
                 "{key} must be a number, got {other:?}"
             ))),
         }
     }
 
-    fn string(&self, key: &str, default: &str) -> Result<String, TopologyError> {
-        match self.entries.get(key) {
+    fn string(&mut self, key: &str, default: &str) -> Result<String, TopologyError> {
+        match self.entries.remove(key) {
             None => Ok(default.to_string()),
-            Some(Scalar::Str(s)) => Ok(s.clone()),
+            Some(Scalar::Str(s)) => Ok(s),
             Some(other) => Err(TopologyError::new(format!(
                 "{key} must be a string, got {other:?}"
             ))),
         }
     }
 
-    fn bool(&self, key: &str, default: bool) -> Result<bool, TopologyError> {
-        match self.entries.get(key) {
+    fn bool(&mut self, key: &str, default: bool) -> Result<bool, TopologyError> {
+        match self.entries.remove(key) {
             None => Ok(default),
-            Some(Scalar::Bool(b)) => Ok(*b),
+            Some(Scalar::Bool(b)) => Ok(b),
             Some(other) => Err(TopologyError::new(format!(
                 "{key} must be true or false, got {other:?}"
             ))),
@@ -215,12 +220,6 @@ pub struct Topology {
     /// partition as a format-v3 snapshot and cold-starts from it on
     /// the next run instead of re-drawing the samples.
     pub snapshot_dir: String,
-    /// Open-loop load: concurrent client connections.
-    pub load_connections: usize,
-    /// Open-loop load: total requests across all connections.
-    pub load_requests: usize,
-    /// Open-loop load: seed-set size per `estimate` request.
-    pub load_seeds_per_request: usize,
     /// Retry attempts per stateless shard RPC (minimum 1 = no retry).
     pub retry_attempts: u32,
     /// Backoff before the first retry, in milliseconds.
@@ -242,7 +241,7 @@ pub struct Topology {
 impl Topology {
     /// Parse a topology from TOML text.
     pub fn parse(text: &str) -> Result<Self, TopologyError> {
-        let table = Table::parse(text)?;
+        let mut table = Table::parse(text)?;
         let topo = Self {
             shards: table.u64("cluster.shards", 2)? as usize,
             workers: table.u64("cluster.workers", 2)? as usize,
@@ -255,9 +254,6 @@ impl Topology {
             threshold: table.u64("instance.threshold", 2)? as u32,
             instance_seed: table.u64("instance.seed", 1)?,
             snapshot_dir: table.string("cluster.snapshot_dir", "")?,
-            load_connections: table.u64("load.connections", 4)? as usize,
-            load_requests: table.u64("load.requests", 200)? as usize,
-            load_seeds_per_request: table.u64("load.seeds_per_request", 8)? as usize,
             retry_attempts: table.u64("fault.retry_attempts", 3)? as u32,
             retry_base_ms: table.u64("fault.retry_base_ms", 50)?,
             retry_cap_ms: table.u64("fault.retry_cap_ms", 2_000)?,
@@ -266,6 +262,9 @@ impl Topology {
             probe_interval_ms: table.u64("fault.probe_interval_ms", 0)?,
             degrade: table.bool("fault.degrade", true)?,
         };
+        if let Some(key) = table.entries.keys().next() {
+            return Err(TopologyError::new(format!("unknown key {key:?}")));
+        }
         topo.validate()?;
         Ok(topo)
     }
@@ -320,11 +319,6 @@ impl Topology {
         if self.threshold == 0 {
             return Err(TopologyError::new("instance.threshold must be at least 1"));
         }
-        if self.load_connections == 0 || self.load_seeds_per_request == 0 {
-            return Err(TopologyError::new(
-                "load.connections and load.seeds_per_request must be at least 1",
-            ));
-        }
         if self.retry_attempts == 0 {
             return Err(TopologyError::new(
                 "fault.retry_attempts must be at least 1 (1 = no retry)",
@@ -365,11 +359,6 @@ mod tests {
             threshold = 2
             seed = 5
 
-            [load]
-            connections = 2
-            requests = 10
-            seeds_per_request = 4
-
             [fault]
             retry_attempts = 4
             retry_base_ms = 10
@@ -391,9 +380,6 @@ mod tests {
         assert_eq!(topo.threshold, 2);
         assert_eq!(topo.instance_seed, 5);
         assert_eq!(topo.snapshot_dir, "cache/shards");
-        assert_eq!(topo.load_connections, 2);
-        assert_eq!(topo.load_requests, 10);
-        assert_eq!(topo.load_seeds_per_request, 4);
         assert_eq!(topo.retry_attempts, 4);
         assert_eq!(topo.retry_base_ms, 10);
         assert_eq!(topo.retry_cap_ms, 100);
@@ -443,5 +429,37 @@ mod tests {
         assert!(tiny.contains("samples >= 64"), "{tiny}");
         assert!(Topology::parse("[cluster]\nshards = 1\nsamples = 50\n").is_ok());
         assert!(Topology::parse("[cluster]\nshards = 16\nsamples = 64\n").is_ok());
+    }
+
+    #[test]
+    fn unknown_keys_and_sections_are_errors_naming_them() {
+        let error = |text: &str| Topology::parse(text).unwrap_err().to_string();
+        // A typo'd key must not load as the default.
+        let typo = error("[cluster]\nshard = 4\n");
+        assert!(typo.contains(r#"unknown key "cluster.shard""#), "{typo}");
+        let typo = error("[fault]\nretry_atempts = 9\n");
+        assert!(
+            typo.contains(r#"unknown key "fault.retry_atempts""#),
+            "{typo}"
+        );
+        // A typo'd section takes every key under it along.
+        let section = error("[clustr]\nshards = 4\n");
+        assert!(
+            section.contains(r#"unknown key "clustr.shards""#),
+            "{section}"
+        );
+        // So does a key outside any section, and the `[load]` section
+        // removed in 0.12.0.
+        let bare = error("shards = 4\n");
+        assert!(bare.contains(r#"unknown key "shards""#), "{bare}");
+        let load = error("[cluster]\nshards = 2\n[load]\nrequests = 10\nconnections = 4\n");
+        assert!(load.contains(r#"unknown key "load.connections""#), "{load}");
+    }
+
+    #[test]
+    fn committed_topology_loads() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../data/topology.toml");
+        let topo = Topology::load(&path).unwrap();
+        assert_eq!((topo.shards, topo.samples, topo.k), (2, 40_000, 25));
     }
 }

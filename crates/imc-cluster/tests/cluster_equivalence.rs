@@ -202,6 +202,35 @@ fn cluster_restrictions_are_typed_errors_on_the_wire() {
     stop_cluster(handles, coordinator);
 }
 
+/// The `imc_cluster_*` families live in the coordinator's process, so
+/// the coordinator answers `metrics` itself, in the daemon's shape.
+#[test]
+fn coordinator_answers_the_metrics_op_with_its_own_families() {
+    let instance = small_instance(42);
+    let (handles, coordinator) = spawn_cluster(&instance, 2, 64, 77);
+    {
+        let _shared = scatter_shared();
+        cluster_solve(coordinator.addr(), "greedy", 3, 77);
+    }
+    let mut client = Client::connect(coordinator.addr(), Duration::from_secs(120)).unwrap();
+    let resp = client.request(r#"{"op":"metrics"}"#).unwrap();
+    assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true));
+    assert_eq!(
+        resp.get("format").and_then(Value::as_str),
+        Some("prometheus-0.0.4")
+    );
+    let body = resp.get("body").and_then(Value::as_str).expect("body");
+    let scatters: u64 = body
+        .lines()
+        .find_map(|line| line.strip_prefix("imc_cluster_scatter_total "))
+        .expect("imc_cluster_scatter_total sample line")
+        .parse()
+        .unwrap();
+    assert!(scatters > 0, "no scatter round counted after a solve");
+    drop(client);
+    stop_cluster(handles, coordinator);
+}
+
 /// A fast-failing retry policy so dead-shard tests don't sit in
 /// backoff sleeps.
 fn fast_retry() -> RetryPolicy {

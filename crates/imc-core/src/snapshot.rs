@@ -14,7 +14,7 @@
 //! 64-byte header, a 9-entry section table, then one 8-byte-aligned
 //! section per [`RicStore`] column — **including the CSR inverted
 //! node→(sample, pos) index**, so decoding never rebuilds it. Every
-//! section is one column of [`RicColumns`](crate::RicColumns), stored
+//! section is one column of [`RicColumns`], stored
 //! exactly as [`RicStore`] holds it in memory: [`encode`] is header +
 //! section table + nine column copies + checksum, [`decode`] is a verified
 //! [`RicStoreView`] + nine `to_vec()`s, and the columns can also be

@@ -52,6 +52,26 @@ pub(crate) struct Family {
     pub(crate) children: RwLock<BTreeMap<Vec<String>, Child>>,
 }
 
+impl Family {
+    /// Panics unless a re-registration asks for this family's kind and
+    /// label names.
+    fn assert_matches(&self, kind: MetricKind, labels: &[(&str, &str)]) {
+        let name = &self.name;
+        assert!(
+            self.kind == kind,
+            "metric `{name}` re-registered as {kind:?}, was {:?}",
+            self.kind
+        );
+        let names = || labels.iter().map(|(k, _)| *k);
+        assert!(
+            self.label_names.iter().map(String::as_str).eq(names()),
+            "metric `{name}` re-registered with labels {:?}, was {:?}",
+            names().collect::<Vec<_>>(),
+            self.label_names
+        );
+    }
+}
+
 /// A collection of metric families, encodable as one exposition.
 ///
 /// Most code uses the process-wide [`global()`](crate::global) registry;
@@ -65,6 +85,14 @@ pub struct Registry {
 struct Inner {
     families: Vec<Arc<Family>>,
     by_name: HashMap<String, usize>,
+}
+
+impl Inner {
+    fn get(&self, name: &str) -> Option<Arc<Family>> {
+        self.by_name
+            .get(name)
+            .map(|&idx| Arc::clone(&self.families[idx]))
+    }
 }
 
 impl Registry {
@@ -172,31 +200,30 @@ impl Registry {
         labels: &[(&str, &str)],
         bounds: &[f64],
     ) -> Arc<Family> {
-        let label_names: Vec<String> = labels.iter().map(|(k, _)| (*k).to_string()).collect();
-        let mut inner = self.inner.write().expect("registry lock");
-        if let Some(&idx) = inner.by_name.get(name) {
-            let family = Arc::clone(&inner.families[idx]);
-            assert!(
-                family.kind == kind,
-                "metric `{name}` re-registered as {kind:?}, was {:?}",
-                family.kind
-            );
-            assert!(
-                family.label_names == label_names,
-                "metric `{name}` re-registered with labels {label_names:?}, was {:?}",
-                family.label_names
-            );
+        // An existing family is found under the read lock and checked
+        // without allocating: every span drop and labelled-handle fetch
+        // comes through here, and they must not serialise on this lock.
+        let existing = self.inner.read().expect("registry lock").get(name);
+        if let Some(family) = existing {
+            family.assert_matches(kind, labels);
             return family;
         }
         if kind == MetricKind::Histogram {
             // Validate bucket layout eagerly so the panic points here.
             let _ = Histogram::new(bounds);
         }
+        let mut inner = self.inner.write().expect("registry lock");
+        // Another thread may have inserted between the two locks.
+        if let Some(family) = inner.get(name) {
+            drop(inner);
+            family.assert_matches(kind, labels);
+            return family;
+        }
         let family = Arc::new(Family {
             name: name.to_string(),
             help: help.to_string(),
             kind,
-            label_names,
+            label_names: labels.iter().map(|(k, _)| (*k).to_string()).collect(),
             bounds: bounds.to_vec(),
             children: RwLock::new(BTreeMap::new()),
         });
