@@ -639,7 +639,27 @@ mod tests {
             let v = imc_service::json::parse(line)
                 .unwrap_or_else(|e| panic!("invalid JSONL line `{line}`: {e}"));
             assert!(v.get("ts_us").and_then(|t| t.as_u64()).is_some(), "{line}");
-            kinds.insert(v.get("kind").unwrap().as_str().unwrap().to_string());
+            let kind = v.get("kind").unwrap().as_str().unwrap().to_string();
+            // A round says where its time went; `estimate_seconds` is there
+            // exactly when the round made an Estimate call.
+            if kind == "imcaf_round" {
+                for phase in ["sampling_seconds", "solve_seconds"] {
+                    let seconds = v.get(phase).and_then(|s| s.as_f64());
+                    assert!(seconds.is_some_and(|s| s >= 0.0), "{phase} in {line}");
+                }
+                assert_eq!(
+                    v.get("estimate_seconds").and_then(|s| s.as_f64()).is_some(),
+                    v.get("checked").unwrap().as_bool().unwrap(),
+                    "{line}"
+                );
+            }
+            if kind == "estimate" {
+                assert!(
+                    v.get("seconds").and_then(|s| s.as_f64()).is_some(),
+                    "{line}"
+                );
+            }
+            kinds.insert(kind);
         }
         for expected in ["imcaf_bounds", "imcaf_round", "imcaf_done", "maxr_solve"] {
             assert!(

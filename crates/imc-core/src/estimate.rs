@@ -42,6 +42,7 @@ pub fn estimate_c<R: Rng + ?Sized>(
     let lambda_prime = stopping_threshold(epsilon, delta);
     let b = sampler.communities().total_benefit();
     crate::obs::estimate_calls_total().inc();
+    let started = std::time::Instant::now();
     let mut influenced = 0u64;
     // One reusable scratch buffer for the whole run — grading draws
     // thousands of throwaway samples, so the owning path's per-sample
@@ -59,7 +60,8 @@ pub fn estimate_c<R: Rng + ?Sized>(
                         imc_obs::trace::TraceEvent::new("estimate")
                             .field("outcome", "converged")
                             .field("samples_used", t)
-                            .field("estimate", b * lambda_prime / t as f64),
+                            .field("estimate", b * lambda_prime / t as f64)
+                            .field("seconds", started.elapsed().as_secs_f64()),
                     );
                 }
                 return Some(EstimateOutcome {
@@ -76,7 +78,8 @@ pub fn estimate_c<R: Rng + ?Sized>(
             imc_obs::trace::TraceEvent::new("estimate")
                 .field("outcome", "exhausted")
                 .field("samples_used", t_max)
-                .field("influenced", influenced),
+                .field("influenced", influenced)
+                .field("seconds", started.elapsed().as_secs_f64()),
         );
     }
     None

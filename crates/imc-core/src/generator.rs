@@ -1,35 +1,58 @@
+use crate::samples::limbs_for_width;
 use crate::{CoverSet, RicSample};
 use imc_community::{CommunityId, CommunitySet};
 use imc_graph::{Graph, NodeId};
 use rand::Rng;
-use std::collections::{HashMap, VecDeque};
 
 /// Reusable output buffer for one sampler draw, holding the sample as the
 /// flat arrays an arena append wants: sorted node ids plus one contiguous
 /// run of cover limbs (`len × max(1, ⌈width/64⌉)` words).
 ///
-/// [`RicStore::extend_with`](crate::RicStore::extend_with) reuses a single
-/// `SampleBuf` across draws, so generation feeds the arena without an
-/// owning [`RicSample`] (and its per-node `CoverSet` boxes) per sample.
-#[derive(Debug, Clone)]
+/// It also owns the sampler's scratch — the per-graph-node interning
+/// table, the BFS queue, the live-edge CSR, the covers in discovery order,
+/// the propagation worklist and the sort keys — so once the buffer has
+/// seen a draw as large as the next one, that draw allocates nothing
+/// (docs/KERNELS.md, *RIC sampler scratch and word-parallel cover
+/// propagation*). [`RicStore::extend_with`](crate::RicStore::extend_with)
+/// and [`estimate_c`](crate::estimate::estimate_c) hold one `SampleBuf`
+/// across all their draws; any loop over draws should do the same.
+#[derive(Debug, Clone, Default)]
 pub struct SampleBuf {
     community: CommunityId,
     threshold: u32,
     width: u32,
     nodes: Vec<NodeId>,
     cover_words: Vec<u64>,
+    /// `slots[v]` interns graph node `v`: it holds `v`'s local id in the
+    /// draw stamped `epoch`, and nothing when the stamp is older. One
+    /// entry per node of the last sampler's graph.
+    slots: Vec<Slot>,
+    /// Stamp of the last draw; `0` is never a draw's stamp.
+    epoch: u32,
+    /// The BFS queue, which is also the local id → node table: a node is
+    /// queued at the moment it is interned, so queue position *is* local
+    /// id. Members are local ids `0..width`.
+    order: Vec<NodeId>,
+    /// CSR of live in-edges by local id: row `l` of `live_adj`, from
+    /// `live_off[l]` to `live_off[l + 1]`, holds the local ids `p` with a
+    /// live edge `p → l`.
+    live_off: Vec<usize>,
+    live_adj: Vec<u32>,
+    /// Covers in local-id order, `limbs` words per node (`cover_words` is
+    /// the same rows in ascending node-id order).
+    local_words: Vec<u64>,
+    /// Propagation worklist: a FIFO ring of `order.len() + 1` entries, and
+    /// whether each local id is currently in it.
+    work: Vec<u32>,
+    queued: Vec<bool>,
+    /// `node id << 32 | local id`, sorted to emit the output arrays.
+    keys: Vec<u64>,
 }
 
-impl Default for SampleBuf {
-    fn default() -> Self {
-        SampleBuf {
-            community: CommunityId::new(0),
-            threshold: 0,
-            width: 0,
-            nodes: Vec::new(),
-            cover_words: Vec::new(),
-        }
-    }
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    epoch: u32,
+    local: u32,
 }
 
 impl SampleBuf {
@@ -69,36 +92,36 @@ impl SampleBuf {
         self.nodes.is_empty()
     }
 
+    /// Local id of `v` in the last draw; `None` when the draw did not
+    /// reach `v` (which covers any id the sampler's graph does not have).
+    fn local_of(&self, v: NodeId) -> Option<usize> {
+        let slot = self.slots.get(v.index())?;
+        (slot.epoch == self.epoch).then_some(slot.local as usize)
+    }
+
     /// Whether the buffered draw would be influenced by `seeds`: the union
     /// of the seeds' covers reaches at least `threshold` members. Matches
-    /// [`RicSample::influenced_by`] without materializing the sample.
+    /// [`RicSample::influenced_by`] without materializing the sample: each
+    /// seed is one read of the interning table, and the union is folded a
+    /// limb at a time, so the call allocates nothing at any width.
     pub fn influenced_by(&self, seeds: &[NodeId]) -> bool {
-        let limbs = (self.width as usize).div_ceil(64).max(1);
-        let mut inline = [0u64; 4];
-        let mut heap: Vec<u64> = Vec::new();
-        let union: &mut [u64] = if limbs <= 4 {
-            &mut inline[..limbs]
-        } else {
-            heap.resize(limbs, 0);
-            &mut heap
-        };
-        for &s in seeds {
-            if let Ok(i) = self.nodes.binary_search(&s) {
-                for (u, w) in union
-                    .iter_mut()
-                    .zip(&self.cover_words[i * limbs..(i + 1) * limbs])
-                {
-                    *u |= w;
+        let limbs = limbs_for_width(self.width);
+        let mut covered = 0u32;
+        for limb in 0..limbs {
+            let mut union = 0u64;
+            for &s in seeds {
+                if let Some(l) = self.local_of(s) {
+                    union |= self.local_words[l * limbs + limb];
                 }
             }
+            covered += union.count_ones();
         }
-        let covered: u32 = union.iter().map(|w| w.count_ones()).sum();
         covered >= self.threshold
     }
 
     /// Materializes the buffered draw as an owning [`RicSample`].
     pub fn to_sample(&self) -> RicSample {
-        let limbs = (self.width as usize).div_ceil(64).max(1);
+        let limbs = limbs_for_width(self.width);
         RicSample {
             community: self.community,
             threshold: self.threshold,
@@ -112,6 +135,108 @@ impl SampleBuf {
                     )
                 })
                 .collect(),
+        }
+    }
+
+    /// Opens a draw over a graph of `node_count` nodes: a fresh stamp makes
+    /// every slot stale at once. The table is re-sized when the sampler's
+    /// graph differs from the last one's, and cleared on the (rare) stamp
+    /// wrap so an old stamp can never read as current.
+    fn begin_draw(&mut self, node_count: usize) {
+        if self.slots.len() != node_count || self.epoch == u32::MAX {
+            self.slots.clear();
+            self.slots.resize(node_count, Slot::default());
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.order.clear();
+        self.live_off.clear();
+        self.live_adj.clear();
+    }
+
+    /// Local id of `v` in the open draw, queueing `v` if it is new.
+    #[inline]
+    fn intern(&mut self, v: NodeId) -> u32 {
+        let slot = &mut self.slots[v.index()];
+        if slot.epoch != self.epoch {
+            *slot = Slot {
+                epoch: self.epoch,
+                local: self.order.len() as u32,
+            };
+            self.order.push(v);
+        }
+        slot.local
+    }
+
+    /// Word-parallel cover propagation over the live-edge CSR: member `i`
+    /// (local id `i`) starts with bit `i`, and every live edge `p → l`
+    /// ORs all limbs of `cover[l]` into `cover[p]` until nothing grows.
+    /// The result is the least fixed point of those inclusions — `p`'s
+    /// cover is exactly the members `p` reaches — whatever order the
+    /// worklist visits nodes in. A node re-enters the worklist only when
+    /// its cover gained a bit, so it is popped at most `width` times.
+    fn propagate_covers(&mut self) {
+        let (width, limbs) = (self.width as usize, limbs_for_width(self.width));
+        let n = self.order.len();
+        let words = &mut self.local_words;
+        words.clear();
+        words.resize(n * limbs, 0);
+        self.queued.clear();
+        self.queued.resize(n, false);
+        self.work.clear();
+        self.work.resize(n + 1, 0);
+        for member in 0..width {
+            words[member * limbs + member / 64] |= 1u64 << (member % 64);
+            self.work[member] = member as u32;
+            self.queued[member] = true;
+        }
+        // `work[head..tail]` (cyclically) is the FIFO. `queued` keeps a
+        // node in it at most once, so it never holds more than `n` of the
+        // ring's `n + 1` entries and `head == tail` only means empty.
+        let next = |i: usize| if i == n { 0 } else { i + 1 };
+        let (mut head, mut tail) = (0usize, width);
+        while head != tail {
+            let l = self.work[head] as usize;
+            head = next(head);
+            self.queued[l] = false;
+            for &p in &self.live_adj[self.live_off[l]..self.live_off[l + 1]] {
+                let p = p as usize;
+                let mut grew = false;
+                for limb in 0..limbs {
+                    let had = words[p * limbs + limb];
+                    let merged = had | words[l * limbs + limb];
+                    words[p * limbs + limb] = merged;
+                    grew |= merged != had;
+                }
+                if grew && !self.queued[p] {
+                    self.queued[p] = true;
+                    self.work[tail] = p as u32;
+                    tail = next(tail);
+                }
+            }
+        }
+    }
+
+    /// Writes the draw's output arrays: nodes ascending by id, each
+    /// followed in `cover_words` by its cover row.
+    fn emit_sorted(&mut self) {
+        let limbs = limbs_for_width(self.width);
+        self.keys.clear();
+        self.keys.extend(
+            self.order
+                .iter()
+                .enumerate()
+                .map(|(l, v)| (u64::from(v.raw()) << 32) | l as u64),
+        );
+        self.keys.sort_unstable();
+        self.nodes.clear();
+        self.nodes
+            .extend(self.keys.iter().map(|&key| NodeId::new((key >> 32) as u32)));
+        self.cover_words.clear();
+        for &key in &self.keys {
+            let l = key as u32 as usize;
+            self.cover_words
+                .extend_from_slice(&self.local_words[l * limbs..(l + 1) * limbs]);
         }
     }
 }
@@ -146,7 +271,11 @@ pub enum LiveEdgeModel {
 /// at most once, so the memoization is implicit); (3) computes, for every
 /// visited node, the set of members it reaches over live edges — the
 /// inverted form of the reachable sets `R_g(u)` that Alg. 1 extracts with
-/// per-member DFS.
+/// per-member DFS — by pushing all members' bits along the live edges at
+/// once, a word at a time, until nothing changes.
+///
+/// All working memory of a draw lives in the caller's [`SampleBuf`], so a
+/// draw into a warm buffer allocates nothing.
 ///
 /// The sampler is cheap to clone (borrows nothing mutable) and `Sync`, so
 /// parallel harnesses can share one across threads, each with its own RNG.
@@ -241,7 +370,12 @@ impl<'a> RicSampler<'a> {
         CommunityId::new(idx.min(self.benefit_cdf.len() - 1) as u32)
     }
 
-    /// Generates one RIC sample (Alg. 1).
+    /// Generates one RIC sample (Alg. 1) as an owning [`RicSample`].
+    ///
+    /// Each call builds and drops a [`SampleBuf`] — scratch sized to the
+    /// graph included — so this is for one-off draws and tests. A loop
+    /// over draws should hold one `SampleBuf` and call
+    /// [`sample_into`](Self::sample_into).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> RicSample {
         let cid = self.sample_community(rng);
         self.sample_rooted(cid, rng)
@@ -256,7 +390,9 @@ impl<'a> RicSampler<'a> {
     }
 
     /// Generates a RIC sample with a *fixed* source community — used by
-    /// tests and stratified diagnostics.
+    /// tests and stratified diagnostics. Like [`sample`](Self::sample) it
+    /// builds a [`SampleBuf`] per call; a loop should hold one and call
+    /// [`sample_rooted_into`](Self::sample_rooted_into).
     pub fn sample_rooted<R: Rng + ?Sized>(&self, cid: CommunityId, rng: &mut R) -> RicSample {
         let mut buf = SampleBuf::default();
         self.sample_rooted_into(cid, rng, &mut buf);
@@ -274,16 +410,99 @@ impl<'a> RicSampler<'a> {
         buf: &mut SampleBuf,
     ) {
         let community = self.communities.get(cid);
-        let members = &community.members;
-        let width = members.len();
+        buf.community = cid;
+        buf.threshold = community.threshold;
+        buf.width = community.members.len() as u32;
 
         // --- Phase 1: multi-source backward live-edge BFS. ---
-        // local id assignment: node -> dense index within this sample.
-        let mut local: HashMap<NodeId, u32> = HashMap::with_capacity(width * 4);
-        let mut nodes: Vec<NodeId> = Vec::with_capacity(width * 4);
+        // `buf.order` is the queue and `head` its cursor; the node at
+        // position `head` has local id `head`, so its live in-edges land
+        // in `live_adj` as the next CSR row.
+        buf.begin_draw(self.graph.node_count());
+        for &m in &community.members {
+            buf.intern(m);
+        }
+        let mut head = 0;
+        while head < buf.order.len() {
+            let u = buf.order[head];
+            head += 1;
+            buf.live_off.push(buf.live_adj.len());
+            match self.model {
+                // IC: each in-edge of u is examined exactly once (u is
+                // dequeued once), so this coin is the edge's single
+                // liveness draw.
+                LiveEdgeModel::IndependentCascade => {
+                    for e in self.graph.in_edges(u) {
+                        let live = if e.weight >= 1.0 {
+                            true
+                        } else if e.weight <= 0.0 {
+                            false
+                        } else {
+                            rng.random::<f64>() < e.weight
+                        };
+                        if live {
+                            let lv = buf.intern(e.source);
+                            buf.live_adj.push(lv);
+                        }
+                    }
+                }
+                // LT: u keeps at most one live in-edge, categorically by
+                // weight (live-edge form of the Linear Threshold model).
+                LiveEdgeModel::LinearThreshold => {
+                    let x: f64 = rng.random();
+                    let mut acc = 0.0f64;
+                    for e in self.graph.in_edges(u) {
+                        acc += e.weight;
+                        if x < acc {
+                            let lv = buf.intern(e.source);
+                            buf.live_adj.push(lv);
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        buf.live_off.push(buf.live_adj.len());
+
+        // --- Phase 2: which members each node reaches -> cover bitsets. ---
+        buf.propagate_covers();
+
+        // --- Phase 3: sorted by node id for binary-searchable lookup. ---
+        buf.emit_sorted();
+
+        crate::obs::ric_samples_total().inc();
+        crate::obs::ric_sample_width().observe(buf.nodes.len() as f64);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use imc_graph::GraphBuilder;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    use std::collections::{HashMap, VecDeque};
+
+    /// The oracle: Alg. 1 as the paper writes it — a hash-interned
+    /// backward BFS, then one DFS **per community member** over the live
+    /// in-edges, then a sort. This was `sample_rooted_into`'s body until
+    /// the scratch-and-propagation rewrite; it consumes the RNG exactly as
+    /// the sampler must. Returns `(nodes, cover_words)` in output order.
+    fn per_member_walk<R: Rng + ?Sized>(
+        sampler: &RicSampler<'_>,
+        cid: CommunityId,
+        rng: &mut R,
+    ) -> (Vec<NodeId>, Vec<u64>) {
+        let members = &sampler.communities.get(cid).members;
+        let width = members.len();
+
+        let mut local: HashMap<NodeId, u32> = HashMap::new();
+        let mut nodes: Vec<NodeId> = Vec::new();
         // live_in[l(u)] = local ids v with a live edge (v -> u).
-        let mut live_in: Vec<Vec<u32>> = Vec::with_capacity(width * 4);
-        let mut queue: VecDeque<NodeId> = VecDeque::with_capacity(width);
+        let mut live_in: Vec<Vec<u32>> = Vec::new();
+        let mut queue: VecDeque<NodeId> = VecDeque::new();
 
         fn intern(
             v: NodeId,
@@ -306,15 +525,11 @@ impl<'a> RicSampler<'a> {
             intern(m, &mut local, &mut nodes, &mut live_in);
             queue.push_back(m);
         }
-
         while let Some(u) = queue.pop_front() {
             let lu = local[&u];
-            match self.model {
-                // IC: each in-edge of u is examined exactly once (u is
-                // dequeued once), so this coin is the edge's single
-                // liveness draw.
+            match sampler.model {
                 LiveEdgeModel::IndependentCascade => {
-                    for e in self.graph.in_edges(u) {
+                    for e in sampler.graph.in_edges(u) {
                         let live = if e.weight >= 1.0 {
                             true
                         } else if e.weight <= 0.0 {
@@ -332,12 +547,10 @@ impl<'a> RicSampler<'a> {
                         }
                     }
                 }
-                // LT: u keeps at most one live in-edge, categorically by
-                // weight (live-edge form of the Linear Threshold model).
                 LiveEdgeModel::LinearThreshold => {
                     let x: f64 = rng.random();
                     let mut acc = 0.0f64;
-                    for e in self.graph.in_edges(u) {
+                    for e in sampler.graph.in_edges(u) {
                         acc += e.weight;
                         if x < acc {
                             let (lv, fresh) =
@@ -353,10 +566,6 @@ impl<'a> RicSampler<'a> {
             }
         }
 
-        // --- Phase 2: per-member reverse reachability -> cover bitsets. ---
-        // DFS from each member over live_in adjacency; every reached local
-        // node gets the member's bit, written into flat limbs (no per-node
-        // CoverSet allocation).
         let limbs = width.div_ceil(64).max(1);
         let mut raw_words = vec![0u64; nodes.len() * limbs];
         let mut seen = vec![u32::MAX; nodes.len()]; // stamp = member index
@@ -376,32 +585,115 @@ impl<'a> RicSampler<'a> {
             }
         }
 
-        // Sort nodes (and covers in parallel) for binary-searchable lookup.
         let mut order: Vec<usize> = (0..nodes.len()).collect();
         order.sort_by_key(|&i| nodes[i]);
-        buf.community = cid;
-        buf.threshold = community.threshold;
-        buf.width = width as u32;
-        buf.nodes.clear();
-        buf.nodes.extend(order.iter().map(|&i| nodes[i]));
-        buf.cover_words.clear();
-        buf.cover_words.reserve(nodes.len() * limbs);
+        let sorted = order.iter().map(|&i| nodes[i]).collect();
+        let mut words = Vec::with_capacity(raw_words.len());
         for &i in &order {
-            buf.cover_words
-                .extend_from_slice(&raw_words[i * limbs..(i + 1) * limbs]);
+            words.extend_from_slice(&raw_words[i * limbs..(i + 1) * limbs]);
         }
-
-        crate::obs::ric_samples_total().inc();
-        crate::obs::ric_sample_width().observe(buf.nodes.len() as f64);
+        (sorted, words)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use imc_graph::GraphBuilder;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    /// A random digraph on `n` nodes whose community 0 has `width` random
+    /// members and a threshold in `1..=width + 1`; the other nodes form
+    /// 8-member communities. Weights come from `{0, (0, 1), 1}`, and a
+    /// clique of certain edges is planted, so dead edges, certain edges,
+    /// cycles and dense strongly-connected cores all occur.
+    fn random_instance(n: usize, width: usize, rng: &mut StdRng) -> (Graph, CommunitySet) {
+        let mut b = GraphBuilder::new(n as u32);
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        ids.shuffle(rng);
+        let mut add = |u: u32, v: u32, w: f64| {
+            if u != v {
+                b.add_edge(u, v, w).unwrap();
+            }
+        };
+        for _ in 0..rng.random_range(0..=4 * n) {
+            let w = match rng.random_range(0..5u32) {
+                0 => 0.0,
+                1 => 1.0,
+                _ => rng.random::<f64>(),
+            };
+            add(
+                rng.random_range(0..n as u32),
+                rng.random_range(0..n as u32),
+                w,
+            );
+        }
+        let clique = &ids[..rng.random_range(0..=n.min(10))];
+        for &u in clique {
+            for &v in clique {
+                add(u, v, 1.0);
+            }
+        }
+        let graph = b.build().unwrap();
+
+        ids.shuffle(rng);
+        let node = |&v: &u32| NodeId::new(v);
+        let threshold = rng.random_range(1..=width as u32 + 1);
+        let mut parts = vec![(ids[..width].iter().map(node).collect(), threshold, 3.0)];
+        for rest in ids[width..].chunks(8) {
+            parts.push((rest.iter().map(node).collect(), 2, 1.0));
+        }
+        let communities = CommunitySet::from_parts(n as u32, parts).unwrap();
+        (graph, communities)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The sampler equals the per-member walk bit for bit — metadata,
+        /// nodes, covers and RNG consumption — under both live-edge
+        /// models, at every limb count from 1 to 4, with one `SampleBuf`
+        /// carried across draws and across samplers whose graphs differ in
+        /// node count (the interning table is re-sized in between).
+        #[test]
+        fn sampler_equals_the_per_member_walk(
+            seed in 0u64..u64::MAX,
+            width in prop_oneof![
+                Just(1usize), Just(64), Just(65), Just(128), Just(129), 1usize..=200
+            ],
+            outside in 0usize..=100,
+            other_n in 1usize..=300,
+            model in prop_oneof![
+                Just(LiveEdgeModel::IndependentCascade),
+                Just(LiveEdgeModel::LinearThreshold)
+            ],
+        ) {
+            let n = width + outside;
+            prop_assume!(other_n != n);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let first = random_instance(n, width, &mut rng);
+            let other_width = rng.random_range(1..=other_n.min(200));
+            let second = random_instance(other_n, other_width, &mut rng);
+            let mut buf = SampleBuf::default();
+            let mut rng_new = StdRng::seed_from_u64(seed ^ 0x5EED);
+            let mut rng_old = rng_new.clone();
+            for (graph, communities) in [&first, &second, &first] {
+                let sampler = RicSampler::with_model(graph, communities, model);
+                for draw in 0..6 {
+                    // Even draws are rooted at the wide community, odd
+                    // draws pick theirs from the benefit distribution.
+                    let cid = if draw % 2 == 0 {
+                        sampler.sample_rooted_into(CommunityId::new(0), &mut rng_new, &mut buf);
+                        CommunityId::new(0)
+                    } else {
+                        sampler.sample_into(&mut rng_new, &mut buf);
+                        sampler.sample_community(&mut rng_old)
+                    };
+                    let (nodes, words) = per_member_walk(&sampler, cid, &mut rng_old);
+                    let community = communities.get(cid);
+                    prop_assert_eq!(buf.community(), cid);
+                    prop_assert_eq!(buf.threshold(), community.threshold);
+                    prop_assert_eq!(buf.width() as usize, community.members.len());
+                    prop_assert_eq!(buf.nodes(), &nodes[..]);
+                    prop_assert_eq!(buf.cover_words(), &words[..]);
+                    prop_assert_eq!(rng_new.random::<u64>(), rng_old.random::<u64>());
+                }
+            }
+        }
+    }
 
     fn single_community(node_count: u32, members: &[u32], h: u32) -> CommunitySet {
         CommunitySet::from_parts(
@@ -617,8 +909,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn sample_into_matches_owning_path_and_rng_stream() {
+    /// The 8-node, two-community instance of the buffered-path tests.
+    fn two_community_instance() -> (Graph, CommunitySet) {
         let mut b = GraphBuilder::new(8);
         for (u, v, w) in [
             (0, 2, 0.7),
@@ -629,7 +921,6 @@ mod tests {
         ] {
             b.add_edge(u, v, w).unwrap();
         }
-        let g = b.build().unwrap();
         let cs = CommunitySet::from_parts(
             8,
             vec![
@@ -638,16 +929,85 @@ mod tests {
             ],
         )
         .unwrap();
+        (b.build().unwrap(), cs)
+    }
+
+    #[test]
+    fn sample_into_matches_owning_path_and_rng_stream() {
+        // The second instance has a 300-member community: five cover
+        // limbs, wider than any fixed-size union buffer.
+        let wide = random_instance(400, 300, &mut StdRng::seed_from_u64(3));
+        let mut outcomes = [0usize; 2];
+        for (g, cs) in [two_community_instance(), wide] {
+            let sampler = RicSampler::new(&g, &cs);
+            let n = g.node_count() as u32;
+            let mut rng_owned = StdRng::seed_from_u64(42);
+            let mut rng_buf = StdRng::seed_from_u64(42);
+            let mut rng_seeds = StdRng::seed_from_u64(43);
+            let mut buf = SampleBuf::default();
+            for _ in 0..200 {
+                let owned = sampler.sample(&mut rng_owned);
+                sampler.sample_into(&mut rng_buf, &mut buf);
+                assert_eq!(buf.to_sample(), owned, "buffered draw diverged");
+                assert_eq!(buf.len(), owned.nodes.len());
+                assert_eq!(buf.is_empty(), owned.nodes.is_empty());
+                // Seed sets of 0–5 ids, some of them beyond the graph: an
+                // id the sampler has no slot for is just not in the sample.
+                for _ in 0..8 {
+                    let seeds: Vec<NodeId> = (0..rng_seeds.random_range(0..6u32))
+                        .map(|_| NodeId::new(rng_seeds.random_range(0..n + 3)))
+                        .collect();
+                    let expected = owned.influenced_by(&seeds);
+                    assert_eq!(buf.influenced_by(&seeds), expected, "seeds {seeds:?}");
+                    outcomes[usize::from(expected)] += 1;
+                }
+                assert!(!buf.influenced_by(&[NodeId::new(n), NodeId::new(u32::MAX)]));
+            }
+        }
+        assert!(outcomes[0] > 100 && outcomes[1] > 100, "{outcomes:?}");
+    }
+
+    #[test]
+    fn epoch_wrap_equals_a_fresh_buffer() {
+        // Three communities no draw of which reaches another's nodes, so
+        // a stamp stays in the table until its own community is redrawn.
+        let mut b = GraphBuilder::new(5);
+        b.add_edge(0, 1, 1.0).unwrap();
+        b.add_edge(2, 3, 1.0).unwrap();
+        let g = b.build().unwrap();
+        let node = NodeId::new;
+        let cs = CommunitySet::from_parts(
+            5,
+            vec![
+                (vec![node(0), node(1)], 1, 1.0),
+                (vec![node(2), node(3)], 2, 1.0),
+                (vec![node(4)], 1, 1.0),
+            ],
+        )
+        .unwrap();
         let sampler = RicSampler::new(&g, &cs);
-        let mut rng_owned = StdRng::seed_from_u64(42);
-        let mut rng_buf = StdRng::seed_from_u64(42);
-        let mut buf = SampleBuf::default();
-        for _ in 0..200 {
-            let owned = sampler.sample(&mut rng_owned);
-            sampler.sample_into(&mut rng_buf, &mut buf);
-            assert_eq!(buf.to_sample(), owned, "buffered draw diverged");
-            assert_eq!(buf.len(), owned.nodes.len());
-            assert_eq!(buf.is_empty(), owned.nodes.is_empty());
+        let mut rng = StdRng::seed_from_u64(1);
+        let root = CommunityId::new;
+
+        // Leave stamp 1 on community 0 and stamp 2 on community 1, then
+        // put the counter two draws before the wrap: the draws that re-use
+        // stamps 1 and 2 must not read those entries as their own.
+        let mut used = SampleBuf::default();
+        sampler.sample_rooted_into(root(0), &mut rng, &mut used);
+        sampler.sample_rooted_into(root(1), &mut rng, &mut used);
+        used.epoch = u32::MAX - 1;
+        let mut fresh = SampleBuf::default();
+        for (cid, stamp) in [(root(2), u32::MAX), (root(0), 1), (root(1), 2)] {
+            sampler.sample_rooted_into(cid, &mut rng, &mut used);
+            sampler.sample_rooted_into(cid, &mut rng, &mut fresh);
+            assert_eq!(used.epoch, stamp);
+            assert_eq!(used.to_sample(), fresh.to_sample());
+            for v in 0..5 {
+                assert_eq!(
+                    used.influenced_by(&[node(v)]),
+                    fresh.influenced_by(&[node(v)])
+                );
+            }
         }
     }
 

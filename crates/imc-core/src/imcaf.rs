@@ -27,6 +27,7 @@ use crate::{ImcError, ImcInstance, MaxrAlgorithm, Result, RicStore, SolveRequest
 use imc_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Instant;
 
 /// Parameters of the IMCAF framework.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -186,12 +187,28 @@ pub fn imcaf_with_trace(
     Ok((result, trace))
 }
 
+/// Wall time of one round's three phases, for the `imcaf_round` event.
+struct RoundSeconds {
+    /// The `extend_with` that produced the collection this round solved.
+    sampling: f64,
+    /// The MAXR solve.
+    solve: f64,
+    /// The `Estimate` call, when the Λ check-point fired.
+    estimate: Option<f64>,
+}
+
 /// Emits the per-round structured trace event and round metrics shared by
 /// every IMCAF entry point. `check_lambda` / `psi_capped` are the run's
 /// Λ and (capped) Ψ bounds, stamped into every round so a trace replay of
 /// Alg. 5's convergence needs no cross-referencing with the one-off
-/// `imcaf_bounds` event.
-fn observe_round(record: &RoundRecord, check_lambda: f64, psi_capped: usize) {
+/// `imcaf_bounds` event. `phases` says where the round's wall time went;
+/// it is a trace field only, not part of [`RoundRecord`].
+fn observe_round(
+    record: &RoundRecord,
+    check_lambda: f64,
+    psi_capped: usize,
+    phases: &RoundSeconds,
+) {
     crate::obs::imcaf_rounds_total().inc();
     if imc_obs::trace::enabled() {
         let mut event = imc_obs::trace::TraceEvent::new("imcaf_round")
@@ -203,7 +220,12 @@ fn observe_round(record: &RoundRecord, check_lambda: f64, psi_capped: usize) {
             .field("lambda", check_lambda)
             .field("lambda_met", record.influenced as f64 >= check_lambda)
             .field("psi_capped", psi_capped)
-            .field("psi_exhausted", record.samples >= psi_capped);
+            .field("psi_exhausted", record.samples >= psi_capped)
+            .field("sampling_seconds", phases.sampling)
+            .field("solve_seconds", phases.solve);
+        if let Some(seconds) = phases.estimate {
+            event = event.field("estimate_seconds", seconds);
+        }
         if let Some(c_star) = record.independent_estimate {
             event = event.field("independent_estimate", c_star);
         }
@@ -277,7 +299,9 @@ fn imcaf_inner(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut collection = RicStore::for_sampler(&sampler);
     let initial = (check_lambda.ceil() as usize).min(psi_capped).max(1);
+    let started = Instant::now();
     collection.extend_with(&sampler, initial, &mut rng);
+    let mut sampling_seconds = started.elapsed().as_secs_f64();
 
     let mut rounds = 0usize;
     loop {
@@ -285,7 +309,13 @@ fn imcaf_inner(
         let req = SolveRequest::new(k)
             .with_seed(seed ^ rounds as u64)
             .with_strategy(config.strategy);
+        let started = Instant::now();
         let solution = algorithm.solve(instance, &collection, &req)?;
+        let mut phases = RoundSeconds {
+            sampling: sampling_seconds,
+            solve: started.elapsed().as_secs_f64(),
+            estimate: None,
+        };
         let mut record = RoundRecord {
             round: rounds,
             samples: collection.len(),
@@ -302,11 +332,13 @@ fn imcaf_inner(
             let log_rounds = (psi_capped as f64 / check_lambda).log2().max(1.0);
             let delta_est = (config.delta / (3.0 * log_rounds)).clamp(1e-9, 0.999);
             let t_max = (collection.len() as f64 * (1.0 + es) / (1.0 - es)).ceil() as u64;
-            if let Some(out) = estimate_c(&sampler, &solution.seeds, es, delta_est, t_max, &mut rng)
-            {
+            let started = Instant::now();
+            let graded = estimate_c(&sampler, &solution.seeds, es, delta_est, t_max, &mut rng);
+            phases.estimate = Some(started.elapsed().as_secs_f64());
+            if let Some(out) = graded {
                 record.independent_estimate = Some(out.estimate);
                 if solution.estimate <= (1.0 + es) * out.estimate {
-                    observe_round(&record, check_lambda, psi_capped);
+                    observe_round(&record, check_lambda, psi_capped, &phases);
                     observe(&record);
                     let result = ImcafResult {
                         seeds: solution.seeds,
@@ -321,7 +353,7 @@ fn imcaf_inner(
                 }
             }
         }
-        observe_round(&record, check_lambda, psi_capped);
+        observe_round(&record, check_lambda, psi_capped, &phases);
         observe(&record);
 
         if collection.len() >= psi_capped {
@@ -344,7 +376,9 @@ fn imcaf_inner(
 
         // Double the collection (line 11), capped at Ψ.
         let grow = collection.len().min(psi_capped - collection.len()).max(1);
+        let started = Instant::now();
         collection.extend_with(&sampler, grow, &mut rng);
+        sampling_seconds = started.elapsed().as_secs_f64();
     }
 }
 

@@ -14,8 +14,8 @@
 use imc_community::CommunitySet;
 use imc_core::snapshot::{self, SnapshotBytes};
 use imc_core::{
-    ImcInstance, MaxrAlgorithm, RicSample, RicSampler, RicSamples, RicStore, SolveRequest,
-    SolveStrategy,
+    ImcInstance, LiveEdgeModel, MaxrAlgorithm, RicSample, RicSampler, RicSamples, RicStore,
+    SolveRequest, SolveStrategy,
 };
 use imc_graph::{generators::erdos_renyi, NodeId, WeightModel};
 use proptest::prelude::*;
@@ -148,6 +148,56 @@ proptest! {
                     "{} extras diverged under {:?}", algo.name(), req.strategy
                 );
             }
+        }
+    }
+}
+
+/// A planted-partition instance whose first community is the whole
+/// 160-member block 0 (three cover limbs); the other two blocks are cut
+/// into 8-member communities, so one store holds wide and narrow samples.
+fn pinned_instance() -> ImcInstance {
+    let mut rng = StdRng::seed_from_u64(11);
+    let pp = imc_graph::generators::planted_partition(480, 3, 0.04, 0.004, &mut rng);
+    let graph = pp.graph.reweighted(WeightModel::WeightedCascade);
+    let mut parts = vec![(pp.blocks[0].clone(), 3, 20.0)];
+    for block in &pp.blocks[1..] {
+        parts.extend(block.chunks(8).map(|c| (c.to_vec(), 2, 1.0)));
+    }
+    let communities = CommunitySet::from_parts(480, parts).unwrap();
+    ImcInstance::new(graph, communities).unwrap()
+}
+
+/// What the sampler *draws*, pinned as `fnv1a(snapshot::encode(store))`.
+/// Every other test in this file compares two paths through the same
+/// sampler. These constants were recorded at the commit before the
+/// sampler body was rewritten over `SampleBuf` scratch (PR 19), by
+/// running this test there, and held across the rewrite. A PR that
+/// changes one of them changes what is drawn — every seeded result
+/// downstream moves with it — and must say so.
+#[test]
+fn sampler_draws_are_pinned() {
+    let instance = pinned_instance();
+    let hash = |store: &RicStore| snapshot::fnv1a(&snapshot::encode(store, 0, 0));
+    for (model, sequential, sharded) in [
+        (
+            LiveEdgeModel::IndependentCascade,
+            0x4206_a2f6_5000_86d8_u64,
+            0xb1b7_68e4_3b40_f70d_u64,
+        ),
+        (
+            LiveEdgeModel::LinearThreshold,
+            0x96a8_ec0b_b31d_842e,
+            0x6f70_3c4d_f615_d12f,
+        ),
+    ] {
+        let sampler = RicSampler::with_model(instance.graph(), instance.communities(), model);
+        let mut store = RicStore::for_sampler(&sampler);
+        store.extend_with(&sampler, 300, &mut StdRng::seed_from_u64(7));
+        assert_eq!(hash(&store), sequential, "{model:?}: extend_with, seed 7");
+        for workers in [1, 3] {
+            let mut store = RicStore::for_sampler(&sampler);
+            store.extend_parallel_with_workers(&sampler, 300, 7, workers);
+            assert_eq!(hash(&store), sharded, "{model:?}: {workers} workers");
         }
     }
 }
