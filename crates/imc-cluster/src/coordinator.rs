@@ -1,10 +1,10 @@
 //! The scatter-gather coordinator: runs the five MAXR solvers over a
-//! fleet of shard daemons and serves the result on the same
-//! protocol-v2 wire format a single daemon speaks.
+//! fleet of shard daemons and serves the result on the same wire format a
+//! single daemon speaks.
 //!
 //! The solvers here *are* the single-node ones: [`cluster_solve`] hands
 //! [`MaxrAlgorithm::solve_over`] a [`SolveBackend`] whose gain sessions
-//! are [`ClusterSource`]s and whose whole-set scores are chained
+//! are [`ClusterSource`]s and whose whole-set scores are summed
 //! `shard_eval` fans, so each algorithm body, tie-break, padding rule and
 //! evaluation count is the code [`MaxrAlgorithm::solve`] runs. Seed sets
 //! and evaluation counts are bitwise/count identical to it on the union
@@ -16,8 +16,8 @@
 //! derived from the request seed, so the schedule is reproducible).
 //! When a shard stays down past the retry budget *and* fails a
 //! confirmation `ping` probe, the coordinator marks it dead on the
-//! shared [`HealthBoard`], reruns the request over the surviving shards
-//! in partition order, and flags the answer `approximate: true` with
+//! shared [`HealthBoard`], reruns the request over the surviving shards,
+//! and flags the answer `approximate: true` with
 //! `effective_samples` / `lost_shards` fields. A recovered shard
 //! rejoins at the next request, never mid-solve. Only when no shard
 //! survives (or degraded mode is disabled) does the client see a
@@ -42,7 +42,7 @@ use imc_service::server::Shutdown;
 
 use crate::health::{self, HealthBoard, HealthMonitor, ShardState};
 use crate::obs;
-use crate::source::{field_f64, field_u64, ClusterSource};
+use crate::source::{field_u64, ClusterSource};
 
 /// A failure of a cluster solve.
 #[derive(Debug)]
@@ -113,16 +113,16 @@ pub struct ClusterReport {
     pub generation: u64,
 }
 
-/// Chained totals of one `shard_eval` fan across all shards.
+/// Summed totals of one `shard_eval` fan across all shards.
 struct ShardTotals {
     score: Score,
     generation: u64,
     pivot_score: usize,
 }
 
-/// Scores a seed set across every shard: integer totals sum; the ν_R
-/// accumulator chains shard-to-shard in partition order (the wire
-/// `carry` field), reproducing the single-node fold bitwise.
+/// Scores a seed set across every shard. Every total — the Q32 ν_R
+/// numerator included — is an integer sum over the shards' disjoint
+/// partitions, so it equals the single-node value in any shard order.
 fn shard_eval_totals(
     peers: &mut [PeerClient],
     seeds: &[NodeId],
@@ -130,24 +130,22 @@ fn shard_eval_totals(
 ) -> Result<ShardTotals, ClusterError> {
     let seeds_field: Vec<u64> = seeds.iter().map(|s| u64::from(s.raw())).collect();
     let mut totals = ShardTotals {
-        score: Score {
-            influenced: 0,
-            nu_acc: 0.0,
-            samples: 0,
-        },
+        score: Score::default(),
         generation: 0,
         pivot_score: 0,
     };
     obs::scatter_total().inc();
+    // Stamped so a v2 shard, whose `nu_acc` is an `f64` fold that must not
+    // be summed, refuses instead of answering.
+    let mut req = ObjectBuilder::new()
+        .field("op", "shard_eval")
+        .field("v", protocol::PROTOCOL_VERSION)
+        .field("seeds", seeds_field);
+    if let Some(u) = pivot {
+        req = req.field("pivot", u.raw());
+    }
+    let line = json::to_string(&req.build());
     for (i, peer) in peers.iter_mut().enumerate() {
-        let mut req = ObjectBuilder::new()
-            .field("op", "shard_eval")
-            .field("seeds", seeds_field.clone())
-            .field("carry", totals.score.nu_acc);
-        if let Some(u) = pivot {
-            req = req.field("pivot", u.raw());
-        }
-        let line = json::to_string(&req.build());
         let addr = peer.addr();
         let _rpc = imc_obs::Span::enter_with("rpc_client", format!("shard_eval {addr}"));
         let start = Instant::now();
@@ -162,9 +160,11 @@ fn shard_eval_totals(
                 return Err(e);
             }
         };
-        totals.score.influenced += field_u64(&resp, "influenced", peer)? as usize;
-        totals.score.nu_acc = field_f64(&resp, "nu_acc", peer)?;
-        totals.score.samples += field_u64(&resp, "samples", peer)? as usize;
+        totals.score.add(Score {
+            influenced: field_u64(&resp, "influenced", peer)? as usize,
+            nu_acc: field_u64(&resp, "nu_acc", peer)?,
+            samples: field_u64(&resp, "samples", peer)? as usize,
+        });
         if pivot.is_some() {
             totals.pivot_score += field_u64(&resp, "pivot_score", peer)? as usize;
         }
@@ -330,8 +330,9 @@ pub struct CoordinatorConfig {
     /// Bind address for the coordinator's own listener; port 0 picks an
     /// ephemeral port.
     pub addr: String,
-    /// Shard daemon addresses, **in partition order** — the ν_R carry
-    /// chain and sample numbering follow this order.
+    /// Shard daemon addresses. Every reduction is an integer sum, so the
+    /// order changes no answer; it is the order `lost_shards` and the
+    /// health report list them in.
     pub shards: Vec<SocketAddr>,
     /// Timeouts for shard connections.
     pub client: ClientConfig,
@@ -381,7 +382,7 @@ struct Outcome<T> {
 
 /// Runs `op` over the currently-usable shard subset, retrying and
 /// degrading per the config. The orchestration invariant: `op` always
-/// sees a fresh, contiguous (in partition order) peer slice, and a
+/// sees a fresh peer slice (in topology order), and a
 /// failed run is rerun **from scratch** — never patched mid-flight — so
 /// the surviving-set answer equals a fresh solve configured with
 /// exactly those shards.
@@ -739,12 +740,7 @@ fn dispatch_request(
 ) -> (String, bool) {
     let request = match protocol::parse_request(line) {
         Ok(request) => request,
-        Err(message) => {
-            return (
-                protocol::error_response(ErrorCode::BadRequest, &message),
-                false,
-            )
-        }
+        Err(e) => return (protocol::error_response(e.code, &e.message), false),
     };
     match request {
         Request::Solve { imcaf: Some(_), .. } => (
@@ -780,7 +776,7 @@ fn dispatch_request(
                     let solve = &report.solve;
                     let seeds: Vec<u32> = solve.seeds.iter().map(|v| v.raw()).collect();
                     let lost_shards: Vec<String> = lost.iter().map(SocketAddr::to_string).collect();
-                    let body = ObjectBuilder::new()
+                    let mut body = ObjectBuilder::new()
                         .field("seeds", seeds)
                         .field("estimate", solve.estimate)
                         .field("influenced_samples", solve.influenced_samples)
@@ -794,6 +790,9 @@ fn dispatch_request(
                         .field("effective_samples", report.samples)
                         .field("lost_shards", lost_shards)
                         .field("elapsed_us", elapsed_us(start));
+                    if let Some(ratio) = solve.extras.sandwich_ratio() {
+                        body = body.field("sandwich_ratio", ratio);
+                    }
                     (protocol::ok_response("solve", body), false)
                 }
                 Err(e) => (

@@ -12,11 +12,11 @@
 //! * the [`coordinator`] runs the *same* solver bodies
 //!   ([`imc_core::MaxrAlgorithm::solve_over`]) and greedy engine loops
 //!   ([`imc_core::maxr::engine`]) as a local solve but plugs in a
-//!   [`ClusterSource`]: `ĉ_R` marginal gains are
-//!   integers and sum across shards; `ν_R` marginal gains are `f64`
-//!   left folds in sample order and are **carry-chained** shard to
-//!   shard (partition order) instead of summed, so the non-associative
-//!   float fold reproduces the single-node value bit for bit;
+//!   [`ClusterSource`]: `ĉ_R` marginal gains are integers, `ν_R`
+//!   marginal gains are Q32 fixed-point integers
+//!   ([`imc_core::nu_term`]), and both **sum** across shards — every
+//!   round goes to all shards at once, and the single-node value comes
+//!   back bit for bit whatever order the shards are listed in;
 //! * the [`runner`] spawns the whole topology in one process from a
 //!   TOML file, checks cluster-vs-local identity of seeds and
 //!   evaluation count, rehearses faults (`--chaos`), and writes an

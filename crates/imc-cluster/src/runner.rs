@@ -452,7 +452,7 @@ fn roundtrip(client: &mut Client, line: &str, what: &str) -> Result<Value, Runne
 }
 
 /// Checks the raw shard-role ops on shard 0: `eval_begin` →
-/// `eval_batch`(ĉ) → `eval_seed` → `eval_batch`(ν with carry) →
+/// `eval_batch`(ĉ) → `eval_seed` → `eval_batch`(ν) →
 /// `eval_end` must round-trip coherently.
 fn check_eval_roundtrip(addr: SocketAddr, node_count: usize) -> Result<(), RunnerError> {
     let mut client = Client::connect(addr, Duration::from_secs(10))

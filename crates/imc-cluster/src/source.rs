@@ -2,16 +2,14 @@
 //! remote shard daemons instead of a local [`CoverageState`].
 //!
 //! One instance wraps one `eval_begin` … `eval_end` session on every
-//! shard. The reduction rules are the whole trick:
-//!
-//! * **integers sum** — ĉ_R gains, potentials and appearance counts are
-//!   per-sample counts over disjoint partitions, so element-wise sums
-//!   across shards equal the single-node values exactly;
-//! * **floats chain** — ν_R gains are `f64` left folds in sample order,
-//!   which is non-associative, so shard `i`'s fold *continues* shard
-//!   `i−1`'s accumulator (the wire `carry` field) instead of being
-//!   summed. Because the partitions concatenate in shard order to the
-//!   single-node sample order, the chained fold is bitwise identical.
+//! shard. There is one reduction rule, and it is the whole trick:
+//! **everything is an integer and sums**. ĉ_R gains, potentials and
+//! appearance counts are per-sample counts, ν_R gains are sums of
+//! per-sample Q32 terms ([`imc_core::nu_term`]), and the partitions are
+//! disjoint — so element-wise sums across shards equal the single-node
+//! values exactly, whatever order the shards are listed or answer in.
+//! Every round — ĉ batch, ν batch, seed commit — therefore goes to all
+//! shards at once through one helper (`scatter_sum`).
 //!
 //! [`GainSource`] is infallible by design (the engine has no error
 //! channel), so shard failures are *stashed*: the first
@@ -27,6 +25,7 @@ use std::time::Instant;
 use imc_core::maxr::{GainSource, MapStats};
 use imc_service::client::{ClusterError, PeerClient};
 use imc_service::json::{self, ObjectBuilder, Value};
+use imc_service::protocol::PROTOCOL_VERSION;
 
 use crate::obs;
 
@@ -38,17 +37,6 @@ pub(crate) fn field_u64(value: &Value, key: &str, peer: &PeerClient) -> Result<u
         .ok_or_else(|| ClusterError::Protocol {
             addr: peer.addr(),
             detail: format!("response missing integer field `{key}`"),
-        })
-}
-
-/// Extracts a required `f64` field from a shard response.
-pub(crate) fn field_f64(value: &Value, key: &str, peer: &PeerClient) -> Result<f64, ClusterError> {
-    value
-        .get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| ClusterError::Protocol {
-            addr: peer.addr(),
-            detail: format!("response missing number field `{key}`"),
         })
 }
 
@@ -64,21 +52,6 @@ fn field_u64_array(value: &Value, key: &str, peer: &PeerClient) -> Result<Vec<u6
         .ok_or_else(err)?
         .iter()
         .map(|v| v.as_u64().ok_or_else(err))
-        .collect()
-}
-
-/// Extracts a required array of `f64` from a shard response.
-fn field_f64_array(value: &Value, key: &str, peer: &PeerClient) -> Result<Vec<f64>, ClusterError> {
-    let err = || ClusterError::Protocol {
-        addr: peer.addr(),
-        detail: format!("response missing number array field `{key}`"),
-    };
-    value
-        .get(key)
-        .and_then(Value::as_array)
-        .ok_or_else(err)?
-        .iter()
-        .map(|v| v.as_f64().ok_or_else(err))
         .collect()
 }
 
@@ -157,22 +130,25 @@ const WINDOW_CAP: usize = 64;
 /// serialised once per round (`nodes_json`) instead of once per shard.
 /// Keys are in the sorted order [`json::to_string`] writes, so the bytes
 /// on the wire are the builder's.
-fn eval_batch_line(session: u64, kind: &str, nodes_json: &str, carry: Option<&[f64]>) -> String {
-    let carry = carry.map_or_else(String::new, |c| {
-        format!(r#""carry":{},"#, json::to_string(&Value::from(c.to_vec())))
-    });
-    format!(
-        r#"{{{carry}"kind":"{kind}","nodes":{nodes_json},"op":"eval_batch","session":{session}}}"#
-    )
+fn eval_batch_line(session: u64, kind: &str, nodes_json: &str) -> String {
+    format!(r#"{{"kind":"{kind}","nodes":{nodes_json},"op":"eval_batch","session":{session}}}"#)
 }
 
 fn nodes_json(nodes: &[u32]) -> String {
     json::to_string(&Value::from(nodes.to_vec()))
 }
 
-/// One shard's answer to a ĉ batch: per-node gains, per-node
-/// influenced counts, and the shard's RPC wall time in seconds.
-type ShardCBatch = (Vec<u64>, Vec<u64>, f64);
+/// What one [`ClusterSource::scatter_sum`] round gathered.
+struct Scattered {
+    /// Per requested key, the element-wise sum of the shards' arrays.
+    sums: Vec<Vec<u64>>,
+    /// Each shard's RPC wall time, in shard order.
+    shard_seconds: Vec<f64>,
+    /// Wall seconds of the fan-out (slowest shard plus spawn and join).
+    scatter_s: f64,
+    /// Wall seconds of the coordinator-side sum.
+    reduce_s: f64,
+}
 
 /// A scatter-gather [`GainSource`] over one open eval session per shard.
 ///
@@ -206,7 +182,11 @@ impl<'a> ClusterSource<'a> {
     /// vectors. Sessions already opened are closed best-effort when a
     /// later shard fails.
     pub fn open(peers: &'a mut [PeerClient], pivot: Option<u32>) -> Result<Self, ClusterError> {
-        let mut line = ObjectBuilder::new().field("op", "eval_begin");
+        // Stamped so a v2 shard, whose ν answers are `f64` folds that must
+        // not be summed, refuses the session instead of serving it.
+        let mut line = ObjectBuilder::new()
+            .field("op", "eval_begin")
+            .field("v", PROTOCOL_VERSION);
         if let Some(u) = pivot {
             line = line.field("pivot", u);
         }
@@ -338,6 +318,141 @@ impl<'a> ClusterSource<'a> {
             let _ = peer.request_session(&json::to_string(&line.build()));
         }
     }
+
+    /// The one scatter-gather: sends `line_for(session)` to every shard at
+    /// once (the first from this thread, the rest from one scoped thread
+    /// each — the shards share no data, so gather order is irrelevant) and
+    /// sums, element-wise across shards, the `len`-long integer array each
+    /// reply holds under each of `keys`.
+    /// On any failure the first error in shard order is stashed and
+    /// `None` returned; a reply of the wrong shape is blamed on the shard
+    /// that sent it.
+    fn scatter_sum(
+        &mut self,
+        op: &'static str,
+        line_for: impl Fn(u64) -> String,
+        keys: &[&str],
+        len: usize,
+    ) -> Option<Scattered> {
+        // Spawned scope threads do NOT inherit the thread-local trace
+        // context — capture it here and re-install it inside each call
+        // (a no-op for the one that runs on this thread), or the
+        // per-shard rpc_client spans (and the span context injected into
+        // the wire lines) would silently vanish.
+        let trace_id = imc_obs::trace::current_trace_id();
+        let parent_span = imc_obs::trace::current_span_id();
+        let scatter_start = Instant::now();
+        type Reply = Result<(Vec<Vec<u64>>, f64), ClusterError>;
+        let replies: Vec<Reply> = thread::scope(|scope| {
+            let mut calls = self
+                .peers
+                .iter_mut()
+                .zip(&self.sessions)
+                .zip(&self.addrs)
+                .map(|((peer, &session), addr)| {
+                    let line = line_for(session);
+                    let (trace_id, parent_span) = (trace_id.clone(), parent_span.clone());
+                    move || {
+                        let _ctx = trace_id.as_deref().map(|tid| {
+                            imc_obs::trace::TraceCtx::enter_remote(tid, parent_span.as_deref())
+                        });
+                        let (resp, secs) = timed_session_rpc(peer, addr, &line, op)?;
+                        let arrays = keys
+                            .iter()
+                            .map(|key| {
+                                let array = field_u64_array(&resp, key, peer)?;
+                                if array.len() == len {
+                                    return Ok(array);
+                                }
+                                Err(ClusterError::Protocol {
+                                    addr: peer.addr(),
+                                    detail: format!(
+                                        "{op} returned {} `{key}` for {len} nodes",
+                                        array.len()
+                                    ),
+                                })
+                            })
+                            .collect::<Result<_, _>>()?;
+                        Ok((arrays, secs))
+                    }
+                });
+            // The first shard's call runs here while the others' are in
+            // flight on their own threads: one spawn fewer per round, and
+            // none at all on a single shard.
+            let first = calls.next();
+            let handles: Vec<_> = calls.map(|call| scope.spawn(call)).collect();
+            let mut replies = Vec::with_capacity(handles.len() + 1);
+            replies.extend(first.map(|mut call| call()));
+            let joined = handles
+                .into_iter()
+                .map(|h| h.join().expect("shard rpc thread panicked"));
+            replies.extend(joined);
+            replies
+        });
+        let scatter_s = scatter_start.elapsed().as_secs_f64();
+
+        let reduce_start = Instant::now();
+        let mut sums = vec![vec![0u64; len]; keys.len()];
+        let mut shard_seconds = Vec::with_capacity(replies.len());
+        for (reply, peer) in replies.into_iter().zip(self.peers.iter()) {
+            let summed = reply.and_then(|(arrays, secs)| {
+                shard_seconds.push(secs);
+                let parts = arrays.iter().flatten();
+                for (total, part) in sums.iter_mut().flatten().zip(parts) {
+                    *total = total
+                        .checked_add(*part)
+                        .ok_or_else(|| ClusterError::Protocol {
+                            addr: peer.addr(),
+                            detail: format!("{op} reply overflows the 64-bit sum"),
+                        })?;
+                }
+                Ok(())
+            });
+            if let Err(e) = summed {
+                self.fail(e);
+                return None;
+            }
+        }
+        Some(Scattered {
+            sums,
+            shard_seconds,
+            scatter_s,
+            reduce_s: reduce_start.elapsed().as_secs_f64(),
+        })
+    }
+
+    /// One gain round of `kind` (`"c"` | `"nu"`) for `nodes`: the summed
+    /// reply arrays under `keys`, or zeros once a shard has failed.
+    fn gain_round(
+        &mut self,
+        kind: &'static str,
+        nodes: &[u32],
+        keys: &[&str],
+    ) -> (Vec<Vec<u64>>, MapStats) {
+        let neutral = || (vec![vec![0; nodes.len()]; keys.len()], MapStats::default());
+        if self.error.is_some() || nodes.is_empty() {
+            return neutral();
+        }
+        obs::scatter_total().inc();
+        let _round = imc_obs::Span::enter_with("scatter_round", kind);
+        let nodes_json = nodes_json(nodes);
+        let line_for = |session| eval_batch_line(session, kind, &nodes_json);
+        let Some(round) = self.scatter_sum("eval_batch", line_for, keys, nodes.len()) else {
+            return neutral();
+        };
+        emit_round_attribution(
+            kind,
+            nodes.len(),
+            &self.addrs,
+            &round.shard_seconds,
+            round.scatter_s,
+            round.reduce_s,
+        );
+        let stats = MapStats {
+            shard_seconds: round.shard_seconds,
+        };
+        (round.sums, stats)
+    }
 }
 
 impl Drop for ClusterSource<'_> {
@@ -356,238 +471,123 @@ impl GainSource for ClusterSource<'_> {
     }
 
     fn eval_c_batch(&mut self, nodes: &[u32]) -> (Vec<(usize, usize)>, MapStats) {
-        let neutral = (
-            vec![(0usize, 0usize); nodes.len()],
-            MapStats {
-                shard_seconds: Vec::new(),
-                busy_fractions: Vec::new(),
-            },
-        );
-        if self.error.is_some() || nodes.is_empty() {
-            return neutral;
-        }
-        obs::scatter_total().inc();
-        let _round = imc_obs::Span::enter_with("scatter_round", "c");
-        let nodes_json = nodes_json(nodes);
-        // Spawned scope threads do NOT inherit the thread-local trace
-        // context — capture it here and re-install it inside each
-        // worker, or the per-shard rpc_client spans (and the span
-        // context injected into the wire lines) would silently vanish.
-        let trace_id = imc_obs::trace::current_trace_id();
-        let parent_span = imc_obs::trace::current_span_id();
-        let scatter_start = Instant::now();
-        // One thread per shard: ĉ gains are per-shard integers with no
-        // cross-shard data flow, so the fan-out is embarrassingly
-        // parallel and gather order does not matter.
-        let results: Vec<Result<ShardCBatch, ClusterError>> = thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .peers
-                .iter_mut()
-                .zip(&self.sessions)
-                .zip(&self.addrs)
-                .map(|((peer, &session), addr)| {
-                    let line = eval_batch_line(session, "c", &nodes_json, None);
-                    let trace_id = trace_id.clone();
-                    let parent_span = parent_span.clone();
-                    scope.spawn(move || {
-                        let _ctx = trace_id.as_deref().map(|tid| {
-                            imc_obs::trace::TraceCtx::enter_remote(tid, parent_span.as_deref())
-                        });
-                        let (resp, secs) = timed_session_rpc(peer, addr, &line, "eval_batch")?;
-                        let gains = field_u64_array(&resp, "gains", peer)?;
-                        let potentials = field_u64_array(&resp, "potentials", peer)?;
-                        Ok((gains, potentials, secs))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard rpc thread panicked"))
-                .collect()
-        });
-        let scatter_s = scatter_start.elapsed().as_secs_f64();
-
-        let reduce_start = Instant::now();
-        let mut gains = vec![0u64; nodes.len()];
-        let mut potentials = vec![0u64; nodes.len()];
-        let mut shard_seconds = Vec::with_capacity(self.peers.len());
-        for result in results {
-            match result {
-                Ok((g, p, secs)) if g.len() == nodes.len() && p.len() == nodes.len() => {
-                    for (total, part) in gains.iter_mut().zip(&g) {
-                        *total += part;
-                    }
-                    for (total, part) in potentials.iter_mut().zip(&p) {
-                        *total += part;
-                    }
-                    shard_seconds.push(secs);
-                }
-                Ok(_) => {
-                    self.fail(ClusterError::Protocol {
-                        addr: self.peers[0].addr(),
-                        detail: format!(
-                            "eval_batch returned a wrong-length gain vector (expected {})",
-                            nodes.len()
-                        ),
-                    });
-                    return neutral;
-                }
-                Err(e) => {
-                    self.fail(e);
-                    return neutral;
-                }
-            }
-        }
-        let reduce_s = reduce_start.elapsed().as_secs_f64();
-        emit_round_attribution(
-            "c",
-            nodes.len(),
-            &self.addrs,
-            &shard_seconds,
-            scatter_s,
-            reduce_s,
-        );
-        (
-            gains
-                .into_iter()
-                .zip(potentials)
-                .map(|(g, p)| (g as usize, p as usize))
-                .collect(),
-            MapStats {
-                shard_seconds,
-                busy_fractions: Vec::new(),
-            },
-        )
+        let (mut sums, stats) = self.gain_round("c", nodes, &["gains", "potentials"]);
+        let potentials = sums.pop().expect("one sum per key");
+        let gains = sums.pop().expect("one sum per key");
+        let answers = gains
+            .into_iter()
+            .zip(potentials)
+            .map(|(g, p)| (g as usize, p as usize))
+            .collect();
+        (answers, stats)
     }
 
-    fn eval_nu_batch(&mut self, nodes: &[u32]) -> (Vec<f64>, MapStats) {
-        let neutral = (
-            vec![0.0; nodes.len()],
-            MapStats {
-                shard_seconds: Vec::new(),
-                busy_fractions: Vec::new(),
-            },
-        );
-        if self.error.is_some() || nodes.is_empty() {
-            return neutral;
-        }
-        obs::scatter_total().inc();
-        let _round = imc_obs::Span::enter_with("scatter_round", "nu");
-        let nodes_json = nodes_json(nodes);
-        let round_start = Instant::now();
-        // Sequential by necessity: shard i's fold starts from shard
-        // i−1's accumulators (the non-associative ν_R carry chain).
-        // Fields are destructured so the stashed error can be written
-        // while the peer iterator is live.
-        let ClusterSource {
-            peers,
-            addrs,
-            sessions,
-            error,
-            ..
-        } = self;
-        let mut carry: Option<Vec<f64>> = None;
-        let mut shard_seconds = Vec::with_capacity(peers.len());
-        for ((peer, &session), addr) in peers.iter_mut().zip(sessions.iter()).zip(addrs.iter()) {
-            let line = eval_batch_line(session, "nu", &nodes_json, carry.as_deref());
-            let accs = match timed_session_rpc(peer, addr, &line, "eval_batch")
-                .and_then(|(resp, secs)| Ok((field_f64_array(&resp, "accs", peer)?, secs)))
-            {
-                Ok((accs, secs)) if accs.len() == nodes.len() => {
-                    shard_seconds.push(secs);
-                    accs
-                }
-                Ok((accs, _)) => {
-                    let failure = ClusterError::Protocol {
-                        addr: peer.addr(),
-                        detail: format!(
-                            "eval_batch returned {} accumulators for {} nodes",
-                            accs.len(),
-                            nodes.len()
-                        ),
-                    };
-                    error.get_or_insert(failure);
-                    return neutral;
-                }
-                Err(e) => {
-                    error.get_or_insert(e);
-                    return neutral;
-                }
-            };
-            carry = Some(accs);
-        }
-        // The ν carry chain *is* both scatter and reduce: shards run
-        // sequentially, so the whole chain is scatter-wait and there is
-        // no separate reduce step to attribute.
-        emit_round_attribution(
-            "nu",
-            nodes.len(),
-            addrs,
-            &shard_seconds,
-            round_start.elapsed().as_secs_f64(),
-            0.0,
-        );
-        (
-            carry.unwrap_or_else(|| vec![0.0; nodes.len()]),
-            MapStats {
-                shard_seconds,
-                busy_fractions: Vec::new(),
-            },
-        )
+    fn eval_nu_batch(&mut self, nodes: &[u32]) -> (Vec<u64>, MapStats) {
+        let (mut sums, stats) = self.gain_round("nu", nodes, &["accs"]);
+        (sums.pop().expect("one sum per key"), stats)
     }
 
     fn window_cap(&self) -> usize {
         WINDOW_CAP
     }
 
+    /// Commits the seed on every shard at once: each shard's gain-table
+    /// maintenance (where its evaluation compute now sits) runs
+    /// concurrently with the others'.
     fn add_seed(&mut self, v: u32) {
         if self.error.is_some() {
             return;
         }
-        let ClusterSource {
-            peers,
-            addrs,
-            sessions,
-            error,
-            ..
-        } = self;
-        for ((peer, &session), addr) in peers.iter_mut().zip(sessions.iter()).zip(addrs.iter()) {
-            let line = json::to_string(
+        let line_for = |session| {
+            json::to_string(
                 &ObjectBuilder::new()
                     .field("op", "eval_seed")
                     .field("session", session)
                     .field("node", v)
                     .build(),
-            );
-            if let Err(e) = timed_session_rpc(peer, addr, &line, "eval_seed") {
-                error.get_or_insert(e);
-                return;
-            }
-        }
+            )
+        };
+        self.scatter_sum("eval_seed", line_for, &[], 0);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imc_service::client::{ClientConfig, RetryPolicy};
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{SocketAddr, TcpListener};
 
     #[test]
     fn eval_batch_line_is_byte_identical_to_the_builder() {
         let nodes = [7u32, 0, 4_000_000_000];
-        let carry = [0.5f64, 3.0, 1e-17];
-        for (kind, carry) in [("c", None), ("nu", None), ("nu", Some(&carry[..]))] {
-            let mut built = ObjectBuilder::new()
+        for kind in ["c", "nu"] {
+            let built = ObjectBuilder::new()
                 .field("op", "eval_batch")
                 .field("session", 42u64)
                 .field("kind", kind)
                 .field("nodes", nodes.to_vec());
-            if let Some(c) = carry {
-                built = built.field("carry", c.to_vec());
-            }
             assert_eq!(
-                eval_batch_line(42, kind, &nodes_json(&nodes), carry),
+                eval_batch_line(42, kind, &nodes_json(&nodes)),
                 json::to_string(&built.build())
             );
         }
+    }
+
+    /// A one-connection fake shard over a two-node graph whose every
+    /// `eval_batch` reply carries `gains` and `potentials` arrays of
+    /// `reply_len` entries.
+    fn fake_shard(reply_len: usize) -> (SocketAddr, thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            for line in BufReader::new(stream).lines() {
+                let line = line.unwrap();
+                let body = if line.contains("eval_begin") {
+                    ObjectBuilder::new()
+                        .field("session", 1u64)
+                        .field("generation", 0u64)
+                        .field("samples", 1u64)
+                        .field("appearance", vec![1u64, 1])
+                        .field("communities", vec![1u64])
+                } else {
+                    ObjectBuilder::new()
+                        .field("gains", vec![1u64; reply_len])
+                        .field("potentials", vec![1u64; reply_len])
+                };
+                let reply = json::to_string(&body.field("ok", true).build());
+                writeln!(writer, "{reply}").unwrap();
+            }
+        });
+        (addr, handle)
+    }
+
+    /// A wrong-length reply is blamed on the shard that sent it (it used
+    /// to be pinned on shard 0 whoever sent it), and later rounds answer
+    /// neutral zeros.
+    #[test]
+    fn a_wrong_length_reply_names_the_shard_that_sent_it() {
+        let (good, good_thread) = fake_shard(2);
+        let (bad, bad_thread) = fake_shard(3);
+        let mut peers: Vec<PeerClient> = [good, bad]
+            .iter()
+            .map(|&addr| PeerClient::new(addr, ClientConfig::default(), RetryPolicy::none()))
+            .collect();
+        let mut source = ClusterSource::open(&mut peers, None).unwrap();
+        let (answers, _) = source.eval_c_batch(&[0, 1]);
+        assert_eq!(answers, vec![(0, 0); 2]);
+        match source.take_error() {
+            Some(ClusterError::Protocol { addr, detail }) => {
+                assert_eq!(addr, bad, "{detail}");
+                assert!(detail.contains("3 `gains` for 2 nodes"), "{detail}");
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        drop(source);
+        drop(peers);
+        good_thread.join().unwrap();
+        bad_thread.join().unwrap();
     }
 }

@@ -4,8 +4,8 @@
 //! algorithm, because the shards jointly hold exactly the collection a
 //! single node would sample (`extend_partition` of the one shared
 //! sampling plan) and the scatter-gather reduction reproduces the
-//! estimator arithmetic exactly (integer sums for ĉ, the carry-chained
-//! fold for ν).
+//! estimator arithmetic exactly (integer sums, for ĉ and for ν's Q32
+//! numerators alike — so not even the shard order is part of the answer).
 
 use std::net::SocketAddr;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
@@ -35,12 +35,18 @@ const ALGOS: [(&str, MaxrAlgorithm); 5] = [
 /// A random small instance whose thresholds stay ≤ 2, so BT and MB are
 /// admissible alongside GREEDY/UBG/MAF.
 fn small_instance(seed: u64) -> ImcInstance {
+    instance_with_thresholds(seed, |c| 1 + (c % 2))
+}
+
+/// Six communities of five on a random 30-node graph; community `c` has
+/// threshold `threshold(c)`.
+fn instance_with_thresholds(seed: u64, threshold: impl Fn(u32) -> u32) -> ImcInstance {
     let mut rng = StdRng::seed_from_u64(seed);
     let graph = erdos_renyi(30, 0.1, &mut rng).reweighted(WeightModel::Uniform(0.3));
     let parts = (0..6)
         .map(|c| {
             let members: Vec<NodeId> = (c * 5..c * 5 + 5).map(NodeId::new).collect();
-            (members, 1 + (c % 2), 1.0 + f64::from(c))
+            (members, threshold(c), 1.0 + f64::from(c))
         })
         .collect();
     let communities = CommunitySet::from_parts(30, parts).unwrap();
@@ -71,15 +77,20 @@ fn spawn_cluster(
         addrs.push(handle.addr());
         handles.push(handle);
     }
-    let coordinator = Coordinator::start(
+    let coordinator = coordinator_over(instance, addrs);
+    (handles, coordinator)
+}
+
+/// A coordinator fronting `shards`, in that order.
+fn coordinator_over(instance: &ImcInstance, shards: Vec<SocketAddr>) -> CoordinatorHandle {
+    Coordinator::start(
         Arc::new(instance.clone()),
         CoordinatorConfig {
-            shards: addrs,
+            shards,
             ..CoordinatorConfig::default()
         },
     )
-    .unwrap();
-    (handles, coordinator)
+    .unwrap()
 }
 
 fn stop_cluster(handles: Vec<ServerHandle>, coordinator: CoordinatorHandle) {
@@ -99,16 +110,22 @@ fn scatter_shared() -> RwLockReadGuard<'static, ()> {
     SCATTER_TOTAL.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One solve against the coordinator; returns (seeds, evaluations).
-fn cluster_solve(addr: SocketAddr, algo: &str, k: usize, seed: u64) -> (Vec<NodeId>, u64) {
+/// One request against the coordinator, which must answer `ok`.
+fn request_ok(addr: SocketAddr, line: &str) -> Value {
     let mut client = Client::connect(addr, Duration::from_secs(120)).unwrap();
-    let line = format!(r#"{{"op":"solve","k":{k},"algo":"{algo}","seed":{seed},"mode":"lazy"}}"#);
-    let resp = client.request(&line).unwrap();
+    let resp = client.request(line).unwrap();
     assert_eq!(
         resp.get("ok").and_then(Value::as_bool),
         Some(true),
-        "solve failed for {algo}: {resp:?}"
+        "{line} failed: {resp:?}"
     );
+    resp
+}
+
+/// One solve against the coordinator; returns (seeds, evaluations).
+fn cluster_solve(addr: SocketAddr, algo: &str, k: usize, seed: u64) -> (Vec<NodeId>, u64) {
+    let line = format!(r#"{{"op":"solve","k":{k},"algo":"{algo}","seed":{seed},"mode":"lazy"}}"#);
+    let resp = request_ok(addr, &line);
     let seeds = resp
         .get("seeds")
         .and_then(Value::as_array)
@@ -165,6 +182,58 @@ fn all_solvers_bitwise_identical_over_shard_counts() {
     for shards in [1usize, 2, 4] {
         assert_equivalence(&instance, shards, 256, 77, 5);
     }
+}
+
+/// Shard order is not part of the answer: every reduction is an integer
+/// sum, so a coordinator given the same two shards in reverse order
+/// returns the seeds, evaluation count, `estimate`, sandwich ratio and
+/// `nu_estimate` of the in-process solve, bit for bit. Thresholds of 3
+/// make the ν terms thirds, whose `f64` sums do depend on the order they
+/// are folded in — the carry chain this replaced needed partition order.
+#[test]
+fn reversed_shard_order_changes_no_bit() {
+    let instance = instance_with_thresholds(11, |_| 3);
+    let (samples, base_seed, k) = (384, 5, 6);
+    let sampler = instance.sampler();
+    let mut full = RicStore::for_sampler(&sampler);
+    full.extend_parallel_with_workers(&sampler, samples, base_seed, 2);
+    let reference = MaxrAlgorithm::Ubg
+        .solve(&instance, &full, &SolveRequest::new(k))
+        .unwrap();
+    let ratio = reference.extras.sandwich_ratio().expect("UBG extras");
+
+    let (handles, forward) = spawn_cluster(&instance, 2, samples, base_seed);
+    let reversed = coordinator_over(&instance, handles.iter().rev().map(|h| h.addr()).collect());
+    let _shared = scatter_shared();
+    let seeds_json: Vec<String> = reference
+        .seeds
+        .iter()
+        .map(|v| v.raw().to_string())
+        .collect();
+    let estimate_line = format!(r#"{{"op":"estimate","seeds":[{}]}}"#, seeds_json.join(","));
+    let bits = |resp: &Value, key: &str| resp.get(key).and_then(Value::as_f64).map(f64::to_bits);
+    for coordinator in [&forward, &reversed] {
+        let (seeds, evaluations) = cluster_solve(coordinator.addr(), "ubg", k, 1);
+        assert_eq!(seeds, reference.seeds);
+        assert_eq!(evaluations, reference.evaluations);
+        let solve = request_ok(
+            coordinator.addr(),
+            &format!(r#"{{"op":"solve","k":{k},"algo":"ubg"}}"#),
+        );
+        assert_eq!(bits(&solve, "estimate"), Some(reference.estimate.to_bits()));
+        assert_eq!(bits(&solve, "sandwich_ratio"), Some(ratio.to_bits()));
+        let estimate = request_ok(coordinator.addr(), &estimate_line);
+        assert_eq!(
+            bits(&estimate, "estimate"),
+            Some(full.estimate(&reference.seeds).to_bits())
+        );
+        assert_eq!(
+            bits(&estimate, "nu_estimate"),
+            Some(full.nu_estimate(&reference.seeds).to_bits())
+        );
+    }
+    reversed.stop_and_join();
+    stop_cluster(handles, forward);
 }
 
 /// What the distributed path does not implement is refused with a typed
@@ -291,14 +360,7 @@ fn dead_shard_degrades_the_solve_and_names_it() {
     // The degraded answer equals a fresh solve over the surviving
     // shard set (same daemon, same partition store).
     let survivor = handles[0].addr();
-    let fresh = Coordinator::start(
-        Arc::new(instance.clone()),
-        CoordinatorConfig {
-            shards: vec![survivor],
-            ..CoordinatorConfig::default()
-        },
-    )
-    .unwrap();
+    let fresh = coordinator_over(&instance, vec![survivor]);
     let (fresh_seeds, _) = cluster_solve(fresh.addr(), "greedy", 3, 1);
     fresh.stop_and_join();
     let fresh_raw: Vec<u64> = fresh_seeds.iter().map(|v| u64::from(v.raw())).collect();

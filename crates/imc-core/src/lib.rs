@@ -90,7 +90,9 @@ pub use maxr::{
     GainSource, GreedyRun, LocalSource, MaxrAlgorithm, SolveReport, SolveRequest, SolveStrategy,
     SolverExtras,
 };
-pub use objective::{CoverageEvaluator, CoverageState};
+pub use objective::{
+    nu_fraction, nu_term, nu_value, CoverageEvaluator, CoverageState, NU_MAX_SAMPLES, NU_ONE,
+};
 pub use problem::ImcInstance;
 pub use sample::RicSample;
 pub use samples::{RicColumns, RicSamples};

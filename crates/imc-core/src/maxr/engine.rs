@@ -1,6 +1,6 @@
 //! The shared solve engine: strategy-aware greedy selection over RIC
-//! samples, combining CELF lazy evaluation with a deterministic scoped
-//! thread pool for parallel marginal-gain evaluation.
+//! samples by CELF lazy evaluation against a [`GainSource`], plus the
+//! deterministic scoped-thread map BT's pivot loop runs on.
 //!
 //! Every strategy returns **bitwise-identical seed sets**:
 //!
@@ -18,15 +18,15 @@
 //!   re-checked a *window* at a time (`lazy_rounds`); the window's width
 //!   belongs to the [`GainSource`] and changes no decision.
 //! * [`SolveStrategy::Parallel`] is the same loop over a source that asks
-//!   for a thread-scaled window (`threads × 16` entries) and fans a batch
-//!   of at least `MIN_PARALLEL_ITEMS` (192) nodes out to scoped worker
-//!   threads. A window reaches that size only from 12 threads up, so
-//!   below that the one batch that fans out is the initial `ν_R` scan —
-//!   and `ĉ_R` batches never do: a `ĉ_R` gain is a table read (see
-//!   [`CoverageState::eval_c_shard`]). Work is split into fixed-width
-//!   shards whose boundaries depend only on the item count and each
-//!   shard's results are written back in shard order — so seeds *and*
-//!   evaluation counts equal `Lazy`'s for *any* thread count, including 1.
+//!   for a thread-scaled window (`threads × 16` entries) — a window cap
+//!   and nothing else. No gain batch is fanned out to threads any more:
+//!   `ĉ_R` and `ν_R` gains are both table reads (see
+//!   [`CoverageState::eval_c_shard`] and
+//!   [`CoverageState::eval_nu_shard`]), the initial `ν_R` scan included.
+//!   The window width changes how many gains are fetched, never which are
+//!   consumed — so seeds *and* evaluation counts equal `Lazy`'s for *any*
+//!   thread count, including 1. (BT's pivot loop is what still uses the
+//!   threads, through `shard_map`.)
 
 use crate::maxr::pad_to_k;
 use crate::maxr::telemetry::{EngineTelemetry, IterationRecord, MapStats};
@@ -47,7 +47,8 @@ pub enum SolveStrategy {
     /// CELF lazy evaluation, single-threaded (the default).
     #[default]
     Lazy,
-    /// CELF lazy evaluation with gains computed on scoped worker threads.
+    /// CELF lazy evaluation over a `threads × 16` window (and BT pivots on
+    /// scoped worker threads).
     Parallel {
         /// Worker threads (clamped to ≥ 1; `1` behaves like [`Lazy`](Self::Lazy)).
         threads: usize,
@@ -103,7 +104,7 @@ pub struct GreedyRun {
 const SHARD: usize = 256;
 
 /// Below this many items the spawn overhead outweighs the parallelism and
-/// the map runs inline.
+/// [`shard_map`] runs inline.
 const MIN_PARALLEL_ITEMS: usize = 192;
 
 /// Maps `eval` over `0..len`, fanning shards out to `threads` scoped
@@ -114,100 +115,30 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    shard_map_stats(len, threads, eval).0
-}
-
-/// [`shard_map`] plus per-shard wall times and per-worker busy fractions
-/// for the engine telemetry. The timing never influences the result: the
-/// value vector stays bit-identical to the sequential map.
-pub(crate) fn shard_map_stats<T, F>(len: usize, threads: usize, eval: F) -> (Vec<T>, MapStats)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    shard_map_chunks_stats(len, threads, |lo, hi| (lo..hi).map(&eval).collect())
-}
-
-/// Chunk-granular [`shard_map_stats`]: the closure computes the results
-/// for a whole shard range `[lo, hi)` at once instead of one item at a
-/// time. Shard boundaries and result order are identical to the per-item
-/// map, so a chunk closure that evaluates its range in ascending order is
-/// bit-identical to `shard_map_stats` — while paying closure dispatch once
-/// per 256-candidate shard rather than once per candidate. This is how
-/// [`LocalSource`] serves a whole `ν_R` shard from one sweep of the
-/// inverted index (see `docs/KERNELS.md`).
-pub(crate) fn shard_map_chunks_stats<T, F>(
-    len: usize,
-    threads: usize,
-    eval: F,
-) -> (Vec<T>, MapStats)
-where
-    T: Send,
-    F: Fn(usize, usize) -> Vec<T> + Sync,
-{
     if threads <= 1 || len < MIN_PARALLEL_ITEMS {
-        let start = Instant::now();
-        let vals = eval(0, len);
-        debug_assert_eq!(vals.len(), len, "chunk evaluator length mismatch");
-        let stats = MapStats {
-            shard_seconds: vec![start.elapsed().as_secs_f64()],
-            busy_fractions: Vec::new(),
-        };
-        return (vals, stats);
+        return (0..len).map(eval).collect();
     }
     let shards = len.div_ceil(SHARD);
-    let workers = threads.min(shards);
     let cursor = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, Vec<T>, f64)>> = Mutex::new(Vec::with_capacity(shards));
-    let busy: Mutex<Vec<f64>> = Mutex::new(Vec::with_capacity(workers));
-    let wall = Instant::now();
+    let collected: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::with_capacity(shards));
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut my_busy = 0.0;
-                loop {
-                    let s = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-                    if s >= shards {
-                        break;
-                    }
-                    let shard_start = Instant::now();
-                    let lo = s * SHARD;
-                    let hi = ((s + 1) * SHARD).min(len);
-                    let vals = eval(lo, hi);
-                    debug_assert_eq!(vals.len(), hi - lo, "chunk evaluator length mismatch");
-                    let secs = shard_start.elapsed().as_secs_f64();
-                    my_busy += secs;
-                    collected
-                        .lock()
-                        .expect("shard results poisoned")
-                        .push((s, vals, secs));
+        for _ in 0..threads.min(shards) {
+            scope.spawn(|| loop {
+                let s = cursor.fetch_add(1, AtomicOrdering::Relaxed);
+                if s >= shards {
+                    break;
                 }
-                busy.lock().expect("busy seconds poisoned").push(my_busy);
+                let vals = (s * SHARD..((s + 1) * SHARD).min(len)).map(&eval).collect();
+                collected
+                    .lock()
+                    .expect("shard results poisoned")
+                    .push((s, vals));
             });
         }
     });
-    let wall_secs = wall.elapsed().as_secs_f64().max(1e-12);
     let mut groups = collected.into_inner().expect("shard results poisoned");
-    groups.sort_unstable_by_key(|&(s, _, _)| s);
-    let mut out = Vec::with_capacity(len);
-    let mut shard_seconds = Vec::with_capacity(groups.len());
-    for (_, vals, secs) in groups {
-        out.extend(vals);
-        shard_seconds.push(secs);
-    }
-    let busy_fractions = busy
-        .into_inner()
-        .expect("busy seconds poisoned")
-        .into_iter()
-        .map(|b| (b / wall_secs).min(1.0))
-        .collect();
-    (
-        out,
-        MapStats {
-            shard_seconds,
-            busy_fractions,
-        },
-    )
+    groups.sort_unstable_by_key(|&(s, _)| s);
+    groups.into_iter().flat_map(|(_, vals)| vals).collect()
 }
 
 /// Window entries a [`LocalSource`] serves per worker thread: enough for
@@ -245,9 +176,10 @@ pub trait GainSource {
     fn eval_c_batch(&mut self, nodes: &[u32]) -> (Vec<(usize, usize)>, MapStats);
 
     /// ν_R marginal gain for each node of `nodes` under the current seed
-    /// set (see [`CoverageState::marginal_fraction`]). Values must be
-    /// bitwise-identical to a local evaluation over the full collection.
-    fn eval_nu_batch(&mut self, nodes: &[u32]) -> (Vec<f64>, MapStats);
+    /// set, as the Q32 numerator (see
+    /// [`CoverageState::marginal_fraction`]). Integers, so a source over
+    /// partitions of the collection adds its parts' answers.
+    fn eval_nu_batch(&mut self, nodes: &[u32]) -> (Vec<u64>, MapStats);
 
     /// Commits `v` as a seed; every later batch sees the updated state.
     fn add_seed(&mut self, v: u32);
@@ -264,8 +196,7 @@ pub trait GainSource {
 }
 
 /// [`GainSource`] over an in-process [`RicSamples`] backend: a
-/// [`CoverageState`] plus the worker count used to fan each `ν_R`
-/// evaluation batch out through the deterministic shard map.
+/// [`CoverageState`] plus the thread count its window cap scales with.
 #[derive(Debug)]
 pub struct LocalSource<C: RicSamples> {
     state: CoverageState<C>,
@@ -274,7 +205,7 @@ pub struct LocalSource<C: RicSamples> {
 
 impl<C: RicSamples> LocalSource<C> {
     /// Wraps `collection` (owned or borrowed — see [`CoverageState`]) for
-    /// evaluation with `threads` workers per batch.
+    /// evaluation under a `threads`-scaled window cap.
     pub fn new(collection: C, threads: usize) -> Self {
         LocalSource {
             state: CoverageState::new(collection),
@@ -303,20 +234,15 @@ impl<C: RicSamples> GainSource for LocalSource<C> {
         let start = Instant::now();
         let mut out = Vec::with_capacity(nodes.len());
         self.state.eval_c_shard(nodes, &mut out);
-        let stats = MapStats {
-            shard_seconds: vec![start.elapsed().as_secs_f64()],
-            busy_fractions: Vec::new(),
-        };
-        (out, stats)
+        (out, MapStats::inline(start))
     }
 
-    fn eval_nu_batch(&mut self, nodes: &[u32]) -> (Vec<f64>, MapStats) {
-        let state = &self.state;
-        shard_map_chunks_stats(nodes.len(), self.threads, |lo, hi| {
-            let mut out = Vec::with_capacity(hi - lo);
-            state.eval_nu_shard(&nodes[lo..hi], &mut out);
-            out
-        })
+    /// Table reads too (see [`CoverageState::eval_nu_shard`]).
+    fn eval_nu_batch(&mut self, nodes: &[u32]) -> (Vec<u64>, MapStats) {
+        let start = Instant::now();
+        let mut out = Vec::with_capacity(nodes.len());
+        self.state.eval_nu_shard(nodes, &mut out);
+        (out, MapStats::inline(start))
     }
 
     fn add_seed(&mut self, v: u32) {
@@ -414,45 +340,43 @@ impl EngineObjective for CHat {
     }
 }
 
-/// A gain below this is treated as zero for `ν_R` (matches the historical
-/// CELF cut-off).
-const NU_EPS: f64 = 1e-15;
-
 /// `ν_R`, the submodular upper bound (Lemma 3): classic CELF on cached
-/// gains, compared under `f64::total_cmp`.
+/// gains — Q32 numerators (see [`nu_term`](crate::nu_term)), so the order
+/// is the integers'.
 struct Nu;
 
 impl EngineObjective for Nu {
-    type Value = f64;
-    type Answer = f64;
+    type Value = u64;
+    type Answer = u64;
     const LABEL: &'static str = "nu";
     const KEY_IS_GAIN: bool = true;
 
-    fn cmp(a: f64, b: f64) -> Ordering {
-        a.total_cmp(&b)
+    fn cmp(a: u64, b: u64) -> Ordering {
+        a.cmp(&b)
     }
-    fn positive(v: f64) -> bool {
-        v > NU_EPS
+    fn positive(v: u64) -> bool {
+        v > 0
     }
-    fn as_f64(v: f64) -> f64 {
-        v
+    fn as_f64(v: u64) -> f64 {
+        crate::nu_fraction(v)
     }
-    fn fetch<S: GainSource>(source: &mut S, nodes: &[u32]) -> (Vec<f64>, MapStats) {
+    fn fetch<S: GainSource>(source: &mut S, nodes: &[u32]) -> (Vec<u64>, MapStats) {
         source.eval_nu_batch(nodes)
     }
-    fn gain(answer: f64) -> f64 {
+    fn gain(answer: u64) -> u64 {
         answer
     }
-    fn key(answer: f64) -> f64 {
+    fn key(answer: u64) -> u64 {
         answer
     }
-    /// The initial full gain scan is the single biggest evaluation wave —
-    /// one batch, fanned out across the source's workers.
+    /// The initial full gain scan is the single biggest evaluation wave:
+    /// one batch (for a [`LocalSource`], the sweep that builds the ν
+    /// table).
     fn initial_keys<S: GainSource>(
         source: &mut S,
         candidates: &[u32],
         telemetry: &mut EngineTelemetry,
-    ) -> Vec<f64> {
+    ) -> Vec<u64> {
         let (gains, stats) = source.eval_nu_batch(candidates);
         telemetry.absorb(stats);
         telemetry.initial_evaluations = candidates.len() as u64;
@@ -516,8 +440,8 @@ pub fn greedy_c_over<S: GainSource>(
 /// Strategy-aware CELF greedy on the submodular upper bound `ν_R`.
 ///
 /// All strategies return the seed set of plain greedy on `ν_R`: per round
-/// the argmax of the fractional gain under `f64::total_cmp`, ties to the
-/// smallest node id, stopping once the best gain is ≤ `1e-15`.
+/// the argmax of the (integer, Q32) fractional gain, ties to the smallest
+/// node id, stopping once no gain is positive.
 pub fn greedy_nu_with<C: RicSamples>(
     collection: &C,
     k: usize,
@@ -927,7 +851,7 @@ mod tests {
                 .max_by(|&a, &b| {
                     state
                         .marginal_fraction(a)
-                        .total_cmp(&state.marginal_fraction(b))
+                        .cmp(&state.marginal_fraction(b))
                         .then(b.cmp(&a))
                 })
                 .unwrap();
@@ -1007,7 +931,7 @@ mod tests {
             let mut used = vec![false; RicSamples::node_count(&col)];
             for &picked in &run.seeds {
                 let fresh_picked = state.marginal_fraction(picked);
-                if fresh_picked <= NU_EPS {
+                if fresh_picked == 0 {
                     break; // padding region — no more greedy picks
                 }
                 for v in 0..RicSamples::node_count(&col) as u32 {
@@ -1016,11 +940,11 @@ mod tests {
                     }
                     let fresh = state.marginal_fraction(NodeId::new(v));
                     assert!(
-                        fresh.total_cmp(&fresh_picked) != Ordering::Greater,
+                        fresh <= fresh_picked,
                         "salt={salt}: pick {picked} (gain {fresh_picked}) \
                          beaten by fresh gain {fresh} of node {v}"
                     );
-                    if fresh.total_cmp(&fresh_picked) == Ordering::Equal {
+                    if fresh == fresh_picked {
                         assert!(
                             picked.index() as u32 <= v,
                             "salt={salt}: tie broken away from smaller id"
@@ -1110,23 +1034,13 @@ mod tests {
 
     #[test]
     fn parallel_run_records_shard_timings() {
-        // 400 candidates push the initial ν scan over MIN_PARALLEL_ITEMS,
-        // so the parallel path must report per-shard wall times and
-        // per-worker busy fractions.
+        // Every batch — the 400-candidate initial ν scan included — is one
+        // inline shard of table reads at any thread count.
         let col = scrambled_collection(400, 1200, 21);
         let (_, telemetry) =
             greedy_nu_with_telemetry(&col, 6, SolveStrategy::Parallel { threads: 4 });
-        assert!(
-            !telemetry.shard_seconds.is_empty(),
-            "no shard timings recorded"
-        );
-        assert!(
-            !telemetry.busy_fractions.is_empty(),
-            "no busy fractions recorded"
-        );
-        for &b in &telemetry.busy_fractions {
-            assert!((0.0..=1.0).contains(&b), "busy fraction {b} out of range");
-        }
+        let batches: u32 = telemetry.rounds.iter().map(|r| r.batches).sum();
+        assert_eq!(telemetry.shard_seconds.len() as u32, 1 + batches);
         for &s in &telemetry.shard_seconds {
             assert!(s >= 0.0);
         }
@@ -1161,7 +1075,7 @@ mod tests {
             self.calls += 1;
             self.inner.eval_c_batch(nodes)
         }
-        fn eval_nu_batch(&mut self, nodes: &[u32]) -> (Vec<f64>, MapStats) {
+        fn eval_nu_batch(&mut self, nodes: &[u32]) -> (Vec<u64>, MapStats) {
             self.calls += 1;
             self.inner.eval_nu_batch(nodes)
         }
@@ -1333,18 +1247,6 @@ mod tests {
         let expect: Vec<u64> = data.iter().map(|&v| v * 3 + 1).collect();
         for threads in [1usize, 2, 3, 4, 8, 16] {
             let got = shard_map(data.len(), threads, |i| data[i] * 3 + 1);
-            assert_eq!(got, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn chunked_shard_map_matches_per_item_map_for_every_thread_count() {
-        let data: Vec<u64> = (0..1000u64).map(|i| i * 7 % 613).collect();
-        let expect: Vec<u64> = data.iter().map(|&v| v ^ 0x5a).collect();
-        for threads in [1usize, 2, 3, 4, 8, 16] {
-            let (got, _) = shard_map_chunks_stats(data.len(), threads, |lo, hi| {
-                data[lo..hi].iter().map(|&v| v ^ 0x5a).collect()
-            });
             assert_eq!(got, expect, "threads={threads}");
         }
     }

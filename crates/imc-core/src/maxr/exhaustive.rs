@@ -5,6 +5,7 @@
 //! brute-forceable collections, turning the paper's worst-case ratios
 //! (Theorems 3–5) into checkable assertions.
 
+use crate::maxr::Score;
 use crate::{CoverageState, RicSamples};
 use imc_graph::NodeId;
 
@@ -27,17 +28,46 @@ pub struct ExactSolution {
 /// Panics if the search space `C(candidates, k)` exceeds `2^32` subsets —
 /// use the approximate solvers for anything bigger.
 pub fn exhaustive<C: RicSamples>(collection: &C, k: usize) -> ExactSolution {
+    let (seeds, score, subsets_evaluated) = search(collection, k, collection.len() as u64, |s| {
+        collection.influenced_count(s) as u64
+    });
+    ExactSolution {
+        seeds,
+        influenced_samples: score as usize,
+        subsets_evaluated,
+    }
+}
+
+/// [`exhaustive`] for the upper bound: a `k`-subset maximising the Q32
+/// numerator of `ν_R` (see [`nu_term`](crate::nu_term)), and that maximum
+/// — what greedy on `ν_R` is held to `(1 − 1/e)` of.
+///
+/// # Panics
+///
+/// As [`exhaustive`].
+pub fn exhaustive_nu<C: RicSamples>(collection: &C, k: usize) -> (Vec<NodeId>, u64) {
+    let ceiling = collection.len() as u64 * crate::NU_ONE;
+    let (seeds, numerator, _) = search(collection, k, ceiling, |s| Score::of(collection, s).nu_acc);
+    (seeds, numerator)
+}
+
+/// The lexicographically first `k`-subset of the touching nodes with the
+/// largest `score`, that score, and how many subsets were scored. No
+/// subset scores above `ceiling`, so the search stops at one that
+/// reaches it.
+fn search<C: RicSamples>(
+    collection: &C,
+    k: usize,
+    ceiling: u64,
+    score: impl Fn(&[NodeId]) -> u64,
+) -> (Vec<NodeId>, u64, u64) {
     let candidates: Vec<NodeId> = (0..collection.node_count() as u32)
         .map(NodeId::new)
         .filter(|&v| collection.appearance_count(v) > 0)
         .collect();
     let k = k.min(candidates.len().max(1));
     if candidates.is_empty() {
-        return ExactSolution {
-            seeds: Vec::new(),
-            influenced_samples: 0,
-            subsets_evaluated: 1,
-        };
+        return (Vec::new(), 0, 1);
     }
     let space = binomial_capped(candidates.len() as u64, k as u64, 1 << 32);
     assert!(
@@ -46,23 +76,22 @@ pub fn exhaustive<C: RicSamples>(collection: &C, k: usize) -> ExactSolution {
     );
 
     let mut best_seeds: Vec<NodeId> = Vec::new();
-    let mut best_score = 0usize;
+    let mut best_score = 0;
     let mut evaluated = 0u64;
 
     // DFS over combinations with incremental CoverageState would need
     // removal support; evaluate each combination from scratch instead
-    // (fine at this scale), but prune: a prefix already influencing every
-    // sample cannot be beaten.
-    let total = collection.len();
+    // (fine at this scale), but prune: a subset already at the ceiling
+    // cannot be beaten.
     let mut indices: Vec<usize> = (0..k).collect();
     loop {
         evaluated += 1;
         let subset: Vec<NodeId> = indices.iter().map(|&i| candidates[i]).collect();
-        let score = collection.influenced_count(&subset);
+        let score = score(&subset);
         if score > best_score || (score == best_score && best_seeds.is_empty()) {
             best_score = score;
             best_seeds = subset;
-            if best_score == total {
+            if best_score == ceiling {
                 break; // cannot improve
             }
         }
@@ -70,11 +99,7 @@ pub fn exhaustive<C: RicSamples>(collection: &C, k: usize) -> ExactSolution {
         let mut i = k;
         loop {
             if i == 0 {
-                return ExactSolution {
-                    seeds: best_seeds,
-                    influenced_samples: best_score,
-                    subsets_evaluated: evaluated,
-                };
+                return (best_seeds, best_score, evaluated);
             }
             i -= 1;
             if indices[i] != i + candidates.len() - k {
@@ -86,11 +111,7 @@ pub fn exhaustive<C: RicSamples>(collection: &C, k: usize) -> ExactSolution {
             }
         }
     }
-    ExactSolution {
-        seeds: best_seeds,
-        influenced_samples: best_score,
-        subsets_evaluated: evaluated,
-    }
+    (best_seeds, best_score, evaluated)
 }
 
 /// `C(n, k)` capped at `cap` to avoid overflow.
@@ -175,6 +196,21 @@ mod tests {
         // k=3: {0,1,2} gets all 3.
         let sol = exhaustive(&col, 3);
         assert_eq!(sol.influenced_samples, 3);
+    }
+
+    #[test]
+    fn nu_optimum_prefers_the_fractional_pair() {
+        let col = trap_collection();
+        // k=1: node 2 saturates two h=1 samples; nodes 0/1 half of one.
+        assert_eq!(
+            exhaustive_nu(&col, 1),
+            (vec![NodeId::new(2)], 2 * crate::NU_ONE)
+        );
+        // k=2: {0,2} = {1,2} = 2.5 > {0,1} = 1; the first in order wins.
+        let (seeds, numerator) = exhaustive_nu(&col, 2);
+        assert_eq!(seeds, vec![NodeId::new(0), NodeId::new(2)]);
+        assert_eq!(numerator, 2 * crate::NU_ONE + crate::NU_ONE / 2);
+        assert_eq!(exhaustive_nu(&col, 3).1, 3 * crate::NU_ONE);
     }
 
     #[test]

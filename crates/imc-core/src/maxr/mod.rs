@@ -160,6 +160,7 @@ impl MaxrAlgorithm {
             start.elapsed(),
             report.influenced_samples,
             collection.len(),
+            report.extras.sandwich_ratio(),
         );
         Ok(report)
     }

@@ -130,6 +130,18 @@ pub enum SolverExtras {
     },
 }
 
+impl SolverExtras {
+    /// UBG's sandwich ratio `ĉ_R(S_ν)/ν_R(S_ν)` (paper Fig. 8) — the
+    /// data-dependent factor of Theorem 2's guarantee; `None` for every
+    /// other solver.
+    pub fn sandwich_ratio(&self) -> Option<f64> {
+        match *self {
+            SolverExtras::Ubg { sandwich_ratio, .. } => Some(sandwich_ratio),
+            _ => None,
+        }
+    }
+}
+
 /// Result of a MAXR solve through the unified API.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveReport {
@@ -168,39 +180,41 @@ pub struct UnionStats {
 }
 
 /// A seed set scored against a backend's whole collection.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Score {
     /// Samples the seed set influences.
     pub influenced: usize,
-    /// `Σ_g min(|I_g(S)|/h_g, 1)` folded in sample order (shard to shard,
-    /// in partition order, on a cluster).
-    pub nu_acc: f64,
+    /// `Σ_g q(|I_g(S)|, h_g)` — the Q32 numerator of `ν_R(S)` (see
+    /// [`nu_term`](crate::nu_term)).
+    pub nu_acc: u64,
     /// Samples scored.
     pub samples: usize,
 }
 
 impl Score {
     /// Scores `seeds` (out-of-range ids skipped) against `samples` in one
-    /// coverage pass, continuing the ν fold from `carry` — `0.0` for a
-    /// whole collection, the previous shard's `nu_acc` for a cluster
-    /// partition, which is what makes the chained fold bitwise equal to
-    /// [`RicSamples::nu_estimate`]'s.
-    pub fn of<C: RicSamples>(samples: &C, seeds: &[NodeId], carry: f64) -> Score {
+    /// coverage pass. Every field is an integer, so the scores of the
+    /// partitions of a collection [`add`](Self::add) up to the score of
+    /// the whole, in any order.
+    pub fn of<C: RicSamples>(samples: &C, seeds: &[NodeId]) -> Score {
         let mut state = CoverageState::new(samples);
         for &s in seeds {
             if s.index() < samples.node_count() {
                 state.add_seed(s);
             }
         }
-        let mut nu_acc = carry;
-        for (si, &count) in state.covered_counts().iter().enumerate() {
-            nu_acc += (f64::from(count) / f64::from(samples.sample_threshold(si))).min(1.0);
-        }
         Score {
             influenced: state.influenced_count(),
-            nu_acc,
+            nu_acc: state.nu_numerator(),
             samples: samples.len(),
         }
+    }
+
+    /// Adds the score of a disjoint partition.
+    pub fn add(&mut self, part: Score) {
+        self.influenced += part.influenced;
+        self.nu_acc += part.nu_acc;
+        self.samples += part.samples;
     }
 
     /// `ĉ_R(S)` (eq. 3); 0 over an empty collection.
@@ -213,10 +227,7 @@ impl Score {
 
     /// `ν_R(S)` (eq. 7); 0 over an empty collection.
     pub fn nu_estimate(&self, total_benefit: f64) -> f64 {
-        if self.samples == 0 {
-            return 0.0;
-        }
-        total_benefit * self.nu_acc / self.samples as f64
+        crate::nu_value(total_benefit, self.nu_acc, self.samples)
     }
 }
 
@@ -295,7 +306,7 @@ impl<C: RicSamples> SolveBackend for LocalBackend<'_, C> {
     }
 
     fn score(&mut self, seeds: &[NodeId]) -> crate::Result<Score> {
-        Ok(Score::of(self.0, seeds, 0.0))
+        Ok(Score::of(self.0, seeds))
     }
 
     fn helpers(&mut self, pivot: NodeId, k: usize, depth: u32) -> crate::Result<GreedyRun> {

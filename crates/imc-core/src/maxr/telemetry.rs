@@ -1,9 +1,9 @@
 //! Per-iteration solve-engine telemetry: what the CELF queue did, what
-//! the shard pool cost, and where every marginal-gain evaluation went.
+//! each gain batch cost, and where every marginal-gain evaluation went.
 //!
 //! The greedy loops in [`engine`](crate::maxr::engine) assemble one
 //! [`EngineTelemetry`] per run — one [`IterationRecord`] per greedy round
-//! plus shard/worker timing of every parallel map. Publishing feeds the
+//! plus the shard timing of every gain batch. Publishing feeds the
 //! `imc_engine_*` metric families (see `docs/METRICS.md`) and, when a
 //! trace sink is installed, emits one `engine_iteration` JSONL event per
 //! round plus an `engine_solve` summary — all from the coordinating
@@ -55,7 +55,7 @@ pub struct IterationRecord {
     /// scatter round on a cluster). A window of fresh ν entries only is
     /// not fetched and not counted.
     pub batches: u32,
-    /// Evaluation shards executed this round (1 per inline map).
+    /// Evaluation shards executed this round (1 per inline batch).
     pub shards: u32,
     /// Total wall-clock seconds across this round's evaluation shards.
     pub shard_seconds_sum: f64,
@@ -81,7 +81,7 @@ impl IterationRecord {
         }
     }
 
-    /// Folds one shard map's timing into the round.
+    /// Folds one batch's shard timing into the round.
     pub(crate) fn absorb(&mut self, stats: &MapStats) {
         self.shards += stats.shard_seconds.len() as u32;
         for &s in &stats.shard_seconds {
@@ -99,17 +99,23 @@ impl IterationRecord {
     }
 }
 
-/// Shard and worker timing of one marginal-gain evaluation batch (one
-/// `shard_map_stats` call locally; one scatter-gather RPC round in a
-/// cluster [`GainSource`](crate::maxr::GainSource)).
+/// Shard timing of one marginal-gain evaluation batch: one inline shard
+/// of table reads locally, one entry per shard daemon for a
+/// scatter-gather round in a cluster
+/// [`GainSource`](crate::maxr::GainSource).
 #[derive(Debug, Clone, Default)]
 pub struct MapStats {
-    /// Wall-clock seconds per executed shard (a single entry when the
-    /// map ran inline).
+    /// Wall-clock seconds per executed shard.
     pub shard_seconds: Vec<f64>,
-    /// Per-worker busy fraction (summed shard time / call wall time);
-    /// empty when the map ran inline.
-    pub busy_fractions: Vec<f64>,
+}
+
+impl MapStats {
+    /// The stats of a batch evaluated inline since `start`.
+    pub fn inline(start: Instant) -> Self {
+        MapStats {
+            shard_seconds: vec![start.elapsed().as_secs_f64()],
+        }
+    }
 }
 
 /// Full telemetry of one engine greedy run.
@@ -130,9 +136,6 @@ pub struct EngineTelemetry {
     /// Wall-clock seconds of every evaluation shard executed anywhere in
     /// the run (including the initial scan).
     pub shard_seconds: Vec<f64>,
-    /// Busy fraction of every parallel worker over every parallel map in
-    /// the run (empty for single-threaded strategies).
-    pub busy_fractions: Vec<f64>,
     /// Wall-clock seconds of the whole run.
     pub wall_seconds: f64,
 }
@@ -146,15 +149,13 @@ impl EngineTelemetry {
             initial_evaluations: 0,
             rounds: Vec::new(),
             shard_seconds: Vec::new(),
-            busy_fractions: Vec::new(),
             wall_seconds: 0.0,
         }
     }
 
-    /// Folds one shard map's timing into the run-level series.
+    /// Folds one batch's shard timing into the run-level series.
     pub(crate) fn absorb(&mut self, stats: MapStats) {
         self.shard_seconds.extend(stats.shard_seconds);
-        self.busy_fractions.extend(stats.busy_fractions);
     }
 
     /// Total consumed marginal-gain evaluations, initial scan included. Equals
@@ -211,27 +212,6 @@ impl EngineTelemetry {
                     .field("seconds", rec.seconds),
             );
         }
-        // Aggregate the worker utilisation; NaN serializes as null when a
-        // single-threaded run recorded no parallel maps.
-        let (mut busy_min, mut busy_max, mut busy_sum) = (f64::NAN, f64::NAN, 0.0);
-        for &b in &self.busy_fractions {
-            busy_min = if busy_min.is_nan() {
-                b
-            } else {
-                busy_min.min(b)
-            };
-            busy_max = if busy_max.is_nan() {
-                b
-            } else {
-                busy_max.max(b)
-            };
-            busy_sum += b;
-        }
-        let busy_mean = if self.busy_fractions.is_empty() {
-            f64::NAN
-        } else {
-            busy_sum / self.busy_fractions.len() as f64
-        };
         emit(
             TraceEvent::new("engine_solve")
                 .field("objective", self.objective)
@@ -244,9 +224,6 @@ impl EngineTelemetry {
                 .field("wasted_evaluations", self.wasted_evaluations())
                 .field("speculative_evaluations", self.speculative_evaluations())
                 .field("shards", self.shard_seconds.len())
-                .field("busy_fraction_min", busy_min)
-                .field("busy_fraction_mean", busy_mean)
-                .field("busy_fraction_max", busy_max)
                 .field("wall_seconds", self.wall_seconds),
         );
     }

@@ -4,6 +4,77 @@ use crate::RicStore;
 use imc_graph::NodeId;
 use std::sync::OnceLock;
 
+/// One in Q32 fixed point: the `ν_R` term of a sample whose threshold is
+/// met.
+pub const NU_ONE: u64 = 1 << 32;
+
+/// Most samples a collection may hold for sums of [`nu_term`]s to stay
+/// below `2⁶³` — exact in a `u64` and in the JSON integers the shard
+/// protocol carries them as. [`CoverageState::new`] checks it (the IMCAF
+/// sample cap is `2²⁰`).
+pub const NU_MAX_SAMPLES: usize = 1 << 31;
+
+/// The `ν_R` term (eq. 7) of one sample with `count` covered members and
+/// threshold `h ≥ 1`, in Q32 fixed point:
+/// `q(c, h) = min(c · ⌈2³²/h⌉, 2³²)`.
+///
+/// This is the only ν arithmetic in the tree. It is
+///
+/// * **exact** (`= min(c/h, 1)·2³²`) whenever `c ≥ h` or `h` is a power of
+///   two, and otherwise above `c/h·2³²` by less than `c` — under `2⁻³²`
+///   relative per covered member, so a reported `ν_R` exceeds eq. 7 by at
+///   most `h_max·2⁻³²` relative (`3·10⁻⁸` at the 128 threshold cap);
+/// * **concave and non-decreasing in `c`** (a linear function capped by a
+///   constant), so Lemma 3's submodularity holds in integer arithmetic
+///   with no rounding caveat;
+/// * **at least `2³²·[c ≥ h]`**, ĉ_R's indicator, so `ν_R ≥ ĉ_R` holds
+///   with no epsilon;
+///
+/// and, being an integer, **additive** over samples, shards and commit
+/// order: partial sums of any split of a collection, added in any order,
+/// equal the whole. No product overflows (`c < 2³²`, `⌈2³²/h⌉ ≤ 2³²`);
+/// sums need fewer than [`NU_MAX_SAMPLES`] samples.
+#[inline]
+pub fn nu_term(count: u32, h: u32) -> u64 {
+    NuUnit::of(h).term(count)
+}
+
+/// `⌈2³²/h⌉` — what one covered member of a threshold-`h` sample is worth
+/// in [`nu_term`]; the division is hoisted here for loops over one
+/// sample's rows.
+#[derive(Clone, Copy)]
+struct NuUnit(u64);
+
+impl NuUnit {
+    /// `⌈2³²/h⌉ = ⌊(2³² − 1)/h⌋ + 1` for every `h ≥ 1`, which is a 32-bit
+    /// division (several times cheaper than the 64-bit one).
+    #[inline]
+    fn of(h: u32) -> Self {
+        NuUnit(u64::from(u32::MAX / h) + 1)
+    }
+
+    #[inline]
+    fn term(self, count: u32) -> u64 {
+        (u64::from(count) * self.0).min(NU_ONE)
+    }
+}
+
+/// A Q32 numerator as the number it stands for — the one place a ν
+/// quantity becomes an `f64`.
+pub fn nu_fraction(numerator: u64) -> f64 {
+    numerator as f64 / NU_ONE as f64
+}
+
+/// `ν_R` (eq. 7) from the numerator `Σ_g q(|I_g|, h_g)` over `samples`
+/// samples: one formula, so every reporter (state, store, view, daemon,
+/// coordinator) prints the same bits. 0 over an empty collection.
+pub fn nu_value(total_benefit: f64, numerator: u64, samples: usize) -> f64 {
+    if samples == 0 {
+        return 0.0;
+    }
+    total_benefit * nu_fraction(numerator) / samples as f64
+}
+
 /// Incremental evaluator of the MAXR objectives over any [`RicSamples`]
 /// implementer ([`RicStore`] or
 /// [`RicStoreView`](crate::snapshot::RicStoreView)).
@@ -14,23 +85,23 @@ use std::sync::OnceLock;
 ///
 /// * the ĉ_R gain — how many *additional* samples become influenced if `v`
 ///   is added (**not** submodular, so a cached gain bounds nothing and the
-///   lazy queue re-asks for it every round). [`eval_c_shard`] answers it
-///   from two per-node tables (gain and potential) that the first ĉ
-///   evaluation builds with one sample-major sweep and
-///   [`add_seed`](Self::add_seed) keeps exact — see `docs/KERNELS.md`,
-///   *Incremental ĉ gain tables*. The index walks
-///   [`marginal_influenced`](Self::marginal_influenced) and
-///   [`marginal_influenced_with_potential`](Self::marginal_influenced_with_potential)
-///   compute the same numbers from scratch and are the oracle the tables
-///   are tested against.
-/// * `marginal_fraction(v)` — the increase of
-///   `Σ_g min(|I_g|/h_g, 1)` (the ν_R greedy gain; submodular by Lemma 3,
-///   so CELF lazy evaluation is sound). Always a linear scan of the node's
-///   inverted-index entries: its value is an f64 fold in ascending sample
-///   order, which a delta update could not reproduce bit for bit.
+///   lazy queue re-asks for it every round), together with the node's
+///   potential: [`eval_c_shard`];
+/// * the ν_R gain — the increase of `Σ_g q(|I_g|, h_g)` ([`nu_term`], the
+///   Q32 numerator of eq. 7; submodular by Lemma 3, so CELF lazy
+///   evaluation is sound): [`eval_nu_shard`].
 ///
-/// A state that is never asked for a ĉ gain (the ν greedy, whole-set
-/// scoring, estimates) neither builds nor maintains the tables.
+/// Each is answered from a per-node table that the objective's first
+/// evaluation builds with one sample-major sweep and
+/// [`add_seed`](Self::add_seed) keeps exact — see `docs/KERNELS.md`,
+/// *Incremental ĉ gain tables* and *Incremental ν gain tables*. The index
+/// walks [`marginal_influenced_with_potential`](Self::marginal_influenced_with_potential)
+/// and [`marginal_fraction`](Self::marginal_fraction) compute the same
+/// numbers from scratch and are the oracles the tables are tested against.
+///
+/// A state that is never asked for an objective's gain (whole-set scoring,
+/// estimates, the other objective's greedy) neither builds nor maintains
+/// that objective's table.
 ///
 /// The backend is held *by value*: pass `&collection` for the usual
 /// borrowed use (blanket `RicSamples` impls cover `&T` and `Arc<T>`), or
@@ -39,6 +110,7 @@ use std::sync::OnceLock;
 /// store.
 ///
 /// [`eval_c_shard`]: Self::eval_c_shard
+/// [`eval_nu_shard`]: Self::eval_nu_shard
 #[derive(Debug, Clone)]
 pub struct CoverageState<C: RicSamples = RicStore> {
     collection: C,
@@ -47,11 +119,12 @@ pub struct CoverageState<C: RicSamples = RicStore> {
     counts: Vec<u32>,
     influenced: Vec<bool>,
     influenced_count: usize,
-    fraction_sum: f64,
     seeds: Vec<NodeId>,
     /// Built by the first ĉ evaluation, from whatever unions the state
     /// holds then; exact for the current seed set ever after.
     tables: OnceLock<GainTables>,
+    /// Likewise for the first ν evaluation.
+    nu_table: OnceLock<NuTable>,
 }
 
 /// The ĉ_R answer for every node under the current seed set `S`, over the
@@ -98,6 +171,48 @@ impl GainTables {
     }
 }
 
+/// The ν_R answer for every node under the current seed set, over the
+/// same uninfluenced samples (`|U_g| < h_g`; an influenced sample's term
+/// is saturated and can gain nothing):
+///
+/// `gain[v] = Σ_{g ∋ v} q(|U_g ∪ cover_v(g)|, h_g) − q(|U_g|, h_g)`.
+///
+/// As for [`GainTables`], a sample's terms depend on `U_g` alone.
+#[derive(Debug, Clone)]
+struct NuTable {
+    gain: Vec<u64>,
+}
+
+impl NuTable {
+    /// What each node of a sample with union `union` would add to the
+    /// sample's ν term, in node order.
+    fn terms<'a>(covers: &'a [u64], union: &'a [u64], h: u32) -> impl Iterator<Item = u64> + 'a {
+        let unit = NuUnit::of(h);
+        let held = unit.term(kernels::count_ones(union));
+        covers
+            .chunks_exact(union.len())
+            .map(move |cover| unit.term(kernels::union_count(union, cover)) - held)
+    }
+
+    /// Adds (`open`) or removes the terms of one uninfluenced sample.
+    fn sweep(&mut self, nodes: &[NodeId], covers: &[u64], union: &[u64], h: u32, open: bool) {
+        for (&v, term) in nodes.iter().zip(Self::terms(covers, union, h)) {
+            let gain = &mut self.gain[v.index()];
+            *gain = if open { *gain + term } else { *gain - term };
+        }
+    }
+
+    /// A still-uninfluenced sample's union grew from `old` to `new`: every
+    /// node trades its term against the old union for the (never larger)
+    /// one against the new.
+    fn grow(&mut self, nodes: &[NodeId], covers: &[u64], old: &[u64], new: &[u64], h: u32) {
+        let terms = Self::terms(covers, old, h).zip(Self::terms(covers, new, h));
+        for (&v, (before, after)) in nodes.iter().zip(terms) {
+            self.gain[v.index()] -= before - after;
+        }
+    }
+}
+
 impl<C: RicSamples> CoverageState<C> {
     /// Fresh state with no seeds.
     pub fn new(collection: C) -> Self {
@@ -108,6 +223,10 @@ impl<C: RicSamples> CoverageState<C> {
         }
         let total_limbs = *union_offsets.last().unwrap_or(&0);
         let len = collection.len();
+        assert!(
+            len < NU_MAX_SAMPLES,
+            "{len} samples: the Q32 ν numerator needs fewer than 2^31"
+        );
         CoverageState {
             collection,
             union_offsets,
@@ -115,9 +234,9 @@ impl<C: RicSamples> CoverageState<C> {
             counts: vec![0; len],
             influenced: vec![false; len],
             influenced_count: 0,
-            fraction_sum: 0.0,
             seeds: Vec::new(),
             tables: OnceLock::new(),
+            nu_table: OnceLock::new(),
         }
     }
 
@@ -150,12 +269,33 @@ impl<C: RicSamples> CoverageState<C> {
             / self.collection.len() as f64
     }
 
+    /// `Σ_g q(|I_g(seeds)|, h_g)` — the Q32 numerator of `ν_R(seeds)`
+    /// (see [`nu_term`]). One pass over the covered counts, paid by
+    /// whoever scores a whole seed set — not per index entry by every
+    /// `add_seed`, most of whose callers (the greedy loops, `ĉ_R`
+    /// estimates) never ask.
+    pub fn nu_numerator(&self) -> u64 {
+        // Neighbouring samples mostly share a threshold (all of them,
+        // under a constant policy), so the unit's division is redone only
+        // when it changes and the loop body stays branch-free.
+        let mut unit_of = (1, NuUnit::of(1));
+        let mut numerator = 0;
+        for (&count, &h) in self.counts.iter().zip(self.collection.columns().thresholds) {
+            if h != unit_of.0 {
+                unit_of = (h, NuUnit::of(h));
+            }
+            numerator += unit_of.1.term(count);
+        }
+        numerator
+    }
+
     /// Current `ν_R(seeds)`.
     pub fn nu_estimate(&self) -> f64 {
-        if self.collection.is_empty() {
-            return 0.0;
-        }
-        self.collection.total_benefit() * self.fraction_sum / self.collection.len() as f64
+        nu_value(
+            self.collection.total_benefit(),
+            self.nu_numerator(),
+            self.collection.len(),
+        )
     }
 
     fn union_of(&self, si: usize) -> &[u64] {
@@ -221,78 +361,74 @@ impl<C: RicSamples> CoverageState<C> {
         }));
     }
 
-    /// The gain tables for the unions held right now.
-    fn build_tables(&self) -> GainTables {
+    /// Calls `sweep(nodes, covers, union, h)` for every uninfluenced
+    /// sample — the sample-major pass that builds a gain table from the
+    /// unions held right now — and books the entries swept.
+    fn sweep_open_samples(&self, mut sweep: impl FnMut(&[NodeId], &[u64], &[u64], u32)) {
         let cols = self.collection.columns();
-        let mut tables = GainTables {
-            gain: vec![0; cols.node_count],
-            potential: vec![0; cols.node_count],
-        };
         let mut swept = 0;
         for si in (0..cols.len()).filter(|&si| !self.influenced[si]) {
             let nodes = cols.sample_nodes(si);
-            let h = cols.thresholds[si];
-            tables.sweep(nodes, cols.sample_words(si), self.union_of(si), h, true);
+            sweep(
+                nodes,
+                cols.sample_words(si),
+                self.union_of(si),
+                cols.thresholds[si],
+            );
             swept += nodes.len();
         }
-        crate::obs::c_table_entries_swept().inc_by(swept as u64);
+        crate::obs::table_entries_swept().inc_by(swept as u64);
+    }
+
+    fn build_tables(&self) -> GainTables {
+        let node_count = self.collection.node_count();
+        let mut tables = GainTables {
+            gain: vec![0; node_count],
+            potential: vec![0; node_count],
+        };
+        self.sweep_open_samples(|nodes, covers, union, h| {
+            tables.sweep(nodes, covers, union, h, true);
+        });
         tables
     }
 
+    fn build_nu_table(&self) -> NuTable {
+        let mut table = NuTable {
+            gain: vec![0; self.collection.node_count()],
+        };
+        self.sweep_open_samples(|nodes, covers, union, h| {
+            table.sweep(nodes, covers, union, h, true);
+        });
+        table
+    }
+
     /// Batched ν_R evaluation: [`marginal_fraction`](Self::marginal_fraction)
-    /// for every candidate of one CELF shard, in slice order.
+    /// for every candidate of one CELF shard, in slice order, read from
+    /// the ν gain table.
     ///
-    /// Each candidate's fold starts at `0.0` and runs in ascending sample
-    /// order, exactly like the scalar method, so results are bitwise
-    /// identical.
-    pub fn eval_nu_shard(&self, nodes: &[u32], out: &mut Vec<f64>) {
-        self.eval_nu_shard_from(nodes, None, out);
+    /// As for [`eval_c_shard`](Self::eval_c_shard): the first call on a
+    /// state builds the table with one sample-major sweep, every later
+    /// call is one array read per node (see `docs/KERNELS.md`,
+    /// *Incremental ν gain tables*).
+    pub fn eval_nu_shard(&self, nodes: &[u32], out: &mut Vec<u64>) {
+        let table = self.nu_table.get_or_init(|| self.build_nu_table());
+        out.extend(nodes.iter().map(|&v| table.gain[v as usize]));
     }
 
-    /// [`eval_nu_shard`](Self::eval_nu_shard) with candidate `i`'s fold
-    /// continuing from `carry[i]` (see
-    /// [`marginal_fraction_from`](Self::marginal_fraction_from)): what a
-    /// cluster shard runs for every partition but the first.
-    ///
-    /// # Panics
-    ///
-    /// If `carry` is given and shorter than `nodes`.
-    pub fn eval_nu_shard_from(&self, nodes: &[u32], carry: Option<&[f64]>, out: &mut Vec<f64>) {
-        out.reserve(nodes.len());
-        for (i, &v) in nodes.iter().enumerate() {
-            let acc = carry.map_or(0.0, |c| c[i]);
-            out.push(self.marginal_fraction_from(NodeId::new(v), acc));
-        }
-    }
-
-    /// Increase of `Σ_g min(|I_g|/h_g, 1)` if `v` were added.
-    pub fn marginal_fraction(&self, v: NodeId) -> f64 {
-        self.marginal_fraction_from(v, 0.0)
-    }
-
-    /// [`marginal_fraction`](Self::marginal_fraction) continuing a fold
-    /// started at `acc` instead of `0.0`.
-    ///
-    /// The ν_R gain is a left fold of `new − cur` terms in ascending
-    /// sample order, and f64 addition is not associative — so a cluster
-    /// shard holding samples `[lo, hi)` must *continue* the accumulator
-    /// handed over from the shard holding `[0, lo)` rather than add its
-    /// own partial sum afterwards. Chaining `marginal_fraction_from`
-    /// across shards in partition order reproduces the single-node fold
-    /// bit for bit; `carry + marginal_fraction(v)` would not.
-    pub fn marginal_fraction_from(&self, v: NodeId, acc: f64) -> f64 {
-        let mut gain = acc;
+    /// Increase of the ν_R numerator `Σ_g q(|I_g|, h_g)` if `v` were
+    /// added, by walking `v`'s index entries — the oracle for
+    /// [`eval_nu_shard`](Self::eval_nu_shard).
+    pub fn marginal_fraction(&self, v: NodeId) -> u64 {
+        let mut gain = 0;
         for r in self.collection.touched_by(v) {
             let si = r.sample as usize;
-            let h = self.collection.sample_threshold(si) as f64;
-            let cur = (self.counts[si] as f64 / h).min(1.0);
-            if cur >= 1.0 {
+            if self.influenced[si] {
                 continue;
             }
+            let unit = NuUnit::of(self.collection.sample_threshold(si));
             let cover = self.collection.cover_words(si, r.pos as usize);
             let union_count = kernels::union_count(self.union_of(si), cover);
-            let new = (union_count as f64 / h).min(1.0);
-            gain += new - cur;
+            gain += unit.term(union_count) - unit.term(self.counts[si]);
         }
         gain
     }
@@ -301,25 +437,25 @@ impl<C: RicSamples> CoverageState<C> {
     /// duplicate seed is a no-op for the objective (unions are idempotent)
     /// but still records the seed.
     ///
-    /// Once the gain tables exist this is also where ĉ evaluation is paid
+    /// Once a gain table exists this is also where evaluation is paid
     /// for: every sample `v` touches that was uninfluenced and whose union
-    /// changed is swept once (its node and cover rows are contiguous), and
-    /// no other sample's terms can have moved.
+    /// changed is swept once per table (its node and cover rows are
+    /// contiguous), and no other sample's terms can have moved.
     pub fn add_seed(&mut self, v: NodeId) {
         let cols = self.collection.columns();
         let mut tables = self.tables.get_mut();
+        let mut nu_table = self.nu_table.get_mut();
+        let maintained = tables.is_some() || nu_table.is_some();
         let mut old = Vec::new();
         let mut swept = 0;
         for r in cols.touched_by(v) {
             let si = r.sample as usize;
             let cover = cols.cover_words(si, r.pos as usize);
-            let threshold = cols.thresholds[si];
-            let h = threshold as f64;
-            let before = (self.counts[si] as f64 / h).min(1.0);
+            let h = cols.thresholds[si];
             let lo = self.union_offsets[si];
             let union = &mut self.union_words[lo..lo + cover.len()];
             let was_open = !self.influenced[si];
-            if was_open && tables.is_some() {
+            if was_open && maintained {
                 old.clear();
                 old.extend_from_slice(union);
             }
@@ -327,26 +463,34 @@ impl<C: RicSamples> CoverageState<C> {
             // A union only gains bits, so it changed iff its popcount rose.
             let grew = count != self.counts[si];
             self.counts[si] = count;
-            let after = (count as f64 / h).min(1.0);
-            self.fraction_sum += after - before;
-            let closes = was_open && count >= threshold;
+            let closes = was_open && count >= h;
             if closes {
                 self.influenced[si] = true;
                 self.influenced_count += 1;
             }
-            if let (true, Some(tables)) = (was_open, tables.as_deref_mut()) {
-                let (nodes, covers) = (cols.sample_nodes(si), cols.sample_words(si));
+            if !(was_open && grew && maintained) {
+                continue;
+            }
+            let (nodes, covers) = (cols.sample_nodes(si), cols.sample_words(si));
+            if let Some(tables) = tables.as_deref_mut() {
                 if closes {
-                    tables.sweep(nodes, covers, &old, threshold, false);
-                    swept += nodes.len();
-                } else if grew {
-                    tables.grow(nodes, covers, &old, union, threshold);
-                    swept += nodes.len();
+                    tables.sweep(nodes, covers, &old, h, false);
+                } else {
+                    tables.grow(nodes, covers, &old, union, h);
                 }
+                swept += nodes.len();
+            }
+            if let Some(table) = nu_table.as_deref_mut() {
+                if closes {
+                    table.sweep(nodes, covers, &old, h, false);
+                } else {
+                    table.grow(nodes, covers, &old, union, h);
+                }
+                swept += nodes.len();
             }
         }
-        if tables.is_some() {
-            crate::obs::c_table_entries_swept().inc_by(swept as u64);
+        if maintained {
+            crate::obs::table_entries_swept().inc_by(swept as u64);
         }
         self.seeds.push(v);
     }
@@ -766,6 +910,28 @@ mod tests {
         SnapshotBytes::copy_from(&encode(store, 0, 0))
     }
 
+    /// The three properties `nu_term` documents, for every `c`, `h` up
+    /// to past the 128 threshold cap.
+    #[test]
+    fn nu_term_is_exact_or_barely_above_concave_and_dominates_the_indicator() {
+        for h in 1u32..=130 {
+            let mut step = u64::MAX;
+            for c in 0u32..=140 {
+                let q = nu_term(c, h);
+                // q·h vs c·2³² compares q with c/h·2³² in integers.
+                let (scaled, exact) = (q * u64::from(h), u64::from(c.min(h)) << 32);
+                assert!(scaled >= exact && scaled - exact < u64::from(c.max(1) * h));
+                if c >= h || h.is_power_of_two() {
+                    assert_eq!(scaled, exact, "c={c} h={h}");
+                }
+                assert!(q >= NU_ONE * u64::from(c >= h) && q <= NU_ONE);
+                let next = nu_term(c + 1, h) - q;
+                assert!(next <= step, "not concave at c={c} h={h}");
+                step = next;
+            }
+        }
+    }
+
     #[test]
     fn marginals_match_brute_force() {
         let col = build_collection();
@@ -822,7 +988,7 @@ mod tests {
         let snapshot = snapshot_of(&col);
         let naive = snapshot.view().unwrap();
         assert_eq!(st.estimate(), naive.estimate(&seeds));
-        assert!((st.nu_estimate() - naive.nu_estimate(&seeds)).abs() < 1e-12);
+        assert_eq!(st.nu_estimate(), naive.nu_estimate(&seeds));
         assert_eq!(st.influenced_count(), 2);
         assert_eq!(st.covered_counts(), &[2, 1]);
     }
@@ -831,14 +997,12 @@ mod tests {
     fn fraction_marginals_are_consistent() {
         let col = build_collection();
         let mut st = CoverageState::new(&col);
-        let g3 = st.marginal_fraction(NodeId::new(3));
-        // Node 3 covers both members of sample 0: fraction gain = 1.0.
-        assert!((g3 - 1.0).abs() < 1e-12);
-        let g1 = st.marginal_fraction(NodeId::new(1));
-        assert!((g1 - 0.5).abs() < 1e-12);
+        // Node 3 covers both members of sample 0: fraction gain = 1.
+        assert_eq!(st.marginal_fraction(NodeId::new(3)), NU_ONE);
+        assert_eq!(st.marginal_fraction(NodeId::new(1)), NU_ONE / 2);
         st.add_seed(NodeId::new(1));
         // Remaining gain for 3 is only the missing half of sample 0.
-        assert!((st.marginal_fraction(NodeId::new(3)) - 0.5).abs() < 1e-12);
+        assert_eq!(st.marginal_fraction(NodeId::new(3)), NU_ONE / 2);
     }
 
     #[test]
@@ -848,7 +1012,8 @@ mod tests {
         for v in [1u32, 2, 3] {
             st.add_seed(NodeId::new(v));
         }
-        assert!(st.nu_estimate() <= col.total_benefit() + 1e-12);
+        assert_eq!(st.nu_numerator(), 2 * NU_ONE);
+        assert_eq!(st.nu_estimate(), col.total_benefit());
         assert_eq!(st.influenced_count(), 2);
     }
 
@@ -869,35 +1034,51 @@ mod tests {
         let col = build_collection();
         let mut st = CoverageState::new(&col);
         let candidates: Vec<NodeId> = (0..6).map(NodeId::new).collect();
-        let before: Vec<f64> = candidates
+        let before: Vec<u64> = candidates
             .iter()
             .map(|&v| st.marginal_fraction(v))
             .collect();
         st.add_seed(NodeId::new(2));
         for (i, &v) in candidates.iter().enumerate() {
             assert!(
-                st.marginal_fraction(v) <= before[i] + 1e-12,
+                st.marginal_fraction(v) <= before[i],
                 "gain increased for {v}"
             );
         }
     }
 
+    /// ν gains and numerators are integers, so the partial answers of any
+    /// split of the sample list, added in any order, are the whole
+    /// collection's — what lets cluster shards answer concurrently.
     #[test]
-    fn fraction_fold_chains_bitwise_across_partitions() {
-        // Splitting the sample list into contiguous partitions and
-        // chaining `marginal_fraction_from` in partition order must
-        // reproduce the whole-collection fold bit for bit — the cluster
-        // coordinator's ν carry-chain depends on this.
+    fn nu_partials_of_any_split_sum_to_the_whole() {
         let col = build_collection();
-        let full = CoverageState::new(&col);
-        // Partition 0 = sample 0, partition 1 = sample 1.
-        let lo = RicStore::from_samples(6, 2, 4.0, [&col.view(0).to_sample()]).unwrap();
-        let hi = RicStore::from_samples(6, 2, 4.0, [&col.view(1).to_sample()]).unwrap();
-        let st_lo = CoverageState::new(&lo);
-        let st_hi = CoverageState::new(&hi);
-        for v in (0..6).map(NodeId::new) {
-            let chained = st_hi.marginal_fraction_from(v, st_lo.marginal_fraction_from(v, 0.0));
-            assert_eq!(chained.to_bits(), full.marginal_fraction(v).to_bits());
+        let part = |keep: &[usize]| {
+            let samples: Vec<RicSample> = keep.iter().map(|&si| col.view(si).to_sample()).collect();
+            RicStore::from_samples(6, 2, 4.0, &samples).unwrap()
+        };
+        let all: Vec<u32> = (0..6).collect();
+        for split in [[&[0][..], &[1][..]], [&[1], &[0]], [&[], &[0, 1]]] {
+            let parts = split.map(part);
+            let mut states = parts.each_ref().map(CoverageState::new);
+            let mut full = CoverageState::new(&col);
+            for seed in [1u32, 2] {
+                let mut summed = vec![0u64; all.len()];
+                for st in states.iter().rev() {
+                    let mut gains = Vec::new();
+                    st.eval_nu_shard(&all, &mut gains);
+                    summed.iter_mut().zip(gains).for_each(|(t, g)| *t += g);
+                }
+                let mut whole = Vec::new();
+                full.eval_nu_shard(&all, &mut whole);
+                assert_eq!(summed, whole);
+                states
+                    .iter_mut()
+                    .for_each(|st| st.add_seed(NodeId::new(seed)));
+                full.add_seed(NodeId::new(seed));
+                let numerator: u64 = states.iter().map(CoverageState::nu_numerator).sum();
+                assert_eq!(numerator, full.nu_numerator());
+            }
         }
     }
 
@@ -938,7 +1119,7 @@ mod tests {
         for (i, &v) in nodes.iter().enumerate() {
             let v = NodeId::new(v);
             assert_eq!(c_out[i], st.marginal_influenced_with_potential(v));
-            assert_eq!(nu_out[i].to_bits(), st.marginal_fraction(v).to_bits());
+            assert_eq!(nu_out[i], st.marginal_fraction(v));
         }
     }
 
@@ -1045,15 +1226,17 @@ mod tests {
         assert_eq!(scalar, vec![1, 1, 2, 0]);
     }
 
-    /// A state driven only through the ν greedy's calls and seed commits
-    /// never builds the ĉ tables, so it never pays to maintain them; the
-    /// first ĉ evaluation builds them from the unions held by then.
+    /// A state builds a gain table only for an objective it is asked
+    /// about, from the unions held by then, so the ν greedy never pays to
+    /// maintain ĉ tables, nor the ĉ greedy a ν table, nor whole-set scoring
+    /// either.
     #[test]
     fn tables_are_built_by_the_first_c_evaluation_only() {
         let col = build_collection();
         let mut st = CoverageState::new(&col);
         let nodes: Vec<u32> = (0..6).collect();
         let mut nu_out = Vec::new();
+        assert!(st.nu_table.get().is_none());
         for seed in [1u32, 2] {
             st.eval_nu_shard(&nodes, &mut nu_out);
             st.add_seed(NodeId::new(seed));
@@ -1066,6 +1249,12 @@ mod tests {
         assert!(st.tables.get().is_some());
         // Seeds 1 and 2 influenced both samples: nothing is left to gain.
         assert_eq!(c_out, vec![(0, 0); 6]);
+
+        let mut st = CoverageState::new(&col);
+        st.eval_c_shard(&nodes, &mut c_out);
+        st.add_seed(NodeId::new(1));
+        let _ = (st.nu_estimate(), st.marginal_fraction(NodeId::new(3)));
+        assert!(st.nu_table.get().is_none(), "ĉ-only state built a ν table");
     }
 
     /// Nodes `0..TOUCHING` may appear in samples; ids up to `NODES` exist
@@ -1102,23 +1291,84 @@ mod tests {
         )
     }
 
-    /// Every table answer for `nodes` equals the index walk.
-    fn assert_tables_equal_walk<C: RicSamples>(st: &CoverageState<C>, nodes: &[u32]) {
-        let mut out = Vec::new();
-        st.eval_c_shard(nodes, &mut out);
-        assert_eq!(out.len(), nodes.len());
-        for (&v, &answer) in nodes.iter().zip(&out) {
-            let walk = st.marginal_influenced_with_potential(NodeId::new(v));
-            assert_eq!(answer, walk, "node {v} after seeds {:?}", st.seeds());
+    /// Every ĉ (`nu == false`) or ν table answer for `nodes` equals the
+    /// index walk.
+    fn assert_tables_equal_walk<C: RicSamples>(st: &CoverageState<C>, nodes: &[u32], nu: bool) {
+        let (mut c_out, mut nu_out) = (Vec::new(), Vec::new());
+        if nu {
+            st.eval_nu_shard(nodes, &mut nu_out);
+            assert_eq!(nu_out.len(), nodes.len());
+        } else {
+            st.eval_c_shard(nodes, &mut c_out);
+            assert_eq!(c_out.len(), nodes.len());
+        }
+        for (i, &v) in nodes.iter().enumerate() {
+            let v = NodeId::new(v);
+            if nu {
+                let walk = st.marginal_fraction(v);
+                assert_eq!(nu_out[i], walk, "ν of {v} after seeds {:?}", st.seeds());
+            } else {
+                let walk = st.marginal_influenced_with_potential(v);
+                assert_eq!(c_out[i], walk, "ĉ of {v} after seeds {:?}", st.seeds());
+            }
+        }
+    }
+
+    /// A state under test plus the two ν invariants only integers can
+    /// assert exactly: the gains of the committed picks telescope to the
+    /// state's ν numerator, and no node's gain ever rises (Lemma 3).
+    #[derive(Clone)]
+    struct Driven<C: RicSamples> {
+        st: CoverageState<C>,
+        telescoped: u64,
+        ceiling: Vec<u64>,
+    }
+
+    impl<C: RicSamples> Driven<C> {
+        fn new(collection: C) -> Self {
+            Driven {
+                st: CoverageState::new(collection),
+                telescoped: 0,
+                ceiling: vec![u64::MAX; NODES as usize],
+            }
+        }
+
+        /// ν gain of every node — from the table once the run is past its
+        /// first evaluation (`built`), from the walk before, so checking
+        /// never builds a table early.
+        fn nu_gains(&self, built: bool) -> Vec<u64> {
+            let all: Vec<u32> = (0..NODES).collect();
+            let mut out = Vec::new();
+            if built {
+                self.st.eval_nu_shard(&all, &mut out);
+            } else {
+                out.extend(
+                    all.iter()
+                        .map(|&v| self.st.marginal_fraction(NodeId::new(v))),
+                );
+            }
+            out
+        }
+
+        fn commit(&mut self, node: u32, built: bool) {
+            self.telescoped += self.nu_gains(built)[node as usize];
+            self.st.add_seed(NodeId::new(node));
+            assert_eq!(self.telescoped, self.st.nu_numerator(), "seed {node}");
+            let gains = self.nu_gains(built);
+            for (v, (now, before)) in gains.iter().zip(&self.ceiling).enumerate() {
+                assert!(now <= before, "ν gain of {v} rose on seed {node}");
+            }
+            self.ceiling = gains;
         }
     }
 
     /// Replays `ops` — `(kind, node, batch)`: commit `node` as a seed
-    /// (kinds 0–1) or evaluate `batch` (kind 2) — checking every answer
-    /// against the walk. Evaluations before op `first_eval` are skipped, so
-    /// the tables are built from whatever the seeds before it left. At op
-    /// `fork_at` the state is cloned; from then on the twin commits
-    /// different seeds and answers the same batches.
+    /// (kinds 0–1) or evaluate `batch` under ĉ (kind 2) or ν (kind 3) —
+    /// checking every answer against the walk. Evaluations before op
+    /// `first_eval` are skipped, so each table is built from whatever the
+    /// seeds before its first evaluation left. At op `fork_at` the state
+    /// is cloned; from then on the twin commits different seeds and
+    /// answers the same batches.
     fn drive<C: RicSamples + Clone>(
         collection: C,
         saturate: bool,
@@ -1126,32 +1376,33 @@ mod tests {
         first_eval: usize,
         fork_at: usize,
     ) {
-        let mut st = CoverageState::new(collection);
+        let mut run = Driven::new(collection);
         if saturate {
             // Everything that can be influenced is, before the build.
-            (0..NODES).for_each(|v| st.add_seed(NodeId::new(v)));
+            (0..NODES).for_each(|v| run.commit(v, false));
         }
         let mut twin = None;
         for (i, (kind, node, batch)) in ops.iter().enumerate() {
             if i == fork_at {
-                twin = Some(st.clone());
+                twin = Some(run.clone());
             }
+            let built = i >= first_eval;
             if *kind < 2 {
-                st.add_seed(NodeId::new(*node));
+                run.commit(*node, built);
                 if let Some(twin) = &mut twin {
-                    twin.add_seed(NodeId::new((node + 1) % NODES));
+                    twin.commit((node + 1) % NODES, built);
                 }
-            } else if i >= first_eval {
-                assert_tables_equal_walk(&st, batch);
+            } else if built {
+                assert_tables_equal_walk(&run.st, batch, *kind == 3);
                 if let Some(twin) = &twin {
-                    assert_tables_equal_walk(twin, batch);
+                    assert_tables_equal_walk(&twin.st, batch, *kind == 3);
                 }
             }
         }
         let all: Vec<u32> = (0..NODES).collect();
-        assert_tables_equal_walk(&st, &all);
-        if let Some(twin) = &twin {
-            assert_tables_equal_walk(twin, &all);
+        for run in std::iter::once(&run).chain(&twin) {
+            assert_tables_equal_walk(&run.st, &all, false);
+            assert_tables_equal_walk(&run.st, &all, true);
         }
     }
 
@@ -1159,15 +1410,16 @@ mod tests {
         /// The tentpole contract: whatever interleaving of seed commits
         /// (duplicates and no-op seeds included) and evaluations a state
         /// sees, and wherever its first evaluation falls, the gain tables
-        /// answer exactly what the index walk computes from scratch — over
-        /// the owned store and over a view of its snapshot, and in both
-        /// copies after a `clone()`.
+        /// of both objectives answer exactly what the index walks compute
+        /// from scratch — over the owned store and over a view of its
+        /// snapshot, and in both copies after a `clone()` — while the ν
+        /// gains telescope and never rise.
         #[test]
         fn gain_tables_equal_the_index_walk(
             samples in prop::collection::vec(sample_strategy(), 0..12),
             saturate in (0u32..4).prop_map(|x| x == 0),
             ops in prop::collection::vec(
-                (0u32..3, 0..NODES, prop::collection::vec(0..NODES, 0..8)),
+                (0u32..4, 0..NODES, prop::collection::vec(0..NODES, 0..8)),
                 1..24,
             ),
             first_eval in 0usize..24,

@@ -111,21 +111,19 @@ pub(crate) fn maxr_coverage_ratio() -> &'static Arc<Histogram> {
     })
 }
 
-/// Where ĉ_R evaluation time goes since gains are table reads: the build
-/// and every seed commit add the index entries they swept, one `inc_by`
-/// each. Exact and seed-deterministic for a given solve.
-pub(crate) fn c_table_entries_swept() -> &'static Arc<Counter> {
+/// Where ĉ_R and ν_R evaluation time goes since gains are table reads:
+/// each table's build and every seed commit add the index entries they
+/// swept, one `inc_by` each. Exact and seed-deterministic for a given
+/// solve.
+pub(crate) fn table_entries_swept() -> &'static Arc<Counter> {
     static H: OnceLock<Arc<Counter>> = OnceLock::new();
     H.get_or_init(|| {
         imc_obs::global().counter(
             "imc_objective_table_entries_swept_total",
-            "Index entries swept to build the c_hat gain tables and to keep them exact on seed commits.",
+            "Index entries swept to build the c_hat and nu gain tables and to keep them exact on seed commits.",
         )
     })
 }
-
-/// Worker utilisation buckets for `imc_engine_thread_busy_fraction`.
-const BUSY_FRACTION_BUCKETS: &[f64] = &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
 
 pub(crate) fn engine_queue_depth() -> &'static Arc<Histogram> {
     static H: OnceLock<Arc<Histogram>> = OnceLock::new();
@@ -145,17 +143,6 @@ pub(crate) fn engine_shard_duration() -> &'static Arc<Histogram> {
             "imc_engine_shard_duration_seconds",
             "Wall-clock time of one engine evaluation shard.",
             DEFAULT_DURATION_BUCKETS,
-        )
-    })
-}
-
-pub(crate) fn engine_thread_busy_fraction() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| {
-        imc_obs::global().histogram(
-            "imc_engine_thread_busy_fraction",
-            "Per-worker busy fraction of each parallel engine evaluation map.",
-            BUSY_FRACTION_BUCKETS,
         )
     })
 }
@@ -213,18 +200,17 @@ pub(crate) fn record_engine_run(telemetry: &crate::maxr::EngineTelemetry) {
     for &s in &telemetry.shard_seconds {
         engine_shard_duration().observe(s);
     }
-    for &b in &telemetry.busy_fractions {
-        engine_thread_busy_fraction().observe(b);
-    }
 }
 
 /// Records one MAXR solve: per-algorithm counter + duration histogram,
-/// the coverage-ratio histogram, and a `maxr_solve` trace event.
+/// the coverage-ratio histogram, and a `maxr_solve` trace event (with
+/// UBG's sandwich ratio when there is one).
 pub(crate) fn record_maxr_solve(
     algo: &'static str,
     duration: Duration,
     influenced: usize,
     samples: usize,
+    sandwich_ratio: Option<f64>,
 ) {
     let registry = imc_obs::global();
     registry
@@ -246,13 +232,15 @@ pub(crate) fn record_maxr_solve(
         maxr_coverage_ratio().observe(influenced as f64 / samples as f64);
     }
     if imc_obs::trace::enabled() {
-        imc_obs::trace::emit(
-            imc_obs::trace::TraceEvent::new("maxr_solve")
-                .field("algo", algo)
-                .field("seconds", duration.as_secs_f64())
-                .field("influenced", influenced)
-                .field("samples", samples),
-        );
+        let mut event = imc_obs::trace::TraceEvent::new("maxr_solve")
+            .field("algo", algo)
+            .field("seconds", duration.as_secs_f64())
+            .field("influenced", influenced)
+            .field("samples", samples);
+        if let Some(ratio) = sandwich_ratio {
+            event = event.field("sandwich_ratio", ratio);
+        }
+        imc_obs::trace::emit(event);
     }
 }
 
@@ -299,7 +287,7 @@ pub fn register() {
     let _ = estimate_exhausted_total();
     let _ = estimate_samples();
     let _ = maxr_coverage_ratio();
-    let _ = c_table_entries_swept();
+    let _ = table_entries_swept();
     for algo in ["GREEDY", "UBG", "MAF", "BT", "BT^d", "MB"] {
         let registry = imc_obs::global();
         let _ = registry.counter_with(
@@ -323,7 +311,6 @@ pub fn register() {
     }
     let _ = engine_queue_depth();
     let _ = engine_shard_duration();
-    let _ = engine_thread_busy_fraction();
     for objective in ["c_hat", "nu"] {
         for (name, help) in ENGINE_COUNTERS {
             let _ = imc_obs::global().counter_with(name, help, &[("objective", objective)]);
@@ -365,7 +352,6 @@ mod tests {
             "imc_engine_speculative_evaluations_total",
             "imc_engine_queue_depth",
             "imc_engine_shard_duration_seconds",
-            "imc_engine_thread_busy_fraction",
         ] {
             assert!(
                 text.contains(name),
@@ -383,7 +369,7 @@ mod tests {
                 &[("algo", "UBG")],
             )
             .get();
-        record_maxr_solve("UBG", Duration::from_micros(50), 3, 10);
+        record_maxr_solve("UBG", Duration::from_micros(50), 3, 10, Some(0.75));
         let after = imc_obs::global()
             .counter_with(
                 "imc_maxr_solves_total",

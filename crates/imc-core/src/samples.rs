@@ -20,6 +20,7 @@
 //! `store_equivalence` property test holds the two implementers to
 //! *identical* solver outputs, not merely equivalent ones.
 
+use crate::objective::{nu_term, nu_value};
 use crate::store::SampleRef;
 use imc_community::CommunityId;
 use imc_graph::NodeId;
@@ -126,8 +127,8 @@ impl<'a> RicColumns<'a> {
 /// appearance statistics, per-sample influence checks) are provided on top
 /// of it. An implementation may override the provided *estimator and
 /// statistics* methods with faster versions as long as the results are
-/// identical — `ĉ_R` is integer-exact and `ν_R` must be summed in sample
-/// order so every implementer agrees bitwise. [`RicStore`](crate::RicStore)
+/// identical — `ĉ_R` and the `ν_R` numerator are integer-exact, so every
+/// implementer agrees bitwise. [`RicStore`](crate::RicStore)
 /// overrides exactly the six its inverted index speeds up
 /// (`appearance_count`, `influenced_count`, `estimate`, `nu_estimate`,
 /// `community_frequencies`, `node_appearance_counts`);
@@ -243,9 +244,13 @@ pub trait RicSamples: Sync {
     }
 
     /// Fractional coverage `min(|I_g(S)|/h_g, 1)` of sample `si` — its
-    /// contribution to `ν_R` (eq. 7).
-    fn sample_fractional_coverage(&self, si: usize, seeds: &[NodeId]) -> f64 {
-        (self.sample_covered_members(si, seeds) as f64 / self.sample_threshold(si) as f64).min(1.0)
+    /// contribution to `ν_R` (eq. 7), as the Q32 term
+    /// [`nu_term`](crate::nu_term).
+    fn sample_nu_term(&self, si: usize, seeds: &[NodeId]) -> u64 {
+        nu_term(
+            self.sample_covered_members(si, seeds),
+            self.sample_threshold(si),
+        )
     }
 
     /// Number of samples influenced by `S`: `Σ_g X_g(S)`.
@@ -264,16 +269,14 @@ pub trait RicSamples: Sync {
     }
 
     /// The submodular upper-bound estimator `ν_R(S)` (eq. 7). Returns 0
-    /// for an empty collection. Summed in sample order so every implementer
-    /// produces bitwise-identical values.
+    /// for an empty collection. The per-sample terms are integers
+    /// ([`nu_term`](crate::nu_term)), so every implementer
+    /// produces bitwise-identical values whatever order it sums them in.
     fn nu_estimate(&self, seeds: &[NodeId]) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let frac: f64 = (0..self.len())
-            .map(|si| self.sample_fractional_coverage(si, seeds))
+        let numerator = (0..self.len())
+            .map(|si| self.sample_nu_term(si, seeds))
             .sum();
-        self.total_benefit() * frac / self.len() as f64
+        nu_value(self.total_benefit(), numerator, self.len())
     }
 
     /// How many samples each community roots — MAF's community-frequency

@@ -733,13 +733,18 @@ impl RicStore {
     /// index: only samples actually touched by a seed are visited, instead
     /// of scanning all `|R|` samples with per-seed binary searches.
     pub fn influenced_count(&self, seeds: &[NodeId]) -> usize {
+        self.seeded(seeds).influenced_count()
+    }
+
+    /// A coverage state holding `seeds` (out-of-range ids skipped).
+    fn seeded(&self, seeds: &[NodeId]) -> CoverageState<&RicStore> {
         let mut state = CoverageState::new(self);
         for &s in seeds {
             if s.index() < self.node_count {
                 state.add_seed(s);
             }
         }
-        state.influenced_count()
+        state
     }
 
     /// The estimator `ĉ_R(S)` (eq. 3). Returns 0 for an empty store.
@@ -751,24 +756,11 @@ impl RicStore {
     }
 
     /// The submodular upper-bound estimator `ν_R(S)` (eq. 7). Returns 0
-    /// for an empty store. Coverage counts come from the inverted index;
-    /// the fractions are then summed in sample order, so the value is
-    /// bitwise-identical to the provided [`RicSamples::nu_estimate`].
+    /// for an empty store. Computed through the inverted index; the
+    /// numerator is an integer, so the value is bitwise-identical to the
+    /// provided [`RicSamples::nu_estimate`].
     pub fn nu_estimate(&self, seeds: &[NodeId]) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let mut state = CoverageState::new(self);
-        for &s in seeds {
-            if s.index() < self.node_count {
-                state.add_seed(s);
-            }
-        }
-        let counts = state.covered_counts();
-        let frac: f64 = (0..self.len())
-            .map(|si| (counts[si] as f64 / self.thresholds[si] as f64).min(1.0))
-            .sum();
-        self.total_benefit * frac / self.len() as f64
+        self.seeded(seeds).nu_estimate()
     }
 
     /// How many samples each community roots — MAF's community-frequency
@@ -999,7 +991,7 @@ mod tests {
             vec![NodeId::new(1), NodeId::new(3)],
         ] {
             assert!(
-                store.nu_estimate(&seeds) >= store.estimate(&seeds) - 1e-12,
+                store.nu_estimate(&seeds) >= store.estimate(&seeds),
                 "Lemma 3 violated for {seeds:?}"
             );
         }
@@ -1009,7 +1001,7 @@ mod tests {
     fn nu_estimate_fractional_value() {
         let store = fixture_store();
         // {1}: sample 0 fraction 1/2, others 0 → ν = 6 * 0.5 / 3 = 1.
-        assert!((store.nu_estimate(&[NodeId::new(1)]) - 1.0).abs() < 1e-12);
+        assert_eq!(store.nu_estimate(&[NodeId::new(1)]), 1.0);
     }
 
     #[test]
@@ -1187,7 +1179,10 @@ mod tests {
         );
         assert!(store.sample_influenced(0, &[NodeId::new(1), NodeId::new(2)]));
         assert!(!store.sample_influenced(0, &[NodeId::new(1)]));
-        assert!((store.sample_fractional_coverage(0, &[NodeId::new(1)]) - 0.5).abs() < 1e-12);
+        assert_eq!(
+            store.sample_nu_term(0, &[NodeId::new(1)]),
+            crate::NU_ONE / 2
+        );
         assert_eq!(v.to_sample(), fixture_samples()[0]);
     }
 

@@ -260,7 +260,7 @@ pub struct EventNode {
 /// `round_attribution` event.
 #[derive(Debug, Clone)]
 pub struct Round {
-    /// `"c"` (ĉ fan-out) or `"nu"` (ν carry chain).
+    /// `"c"` (ĉ fan-out) or `"nu"` (ν fan-out).
     pub objective: String,
     /// Candidate nodes evaluated this round.
     pub batch: u64,

@@ -198,7 +198,7 @@ mod tests {
     use imc_community::CommunitySet;
     use imc_graph::{GraphBuilder, NodeId};
 
-    pub(crate) fn tiny_state(samples: usize) -> ServiceState {
+    fn tiny_instance() -> ImcInstance {
         let mut b = GraphBuilder::new(6);
         b.add_edge(0, 1, 0.9).unwrap();
         b.add_edge(1, 2, 0.5).unwrap();
@@ -212,13 +212,23 @@ mod tests {
             ],
         )
         .unwrap();
-        let instance = ImcInstance::new(g, cs).unwrap();
+        ImcInstance::new(g, cs).unwrap()
+    }
+
+    pub(crate) fn tiny_state(samples: usize) -> ServiceState {
+        let instance = tiny_instance();
         let sampler = instance.sampler();
         let mut col = RicStore::for_sampler(&sampler);
         col.extend_parallel_with_workers(&sampler, samples, 7, 1);
         // `col` borrows `instance` via the sampler only transiently; the
         // collection itself owns its data.
         ServiceState::new(instance, col, 0)
+    }
+
+    /// The tiny instance serving `store` (say, one partition of a
+    /// [`tiny_state`] collection) instead of a fresh draw.
+    pub(crate) fn state_over(store: RicStore) -> ServiceState {
+        ServiceState::new(tiny_instance(), store, 0)
     }
 
     #[test]

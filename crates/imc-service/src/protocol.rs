@@ -1,4 +1,4 @@
-//! Newline-delimited JSON wire protocol, version 2.
+//! Newline-delimited JSON wire protocol, version 3.
 //!
 //! Every request is one JSON object on one line; every response is one
 //! JSON object on one line. Request shapes:
@@ -17,10 +17,10 @@
 //! {"op":"eval_batch","session":1,"kind":"c",
 //!  "nodes":[3,17]}                                    — ĉ_R marginal gains + potentials (at most n nodes)
 //! {"op":"eval_batch","session":1,"kind":"nu",
-//!  "nodes":[3,17],"carry":[0.0,0.0]}                  — ν_R gain folds continued from `carry`
+//!  "nodes":[3,17]}                                    — ν_R marginal gains (Q32 integers)
 //! {"op":"eval_seed","session":1,"node":3}             — commit a seed into the session
 //! {"op":"eval_end","session":1}                       — close the session
-//! {"op":"shard_eval","seeds":[3,17],"carry":0.0}      — stateless shard-local scoring
+//! {"op":"shard_eval","seeds":[3,17]}                  — stateless shard-local scoring
 //! {"op":"stats"}                                      — metrics + collection stats
 //! {"op":"metrics"}                                    — Prometheus 0.0.4 exposition (as JSON string)
 //! {"op":"health"}                                     — liveness probe
@@ -32,9 +32,16 @@
 //!
 //! Version 2 adds the optional solve-tuning knobs `threads`, `mode`
 //! (`"sequential" | "lazy" | "parallel"`), and `depth`, mirroring
-//! [`imc_core::SolveRequest`]. Requests may state their version with an
-//! optional `"v": 1 | 2` field; version-1 requests (with or without the
-//! field) parse unchanged and behave exactly as before. The server clamps
+//! [`imc_core::SolveRequest`]. Version 3 changes the shard ops only:
+//! `eval_batch kind=nu` answers (`accs`) and `shard_eval`'s `nu_acc` are
+//! Q32 integers ([`imc_core::nu_term`]) that a coordinator **adds**, and
+//! the `carry` request field of both ops is gone (a request that still
+//! sends it is refused with `invalid_parameter`). A coordinator stamps
+//! `"v":3` on `eval_begin` and `shard_eval`, so a version-2 shard — whose
+//! `f64` accumulators must not be summed — refuses with its version error.
+//! Requests may state their version with an
+//! optional `"v": 1 | 2 | 3` field; version-1 requests (with or without
+//! the field) parse unchanged and behave exactly as before. The server clamps
 //! `threads` to its configured cap
 //! ([`ServeConfig::max_solve_threads`](crate::ServeConfig::max_solve_threads)),
 //! and `solve` responses echo the effective `mode`, `threads`, and the
@@ -55,9 +62,10 @@
 //! shard**: a node that owns one deterministic partition of the RIC
 //! sample store and answers marginal-gain queries against it, letting the
 //! `imc-cluster` coordinator run the shared greedy engine by
-//! scatter-gathering partial answers (integer quantities reduce by
-//! element-wise sums; ν_R folds chain through per-shard `carry`
-//! accumulators in partition order — see `DESIGN.md` §8). Sessions are
+//! scatter-gathering partial answers (every quantity — ĉ_R gains,
+//! potentials, appearance counts, Q32 ν_R numerators — is an integer and
+//! reduces by element-wise sums, in any order — see `DESIGN.md` §8).
+//! Sessions are
 //! connection-scoped: they hold a pinned collection generation and die
 //! with the connection, so a dropped coordinator never leaks state.
 //!
@@ -74,7 +82,7 @@ use imc_core::{ImcError, MaxrAlgorithm};
 use imc_graph::NodeId;
 
 /// Highest protocol version this daemon speaks.
-pub const PROTOCOL_VERSION: u64 = 2;
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// Default solver when a `solve` request names none.
 pub const DEFAULT_ALGO: MaxrAlgorithm = MaxrAlgorithm::Ubg;
@@ -124,9 +132,6 @@ pub enum Request {
         kind: EvalKind,
         /// Candidate node ids to evaluate, in order.
         nodes: Vec<u32>,
-        /// ν_R only: per-node fold accumulators carried over from the
-        /// previous shard in partition order (defaults to all zeros).
-        carry: Option<Vec<f64>>,
     },
     /// Commit a seed into a session's coverage state.
     EvalSeed {
@@ -141,12 +146,10 @@ pub enum Request {
         session: u64,
     },
     /// Stateless shard-local scoring of a full seed set: influenced-sample
-    /// count, ν_R fold accumulator, and optionally a BT pivot score.
+    /// count, Q32 ν_R numerator, and optionally a BT pivot score.
     ShardEval {
         /// The seed set to score.
         seeds: Vec<NodeId>,
-        /// ν_R fold accumulator carried over from the previous shard.
-        carry: f64,
         /// When set, also return `pivot_score(store, pivot, seeds)`.
         pivot: Option<NodeId>,
     },
@@ -169,7 +172,7 @@ pub enum Request {
 pub enum EvalKind {
     /// `ĉ_R` marginal gain + potential (integer pair per node).
     C,
-    /// `ν_R` fold accumulator continued from the request's `carry`.
+    /// `ν_R` marginal gain as a Q32 integer per node.
     Nu,
 }
 
@@ -279,12 +282,60 @@ pub struct ImcafParams {
     pub max_samples: usize,
 }
 
+/// Why a request line was refused before execution: the wire error code
+/// and a human-readable message naming the malformed field.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RequestError {
+    /// [`ErrorCode::BadRequest`] unless the line parsed but asked for
+    /// something this protocol version removed.
+    pub code: ErrorCode,
+    /// What was wrong.
+    pub message: String,
+}
+
+impl std::fmt::Display for RequestError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.message)
+    }
+}
+
+impl From<String> for RequestError {
+    fn from(message: String) -> Self {
+        RequestError {
+            code: ErrorCode::BadRequest,
+            message,
+        }
+    }
+}
+
+impl From<&str> for RequestError {
+    fn from(message: &str) -> Self {
+        message.to_string().into()
+    }
+}
+
+/// Refuses the `carry` field protocol v3 removed from `eval_batch` and
+/// `shard_eval`, rather than ignore an accumulator the sender expects to
+/// be continued.
+fn reject_carry(value: &Value, op: &str) -> Result<(), RequestError> {
+    if value.get("carry").is_none() {
+        return Ok(());
+    }
+    Err(RequestError {
+        code: ErrorCode::InvalidParameter,
+        message: format!(
+            "`carry` was removed from {op} in protocol v3: ν_R partials are Q32 integers \
+             and the coordinator adds them"
+        ),
+    })
+}
+
 /// Parses one request line.
 ///
 /// # Errors
 ///
-/// A human-readable message describing the malformed field.
-pub fn parse_request(line: &str) -> Result<Request, String> {
+/// A [`RequestError`] describing the malformed field.
+pub fn parse_request(line: &str) -> Result<Request, RequestError> {
     let value = json::parse(line).map_err(|e| e.to_string())?;
     let obj = value.as_object().ok_or("request must be a JSON object")?;
     let op = obj
@@ -293,12 +344,13 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         .ok_or("missing string field `op`")?;
     if let Some(v) = value.get("v") {
         match v.as_u64() {
-            Some(1 | 2) => {}
+            Some(1..=PROTOCOL_VERSION) => {}
             _ => {
                 return Err(format!(
                 "unsupported protocol version `{}` (this daemon speaks v1..=v{PROTOCOL_VERSION})",
                 json::to_string(v)
-            ))
+            )
+                .into())
             }
         }
     }
@@ -325,9 +377,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                         .map_or(DEFAULT_MAX_SAMPLES, |m| m as usize),
                 }),
                 Some(Some(other)) => {
-                    return Err(format!(
-                        "unknown framework `{other}` (expected snapshot | imcaf)"
-                    ))
+                    return Err(
+                        format!("unknown framework `{other}` (expected snapshot | imcaf)").into(),
+                    )
                 }
                 Some(None) => return Err("`framework` must be a string".into()),
             };
@@ -340,14 +392,15 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 Some(Some(other)) => {
                     return Err(format!(
                         "unknown mode `{other}` (expected sequential | lazy | parallel)"
-                    ))
+                    )
+                    .into())
                 }
                 Some(None) => return Err("`mode` must be a string".into()),
             };
             let depth = match field_u64(&value, "depth")? {
                 None => None,
                 Some(d) if (2..=u64::from(u32::MAX)).contains(&d) => Some(d as u32),
-                Some(d) => return Err(format!("`depth` must be at least 2, got {d}")),
+                Some(d) => return Err(format!("`depth` must be at least 2, got {d}").into()),
             };
             Ok(Request::Solve {
                 k: k as usize,
@@ -389,7 +442,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 Some(Some("c")) => EvalKind::C,
                 Some(Some("nu")) => EvalKind::Nu,
                 Some(Some(other)) => {
-                    return Err(format!("unknown eval kind `{other}` (expected c | nu)"))
+                    return Err(format!("unknown eval kind `{other}` (expected c | nu)").into())
                 }
                 _ => return Err("eval_batch requires a string field `kind`".into()),
             };
@@ -398,31 +451,11 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .iter()
                 .map(|n| n.raw())
                 .collect::<Vec<u32>>();
-            let carry = match value.get("carry") {
-                None => None,
-                Some(arr) => {
-                    let arr = arr
-                        .as_array()
-                        .ok_or("`carry` must be an array of numbers")?;
-                    let vals = arr
-                        .iter()
-                        .map(|v| v.as_f64().ok_or("`carry` must be an array of numbers"))
-                        .collect::<Result<Vec<f64>, _>>()?;
-                    if vals.len() != nodes.len() {
-                        return Err(format!(
-                            "`carry` length {} does not match `nodes` length {}",
-                            vals.len(),
-                            nodes.len()
-                        ));
-                    }
-                    Some(vals)
-                }
-            };
+            reject_carry(&value, "eval_batch")?;
             Ok(Request::EvalBatch {
                 session,
                 kind,
                 nodes,
-                carry,
             })
         }
         "eval_seed" => Ok(Request::EvalSeed {
@@ -434,12 +467,14 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             session: field_u64(&value, "session")?
                 .ok_or("eval_end requires a non-negative integer `session`")?,
         }),
-        "shard_eval" => Ok(Request::ShardEval {
-            seeds: field_node_array(&value, "seeds")?
-                .ok_or("shard_eval requires an array field `seeds`")?,
-            carry: field_f64(&value, "carry")?.unwrap_or(0.0),
-            pivot: field_node(&value, "pivot")?,
-        }),
+        "shard_eval" => {
+            reject_carry(&value, "shard_eval")?;
+            Ok(Request::ShardEval {
+                seeds: field_node_array(&value, "seeds")?
+                    .ok_or("shard_eval requires an array field `seeds`")?,
+                pivot: field_node(&value, "pivot")?,
+            })
+        }
         "stats" => Ok(Request::Stats),
         "metrics" => Ok(Request::Metrics),
         "health" => Ok(Request::Health),
@@ -448,7 +483,8 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         other => Err(format!(
             "unknown op `{other}` (expected solve | estimate | eval_begin | eval_batch | \
              eval_seed | eval_end | shard_eval | stats | metrics | health | ping | shutdown)"
-        )),
+        )
+        .into()),
     }
 }
 
@@ -667,7 +703,8 @@ mod tests {
     #[test]
     fn rejects_bad_v2_fields() {
         for bad in [
-            r#"{"op":"solve","k":2,"v":3}"#,
+            r#"{"op":"solve","k":2,"v":4}"#,
+            r#"{"op":"solve","k":2,"v":0}"#,
             r#"{"op":"solve","k":2,"v":"two"}"#,
             r#"{"op":"solve","k":2,"mode":"warp"}"#,
             r#"{"op":"solve","k":2,"mode":7}"#,
@@ -734,19 +771,15 @@ mod tests {
                 session: 3,
                 kind: EvalKind::C,
                 nodes: vec![1, 2],
-                carry: None,
             }
         );
         assert_eq!(
-            parse_request(
-                r#"{"op":"eval_batch","session":3,"kind":"nu","nodes":[1,2],"carry":[0.5,-1.25]}"#
-            )
-            .unwrap(),
+            parse_request(r#"{"op":"eval_batch","session":3,"kind":"nu","nodes":[1,2],"v":3}"#)
+                .unwrap(),
             Request::EvalBatch {
                 session: 3,
                 kind: EvalKind::Nu,
                 nodes: vec![1, 2],
-                carry: Some(vec![0.5, -1.25]),
             }
         );
         assert_eq!(
@@ -761,10 +794,9 @@ mod tests {
             Request::EvalEnd { session: 3 }
         );
         assert_eq!(
-            parse_request(r#"{"op":"shard_eval","seeds":[4,5],"carry":0.75,"pivot":2}"#).unwrap(),
+            parse_request(r#"{"op":"shard_eval","seeds":[4,5],"pivot":2,"v":3}"#).unwrap(),
             Request::ShardEval {
                 seeds: vec![NodeId::new(4), NodeId::new(5)],
-                carry: 0.75,
                 pivot: Some(NodeId::new(2)),
             }
         );
@@ -772,7 +804,6 @@ mod tests {
             parse_request(r#"{"op":"shard_eval","seeds":[]}"#).unwrap(),
             Request::ShardEval {
                 seeds: Vec::new(),
-                carry: 0.0,
                 pivot: None,
             }
         );
@@ -786,8 +817,6 @@ mod tests {
             r#"{"op":"eval_batch","session":1,"nodes":[1]}"#,
             r#"{"op":"eval_batch","session":1,"kind":"x","nodes":[1]}"#,
             r#"{"op":"eval_batch","session":1,"kind":"c"}"#,
-            r#"{"op":"eval_batch","session":1,"kind":"nu","nodes":[1,2],"carry":[0.0]}"#,
-            r#"{"op":"eval_batch","session":1,"kind":"nu","nodes":[1],"carry":"x"}"#,
             r#"{"op":"eval_seed","session":1}"#,
             r#"{"op":"eval_seed","node":1}"#,
             r#"{"op":"eval_end"}"#,
@@ -796,6 +825,31 @@ mod tests {
         ] {
             assert!(parse_request(bad).is_err(), "accepted {bad}");
         }
+    }
+
+    /// The v3 edge, both ways: the field v3 removed is refused by name
+    /// with `invalid_parameter` (not silently dropped), and a version this
+    /// daemon does not speak — what a v2 shard makes of a v3 coordinator's
+    /// stamp — is refused before the op is looked at.
+    #[test]
+    fn removed_carry_and_unknown_versions_are_refused() {
+        for line in [
+            r#"{"op":"eval_batch","session":1,"kind":"nu","nodes":[1],"carry":[0.0]}"#,
+            r#"{"op":"eval_batch","session":1,"kind":"c","nodes":[1],"carry":null}"#,
+            r#"{"op":"shard_eval","seeds":[1],"carry":0.0}"#,
+        ] {
+            let e = parse_request(line).unwrap_err();
+            assert_eq!(e.code, ErrorCode::InvalidParameter, "{line}");
+            assert!(e.message.contains("`carry` was removed"), "{e}");
+        }
+        assert_eq!(PROTOCOL_VERSION, 3);
+        assert!(parse_request(r#"{"op":"eval_begin","v":3}"#).is_ok());
+        let e = parse_request(r#"{"op":"eval_begin","v":4}"#).unwrap_err();
+        assert_eq!(e.code, ErrorCode::BadRequest);
+        assert!(
+            e.message.contains("unsupported protocol version `4`"),
+            "{e}"
+        );
     }
 
     #[test]

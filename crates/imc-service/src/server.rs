@@ -602,12 +602,9 @@ fn dispatch_with(
         let _rpc_span = imc_obs::Span::enter_with("rpc_server", op);
         match parsed {
             Ok(request) => execute(state, request, max_solve_threads, start, sessions),
-            Err(message) => {
+            Err(e) => {
                 state.metrics().record(OpKind::Error, start.elapsed(), 0);
-                (
-                    protocol::error_response(ErrorCode::BadRequest, &message),
-                    false,
-                )
+                (protocol::error_response(e.code, &e.message), false)
             }
         }
     };
@@ -680,7 +677,7 @@ fn execute(
                         .metrics()
                         .record(OpKind::Solve, start.elapsed(), scanned);
                     let seeds: Vec<u32> = report.seeds.iter().map(|v| v.raw()).collect();
-                    let body = ObjectBuilder::new()
+                    let mut body = ObjectBuilder::new()
                         .field("seeds", seeds)
                         .field("estimate", report.estimate)
                         .field("influenced_samples", report.influenced_samples)
@@ -690,6 +687,9 @@ fn execute(
                         .field("samples", collection.len())
                         .field("generation", generation)
                         .field("elapsed_us", elapsed_us(start));
+                    if let Some(ratio) = report.extras.sandwich_ratio() {
+                        body = body.field("sandwich_ratio", ratio);
+                    }
                     (protocol::ok_response("solve", body), false)
                 }
                 Err(e) => {
@@ -841,7 +841,6 @@ fn execute(
             session,
             kind,
             nodes,
-            carry,
         } => {
             let Some(sess) = sessions.sessions.get(&session) else {
                 state.metrics().record(OpKind::Error, start.elapsed(), 0);
@@ -894,8 +893,7 @@ fn execute(
                 }
                 EvalKind::Nu => {
                     let mut accs = Vec::new();
-                    sess.state
-                        .eval_nu_shard_from(&nodes, carry.as_deref(), &mut accs);
+                    sess.state.eval_nu_shard(&nodes, &mut accs);
                     ObjectBuilder::new().field("accs", accs)
                 }
             };
@@ -958,11 +956,7 @@ fn execute(
                 )
             }
         },
-        Request::ShardEval {
-            seeds,
-            carry,
-            pivot,
-        } => {
+        Request::ShardEval { seeds, pivot } => {
             let (collection, generation) = state.pinned();
             let node_count = collection.node_count();
             if let Some(u) = pivot.filter(|u| u.index() >= node_count) {
@@ -980,11 +974,10 @@ fn execute(
             }
             // Out-of-range seeds are skipped, not rejected (as in
             // RicStore::influenced_count), so a coordinator padding from
-            // a wider node space still gets coherent partial sums; the
-            // ν_R fold continues from `carry` in sample order, so chained
-            // across contiguous partitions it is bitwise
-            // RicStore::nu_estimate's (see DESIGN.md §8).
-            let score = Score::of(&*collection, &seeds, carry);
+            // a wider node space still gets coherent partial sums. Every
+            // field is an integer: summed over the partitions, in any
+            // order, they are the whole store's (see DESIGN.md §8).
+            let score = Score::of(&*collection, &seeds);
             let mut body = ObjectBuilder::new()
                 .field("influenced", score.influenced)
                 .field("nu_acc", score.nu_acc)
@@ -1276,26 +1269,22 @@ mod tests {
                 .map(|v| v.as_u64().unwrap())
                 .collect();
             let nu = run(&format!(
-                r#"{{"op":"eval_batch","session":{session},"kind":"nu","nodes":[0,1,2,3,4,5],"carry":[0.5,0.5,0.5,0.5,0.5,0.5]}}"#
+                r#"{{"op":"eval_batch","session":{session},"kind":"nu","nodes":[0,1,2,3,4,5]}}"#
             ));
-            let accs: Vec<f64> = nu
+            let accs: Vec<u64> = nu
                 .get("accs")
                 .unwrap()
                 .as_array()
                 .unwrap()
                 .iter()
-                .map(|v| v.as_f64().unwrap())
+                .map(|v| v.as_u64().unwrap())
                 .collect();
             for v in 0..6u32 {
                 let (g, p) = reference.marginal_influenced_with_potential(NodeId::new(v));
                 assert_eq!(gains[v as usize], g as u64, "gain for {v}");
                 assert_eq!(potentials[v as usize], p as u64, "potential for {v}");
-                let want = reference.marginal_fraction_from(NodeId::new(v), 0.5);
-                assert_eq!(
-                    accs[v as usize].to_bits(),
-                    want.to_bits(),
-                    "nu acc for {v} not bitwise equal"
-                );
+                let want = reference.marginal_fraction(NodeId::new(v));
+                assert_eq!(accs[v as usize], want, "nu acc for {v}");
             }
             let s = run(&format!(
                 r#"{{"op":"eval_seed","session":{session},"node":{seed}}}"#
@@ -1316,32 +1305,93 @@ mod tests {
         );
     }
 
+    /// `shard_eval` over each part of any split of the store, summed in
+    /// any order, is the whole store's estimators — no carry, no order.
     #[test]
-    fn shard_eval_matches_store_estimators_and_chains_carry() {
-        let state = tiny_state(120);
-        let store = state.collection();
+    fn shard_eval_partials_of_any_split_sum_to_the_store_estimators() {
+        let whole = tiny_state(120);
+        let store = whole.collection();
         let seeds = [NodeId::new(1), NodeId::new(4)];
-        let (resp, _) = dispatch(&state, r#"{"op":"shard_eval","seeds":[1,4],"pivot":1}"#, 4);
-        let v = json::parse(&resp).unwrap();
-        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
+        let shard_eval = |state: &ServiceState, line: &str| {
+            let (resp, _) = dispatch(state, line, 4);
+            let v = json::parse(&resp).unwrap();
+            assert_eq!(v.get("ok").unwrap().as_bool(), Some(true), "{resp}");
+            let field = |name: &str| v.get(name).unwrap().as_u64().unwrap();
+            (
+                Score {
+                    influenced: field("influenced") as usize,
+                    nu_acc: field("nu_acc"),
+                    samples: field("samples") as usize,
+                },
+                v.get("pivot_score").and_then(json::Value::as_u64),
+            )
+        };
+        let line = r#"{"op":"shard_eval","seeds":[1,4],"pivot":1}"#;
+        let (score, pivot_score) = shard_eval(&whole, line);
+        assert_eq!(score, Score::of(&*store, &seeds));
+        assert_eq!(score.influenced, store.influenced_count(&seeds));
         assert_eq!(
-            v.get("influenced").unwrap().as_u64(),
-            Some(store.influenced_count(&seeds) as u64)
+            score.nu_estimate(store.total_benefit()),
+            store.nu_estimate(&seeds)
         );
-        // nu_acc from zero carry equals the store's fold exactly:
-        // nu_estimate = total_benefit * acc / len.
-        let acc = v.get("nu_acc").unwrap().as_f64().unwrap();
-        let want = store.nu_estimate(&seeds) * store.len() as f64 / store.total_benefit();
-        assert!((acc - want).abs() < 1e-9, "acc {acc} vs {want}");
-        let score = v.get("pivot_score").unwrap().as_u64().unwrap();
         assert_eq!(
-            score,
-            imc_core::maxr::bt::pivot_score(&*store, NodeId::new(1), &seeds) as u64
+            pivot_score,
+            Some(imc_core::maxr::bt::pivot_score(&*store, NodeId::new(1), &seeds) as u64)
         );
         // Out-of-range seeds are skipped like RicStore::influenced_count.
-        let (resp, _) = dispatch(&state, r#"{"op":"shard_eval","seeds":[1,4,999]}"#, 4);
-        let v2 = json::parse(&resp).unwrap();
-        assert_eq!(v2.get("influenced"), v.get("influenced"));
+        let (padded, _) = shard_eval(&whole, r#"{"op":"shard_eval","seeds":[1,4,999]}"#);
+        assert_eq!(padded, score);
+
+        let samples: Vec<_> = store.iter().map(|v| v.to_sample()).collect();
+        for cut in [0, 1, 47, 120] {
+            let parts = [&samples[cut..], &samples[..cut]].map(|part| {
+                let part = RicStore::from_samples(6, 2, store.total_benefit(), part).unwrap();
+                crate::tests::state_over(part)
+            });
+            let mut sum = Score::default();
+            let mut pivot_sum = 0;
+            for part in &parts {
+                let (score, pivot_score) = shard_eval(part, line);
+                sum.add(score);
+                pivot_sum += pivot_score.unwrap();
+            }
+            assert_eq!(sum, score, "cut at {cut}");
+            assert_eq!(Some(pivot_sum), pivot_score, "cut at {cut}");
+        }
+    }
+
+    /// A v2 coordinator's `carry` is refused by name, not ignored — and
+    /// neither the worker nor the session is the worse for it.
+    #[test]
+    fn carry_is_refused_and_the_session_survives() {
+        let state = tiny_state(60);
+        let mut sessions = SessionStore::default();
+        let mut run = |line: &str| {
+            let (resp, stop) = dispatch_with(&state, line, 4, None, &mut sessions);
+            assert!(!stop);
+            json::parse(&resp).unwrap()
+        };
+        let session = run(r#"{"op":"eval_begin","v":3}"#)
+            .get("session")
+            .unwrap()
+            .as_u64()
+            .unwrap();
+        for line in [
+            format!(
+                r#"{{"op":"eval_batch","session":{session},"kind":"nu","nodes":[0,1],"carry":[0.0,0.5]}}"#
+            ),
+            r#"{"op":"shard_eval","seeds":[1],"carry":0.0}"#.to_string(),
+        ] {
+            let refused = run(&line);
+            let err = refused.get("error").unwrap();
+            assert_eq!(err.get("code").unwrap().as_str(), Some("invalid_parameter"));
+            let message = err.get("message").unwrap().as_str().unwrap();
+            assert!(message.contains("`carry` was removed"), "{message}");
+        }
+        let again = run(&format!(
+            r#"{{"op":"eval_batch","session":{session},"kind":"nu","nodes":[0,1]}}"#
+        ));
+        assert_eq!(again.get("accs").unwrap().as_array().unwrap().len(), 2);
     }
 
     #[test]

@@ -74,7 +74,9 @@ fn concurrent_solves_match_in_process_solver_byte_identically() {
             )
             .unwrap();
         let seeds: Vec<u32> = solution.seeds.iter().map(|v| v.raw()).collect();
-        expected.push((algo_name, seeds, solution.estimate));
+        let ratio = solution.extras.sandwich_ratio();
+        assert_eq!(ratio.is_some(), algo == MaxrAlgorithm::Ubg);
+        expected.push((algo_name, seeds, solution.estimate, ratio));
     }
 
     // 4 threads × 4 algorithms, all concurrent, each on its own connection.
@@ -83,7 +85,7 @@ fn concurrent_solves_match_in_process_solver_byte_identically() {
         let expected = expected.clone();
         joins.push(std::thread::spawn(move || {
             let mut client = Client::connect(addr, TIMEOUT).unwrap();
-            for (algo_name, seeds, estimate) in &expected {
+            for (algo_name, seeds, estimate, ratio) in &expected {
                 let resp = client
                     .request(&format!(
                         r#"{{"op":"solve","k":3,"algo":"{algo_name}","seed":7}}"#
@@ -101,6 +103,9 @@ fn concurrent_solves_match_in_process_solver_byte_identically() {
                 assert_eq!(&got, seeds, "seed set differs for {algo_name}");
                 let got_estimate = resp.get("estimate").unwrap().as_f64().unwrap();
                 assert_eq!(got_estimate, *estimate, "estimate differs for {algo_name}");
+                // UBG's sandwich ratio, same bits as in-process; absent otherwise.
+                let got_ratio = resp.get("sandwich_ratio").map(|v| v.as_f64().unwrap());
+                assert_eq!(got_ratio.map(f64::to_bits), ratio.map(f64::to_bits));
                 assert_eq!(resp.get("generation").unwrap().as_u64(), Some(0));
             }
         }));

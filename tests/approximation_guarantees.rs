@@ -8,10 +8,18 @@
 //! * Theorem 4 — BT ≥ `(1−1/e)/k · OPT` (thresholds ≤ 2).
 //! * Theorem 5 — MB ≥ `√((1−1/e)·⌊k/2⌋/(r·k)) · OPT`.
 //! * UBG's sandwich — `ĉ(S_UBG) ≥ (ĉ(S_ν)/ν(S_ν))·(1−1/e)·OPT`.
+//! * Lemma 3 for the Q32 `ν_R` the engine maximises — greedy on it clears
+//!   `(1−1/e)` of its exhaustive maximum, and it dominates `ĉ_R`, both in
+//!   integer arithmetic. This, not pinned seed bits, is the gate for a
+//!   change to how `ν_R` is represented.
 
 use imc_community::{CommunitySet, ThresholdPolicy};
-use imc_core::maxr::exhaustive::exhaustive;
-use imc_core::{ImcInstance, MaxrAlgorithm, RicStore, SolveRequest, SolverExtras};
+use imc_core::maxr::engine::greedy_nu_with;
+use imc_core::maxr::exhaustive::{exhaustive, exhaustive_nu};
+use imc_core::maxr::Score;
+use imc_core::{
+    ImcInstance, MaxrAlgorithm, RicStore, SolveRequest, SolveStrategy, SolverExtras, NU_ONE,
+};
 use imc_graph::WeightModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,12 +30,16 @@ struct TinyCase {
 }
 
 fn tiny_case(seed: u64, samples: usize) -> TinyCase {
+    tiny_case_with_threshold(seed, samples, 2)
+}
+
+fn tiny_case_with_threshold(seed: u64, samples: usize, threshold: u32) -> TinyCase {
     let mut rng = StdRng::seed_from_u64(seed);
     let pp = imc_graph::generators::planted_partition(20, 4, 0.45, 0.06, &mut rng);
     let graph = pp.graph.reweighted(WeightModel::WeightedCascade);
     let communities = CommunitySet::builder(&graph)
         .explicit(pp.blocks)
-        .threshold(ThresholdPolicy::Constant(2))
+        .threshold(ThresholdPolicy::Constant(threshold))
         .build()
         .unwrap();
     let instance = ImcInstance::new(graph, communities).unwrap();
@@ -106,6 +118,32 @@ fn ubg_sandwich_bound_holds() {
             "trial {trial}: UBG {got} < sandwich bound {bound:.2} (ratio {sandwich_ratio:.3}, OPT {})",
             opt.influenced_samples
         );
+    }
+}
+
+#[test]
+fn nu_greedy_clears_the_submodular_bound_in_integers() {
+    // Thresholds of 2 make every Q32 term exact; 3 makes them thirds
+    // rounded up — the bound must hold for the integers either way.
+    for (threshold, trial) in [2u32, 3]
+        .into_iter()
+        .flat_map(|h| (0..6).map(move |t| (h, t)))
+    {
+        let case = tiny_case_with_threshold(900 + trial, 300, threshold);
+        let k = 4;
+        let (best, optimum) = exhaustive_nu(&case.collection, k);
+        let greedy = greedy_nu_with(&case.collection, k, SolveStrategy::Lazy).seeds;
+        let got = Score::of(&case.collection, &greedy);
+        assert!(
+            got.nu_acc as f64 >= (1.0 - 1.0 / std::f64::consts::E) * optimum as f64,
+            "h={threshold} trial {trial}: greedy ν numerator {} < (1−1/e)·{optimum}",
+            got.nu_acc
+        );
+        assert!(got.nu_acc <= optimum);
+        // ν ≥ ĉ with no epsilon, for every set scored here.
+        for score in [got, Score::of(&case.collection, &best)] {
+            assert!(score.nu_acc >= score.influenced as u64 * NU_ONE);
+        }
     }
 }
 

@@ -5,6 +5,7 @@
 //! 1) against independent forward Monte-Carlo simulation.
 
 use imc::prelude::*;
+use imc_core::RicSamples;
 use imc_diffusion::benefit::{
     monte_carlo_benefit, monte_carlo_fractional_benefit, realized_benefit,
 };
@@ -160,21 +161,48 @@ fn lemma1_interval_coverage_vs_forward_simulation_and_a_biased_collection() {
     );
 }
 
+/// Lemma 3 for the Q32 numerator the solvers use: it dominates ĉ_R's
+/// indicator sum with no epsilon, and it exceeds eq. 7 — computed here in
+/// plain `f64`, one exact integer numerator per distinct threshold — by
+/// at most `2⁻³²` per covered member counted.
 #[test]
 fn lemma3_nu_dominates_c_everywhere() {
     let inst = build_instance(ThresholdPolicy::Fraction(0.5), 5);
     let col = collect(&inst, 5_000, 6);
     let mut rng = StdRng::seed_from_u64(7);
+    let mut inexact = 0;
     for _ in 0..30 {
         let size = 1 + (rand::Rng::random_range(&mut rng, 0..8usize));
         let seeds: Vec<NodeId> = (0..size)
             .map(|_| NodeId::new(rand::Rng::random_range(&mut rng, 0..120u32)))
             .collect();
+        let score = imc_core::maxr::Score::of(&col, &seeds);
         assert!(
-            col.nu_estimate(&seeds) >= col.estimate(&seeds) - 1e-9,
+            score.nu_acc >= score.influenced as u64 * imc_core::NU_ONE,
             "ν < ĉ for {seeds:?}"
         );
+        assert!(col.nu_estimate(&seeds) >= col.estimate(&seeds));
+
+        let mut capped_by_threshold = std::collections::BTreeMap::<u32, u64>::new();
+        for si in 0..col.len() {
+            let h = col.sample_threshold(si);
+            let covered = col.sample_covered_members(si, &seeds).min(h);
+            *capped_by_threshold.entry(h).or_default() += u64::from(covered);
+        }
+        let eq7: f64 = capped_by_threshold
+            .iter()
+            .map(|(&h, &covered)| covered as f64 / f64::from(h))
+            .sum();
+        let covered: u64 = capped_by_threshold.values().sum();
+        let excess = imc_core::nu_fraction(score.nu_acc) - eq7;
+        let bound = imc_core::nu_fraction(covered);
+        assert!(
+            (0.0..=bound).contains(&excess),
+            "ν_Q32 − ν_eq7 = {excess:e} outside [0, {bound:e}] for {seeds:?}"
+        );
+        inexact += u32::from(excess > 0.0);
     }
+    assert!(inexact > 0, "no threshold here exercises the rounding");
 }
 
 #[test]
