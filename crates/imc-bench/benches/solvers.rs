@@ -33,22 +33,10 @@ fn bench_solvers(c: &mut Criterion) {
     let mut group = c.benchmark_group("maxr_solvers");
     group.sample_size(10);
     for k in [5usize, 20] {
-        group.bench_with_input(BenchmarkId::new("greedy_c_sequential", k), &k, |b, &k| {
-            b.iter(|| black_box(greedy_c_with(&col, k, SolveStrategy::Sequential)));
-        });
-        group.bench_with_input(BenchmarkId::new("greedy_c_lazy", k), &k, |b, &k| {
+        group.bench_with_input(BenchmarkId::new("greedy_c", k), &k, |b, &k| {
             b.iter(|| black_box(greedy_c_with(&col, k, SolveStrategy::Lazy)));
         });
-        group.bench_with_input(BenchmarkId::new("greedy_c_parallel4", k), &k, |b, &k| {
-            b.iter(|| {
-                black_box(greedy_c_with(
-                    &col,
-                    k,
-                    SolveStrategy::Parallel { threads: 4 },
-                ))
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("greedy_nu_celf", k), &k, |b, &k| {
+        group.bench_with_input(BenchmarkId::new("greedy_nu", k), &k, |b, &k| {
             b.iter(|| black_box(greedy_nu_with(&col, k, SolveStrategy::Lazy)));
         });
         group.bench_with_input(BenchmarkId::new("ubg", k), &k, |b, &k| {

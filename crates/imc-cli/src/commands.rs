@@ -294,8 +294,8 @@ fn communities<W: Write>(args: &Args, out: &mut W) -> Result<()> {
 /// `imc solve`: runs IMCAF with the chosen MAXR solver. With
 /// `--trace FILE`, every IMCAF round, Estimate call, and MAXR solve is
 /// appended to FILE as one JSON line (see `docs/METRICS.md`). With
-/// `--threads N` (N > 1) the inner greedy sweeps shard their marginal-gain
-/// scans across N threads; seeds are bitwise identical for every N.
+/// `--threads N` (N > 1) BT's pivot loop (`--algo bt | mb`) runs on N
+/// threads; seeds are bitwise identical for every N.
 fn solve<W: Write>(args: &Args, out: &mut W) -> Result<()> {
     install_trace(args)?;
     let graph = load_graph(args)?;

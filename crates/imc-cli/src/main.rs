@@ -25,7 +25,7 @@
 //!                --slow-request-log MS to log requests slower than MS)
 //!   query        send one request to a daemon
 //!                (--addr, --op solve|estimate|stats|metrics|health|shutdown;
-//!                 solve tuning: --threads N, --mode sequential|lazy|parallel, --depth D)
+//!                 solve tuning: --threads N, --depth D)
 //!   snapshot     save | load | upgrade a persistent RIC sample store
 //!                (--samples, --out / --file; upgrade rewrites any readable
 //!                 version as the current zero-copy format v3)

@@ -156,17 +156,11 @@ fn build_request(args: &Args) -> Result<String> {
             }
             // Protocol-v2 tuning knobs; the daemon clamps `threads` to its
             // own `--max-solve-threads` cap.
-            let tuned = ["threads", "mode", "depth"]
-                .iter()
-                .any(|f| args.get(f).is_some());
-            if tuned {
+            if args.get("threads").is_some() || args.get("depth").is_some() {
                 builder = builder.field("v", 2u64);
             }
             if args.get("threads").is_some() {
                 builder = builder.field("threads", args.required_as::<u64>("threads")?);
-            }
-            if let Some(mode) = args.get("mode") {
-                builder = builder.field("mode", mode);
             }
             if args.get("depth").is_some() {
                 builder = builder.field("depth", args.required_as::<u64>("depth")?);
@@ -527,7 +521,9 @@ mod tests {
         .unwrap();
         assert!(estimated.contains(r#""estimate":"#), "{estimated}");
 
-        // Protocol-v2 tuning knobs pass through and are echoed back.
+        // The protocol-v2 `threads` knob passes through and is echoed back;
+        // the removed `--mode` is one more flag the permissive parser does
+        // not know, and never reaches the wire.
         let tuned = run_str(
             "query",
             &[
@@ -546,8 +542,15 @@ mod tests {
             ],
         )
         .unwrap();
-        assert!(tuned.contains(r#""mode":"parallel""#), "{tuned}");
+        assert!(!tuned.contains(r#""mode""#), "{tuned}");
         assert!(tuned.contains(r#""threads":2"#), "{tuned}");
+        let stale =
+            Args::parse(["--op", "solve", "--k", "2", "--mode", "parallel"].map(String::from))
+                .unwrap();
+        assert_eq!(
+            super::build_request(&stale).unwrap(),
+            r#"{"k":2,"op":"solve"}"#
+        );
 
         let raw = run_str("query", &["--addr", &addr, "--raw", r#"{"op":"nope"}"#]).unwrap();
         assert!(raw.contains(r#""ok":false"#), "{raw}");

@@ -29,15 +29,13 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use imc_core::maxr::engine::{greedy_c_over, greedy_nu_over};
+use imc_core::maxr::engine::greedy_over;
 use imc_core::maxr::{Objective, Score, SolveBackend, UnionStats};
-use imc_core::{
-    GreedyRun, ImcError, ImcInstance, MaxrAlgorithm, SolveReport, SolveRequest, SolveStrategy,
-};
+use imc_core::{GreedyRun, ImcError, ImcInstance, MaxrAlgorithm, SolveReport, SolveRequest};
 use imc_graph::NodeId;
 use imc_service::client::{ClientConfig, ClusterError, PeerClient, RetryPolicy};
 use imc_service::json::{self, ObjectBuilder, Value};
-use imc_service::protocol::{self, ErrorCode, Request, SolveMode, SolveTuning};
+use imc_service::protocol::{self, ErrorCode, Request};
 use imc_service::server::Shutdown;
 
 use crate::health::{self, HealthBoard, HealthMonitor, ShardState};
@@ -53,7 +51,7 @@ pub enum CoordError {
     /// over the BT bound, …) — same failures a single node reports.
     Solver(ImcError),
     /// The request asks for something the distributed path does not
-    /// implement (parallel engine strategy, IMCAF, BT depth > 2).
+    /// implement (BT depth > 2).
     Unsupported(String),
 }
 
@@ -202,13 +200,9 @@ impl ClusterBackend<'_> {
         pivot: Option<NodeId>,
         objective: Objective,
         k: usize,
-        strategy: SolveStrategy,
     ) -> Result<GreedyRun, CoordError> {
         let mut src = ClusterSource::open(self.peers, pivot.map(NodeId::raw))?;
-        let (run, telemetry) = match objective {
-            Objective::C => greedy_c_over(&mut src, k, strategy),
-            Objective::Nu => greedy_nu_over(&mut src, k, strategy),
-        };
+        let (run, telemetry) = greedy_over(&mut src, objective, k);
         let failure = src.take_error();
         src.close();
         if let Some(e) = failure {
@@ -235,13 +229,8 @@ impl SolveBackend for ClusterBackend<'_> {
         Ok(stats)
     }
 
-    fn greedy(
-        &mut self,
-        objective: Objective,
-        k: usize,
-        strategy: SolveStrategy,
-    ) -> Result<GreedyRun, CoordError> {
-        self.greedy_session(None, objective, k, strategy)
+    fn greedy(&mut self, objective: Objective, k: usize) -> Result<GreedyRun, CoordError> {
+        self.greedy_session(None, objective, k)
     }
 
     fn score(&mut self, seeds: &[NodeId]) -> Result<Score, CoordError> {
@@ -253,7 +242,7 @@ impl SolveBackend for ClusterBackend<'_> {
     /// Depth is 2 here (see [`cluster_solve`]), so the helpers are always
     /// the greedy over the pivot-reduced session.
     fn helpers(&mut self, pivot: NodeId, k: usize, _depth: u32) -> Result<GreedyRun, CoordError> {
-        self.greedy_session(Some(pivot), Objective::C, k, SolveStrategy::Lazy)
+        self.greedy_session(Some(pivot), Objective::C, k)
     }
 
     fn pivot_score(&mut self, pivot: NodeId, kset: &[NodeId]) -> Result<usize, CoordError> {
@@ -278,20 +267,16 @@ impl SolveBackend for ClusterBackend<'_> {
 /// This is [`MaxrAlgorithm::solve_over`] over the fleet, so the answer —
 /// seeds, estimator, evaluation count, extras — is identical to
 /// [`MaxrAlgorithm::solve`] with the same request over the union of the
-/// shard collections. The distributed path has two restrictions, stated
-/// here and nowhere else:
-///
-/// * `strategy` must be `Sequential` or `Lazy` (the shard fan-out is the
-///   parallelism here; the wire frontend maps `mode=parallel` and
-///   `threads > 1` to `Parallel`);
-/// * BT runs at depth 2 only — a pivot-reduced remote session cannot be
-///   reduced again, which BT^(d)'s recursion needs.
+/// shard collections (`req.threads` is unused: pivots run one after
+/// another here). The distributed path has one restriction,
+/// stated here and nowhere else: BT runs at depth 2 only — a pivot-reduced
+/// remote session cannot be reduced again, which BT^(d)'s recursion needs.
 ///
 /// # Errors
 ///
 /// [`CoordError::Shard`] when a shard dies mid-solve (the error names
 /// it), [`CoordError::Solver`] for the same validation failures a local
-/// solve reports, [`CoordError::Unsupported`] for the restrictions
+/// solve reports, [`CoordError::Unsupported`] for the restriction
 /// above.
 pub fn cluster_solve(
     instance: &ImcInstance,
@@ -299,13 +284,6 @@ pub fn cluster_solve(
     algo: MaxrAlgorithm,
     req: &SolveRequest,
 ) -> Result<ClusterReport, CoordError> {
-    if let SolveStrategy::Parallel { .. } = req.strategy {
-        return Err(CoordError::Unsupported(
-            "parallel solving (mode `parallel` or `threads` > 1) is not supported by the \
-             cluster coordinator (shard fan-out already parallelizes; use mode sequential or lazy)"
-                .to_string(),
-        ));
-    }
     let depth = algo.bt_depth(req);
     if matches!(algo, MaxrAlgorithm::Bt | MaxrAlgorithm::Btd(_)) && depth > 2 {
         return Err(CoordError::Unsupported(format!(
@@ -669,19 +647,6 @@ fn elapsed_us(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Maps wire tuning to an engine strategy. Any ask for parallel
-/// evaluation (`mode=parallel`, or `threads > 1` under any mode) becomes
-/// `Parallel`, which [`cluster_solve`] rejects.
-fn cluster_strategy(tuning: &SolveTuning) -> SolveStrategy {
-    let threads = tuning.threads.unwrap_or(1);
-    match tuning.mode {
-        Some(SolveMode::Parallel) => SolveStrategy::Parallel { threads },
-        _ if threads > 1 => SolveStrategy::Parallel { threads },
-        Some(SolveMode::Sequential) => SolveStrategy::Sequential,
-        None | Some(SolveMode::Lazy) => SolveStrategy::Lazy,
-    }
-}
-
 /// Renders the health board as a JSON array of `{addr, state}` objects
 /// in topology order.
 fn shard_states_field(board: &HealthBoard) -> Vec<Value> {
@@ -758,11 +723,11 @@ fn dispatch_request(
             imcaf: None,
             tuning,
         } => {
-            let strategy = cluster_strategy(&tuning);
+            // `tuning.threads` is accepted and unused: pivots run one
+            // after another here, and the reply says so.
             let req = SolveRequest::new(k)
                 .with_seed(seed)
-                .with_depth(tuning.depth.unwrap_or(2))
-                .with_strategy(strategy);
+                .with_depth(tuning.depth.unwrap_or(2));
             let _solve_span = imc_obs::Span::enter_with("cluster_solve", algo.name());
             let outcome = run_resilient(config, board, seed, |peers| {
                 cluster_solve(instance, peers, algo, &req)
@@ -781,8 +746,7 @@ fn dispatch_request(
                         .field("estimate", solve.estimate)
                         .field("influenced_samples", solve.influenced_samples)
                         .field("evaluations", solve.evaluations)
-                        .field("mode", strategy.label())
-                        .field("threads", strategy.threads())
+                        .field("threads", 1u64)
                         .field("samples", report.samples)
                         .field("generation", report.generation)
                         .field("shards", participating)

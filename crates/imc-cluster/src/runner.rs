@@ -130,8 +130,8 @@ pub struct RunnerReport {
     pub solve_evaluations: u64,
     /// Scatter rounds the solve made (`imc_cluster_scatter_total` over
     /// the solve RPC; the runner's shards and coordinator share one
-    /// process and nothing else scatters meanwhile). One per CELF window,
-    /// so far below `solve_evaluations`.
+    /// process and nothing else scatters meanwhile). One per greedy round
+    /// plus the final whole-set score, so far below `solve_evaluations`.
     pub solve_scatter_rounds: u64,
     /// Chaos-mode outcome (`None` for normal runs).
     pub chaos: Option<ChaosReport>,
@@ -611,7 +611,7 @@ struct ClusterSolve {
     scatter_rounds: u64,
 }
 
-/// Sends the topology's solve (`greedy`, `k`, `base_seed`, lazy) to the
+/// Sends the topology's solve (`greedy`, `k`, `base_seed`) to the
 /// coordinator at `addr`.
 fn solve_through(
     addr: SocketAddr,
@@ -626,7 +626,6 @@ fn solve_through(
             .field("algo", "greedy")
             .field("k", u64::from(topo.k))
             .field("seed", topo.base_seed)
-            .field("mode", "lazy")
             .build(),
     );
     let scatter_before = obs::scatter_total().get();

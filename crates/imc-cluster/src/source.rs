@@ -3,13 +3,14 @@
 //!
 //! One instance wraps one `eval_begin` … `eval_end` session on every
 //! shard. There is one reduction rule, and it is the whole trick:
-//! **everything is an integer and sums**. ĉ_R gains, potentials and
-//! appearance counts are per-sample counts, ν_R gains are sums of
+//! **everything is an integer and sums**. ĉ_R gains and appearance
+//! counts are per-sample counts, ν_R gains are sums of
 //! per-sample Q32 terms ([`imc_core::nu_term`]), and the partitions are
 //! disjoint — so element-wise sums across shards equal the single-node
 //! values exactly, whatever order the shards are listed or answer in.
-//! Every round — ĉ batch, ν batch, seed commit — therefore goes to all
-//! shards at once through one helper (`scatter_sum`).
+//! Every round — gain batch or seed commit — therefore goes to all shards
+//! at once through one helper (`scatter_sum`), and a greedy run is one
+//! gain round plus one commit per pick.
 //!
 //! [`GainSource`] is infallible by design (the engine has no error
 //! channel), so shard failures are *stashed*: the first
@@ -22,7 +23,7 @@
 use std::thread;
 use std::time::Instant;
 
-use imc_core::maxr::{GainSource, MapStats};
+use imc_core::maxr::{GainSource, Objective};
 use imc_service::client::{ClusterError, PeerClient};
 use imc_service::json::{self, ObjectBuilder, Value};
 use imc_service::protocol::PROTOCOL_VERSION;
@@ -117,15 +118,6 @@ fn emit_round_attribution(
     );
 }
 
-/// Widest window of CELF queue entries one scatter round carries
-/// ([`GainSource::window_cap`]). A constant, not a knob: the engine's
-/// window doubles from 1 inside every greedy round and most rounds end
-/// within a few entries, so the cap only bounds the rare long round — on
-/// the 2-shard benchmark solve (`ladder-cluster`, seed 7) caps of 16 / 64
-/// / 256 / 4096 gave 1.15 / 0.97 / 0.88 / 0.85 s against 4.44 s at one
-/// entry per round.
-const WINDOW_CAP: usize = 64;
-
 /// One shard's `eval_batch` line around the round's node array, which is
 /// serialised once per round (`nodes_json`) instead of once per shard.
 /// Keys are in the sorted order [`json::to_string`] writes, so the bytes
@@ -140,8 +132,9 @@ fn nodes_json(nodes: &[u32]) -> String {
 
 /// What one [`ClusterSource::scatter_sum`] round gathered.
 struct Scattered {
-    /// Per requested key, the element-wise sum of the shards' arrays.
-    sums: Vec<Vec<u64>>,
+    /// The element-wise sum of the shards' arrays (empty for a round that
+    /// asked for none).
+    sums: Vec<u64>,
     /// Each shard's RPC wall time, in shard order.
     shard_seconds: Vec<f64>,
     /// Wall seconds of the fan-out (slowest shard plus spawn and join).
@@ -152,9 +145,8 @@ struct Scattered {
 
 /// A scatter-gather [`GainSource`] over one open eval session per shard.
 ///
-/// Construct with [`ClusterSource::open`], run a greedy loop over it
-/// ([`greedy_c_over`](imc_core::maxr::engine::greedy_c_over) /
-/// [`greedy_nu_over`](imc_core::maxr::engine::greedy_nu_over)), then *always*
+/// Construct with [`ClusterSource::open`], run the engine over it
+/// ([`greedy_over`](imc_core::maxr::engine::greedy_over)), then *always*
 /// call [`take_error`](Self::take_error) — a `Some` means some batch
 /// after the failure returned neutral zeros and the run is invalid.
 /// Dropping the source closes the remote sessions best-effort.
@@ -323,7 +315,7 @@ impl<'a> ClusterSource<'a> {
     /// once (the first from this thread, the rest from one scoped thread
     /// each — the shards share no data, so gather order is irrelevant) and
     /// sums, element-wise across shards, the `len`-long integer array each
-    /// reply holds under each of `keys`.
+    /// reply holds under `key` (`None`: the replies carry nothing to sum).
     /// On any failure the first error in shard order is stashed and
     /// `None` returned; a reply of the wrong shape is blamed on the shard
     /// that sent it.
@@ -331,7 +323,7 @@ impl<'a> ClusterSource<'a> {
         &mut self,
         op: &'static str,
         line_for: impl Fn(u64) -> String,
-        keys: &[&str],
+        key: Option<&str>,
         len: usize,
     ) -> Option<Scattered> {
         // Spawned scope threads do NOT inherit the thread-local trace
@@ -342,7 +334,7 @@ impl<'a> ClusterSource<'a> {
         let trace_id = imc_obs::trace::current_trace_id();
         let parent_span = imc_obs::trace::current_span_id();
         let scatter_start = Instant::now();
-        type Reply = Result<(Vec<Vec<u64>>, f64), ClusterError>;
+        type Reply = Result<(Vec<u64>, f64), ClusterError>;
         let replies: Vec<Reply> = thread::scope(|scope| {
             let mut calls = self
                 .peers
@@ -357,23 +349,20 @@ impl<'a> ClusterSource<'a> {
                             imc_obs::trace::TraceCtx::enter_remote(tid, parent_span.as_deref())
                         });
                         let (resp, secs) = timed_session_rpc(peer, addr, &line, op)?;
-                        let arrays = keys
-                            .iter()
-                            .map(|key| {
-                                let array = field_u64_array(&resp, key, peer)?;
-                                if array.len() == len {
-                                    return Ok(array);
-                                }
-                                Err(ClusterError::Protocol {
-                                    addr: peer.addr(),
-                                    detail: format!(
-                                        "{op} returned {} `{key}` for {len} nodes",
-                                        array.len()
-                                    ),
-                                })
-                            })
-                            .collect::<Result<_, _>>()?;
-                        Ok((arrays, secs))
+                        let Some(key) = key else {
+                            return Ok((Vec::new(), secs));
+                        };
+                        let array = field_u64_array(&resp, key, peer)?;
+                        if array.len() != len {
+                            return Err(ClusterError::Protocol {
+                                addr: peer.addr(),
+                                detail: format!(
+                                    "{op} returned {} `{key}` for {len} nodes",
+                                    array.len()
+                                ),
+                            });
+                        }
+                        Ok((array, secs))
                     }
                 });
             // The first shard's call runs here while the others' are in
@@ -392,13 +381,12 @@ impl<'a> ClusterSource<'a> {
         let scatter_s = scatter_start.elapsed().as_secs_f64();
 
         let reduce_start = Instant::now();
-        let mut sums = vec![vec![0u64; len]; keys.len()];
+        let mut sums = vec![0u64; len];
         let mut shard_seconds = Vec::with_capacity(replies.len());
         for (reply, peer) in replies.into_iter().zip(self.peers.iter()) {
-            let summed = reply.and_then(|(arrays, secs)| {
+            let summed = reply.and_then(|(array, secs)| {
                 shard_seconds.push(secs);
-                let parts = arrays.iter().flatten();
-                for (total, part) in sums.iter_mut().flatten().zip(parts) {
+                for (total, part) in sums.iter_mut().zip(&array) {
                     *total = total
                         .checked_add(*part)
                         .ok_or_else(|| ClusterError::Protocol {
@@ -420,39 +408,6 @@ impl<'a> ClusterSource<'a> {
             reduce_s: reduce_start.elapsed().as_secs_f64(),
         })
     }
-
-    /// One gain round of `kind` (`"c"` | `"nu"`) for `nodes`: the summed
-    /// reply arrays under `keys`, or zeros once a shard has failed.
-    fn gain_round(
-        &mut self,
-        kind: &'static str,
-        nodes: &[u32],
-        keys: &[&str],
-    ) -> (Vec<Vec<u64>>, MapStats) {
-        let neutral = || (vec![vec![0; nodes.len()]; keys.len()], MapStats::default());
-        if self.error.is_some() || nodes.is_empty() {
-            return neutral();
-        }
-        obs::scatter_total().inc();
-        let _round = imc_obs::Span::enter_with("scatter_round", kind);
-        let nodes_json = nodes_json(nodes);
-        let line_for = |session| eval_batch_line(session, kind, &nodes_json);
-        let Some(round) = self.scatter_sum("eval_batch", line_for, keys, nodes.len()) else {
-            return neutral();
-        };
-        emit_round_attribution(
-            kind,
-            nodes.len(),
-            &self.addrs,
-            &round.shard_seconds,
-            round.scatter_s,
-            round.reduce_s,
-        );
-        let stats = MapStats {
-            shard_seconds: round.shard_seconds,
-        };
-        (round.sums, stats)
-    }
 }
 
 impl Drop for ClusterSource<'_> {
@@ -470,25 +425,32 @@ impl GainSource for ClusterSource<'_> {
         self.appearance[v as usize] as usize
     }
 
-    fn eval_c_batch(&mut self, nodes: &[u32]) -> (Vec<(usize, usize)>, MapStats) {
-        let (mut sums, stats) = self.gain_round("c", nodes, &["gains", "potentials"]);
-        let potentials = sums.pop().expect("one sum per key");
-        let gains = sums.pop().expect("one sum per key");
-        let answers = gains
-            .into_iter()
-            .zip(potentials)
-            .map(|(g, p)| (g as usize, p as usize))
-            .collect();
-        (answers, stats)
-    }
-
-    fn eval_nu_batch(&mut self, nodes: &[u32]) -> (Vec<u64>, MapStats) {
-        let (mut sums, stats) = self.gain_round("nu", nodes, &["accs"]);
-        (sums.pop().expect("one sum per key"), stats)
-    }
-
-    fn window_cap(&self) -> usize {
-        WINDOW_CAP
+    /// One scatter round: every shard's gains for `nodes` under its own
+    /// partition, summed — or zeros once a shard has failed.
+    fn eval_batch(&mut self, objective: Objective, nodes: &[u32]) -> Vec<u64> {
+        if self.error.is_some() || nodes.is_empty() {
+            return vec![0; nodes.len()];
+        }
+        let (kind, key) = match objective {
+            Objective::C => ("c", "gains"),
+            Objective::Nu => ("nu", "accs"),
+        };
+        obs::scatter_total().inc();
+        let _round = imc_obs::Span::enter_with("scatter_round", kind);
+        let nodes_json = nodes_json(nodes);
+        let line_for = |session| eval_batch_line(session, kind, &nodes_json);
+        let Some(round) = self.scatter_sum("eval_batch", line_for, Some(key), nodes.len()) else {
+            return vec![0; nodes.len()];
+        };
+        emit_round_attribution(
+            kind,
+            nodes.len(),
+            &self.addrs,
+            &round.shard_seconds,
+            round.scatter_s,
+            round.reduce_s,
+        );
+        round.sums
     }
 
     /// Commits the seed on every shard at once: each shard's gain-table
@@ -507,7 +469,7 @@ impl GainSource for ClusterSource<'_> {
                     .build(),
             )
         };
-        self.scatter_sum("eval_seed", line_for, &[], 0);
+        self.scatter_sum("eval_seed", line_for, None, 0);
     }
 }
 
@@ -535,9 +497,9 @@ mod tests {
     }
 
     /// A one-connection fake shard over a two-node graph whose every
-    /// `eval_batch` reply carries `gains` and `potentials` arrays of
-    /// `reply_len` entries.
-    fn fake_shard(reply_len: usize) -> (SocketAddr, thread::JoinHandle<()>) {
+    /// `eval_batch` reply carries a `gains` array of `reply_len` entries
+    /// (none at all for `None`).
+    fn fake_shard(reply_len: Option<usize>) -> (SocketAddr, thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let handle = thread::spawn(move || {
@@ -553,9 +515,10 @@ mod tests {
                         .field("appearance", vec![1u64, 1])
                         .field("communities", vec![1u64])
                 } else {
-                    ObjectBuilder::new()
-                        .field("gains", vec![1u64; reply_len])
-                        .field("potentials", vec![1u64; reply_len])
+                    match reply_len {
+                        Some(len) => ObjectBuilder::new().field("gains", vec![1u64; len]),
+                        None => ObjectBuilder::new(),
+                    }
                 };
                 let reply = json::to_string(&body.field("ok", true).build());
                 writeln!(writer, "{reply}").unwrap();
@@ -564,30 +527,34 @@ mod tests {
         (addr, handle)
     }
 
-    /// A wrong-length reply is blamed on the shard that sent it (it used
-    /// to be pinned on shard 0 whoever sent it), and later rounds answer
-    /// neutral zeros.
+    /// A reply whose `gains` is the wrong length — or missing — is blamed
+    /// on the shard that sent it (it used to be pinned on shard 0 whoever
+    /// sent it), and later rounds answer neutral zeros.
     #[test]
     fn a_wrong_length_reply_names_the_shard_that_sent_it() {
-        let (good, good_thread) = fake_shard(2);
-        let (bad, bad_thread) = fake_shard(3);
-        let mut peers: Vec<PeerClient> = [good, bad]
-            .iter()
-            .map(|&addr| PeerClient::new(addr, ClientConfig::default(), RetryPolicy::none()))
-            .collect();
-        let mut source = ClusterSource::open(&mut peers, None).unwrap();
-        let (answers, _) = source.eval_c_batch(&[0, 1]);
-        assert_eq!(answers, vec![(0, 0); 2]);
-        match source.take_error() {
-            Some(ClusterError::Protocol { addr, detail }) => {
-                assert_eq!(addr, bad, "{detail}");
-                assert!(detail.contains("3 `gains` for 2 nodes"), "{detail}");
+        for (bad_reply, complaint) in [
+            (Some(3), "3 `gains` for 2 nodes"),
+            (None, "missing integer array field `gains`"),
+        ] {
+            let (good, good_thread) = fake_shard(Some(2));
+            let (bad, bad_thread) = fake_shard(bad_reply);
+            let mut peers: Vec<PeerClient> = [good, bad]
+                .iter()
+                .map(|&addr| PeerClient::new(addr, ClientConfig::default(), RetryPolicy::none()))
+                .collect();
+            let mut source = ClusterSource::open(&mut peers, None).unwrap();
+            assert_eq!(source.eval_batch(Objective::C, &[0, 1]), vec![0; 2]);
+            match source.take_error() {
+                Some(ClusterError::Protocol { addr, detail }) => {
+                    assert_eq!(addr, bad, "{detail}");
+                    assert!(detail.contains(complaint), "{detail}");
+                }
+                other => panic!("expected a protocol error, got {other:?}"),
             }
-            other => panic!("expected a protocol error, got {other:?}"),
+            drop(source);
+            drop(peers);
+            good_thread.join().unwrap();
+            bad_thread.join().unwrap();
         }
-        drop(source);
-        drop(peers);
-        good_thread.join().unwrap();
-        bad_thread.join().unwrap();
     }
 }

@@ -95,7 +95,7 @@ fn start_coordinator(instance: &ImcInstance, shards: Vec<SocketAddr>) -> Coordin
 /// One solve against `addr`; returns the whole response object.
 fn solve(addr: SocketAddr, k: usize, seed: u64) -> Value {
     let mut client = Client::connect(addr, Duration::from_secs(120)).unwrap();
-    let line = format!(r#"{{"op":"solve","k":{k},"algo":"greedy","seed":{seed},"mode":"lazy"}}"#);
+    let line = format!(r#"{{"op":"solve","k":{k},"algo":"greedy","seed":{seed}}}"#);
     client.request(&line).unwrap()
 }
 

@@ -94,8 +94,7 @@ fn chaos_solve(instance: &ImcInstance, samples: usize, base_seed: u64, k: usize)
     let coordinator = start_coordinator(instance, fronts);
 
     let mut client = Client::connect(coordinator.addr(), Duration::from_secs(120)).unwrap();
-    let line =
-        format!(r#"{{"op":"solve","k":{k},"algo":"greedy","seed":{base_seed},"mode":"lazy"}}"#);
+    let line = format!(r#"{{"op":"solve","k":{k},"algo":"greedy","seed":{base_seed}}}"#);
     let resp = client.request(&line).unwrap();
     assert_eq!(
         resp.get("ok").and_then(Value::as_bool),

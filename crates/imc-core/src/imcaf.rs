@@ -42,8 +42,9 @@ pub struct ImcafConfig {
     /// for small `α`). The theoretical guarantee holds only when the run
     /// ends by convergence or by reaching `Ψ` itself.
     pub max_samples: usize,
-    /// Engine strategy the inner MAXR solves run with. Seeds are identical
-    /// for every strategy; only wall-clock and evaluation counts change.
+    /// Carries the worker-thread count the inner MAXR solves run BT's
+    /// pivots on (see [`SolveStrategy`]); every answer is the same for any
+    /// value.
     pub strategy: SolveStrategy,
 }
 
@@ -308,7 +309,7 @@ fn imcaf_inner(
         rounds += 1;
         let req = SolveRequest::new(k)
             .with_seed(seed ^ rounds as u64)
-            .with_strategy(config.strategy);
+            .with_threads(config.strategy.threads());
         let started = Instant::now();
         let solution = algorithm.solve(instance, &collection, &req)?;
         let mut phases = RoundSeconds {

@@ -19,7 +19,6 @@
 //! optionally restricts pivots to the most-appearing nodes for an
 //! ablation-grade speedup.
 
-use crate::maxr::engine::SolveStrategy;
 use crate::maxr::pad_to_k;
 use crate::maxr::solver::{Selection, SolveBackend, SolverExtras};
 use crate::samples::limbs_for_width;
@@ -40,13 +39,13 @@ pub(crate) fn bt_over<B: SolveBackend>(
     k: usize,
     depth: u32,
     candidate_limit: Option<usize>,
-    strategy: SolveStrategy,
+    threads: usize,
 ) -> Result<Selection, B::Error> {
     let appearance = backend.stats()?.appearance;
     let k = k.min(appearance.len()).max(1);
     let candidates = pivot_candidates(&appearance, candidate_limit);
 
-    let runs = backend.map_pivots(&candidates, strategy.threads(), |backend, u| {
+    let runs = backend.map_pivots(&candidates, threads, |backend, u| {
         // K(u): `{u}` plus `k − 1` helpers chosen on the reduced collection.
         let mut kset = vec![u];
         let mut inner_evals = 0;

@@ -7,13 +7,12 @@
 //! `O(r^{1/2(log log r)^c})` inapproximability of Theorem 1.
 
 use crate::maxr::bt::bt_over;
-use crate::maxr::engine::SolveStrategy;
 use crate::maxr::maf::maf_over;
 use crate::maxr::solver::{evaluate, Selection, SolveBackend, SolverExtras};
 use imc_community::CommunitySet;
 
 /// MB (Thm. 5) over any [`SolveBackend`]; thresholds must be ≤ 2 (checked
-/// by the dispatch). `seed` drives MAF's random member picks. The strategy
+/// by the dispatch). `seed` drives MAF's random member picks. `threads`
 /// only accelerates the BT half (its pivot loop may fan out); MAF is
 /// already linear-time. The evaluation count is both halves plus the two
 /// final `ĉ_R` comparisons, whose winner's score doubles as the report's.
@@ -22,10 +21,10 @@ pub(crate) fn mb_over<B: SolveBackend>(
     communities: &CommunitySet,
     k: usize,
     seed: u64,
-    strategy: SolveStrategy,
+    threads: usize,
 ) -> Result<Selection, B::Error> {
     let maf = maf_over(backend, communities, k, seed)?;
-    let bt = bt_over(backend, k, 2, None, strategy)?;
+    let bt = bt_over(backend, k, 2, None, threads)?;
     let maf_score = evaluate(backend, "MB", &maf.seeds)?;
     let bt_score = evaluate(backend, "MB", &bt.seeds)?;
     let chose_bt = bt_score.influenced > maf_score.influenced;

@@ -9,8 +9,9 @@
 //! | `Bt` / `Btd(d)` (bounded threshold) | `(1−1/e)/k` (Thm. 4), `(1−1/e)/k^{d−1}` for BT^(d) | `h_i ≤ d` |
 //! | `Mb` (MAF ∨ BT)            | `Θ(√((1−1/e)/r))` (Thm. 5) | `h_i ≤ 2` |
 //!
-//! All of them run on the shared [`engine`] (CELF lazy evaluation plus
-//! deterministic sharded parallelism, selected by [`SolveStrategy`]).
+//! All of them run on the shared [`engine`] (the paper's re-evaluating
+//! greedy over exact gain tables, plus a deterministic sharded map for
+//! BT's pivots).
 //! Each algorithm body ([`ubg`], [`maf`], [`bt`], [`mb`]) is written once
 //! over the [`SolveBackend`] contract of the [`solver`] module;
 //! [`MaxrAlgorithm::solve`] instantiates it over any [`RicSamples`]
@@ -33,7 +34,7 @@ pub use solver::{
     LocalBackend, Objective, Score, SolveBackend, SolveReport, SolveRequest, SolverExtras,
     UnionStats,
 };
-pub use telemetry::{EngineTelemetry, IterationRecord, MapStats};
+pub use telemetry::{EngineTelemetry, IterationRecord};
 
 use crate::{ImcInstance, Result, RicSamples};
 use imc_graph::NodeId;
@@ -99,7 +100,7 @@ impl MaxrAlgorithm {
     /// Runs the solver on a sample collection
     /// ([`RicStore`](crate::RicStore) or a zero-copy
     /// [`RicStoreView`](crate::snapshot::RicStoreView)); the seed sets are
-    /// identical for identical collections and for every [`SolveStrategy`].
+    /// identical for identical collections and for every thread count.
     ///
     /// This is [`solve_over`](Self::solve_over) instantiated with a
     /// [`LocalBackend`], plus the `maxr_solve` metric: it applies the

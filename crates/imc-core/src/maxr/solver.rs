@@ -17,7 +17,7 @@
 //! The solver structs and `*Outcome` types this replaced were removed in
 //! 0.9.0 (old → new table in `docs/SOLVER_API.md`).
 
-use crate::maxr::engine::{self, shard_map, GreedyRun, SolveStrategy};
+use crate::maxr::engine::{self, shard_map, GreedyRun};
 use crate::maxr::{bt, maf, mb, ubg, MaxrAlgorithm};
 use crate::{CoverageState, ImcError, ImcInstance, RicSamples};
 use imc_graph::NodeId;
@@ -38,20 +38,21 @@ pub struct SolveRequest {
     /// pivots (paper-faithful behaviour is `None`: all nodes). Other
     /// solvers — including MB's BT half — ignore it.
     pub candidate_limit: Option<usize>,
-    /// Engine strategy for marginal-gain evaluation.
-    pub strategy: SolveStrategy,
+    /// Worker threads for BT's pivot loop (`≤ 1`: none). The greedy engine
+    /// is single-threaded and every answer is the same for any count.
+    pub threads: usize,
 }
 
 impl SolveRequest {
     /// A request with budget `k` and defaults everywhere else: seed 1,
-    /// depth 2, every node a BT pivot, lazy single-threaded evaluation.
+    /// depth 2, every node a BT pivot, one thread.
     pub fn new(k: usize) -> Self {
         SolveRequest {
             k,
             seed: 1,
             depth: 2,
             candidate_limit: None,
-            strategy: SolveStrategy::Lazy,
+            threads: 1,
         }
     }
 
@@ -73,16 +74,10 @@ impl SolveRequest {
         self
     }
 
-    /// Replaces the engine strategy.
-    pub fn with_strategy(mut self, strategy: SolveStrategy) -> Self {
-        self.strategy = strategy;
+    /// Replaces the worker-thread count (clamped to ≥ 1).
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
         self
-    }
-
-    /// Sets the strategy from a thread count (`≤ 1` → lazy, else
-    /// lazy+parallel).
-    pub fn with_threads(self, threads: usize) -> Self {
-        self.with_strategy(SolveStrategy::with_threads(threads))
     }
 }
 
@@ -151,8 +146,8 @@ pub struct SolveReport {
     pub influenced_samples: usize,
     /// The estimator `ĉ_R(seeds)`.
     pub estimate: f64,
-    /// Marginal-gain evaluations the engine performed (work measure;
-    /// depends on the strategy, unlike the seeds).
+    /// Marginal gains the engine read (work measure: one per live
+    /// candidate per greedy round).
     pub evaluations: u64,
     /// Wall-clock duration of the solve (selection + evaluation).
     pub elapsed: Duration,
@@ -189,6 +184,25 @@ pub struct Score {
     pub nu_acc: u64,
     /// Samples scored.
     pub samples: usize,
+}
+
+impl Objective {
+    /// Stable label used in telemetry and metric labels.
+    pub fn label(self) -> &'static str {
+        match self {
+            Objective::C => "c_hat",
+            Objective::Nu => "nu",
+        }
+    }
+
+    /// An engine gain as reported in
+    /// [`IterationRecord::best_gain`](crate::maxr::IterationRecord::best_gain).
+    pub(crate) fn gain_as_f64(self, gain: u64) -> f64 {
+        match self {
+            Objective::C => gain as f64,
+            Objective::Nu => crate::nu_fraction(gain),
+        }
+    }
 }
 
 impl Score {
@@ -246,17 +260,12 @@ pub trait SolveBackend {
 
     /// One engine greedy run over a fresh gain session on the whole
     /// collection.
-    fn greedy(
-        &mut self,
-        objective: Objective,
-        k: usize,
-        strategy: SolveStrategy,
-    ) -> Result<GreedyRun, Self::Error>;
+    fn greedy(&mut self, objective: Objective, k: usize) -> Result<GreedyRun, Self::Error>;
 
     /// Scores `seeds` against the whole collection.
     fn score(&mut self, seeds: &[NodeId]) -> Result<Score, Self::Error>;
 
-    /// BT's `k` helpers for `pivot`: lazy ĉ-greedy over a gain session on
+    /// BT's `k` helpers for `pivot`: ĉ-greedy over a gain session on
     /// the pivot-reduced collection (Alg. 4 lines 2–8) or, when
     /// `depth > 2` leaves residual thresholds above 1, `BT^(depth−1)` on
     /// it.
@@ -293,16 +302,8 @@ impl<C: RicSamples> SolveBackend for LocalBackend<'_, C> {
         })
     }
 
-    fn greedy(
-        &mut self,
-        objective: Objective,
-        k: usize,
-        strategy: SolveStrategy,
-    ) -> crate::Result<GreedyRun> {
-        Ok(match objective {
-            Objective::C => engine::greedy_c_with(self.0, k, strategy),
-            Objective::Nu => engine::greedy_nu_with(self.0, k, strategy),
-        })
+    fn greedy(&mut self, objective: Objective, k: usize) -> crate::Result<GreedyRun> {
+        Ok(engine::greedy_published(self.0, objective, k))
     }
 
     fn score(&mut self, seeds: &[NodeId]) -> crate::Result<Score> {
@@ -312,15 +313,9 @@ impl<C: RicSamples> SolveBackend for LocalBackend<'_, C> {
     fn helpers(&mut self, pivot: NodeId, k: usize, depth: u32) -> crate::Result<GreedyRun> {
         let reduced = bt::reduce_for_pivot(self.0, pivot);
         if depth <= 2 || (0..reduced.len()).all(|si| reduced.sample_threshold(si) <= 1) {
-            return Ok(engine::greedy_c_with(&reduced, k, SolveStrategy::Lazy));
+            return Ok(engine::greedy_published(&reduced, Objective::C, k));
         }
-        let sub = bt::bt_over(
-            &mut LocalBackend(&reduced),
-            k,
-            depth - 1,
-            None,
-            SolveStrategy::Lazy,
-        )?;
+        let sub = bt::bt_over(&mut LocalBackend(&reduced), k, depth - 1, None, 1)?;
         Ok(GreedyRun {
             seeds: sub.seeds,
             evaluations: sub.evaluations,
@@ -411,7 +406,7 @@ impl MaxrAlgorithm {
         let b = instance.total_benefit();
         let picked = match *self {
             MaxrAlgorithm::Greedy => {
-                let run = backend.greedy(Objective::C, req.k, req.strategy)?;
+                let run = backend.greedy(Objective::C, req.k)?;
                 Selection {
                     seeds: run.seeds,
                     evaluations: run.evaluations,
@@ -419,7 +414,7 @@ impl MaxrAlgorithm {
                     score: None,
                 }
             }
-            MaxrAlgorithm::Ubg => ubg::ubg_over(backend, b, req.k, req.strategy)?,
+            MaxrAlgorithm::Ubg => ubg::ubg_over(backend, b, req.k)?,
             MaxrAlgorithm::Maf => maf::maf_over(backend, communities, req.k, req.seed)?,
             MaxrAlgorithm::Bt | MaxrAlgorithm::Btd(_) => {
                 let depth = self.bt_depth(req);
@@ -427,11 +422,11 @@ impl MaxrAlgorithm {
                     return Err(ImcError::InvalidParameter { name: "bt depth" }.into());
                 }
                 require_bounded(max_h, depth)?;
-                bt::bt_over(backend, req.k, depth, req.candidate_limit, req.strategy)?
+                bt::bt_over(backend, req.k, depth, req.candidate_limit, req.threads)?
             }
             MaxrAlgorithm::Mb => {
                 require_bounded(max_h, 2)?;
-                mb::mb_over(backend, communities, req.k, req.seed, req.strategy)?
+                mb::mb_over(backend, communities, req.k, req.seed, req.threads)?
             }
         };
         let score = match picked.score {
@@ -562,30 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn strategies_agree_through_the_dispatch() {
-        let (inst, col) = fixture();
-        let strategies = [
-            SolveStrategy::Sequential,
-            SolveStrategy::Lazy,
-            SolveStrategy::Parallel { threads: 4 },
-        ];
-        let baseline: Vec<SolveReport> = strategies
-            .iter()
-            .map(|&s| {
-                MaxrAlgorithm::Ubg
-                    .solve(&inst, &col, &SolveRequest::new(2).with_strategy(s))
-                    .unwrap()
-            })
-            .collect();
-        for w in baseline.windows(2) {
-            assert_eq!(w[0].seeds, w[1].seeds);
-            assert_eq!(w[0].influenced_samples, w[1].influenced_samples);
-            assert_eq!(w[0].estimate, w[1].estimate);
-            assert_eq!(w[0].extras, w[1].extras);
-        }
-    }
-
-    #[test]
     fn request_builders_compose() {
         let req = SolveRequest::new(5)
             .with_seed(9)
@@ -596,11 +567,8 @@ mod tests {
         assert_eq!(req.seed, 9);
         assert_eq!(req.depth, 3);
         assert_eq!(req.candidate_limit, Some(7));
-        assert_eq!(req.strategy, SolveStrategy::Parallel { threads: 4 });
-        assert_eq!(
-            SolveRequest::new(5).with_threads(1).strategy,
-            SolveStrategy::Lazy
-        );
+        assert_eq!(req.threads, 4);
+        assert_eq!(SolveRequest::new(5).with_threads(0).threads, 1);
         assert_eq!(SolveRequest::new(5).candidate_limit, None);
     }
 }

@@ -1,12 +1,11 @@
 //! Upper Bound Greedy (Algorithm 2) — the Sandwich Approximation.
 //!
-//! Runs greedy twice: once on the submodular upper bound `ν_R` (CELF) and
-//! once on the true objective `ĉ_R` (plain greedy), then keeps whichever
-//! seed set scores higher under `ĉ_R`. By Theorem 2 the winner carries a
+//! Runs greedy twice: once on the submodular upper bound `ν_R` and once
+//! on the true objective `ĉ_R`, then keeps whichever seed set scores
+//! higher under `ĉ_R`. By Theorem 2 the winner carries a
 //! data-dependent guarantee of `(ĉ_R(S_ν)/ν_R(S_ν))·(1 − 1/e)` — the ratio
 //! reported in the paper's Fig. 8.
 
-use crate::maxr::engine::SolveStrategy;
 use crate::maxr::solver::{evaluate, Objective, Selection, SolveBackend, SolverExtras};
 
 /// UBG (Alg. 2) over any [`SolveBackend`]. Both greedy passes route
@@ -17,10 +16,9 @@ pub(crate) fn ubg_over<B: SolveBackend>(
     backend: &mut B,
     total_benefit: f64,
     k: usize,
-    strategy: SolveStrategy,
 ) -> Result<Selection, B::Error> {
-    let nu_run = backend.greedy(Objective::Nu, k, strategy)?;
-    let c_run = backend.greedy(Objective::C, k, strategy)?;
+    let nu_run = backend.greedy(Objective::Nu, k)?;
+    let c_run = backend.greedy(Objective::C, k)?;
     let evaluations = nu_run.evaluations + c_run.evaluations;
     let (s_nu, s_c) = (nu_run.seeds, c_run.seeds);
     let score_nu = evaluate(backend, "UBG", &s_nu)?;

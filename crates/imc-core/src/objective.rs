@@ -84,19 +84,16 @@ pub fn nu_value(total_benefit: f64, numerator: u64, samples: usize) -> f64 {
 /// greedy solvers drive it:
 ///
 /// * the ĉ_R gain — how many *additional* samples become influenced if `v`
-///   is added (**not** submodular, so a cached gain bounds nothing and the
-///   lazy queue re-asks for it every round), together with the node's
-///   potential: [`eval_c_shard`];
+///   is added (**not** submodular, so a gain cached from an earlier round
+///   bounds nothing): [`eval_c_shard`];
 /// * the ν_R gain — the increase of `Σ_g q(|I_g|, h_g)` ([`nu_term`], the
-///   Q32 numerator of eq. 7; submodular by Lemma 3, so CELF lazy
-///   evaluation is sound): [`eval_nu_shard`].
+///   Q32 numerator of eq. 7; submodular by Lemma 3): [`eval_nu_shard`].
 ///
 /// Each is answered from a per-node table that the objective's first
 /// evaluation builds with one sample-major sweep and
 /// [`add_seed`](Self::add_seed) keeps exact — see `docs/KERNELS.md`,
 /// *Incremental ĉ gain tables* and *Incremental ν gain tables*. The index
-/// walks [`marginal_influenced_with_potential`](Self::marginal_influenced_with_potential)
-/// and [`marginal_fraction`](Self::marginal_fraction) compute the same
+/// walks [`marginal_influenced`](Self::marginal_influenced) and [`marginal_fraction`](Self::marginal_fraction) compute the same
 /// numbers from scratch and are the oracles the tables are tested against.
 ///
 /// A state that is never asked for an objective's gain (whole-set scoring,
@@ -131,15 +128,13 @@ pub struct CoverageState<C: RicSamples = RicStore> {
 /// samples `g` that `S` has not influenced yet (`U_g` is the union of the
 /// seeds' covers in `g`):
 ///
-/// * `potential[v] = #{g : v ∈ g}`;
-/// * `gain[v] = #{g : v ∈ g, |U_g ∪ cover_v(g)| ≥ h_g}`.
+/// `gain[v] = #{g : v ∈ g, |U_g ∪ cover_v(g)| ≥ h_g}`.
 ///
 /// A sample's terms depend on `U_g` alone, so committing a seed can only
 /// change them for the samples that seed touches.
 #[derive(Debug, Clone)]
 struct GainTables {
     gain: Vec<u32>,
-    potential: Vec<u32>,
 }
 
 impl GainTables {
@@ -148,14 +143,12 @@ impl GainTables {
     fn sweep(&mut self, nodes: &[NodeId], covers: &[u64], union: &[u64], h: u32, open: bool) {
         for (&v, cover) in nodes.iter().zip(covers.chunks_exact(union.len())) {
             let crosses = u32::from(kernels::union_count(union, cover) >= h);
-            let v = v.index();
-            if open {
-                self.potential[v] += 1;
-                self.gain[v] += crosses;
+            let gain = &mut self.gain[v.index()];
+            *gain = if open {
+                *gain + crosses
             } else {
-                self.potential[v] -= 1;
-                self.gain[v] -= crosses;
-            }
+                *gain - crosses
+            };
         }
     }
 
@@ -302,7 +295,9 @@ impl<C: RicSamples> CoverageState<C> {
         &self.union_words[self.union_offsets[si]..self.union_offsets[si + 1]]
     }
 
-    /// Number of additional samples influenced if `v` were added.
+    /// Number of additional samples influenced if `v` were added, by
+    /// walking `v`'s index entries — the oracle for
+    /// [`eval_c_shard`](Self::eval_c_shard).
     pub fn marginal_influenced(&self, v: NodeId) -> usize {
         let mut gain = 0usize;
         for r in self.collection.touched_by(v) {
@@ -319,46 +314,18 @@ impl<C: RicSamples> CoverageState<C> {
         gain
     }
 
-    /// The ĉ_R marginal gain of `v` together with its *potential* — the
-    /// number of still-uninfluenced samples `v` touches. The potential is
-    /// a monotone non-increasing upper bound on every future gain of `v`,
-    /// which is what makes lazy-queue pruning sound for the
-    /// non-submodular `ĉ_R`: the gain itself may grow as seeds are added,
-    /// the potential never does.
-    pub fn marginal_influenced_with_potential(&self, v: NodeId) -> (usize, usize) {
-        let mut gain = 0usize;
-        let mut potential = 0usize;
-        for r in self.collection.touched_by(v) {
-            let si = r.sample as usize;
-            if self.influenced[si] {
-                continue;
-            }
-            potential += 1;
-            let cover = self.collection.cover_words(si, r.pos as usize);
-            let union_count = kernels::union_count(self.union_of(si), cover);
-            if union_count >= self.collection.sample_threshold(si) {
-                gain += 1;
-            }
-        }
-        (gain, potential)
-    }
-
-    /// Batched ĉ_R evaluation: `(gain, potential)` for every candidate of
-    /// one CELF shard, in slice order — element-wise what
-    /// [`marginal_influenced_with_potential`](Self::marginal_influenced_with_potential)
-    /// returns, read from the gain tables.
+    /// Batched ĉ_R evaluation: [`marginal_influenced`](Self::marginal_influenced)
+    /// for every candidate of one gain batch, in slice order, read from
+    /// the gain table.
     ///
-    /// The first call on a state builds the tables with one sample-major
+    /// The first call on a state builds the table with one sample-major
     /// sweep of the arena (`O(index entries of uninfluenced samples)`);
-    /// every later call is two array reads per node, whatever seeds were
+    /// every later call is one array read per node, whatever seeds were
     /// committed in between (see `docs/KERNELS.md`, *Incremental ĉ gain
     /// tables*).
-    pub fn eval_c_shard(&self, nodes: &[u32], out: &mut Vec<(usize, usize)>) {
+    pub fn eval_c_shard(&self, nodes: &[u32], out: &mut Vec<u64>) {
         let tables = self.tables.get_or_init(|| self.build_tables());
-        out.extend(nodes.iter().map(|&v| {
-            let v = v as usize;
-            (tables.gain[v] as usize, tables.potential[v] as usize)
-        }));
+        out.extend(nodes.iter().map(|&v| u64::from(tables.gain[v as usize])));
     }
 
     /// Calls `sweep(nodes, covers, union, h)` for every uninfluenced
@@ -381,10 +348,8 @@ impl<C: RicSamples> CoverageState<C> {
     }
 
     fn build_tables(&self) -> GainTables {
-        let node_count = self.collection.node_count();
         let mut tables = GainTables {
-            gain: vec![0; node_count],
-            potential: vec![0; node_count],
+            gain: vec![0; self.collection.node_count()],
         };
         self.sweep_open_samples(|nodes, covers, union, h| {
             tables.sweep(nodes, covers, union, h, true);
@@ -403,7 +368,7 @@ impl<C: RicSamples> CoverageState<C> {
     }
 
     /// Batched ν_R evaluation: [`marginal_fraction`](Self::marginal_fraction)
-    /// for every candidate of one CELF shard, in slice order, read from
+    /// for every candidate of one gain batch, in slice order, read from
     /// the ν gain table.
     ///
     /// As for [`eval_c_shard`](Self::eval_c_shard): the first call on a
@@ -865,7 +830,7 @@ fn fused_influenced_counts<S: AsRef<[NodeId]>>(fused: &mut FusedIndex, sets: &[S
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::samples::top_limb_mask;
     use crate::snapshot::{encode, SnapshotBytes};
@@ -906,7 +871,7 @@ mod tests {
 
     /// Snapshot bytes of `store`; a `RicStoreView` over them answers
     /// through the naive provided methods of `RicSamples`.
-    fn snapshot_of(store: &RicStore) -> SnapshotBytes {
+    pub(crate) fn snapshot_of(store: &RicStore) -> SnapshotBytes {
         SnapshotBytes::copy_from(&encode(store, 0, 0))
     }
 
@@ -948,34 +913,6 @@ mod tests {
         // sample 0 AND influences sample 1 → gain 2.
         assert_eq!(st.marginal_influenced(NodeId::new(2)), 2);
         assert_eq!(st.marginal_influenced(NodeId::new(3)), 1);
-    }
-
-    #[test]
-    fn potential_bounds_gain_and_shrinks_monotonically() {
-        let col = build_collection();
-        let mut st = CoverageState::new(&col);
-        let candidates: Vec<NodeId> = (0..6).map(NodeId::new).collect();
-        let mut prev: Vec<usize> = candidates
-            .iter()
-            .map(|&v| {
-                let (gain, potential) = st.marginal_influenced_with_potential(v);
-                assert_eq!(gain, st.marginal_influenced(v));
-                // With no seeds, potential == appearance count.
-                assert_eq!(potential, RicSamples::appearance_count(&col, v));
-                assert!(gain <= potential);
-                potential
-            })
-            .collect();
-        for seed in [2u32, 1, 3] {
-            st.add_seed(NodeId::new(seed));
-            for (i, &v) in candidates.iter().enumerate() {
-                let (gain, potential) = st.marginal_influenced_with_potential(v);
-                assert_eq!(gain, st.marginal_influenced(v));
-                assert!(gain <= potential);
-                assert!(potential <= prev[i], "potential grew for {v}");
-                prev[i] = potential;
-            }
-        }
     }
 
     #[test]
@@ -1118,7 +1055,7 @@ mod tests {
         st.eval_nu_shard(&nodes, &mut nu_out);
         for (i, &v) in nodes.iter().enumerate() {
             let v = NodeId::new(v);
-            assert_eq!(c_out[i], st.marginal_influenced_with_potential(v));
+            assert_eq!(c_out[i], st.marginal_influenced(v) as u64);
             assert_eq!(nu_out[i], st.marginal_fraction(v));
         }
     }
@@ -1248,7 +1185,7 @@ mod tests {
         st.eval_c_shard(&nodes, &mut c_out);
         assert!(st.tables.get().is_some());
         // Seeds 1 and 2 influenced both samples: nothing is left to gain.
-        assert_eq!(c_out, vec![(0, 0); 6]);
+        assert_eq!(c_out, vec![0; 6]);
 
         let mut st = CoverageState::new(&col);
         st.eval_c_shard(&nodes, &mut c_out);
@@ -1260,12 +1197,12 @@ mod tests {
     /// Nodes `0..TOUCHING` may appear in samples; ids up to `NODES` exist
     /// but touch nothing.
     const TOUCHING: u32 = 12;
-    const NODES: u32 = 14;
+    pub(crate) const NODES: u32 = 14;
 
     /// A sample of width 1–200 (1–4 cover limbs) with 0–6 distinct nodes,
     /// covers about a quarter full, and a threshold anywhere from 1 to
     /// `width + 1` — the last can never be met.
-    fn sample_strategy() -> impl Strategy<Value = RicSample> {
+    pub(crate) fn sample_strategy() -> impl Strategy<Value = RicSample> {
         let word = (0u64..=u64::MAX, 0u64..=u64::MAX).prop_map(|(a, b)| a & b);
         let row = (0..TOUCHING, prop::collection::vec(word, 4));
         (1u32..=200, 0u32..=200, prop::collection::vec(row, 0..7)).prop_map(
@@ -1308,7 +1245,7 @@ mod tests {
                 let walk = st.marginal_fraction(v);
                 assert_eq!(nu_out[i], walk, "ν of {v} after seeds {:?}", st.seeds());
             } else {
-                let walk = st.marginal_influenced_with_potential(v);
+                let walk = st.marginal_influenced(v) as u64;
                 assert_eq!(c_out[i], walk, "ĉ of {v} after seeds {:?}", st.seeds());
             }
         }

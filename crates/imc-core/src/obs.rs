@@ -130,7 +130,7 @@ pub(crate) fn engine_queue_depth() -> &'static Arc<Histogram> {
     H.get_or_init(|| {
         imc_obs::global().histogram(
             "imc_engine_queue_depth",
-            "CELF queue depth at the start of each engine greedy round.",
+            "Live candidates at the start of each engine greedy round.",
             &width_buckets(),
         )
     })
@@ -141,7 +141,7 @@ pub(crate) fn engine_shard_duration() -> &'static Arc<Histogram> {
     H.get_or_init(|| {
         imc_obs::global().histogram(
             "imc_engine_shard_duration_seconds",
-            "Wall-clock time of one engine evaluation shard.",
+            "Wall-clock time of one engine gain batch (one per greedy round).",
             DEFAULT_DURATION_BUCKETS,
         )
     })
@@ -150,55 +150,28 @@ pub(crate) fn engine_shard_duration() -> &'static Arc<Histogram> {
 /// The `imc_engine_*` counter families, labelled by objective
 /// (`c_hat` / `nu`). Help strings live here so every registration of a
 /// family is identical.
-const ENGINE_COUNTERS: [(&str, &str); 4] = [
+const ENGINE_COUNTERS: [(&str, &str); 2] = [
     (
         "imc_engine_rounds_total",
         "Greedy rounds executed by the solve engine.",
     ),
     (
         "imc_engine_evaluations_total",
-        "Marginal-gain evaluations consumed by the solve engine.",
-    ),
-    (
-        "imc_engine_stale_rechecks_total",
-        "Queue entries re-evaluated after popping with a stale or bound-only key.",
-    ),
-    (
-        "imc_engine_wasted_evaluations_total",
-        "Evaluations whose result was discarded (everything but the round's pick).",
+        "Marginal gains read by the solve engine (one per live candidate per round).",
     ),
 ];
-
-/// Labelled by strategy as well as objective: the count is a property of
-/// the window width, which the strategy (and the gain source) sets.
-fn engine_speculative_evaluations(objective: &str, strategy: &str) -> Arc<Counter> {
-    imc_obs::global().counter_with(
-        "imc_engine_speculative_evaluations_total",
-        "Gains fetched in a lazy window that its replay cut off unconsumed.",
-        &[("objective", objective), ("strategy", strategy)],
-    )
-}
 
 /// Publishes one engine run's telemetry into the `imc_engine_*` families.
 pub(crate) fn record_engine_run(telemetry: &crate::maxr::EngineTelemetry) {
     let registry = imc_obs::global();
     let labels = [("objective", telemetry.objective)];
-    let totals = [
-        telemetry.rounds.len() as u64,
-        telemetry.evaluations(),
-        telemetry.stale_rechecks(),
-        telemetry.wasted_evaluations(),
-    ];
+    let totals = [telemetry.rounds.len() as u64, telemetry.evaluations()];
     for ((name, help), total) in ENGINE_COUNTERS.iter().zip(totals) {
         registry.counter_with(name, help, &labels).inc_by(total);
     }
-    engine_speculative_evaluations(telemetry.objective, telemetry.strategy)
-        .inc_by(telemetry.speculative_evaluations());
     for rec in &telemetry.rounds {
-        engine_queue_depth().observe(rec.queue_depth as f64);
-    }
-    for &s in &telemetry.shard_seconds {
-        engine_shard_duration().observe(s);
+        engine_queue_depth().observe(rec.evaluations as f64);
+        engine_shard_duration().observe(rec.batch_seconds);
     }
 }
 
@@ -315,9 +288,6 @@ pub fn register() {
         for (name, help) in ENGINE_COUNTERS {
             let _ = imc_obs::global().counter_with(name, help, &[("objective", objective)]);
         }
-        for strategy in ["lazy", "parallel"] {
-            let _ = engine_speculative_evaluations(objective, strategy);
-        }
     }
 }
 
@@ -347,9 +317,6 @@ mod tests {
             "imc_estimate_samples",
             "imc_engine_rounds_total",
             "imc_engine_evaluations_total",
-            "imc_engine_stale_rechecks_total",
-            "imc_engine_wasted_evaluations_total",
-            "imc_engine_speculative_evaluations_total",
             "imc_engine_queue_depth",
             "imc_engine_shard_duration_seconds",
         ] {

@@ -256,7 +256,7 @@ pub struct EventNode {
     pub fields: FlatObject,
 }
 
-/// One CELF round's wall-time attribution, decoded from a
+/// One scatter round's wall-time attribution, decoded from a
 /// `round_attribution` event.
 #[derive(Debug, Clone)]
 pub struct Round {
@@ -678,8 +678,8 @@ impl Timeline {
         let rounds = self.rounds();
         if !rounds.is_empty() {
             let _ = writeln!(out, "rounds ({}):", rounds.len());
-            // A lazy CELF solve scatters once per queue pop, so real
-            // traces hold tens of thousands of rounds; list the opening
+            // A solve scatters once per greedy round and a trace may hold
+            // many solves; list the opening
             // rounds plus the slowest ones and elide the rest (the
             // verdict below still aggregates every round).
             const HEAD: usize = 4;

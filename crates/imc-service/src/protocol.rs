@@ -6,8 +6,7 @@
 //! ```text
 //! {"op":"solve","k":5}                                — solve on the current snapshot
 //! {"op":"solve","k":5,"algo":"maf","seed":7}          — choose solver + RNG seed
-//! {"op":"solve","k":5,"threads":4}                    — v2: parallel engine (server caps)
-//! {"op":"solve","k":5,"mode":"sequential"}            — v2: engine strategy override
+//! {"op":"solve","k":5,"threads":4}                    — v2: BT pivot threads (server caps)
 //! {"op":"solve","k":5,"algo":"bt","depth":3}          — v2: BT^(d) threshold bound
 //! {"op":"solve","k":5,"framework":"imcaf",
 //!  "epsilon":0.2,"delta":0.1,"max_samples":100000}    — full IMCAF run (samples fresh)
@@ -15,7 +14,7 @@
 //! {"op":"eval_begin"}                                 — open a shard evaluation session
 //! {"op":"eval_begin","pivot":7}                       — session over the pivot-reduced store
 //! {"op":"eval_batch","session":1,"kind":"c",
-//!  "nodes":[3,17]}                                    — ĉ_R marginal gains + potentials (at most n nodes)
+//!  "nodes":[3,17]}                                    — ĉ_R marginal gains (at most n nodes)
 //! {"op":"eval_batch","session":1,"kind":"nu",
 //!  "nodes":[3,17]}                                    — ν_R marginal gains (Q32 integers)
 //! {"op":"eval_seed","session":1,"node":3}             — commit a seed into the session
@@ -30,9 +29,10 @@
 //!
 //! ## Versioning
 //!
-//! Version 2 adds the optional solve-tuning knobs `threads`, `mode`
-//! (`"sequential" | "lazy" | "parallel"`), and `depth`, mirroring
-//! [`imc_core::SolveRequest`]. Version 3 changes the shard ops only:
+//! Version 2 adds the optional solve-tuning knobs `threads` and `depth`,
+//! mirroring [`imc_core::SolveRequest`] (its `mode` knob selected among
+//! greedy loops that no longer exist: the field is ignored like any other
+//! unknown one, whatever it holds). Version 3 changes the shard ops only:
 //! `eval_batch kind=nu` answers (`accs`) and `shard_eval`'s `nu_acc` are
 //! Q32 integers ([`imc_core::nu_term`]) that a coordinator **adds**, and
 //! the `carry` request field of both ops is gone (a request that still
@@ -44,8 +44,8 @@
 //! the field) parse unchanged and behave exactly as before. The server clamps
 //! `threads` to its configured cap
 //! ([`ServeConfig::max_solve_threads`](crate::ServeConfig::max_solve_threads)),
-//! and `solve` responses echo the effective `mode`, `threads`, and the
-//! engine's `evaluations` count.
+//! and `solve` responses echo the effective `threads` and the engine's
+//! `evaluations` count.
 //!
 //! The daemon also answers plain `GET /metrics` HTTP requests on the same
 //! port (and on the dedicated metrics port when configured) — see
@@ -63,7 +63,7 @@
 //! sample store and answers marginal-gain queries against it, letting the
 //! `imc-cluster` coordinator run the shared greedy engine by
 //! scatter-gathering partial answers (every quantity — ĉ_R gains,
-//! potentials, appearance counts, Q32 ν_R numerators — is an integer and
+//! appearance counts, Q32 ν_R numerators — is an integer and
 //! reduces by element-wise sums, in any order — see `DESIGN.md` §8).
 //! Sessions are
 //! connection-scoped: they hold a pinned collection generation and die
@@ -170,7 +170,7 @@ pub enum Request {
 /// Which marginal gain an `eval_batch` computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalKind {
-    /// `ĉ_R` marginal gain + potential (integer pair per node).
+    /// `ĉ_R` marginal gain (an integer per node).
     C,
     /// `ν_R` marginal gain as a Q32 integer per node.
     Nu,
@@ -186,36 +186,12 @@ impl EvalKind {
     }
 }
 
-/// Engine strategy named by a v2 `solve` request's `mode` field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolveMode {
-    /// Plain sequential greedy — every gain re-evaluated each round.
-    Sequential,
-    /// CELF lazy evaluation, single-threaded.
-    Lazy,
-    /// CELF lazy evaluation with sharded parallel gain computation.
-    Parallel,
-}
-
-impl SolveMode {
-    /// The wire label (`"sequential" | "lazy" | "parallel"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SolveMode::Sequential => "sequential",
-            SolveMode::Lazy => "lazy",
-            SolveMode::Parallel => "parallel",
-        }
-    }
-}
-
 /// Optional v2 tuning knobs on `solve`. All `None` reproduces the v1
-/// behaviour (lazy, single-threaded, depth 2) exactly.
+/// behaviour (single-threaded, depth 2) exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolveTuning {
     /// Requested worker threads; the server clamps to its configured cap.
     pub threads: Option<usize>,
-    /// Explicit engine strategy; absent means derive from `threads`.
-    pub mode: Option<SolveMode>,
     /// BT^(d) threshold bound `d` (BT-family solvers only).
     pub depth: Option<u32>,
 }
@@ -384,19 +360,6 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
                 Some(None) => return Err("`framework` must be a string".into()),
             };
             let threads = field_u64(&value, "threads")?.map(|t| t as usize);
-            let mode = match value.get("mode").map(|m| m.as_str()) {
-                None => None,
-                Some(Some("sequential")) => Some(SolveMode::Sequential),
-                Some(Some("lazy")) => Some(SolveMode::Lazy),
-                Some(Some("parallel")) => Some(SolveMode::Parallel),
-                Some(Some(other)) => {
-                    return Err(format!(
-                        "unknown mode `{other}` (expected sequential | lazy | parallel)"
-                    )
-                    .into())
-                }
-                Some(None) => return Err("`mode` must be a string".into()),
-            };
             let depth = match field_u64(&value, "depth")? {
                 None => None,
                 Some(d) if (2..=u64::from(u32::MAX)).contains(&d) => Some(d as u32),
@@ -407,11 +370,7 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
                 algo,
                 seed,
                 imcaf,
-                tuning: SolveTuning {
-                    threads,
-                    mode,
-                    depth,
-                },
+                tuning: SolveTuning { threads, depth },
             })
         }
         "estimate" => {
@@ -688,7 +647,6 @@ mod tests {
             tuning,
             SolveTuning {
                 threads: Some(8),
-                mode: Some(SolveMode::Parallel),
                 depth: Some(3),
             }
         );
@@ -700,14 +658,29 @@ mod tests {
         assert_eq!(tuning, SolveTuning::default());
     }
 
+    /// `mode` left the protocol with the loops it chose among: a stale
+    /// client's value — or a hostile one — is one more unknown field.
+    #[test]
+    fn the_removed_mode_field_is_ignored_whatever_it_holds() {
+        let plain = parse_request(r#"{"op":"solve","k":4,"threads":2}"#).unwrap();
+        for mode in [
+            r#""sequential""#,
+            r#""lazy""#,
+            r#""parallel""#,
+            r#""warp""#,
+            "7",
+        ] {
+            let line = format!(r#"{{"op":"solve","k":4,"threads":2,"mode":{mode}}}"#);
+            assert_eq!(parse_request(&line).unwrap(), plain, "{line}");
+        }
+    }
+
     #[test]
     fn rejects_bad_v2_fields() {
         for bad in [
             r#"{"op":"solve","k":2,"v":4}"#,
             r#"{"op":"solve","k":2,"v":0}"#,
             r#"{"op":"solve","k":2,"v":"two"}"#,
-            r#"{"op":"solve","k":2,"mode":"warp"}"#,
-            r#"{"op":"solve","k":2,"mode":7}"#,
             r#"{"op":"solve","k":2,"threads":-1}"#,
             r#"{"op":"solve","k":2,"depth":1}"#,
         ] {

@@ -13,7 +13,7 @@
 use crate::json::ObjectBuilder;
 use crate::metrics::OpKind;
 use crate::pool::ThreadPool;
-use crate::protocol::{self, ErrorCode, EvalKind, Request, SolveMode, SolveTuning};
+use crate::protocol::{self, ErrorCode, EvalKind, Request, SolveTuning};
 use crate::refresher;
 use crate::ServiceState;
 use imc_core::maxr::{bt, Score};
@@ -480,20 +480,10 @@ fn handle_connection(
     }
 }
 
-/// Resolves the effective engine strategy for a request under the server
-/// cap. Absent knobs reproduce v1 behaviour (lazy, single-threaded); an
-/// explicit `mode` wins over a bare `threads` count; `"parallel"` with no
-/// `threads` takes the whole cap.
-fn resolve_strategy(tuning: &SolveTuning, cap: usize) -> SolveStrategy {
-    let cap = cap.max(1);
-    match tuning.mode {
-        Some(SolveMode::Sequential) => SolveStrategy::Sequential,
-        Some(SolveMode::Lazy) => SolveStrategy::Lazy,
-        Some(SolveMode::Parallel) => {
-            SolveStrategy::with_threads(tuning.threads.unwrap_or(cap).clamp(1, cap))
-        }
-        None => SolveStrategy::with_threads(tuning.threads.unwrap_or(1).clamp(1, cap)),
-    }
+/// The worker-thread count a request runs with under the server cap;
+/// absent means one.
+fn resolve_threads(tuning: &SolveTuning, cap: usize) -> usize {
+    tuning.threads.unwrap_or(1).clamp(1, cap.max(1))
 }
 
 /// Allocates a request trace id: 16 lowercase hex digits, unique within
@@ -664,11 +654,11 @@ fn execute(
             imcaf: None,
             tuning,
         } => {
-            let strategy = resolve_strategy(&tuning, max_solve_threads);
+            let threads = resolve_threads(&tuning, max_solve_threads);
             let req = SolveRequest::new(k)
                 .with_seed(seed)
                 .with_depth(tuning.depth.unwrap_or(2))
-                .with_strategy(strategy);
+                .with_threads(threads);
             let (collection, generation) = state.pinned();
             match algo.solve(state.instance(), &*collection, &req) {
                 Ok(report) => {
@@ -682,8 +672,7 @@ fn execute(
                         .field("estimate", report.estimate)
                         .field("influenced_samples", report.influenced_samples)
                         .field("evaluations", report.evaluations)
-                        .field("mode", strategy.label())
-                        .field("threads", strategy.threads())
+                        .field("threads", threads)
                         .field("samples", collection.len())
                         .field("generation", generation)
                         .field("elapsed_us", elapsed_us(start));
@@ -708,13 +697,13 @@ fn execute(
             imcaf: Some(params),
             tuning,
         } => {
-            let strategy = resolve_strategy(&tuning, max_solve_threads);
+            let threads = resolve_threads(&tuning, max_solve_threads);
             let config = ImcafConfig {
                 k,
                 epsilon: params.epsilon,
                 delta: params.delta,
                 max_samples: params.max_samples,
-                strategy,
+                strategy: SolveStrategy::with_threads(threads),
             };
             match imcaf(state.instance(), algo, &config, seed) {
                 Ok(result) => {
@@ -730,8 +719,7 @@ fn execute(
                         .field("samples", result.samples_used)
                         .field("rounds", result.rounds)
                         .field("stop_reason", format!("{:?}", result.stop_reason))
-                        .field("mode", strategy.label())
-                        .field("threads", strategy.threads())
+                        .field("threads", threads)
                         .field("elapsed_us", elapsed_us(start));
                     (protocol::ok_response("solve", body), false)
                 }
@@ -760,16 +748,15 @@ fn execute(
                 );
             }
             let (collection, generation) = state.pinned();
-            let estimate = collection.estimate(&seeds);
-            let nu = collection.nu_estimate(&seeds);
-            let influenced = collection.influenced_count(&seeds);
+            let score = Score::of(&*collection, &seeds);
+            let b = collection.total_benefit();
             state
                 .metrics()
                 .record(OpKind::Estimate, start.elapsed(), collection.len() as u64);
             let body = ObjectBuilder::new()
-                .field("estimate", estimate)
-                .field("nu_estimate", nu)
-                .field("influenced_samples", influenced)
+                .field("estimate", score.estimate(b))
+                .field("nu_estimate", score.nu_estimate(b))
+                .field("influenced_samples", score.influenced)
                 .field("samples", collection.len())
                 .field("generation", generation)
                 .field("elapsed_us", elapsed_us(start));
@@ -881,15 +868,9 @@ fn execute(
             let scanned = nodes.len() as u64;
             let body = match kind {
                 EvalKind::C => {
-                    let mut answers = Vec::new();
-                    sess.state.eval_c_shard(&nodes, &mut answers);
-                    let (gains, potentials): (Vec<u64>, Vec<u64>) = answers
-                        .into_iter()
-                        .map(|(gain, potential)| (gain as u64, potential as u64))
-                        .unzip();
-                    ObjectBuilder::new()
-                        .field("gains", gains)
-                        .field("potentials", potentials)
+                    let mut gains = Vec::new();
+                    sess.state.eval_c_shard(&nodes, &mut gains);
+                    ObjectBuilder::new().field("gains", gains)
                 }
                 EvalKind::Nu => {
                     let mut accs = Vec::new();
@@ -1171,49 +1152,89 @@ mod tests {
     #[test]
     fn threads_knob_is_clamped_and_echoed() {
         let state = tiny_state(300);
-        let (resp, _) = dispatch(&state, r#"{"op":"solve","k":2,"v":2,"threads":64}"#, 2);
-        let v = json::parse(&resp).unwrap();
-        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
-        assert_eq!(v.get("mode").unwrap().as_str(), Some("parallel"));
-        assert_eq!(v.get("threads").unwrap().as_u64(), Some(2));
-        assert!(v.get("evaluations").unwrap().as_u64().unwrap() > 0);
-        // Seeds must match the single-threaded answer bit for bit.
-        let (seq, _) = dispatch(&state, r#"{"op":"solve","k":2,"mode":"sequential"}"#, 2);
-        let sv = json::parse(&seq).unwrap();
-        assert_eq!(sv.get("mode").unwrap().as_str(), Some("sequential"));
-        assert_eq!(v.get("seeds"), sv.get("seeds"));
-        assert_eq!(v.get("estimate"), sv.get("estimate"));
+        let solve = |line: &str, cap: usize| {
+            let (resp, _) = dispatch(&state, line, cap);
+            let v = json::parse(&resp).unwrap();
+            assert_eq!(v.get("ok").unwrap().as_bool(), Some(true), "{resp}");
+            v
+        };
+        let plain = solve(r#"{"op":"solve","k":2}"#, 2);
+        assert_eq!(plain.get("threads").unwrap().as_u64(), Some(1));
+        assert!(plain.get("evaluations").unwrap().as_u64().unwrap() > 0);
+        for (line, cap, threads) in [
+            (r#"{"op":"solve","k":2,"v":2,"threads":64}"#, 2, 2),
+            (r#"{"op":"solve","k":2,"threads":4}"#, 8, 4),
+            (r#"{"op":"solve","k":2,"threads":0}"#, 8, 1),
+            (r#"{"op":"solve","k":2,"threads":3}"#, 0, 1),
+        ] {
+            let v = solve(line, cap);
+            assert_eq!(v.get("threads").unwrap().as_u64(), Some(threads), "{line}");
+            // The answer is the single-threaded one bit for bit.
+            for field in ["seeds", "estimate", "evaluations"] {
+                assert_eq!(v.get(field), plain.get(field), "{field} of {line}");
+            }
+        }
     }
 
+    /// A stale client's `mode` — or a hostile value there — changes
+    /// nothing about a solve and is echoed nowhere.
     #[test]
-    fn strategy_resolution_respects_cap_and_mode() {
-        let t = |threads: Option<usize>, mode: Option<SolveMode>| SolveTuning {
-            threads,
-            mode,
-            depth: None,
-        };
-        assert_eq!(resolve_strategy(&t(None, None), 8), SolveStrategy::Lazy);
-        assert_eq!(
-            resolve_strategy(&t(Some(4), None), 8),
-            SolveStrategy::Parallel { threads: 4 }
-        );
-        assert_eq!(
-            resolve_strategy(&t(Some(64), None), 8),
-            SolveStrategy::Parallel { threads: 8 }
-        );
-        assert_eq!(resolve_strategy(&t(Some(0), None), 8), SolveStrategy::Lazy);
-        assert_eq!(
-            resolve_strategy(&t(None, Some(SolveMode::Sequential)), 8),
-            SolveStrategy::Sequential
-        );
-        assert_eq!(
-            resolve_strategy(&t(Some(9), Some(SolveMode::Lazy)), 8),
-            SolveStrategy::Lazy
-        );
-        assert_eq!(
-            resolve_strategy(&t(None, Some(SolveMode::Parallel)), 8),
-            SolveStrategy::Parallel { threads: 8 }
-        );
+    fn the_removed_mode_field_changes_no_solve() {
+        let state = tiny_state(300);
+        let (plain, _) = dispatch(&state, r#"{"op":"solve","k":2}"#, 4);
+        let plain = json::parse(&plain).unwrap();
+        for mode in [
+            r#""sequential""#,
+            r#""lazy""#,
+            r#""parallel""#,
+            r#""warp""#,
+            "7",
+        ] {
+            let line = format!(r#"{{"op":"solve","k":2,"mode":{mode}}}"#);
+            let (resp, _) = dispatch(&state, &line, 4);
+            let v = json::parse(&resp).unwrap();
+            assert_eq!(v.get("ok").unwrap().as_bool(), Some(true), "{resp}");
+            for field in ["seeds", "estimate", "evaluations", "threads"] {
+                assert_eq!(v.get(field), plain.get(field), "{field} of {line}");
+            }
+            assert!(v.get("mode").is_none(), "{resp}");
+        }
+    }
+
+    /// The `estimate` op answers from one coverage pass; its three fields
+    /// are the three `RicStore` estimators bit for bit, and `Score::of`
+    /// over a view of the same samples.
+    #[test]
+    fn estimate_reply_is_one_score_equal_to_the_three_store_methods() {
+        let state = tiny_state(200);
+        let store = state.collection();
+        let fingerprint = state.fingerprint();
+        let bytes = imc_core::snapshot::SnapshotBytes::copy_from(&imc_core::snapshot::encode(
+            &*store,
+            fingerprint,
+            0,
+        ));
+        let view = bytes.view().unwrap();
+        for seeds in [vec![], vec![0u32], vec![1, 4], vec![5, 2, 2, 0]] {
+            let line = format!(r#"{{"op":"estimate","seeds":{seeds:?}}}"#);
+            let (resp, _) = dispatch(&state, &line, 4);
+            let v = json::parse(&resp).unwrap();
+            let ids: Vec<NodeId> = seeds.iter().map(|&s| NodeId::new(s)).collect();
+            let bits = |name: &str| v.get(name).unwrap().as_f64().unwrap().to_bits();
+            assert_eq!(bits("estimate"), store.estimate(&ids).to_bits(), "{line}");
+            assert_eq!(
+                bits("nu_estimate"),
+                store.nu_estimate(&ids).to_bits(),
+                "{line}"
+            );
+            let influenced = v.get("influenced_samples").unwrap().as_u64();
+            assert_eq!(influenced, Some(store.influenced_count(&ids) as u64));
+            let score = Score::of(&view, &ids);
+            let b = store.total_benefit();
+            assert_eq!(bits("estimate"), score.estimate(b).to_bits());
+            assert_eq!(bits("nu_estimate"), score.nu_estimate(b).to_bits());
+            assert_eq!(influenced, Some(score.influenced as u64));
+        }
     }
 
     #[test]
@@ -1260,14 +1281,7 @@ mod tests {
                 .iter()
                 .map(|v| v.as_u64().unwrap())
                 .collect();
-            let potentials: Vec<u64> = c
-                .get("potentials")
-                .unwrap()
-                .as_array()
-                .unwrap()
-                .iter()
-                .map(|v| v.as_u64().unwrap())
-                .collect();
+            assert!(c.get("potentials").is_none());
             let nu = run(&format!(
                 r#"{{"op":"eval_batch","session":{session},"kind":"nu","nodes":[0,1,2,3,4,5]}}"#
             ));
@@ -1280,9 +1294,8 @@ mod tests {
                 .map(|v| v.as_u64().unwrap())
                 .collect();
             for v in 0..6u32 {
-                let (g, p) = reference.marginal_influenced_with_potential(NodeId::new(v));
+                let g = reference.marginal_influenced(NodeId::new(v));
                 assert_eq!(gains[v as usize], g as u64, "gain for {v}");
-                assert_eq!(potentials[v as usize], p as u64, "potential for {v}");
                 let want = reference.marginal_fraction(NodeId::new(v));
                 assert_eq!(accs[v as usize], want, "nu acc for {v}");
             }

@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. Solve through the cluster.
     let mut client = Client::connect(coordinator.addr(), Duration::from_secs(60))?;
     let response = client.request(&format!(
-        r#"{{"op":"solve","k":{k},"algo":"greedy","seed":{base_seed},"mode":"lazy"}}"#
+        r#"{{"op":"solve","k":{k},"algo":"greedy","seed":{base_seed}}}"#
     ))?;
     let cluster_seeds: Vec<u64> = response
         .get("seeds")

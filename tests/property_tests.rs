@@ -196,7 +196,7 @@ proptest! {
             seeds.push(v);
             let after = col.influenced_count(&seeds);
             prop_assert_eq!(gain, after - before, "marginal mismatch");
-            prop_assert_eq!(table[0].0, after - before, "table gain mismatch");
+            prop_assert_eq!(table[0], (after - before) as u64, "table gain mismatch");
             prop_assert_eq!(state.influenced_count(), after);
             prop_assert!((state.estimate() - col.estimate(&seeds)).abs() < 1e-9);
             prop_assert_eq!(state.nu_estimate(), col.nu_estimate(&seeds));
