@@ -35,9 +35,10 @@ fn bench_ric_generation(c: &mut Criterion) {
             .unwrap();
         let sampler = RicSampler::new(&graph, &communities);
         group.bench_with_input(BenchmarkId::new("facebook_s", cap), &cap, |b, _| {
-            // What production runs: one buffer held across draws
-            // (`extend_with`, `estimate_c`), not the owning `sample`,
-            // which builds its scratch anew on every call.
+            // What production runs: one buffer held across draws (one per
+            // worker in `extend_from_plan`'s shards and `estimate_c`'s
+            // blocks), not the owning `sample`, which builds its scratch
+            // anew on every call.
             let mut rng = StdRng::seed_from_u64(3);
             let mut buf = SampleBuf::default();
             b.iter(|| {

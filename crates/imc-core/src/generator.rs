@@ -13,9 +13,12 @@ use rand::Rng;
 /// the propagation worklist and the sort keys — so once the buffer has
 /// seen a draw as large as the next one, that draw allocates nothing
 /// (docs/KERNELS.md, *RIC sampler scratch and word-parallel cover
-/// propagation*). [`RicStore::extend_with`](crate::RicStore::extend_with)
-/// and [`estimate_c`](crate::estimate::estimate_c) hold one `SampleBuf`
-/// across all their draws; any loop over draws should do the same.
+/// propagation*). Every production draw holds one `SampleBuf` across all
+/// the draws of a thread — a worker of the store's plan draws
+/// ([`RicStore::extend_parallel`](crate::RicStore::extend_parallel),
+/// IMCAF's growth) across its shards, a worker of
+/// [`estimate_c`](crate::estimate::estimate_c) across its blocks; any loop
+/// over draws should do the same.
 #[derive(Debug, Clone, Default)]
 pub struct SampleBuf {
     community: CommunityId,

@@ -14,6 +14,23 @@
 //! Theorem 7: the returned set is `α(1 − ε)`-approximate with probability
 //! at least `1 − δ`.
 //!
+//! Every draw of a run comes from one seeded plan: doubling stage `g` of
+//! the collection is the 16-shard plan seeded
+//! [`growth_seed(seed, g)`](crate::growth_seed), and the `Estimate` call
+//! made at stage `g` walks the block stream seeded
+//! [`estimate_stream_seed(seed, g)`](crate::estimate::estimate_stream_seed).
+//! Both are drawn on every core and neither depends on how many there
+//! are, so a result is a function of `(instance, algorithm, config,
+//! seed)` alone.
+//!
+//! A stage is *solved and stared at* only if it can end the run: if
+//! `Estimate`'s budget `t_max = |R|·(1+ε₂)/(1−ε₂)` is below `⌈Λ′⌉` (and
+//! `|R|` is below `Ψ`), Alg. 6 cannot return, the doubling must follow
+//! whatever the solver says, and the solve would be thrown away — so the
+//! collection just grows to the next stage. The stopping stage has the
+//! same `R`, the same solve and the same `S` as a loop that solves every
+//! stage (docs/ALGORITHMS.md, *Dead rounds*).
+//!
 //! Normalization note: the paper sometimes writes `r` where the
 //! general-benefit quantity is `b` (its experiments use `b_i = |C_i|`, its
 //! formulas unit benefits). We implement the general version: the stop
@@ -22,11 +39,11 @@
 //! the paper's text verbatim.
 
 use crate::bounds::{lambda, psi, BoundParams};
-use crate::estimate::estimate_c;
+use crate::estimate::{estimate_c, estimate_stream_seed};
+use crate::store::{default_workers, growth_seed, sampling_shard_plan, DEFAULT_SAMPLING_SHARDS};
 use crate::{ImcError, ImcInstance, MaxrAlgorithm, Result, RicStore, SolveRequest, SolveStrategy};
+use imc_diffusion::dagum::stopping_threshold;
 use imc_graph::NodeId;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::Instant;
 
 /// Parameters of the IMCAF framework.
@@ -97,18 +114,23 @@ pub struct ImcafResult {
     pub independent_estimate: Option<f64>,
     /// RIC samples in the final collection.
     pub samples_used: usize,
-    /// Stop-stage iterations executed.
+    /// Stop-stage iterations executed (stages that were solved; stages
+    /// grown past without a solve are not rounds).
     pub rounds: usize,
     /// Why the loop ended.
     pub stop_reason: StopReason,
 }
 
-/// One stop-stage iteration's bookkeeping, recorded by
+/// One executed stop-stage iteration's bookkeeping, recorded by
 /// [`imcaf_with_trace`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoundRecord {
-    /// 1-based round number.
+    /// 1-based number of this executed round.
     pub round: usize,
+    /// 0-based doubling stage the collection was at: `samples` is
+    /// `⌈Λ⌉·2^stage`, capped at `Ψ`. Stages grown past without a solve
+    /// leave gaps.
+    pub stage: usize,
     /// `|R|` when the solver ran.
     pub samples: usize,
     /// Samples influenced by the candidate.
@@ -124,8 +146,10 @@ pub struct RoundRecord {
 /// Runs IMCAF (Alg. 5) with the given MAXR solver.
 ///
 /// The sample collection grows inside an arena-backed
-/// [`RicStore`](crate::RicStore) across doubling rounds; results are
-/// deterministic for a fixed `(instance, algorithm, config, seed)`.
+/// [`RicStore`](crate::RicStore) across doubling stages; results are
+/// deterministic for a fixed `(instance, algorithm, config, seed)` on any
+/// machine (sampling and `Estimate` use every core, the answer does not
+/// depend on how many).
 ///
 /// ```
 /// use imc_community::CommunitySet;
@@ -163,14 +187,22 @@ pub fn imcaf(
     config: &ImcafConfig,
     seed: u64,
 ) -> Result<ImcafResult> {
-    imcaf_inner(instance, algorithm, config, seed, &mut |_| {})
+    imcaf_inner(
+        instance,
+        algorithm,
+        config,
+        seed,
+        default_workers(),
+        &mut |_| {},
+    )
 }
 
-/// Like [`imcaf`] but also collects the per-round [`RoundRecord`]s — used
-/// by the sample-size ablation and by tests asserting the doubling
-/// schedule. The same per-round data always flows to the observability
-/// layer (`imcaf_round` trace events, `imc_imcaf_*` metrics) regardless of
-/// which entry point is used; this variant merely materializes it.
+/// Like [`imcaf`] but also collects one [`RoundRecord`] per executed
+/// round — used by the sample-size ablation and by tests asserting the
+/// doubling schedule. The same per-round data always flows to the
+/// observability layer (`imcaf_round` trace events, `imc_imcaf_*` metrics)
+/// regardless of which entry point is used; this variant merely
+/// materializes it.
 ///
 /// # Errors
 ///
@@ -182,16 +214,23 @@ pub fn imcaf_with_trace(
     seed: u64,
 ) -> Result<(ImcafResult, Vec<RoundRecord>)> {
     let mut trace: Vec<RoundRecord> = Vec::new();
-    let result = imcaf_inner(instance, algorithm, config, seed, &mut |record| {
-        trace.push(record.clone())
-    })?;
+    let result = imcaf_inner(
+        instance,
+        algorithm,
+        config,
+        seed,
+        default_workers(),
+        &mut |record| trace.push(record.clone()),
+    )?;
     Ok((result, trace))
 }
 
 /// Wall time of one round's three phases, for the `imcaf_round` event.
 struct RoundSeconds {
-    /// The `extend_with` that produced the collection this round solved.
+    /// The plan draw(s) since the previous executed round.
     sampling: f64,
+    /// Stages that draw grew past without a solve.
+    unsolved_stages: usize,
     /// The MAXR solve.
     solve: f64,
     /// The `Estimate` call, when the Λ check-point fired.
@@ -214,6 +253,8 @@ fn observe_round(
     if imc_obs::trace::enabled() {
         let mut event = imc_obs::trace::TraceEvent::new("imcaf_round")
             .field("round", record.round)
+            .field("stage", record.stage)
+            .field("unsolved_stages", phases.unsolved_stages)
             .field("samples", record.samples)
             .field("influenced", record.influenced)
             .field("estimate", record.estimate)
@@ -248,11 +289,114 @@ fn observe_done(result: &ImcafResult) {
     }
 }
 
+/// The bounds of one run and its doubling schedule, and which of the
+/// schedule's stages can end the run.
+struct Schedule {
+    /// The solver's ratio `α`, which sizes `Ψ`.
+    alpha: f64,
+    /// The worst-case sample bound `Ψ` (eq. 22).
+    psi_bound: f64,
+    /// `min(Ψ, max_samples)`.
+    psi_capped: usize,
+    /// The check-point threshold `Λ`; stage 0 holds `⌈Λ⌉` samples.
+    check_lambda: f64,
+    /// The stop stage's `ε₁ = ε₂ = ε₃ = ε/4`.
+    es: f64,
+    /// `δ′ = δ / (3·log₂(Ψ/Λ))` of every `Estimate` call (Alg. 5 line 9).
+    delta_est: f64,
+}
+
+impl Schedule {
+    fn new(instance: &ImcInstance, algorithm: MaxrAlgorithm, config: &ImcafConfig) -> Self {
+        let k = config.k;
+        let alpha =
+            algorithm.approximation_ratio(instance.community_count(), instance.max_threshold(), k);
+        // Ψ splits (paper §VI.A): ε₁ = ε₂ = ε/2, δ₁ = δ₂ = δ/2.
+        let params = BoundParams {
+            total_benefit: instance.total_benefit(),
+            min_benefit: instance.min_benefit(),
+            max_threshold: instance.max_threshold(),
+            node_count: instance.node_count(),
+            k,
+        };
+        let e2 = config.epsilon / 2.0;
+        let d2 = config.delta / 2.0;
+        Schedule::under(alpha, psi(&params, e2, e2, d2, d2, alpha), config)
+    }
+
+    /// The schedule of a run whose worst-case bound is `psi_bound`.
+    fn under(alpha: f64, psi_bound: f64, config: &ImcafConfig) -> Self {
+        let psi_capped = psi_bound.min(config.max_samples as f64).max(1.0) as usize;
+        // Stop-stage splits (paper §VI.A): ε₁ = ε₂ = ε₃ = ε/4.
+        let es = config.epsilon / 4.0;
+        let check_lambda = lambda(es, es, es, config.delta);
+        let log_rounds = (psi_capped as f64 / check_lambda).log2().max(1.0);
+        Schedule {
+            alpha,
+            psi_bound,
+            psi_capped,
+            check_lambda,
+            es,
+            delta_est: (config.delta / (3.0 * log_rounds)).clamp(1e-9, 0.999),
+        }
+    }
+
+    /// `|R|` at stage 0: `⌈Λ⌉`, capped.
+    fn initial(&self) -> usize {
+        (self.check_lambda.ceil() as usize)
+            .min(self.psi_capped)
+            .max(1)
+    }
+
+    /// `|R|` of the stage after one of `samples`: doubled, capped at `Ψ`.
+    fn next(&self, samples: usize) -> usize {
+        samples.saturating_mul(2).min(self.psi_capped)
+    }
+
+    /// `Estimate`'s draw budget on a collection of `samples`.
+    fn t_max(&self, samples: usize) -> u64 {
+        (samples as f64 * (1.0 + self.es) / (1.0 - self.es)).ceil() as u64
+    }
+
+    /// Whether a stage of `samples` can end the run — by an `Estimate`
+    /// able to return (`t_max ≥ ⌈Λ′⌉`), or by exhausting `Ψ`.
+    fn can_end(&self, samples: usize) -> bool {
+        let need = stopping_threshold(self.es, self.delta_est).ceil() as u64;
+        self.t_max(samples) >= need || samples >= self.psi_capped
+    }
+
+    /// Why a run that reached `Ψ_capped` unconverged stopped.
+    fn exhausted_reason(&self) -> StopReason {
+        if (self.psi_capped as f64) < self.psi_bound {
+            StopReason::CapReached
+        } else {
+            StopReason::SampleBoundReached
+        }
+    }
+}
+
+/// The plan stage `stage` draws to grow the collection by `count`.
+fn stage_plan(seed: u64, stage: usize, count: usize) -> Vec<(u64, usize)> {
+    sampling_shard_plan(
+        count,
+        growth_seed(seed, stage as u64),
+        DEFAULT_SAMPLING_SHARDS,
+    )
+}
+
+/// The MAXR request of the solve at `stage`.
+fn stage_request(config: &ImcafConfig, seed: u64, stage: usize) -> SolveRequest {
+    SolveRequest::new(config.k)
+        .with_seed(seed ^ (stage as u64 + 1))
+        .with_threads(config.strategy.threads())
+}
+
 fn imcaf_inner(
     instance: &ImcInstance,
     algorithm: MaxrAlgorithm,
     config: &ImcafConfig,
     seed: u64,
+    workers: usize,
     observe: &mut dyn FnMut(&RoundRecord),
 ) -> Result<ImcafResult> {
     if !(config.epsilon > 0.0 && config.epsilon < 1.0) {
@@ -261,64 +405,59 @@ fn imcaf_inner(
     if !(config.delta > 0.0 && config.delta < 1.0) {
         return Err(ImcError::InvalidParameter { name: "delta" });
     }
-    instance.validate_budget(config.k)?;
+    // Everything the solver would refuse, before a sample is drawn.
+    algorithm.validate(instance, &stage_request(config, seed, 0))?;
 
-    let k = config.k;
-    let alpha =
-        algorithm.approximation_ratio(instance.community_count(), instance.max_threshold(), k);
-
-    // Ψ splits (paper §VI.A): ε₁ = ε₂ = ε/2, δ₁ = δ₂ = δ/2.
-    let params = BoundParams {
-        total_benefit: instance.total_benefit(),
-        min_benefit: instance.min_benefit(),
-        max_threshold: instance.max_threshold(),
-        node_count: instance.node_count(),
-        k,
-    };
-    let e2 = config.epsilon / 2.0;
-    let d2 = config.delta / 2.0;
-    let psi_bound = psi(&params, e2, e2, d2, d2, alpha);
-    let psi_capped = psi_bound.min(config.max_samples as f64).max(1.0) as usize;
-
-    // Stop-stage splits (paper §VI.A): ε₁ = ε₂ = ε₃ = ε/4.
-    let es = config.epsilon / 4.0;
-    let check_lambda = lambda(es, es, es, config.delta);
-
+    let schedule = Schedule::new(instance, algorithm, config);
+    let (check_lambda, psi_capped, es) = (schedule.check_lambda, schedule.psi_capped, schedule.es);
     if imc_obs::trace::enabled() {
         imc_obs::trace::emit(
             imc_obs::trace::TraceEvent::new("imcaf_bounds")
                 .field("algo", algorithm.name())
-                .field("k", k)
-                .field("alpha", alpha)
-                .field("psi", psi_bound)
+                .field("k", config.k)
+                .field("alpha", schedule.alpha)
+                .field("psi", schedule.psi_bound)
                 .field("psi_capped", psi_capped)
                 .field("lambda", check_lambda),
         );
     }
 
     let sampler = instance.sampler();
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut collection = RicStore::for_sampler(&sampler);
-    let initial = (check_lambda.ceil() as usize).min(psi_capped).max(1);
-    let started = Instant::now();
-    collection.extend_with(&sampler, initial, &mut rng);
-    let mut sampling_seconds = started.elapsed().as_secs_f64();
-
+    let (mut stage, mut target) = (0usize, schedule.initial());
     let mut rounds = 0usize;
     loop {
-        rounds += 1;
-        let req = SolveRequest::new(k)
-            .with_seed(seed ^ rounds as u64)
-            .with_threads(config.strategy.threads());
+        // Grow to the next stage that can end the run (line 11), every
+        // stage from its own seeded plan, all of them in one draw.
         let started = Instant::now();
-        let solution = algorithm.solve(instance, &collection, &req)?;
+        let mut plan = Vec::new();
+        let (mut planned, mut unsolved_stages) = (collection.len(), 0);
+        loop {
+            plan.extend(stage_plan(seed, stage, target - planned));
+            planned = target;
+            if schedule.can_end(target) {
+                break;
+            }
+            unsolved_stages += 1;
+            stage += 1;
+            target = schedule.next(target);
+        }
+        collection.extend_from_plan(&sampler, &plan, workers);
+        let sampling = started.elapsed().as_secs_f64();
+
+        rounds += 1;
+        let started = Instant::now();
+        let solution =
+            algorithm.solve(instance, &collection, &stage_request(config, seed, stage))?;
         let mut phases = RoundSeconds {
-            sampling: sampling_seconds,
+            sampling,
+            unsolved_stages,
             solve: started.elapsed().as_secs_f64(),
             estimate: None,
         };
         let mut record = RoundRecord {
             round: rounds,
+            stage,
             samples: collection.len(),
             influenced: solution.influenced_samples,
             estimate: solution.estimate,
@@ -329,12 +468,16 @@ fn imcaf_inner(
         // Stop condition (line 8): at least Λ influenced samples.
         if solution.influenced_samples as f64 >= check_lambda {
             record.checked = true;
-            // δ for each Estimate call: δ / (3·log₂(Ψ/Λ)) (line 9).
-            let log_rounds = (psi_capped as f64 / check_lambda).log2().max(1.0);
-            let delta_est = (config.delta / (3.0 * log_rounds)).clamp(1e-9, 0.999);
-            let t_max = (collection.len() as f64 * (1.0 + es) / (1.0 - es)).ceil() as u64;
             let started = Instant::now();
-            let graded = estimate_c(&sampler, &solution.seeds, es, delta_est, t_max, &mut rng);
+            let graded = estimate_c(
+                &sampler,
+                &solution.seeds,
+                es,
+                schedule.delta_est,
+                schedule.t_max(collection.len()),
+                estimate_stream_seed(seed, stage as u64),
+                workers,
+            );
             phases.estimate = Some(started.elapsed().as_secs_f64());
             if let Some(out) = graded {
                 record.independent_estimate = Some(out.estimate);
@@ -358,28 +501,19 @@ fn imcaf_inner(
         observe(&record);
 
         if collection.len() >= psi_capped {
-            let reason = if (psi_capped as f64) < psi_bound {
-                StopReason::CapReached
-            } else {
-                StopReason::SampleBoundReached
-            };
             let result = ImcafResult {
                 seeds: solution.seeds,
                 estimate: solution.estimate,
                 independent_estimate: None,
                 samples_used: collection.len(),
                 rounds,
-                stop_reason: reason,
+                stop_reason: schedule.exhausted_reason(),
             };
             observe_done(&result);
             return Ok(result);
         }
-
-        // Double the collection (line 11), capped at Ψ.
-        let grow = collection.len().min(psi_capped - collection.len()).max(1);
-        let started = Instant::now();
-        collection.extend_with(&sampler, grow, &mut rng);
-        sampling_seconds = started.elapsed().as_secs_f64();
+        stage += 1;
+        target = schedule.next(target);
     }
 }
 
@@ -526,14 +660,201 @@ mod tests {
             ..ImcafConfig::paper_defaults(3)
         };
         let (result, trace) = super::imcaf_with_trace(&inst, MaxrAlgorithm::Maf, &cfg, 9).unwrap();
+        // One record per executed round, numbered from 1.
         assert_eq!(trace.len(), result.rounds);
-        // Sample counts are non-decreasing and (until the cap) doubling.
-        for w in trace.windows(2) {
-            assert!(w[1].samples >= w[0].samples);
-            assert!(w[1].samples <= w[0].samples * 2);
+        for (i, record) in trace.iter().enumerate() {
+            assert_eq!(record.round, i + 1);
         }
-        assert_eq!(trace.last().unwrap().round, result.rounds);
+        // Every executed round sits on the doubling schedule ⌈Λ⌉·2^stage
+        // (capped), at a later stage than the one before; stage 0 can
+        // never end a run at ε = δ = 0.2 and is grown past.
+        let schedule = Schedule::new(&inst, MaxrAlgorithm::Maf, &cfg);
+        assert_eq!(trace[0].stage, 1);
+        for record in &trace {
+            let on_schedule = (schedule.initial() << record.stage).min(schedule.psi_capped);
+            assert_eq!(record.samples, on_schedule, "stage {}", record.stage);
+        }
+        for w in trace.windows(2) {
+            assert_eq!(w[1].stage, w[0].stage + 1);
+        }
         // Final trace entry matches the result.
         assert_eq!(trace.last().unwrap().samples, result.samples_used);
+    }
+
+    /// One 100-member community (two cover limbs) beside 8-member ones.
+    fn two_limb_instance() -> ImcInstance {
+        let mut rng = StdRng::seed_from_u64(23);
+        let pp = planted_partition(300, 3, 0.05, 0.005, &mut rng);
+        let graph = pp.graph.reweighted(WeightModel::WeightedCascade);
+        let mut parts = vec![(pp.blocks[0].clone(), 4, 12.0)];
+        for block in &pp.blocks[1..] {
+            parts.extend(block.chunks(8).map(|c| (c.to_vec(), 2, 1.0)));
+        }
+        ImcInstance::new(graph, CommunitySet::from_parts(300, parts).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn results_do_not_depend_on_the_worker_count() {
+        for (name, inst, algo) in [
+            ("small", small_instance(), MaxrAlgorithm::Ubg),
+            ("small", small_instance(), MaxrAlgorithm::Maf),
+            ("2-limb", two_limb_instance(), MaxrAlgorithm::Ubg),
+        ] {
+            let cfg = ImcafConfig {
+                max_samples: 30_000,
+                ..ImcafConfig::paper_defaults(4)
+            };
+            let run = |workers: usize| {
+                let mut trace = Vec::new();
+                let result = imcaf_inner(&inst, algo, &cfg, 11, workers, &mut |r| {
+                    trace.push(r.clone())
+                })
+                .unwrap();
+                (result, trace)
+            };
+            let reference = run(1);
+            assert!(
+                reference.0.independent_estimate.is_some(),
+                "{name}: the run should reach an Estimate that returns"
+            );
+            for workers in [2, 8] {
+                assert_eq!(
+                    run(workers),
+                    reference,
+                    "{name} {algo:?}: {workers} workers"
+                );
+            }
+            // The public entry points are the same run on this machine's
+            // worker count.
+            assert_eq!(imcaf(&inst, algo, &cfg, 11).unwrap(), reference.0);
+            assert_eq!(imcaf_with_trace(&inst, algo, &cfg, 11).unwrap(), reference);
+        }
+    }
+
+    /// Alg. 5 as the paper writes it, over the same plan: *every* stage is
+    /// solved and, past the Λ check-point, stared at — including the
+    /// stages whose `Estimate` budget is too small for Alg. 6 to return.
+    fn solve_every_stage(
+        instance: &ImcInstance,
+        algorithm: MaxrAlgorithm,
+        config: &ImcafConfig,
+        seed: u64,
+    ) -> ImcafResult {
+        let schedule = Schedule::new(instance, algorithm, config);
+        let sampler = instance.sampler();
+        let mut collection = RicStore::for_sampler(&sampler);
+        let (mut stage, mut target) = (0usize, schedule.initial());
+        loop {
+            let plan = stage_plan(seed, stage, target - collection.len());
+            collection.extend_from_plan(&sampler, &plan, 1);
+            let solution = algorithm
+                .solve(instance, &collection, &stage_request(config, seed, stage))
+                .unwrap();
+            let result = |independent_estimate, stop_reason| ImcafResult {
+                seeds: solution.seeds.clone(),
+                estimate: solution.estimate,
+                independent_estimate,
+                samples_used: collection.len(),
+                rounds: stage + 1,
+                stop_reason,
+            };
+            if solution.influenced_samples as f64 >= schedule.check_lambda {
+                let graded = estimate_c(
+                    &sampler,
+                    &solution.seeds,
+                    schedule.es,
+                    schedule.delta_est,
+                    schedule.t_max(collection.len()),
+                    estimate_stream_seed(seed, stage as u64),
+                    1,
+                );
+                if let Some(out) = graded {
+                    if solution.estimate <= (1.0 + schedule.es) * out.estimate {
+                        return result(Some(out.estimate), StopReason::Converged);
+                    }
+                }
+            }
+            if collection.len() >= schedule.psi_capped {
+                return result(None, schedule.exhausted_reason());
+            }
+            stage += 1;
+            target = schedule.next(target);
+        }
+    }
+
+    #[test]
+    fn growing_past_dead_stages_is_exact() {
+        let inst = small_instance();
+        for algo in [MaxrAlgorithm::Ubg, MaxrAlgorithm::Maf] {
+            // No effective cap (the run converges), a cap between stages
+            // that cuts the last doubling short, and caps inside the dead
+            // stages.
+            for max_samples in [1 << 20, 4_000, 1_500, 150] {
+                let cfg = ImcafConfig {
+                    max_samples,
+                    ..ImcafConfig::paper_defaults(4)
+                };
+                for seed in [3, 4] {
+                    let fast = imcaf(&inst, algo, &cfg, seed).unwrap();
+                    let every = solve_every_stage(&inst, algo, &cfg, seed);
+                    assert!(fast.rounds <= every.rounds);
+                    assert_eq!(
+                        ImcafResult {
+                            rounds: every.rounds,
+                            ..fast
+                        },
+                        every,
+                        "{algo:?} max_samples={max_samples} seed={seed}"
+                    );
+                }
+            }
+        }
+        // The uncapped runs above did skip something: every stage before
+        // the first executed one.
+        let cfg = ImcafConfig::paper_defaults(4);
+        let (fast, trace) = imcaf_with_trace(&inst, MaxrAlgorithm::Ubg, &cfg, 3).unwrap();
+        let every = solve_every_stage(&inst, MaxrAlgorithm::Ubg, &cfg, 3);
+        assert_eq!(fast.stop_reason, StopReason::Converged);
+        assert!(trace[0].stage >= 1);
+        assert_eq!(every.rounds, fast.rounds + trace[0].stage);
+    }
+
+    /// Fresh samples independent of `R` is what Alg. 6 and Theorem 7
+    /// assume: within one run no growth shard and no `Estimate` block may
+    /// share an RNG seed with any other.
+    #[test]
+    fn no_seed_of_a_run_is_used_twice() {
+        let cfg = ImcafConfig::paper_defaults(4);
+        assert_eq!(cfg.max_samples, 1 << 20);
+        // Ψ beyond the cap: the run can use every stage up to 2²⁰ samples.
+        let schedule = Schedule::under(0.5, f64::INFINITY, &cfg);
+        assert_eq!(schedule.psi_capped, 1 << 20);
+        for seed in [0, 7, u64::MAX - 3, 1 << 63] {
+            let mut seen = std::collections::HashSet::new();
+            let (mut stage, mut samples, mut drawn) = (0usize, schedule.initial(), 0usize);
+            loop {
+                for (shard_seed, _) in stage_plan(seed, stage, samples - drawn) {
+                    assert!(
+                        seen.insert(shard_seed),
+                        "growth seed reused at stage {stage}"
+                    );
+                }
+                let stream = estimate_stream_seed(seed, stage as u64);
+                let blocks = schedule
+                    .t_max(samples)
+                    .div_ceil(crate::estimate::ESTIMATE_BLOCK);
+                for block in 0..blocks {
+                    assert!(
+                        seen.insert(stream.wrapping_add(block)),
+                        "block seed reused at stage {stage}"
+                    );
+                }
+                if samples >= schedule.psi_capped {
+                    break;
+                }
+                (drawn, samples, stage) = (samples, schedule.next(samples), stage + 1);
+            }
+            assert!(stage >= 8 && seen.len() > 8_000, "stages={stage}");
+        }
     }
 }

@@ -97,8 +97,8 @@ pub use problem::ImcInstance;
 pub use sample::RicSample;
 pub use samples::{RicColumns, RicSamples};
 pub use store::{
-    partition_shard_range, sampling_shard_plan, CollectionStats, RicSampleView, RicStore,
-    RicStoreError, SampleRef, DEFAULT_SAMPLING_SHARDS,
+    default_workers, growth_seed, partition_shard_range, sampling_shard_plan, CollectionStats,
+    RicSampleView, RicStore, RicStoreError, SampleRef, DEFAULT_SAMPLING_SHARDS,
 };
 
 /// Convenience result alias used throughout this crate.

@@ -381,6 +381,28 @@ impl MaxrAlgorithm {
         }
     }
 
+    /// Everything [`solve`](Self::solve) refuses before looking at a
+    /// sample: the budget, BT's depth, and the threshold bound of
+    /// BT/BT^(d)/MB. IMCAF asks before it draws anything.
+    ///
+    /// # Errors
+    ///
+    /// The validation failures listed on [`solve`](Self::solve).
+    pub fn validate(&self, instance: &ImcInstance, req: &SolveRequest) -> crate::Result<()> {
+        instance.validate_budget(req.k)?;
+        match *self {
+            MaxrAlgorithm::Greedy | MaxrAlgorithm::Ubg | MaxrAlgorithm::Maf => Ok(()),
+            MaxrAlgorithm::Bt | MaxrAlgorithm::Btd(_) => {
+                let depth = self.bt_depth(req);
+                if depth < 2 {
+                    return Err(ImcError::InvalidParameter { name: "bt depth" });
+                }
+                require_bounded(instance.max_threshold(), depth)
+            }
+            MaxrAlgorithm::Mb => require_bounded(instance.max_threshold(), 2),
+        }
+    }
+
     /// Runs this solver over an arbitrary [`SolveBackend`] — the body
     /// shared by [`solve`](Self::solve) and the cluster coordinator.
     /// Returns the report plus the winning seed set's [`Score`] (whose
@@ -400,8 +422,7 @@ impl MaxrAlgorithm {
         B::Error: From<ImcError>,
     {
         let started = Instant::now();
-        instance.validate_budget(req.k)?;
-        let max_h = instance.max_threshold();
+        self.validate(instance, req)?;
         let communities = instance.communities();
         let b = instance.total_benefit();
         let picked = match *self {
@@ -416,18 +437,14 @@ impl MaxrAlgorithm {
             }
             MaxrAlgorithm::Ubg => ubg::ubg_over(backend, b, req.k)?,
             MaxrAlgorithm::Maf => maf::maf_over(backend, communities, req.k, req.seed)?,
-            MaxrAlgorithm::Bt | MaxrAlgorithm::Btd(_) => {
-                let depth = self.bt_depth(req);
-                if depth < 2 {
-                    return Err(ImcError::InvalidParameter { name: "bt depth" }.into());
-                }
-                require_bounded(max_h, depth)?;
-                bt::bt_over(backend, req.k, depth, req.candidate_limit, req.threads)?
-            }
-            MaxrAlgorithm::Mb => {
-                require_bounded(max_h, 2)?;
-                mb::mb_over(backend, communities, req.k, req.seed, req.threads)?
-            }
+            MaxrAlgorithm::Bt | MaxrAlgorithm::Btd(_) => bt::bt_over(
+                backend,
+                req.k,
+                self.bt_depth(req),
+                req.candidate_limit,
+                req.threads,
+            )?,
+            MaxrAlgorithm::Mb => mb::mb_over(backend, communities, req.k, req.seed, req.threads)?,
         };
         let score = match picked.score {
             Some(score) => score,

@@ -53,7 +53,7 @@ pub(crate) fn ric_shard_duration() -> &'static Arc<Histogram> {
     H.get_or_init(|| {
         imc_obs::global().histogram(
             "imc_ric_shard_duration_seconds",
-            "Wall-clock time of one extend_parallel sampling shard.",
+            "Wall-clock time of one sampling shard of a plan draw (extend_parallel, IMCAF growth).",
             DEFAULT_DURATION_BUCKETS,
         )
     })
@@ -64,7 +64,7 @@ pub(crate) fn imcaf_rounds_total() -> &'static Arc<Counter> {
     H.get_or_init(|| {
         imc_obs::global().counter(
             "imc_imcaf_rounds_total",
-            "IMCAF stop-stage iterations executed (Alg. 5 outer loop).",
+            "IMCAF stop-stage iterations executed (Alg. 5 outer loop; stages grown past without a solve are not counted).",
         )
     })
 }
@@ -84,7 +84,7 @@ pub(crate) fn estimate_exhausted_total() -> &'static Arc<Counter> {
     H.get_or_init(|| {
         imc_obs::global().counter(
             "imc_estimate_exhausted_total",
-            "Estimate calls that hit t_max without reaching the stopping threshold.",
+            "Estimate calls whose fresh samples could not reach the stopping threshold within t_max.",
         )
     })
 }

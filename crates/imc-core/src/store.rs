@@ -65,6 +65,32 @@ pub fn sampling_shard_plan(count: usize, base_seed: u64, shards: usize) -> Vec<(
         .collect()
 }
 
+/// Seed stride between growth stages — far larger than the 16 shard
+/// offsets of one [`sampling_shard_plan`], so stages never share a shard
+/// seed.
+const GROWTH_SEED_STRIDE: u64 = 1 << 16;
+
+/// The one doubling schedule's seed rule: growth stage `stage` of a
+/// collection grown under `base_seed` draws
+/// `sampling_shard_plan(count, growth_seed(base_seed, stage), 16)`, i.e.
+/// its shard seeds are `base_seed + (stage + 1)·2¹⁶ + 0..16`. IMCAF's
+/// stages and the daemon refresher's generations both use it, so a rerun
+/// reproduces every collection bit for bit and no two stages of one run
+/// reuse a shard seed.
+pub fn growth_seed(base_seed: u64, stage: u64) -> u64 {
+    base_seed.wrapping_add(stage.wrapping_add(1).wrapping_mul(GROWTH_SEED_STRIDE))
+}
+
+/// Worker threads for a draw whose output does not depend on the worker
+/// count (a shard plan, `Estimate`'s block stream): every hardware
+/// thread, at most 8.
+pub fn default_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(8)
+}
+
 /// The contiguous slice of sampling shards owned by `partition` of
 /// `partitions` — the cluster partition rule.
 ///
@@ -453,24 +479,60 @@ impl RicStore {
         self.cover_offsets.push(self.cover_words.len() as u64);
     }
 
-    /// Recomputes the CSR inverted index from the node arena with one
-    /// counting sort — `O(node_count + Σ_g |g|)`. Entries per node come
-    /// out ordered by `(sample, pos)` ascending.
+    /// Recomputes the CSR inverted index from the node arena — what
+    /// [`index_appended`](Self::index_appended) builds from nothing.
     pub(crate) fn rebuild_index(&mut self) {
+        self.index_offsets.clear();
+        self.index_offsets.resize(self.node_count + 1, 0);
+        self.index_entries.clear();
+        self.index_appended(0);
+    }
+
+    /// Brings the CSR inverted index up to date after samples `first..`
+    /// were appended behind an indexed prefix: one counting sort over the
+    /// appended range only — `O(node_count + Σ_{g ≥ first} |g|)` plus one
+    /// block move of the entries already there. Every node's run keeps
+    /// its old entries (they name earlier samples) and gains the new ones
+    /// behind them, so entries per node stay ordered by `(sample, pos)`
+    /// ascending — exactly what a from-scratch sort of the whole arena
+    /// gives.
+    pub(crate) fn index_appended(&mut self, first: usize) {
+        let appended_from = self.node_offsets[first] as usize;
+        debug_assert_eq!(self.index_entries.len(), appended_from);
+        if appended_from == self.nodes.len() {
+            return;
+        }
+        // New offsets: the old ones shifted by the appearances appended
+        // at smaller node ids.
         let mut offsets = vec![0u64; self.node_count + 1];
-        for v in &self.nodes {
+        for v in &self.nodes[appended_from..] {
             offsets[v.index() + 1] += 1;
         }
-        for i in 1..=self.node_count {
-            offsets[i] += offsets[i - 1];
+        let mut shift = 0u64;
+        for (new, old) in offsets.iter_mut().zip(&self.index_offsets).skip(1) {
+            shift += *new;
+            *new = old + shift;
         }
-        let mut cursor = offsets.clone();
-        let mut entries = vec![SampleRef { sample: 0, pos: 0 }; self.nodes.len()];
-        let cols = self.columns();
-        for si in 0..self.len() {
-            for (pos, v) in cols.sample_nodes(si).iter().enumerate() {
+        // Old runs move right in place, highest node first: run `v` lands
+        // at or beyond where it started, and everything beyond that has
+        // moved already. `cursor[v]` ends up one past run `v`'s old
+        // entries — where its first new entry goes.
+        self.index_entries
+            .resize(self.nodes.len(), SampleRef { sample: 0, pos: 0 });
+        let mut cursor = vec![0u64; self.node_count];
+        for v in (0..self.node_count).rev() {
+            let (lo, hi) = (self.index_offsets[v], self.index_offsets[v + 1]);
+            cursor[v] = offsets[v] + (hi - lo);
+            if hi > lo && offsets[v] != lo {
+                self.index_entries
+                    .copy_within(lo as usize..hi as usize, offsets[v] as usize);
+            }
+        }
+        for si in first..self.len() {
+            let (lo, hi) = (self.node_offsets[si], self.node_offsets[si + 1]);
+            for (pos, v) in self.nodes[lo as usize..hi as usize].iter().enumerate() {
                 let slot = &mut cursor[v.index()];
-                entries[*slot as usize] = SampleRef {
+                self.index_entries[*slot as usize] = SampleRef {
                     sample: si as u32,
                     pos: pos as u32,
                 };
@@ -478,7 +540,6 @@ impl RicStore {
             }
         }
         self.index_offsets = offsets;
-        self.index_entries = entries;
     }
 
     /// Appends another store's arena (metadata, nodes, covers) without
@@ -507,6 +568,18 @@ impl RicStore {
         count: usize,
         rng: &mut R,
     ) {
+        let first = self.len();
+        self.draw_into_arena(sampler, count, rng);
+        self.index_appended(first);
+    }
+
+    /// `count` draws of `rng` appended to the arena, index untouched.
+    fn draw_into_arena<R: Rng + ?Sized>(
+        &mut self,
+        sampler: &RicSampler<'_>,
+        count: usize,
+        rng: &mut R,
+    ) {
         let mut buf = crate::generator::SampleBuf::default();
         for _ in 0..count {
             sampler.sample_into(rng, &mut buf);
@@ -518,7 +591,6 @@ impl RicStore {
                 buf.cover_words(),
             );
         }
-        self.rebuild_index();
     }
 
     /// Generates and appends `count` samples using multiple threads, with
@@ -531,11 +603,7 @@ impl RicStore {
     /// [`extend_with`](Self::extend_with) (which draws every sample from
     /// one sequential RNG), so callers pick one scheme and stay with it.
     pub fn extend_parallel(&mut self, sampler: &RicSampler<'_>, count: usize, base_seed: u64) {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8);
-        self.extend_parallel_with_workers(sampler, count, base_seed, workers);
+        self.extend_parallel_with_workers(sampler, count, base_seed, default_workers());
     }
 
     /// [`extend_parallel`](Self::extend_parallel) with an explicit worker
@@ -607,9 +675,20 @@ impl RicStore {
         self.extend_from_plan(sampler, &plan[range], workers);
     }
 
-    /// Draws every `(seed, n)` shard of `plan` and appends them in plan
-    /// order — the shared tail of all parallel extension paths.
-    fn extend_from_plan(
+    /// Draws every `(seed, n)` shard of `plan` (shard `i` from
+    /// `StdRng::seed_from_u64(seed_i)`) and appends them in plan order —
+    /// the shared tail of all parallel extension paths, and the growth
+    /// step of IMCAF, which passes several stages' plans back to back so
+    /// they share one index update. The store is the same for every
+    /// `workers`.
+    ///
+    /// One worker draws straight into the arena. Several workers claim
+    /// shards in plan order and draw each into a segment of its own; a
+    /// finished segment is appended as soon as every shard before it has
+    /// been, then freed, and no worker starts a shard more than
+    /// `2·workers` past the last one appended — so at most `2·workers`
+    /// segments are alive, however uneven the shards.
+    pub(crate) fn extend_from_plan(
         &mut self,
         sampler: &RicSampler<'_>,
         plan: &[(u64, usize)],
@@ -617,63 +696,75 @@ impl RicStore {
     ) {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
+        use std::sync::{Condvar, Mutex};
 
-        if plan.is_empty() {
-            return;
-        }
+        let first = self.len();
+        let total: usize = plan.iter().map(|&(_, n)| n).sum();
+        self.communities.reserve(total);
+        self.thresholds.reserve(total);
+        self.widths.reserve(total);
+        self.node_offsets.reserve(total);
+        self.cover_offsets.reserve(total);
 
-        let shard_store = |seed: u64, n: usize| -> RicStore {
+        let draw_shard = |seed: u64, n: usize, into: &mut RicStore| {
             let start = std::time::Instant::now();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut seg = RicStore::new(self.node_count, self.community_count, self.total_benefit);
-            let mut buf = crate::generator::SampleBuf::default();
-            for _ in 0..n {
-                sampler.sample_into(&mut rng, &mut buf);
-                seg.push_raw(
-                    buf.community(),
-                    buf.threshold(),
-                    buf.width(),
-                    buf.nodes(),
-                    buf.cover_words(),
-                );
-            }
+            into.draw_into_arena(sampler, n, &mut StdRng::seed_from_u64(seed));
             crate::obs::ric_shard_duration().observe_duration(start.elapsed());
-            seg
         };
 
-        let workers = workers.clamp(1, plan.len());
-        let segments: Vec<RicStore> = if workers <= 1 {
-            plan.iter().map(|&(seed, n)| shard_store(seed, n)).collect()
+        let workers = workers.clamp(1, plan.len().max(1));
+        if workers == 1 {
+            for &(seed, n) in plan {
+                draw_shard(seed, n, self);
+            }
         } else {
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let slots: Vec<std::sync::Mutex<Option<RicStore>>> =
-                plan.iter().map(|_| std::sync::Mutex::new(None)).collect();
+            /// Shards claimed and appended so far, finished segments
+            /// waiting for their turn, and the store they are appended to.
+            struct Merge<'s> {
+                claimed: usize,
+                appended: usize,
+                ready: Vec<Option<RicStore>>,
+                store: &'s mut RicStore,
+            }
+            let (nodes, communities, benefit) =
+                (self.node_count, self.community_count, self.total_benefit);
+            let merge = Mutex::new(Merge {
+                claimed: 0,
+                appended: 0,
+                ready: plan.iter().map(|_| None).collect(),
+                store: self,
+            });
+            let appended_one = Condvar::new();
             std::thread::scope(|scope| {
                 for _ in 0..workers {
                     scope.spawn(|| loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= plan.len() {
-                            break;
+                        let shard = {
+                            let mut m = merge.lock().expect("no shard panicked");
+                            while m.claimed < plan.len() && m.claimed >= m.appended + 2 * workers {
+                                m = appended_one.wait(m).expect("no shard panicked");
+                            }
+                            if m.claimed == plan.len() {
+                                break;
+                            }
+                            m.claimed += 1;
+                            m.claimed - 1
+                        };
+                        let (seed, n) = plan[shard];
+                        let mut segment = RicStore::new(nodes, communities, benefit);
+                        draw_shard(seed, n, &mut segment);
+                        let mut guard = merge.lock().expect("no shard panicked");
+                        let m = &mut *guard;
+                        m.ready[shard] = Some(segment);
+                        while let Some(next) = m.ready.get_mut(m.appended).and_then(Option::take) {
+                            m.store.append_arena(&next);
+                            m.appended += 1;
                         }
-                        let (seed, n) = plan[i];
-                        *slots[i].lock().expect("no poisoned shards") = Some(shard_store(seed, n));
+                        appended_one.notify_all();
                     });
                 }
             });
-            slots
-                .into_iter()
-                .map(|m| {
-                    m.into_inner()
-                        .expect("threads joined")
-                        .expect("shard filled")
-                })
-                .collect()
-        };
-
-        for seg in &segments {
-            self.append_arena(seg);
         }
-        self.rebuild_index();
+        self.index_appended(first);
     }
 
     /// Number of samples `|R|`.

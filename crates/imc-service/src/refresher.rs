@@ -3,19 +3,16 @@
 //! via the state's atomic `Arc` swap — in-flight requests keep the
 //! collection they pinned; new requests see the new generation.
 //!
-//! The seed schedule is deterministic: growth round for generation `g`
-//! draws its shard seeds from `base_seed + (g + 1) * 2^16`, so reruns of
-//! the same schedule reproduce the same collections bit-for-bit while
-//! distinct rounds never reuse a shard seed (shards use offsets `0..16`).
+//! The seed schedule is the one doubling schedule of the tree: the growth
+//! round for generation `g` is stage `g` of
+//! [`growth_seed`](imc_core::growth_seed) under `base_seed`, the rule
+//! IMCAF's stages use — so reruns of the same schedule reproduce the same
+//! collections bit-for-bit and distinct rounds never reuse a shard seed.
 
 use crate::server::{RefreshConfig, Shutdown};
 use crate::ServiceState;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// Seed stride between growth rounds — far larger than the 16 shard
-/// offsets `extend_parallel` uses, so rounds never collide.
-const ROUND_SEED_STRIDE: u64 = 1 << 16;
 
 /// One growth round: doubles the collection (capped at `target_samples`)
 /// and publishes it. Returns the new generation, or `None` when the
@@ -30,10 +27,11 @@ pub fn grow_once(state: &ServiceState, config: &RefreshConfig) -> Option<u64> {
     let additional = grow_to - len;
     let mut next = (*current).clone();
     let sampler = state.instance().sampler();
-    let round_seed = config
-        .base_seed
-        .wrapping_add(generation.wrapping_add(1).wrapping_mul(ROUND_SEED_STRIDE));
-    next.extend_parallel(&sampler, additional, round_seed);
+    next.extend_parallel(
+        &sampler,
+        additional,
+        imc_core::growth_seed(config.base_seed, generation),
+    );
     Some(state.publish(next))
 }
 
@@ -70,6 +68,10 @@ mod tests {
         }
     }
 
+    fn snapshot_hash(state: &ServiceState) -> u64 {
+        imc_core::snapshot::fnv1a(&imc_core::snapshot::encode(&state.collection(), 0, 0))
+    }
+
     #[test]
     fn doubles_until_target_then_idles() {
         let state = tiny_state(100);
@@ -81,6 +83,9 @@ mod tests {
         assert_eq!(state.collection().len(), 350);
         assert_eq!(grow_once(&state, &cfg), None);
         assert_eq!(state.generation(), 2);
+        // The collection the schedule arrives at, as drawn before the seed
+        // rule moved into `imc_core::growth_seed`.
+        assert_eq!(snapshot_hash(&state), 0x93d5_492b_368a_13fe);
     }
 
     #[test]
@@ -91,6 +96,7 @@ mod tests {
         grow_once(&a, &cfg);
         grow_once(&b, &cfg);
         assert_eq!(*a.collection(), *b.collection());
+        assert_eq!(snapshot_hash(&a), 0x2b56_e291_a556_da70);
         // The original 64 samples are an untouched prefix.
         let before = tiny_state(64);
         let (grown, original) = (a.collection(), before.collection());

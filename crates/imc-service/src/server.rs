@@ -1149,6 +1149,51 @@ mod tests {
         }
     }
 
+    /// The daemon's `framework: imcaf` op is `imc_core::imcaf` on the
+    /// served instance: same seeds, estimate, sample count and rounds as
+    /// a direct call for the same request, whatever the served collection
+    /// holds and whatever `threads` asks for (every IMCAF draw comes from
+    /// the run's own seeded plan).
+    #[test]
+    fn imcaf_solve_is_the_direct_call() {
+        let state = tiny_state(50);
+        let config = ImcafConfig {
+            k: 2,
+            epsilon: 0.3,
+            delta: 0.3,
+            max_samples: 20_000,
+            strategy: SolveStrategy::with_threads(1),
+        };
+        let direct = imcaf(state.instance(), imc_core::MaxrAlgorithm::Ubg, &config, 9).unwrap();
+        for knobs in ["", r#","threads":3"#] {
+            let line = format!(
+                r#"{{"op":"solve","k":2,"algo":"ubg","seed":9,"framework":"imcaf","epsilon":0.3,"delta":0.3,"max_samples":20000{knobs}}}"#
+            );
+            let (resp, _) = dispatch(&state, &line, 4);
+            let v = json::parse(&resp).unwrap();
+            assert_eq!(v.get("ok").unwrap().as_bool(), Some(true), "{resp}");
+            let seeds: Vec<u64> = v
+                .get("seeds")
+                .unwrap()
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|s| s.as_u64().unwrap())
+                .collect();
+            let expected: Vec<u64> = direct.seeds.iter().map(|s| u64::from(s.raw())).collect();
+            assert_eq!(seeds, expected, "{line}");
+            assert_eq!(v.get("estimate").unwrap().as_f64(), Some(direct.estimate));
+            assert_eq!(
+                v.get("samples").unwrap().as_u64(),
+                Some(direct.samples_used as u64)
+            );
+            assert_eq!(
+                v.get("rounds").unwrap().as_u64(),
+                Some(direct.rounds as u64)
+            );
+        }
+    }
+
     #[test]
     fn threads_knob_is_clamped_and_echoed() {
         let state = tiny_state(300);

@@ -198,3 +198,97 @@ fn sampler_draws_are_pinned() {
         }
     }
 }
+
+/// One 100-member community (two cover limbs) beside 8-member ones.
+fn two_limb_instance() -> ImcInstance {
+    let mut rng = StdRng::seed_from_u64(23);
+    let pp = imc_graph::generators::planted_partition(300, 3, 0.05, 0.005, &mut rng);
+    let graph = pp.graph.reweighted(WeightModel::WeightedCascade);
+    let mut parts = vec![(pp.blocks[0].clone(), 4, 12.0)];
+    for block in &pp.blocks[1..] {
+        parts.extend(block.chunks(8).map(|c| (c.to_vec(), 2, 1.0)));
+    }
+    let communities = CommunitySet::from_parts(300, parts).unwrap();
+    ImcInstance::new(graph, communities).unwrap()
+}
+
+/// What a shard plan appends, pinned as `fnv1a(snapshot::encode(store))`
+/// at the commit before `extend_from_plan` began streaming its shards
+/// and updating the index in place (recorded by running this test there):
+/// the benchmark's reference store, the cluster partition rule and every
+/// committed snapshot assume these bytes. Any worker count, and the
+/// partition stores of a 2- or 4-daemon cluster laid end to end, give
+/// the same ones.
+#[test]
+fn plan_draws_are_pinned_for_every_worker_count_and_partitioning() {
+    let hash = |store: &RicStore| snapshot::fnv1a(&snapshot::encode(store, 0, 0));
+    for (name, instance, count, seed, pinned) in [
+        // The ladder's plan: 40,000 samples over the 16 sampling shards.
+        (
+            "ladder plan",
+            pinned_instance(),
+            40_000,
+            7,
+            0xbc6b_cf9a_16eb_e901_u64,
+        ),
+        // Below 64 the plan is one shard.
+        (
+            "count < 64",
+            pinned_instance(),
+            50,
+            9,
+            0x8e30_8cf6_ce39_7b5f,
+        ),
+        (
+            "2-limb",
+            two_limb_instance(),
+            3_000,
+            11,
+            0x3760_2105_bf05_d805,
+        ),
+    ] {
+        let sampler = instance.sampler();
+        for workers in [1, 2, 8] {
+            let mut store = RicStore::for_sampler(&sampler);
+            store.extend_parallel_with_workers(&sampler, count, seed, workers);
+            assert_eq!(hash(&store), pinned, "{name}: {workers} workers");
+            // Appending behind an indexed prefix leaves the index a
+            // from-scratch build of the whole arena gives.
+            if workers == 2 && count <= 3_000 {
+                let mut twice = RicStore::for_sampler(&sampler);
+                twice.extend_parallel_with_workers(&sampler, count, seed, workers);
+                twice.extend_parallel_with_workers(&sampler, count / 2, seed ^ 1, workers);
+                store.extend_parallel_with_workers(&sampler, count / 2, seed ^ 1, 1);
+                assert_eq!(twice, store, "{name}: append");
+                let owned: Vec<RicSample> = twice.iter().map(|v| v.to_sample()).collect();
+                let scratch = RicStore::from_samples(
+                    twice.node_count(),
+                    twice.community_count(),
+                    twice.total_benefit(),
+                    &owned,
+                )
+                .unwrap();
+                assert_eq!(twice, scratch, "{name}: index after append");
+            }
+        }
+        for partitions in [2, 4] {
+            if count < 64 {
+                continue;
+            }
+            let mut owned: Vec<RicSample> = Vec::new();
+            for p in 0..partitions {
+                let mut part = RicStore::for_sampler(&sampler);
+                part.extend_partition(&sampler, count, seed, p, partitions, 2);
+                owned.extend(part.iter().map(|v| v.to_sample()));
+            }
+            let joined = RicStore::from_samples(
+                sampler.graph().node_count(),
+                sampler.communities().len(),
+                sampler.communities().total_benefit(),
+                &owned,
+            )
+            .unwrap();
+            assert_eq!(hash(&joined), pinned, "{name}: {partitions} partitions");
+        }
+    }
+}
