@@ -139,6 +139,7 @@ impl std::fmt::Display for ChaosSpec {
 pub struct ChaosProxy {
     addr: SocketAddr,
     requests: Arc<AtomicU64>,
+    connections: Arc<AtomicU64>,
     tripped: Arc<AtomicBool>,
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
@@ -156,10 +157,12 @@ impl ChaosProxy {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let requests = Arc::new(AtomicU64::new(0));
+        let connections = Arc::new(AtomicU64::new(0));
         let tripped = Arc::new(AtomicBool::new(false));
         let stop = Arc::new(AtomicBool::new(false));
         let acceptor = {
             let requests = Arc::clone(&requests);
+            let connections = Arc::clone(&connections);
             let tripped = Arc::clone(&tripped);
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
@@ -170,6 +173,7 @@ impl ChaosProxy {
                             break;
                         }
                         let Ok(client) = stream else { continue };
+                        connections.fetch_add(1, Ordering::SeqCst);
                         // A killed shard accepts and immediately drops:
                         // the TCP handshake succeeds but no request ever
                         // gets an answer, so probes fail on the ping
@@ -192,6 +196,7 @@ impl ChaosProxy {
         Ok(ChaosProxy {
             addr,
             requests,
+            connections,
             tripped,
             stop,
             acceptor: Some(acceptor),
@@ -206,6 +211,12 @@ impl ChaosProxy {
     /// Requests proxied so far (across all connections).
     pub fn requests(&self) -> u64 {
         self.requests.load(Ordering::SeqCst)
+    }
+
+    /// Connections accepted so far, a killed shard's accept-and-drop ones
+    /// included.
+    pub fn connections(&self) -> u64 {
+        self.connections.load(Ordering::SeqCst)
     }
 
     /// Whether the fault has fired.
@@ -421,6 +432,7 @@ mod tests {
             r#"{"ok":true}"#,
             "post-trigger connections pass through"
         );
+        assert_eq!((proxy.connections(), proxy.requests()), (3, 3));
         proxy.stop_and_join();
     }
 }

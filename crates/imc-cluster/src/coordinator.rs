@@ -118,9 +118,13 @@ struct ShardTotals {
     pivot_score: usize,
 }
 
-/// Scores a seed set across every shard. Every total — the Q32 ν_R
-/// numerator included — is an integer sum over the shards' disjoint
-/// partitions, so it equals the single-node value in any shard order.
+/// Scores a seed set across every shard: the request goes out to all of
+/// them before the first reply is read, so the shards score concurrently
+/// and the fan costs the slowest shard, not their sum. Every reply is read
+/// even when an earlier shard failed — a kept connection must not be left
+/// holding an unread one. Every total — the Q32 ν_R numerator included —
+/// is an integer sum over the shards' disjoint partitions, so it equals
+/// the single-node value in any shard order.
 fn shard_eval_totals(
     peers: &mut [PeerClient],
     seeds: &[NodeId],
@@ -143,21 +147,37 @@ fn shard_eval_totals(
         req = req.field("pivot", u.raw());
     }
     let line = json::to_string(&req.build());
-    for (i, peer) in peers.iter_mut().enumerate() {
-        let addr = peer.addr();
-        let _rpc = imc_obs::Span::enter_with("rpc_client", format!("shard_eval {addr}"));
-        let start = Instant::now();
-        let result = peer.request_stateless(&line);
-        let secs = start.elapsed().as_secs_f64();
-        obs::shard_rpc_seconds().observe(secs);
-        obs::rpc_duration_seconds("shard_eval", &addr.to_string()).observe(secs);
-        let resp = match result {
-            Ok(v) => v,
-            Err(e) => {
+    // One `rpc_client` span and one latency observation per shard, from
+    // its send to the moment its reply was read; the spans are parked so
+    // they are siblings under the caller's span, not a chain.
+    let in_flight: Vec<_> = peers
+        .iter_mut()
+        .map(|peer| {
+            let addr = peer.addr().to_string();
+            let mut rpc = imc_obs::Span::enter_with("rpc_client", format!("shard_eval {addr}"));
+            let start = Instant::now();
+            let sent = peer.send(&line);
+            rpc.park();
+            (rpc, addr, start, sent)
+        })
+        .collect();
+    let replies: Vec<_> = peers
+        .iter_mut()
+        .zip(in_flight)
+        .map(|(peer, (rpc, addr, start, sent))| {
+            let reply = peer.finish_stateless(&line, sent);
+            let secs = start.elapsed().as_secs_f64();
+            drop(rpc);
+            obs::shard_rpc_seconds().observe(secs);
+            obs::rpc_duration_seconds("shard_eval", &addr).observe(secs);
+            if reply.is_err() {
                 obs::shard_errors_total().inc();
-                return Err(e);
             }
-        };
+            reply
+        })
+        .collect();
+    for (i, (peer, reply)) in peers.iter().zip(replies).enumerate() {
+        let resp = reply?;
         totals.score.add(Score {
             influenced: field_u64(&resp, "influenced", peer)? as usize,
             nu_acc: field_u64(&resp, "nu_acc", peer)?,
@@ -359,14 +379,17 @@ struct Outcome<T> {
 }
 
 /// Runs `op` over the currently-usable shard subset, retrying and
-/// degrading per the config. The orchestration invariant: `op` always
-/// sees a fresh peer slice (in topology order), and a
-/// failed run is rerun **from scratch** — never patched mid-flight — so
-/// the surviving-set answer equals a fresh solve configured with
-/// exactly those shards.
+/// degrading per the config. `kept` is the client connection's one
+/// [`PeerClient`] per shard; `op` is lent those of the usable shards, in
+/// topology order, with whatever shard connections earlier requests left
+/// open. The orchestration invariant: a failed run's peers are
+/// disconnected and it is rerun **from scratch** — never patched
+/// mid-flight — so the surviving-set answer equals a fresh solve
+/// configured with exactly those shards.
 fn run_resilient<T>(
     config: &CoordinatorConfig,
     board: &HealthBoard,
+    kept: &mut [PeerClient],
     seed: u64,
     mut op: impl FnMut(&mut [PeerClient]) -> Result<T, CoordError>,
 ) -> Result<Outcome<T>, CoordError> {
@@ -412,15 +435,23 @@ fn run_resilient<T>(
                 ),
             }));
         }
-        let mut peers: Vec<PeerClient> = alive
-            .iter()
-            .map(|&addr| {
-                let mut peer = PeerClient::new(addr, config.client, config.retry);
-                peer.set_retry_seed(seed);
-                peer
-            })
-            .collect();
-        match op(&mut peers) {
+        // `alive` is in topology order, so this puts the usable shards'
+        // peers first, in that order, and the lost ones' behind them.
+        kept.sort_by_key(|peer| {
+            let rank = alive.iter().position(|&a| a == peer.addr());
+            rank.unwrap_or(usize::MAX)
+        });
+        let peers = &mut kept[..alive.len()];
+        for peer in peers.iter_mut() {
+            peer.set_retry_seed(seed);
+        }
+        let result = op(peers);
+        if result.is_err() {
+            // Whatever the failure, no session, half-read reply or
+            // suspect connection outlives the run that hit it.
+            peers.iter_mut().for_each(PeerClient::disconnect);
+        }
+        match result {
             Ok(value) => {
                 for &addr in &alive {
                     board.record_ok(addr);
@@ -620,13 +651,22 @@ fn serve_connection(
     };
     let reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
+    // One peer per shard for the life of this client connection: a shard
+    // connection is dialled by the first request that needs it and kept
+    // for the next, so it holds a shard worker for as long as this client
+    // stays connected — what a direct daemon connection costs.
+    let mut peers: Vec<PeerClient> = board
+        .shards()
+        .iter()
+        .map(|&addr| PeerClient::new(addr, config.client, config.retry))
+        .collect();
     for line in reader.lines() {
         let Ok(line) = line else { break };
         if line.trim().is_empty() {
             continue;
         }
         let start = Instant::now();
-        let (response, stop) = handle_request(&line, instance, config, board);
+        let (response, stop) = handle_request(&line, instance, config, board, &mut peers);
         obs::request_duration_seconds().observe(start.elapsed().as_secs_f64());
         if writer
             .write_all(response.as_bytes())
@@ -669,6 +709,7 @@ fn handle_request(
     instance: &ImcInstance,
     config: &CoordinatorConfig,
     board: &HealthBoard,
+    peers: &mut [PeerClient],
 ) -> (String, bool) {
     let start = Instant::now();
     // Adopt the caller's span context (a cluster client tracing its own
@@ -685,7 +726,7 @@ fn handle_request(
         .clone()
         .unwrap_or_else(imc_obs::trace::fresh_id);
     let _ctx = imc_obs::trace::TraceCtx::enter_remote(&trace_id, remote.parent_span_id.as_deref());
-    let (response, stop) = dispatch_request(line, instance, config, board, start);
+    let (response, stop) = dispatch_request(line, instance, config, board, peers, start);
     // Echo the trace id so callers (and the smoke job) can find this
     // request's tree without parsing the coordinator's trace file.
     (
@@ -701,6 +742,7 @@ fn dispatch_request(
     instance: &ImcInstance,
     config: &CoordinatorConfig,
     board: &HealthBoard,
+    kept: &mut [PeerClient],
     start: Instant,
 ) -> (String, bool) {
     let request = match protocol::parse_request(line) {
@@ -729,7 +771,7 @@ fn dispatch_request(
                 .with_seed(seed)
                 .with_depth(tuning.depth.unwrap_or(2));
             let _solve_span = imc_obs::Span::enter_with("cluster_solve", algo.name());
-            let outcome = run_resilient(config, board, seed, |peers| {
+            let outcome = run_resilient(config, board, kept, seed, |peers| {
                 cluster_solve(instance, peers, algo, &req)
             });
             match outcome {
@@ -780,7 +822,7 @@ fn dispatch_request(
                 );
             }
             let _estimate_span = imc_obs::Span::enter_with("cluster_estimate", "");
-            let outcome = run_resilient(config, board, 0, |peers| {
+            let outcome = run_resilient(config, board, kept, 0, |peers| {
                 Ok(shard_eval_totals(peers, &seeds, None)?)
             });
             match outcome {

@@ -5,8 +5,9 @@
 //! single implementation of that counting: fixed 8-limb chunks unrolled via
 //! [`slice::chunks_exact`] so the compiler autovectorizes the
 //! `count_ones` reduction (AVX2 `vpshufb`-popcount or NEON `cnt` on the
-//! respective targets) without any platform intrinsics — the crate stays
-//! std-only and `#![deny(unsafe_code)]`-clean.
+//! respective targets) without any platform intrinsics. The one intrinsic
+//! in this module is [`prefetch_read`], a hint that computes nothing (see
+//! `docs/KERNELS.md`, *Index walks prefetch ahead*).
 //!
 //! Contract (see `docs/KERNELS.md` for the full statement):
 //!
@@ -131,6 +132,35 @@ pub fn or_assign_count(acc: &mut [u64], src: &[u64]) -> u32 {
     total
 }
 
+/// Hints the CPU to start loading `slice[index]` into cache; returns at
+/// once, reads nothing and changes no value. An index walk whose every
+/// entry is a dependent jump into a large arena calls this for the entry a
+/// few iterations ahead, so the misses overlap instead of queueing.
+///
+/// Any `index` is accepted — past the end, `usize::MAX` — and an empty
+/// slice too: the address is formed without being dereferenced. A no-op
+/// off x86-64.
+///
+/// This is the crate's second audited exemption from `deny(unsafe_code)`
+/// (the first is `snapshot::cast`).
+#[allow(unsafe_code)]
+#[inline(always)]
+pub fn prefetch_read<T>(slice: &[T], index: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let address = slice.as_ptr().wrapping_add(index).cast::<i8>();
+        // SAFETY: `_mm_prefetch` needs SSE, which every x86-64 target has.
+        // PREFETCHT0 is a hint: it performs no architectural read and never
+        // faults, whatever the address (unmapped, misaligned, wrapped), and
+        // `wrapping_add` forms that address without the in-bounds
+        // obligation of `add`. Nothing is dereferenced.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(address) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (slice, index);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,6 +187,31 @@ mod tests {
                 .collect();
             assert_eq!(count_ones(&a), scalar_count(&a), "len {len}");
         }
+    }
+
+    /// The prefetch is a hint on an address that is never dereferenced:
+    /// no index can fault, and the slice is left as it was.
+    #[test]
+    fn prefetch_read_accepts_any_index() {
+        let empty: [u64; 0] = [];
+        for index in [0, 1, usize::MAX] {
+            prefetch_read(&empty, index);
+        }
+        let words = [1u64, 2, 3];
+        for index in [
+            0,
+            2,
+            words.len(),
+            words.len() + 1,
+            usize::MAX / 8,
+            usize::MAX,
+        ] {
+            prefetch_read(&words, index);
+        }
+        let bytes = [7u8; 5];
+        prefetch_read(&bytes, usize::MAX);
+        assert_eq!(words, [1, 2, 3]);
+        assert_eq!(bytes, [7; 5]);
     }
 
     #[test]

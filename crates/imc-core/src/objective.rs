@@ -206,6 +206,13 @@ impl NuTable {
     }
 }
 
+/// How many index entries ahead of the one it is working on
+/// [`CoverageState::add_seed`] prefetches. A constant, not a knob: 4 / 8 /
+/// 16 / 32 / 64 ahead walk one benchmark-shaped score in 460 / 413 / 396 /
+/// 391 / 408 µs on 2-limb covers and 316 / 310 / 290 / 297 / 301 µs on
+/// 1-limb ones (700 and 475 µs without; `docs/KERNELS.md`).
+const PREFETCH_AHEAD: usize = 16;
+
 impl<C: RicSamples> CoverageState<C> {
     /// Fresh state with no seeds.
     pub fn new(collection: C) -> Self {
@@ -413,7 +420,18 @@ impl<C: RicSamples> CoverageState<C> {
         let maintained = tables.is_some() || nu_table.is_some();
         let mut old = Vec::new();
         let mut swept = 0;
-        for r in cols.touched_by(v) {
+        let entries = cols.touched_by(v);
+        for (i, r) in entries.iter().enumerate() {
+            // Each entry is a dependent jump into the cover arena, far
+            // larger than any cache: ask for a later entry's lines now, so
+            // the misses overlap (`docs/KERNELS.md`, *Index walks prefetch
+            // ahead*).
+            if let Some(ahead) = entries.get(i + PREFETCH_AHEAD) {
+                let sj = ahead.sample as usize;
+                kernels::prefetch_read(cols.cover_words, cols.cover_start(sj, ahead.pos as usize));
+                kernels::prefetch_read(&self.union_words, self.union_offsets[sj]);
+                kernels::prefetch_read(&self.counts, sj);
+            }
             let si = r.sample as usize;
             let cover = cols.cover_words(si, r.pos as usize);
             let h = cols.thresholds[si];
@@ -1203,29 +1221,32 @@ pub(crate) mod tests {
     /// covers about a quarter full, and a threshold anywhere from 1 to
     /// `width + 1` — the last can never be met.
     pub(crate) fn sample_strategy() -> impl Strategy<Value = RicSample> {
+        sample_of_width(1u32..=200)
+    }
+
+    /// [`sample_strategy`] with the width drawn from `width`.
+    fn sample_of_width(width: impl Strategy<Value = u32>) -> impl Strategy<Value = RicSample> {
         let word = (0u64..=u64::MAX, 0u64..=u64::MAX).prop_map(|(a, b)| a & b);
         let row = (0..TOUCHING, prop::collection::vec(word, 4));
-        (1u32..=200, 0u32..=200, prop::collection::vec(row, 0..7)).prop_map(
-            |(width, t, mut rows)| {
-                rows.sort_by_key(|r| r.0);
-                rows.dedup_by_key(|r| r.0);
-                let limbs = limbs_for_width(width);
-                RicSample {
-                    community: CommunityId::new(0),
-                    threshold: 1 + t % (width + 1),
-                    community_size: width,
-                    nodes: rows.iter().map(|r| NodeId::new(r.0)).collect(),
-                    covers: rows
-                        .iter()
-                        .map(|(_, words)| {
-                            let mut words = words[..limbs].to_vec();
-                            words[limbs - 1] &= top_limb_mask(width);
-                            CoverSet::from_words(width as usize, &words)
-                        })
-                        .collect(),
-                }
-            },
-        )
+        (width, 0u32..=200, prop::collection::vec(row, 0..7)).prop_map(|(width, t, mut rows)| {
+            rows.sort_by_key(|r| r.0);
+            rows.dedup_by_key(|r| r.0);
+            let limbs = limbs_for_width(width);
+            RicSample {
+                community: CommunityId::new(0),
+                threshold: 1 + t % (width + 1),
+                community_size: width,
+                nodes: rows.iter().map(|r| NodeId::new(r.0)).collect(),
+                covers: rows
+                    .iter()
+                    .map(|(_, words)| {
+                        let mut words = words[..limbs].to_vec();
+                        words[limbs - 1] &= top_limb_mask(width);
+                        CoverSet::from_words(width as usize, &words)
+                    })
+                    .collect(),
+            }
+        })
     }
 
     /// Every ĉ (`nu == false`) or ν table answer for `nodes` equals the
@@ -1343,7 +1364,65 @@ pub(crate) mod tests {
         }
     }
 
+    /// A collection of `limbs`-limb samples in which node 0 touches every
+    /// sample — its index list is as long as the collection, around the
+    /// prefetch distance — and every other node fewer.
+    fn walk_collection() -> impl Strategy<Value = Vec<RicSample>> {
+        const LENGTHS: [usize; 6] = [
+            0,
+            1,
+            PREFETCH_AHEAD - 1,
+            PREFETCH_AHEAD,
+            PREFETCH_AHEAD + 1,
+            3 * PREFETCH_AHEAD + 5,
+        ];
+        (1u32..=3, 0..LENGTHS.len()).prop_flat_map(|(limbs, which)| {
+            let sample = sample_of_width(limbs * 64 - 63..=limbs * 64).prop_map(|mut sample| {
+                if sample.nodes.first() != Some(&NodeId::new(0)) {
+                    let mut cover = CoverSet::new(sample.community_size as usize);
+                    cover.set(0);
+                    sample.nodes.insert(0, NodeId::new(0));
+                    sample.covers.insert(0, cover);
+                }
+                sample
+            });
+            prop::collection::vec(sample, LENGTHS[which])
+        })
+    }
+
     proptest! {
+        /// The prefetching walk changes no value: a whole-set score over
+        /// the store and over a view of its snapshot is what the naive
+        /// per-sample estimators of `RicSamples` compute, for index lists
+        /// shorter than, as long as and longer than the prefetch distance,
+        /// on 1-, 2- and 3-limb covers, with duplicate and out-of-range
+        /// seeds.
+        #[test]
+        fn a_score_equals_the_naive_estimators(
+            samples in walk_collection(),
+            seeds in prop::collection::vec((0..NODES + 3).prop_map(NodeId::new), 0..10),
+        ) {
+            use crate::maxr::Score;
+            let store =
+                RicStore::from_samples(NODES as usize, 1, samples.len() as f64, &samples).unwrap();
+            prop_assert_eq!(store.touched_by(NodeId::new(0)).len(), samples.len());
+            let snapshot = snapshot_of(&store);
+            let view = snapshot.view().unwrap();
+            let score = Score::of(&store, &seeds);
+            prop_assert_eq!(score, Score::of(&view, &seeds));
+            let b = store.total_benefit();
+            prop_assert_eq!(score.samples, samples.len());
+            prop_assert_eq!(score.influenced, RicSamples::influenced_count(&view, &seeds));
+            prop_assert_eq!(
+                score.estimate(b).to_bits(),
+                RicSamples::estimate(&view, &seeds).to_bits()
+            );
+            prop_assert_eq!(
+                score.nu_estimate(b).to_bits(),
+                RicSamples::nu_estimate(&view, &seeds).to_bits()
+            );
+        }
+
         /// The tentpole contract: whatever interleaving of seed commits
         /// (duplicates and no-op seeds included) and evaluations a state
         /// sees, and wherever its first evaluation falls, the gain tables

@@ -104,12 +104,18 @@ impl<'a> RicColumns<'a> {
         &self.cover_words[self.cover_offsets[si] as usize..self.cover_offsets[si + 1] as usize]
     }
 
+    /// Where in the cover arena the row of the node at position `pos`
+    /// within sample `si` starts.
+    #[inline]
+    pub(crate) fn cover_start(self, si: usize, pos: usize) -> usize {
+        self.cover_offsets[si] as usize + pos * limbs_for_width(self.widths[si])
+    }
+
     /// Cover limbs of the node at position `pos` within sample `si`.
     #[inline]
     pub fn cover_words(self, si: usize, pos: usize) -> &'a [u64] {
-        let limbs = limbs_for_width(self.widths[si]);
-        let start = self.cover_offsets[si] as usize + pos * limbs;
-        &self.cover_words[start..start + limbs]
+        let start = self.cover_start(si, pos);
+        &self.cover_words[start..start + limbs_for_width(self.widths[si])]
     }
 
     /// Samples touched by `v`, ordered by `(sample, pos)` ascending.

@@ -230,7 +230,8 @@ pub fn instance_fingerprint(graph: &Graph, communities: &CommunitySet) -> u64 {
     h.finish()
 }
 
-/// The one audited escape hatch from the crate-wide `deny(unsafe_code)`:
+/// One of the two audited escape hatches from the crate-wide
+/// `deny(unsafe_code)` (the other is `kernels::prefetch_read`):
 /// reinterpreting 8-byte-aligned little-endian snapshot bytes as the typed
 /// columns they store, and typed columns as raw bytes. Every cast from
 /// bytes checks alignment at runtime (`align_to` with an empty

@@ -16,7 +16,10 @@
 //! ```
 //!
 //! Spans must be dropped on the thread that entered them (they restore a
-//! thread-local stack) — which RAII scoping gives you for free.
+//! thread-local stack) — which RAII scoping gives you for free. A span
+//! that has to stay open while *siblings* open after it on the same thread
+//! (one per request of a pipelined fan) is taken off the stack with
+//! [`Span::park`].
 
 use crate::metrics::DEFAULT_DURATION_BUCKETS;
 use crate::trace::{self, TraceEvent};
@@ -37,6 +40,7 @@ pub struct Span {
     start_us: u64,
     span_id: String,
     parent_span_id: Option<String>,
+    parked: bool,
 }
 
 impl Span {
@@ -58,6 +62,19 @@ impl Span {
             start_us: trace::now_us(),
             span_id,
             parent_span_id,
+            parked: false,
+        }
+    }
+
+    /// Takes the span off its thread's stack while it stays open: its
+    /// parent is the current span again, so the next span entered is this
+    /// one's sibling, not its child. The span still times until dropped
+    /// and still reports under its own parent; parked spans may be dropped
+    /// in any order.
+    pub fn park(&mut self) {
+        if !self.parked {
+            self.parked = true;
+            let _ = trace::swap_current_span(self.parent_span_id.clone());
         }
     }
 
@@ -78,8 +95,10 @@ impl Drop for Span {
         let secs = self.start.elapsed().as_secs_f64();
         // Pop this span off the thread's stack *before* building the
         // event: TraceEvent::new then attaches the restored parent as
-        // `parent_span_id`, and we add our own `span_id` explicitly.
-        let _ = trace::swap_current_span(self.parent_span_id.take());
+        // `parent_span_id`, and we add our own `span_id` explicitly. A
+        // parked span left the stack long ago; it borrows the current
+        // slot for its parent while the event is built.
+        let displaced = trace::swap_current_span(self.parent_span_id.take());
         crate::global()
             .histogram_with(
                 SPAN_DURATION_METRIC,
@@ -98,6 +117,9 @@ impl Drop for Span {
                 event = event.field("detail", self.detail.as_str());
             }
             trace::emit(event);
+        }
+        if self.parked {
+            let _ = trace::swap_current_span(displaced);
         }
     }
 }
@@ -150,6 +172,25 @@ mod tests {
     }
 
     #[test]
+    fn parked_spans_are_siblings_and_drop_in_any_order() {
+        let outer = Span::enter("park_outer");
+        let mut first = Span::enter("park_first");
+        first.park();
+        assert_eq!(trace::current_span_id().as_deref(), Some(outer.id()));
+        let mut second = Span::enter("park_second");
+        assert_eq!(second.parent_span_id.as_deref(), Some(outer.id()));
+        second.park();
+        let before = span_count("park_first", "");
+        drop(first);
+        assert_eq!(span_count("park_first", ""), before + 1);
+        assert_eq!(trace::current_span_id().as_deref(), Some(outer.id()));
+        drop(second);
+        assert_eq!(trace::current_span_id().as_deref(), Some(outer.id()));
+        drop(outer);
+        assert_eq!(trace::current_span_id(), None);
+    }
+
+    #[test]
     fn span_events_link_parent_child_and_remote_context() {
         use std::sync::{Arc, Mutex};
 
@@ -172,9 +213,15 @@ mod tests {
             let _ctx = trace::TraceCtx::enter_remote("feedfacefeedface", Some("badc0ffee0ddf00d"));
             let outer = Span::enter("link_outer");
             let outer_id = outer.id().to_string();
+            let mut parked = Span::enter("link_parked");
+            parked.park();
             let inner = Span::enter_with("link_inner", "shard=a");
             let inner_id = inner.id().to_string();
             trace::emit(trace::TraceEvent::new("link_point").field("n", 1u64));
+            // Dropped while `inner` is current: it still reports under the
+            // parent it was entered under, and leaves `inner` current.
+            drop(parked);
+            assert_eq!(trace::current_span_id().as_deref(), Some(inner.id()));
             drop(inner);
             drop(outer);
             (outer_id, inner_id)
@@ -197,6 +244,8 @@ mod tests {
         assert!(inner.contains(&format!("\"span_id\":\"{inner_id}\"")));
         assert!(inner.contains(&format!("\"parent_span_id\":\"{outer_id}\"")));
         assert!(inner.contains("\"start_us\":"));
+        let parked = line_with("\"span\":\"link_parked\"");
+        assert!(parked.contains(&format!("\"parent_span_id\":\"{outer_id}\"")));
         let outer = line_with("\"span\":\"link_outer\"");
         assert!(outer.contains(&format!("\"span_id\":\"{outer_id}\"")));
         assert!(outer.contains("\"parent_span_id\":\"badc0ffee0ddf00d\""));

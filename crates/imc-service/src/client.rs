@@ -10,7 +10,11 @@
 //! peer's address, lazy (re)connection, and a [`RetryPolicy`]-governed
 //! reconnect-and-retry loop for *stateless* requests only — exponential
 //! backoff with jitter derived deterministically from the request seed,
-//! so two runs of the same solve sleep the same schedule. Session-scoped
+//! so two runs of the same solve sleep the same schedule. A stateless
+//! request can also be *pipelined* — [`PeerClient::send`] now,
+//! [`PeerClient::finish_stateless`] later — so a caller with several
+//! peers keeps every request in flight at once; a transport error at
+//! either half enters the same retry ladder. Session-scoped
 //! requests (`eval_*`) are never retried: their state lives in the
 //! peer's connection, so a transport error invalidates the session and
 //! must surface to the coordinator, which degrades with a structured
@@ -85,8 +89,9 @@ impl Client {
         let stream = TcpStream::connect_timeout(&addr, config.connect_timeout)?;
         stream.set_read_timeout(Some(config.read_timeout))?;
         stream.set_write_timeout(Some(config.write_timeout))?;
-        // One request is written as several small syscalls; without
-        // nodelay, Nagle + delayed ACK stalls every RPC by ~40ms.
+        // A request is one write, but a pipelined caller issues its next
+        // before this one's reply: nodelay keeps Nagle from holding that
+        // segment back until the peer's delayed ACK (~40ms).
         stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
@@ -101,8 +106,21 @@ impl Client {
     ///
     /// `std::io::Error` on broken pipe, timeout, or server disconnect.
     pub fn request_line(&mut self, line: &str) -> std::io::Result<String> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
+        self.send_line(line)?;
+        self.recv_line()
+    }
+
+    /// Writes one request line — a single write, so it leaves as one
+    /// segment — without waiting for the reply.
+    fn send_line(&mut self, line: &str) -> std::io::Result<()> {
+        let mut framed = Vec::with_capacity(line.len() + 1);
+        framed.extend_from_slice(line.as_bytes());
+        framed.push(b'\n');
+        self.writer.write_all(&framed)
+    }
+
+    /// Reads the next response line, trailing whitespace trimmed in place.
+    fn recv_line(&mut self) -> std::io::Result<String> {
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {
@@ -111,7 +129,8 @@ impl Client {
                 "server closed the connection",
             ));
         }
-        Ok(response.trim_end().to_string())
+        response.truncate(response.trim_end().len());
+        Ok(response)
     }
 
     /// Sends a request line and parses the response as JSON.
@@ -382,18 +401,49 @@ impl PeerClient {
         Ok(self.conn.as_mut().expect("just connected"))
     }
 
-    fn request_once(&mut self, line: &str) -> Result<Value, ClusterError> {
-        let addr = self.addr;
+    /// Drops the connection a transport error left in an unknown state —
+    /// it is never reused — and types the error.
+    fn broken(&mut self, source: std::io::Error) -> ClusterError {
+        self.conn = None;
+        ClusterError::Io {
+            addr: self.addr,
+            source,
+        }
+    }
+
+    /// Writes one request line (connecting first if no connection is
+    /// held) and returns without waiting for the reply, which
+    /// [`recv`](Self::recv) reads. Replies arrive in request order, so a
+    /// caller may have several lines in flight on one peer — or, the
+    /// point, one on each of several peers.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::Connect`] / [`ClusterError::Io`]; the connection
+    /// has been dropped.
+    pub fn send(&mut self, line: &str) -> Result<(), ClusterError> {
         let line = with_span_context(line);
-        let client = self.ensure_connected()?;
-        let text = match client.request_line(&line) {
-            Ok(t) => t,
-            Err(source) => {
-                // The stream is in an unknown state; never reuse it.
-                self.conn = None;
-                return Err(ClusterError::Io { addr, source });
-            }
+        let sent = self.ensure_connected()?.send_line(&line);
+        sent.map_err(|source| self.broken(source))
+    }
+
+    /// Reads the reply to the oldest unanswered [`send`](Self::send).
+    ///
+    /// # Errors
+    ///
+    /// Any [`ClusterError`]; on a transport error (including: no
+    /// connection is held) the connection has been dropped, and with it
+    /// every reply still in flight.
+    pub fn recv(&mut self) -> Result<Value, ClusterError> {
+        let addr = self.addr;
+        let received = match self.conn.as_mut() {
+            Some(client) => client.recv_line(),
+            None => Err(std::io::Error::new(
+                std::io::ErrorKind::NotConnected,
+                "no request in flight",
+            )),
         };
+        let text = received.map_err(|source| self.broken(source))?;
         let value = json::parse(&text).map_err(|e| ClusterError::Protocol {
             addr,
             detail: e.to_string(),
@@ -425,6 +475,11 @@ impl PeerClient {
         }
     }
 
+    fn request_once(&mut self, line: &str) -> Result<Value, ClusterError> {
+        self.send(line)?;
+        self.recv()
+    }
+
     /// Sends a **stateless** request (`solve`, `estimate`, `shard_eval`,
     /// `health`, …), reconnecting and retrying on transport errors up to
     /// the configured retry budget.
@@ -434,18 +489,38 @@ impl PeerClient {
     /// The last [`ClusterError`] after the retry budget is exhausted, or
     /// immediately on non-transport errors (protocol/remote).
     pub fn request_stateless(&mut self, line: &str) -> Result<Value, ClusterError> {
+        let sent = self.send(line);
+        self.finish_stateless(line, sent)
+    }
+
+    /// The second half of a pipelined **stateless** request: `sent` is
+    /// what [`send`](Self::send) returned for `line`, possibly many other
+    /// peers' sends ago. Reads the reply; a transport error at either
+    /// half counts as the first attempt of
+    /// [`request_stateless`](Self::request_stateless)'s budget, and the
+    /// rest of it — reconnect, backoff, replay — runs here.
+    ///
+    /// # Errors
+    ///
+    /// As [`request_stateless`](Self::request_stateless).
+    pub fn finish_stateless(
+        &mut self,
+        line: &str,
+        sent: Result<(), ClusterError>,
+    ) -> Result<Value, ClusterError> {
+        let mut result = sent.and_then(|()| self.recv());
         let mut attempt = 0u32;
         loop {
-            match self.request_once(line) {
-                Ok(v) => return Ok(v),
+            match result {
                 Err(e) if e.is_transport() => {
                     attempt += 1;
                     match self.retry.delay_before(attempt, self.retry_seed) {
                         Some(delay) => std::thread::sleep(delay),
                         None => return Err(e),
                     }
+                    result = self.request_once(line);
                 }
-                Err(e) => return Err(e),
+                done => return done,
             }
         }
     }
@@ -468,6 +543,8 @@ impl PeerClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn cluster_error_names_the_peer_address() {
@@ -515,6 +592,74 @@ mod tests {
             .request_session(r#"{"op":"eval_begin"}"#)
             .expect_err("must fail");
         assert!(matches!(err, ClusterError::Connect { .. }));
+    }
+
+    /// A peer that reads one line per connection and hangs up on the first
+    /// `severed` connections, answering `{"ok":true}` from then on. The
+    /// counter is the number of request lines it has read.
+    fn flaky_peer(severed: usize) -> (SocketAddr, Arc<AtomicUsize>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let lines = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&lines);
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let Ok(stream) = stream else { break };
+                let mut writer = stream.try_clone().unwrap();
+                for line in BufReader::new(stream).lines() {
+                    if line.is_err() || seen.fetch_add(1, Ordering::SeqCst) < severed {
+                        break;
+                    }
+                    if writer.write_all(b"{\"ok\":true}\n").is_err() {
+                        break;
+                    }
+                }
+            }
+        });
+        (addr, lines)
+    }
+
+    /// Both forms of a stateless request make the same number of attempts
+    /// against a peer that severs every connection, and both come back
+    /// with the reply once the peer stops doing so — the pipelined one
+    /// with any number of other sends between its two halves.
+    #[test]
+    fn a_pipelined_request_spends_the_same_retry_budget() {
+        let line = r#"{"op":"ping"}"#;
+        let policy = RetryPolicy {
+            attempts: 3,
+            base_delay: Duration::from_millis(1),
+            max_delay: Duration::from_millis(2),
+            jitter: 0.0,
+        };
+        let config = ClientConfig::uniform(Duration::from_secs(5));
+        for pipelined in [false, true] {
+            let request = |peer: &mut PeerClient| {
+                if pipelined {
+                    let sent = peer.send(line);
+                    peer.finish_stateless(line, sent)
+                } else {
+                    peer.request_stateless(line)
+                }
+            };
+            let (dark, lines) = flaky_peer(usize::MAX);
+            let mut peer = PeerClient::new(dark, config, policy);
+            let err = request(&mut peer).expect_err("every attempt is severed");
+            assert!(matches!(err, ClusterError::Io { .. }), "{err}");
+            assert!(!peer.is_connected());
+            assert_eq!(lines.load(Ordering::SeqCst), 3, "pipelined: {pipelined}");
+
+            let (flaky, lines) = flaky_peer(2);
+            let mut peer = PeerClient::new(flaky, config, policy);
+            assert!(request(&mut peer).is_ok(), "the third attempt is answered");
+            assert_eq!(lines.load(Ordering::SeqCst), 3, "pipelined: {pipelined}");
+            // The connection that worked is kept, and replies come back in
+            // request order.
+            peer.send(line).unwrap();
+            peer.send(line).unwrap();
+            assert!(peer.recv().is_ok() && peer.recv().is_ok());
+            assert_eq!(lines.load(Ordering::SeqCst), 5);
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! daemons, each sampling its own partition of one shared sampling plan
 //! → start the scatter-gather coordinator → solve GREEDY through the
 //! cluster → prove the seed set bitwise identical to a single-node
-//! solve over the full collection.
+//! solve over the full collection → score it twice on the same
+//! connection, bitwise identical again.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -101,6 +102,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("single-node seeds: {reference_seeds:?}");
     assert_eq!(cluster_seeds, reference_seeds, "distributed solve diverged");
     println!("bitwise identical ✓");
+
+    // 6. Score the answer, twice, on the connection the solve used: the
+    //    coordinator asks both shards at once and keeps its shard
+    //    connections while this client stays connected, and the summed
+    //    integer scores are the single-node estimators bit for bit.
+    let ids: Vec<String> = cluster_seeds.iter().map(u64::to_string).collect();
+    let estimate = format!(r#"{{"op":"estimate","seeds":[{}]}}"#, ids.join(","));
+    let c_hat = full.estimate(&reference.seeds);
+    let nu = full.nu_estimate(&reference.seeds);
+    for _ in 0..2 {
+        let reply = client.request(&estimate)?;
+        let bits = |key: &str| reply.get(key).and_then(Value::as_f64).map(f64::to_bits);
+        assert_eq!(bits("estimate"), Some(c_hat.to_bits()), "ĉ_R diverged");
+        assert_eq!(bits("nu_estimate"), Some(nu.to_bits()), "ν_R diverged");
+        println!("cluster estimate: ĉ_R = {c_hat:.3}, ν_R = {nu:.3} ✓");
+    }
 
     drop(client);
     coordinator.stop_and_join();
