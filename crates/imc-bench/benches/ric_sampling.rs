@@ -1,9 +1,12 @@
 //! Criterion bench: RIC sample generation throughput (Alg. 1) across
-//! community size caps — the inner loop of every IMC solve.
+//! community size caps — the inner loop of every IMC solve — and the store
+//! build behind every cold start (`store_build`).
+//!
+//! `cargo bench -p imc-bench --bench ric_sampling`
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use imc_community::{BenefitPolicy, CommunitySet, ThresholdPolicy};
-use imc_core::{RicSampler, RicStore, SampleBuf};
+use imc_core::{default_workers, RicSampler, RicStore, SampleBuf};
 use imc_datasets::DatasetId;
 use imc_graph::WeightModel;
 use rand::rngs::StdRng;
@@ -73,5 +76,50 @@ fn bench_collection_build(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ric_generation, bench_collection_build);
+/// The whole store build — draw, append and inverted index — on the two
+/// Wiki-Vote analogs of the repository benchmark (weighted cascade,
+/// Louvain split at the size cap, population benefits, dataset seed 1):
+/// `narrow` is the ladder's instance (scale 0.3, cap 8, `h = 2`, 40,000
+/// samples), `wide` is `imcaf-wide`'s (scale 1.0, cap 128,
+/// `h = ⌈0.1·|C|⌉`, 10,000 samples). One worker draws and indexes on the
+/// calling thread; all workers is `default_workers()`, what the benchmark's
+/// cold starts and IMCAF's growth use.
+fn bench_store_build(c: &mut Criterion) {
+    let cases = [
+        ("narrow", 0.3, 8, ThresholdPolicy::Constant(2), 40_000),
+        ("wide", 1.0, 128, ThresholdPolicy::Fraction(0.1), 10_000),
+    ];
+    let mut group = c.benchmark_group("store_build");
+    group.sample_size(10);
+    for (name, scale, cap, threshold, samples) in cases {
+        let graph = imc_datasets::generate(DatasetId::WikiVote, scale, 1)
+            .reweighted(WeightModel::WeightedCascade);
+        let communities = CommunitySet::builder(&graph)
+            .louvain(1)
+            .split_larger_than(cap)
+            .threshold(threshold)
+            .benefit(BenefitPolicy::Population)
+            .build()
+            .unwrap();
+        let sampler = RicSampler::new(&graph, &communities);
+        for workers in [1, default_workers()] {
+            let id = BenchmarkId::new(name, format!("{workers}w"));
+            group.bench_with_input(id, &workers, |b, &workers| {
+                b.iter(|| {
+                    let mut store = RicStore::for_sampler(&sampler);
+                    store.extend_parallel_with_workers(&sampler, samples, 7, workers);
+                    black_box(store.index_entries())
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_ric_generation,
+    bench_collection_build,
+    bench_store_build
+);
 criterion_main!(benches);

@@ -14,7 +14,7 @@
 //! * the same identity holds for **any** survivor subset of a 4-shard
 //!   topology (proptest over {1,2,3} lost shards).
 
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -217,11 +217,10 @@ fn killed_shard_degrades_and_matches_fresh_survivor_solve() {
 #[test]
 fn coordinator_health_reports_per_shard_states() {
     let instance = small_instance(23);
-    let (mut handles, addrs) = spawn_shards(&instance, 2, 128, 7);
-    let coordinator = start_coordinator(&instance, addrs.clone());
-    let dead = handles.pop().unwrap();
+    let (handles, addrs) = spawn_shards(&instance, 2, 128, 7);
+    let dead = dark_shard(addrs[1]);
     let dead_addr = dead.addr();
-    dead.stop_and_join();
+    let coordinator = start_coordinator(&instance, vec![addrs[0], dead_addr]);
 
     let mut client = Client::connect(coordinator.addr(), Duration::from_secs(30)).unwrap();
     let resp = client.request(r#"{"op":"health"}"#).unwrap();
@@ -248,18 +247,20 @@ fn coordinator_health_reports_per_shard_states() {
     assert_eq!(ping.get("ok").and_then(Value::as_bool), Some(true));
     drop(client);
     coordinator.stop_and_join();
+    dead.stop_and_join();
     for h in handles {
         h.stop_and_join();
     }
 }
 
-/// A loopback address that refuses connections: bind an ephemeral port,
-/// then drop the listener.
-fn refused_addr() -> SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    drop(listener);
-    addr
+/// A shard that is dark for the whole test: `addr`'s daemon behind a
+/// chaos proxy that kills it at its first request, so every connection is
+/// accepted and dropped unanswered. The proxy holds its port until it is
+/// stopped. A stopped daemon or a dropped listener would free the port,
+/// and a parallel test's ephemeral bind could take it and answer in the
+/// dead shard's place.
+fn dark_shard(addr: SocketAddr) -> ChaosProxy {
+    ChaosProxy::start(addr, ChaosFault::Kill, 0).unwrap()
 }
 
 proptest! {
@@ -277,10 +278,15 @@ proptest! {
     ) {
         let instance = small_instance(instance_seed);
         let (handles, addrs) = spawn_shards(&instance, 4, 160, base_seed);
-        let fronts: Vec<SocketAddr> = addrs
+        let dark: Vec<Option<ChaosProxy>> = addrs
             .iter()
             .enumerate()
-            .map(|(i, &addr)| if dead_mask & (1 << i) != 0 { refused_addr() } else { addr })
+            .map(|(i, &addr)| (dead_mask & (1 << i) != 0).then(|| dark_shard(addr)))
+            .collect();
+        let fronts: Vec<SocketAddr> = addrs
+            .iter()
+            .zip(&dark)
+            .map(|(&addr, proxy)| proxy.as_ref().map_or(addr, ChaosProxy::addr))
             .collect();
         let survivors: Vec<SocketAddr> = addrs
             .iter()
@@ -310,6 +316,9 @@ proptest! {
             degraded.get("evaluations").and_then(Value::as_u64),
             reference.get("evaluations").and_then(Value::as_u64)
         );
+        for proxy in dark.into_iter().flatten() {
+            proxy.stop_and_join();
+        }
         for h in handles {
             h.stop_and_join();
         }

@@ -2,19 +2,129 @@ use crate::samples::limbs_for_width;
 use crate::{CoverSet, RicSample};
 use imc_community::{CommunityId, CommunitySet};
 use imc_graph::{Graph, NodeId};
-use rand::Rng;
+use rand::{Rng, RngCore};
+
+/// Flat sweeps over the live edges that cover propagation runs before it
+/// hands an unsettled draw to the worklist.
+const COVER_SWEEPS: usize = 16;
+
+/// `2⁵³`, the scale of the vendored `random::<f64>()`, which is
+/// `(next_u64() >> 11) · 2⁻⁵³`.
+const COIN_SCALE: f64 = (1u64 << 53) as f64;
+
+/// The integer form of a coin with probability `w ∈ (0, 1)`: for every
+/// 53-bit `m`, `m < coin_threshold(w)` exactly when `m·2⁻⁵³ < w` — when the
+/// `random::<f64>()` made from `m` comes up live.
+///
+/// Both sides are exact: `m < 2⁵³` converts to `f64` without rounding and a
+/// power-of-two scale loses no bit, so `m·2⁻⁵³ < w ⇔ m < w·2⁵³`, and for an
+/// integer `m` that is `m < ⌈w·2⁵³⌉`, an integer `≤ 2⁵³`.
+fn coin_threshold(w: f64) -> u64 {
+    (w * COIN_SCALE).ceil() as u64
+}
+
+/// One coin per edge of a row, in row order, each one `next_u64()` as
+/// `random::<f64>()` would draw it. The sources of the live edges are
+/// packed, in row order, at the front of `kept`, and their count is
+/// returned. Branch-free: every source is written, and the cursor moves on
+/// by the coin. Kept out of line: inlined into the BFS loop, the
+/// generator's state no longer stays in registers across the row, and a
+/// wide draw measured about 4 % slower.
+#[inline(never)]
+fn flip_coins<R: RngCore + ?Sized>(
+    sources: &[u32],
+    thresholds: &[u64],
+    rng: &mut R,
+    kept: &mut [u32],
+) -> usize {
+    let mut live = 0;
+    for (&source, &t) in sources.iter().zip(thresholds) {
+        kept[live] = source;
+        live += usize::from((rng.next_u64() >> 11) < t);
+    }
+    live
+}
+
+/// One sweep of `cover[p] |= cover[l]` over the live edges `p → l`
+/// (`sources[e] = p`, `targets[e] = l`), `limbs` words a cover. Returns
+/// the OR of every bit it set, so `0` means every inclusion already held.
+fn sweep_covers(words: &mut [u64], limbs: usize, sources: &[u32], targets: &[u32]) -> u64 {
+    let mut changed = 0u64;
+    if limbs == 1 {
+        for (&p, &l) in sources.iter().zip(targets) {
+            let had = words[p as usize];
+            let merged = had | words[l as usize];
+            words[p as usize] = merged;
+            changed |= merged ^ had;
+        }
+        return changed;
+    }
+    for (&p, &l) in sources.iter().zip(targets) {
+        let (p, l) = (p as usize * limbs, l as usize * limbs);
+        for limb in 0..limbs {
+            let had = words[p + limb];
+            let merged = had | words[l + limb];
+            words[p + limb] = merged;
+            changed |= merged ^ had;
+        }
+    }
+    changed
+}
+
+/// The in-edges of every node whose in-edges all need a coin
+/// (`0 < w < 1`), as an in-CSR of sources and [`coin_threshold`]s — what
+/// the IC draw flips branch-free. A node with a certain or dead in-edge
+/// has an empty row and `coined[v] == false`; it keeps the per-edge loop.
+#[derive(Debug, Clone, Default)]
+struct CoinRows {
+    coined: Vec<bool>,
+    offsets: Vec<usize>,
+    sources: Vec<u32>,
+    thresholds: Vec<u64>,
+    /// The longest row: the size of `SampleBuf::kept`.
+    widest: usize,
+}
+
+impl CoinRows {
+    fn of(graph: &Graph) -> Self {
+        let mut rows = CoinRows {
+            offsets: vec![0],
+            ..CoinRows::default()
+        };
+        for v in graph.nodes() {
+            let coined = graph.in_edges(v).all(|e| 0.0 < e.weight && e.weight < 1.0);
+            if coined {
+                for e in graph.in_edges(v) {
+                    rows.sources.push(e.source.raw());
+                    rows.thresholds.push(coin_threshold(e.weight));
+                }
+                rows.widest = rows.widest.max(graph.in_degree(v));
+            }
+            rows.coined.push(coined);
+            rows.offsets.push(rows.sources.len());
+        }
+        rows
+    }
+
+    /// `v`'s sources and thresholds.
+    fn row(&self, v: NodeId) -> (&[u32], &[u64]) {
+        let row = self.offsets[v.index()]..self.offsets[v.index() + 1];
+        (&self.sources[row.clone()], &self.thresholds[row])
+    }
+}
 
 /// Reusable output buffer for one sampler draw, holding the sample as the
 /// flat arrays an arena append wants: sorted node ids plus one contiguous
 /// run of cover limbs (`len × max(1, ⌈width/64⌉)` words).
 ///
 /// It also owns the sampler's scratch — the per-graph-node interning
-/// table, the BFS queue, the live-edge CSR, the covers in discovery order,
-/// the propagation worklist and the sort keys — so once the buffer has
-/// seen a draw as large as the next one, that draw allocates nothing
-/// (docs/KERNELS.md, *RIC sampler scratch and word-parallel cover
-/// propagation*). Every production draw holds one `SampleBuf` across all
-/// the draws of a thread — a worker of the store's plan draws
+/// table, the BFS queue, the coin scratch, the live-edge lists, the covers
+/// in discovery order, the propagation worklist and the node-id bitmap —
+/// so once the buffer has seen a draw as large as the next
+/// one, that draw allocates nothing (docs/KERNELS.md, *RIC sampler
+/// scratch and word-parallel cover propagation*). Every production draw
+/// holds one `SampleBuf` across all the draws of a thread — a worker of
+/// the store's plan draws
 /// ([`RicStore::extend_parallel`](crate::RicStore::extend_parallel),
 /// IMCAF's growth) across its shards, a worker of
 /// [`estimate_c`](crate::estimate::estimate_c) across its blocks; any loop
@@ -36,11 +146,16 @@ pub struct SampleBuf {
     /// queued at the moment it is interned, so queue position *is* local
     /// id. Members are local ids `0..width`.
     order: Vec<NodeId>,
+    /// Sources of one node's coin row, live ones packed at the front; as
+    /// long as the sampler's widest row.
+    kept: Vec<u32>,
     /// CSR of live in-edges by local id: row `l` of `live_adj`, from
     /// `live_off[l]` to `live_off[l + 1]`, holds the local ids `p` with a
-    /// live edge `p → l`.
+    /// live edge `p → l`, and `live_dst` beside it holds that `l` — the
+    /// same live edges as a flat `(p, l)` list, in ascending `l`.
     live_off: Vec<usize>,
     live_adj: Vec<u32>,
+    live_dst: Vec<u32>,
     /// Covers in local-id order, `limbs` words per node (`cover_words` is
     /// the same rows in ascending node-id order).
     local_words: Vec<u64>,
@@ -48,8 +163,9 @@ pub struct SampleBuf {
     /// whether each local id is currently in it.
     work: Vec<u32>,
     queued: Vec<bool>,
-    /// `node id << 32 | local id`, sorted to emit the output arrays.
-    keys: Vec<u64>,
+    /// One bit per node of the sampler's graph, set for the nodes of the
+    /// draw while it is emitted; all zero between draws.
+    present: Vec<u64>,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -141,20 +257,27 @@ impl SampleBuf {
         }
     }
 
-    /// Opens a draw over a graph of `node_count` nodes: a fresh stamp makes
-    /// every slot stale at once. The table is re-sized when the sampler's
-    /// graph differs from the last one's, and cleared on the (rare) stamp
-    /// wrap so an old stamp can never read as current.
-    fn begin_draw(&mut self, node_count: usize) {
+    /// Opens a draw over a graph of `node_count` nodes whose widest coin
+    /// row has `widest` edges: a fresh stamp makes every slot stale at
+    /// once. The table and the bitmap are re-sized when the sampler's graph
+    /// differs from the last one's, and the table is cleared on the (rare)
+    /// stamp wrap so an old stamp can never read as current.
+    fn begin_draw(&mut self, node_count: usize, widest: usize) {
         if self.slots.len() != node_count || self.epoch == u32::MAX {
             self.slots.clear();
             self.slots.resize(node_count, Slot::default());
+            self.present.clear();
+            self.present.resize(node_count.div_ceil(64), 0);
             self.epoch = 0;
+        }
+        if self.kept.len() < widest {
+            self.kept.resize(widest, 0);
         }
         self.epoch += 1;
         self.order.clear();
         self.live_off.clear();
         self.live_adj.clear();
+        self.live_dst.clear();
     }
 
     /// Local id of `v` in the open draw, queueing `v` if it is new.
@@ -171,33 +294,67 @@ impl SampleBuf {
         slot.local
     }
 
-    /// Word-parallel cover propagation over the live-edge CSR: member `i`
-    /// (local id `i`) starts with bit `i`, and every live edge `p → l`
-    /// ORs all limbs of `cover[l]` into `cover[p]` until nothing grows.
-    /// The result is the least fixed point of those inclusions — `p`'s
-    /// cover is exactly the members `p` reaches — whatever order the
-    /// worklist visits nodes in. A node re-enters the worklist only when
-    /// its cover gained a bit, so it is popped at most `width` times.
+    /// Records the live edge `source → l`, interning `source`.
+    #[inline]
+    fn push_live(&mut self, source: NodeId, l: u32) {
+        let p = self.intern(source);
+        self.live_adj.push(p);
+        self.live_dst.push(l);
+    }
+
+    /// Word-parallel cover propagation: member `i` (local id `i`) starts
+    /// with bit `i`, and every live edge `p → l` ORs all limbs of
+    /// `cover[l]` into `cover[p]` until nothing grows. The result is the
+    /// least fixed point of those inclusions — `p`'s cover is exactly the
+    /// members `p` reaches — whatever order the edges are visited in.
+    ///
+    /// First come up to [`COVER_SWEEPS`] branch-free sweeps over the flat
+    /// edge list, in ascending `l`; a sweep that changes nothing proves the
+    /// fixed point. One sweep settles every edge of the BFS tree, because a
+    /// node is discovered from a smaller local id, so only edges closing a
+    /// cycle or a second path need more. A draw still unsettled after the
+    /// sweeps goes to the worklist, which keeps its worst-case bound.
     fn propagate_covers(&mut self) {
         let (width, limbs) = (self.width as usize, limbs_for_width(self.width));
         let n = self.order.len();
         let words = &mut self.local_words;
         words.clear();
         words.resize(n * limbs, 0);
-        self.queued.clear();
-        self.queued.resize(n, false);
-        self.work.clear();
-        self.work.resize(n + 1, 0);
         for member in 0..width {
             words[member * limbs + member / 64] |= 1u64 << (member % 64);
-            self.work[member] = member as u32;
-            self.queued[member] = true;
         }
+        // The worklist's scratch grows with every draw, not only with the
+        // rare one that falls back, so a warm buffer never allocates.
+        self.work.clear();
+        self.work.reserve(n + 1);
+        self.queued.clear();
+        self.queued.reserve(n);
+        for _ in 0..COVER_SWEEPS {
+            if sweep_covers(words, limbs, &self.live_adj, &self.live_dst) == 0 {
+                return;
+            }
+        }
+        self.drain_worklist();
+    }
+
+    /// Propagates covers to the fixed point with a FIFO worklist seeded
+    /// with every node — from any covers that hold only bits the
+    /// inclusions force, such as the sweeps leave. A node re-enters the
+    /// worklist only when its cover gained a bit, so it is popped at most
+    /// `width + 1` times.
+    fn drain_worklist(&mut self) {
+        let limbs = limbs_for_width(self.width);
+        let n = self.order.len();
+        let words = &mut self.local_words;
+        self.queued.clear();
+        self.queued.resize(n, true);
+        self.work.clear();
+        self.work.extend(0..=n as u32);
         // `work[head..tail]` (cyclically) is the FIFO. `queued` keeps a
         // node in it at most once, so it never holds more than `n` of the
         // ring's `n + 1` entries and `head == tail` only means empty.
         let next = |i: usize| if i == n { 0 } else { i + 1 };
-        let (mut head, mut tail) = (0usize, width);
+        let (mut head, mut tail) = (0usize, n);
         while head != tail {
             let l = self.work[head] as usize;
             head = next(head);
@@ -221,25 +378,25 @@ impl SampleBuf {
     }
 
     /// Writes the draw's output arrays: nodes ascending by id, each
-    /// followed in `cover_words` by its cover row.
-    fn emit_sorted(&mut self) {
+    /// followed in `cover_words` by its cover row. The order comes from the
+    /// node-id bitmap: set the draw's bits, then scan and clear every word.
+    fn emit(&mut self) {
         let limbs = limbs_for_width(self.width);
-        self.keys.clear();
-        self.keys.extend(
-            self.order
-                .iter()
-                .enumerate()
-                .map(|(l, v)| (u64::from(v.raw()) << 32) | l as u64),
-        );
-        self.keys.sort_unstable();
         self.nodes.clear();
-        self.nodes
-            .extend(self.keys.iter().map(|&key| NodeId::new((key >> 32) as u32)));
         self.cover_words.clear();
-        for &key in &self.keys {
-            let l = key as u32 as usize;
-            self.cover_words
-                .extend_from_slice(&self.local_words[l * limbs..(l + 1) * limbs]);
+        for v in &self.order {
+            self.present[v.index() / 64] |= 1u64 << (v.index() % 64);
+        }
+        for (i, word) in self.present.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let v = i * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let l = self.slots[v].local as usize;
+                self.nodes.push(NodeId::new(v as u32));
+                self.cover_words
+                    .extend_from_slice(&self.local_words[l * limbs..(l + 1) * limbs]);
+            }
         }
     }
 }
@@ -280,8 +437,12 @@ pub enum LiveEdgeModel {
 /// All working memory of a draw lives in the caller's [`SampleBuf`], so a
 /// draw into a warm buffer allocates nothing.
 ///
-/// The sampler is cheap to clone (borrows nothing mutable) and `Sync`, so
-/// parallel harnesses can share one across threads, each with its own RNG.
+/// Construction is `O(n + m)`: an IC sampler keeps its own copy of the
+/// in-edges of every node whose in-edges all need a coin, with each coin's
+/// probability as an integer threshold, so those coins are flipped
+/// branch-free. Build one sampler per collection, not per draw. It is
+/// `Sync`, so parallel harnesses share one across threads by reference,
+/// each thread with its own RNG.
 ///
 /// ```
 /// use imc_community::CommunitySet;
@@ -309,6 +470,8 @@ pub struct RicSampler<'a> {
     communities: &'a CommunitySet,
     benefit_cdf: Vec<f64>,
     model: LiveEdgeModel,
+    /// Empty under LT, which draws one categorical per node instead.
+    coins: CoinRows,
 }
 
 impl<'a> RicSampler<'a> {
@@ -343,11 +506,16 @@ impl<'a> RicSampler<'a> {
             graph.node_count(),
             "community set built for a different graph"
         );
+        let coins = match model {
+            LiveEdgeModel::IndependentCascade => CoinRows::of(graph),
+            LiveEdgeModel::LinearThreshold => CoinRows::default(),
+        };
         RicSampler {
             graph,
             communities,
             benefit_cdf: communities.benefit_cdf(),
             model,
+            coins,
         }
     }
 
@@ -421,19 +589,29 @@ impl<'a> RicSampler<'a> {
         // `buf.order` is the queue and `head` its cursor; the node at
         // position `head` has local id `head`, so its live in-edges land
         // in `live_adj` as the next CSR row.
-        buf.begin_draw(self.graph.node_count());
+        buf.begin_draw(self.graph.node_count(), self.coins.widest);
         for &m in &community.members {
             buf.intern(m);
         }
         let mut head = 0;
         while head < buf.order.len() {
             let u = buf.order[head];
+            let lu = head as u32;
             head += 1;
             buf.live_off.push(buf.live_adj.len());
             match self.model {
                 // IC: each in-edge of u is examined exactly once (u is
                 // dequeued once), so this coin is the edge's single
-                // liveness draw.
+                // liveness draw. A row of coins only is flipped whole
+                // first, then its live sources are interned in row order
+                // — the same draws and the same local ids.
+                LiveEdgeModel::IndependentCascade if self.coins.coined[u.index()] => {
+                    let (sources, thresholds) = self.coins.row(u);
+                    let live = flip_coins(sources, thresholds, rng, &mut buf.kept);
+                    for i in 0..live {
+                        buf.push_live(NodeId::new(buf.kept[i]), lu);
+                    }
+                }
                 LiveEdgeModel::IndependentCascade => {
                     for e in self.graph.in_edges(u) {
                         let live = if e.weight >= 1.0 {
@@ -444,8 +622,7 @@ impl<'a> RicSampler<'a> {
                             rng.random::<f64>() < e.weight
                         };
                         if live {
-                            let lv = buf.intern(e.source);
-                            buf.live_adj.push(lv);
+                            buf.push_live(e.source, lu);
                         }
                     }
                 }
@@ -457,8 +634,7 @@ impl<'a> RicSampler<'a> {
                     for e in self.graph.in_edges(u) {
                         acc += e.weight;
                         if x < acc {
-                            let lv = buf.intern(e.source);
-                            buf.live_adj.push(lv);
+                            buf.push_live(e.source, lu);
                             break;
                         }
                     }
@@ -470,8 +646,8 @@ impl<'a> RicSampler<'a> {
         // --- Phase 2: which members each node reaches -> cover bitsets. ---
         buf.propagate_covers();
 
-        // --- Phase 3: sorted by node id for binary-searchable lookup. ---
-        buf.emit_sorted();
+        // --- Phase 3: ascending node id for binary-searchable lookup. ---
+        buf.emit();
 
         crate::obs::ric_samples_total().inc();
         crate::obs::ric_sample_width().observe(buf.nodes.len() as f64);
@@ -643,6 +819,41 @@ mod tests {
         (graph, communities)
     }
 
+    /// A live graph whose covers the sweeps settle only after `len`
+    /// sweeps (2 when `len` is 1). Members 0 and 1 form community 0; every
+    /// node of the chain `2 → 3 → … → len + 1` has a certain edge into
+    /// member 0, and the chain's last node one into member 1. Member 0's
+    /// in-edges give the chain ascending local ids, so member 1's bit
+    /// travels the chain against the sweep order, one node a sweep.
+    fn back_chain(len: usize, threshold: u32) -> (Graph, CommunitySet) {
+        let last = len as u32 + 1;
+        let mut b = GraphBuilder::new(last + 1);
+        for v in 2..=last {
+            b.add_edge(v, 0, 1.0).unwrap();
+            if v < last {
+                b.add_edge(v, v + 1, 1.0).unwrap();
+            }
+        }
+        b.add_edge(last, 1, 1.0).unwrap();
+        let members = vec![NodeId::new(0), NodeId::new(1)];
+        let communities = CommunitySet::from_parts(last + 1, vec![(members, threshold, 3.0)]);
+        (b.build().unwrap(), communities.unwrap())
+    }
+
+    /// How many sweeps the buffered draw's covers take to settle from the
+    /// member bits, with no cap: more than [`COVER_SWEEPS`] means the draw
+    /// went to the worklist.
+    fn sweeps_to_settle(buf: &SampleBuf) -> usize {
+        let limbs = limbs_for_width(buf.width);
+        let mut words = vec![0u64; buf.order.len() * limbs];
+        for m in 0..buf.width as usize {
+            words[m * limbs + m / 64] |= 1u64 << (m % 64);
+        }
+        (1..)
+            .find(|_| sweep_covers(&mut words, limbs, &buf.live_adj, &buf.live_dst) == 0)
+            .unwrap()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -650,7 +861,12 @@ mod tests {
         /// nodes, covers and RNG consumption — under both live-edge
         /// models, at every limb count from 1 to 4, with one `SampleBuf`
         /// carried across draws and across samplers whose graphs differ in
-        /// node count (the interning table is re-sized in between).
+        /// node count (the interning table is re-sized in between). The
+        /// samplers cover every path of a draw: nodes mixing dead, certain
+        /// and coin in-edges (the per-edge loop); the same graph under
+        /// weighted cascade (coins only: the branch-free flip); and a back
+        /// chain of `chain` nodes (past the sweep budget from 17 on: the
+        /// worklist).
         #[test]
         fn sampler_equals_the_per_member_walk(
             seed in 0u64..u64::MAX,
@@ -663,6 +879,7 @@ mod tests {
                 Just(LiveEdgeModel::IndependentCascade),
                 Just(LiveEdgeModel::LinearThreshold)
             ],
+            chain in 1usize..=32,
         ) {
             let n = width + outside;
             prop_assume!(other_n != n);
@@ -670,10 +887,18 @@ mod tests {
             let first = random_instance(n, width, &mut rng);
             let other_width = rng.random_range(1..=other_n.min(200));
             let second = random_instance(other_n, other_width, &mut rng);
+            // Weighted cascade, `w(u, v) = 1/in-degree(v)`: every node of
+            // in-degree ≥ 2 has coins only.
+            let cascade = (
+                first.0.reweighted(imc_graph::WeightModel::WeightedCascade),
+                first.1.clone(),
+            );
+            let chained = back_chain(chain, rng.random_range(1..=3));
             let mut buf = SampleBuf::default();
             let mut rng_new = StdRng::seed_from_u64(seed ^ 0x5EED);
             let mut rng_old = rng_new.clone();
-            for (graph, communities) in [&first, &second, &first] {
+            for instance in [&first, &second, &cascade, &chained, &first] {
+                let (graph, communities) = instance;
                 let sampler = RicSampler::with_model(graph, communities, model);
                 for draw in 0..6 {
                     // Even draws are rooted at the wide community, odd
@@ -693,8 +918,114 @@ mod tests {
                     prop_assert_eq!(buf.nodes(), &nodes[..]);
                     prop_assert_eq!(buf.cover_words(), &words[..]);
                     prop_assert_eq!(rng_new.random::<u64>(), rng_old.random::<u64>());
+                    // (LT keeps one in-edge a node: no chain to walk.)
+                    if std::ptr::eq(instance, &chained) && model == LiveEdgeModel::IndependentCascade {
+                        prop_assert_eq!(sweeps_to_settle(&buf), chain.max(2));
+                    }
                 }
             }
+        }
+    }
+
+    /// A `RngCore` whose every draw is one fixed word.
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u32(&mut self) -> u32 {
+            (self.0 >> 32) as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            for (b, s) in dest
+                .iter_mut()
+                .zip(self.0.to_le_bytes().into_iter().cycle())
+            {
+                *b = s;
+            }
+        }
+    }
+
+    /// The integer coin is the float coin: [`flip_coins`] over
+    /// [`coin_threshold`]s keeps an edge exactly when `random::<f64>() < w`
+    /// would, on both sides of every threshold at the edge cases of `w`,
+    /// and draw for draw on random streams. It goes through the vendored
+    /// `random::<f64>()`, so a change to how that builds its float fails
+    /// here instead of re-drawing every collection.
+    #[test]
+    fn integer_coins_equal_the_float_draw() {
+        let ulp = 1.0 / COIN_SCALE; // 2⁻⁵³
+        let float_coin = |m: u64, w: f64| Fixed(m << 11).random::<f64>() < w;
+        let integer_coin = |m: u64, w: f64| {
+            flip_coins(&[7], &[coin_threshold(w)], &mut Fixed(m << 11), &mut [0]) == 1
+        };
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut weights = vec![
+            f64::from_bits(1), // the smallest subnormal
+            f64::MIN_POSITIVE / 3.0,
+            ulp,
+            2.0 * ulp,
+            12_345.0 * ulp,
+            0.1,
+            1.0 / 3.0,
+            0.5,
+            1.0 - 2.0 * ulp,
+            1.0 - ulp,
+        ];
+        weights.extend(
+            (0..10_000)
+                .map(|_| rng.random::<f64>())
+                .filter(|&w| w > 0.0),
+        );
+        for w in weights {
+            let t = coin_threshold(w);
+            assert!((1..=1 << 53).contains(&t), "w = {w:e}: threshold {t}");
+            for m in [0, 1, t - 1, t, t + 1, (1 << 53) - 1] {
+                if m < 1 << 53 {
+                    assert_eq!(integer_coin(m, w), float_coin(m, w), "w = {w:e}, m = {m}");
+                }
+            }
+        }
+        // Rows of 1–40 random coins: the same survivors, in row order,
+        // and the two streams in step after every row.
+        let mut kept = [0u32; 40];
+        for _ in 0..10_000 {
+            let len = rng.random_range(1..=40usize);
+            let weights: Vec<f64> = (0..len).map(|_| rng.random::<f64>().max(ulp)).collect();
+            let thresholds: Vec<u64> = weights.iter().map(|&w| coin_threshold(w)).collect();
+            let sources: Vec<u32> = (0..len as u32).collect();
+            let mut float = rng.clone();
+            let live = flip_coins(&sources, &thresholds, &mut rng, &mut kept);
+            let expected: Vec<u32> = sources
+                .iter()
+                .filter(|&&e| float.random::<f64>() < weights[e as usize])
+                .copied()
+                .collect();
+            assert_eq!(kept[..live], expected[..]);
+            assert_eq!(rng.next_u64(), float.next_u64());
+        }
+    }
+
+    #[test]
+    fn a_back_chain_past_the_sweep_budget_goes_to_the_worklist() {
+        // 16 settles on the last sweep; 17 and 48 go to the worklist.
+        for len in [COVER_SWEEPS, COVER_SWEEPS + 1, 3 * COVER_SWEEPS] {
+            let (graph, communities) = back_chain(len, 2);
+            let sampler = RicSampler::new(&graph, &communities);
+            let mut buf = SampleBuf::default();
+            let mut rng = StdRng::seed_from_u64(5);
+            sampler.sample_rooted_into(CommunityId::new(0), &mut rng, &mut buf);
+            assert_eq!(sweeps_to_settle(&buf), len);
+            // Every chain node reaches both members.
+            assert_eq!(buf.len(), len + 2);
+            for (i, &v) in buf.nodes().iter().enumerate() {
+                let expected = if v.raw() < 2 { 1 << v.raw() } else { 0b11 };
+                assert_eq!(buf.cover_words()[i], expected, "node {v:?}");
+            }
+            let (nodes, words) =
+                per_member_walk(&sampler, CommunityId::new(0), &mut StdRng::seed_from_u64(5));
+            assert_eq!((buf.nodes(), buf.cover_words()), (&nodes[..], &words[..]));
         }
     }
 

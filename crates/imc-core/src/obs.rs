@@ -59,6 +59,17 @@ pub(crate) fn ric_shard_duration() -> &'static Arc<Histogram> {
     })
 }
 
+pub(crate) fn ric_index_duration() -> &'static Arc<Histogram> {
+    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
+    H.get_or_init(|| {
+        imc_obs::global().histogram(
+            "imc_ric_index_seconds",
+            "Wall-clock time of the inverted-index update after one sampler append to a RicStore (a plan draw or extend_with).",
+            DEFAULT_DURATION_BUCKETS,
+        )
+    })
+}
+
 pub(crate) fn imcaf_rounds_total() -> &'static Arc<Counter> {
     static H: OnceLock<Arc<Counter>> = OnceLock::new();
     H.get_or_init(|| {
@@ -254,6 +265,7 @@ pub fn register() {
     let _ = ric_samples_total();
     let _ = ric_sample_width();
     let _ = ric_shard_duration();
+    let _ = ric_index_duration();
     set_ric_store_gauges(&crate::RicStore::new(0, 0, 0.0));
     let _ = imcaf_rounds_total();
     let _ = estimate_calls_total();
@@ -304,6 +316,7 @@ mod tests {
             "imc_ric_samples_generated_total",
             "imc_ric_sample_width",
             "imc_ric_shard_duration_seconds",
+            "imc_ric_index_seconds",
             "imc_ric_store_arena_bytes",
             "imc_ric_store_index_entries",
             "imc_maxr_solves_total",

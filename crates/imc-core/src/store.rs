@@ -480,12 +480,13 @@ impl RicStore {
     }
 
     /// Recomputes the CSR inverted index from the node arena — what
-    /// [`index_appended`](Self::index_appended) builds from nothing.
+    /// [`index_appended`](Self::index_appended) builds from nothing, on
+    /// one thread.
     pub(crate) fn rebuild_index(&mut self) {
         self.index_offsets.clear();
         self.index_offsets.resize(self.node_count + 1, 0);
         self.index_entries.clear();
-        self.index_appended(0);
+        self.index_appended(0, 1);
     }
 
     /// Brings the CSR inverted index up to date after samples `first..`
@@ -496,7 +497,13 @@ impl RicStore {
     /// behind them, so entries per node stay ordered by `(sample, pos)`
     /// ascending — exactly what a from-scratch sort of the whole arena
     /// gives.
-    pub(crate) fn index_appended(&mut self, first: usize) {
+    ///
+    /// The scatter of the appended entries runs on `parts` threads (`0`
+    /// counts as `1`): part `j` owns a contiguous node range, balanced on
+    /// the new offsets, and the matching slice of the entries; it scans
+    /// every appended sample in order and writes only its own nodes'
+    /// entries, so the result is the same for every `parts`.
+    pub(crate) fn index_appended(&mut self, first: usize, parts: usize) {
         let appended_from = self.node_offsets[first] as usize;
         debug_assert_eq!(self.index_entries.len(), appended_from);
         if appended_from == self.nodes.len() {
@@ -528,18 +535,63 @@ impl RicStore {
                     .copy_within(lo as usize..hi as usize, offsets[v] as usize);
             }
         }
-        for si in first..self.len() {
-            let (lo, hi) = (self.node_offsets[si], self.node_offsets[si + 1]);
-            for (pos, v) in self.nodes[lo as usize..hi as usize].iter().enumerate() {
-                let slot = &mut cursor[v.index()];
-                self.index_entries[*slot as usize] = SampleRef {
-                    sample: si as u32,
-                    pos: pos as u32,
-                };
-                *slot += 1;
+        // Part `j` owns the nodes `bounds[j]..bounds[j + 1]`, cut where
+        // the new offsets reach `j/parts` of the entries, and the slice of
+        // the entries their runs span; the last part runs on this thread.
+        let node_count = self.node_count;
+        let parts = parts.clamp(1, node_count);
+        let total = self.nodes.len() as u64;
+        let mut bounds: Vec<usize> = (0..parts)
+            .map(|j| offsets.partition_point(|&o| o < total * j as u64 / parts as u64))
+            .collect();
+        bounds.push(node_count);
+        // Writes the entry of every appended appearance of a node in
+        // `lo..lo + cursor.len()`, in `(sample, pos)` order: `cursor[v - lo]`
+        // is the index position of `v`'s next entry and `out` holds the
+        // entries from position `base` on.
+        let (node_offsets, nodes) = (&self.node_offsets, &self.nodes);
+        let scatter = move |lo: usize, base: u64, cursor: &mut [u64], out: &mut [SampleRef]| {
+            for si in first..node_offsets.len() - 1 {
+                let (a, b) = (node_offsets[si] as usize, node_offsets[si + 1] as usize);
+                for (pos, v) in nodes[a..b].iter().enumerate() {
+                    // Not this part's past its end (an id below `lo` wraps).
+                    if let Some(slot) = cursor.get_mut(v.index().wrapping_sub(lo)) {
+                        out[(*slot - base) as usize] = SampleRef {
+                            sample: si as u32,
+                            pos: pos as u32,
+                        };
+                        *slot += 1;
+                    }
+                }
             }
-        }
+        };
+        let (mut cursor, mut entries) = (&mut cursor[..], &mut self.index_entries[..]);
+        std::thread::scope(|scope| {
+            for (j, range) in bounds.windows(2).enumerate() {
+                let (lo, hi) = (range[0], range[1]);
+                let (own, rest) = std::mem::take(&mut cursor).split_at_mut(hi - lo);
+                cursor = rest;
+                let spanned = (offsets[hi] - offsets[lo]) as usize;
+                let (out, rest) = std::mem::take(&mut entries).split_at_mut(spanned);
+                entries = rest;
+                let base = offsets[lo];
+                if j + 1 == parts {
+                    scatter(lo, base, own, out);
+                } else {
+                    scope.spawn(move || scatter(lo, base, own, out));
+                }
+            }
+        });
         self.index_offsets = offsets;
+    }
+
+    /// [`index_appended`](Self::index_appended) after a sampler append,
+    /// observed in `imc_ric_index_seconds` — the append paths' index step,
+    /// not the rebuilds of loads and reduced stores.
+    fn index_drawn(&mut self, first: usize, parts: usize) {
+        let started = std::time::Instant::now();
+        self.index_appended(first, parts);
+        crate::obs::ric_index_duration().observe_duration(started.elapsed());
     }
 
     /// Appends another store's arena (metadata, nodes, covers) without
@@ -570,7 +622,7 @@ impl RicStore {
     ) {
         let first = self.len();
         self.draw_into_arena(sampler, count, rng);
-        self.index_appended(first);
+        self.index_drawn(first, 1);
     }
 
     /// `count` draws of `rng` appended to the arena, index untouched.
@@ -764,7 +816,7 @@ impl RicStore {
                 }
             });
         }
-        self.index_appended(first);
+        self.index_drawn(first, workers);
     }
 
     /// Number of samples `|R|`.
@@ -1441,6 +1493,39 @@ mod tests {
         // from `StdRng::seed_from_u64(77 + i)`, appended in shard order.
         let plan = sampling_shard_plan(300, 77, DEFAULT_SAMPLING_SHARDS);
         assert_eq!(owning_draws(&sampler, &plan), reference);
+    }
+
+    /// The index scatter split into 1, 2, 3 or 8 parts (and more parts
+    /// than nodes) builds the index `rebuild_index` builds, from nothing
+    /// and behind an indexed prefix of 1, 150 or 399 samples.
+    #[test]
+    fn index_scatter_is_the_same_for_every_part_count() {
+        let (g, cs) = medium_instance();
+        let sampler = RicSampler::new(&g, &cs);
+        let draws = |store: &mut RicStore, n: usize, rng: &mut StdRng| {
+            store.draw_into_arena(&sampler, n, rng);
+        };
+        let mut reference = RicStore::for_sampler(&sampler);
+        draws(&mut reference, 400, &mut StdRng::seed_from_u64(5));
+        let unindexed = reference.clone();
+        reference.rebuild_index();
+        for parts in [1, 2, 3, 8, 64] {
+            let mut fresh = unindexed.clone();
+            fresh.index_appended(0, parts);
+            assert_eq!(fresh, reference, "parts={parts}");
+            for prefix in [1, 150, 399] {
+                let mut rng = StdRng::seed_from_u64(5);
+                let mut grown = RicStore::for_sampler(&sampler);
+                draws(&mut grown, prefix, &mut rng);
+                grown.rebuild_index();
+                draws(&mut grown, 400 - prefix, &mut rng);
+                grown.index_appended(prefix, parts);
+                assert_eq!(grown, reference, "parts={parts} prefix={prefix}");
+            }
+        }
+        let mut fixture = fixture_store();
+        fixture.index_appended(fixture.len(), 3); // nothing appended: a no-op
+        assert_eq!(fixture, fixture_store());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! A RIC draw into a warm [`SampleBuf`] allocates nothing, and neither does
 //! grading the buffered draw against a seed set: every vector the sampler
-//! works in is scratch the buffer keeps between draws.
+//! works in — the coin scratch, the live-edge lists and the node bitmap
+//! included — is scratch the buffer keeps between draws.
 //!
 //! The count comes from a `#[global_allocator]` that wraps the system
 //! allocator and tallies per thread, so the test harness's own threads do
