@@ -36,9 +36,8 @@ pub fn run<W: Write>(command: &str, args: &Args, out: &mut W) -> Result<()> {
         "query" => crate::service::query(args, out),
         "snapshot save" => crate::service::snapshot_save(args, out),
         "snapshot load" => crate::service::snapshot_load(args, out),
-        "snapshot upgrade" => crate::service::snapshot_upgrade(args, out),
         other if other == "snapshot" || other.starts_with("snapshot ") => Err(CliError::Usage(
-            "snapshot expects an action: snapshot save | snapshot load | snapshot upgrade".into(),
+            "snapshot expects an action: snapshot save | snapshot load".into(),
         )),
         other => Err(CliError::Usage(format!(
             "unknown command `{other}` (expected generate | communities | solve | estimate | \

@@ -26,9 +26,8 @@
 //!   query        send one request to a daemon
 //!                (--addr, --op solve|estimate|stats|metrics|health|shutdown;
 //!                 solve tuning: --threads N, --depth D)
-//!   snapshot     save | load | upgrade a persistent RIC sample store
-//!                (--samples, --out / --file; upgrade rewrites any readable
-//!                 version as the current zero-copy format v3)
+//!   snapshot     save | load a persistent RIC sample store
+//!                (--samples, --out / --file; format v3 only)
 //!
 //! common flags:
 //!   --graph FILE  --communities FILE  --undirected  --weights cascade|keep|trivalency|<p>
@@ -45,7 +44,7 @@ fn main() -> ExitCode {
     let Some(mut command) = argv.next() else {
         eprintln!(
             "usage: imc <generate | communities | solve | estimate | stats | dot | serve | \
-             cluster | trace | query | snapshot save|load|upgrade> [flags]"
+             cluster | trace | query | snapshot save|load> [flags]"
         );
         eprintln!("run with a command and no flags to see its errors spelled out");
         return ExitCode::from(2);

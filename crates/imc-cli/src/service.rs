@@ -1,5 +1,5 @@
 //! Daemon-facing subcommands: `imc serve`, `imc query`, and
-//! `imc snapshot save|load|upgrade` — the CLI surface of [`imc_service`].
+//! `imc snapshot save|load` — the CLI surface of [`imc_service`].
 //!
 //! `serve` loads the instance (and optionally a snapshot) once, binds a
 //! TCP listener, and blocks until a `shutdown` request arrives. `query`
@@ -248,30 +248,6 @@ pub fn snapshot_load<W: Write>(args: &Args, out: &mut W) -> Result<()> {
     Ok(())
 }
 
-/// `imc snapshot upgrade`: rewrites `--file` (any readable format version)
-/// as the current version, preserving fingerprint and generation. Writes
-/// to `--out` when given, otherwise upgrades in place (atomically, via the
-/// same tmp+rename dance as `snapshot::save`). Upgrading a current-version
-/// file is a no-op rewrite: the bytes are identical.
-pub fn snapshot_upgrade<W: Write>(args: &Args, out: &mut W) -> Result<()> {
-    let path = args.required("file")?;
-    let bytes = std::fs::read(Path::new(path)).map_err(CliError::Io)?;
-    let from_version = bytes.get(7).copied().unwrap_or(0);
-    let upgraded = snapshot::upgrade(&bytes).map_err(snap_err)?;
-    let dest = args.get("out").unwrap_or(path);
-    let tmp = format!("{dest}.tmp");
-    std::fs::write(&tmp, &upgraded).map_err(CliError::Io)?;
-    std::fs::rename(&tmp, dest).map_err(CliError::Io)?;
-    writeln!(
-        out,
-        "upgraded {path} (v{from_version}, {} bytes) -> {dest} (v{}, {} bytes)",
-        bytes.len(),
-        snapshot::FORMAT_VERSION,
-        upgraded.len()
-    )?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use crate::args::Args;
@@ -397,47 +373,27 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_upgrade_lifts_legacy_files() {
-        // The committed version-2 file of a legacy deployment.
-        let v2: &[u8] = include_bytes!("../../imc-core/tests/fixtures/snapshot_v2.snap");
-        let snap_path = tmp("upgrade.snap");
-        std::fs::write(&snap_path, v2).unwrap();
-        // Nothing but `snapshot upgrade` reads it any more.
+    fn snapshot_load_refuses_legacy_files() {
+        let mut v2 = include_bytes!("../../imc-core/tests/fixtures/snapshot_v3.snap").to_vec();
+        v2[7] = 2;
+        let v1: &[u8] = include_bytes!("../../imc-core/tests/fixtures/snapshot_v1.snap");
+        for (version, bytes) in [(1, v1), (2, &v2[..])] {
+            let snap_path = tmp(&format!("legacy-v{version}.snap"));
+            std::fs::write(&snap_path, bytes).unwrap();
+            let err = run_str("snapshot load", &["--file", &snap_path]).unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("unsupported snapshot format version {version}")),
+                "{msg}"
+            );
+            assert!(msg.contains("snapshot save"), "names the way out: {msg}");
+            std::fs::remove_file(&snap_path).ok();
+        }
+        // The lifting subcommand is gone with the version-2 reader.
         assert!(matches!(
-            imc_core::snapshot::load(std::path::Path::new(&snap_path)),
-            Err(imc_core::snapshot::SnapshotError::UnsupportedVersion(2))
+            run_str("snapshot upgrade", &[]),
+            Err(CliError::Usage(_))
         ));
-
-        // --out keeps the original untouched.
-        let lifted_path = tmp("upgrade-lifted.snap");
-        let msg = run_str(
-            "snapshot upgrade",
-            &["--file", &snap_path, "--out", &lifted_path],
-        )
-        .unwrap();
-        assert!(msg.contains("(v2,"), "reports the source version: {msg}");
-        assert_eq!(std::fs::read(&snap_path).unwrap(), v2);
-        let lifted = std::fs::read(&lifted_path).unwrap();
-        assert_eq!(lifted[7], imc_core::snapshot::FORMAT_VERSION);
-        assert_eq!(
-            lifted,
-            include_bytes!("../../imc-core/tests/fixtures/snapshot_v3.snap")
-        );
-
-        // In-place upgrade rewrites the file itself.
-        run_str("snapshot upgrade", &["--file", &snap_path]).unwrap();
-        let in_place = std::fs::read(&snap_path).unwrap();
-        assert_eq!(in_place, lifted);
-        let upgraded = imc_core::snapshot::load(std::path::Path::new(&snap_path)).unwrap();
-        assert_eq!(upgraded.collection.len(), 200);
-        assert_eq!(upgraded.generation, 3);
-
-        // Upgrading a current-version file is byte-stable.
-        run_str("snapshot upgrade", &["--file", &snap_path]).unwrap();
-        assert_eq!(std::fs::read(&snap_path).unwrap(), lifted);
-
-        std::fs::remove_file(&snap_path).ok();
-        std::fs::remove_file(&lifted_path).ok();
     }
 
     #[test]

@@ -33,13 +33,13 @@ use imc_core::maxr::engine::greedy_over;
 use imc_core::maxr::{Objective, Score, SolveBackend, UnionStats};
 use imc_core::{GreedyRun, ImcError, ImcInstance, MaxrAlgorithm, SolveReport, SolveRequest};
 use imc_graph::NodeId;
+use imc_obs::families;
 use imc_service::client::{ClientConfig, ClusterError, PeerClient, RetryPolicy};
 use imc_service::json::{self, ObjectBuilder, Value};
 use imc_service::protocol::{self, ErrorCode, Request};
 use imc_service::server::Shutdown;
 
 use crate::health::{self, HealthBoard, HealthMonitor, ShardState};
-use crate::obs;
 use crate::source::{field_u64, ClusterSource};
 
 /// A failure of a cluster solve.
@@ -136,7 +136,7 @@ fn shard_eval_totals(
         generation: 0,
         pivot_score: 0,
     };
-    obs::scatter_total().inc();
+    families::CLUSTER_SCATTER.handle().inc();
     // Stamped so a v2 shard, whose `nu_acc` is an `f64` fold that must not
     // be summed, refuses instead of answering.
     let mut req = ObjectBuilder::new()
@@ -168,10 +168,12 @@ fn shard_eval_totals(
             let reply = peer.finish_stateless(&line, sent);
             let secs = start.elapsed().as_secs_f64();
             drop(rpc);
-            obs::shard_rpc_seconds().observe(secs);
-            obs::rpc_duration_seconds("shard_eval", &addr).observe(secs);
+            families::CLUSTER_SHARD_RPC_DURATION.handle().observe(secs);
+            families::CLUSTER_RPC_DURATION
+                .with(["shard_eval", &addr])
+                .observe(secs);
             if reply.is_err() {
-                obs::shard_errors_total().inc();
+                families::CLUSTER_SHARD_ERRORS.handle().inc();
             }
             reply
         })
@@ -457,7 +459,7 @@ fn run_resilient<T>(
                     board.record_ok(addr);
                 }
                 if !lost.is_empty() {
-                    obs::degraded_solves_total().inc();
+                    families::CLUSTER_DEGRADED_SOLVES.handle().inc();
                 }
                 return Ok(Outcome {
                     value,
@@ -467,7 +469,7 @@ fn run_resilient<T>(
             }
             Err(CoordError::Shard(e)) if e.is_transport() => {
                 let addr = e.addr();
-                obs::shard_errors_total().inc();
+                families::CLUSTER_SHARD_ERRORS.handle().inc();
                 board.record_failure(addr);
                 // The stateless retry budget inside PeerClient is spent;
                 // walk the same backoff ladder once more, probing for a
@@ -497,7 +499,7 @@ fn run_resilient<T>(
                 }
                 if recovered && revives_left > 0 {
                     revives_left -= 1;
-                    obs::retries_total().inc();
+                    families::CLUSTER_RETRIES.handle().inc();
                     board.record_ok(addr);
                     imc_obs::trace::emit(
                         imc_obs::trace::TraceEvent::new("shard_revived")
@@ -605,8 +607,16 @@ impl Coordinator {
     ) -> std::io::Result<CoordinatorHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        obs::register(&config.shards);
-        obs::shards_gauge().set(config.shards.len() as f64);
+        families::register(imc_obs::global());
+        for shard in &config.shards {
+            let shard = shard.to_string();
+            for op in families::CLUSTER_RPC_DURATION.spec.values {
+                families::CLUSTER_RPC_DURATION.with([op, &shard]);
+            }
+        }
+        families::CLUSTER_SHARDS
+            .handle()
+            .set(config.shards.len() as f64);
         let board = Arc::new(HealthBoard::new(&config.shards, DEAD_THRESHOLD));
         let monitor = config.probe_interval.map(|interval| {
             HealthMonitor::start(Arc::clone(&board), interval, config.probe_timeout)
@@ -667,7 +677,9 @@ fn serve_connection(
         }
         let start = Instant::now();
         let (response, stop) = handle_request(&line, instance, config, board, &mut peers);
-        obs::request_duration_seconds().observe(start.elapsed().as_secs_f64());
+        families::CLUSTER_REQUEST_DURATION
+            .handle()
+            .observe(start.elapsed().as_secs_f64());
         if writer
             .write_all(response.as_bytes())
             .and_then(|()| writer.write_all(b"\n"))
@@ -873,7 +885,7 @@ fn dispatch_request(
                         board.record_ok(addr);
                     }
                     Err(e) => {
-                        obs::shard_errors_total().inc();
+                        families::CLUSTER_SHARD_ERRORS.handle().inc();
                         if e.is_transport() {
                             board.record_failure(addr);
                         }

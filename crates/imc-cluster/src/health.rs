@@ -38,7 +38,7 @@ use std::time::Duration;
 
 use imc_service::client::Client;
 
-use crate::obs;
+use imc_obs::families;
 
 /// Health state of one shard as seen by the coordinator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,7 +112,9 @@ impl HealthBoard {
         let states = shards
             .iter()
             .map(|addr| {
-                obs::shard_state_gauge(&addr.to_string()).set(ShardState::Healthy.as_gauge());
+                families::CLUSTER_SHARD_STATE
+                    .with([&addr.to_string()])
+                    .set(ShardState::Healthy.as_gauge());
                 ShardHealth {
                     state: ShardState::Healthy,
                     streak: 0,
@@ -156,7 +158,9 @@ impl HealthBoard {
     fn set_state(&self, i: usize, states: &mut [ShardHealth], next: ShardState) {
         if states[i].state != next {
             states[i].state = next;
-            obs::shard_state_gauge(&self.shards[i].to_string()).set(next.as_gauge());
+            families::CLUSTER_SHARD_STATE
+                .with([&self.shards[i].to_string()])
+                .set(next.as_gauge());
         }
     }
 
@@ -222,7 +226,7 @@ impl HealthBoard {
 /// Feeds the probe counters but does **not** touch a board — callers
 /// decide how a probe outcome maps to a transition.
 pub fn probe(addr: SocketAddr, timeout: Duration) -> bool {
-    obs::probes_total().inc();
+    families::CLUSTER_PROBES.handle().inc();
     let ok = Client::connect(addr, timeout)
         .and_then(|mut c| c.request(r#"{"op":"ping"}"#))
         .map(|v| {
@@ -232,7 +236,7 @@ pub fn probe(addr: SocketAddr, timeout: Duration) -> bool {
         })
         .unwrap_or(false);
     if !ok {
-        obs::probe_failures_total().inc();
+        families::CLUSTER_PROBE_FAILURES.handle().inc();
     }
     ok
 }
@@ -370,7 +374,9 @@ mod tests {
         assert_eq!(snap[0], (shards[0], ShardState::Healthy));
         assert_eq!(snap[1].1, ShardState::Dead);
         assert_eq!(
-            obs::shard_state_gauge(&shards[1].to_string()).get(),
+            families::CLUSTER_SHARD_STATE
+                .with([&shards[1].to_string()])
+                .get(),
             ShardState::Dead.as_gauge()
         );
     }

@@ -35,7 +35,6 @@ pub mod chaos;
 pub mod clock;
 pub mod coordinator;
 pub mod health;
-pub mod obs;
 pub mod runner;
 pub mod source;
 pub mod topology;

@@ -33,8 +33,8 @@ use imc_service::{ServeConfig, Server, ServerHandle, ServiceState};
 
 use crate::chaos::{ChaosFault, ChaosProxy, ChaosSpec};
 use crate::coordinator::{Coordinator, CoordinatorConfig, CoordinatorHandle};
-use crate::obs;
 use crate::topology::Topology;
+use imc_obs::families;
 
 /// Schema tag of the emitted artifact.
 pub const SMOKE_SCHEMA: &str = "imc-cluster/smoke/v1";
@@ -628,9 +628,9 @@ fn solve_through(
             .field("seed", topo.base_seed)
             .build(),
     );
-    let scatter_before = obs::scatter_total().get();
+    let scatter_before = families::CLUSTER_SCATTER.handle().get();
     let response = roundtrip(&mut client, &line, what)?;
-    let scatter_rounds = obs::scatter_total().get() - scatter_before;
+    let scatter_rounds = families::CLUSTER_SCATTER.handle().get() - scatter_before;
     let seeds = response
         .get("seeds")
         .and_then(Value::as_array)

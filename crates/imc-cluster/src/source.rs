@@ -28,7 +28,7 @@ use imc_service::client::{ClusterError, PeerClient};
 use imc_service::json::{self, ObjectBuilder, Value};
 use imc_service::protocol::PROTOCOL_VERSION;
 
-use crate::obs;
+use imc_obs::families;
 
 /// Extracts a required `u64` field from a shard response.
 pub(crate) fn field_u64(value: &Value, key: &str, peer: &PeerClient) -> Result<u64, ClusterError> {
@@ -71,10 +71,12 @@ fn timed_session_rpc(
     let start = Instant::now();
     let result = peer.request_session(line);
     let secs = start.elapsed().as_secs_f64();
-    obs::shard_rpc_seconds().observe(secs);
-    obs::rpc_duration_seconds(op, addr).observe(secs);
+    families::CLUSTER_SHARD_RPC_DURATION.handle().observe(secs);
+    families::CLUSTER_RPC_DURATION
+        .with([op, addr])
+        .observe(secs);
     if result.is_err() {
-        obs::shard_errors_total().inc();
+        families::CLUSTER_SHARD_ERRORS.handle().inc();
     }
     result.map(|v| (v, secs))
 }
@@ -435,7 +437,7 @@ impl GainSource for ClusterSource<'_> {
             Objective::C => ("c", "gains"),
             Objective::Nu => ("nu", "accs"),
         };
-        obs::scatter_total().inc();
+        families::CLUSTER_SCATTER.handle().inc();
         let _round = imc_obs::Span::enter_with("scatter_round", kind);
         let nodes_json = nodes_json(nodes);
         let line_for = |session| eval_batch_line(session, kind, &nodes_json);

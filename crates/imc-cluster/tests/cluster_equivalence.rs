@@ -541,9 +541,9 @@ fn acceptance_wiki_vote_two_shard_greedy_bitwise() {
     let exclusive = SCATTER_TOTAL
         .write()
         .unwrap_or_else(PoisonError::into_inner);
-    let before = imc_cluster::obs::scatter_total().get();
+    let before = imc_obs::families::CLUSTER_SCATTER.handle().get();
     let (seeds, evaluations) = cluster_solve(coordinator.addr(), "greedy", k, base_seed);
-    let rounds = imc_cluster::obs::scatter_total().get() - before;
+    let rounds = imc_obs::families::CLUSTER_SCATTER.handle().get() - before;
     drop(exclusive);
     stop_cluster(handles, coordinator);
 

@@ -19,6 +19,7 @@
 use crate::{RicSampler, SampleBuf};
 use imc_diffusion::dagum::stopping_threshold;
 use imc_graph::NodeId;
+use imc_obs::families;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -192,7 +193,7 @@ pub fn estimate_c(
 ) -> Option<EstimateOutcome> {
     let lambda_prime = stopping_threshold(epsilon, delta);
     let b = sampler.communities().total_benefit();
-    crate::obs::estimate_calls_total().inc();
+    families::ESTIMATE_CALLS.handle().inc();
     let started = std::time::Instant::now();
 
     // Draws made, whether or not the walk got to see them (a statistic).
@@ -217,9 +218,9 @@ pub fn estimate_c(
     });
     let consumed = walk.reached.unwrap_or(walk.draws);
     if outcome.is_none() {
-        crate::obs::estimate_exhausted_total().inc();
+        families::ESTIMATE_EXHAUSTED.handle().inc();
     }
-    crate::obs::estimate_samples().observe(consumed as f64);
+    families::ESTIMATE_SAMPLES.handle().observe(consumed as f64);
     if imc_obs::trace::enabled() {
         let event = imc_obs::trace::TraceEvent::new("estimate")
             .field(

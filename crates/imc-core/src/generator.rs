@@ -2,6 +2,7 @@ use crate::samples::limbs_for_width;
 use crate::{CoverSet, RicSample};
 use imc_community::{CommunityId, CommunitySet};
 use imc_graph::{Graph, NodeId};
+use imc_obs::families;
 use rand::{Rng, RngCore};
 
 /// Flat sweeps over the live edges that cover propagation runs before it
@@ -649,8 +650,10 @@ impl<'a> RicSampler<'a> {
         // --- Phase 3: ascending node id for binary-searchable lookup. ---
         buf.emit();
 
-        crate::obs::ric_samples_total().inc();
-        crate::obs::ric_sample_width().observe(buf.nodes.len() as f64);
+        families::RIC_SAMPLES.handle().inc();
+        families::RIC_SAMPLE_WIDTH
+            .handle()
+            .observe(buf.nodes.len() as f64);
     }
 }
 

@@ -44,6 +44,7 @@ use crate::store::{default_workers, growth_seed, sampling_shard_plan, DEFAULT_SA
 use crate::{ImcError, ImcInstance, MaxrAlgorithm, Result, RicStore, SolveRequest, SolveStrategy};
 use imc_diffusion::dagum::stopping_threshold;
 use imc_graph::NodeId;
+use imc_obs::families;
 use std::time::Instant;
 
 /// Parameters of the IMCAF framework.
@@ -249,7 +250,7 @@ fn observe_round(
     psi_capped: usize,
     phases: &RoundSeconds,
 ) {
-    crate::obs::imcaf_rounds_total().inc();
+    families::IMCAF_ROUNDS.handle().inc();
     if imc_obs::trace::enabled() {
         let mut event = imc_obs::trace::TraceEvent::new("imcaf_round")
             .field("round", record.round)
@@ -277,7 +278,9 @@ fn observe_round(
 
 /// Emits the end-of-run metrics and `imcaf_done` trace event.
 fn observe_done(result: &ImcafResult) {
-    crate::obs::record_imcaf_run(result.stop_reason.as_str());
+    families::IMCAF_RUNS
+        .child(result.stop_reason.as_str())
+        .inc();
     if imc_obs::trace::enabled() {
         imc_obs::trace::emit(
             imc_obs::trace::TraceEvent::new("imcaf_done")

@@ -82,7 +82,6 @@ pub mod bounds;
 pub mod diagnostics;
 pub mod estimate;
 pub mod maxr;
-pub mod obs;
 pub mod snapshot;
 
 pub use bitset::CoverSet;

@@ -38,6 +38,8 @@ pub use telemetry::{EngineTelemetry, IterationRecord};
 
 use crate::{ImcInstance, Result, RicSamples};
 use imc_graph::NodeId;
+use imc_obs::families;
+use std::time::Duration;
 
 /// Which MAXR solver the framework should run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,7 +158,7 @@ impl MaxrAlgorithm {
             let _select_span = imc_obs::Span::enter_with("maxr_select", self.name());
             self.solve_over(instance, &mut LocalBackend(collection), req)?
         };
-        crate::obs::record_maxr_solve(
+        record_maxr_solve(
             self.name(),
             start.elapsed(),
             report.influenced_samples,
@@ -164,6 +166,38 @@ impl MaxrAlgorithm {
             report.extras.sandwich_ratio(),
         );
         Ok(report)
+    }
+}
+
+/// Records one MAXR solve: per-algorithm counter + duration histogram,
+/// the coverage-ratio histogram, and a `maxr_solve` trace event (with
+/// UBG's sandwich ratio when there is one).
+fn record_maxr_solve(
+    algo: &'static str,
+    duration: Duration,
+    influenced: usize,
+    samples: usize,
+    sandwich_ratio: Option<f64>,
+) {
+    families::MAXR_SOLVES.child(algo).inc();
+    families::MAXR_SOLVE_DURATION
+        .child(algo)
+        .observe_duration(duration);
+    if samples > 0 {
+        families::MAXR_COVERAGE_RATIO
+            .handle()
+            .observe(influenced as f64 / samples as f64);
+    }
+    if imc_obs::trace::enabled() {
+        let mut event = imc_obs::trace::TraceEvent::new("maxr_solve")
+            .field("algo", algo)
+            .field("seconds", duration.as_secs_f64())
+            .field("influenced", influenced)
+            .field("samples", samples);
+        if let Some(ratio) = sandwich_ratio {
+            event = event.field("sandwich_ratio", ratio);
+        }
+        imc_obs::trace::emit(event);
     }
 }
 
@@ -269,15 +303,24 @@ mod tests {
 
     #[test]
     fn names_are_distinct() {
+        // ... and exactly the `algo` vocabulary of the metric table.
         let algos = [
             MaxrAlgorithm::Greedy,
             MaxrAlgorithm::Ubg,
             MaxrAlgorithm::Maf,
             MaxrAlgorithm::Bt,
+            MaxrAlgorithm::Btd(3),
             MaxrAlgorithm::Mb,
         ];
-        let names: std::collections::HashSet<&str> = algos.iter().map(|a| a.name()).collect();
-        assert_eq!(names.len(), algos.len());
+        let names: Vec<&str> = algos.iter().map(|a| a.name()).collect();
+        assert_eq!(names, families::ALGOS);
+    }
+
+    #[test]
+    fn record_maxr_solve_feeds_labeled_series() {
+        let before = families::MAXR_SOLVES.child("UBG").get();
+        record_maxr_solve("UBG", Duration::from_micros(50), 3, 10, Some(0.75));
+        assert_eq!(families::MAXR_SOLVES.child("UBG").get(), before + 1);
     }
 
     #[test]

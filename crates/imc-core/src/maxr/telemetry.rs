@@ -10,6 +10,7 @@
 //! request's [`TraceCtx`](imc_obs::trace::TraceCtx) span tree.
 
 use crate::maxr::solver::Objective;
+use imc_obs::families;
 
 /// What one greedy round did.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -65,7 +66,20 @@ impl EngineTelemetry {
     /// when a trace sink is installed — emits one `engine_iteration`
     /// event per round plus an `engine_solve` summary.
     pub fn publish(&self) {
-        crate::obs::record_engine_run(self);
+        families::ENGINE_ROUNDS
+            .child(self.objective)
+            .inc_by(self.rounds.len() as u64);
+        families::ENGINE_EVALUATIONS
+            .child(self.objective)
+            .inc_by(self.evaluations());
+        for rec in &self.rounds {
+            families::ENGINE_QUEUE_DEPTH
+                .handle()
+                .observe(rec.evaluations as f64);
+            families::ENGINE_SHARD_DURATION
+                .handle()
+                .observe(rec.batch_seconds);
+        }
         if !imc_obs::trace::enabled() {
             return;
         }

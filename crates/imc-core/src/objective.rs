@@ -2,6 +2,7 @@ use crate::kernels;
 use crate::samples::{limbs_for_width, RicSamples};
 use crate::RicStore;
 use imc_graph::NodeId;
+use imc_obs::families;
 use std::sync::OnceLock;
 
 /// One in Q32 fixed point: the `ν_R` term of a sample whose threshold is
@@ -351,7 +352,7 @@ impl<C: RicSamples> CoverageState<C> {
             );
             swept += nodes.len();
         }
-        crate::obs::table_entries_swept().inc_by(swept as u64);
+        families::TABLE_ENTRIES_SWEPT.handle().inc_by(swept as u64);
     }
 
     fn build_tables(&self) -> GainTables {
@@ -473,7 +474,7 @@ impl<C: RicSamples> CoverageState<C> {
             }
         }
         if maintained {
-            crate::obs::table_entries_swept().inc_by(swept as u64);
+            families::TABLE_ENTRIES_SWEPT.handle().inc_by(swept as u64);
         }
         self.seeds.push(v);
     }

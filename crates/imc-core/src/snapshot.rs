@@ -46,12 +46,10 @@
 //! ```
 //!
 //! Version 3 is the only format [`decode`], [`load`] and the view read;
-//! older version bytes get [`SnapshotError::UnsupportedVersion`].
-//! Version-2 files (columnar without the section table or the persisted
-//! index) stay liftable through [`upgrade`] alone, which rewrites them as
-//! version 3; version-1 files are rejected everywhere. See
-//! `docs/FORMATS.md` for the byte-level specification, the alignment
-//! rules, and a worked hexdump.
+//! older version bytes get [`SnapshotError::UnsupportedVersion`] — an old
+//! file is re-drawn with `imc-tool snapshot save`. See `docs/FORMATS.md`
+//! for the byte-level specification, the alignment rules, and a worked
+//! hexdump.
 //!
 //! Decoding validates the magic, version, checksum and every structural
 //! invariant (sorted in-range nodes, in-range community ids, zero padding
@@ -66,7 +64,7 @@
 
 use crate::samples::{limbs_for_width, top_limb_mask, RicColumns};
 use crate::{RicSamples, RicStore};
-use imc_community::{CommunityId, CommunitySet};
+use imc_community::CommunitySet;
 use imc_graph::{Graph, NodeId};
 use std::fmt;
 use std::path::Path;
@@ -76,14 +74,12 @@ pub const MAGIC: &[u8; 7] = b"IMCSNAP";
 /// Format version written by [`encode`] — and the only one [`decode`] reads.
 pub const FORMAT_VERSION: u8 = 3;
 
-/// Header length of the legacy version 2 (read by [`upgrade`] only).
-const HEADER_LEN: usize = 7 + 1 + 8 * 6;
-/// Version-3 header: the legacy header plus the index entry count.
-const HEADER_LEN_V3: usize = HEADER_LEN + 8;
+/// Header length: magic, version and seven `u64` fields.
+const HEADER_LEN: usize = 7 + 1 + 8 * 7;
 /// Number of column sections in a version-3 file.
 const SECTION_COUNT: usize = 9;
 /// First byte after the version-3 section table (= 208, 8-aligned).
-const SECTIONS_START: usize = HEADER_LEN_V3 + SECTION_COUNT * 16;
+const SECTIONS_START: usize = HEADER_LEN + SECTION_COUNT * 16;
 const CHECKSUM_LEN: usize = 8;
 
 /// Rounds `n` up to the next multiple of 8 — the section alignment.
@@ -123,7 +119,7 @@ impl fmt::Display for SnapshotError {
             SnapshotError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported snapshot format version {v} (this build reads version {FORMAT_VERSION}; `snapshot upgrade` lifts version 2)"
+                    "unsupported snapshot format version {v} (this build reads version {FORMAT_VERSION}; re-draw the file with `imc-tool snapshot save`)"
                 )
             }
             SnapshotError::Truncated => write!(f, "snapshot file is truncated"),
@@ -380,38 +376,7 @@ pub fn encode<C: RicSamples>(collection: &C, fingerprint: u64, generation: u64) 
     out
 }
 
-/// Bounds-checked little-endian reader over a version-2 snapshot body.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-}
-
-/// Validates a sample's metadata fields (shared by the view and the
-/// version-2 reader).
+/// Validates a sample's metadata fields.
 fn check_meta(community: u32, threshold: u32, community_count: u64) -> Result<(), SnapshotError> {
     if u64::from(community) >= community_count {
         return Err(SnapshotError::Corrupt(
@@ -427,56 +392,7 @@ fn check_meta(community: u32, threshold: u32, community_count: u64) -> Result<()
     Ok(())
 }
 
-/// Reads `n` strictly-ascending in-range node ids, appending to `out`.
-fn read_nodes(
-    cur: &mut Cursor<'_>,
-    n: usize,
-    node_count: u64,
-    out: &mut Vec<NodeId>,
-) -> Result<(), SnapshotError> {
-    let mut prev: Option<u32> = None;
-    for _ in 0..n {
-        let v = cur.u32()?;
-        if u64::from(v) >= node_count {
-            return Err(SnapshotError::Corrupt("sample node id out of range"));
-        }
-        if prev.is_some_and(|p| p >= v) {
-            return Err(SnapshotError::Corrupt(
-                "sample nodes not strictly ascending",
-            ));
-        }
-        prev = Some(v);
-        out.push(NodeId::new(v));
-    }
-    Ok(())
-}
-
-/// Reads `n` cover sets of `community_size` bits, appending the limbs to
-/// `out` and rejecting set bits beyond the community width.
-fn read_covers(
-    cur: &mut Cursor<'_>,
-    n: usize,
-    community_size: u32,
-    out: &mut Vec<u64>,
-) -> Result<(), SnapshotError> {
-    let limbs = limbs_for_width(community_size);
-    let top_mask = top_limb_mask(community_size);
-    for _ in 0..n {
-        let start = out.len();
-        for _ in 0..limbs {
-            out.push(cur.u64()?);
-        }
-        if out[start + limbs - 1] & !top_mask != 0 {
-            return Err(SnapshotError::Corrupt(
-                "cover set has bits beyond community size",
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Validates the instance scalars of a header (shared by the view and the
-/// version-2 reader).
+/// Validates the instance scalars of a header.
 fn check_instance(
     node_count: u64,
     community_count: u64,
@@ -520,8 +436,7 @@ fn version_of(bytes: &[u8]) -> Result<u8, SnapshotError> {
 /// Any [`SnapshotError`] variant except `Io` and `FingerprintMismatch`
 /// (fingerprints are checked by [`load_for_instance`], which knows the
 /// expected value). Version-1 and version-2 bytes get
-/// [`UnsupportedVersion`](SnapshotError::UnsupportedVersion); [`upgrade`]
-/// lifts version 2.
+/// [`UnsupportedVersion`](SnapshotError::UnsupportedVersion).
 pub fn decode(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
     // `std::fs::read` makes no alignment promise; copy into an 8-aligned
     // arena when needed so the typed casts apply.
@@ -537,78 +452,6 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
         fingerprint: view.fingerprint(),
         generation: view.generation(),
         collection: view.to_store(),
-    })
-}
-
-/// Reads a legacy version-2 file — columnar (metadata block, node block,
-/// cover block) without a section table or persisted index — for
-/// [`upgrade`], its only caller.
-fn decode_v2(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
-    if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
-        return Err(SnapshotError::Truncated);
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
-    let declared = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
-    if fnv1a(body) != declared {
-        return Err(SnapshotError::ChecksumMismatch);
-    }
-
-    let mut cur = Cursor {
-        bytes: body,
-        pos: MAGIC.len() + 1,
-    };
-    let fingerprint = cur.u64()?;
-    let node_count = cur.u64()?;
-    let community_count = cur.u64()?;
-    let total_benefit = f64::from_bits(cur.u64()?);
-    let generation = cur.u64()?;
-    let sample_count = cur.u64()?;
-    check_instance(node_count, community_count, total_benefit)?;
-    // Each sample takes at least 16 body bytes, which bounds a plausible
-    // count long before any allocation happens.
-    if sample_count > (body.len() / 16) as u64 {
-        return Err(SnapshotError::Corrupt(
-            "sample count implies more data than the file holds",
-        ));
-    }
-
-    let mut metas: Vec<(u32, u32, u32, usize)> = Vec::with_capacity(sample_count as usize);
-    for _ in 0..sample_count {
-        let community = cur.u32()?;
-        let threshold = cur.u32()?;
-        let community_size = cur.u32()?;
-        let n = cur.u32()? as usize;
-        check_meta(community, threshold, community_count)?;
-        metas.push((community, threshold, community_size, n));
-    }
-    let mut flat_nodes: Vec<NodeId> = Vec::new();
-    let mut node_offsets: Vec<usize> = Vec::with_capacity(metas.len() + 1);
-    node_offsets.push(0);
-    for &(_, _, _, n) in &metas {
-        read_nodes(&mut cur, n, node_count, &mut flat_nodes)?;
-        node_offsets.push(flat_nodes.len());
-    }
-    let mut store = RicStore::new(node_count as usize, community_count as usize, total_benefit);
-    let mut words: Vec<u64> = Vec::new();
-    for (i, &(community, threshold, community_size, n)) in metas.iter().enumerate() {
-        words.clear();
-        read_covers(&mut cur, n, community_size, &mut words)?;
-        store.push_raw(
-            CommunityId::new(community),
-            threshold,
-            community_size,
-            &flat_nodes[node_offsets[i]..node_offsets[i + 1]],
-            &words,
-        );
-    }
-    if cur.pos != body.len() {
-        return Err(SnapshotError::Corrupt("trailing bytes after last sample"));
-    }
-    store.rebuild_index();
-    Ok(SnapshotData {
-        collection: store,
-        fingerprint,
-        generation,
     })
 }
 
@@ -745,8 +588,8 @@ impl<'a> RicStoreView<'a> {
         let mut lens = [0usize; SECTION_COUNT];
         let mut at = SECTIONS_START;
         for i in 0..SECTION_COUNT {
-            let off = u64_at(HEADER_LEN_V3 + i * 16);
-            let len = u64_at(HEADER_LEN_V3 + i * 16 + 8);
+            let off = u64_at(HEADER_LEN + i * 16);
+            let len = u64_at(HEADER_LEN + i * 16 + 8);
             if off > body_len || len > body_len - off {
                 return Err(SnapshotError::Truncated);
             }
@@ -999,53 +842,6 @@ impl SnapshotBytes {
     }
 }
 
-/// Rewrites a version-2 or version-3 snapshot as the current version 3,
-/// preserving the recorded fingerprint and generation — the only reader of
-/// version-2 bytes. Upgrading an already-v3 snapshot is a validated
-/// fixpoint: the output bytes equal the input bytes.
-///
-/// ```
-/// use imc_core::snapshot::{self, FORMAT_VERSION};
-/// use imc_core::{CoverSet, RicSample, RicStore};
-/// use imc_community::CommunityId;
-/// use imc_graph::NodeId;
-///
-/// let mut cover = CoverSet::new(2);
-/// cover.set(1);
-/// let sample = RicSample {
-///     community: CommunityId::new(0),
-///     threshold: 1,
-///     community_size: 2,
-///     nodes: vec![NodeId::new(0)],
-///     covers: vec![cover],
-/// };
-/// let store = RicStore::from_samples(2, 1, 1.0, [&sample]).unwrap();
-///
-/// let new = snapshot::encode(&store, 42, 5);
-/// assert_eq!(new[7], FORMAT_VERSION);
-/// // Upgrading is idempotent: v3 input re-encodes to identical bytes.
-/// assert_eq!(snapshot::upgrade(&new).unwrap(), new);
-/// // Version-1 bytes are not readable any more, not even here.
-/// let mut v1 = new.clone();
-/// v1[7] = 1;
-/// assert!(matches!(
-///     snapshot::upgrade(&v1),
-///     Err(snapshot::SnapshotError::UnsupportedVersion(1))
-/// ));
-/// ```
-///
-/// # Errors
-///
-/// Everything [`decode`] can raise.
-pub fn upgrade(bytes: &[u8]) -> Result<Vec<u8>, SnapshotError> {
-    let data = if version_of(bytes)? == 2 {
-        decode_v2(bytes)?
-    } else {
-        decode(bytes)?
-    };
-    Ok(encode(&data.collection, data.fingerprint, data.generation))
-}
-
 /// Writes a snapshot to `path` (atomically where the filesystem allows:
 /// write to `<path>.tmp` — the full file name plus `.tmp`, so siblings
 /// that differ only in extension never share a temp file — then rename
@@ -1104,7 +900,7 @@ pub fn load_for_instance(
 mod tests {
     use super::*;
     use crate::{CoverSet, RicSample, RicSampler};
-    use imc_community::CommunitySet;
+    use imc_community::{CommunityId, CommunitySet};
     use imc_graph::GraphBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1128,10 +924,6 @@ mod tests {
         col.extend_with(&sampler, 200, &mut StdRng::seed_from_u64(11));
         (g, cs, col)
     }
-
-    /// The committed version-2 file (see `tests/snapshot_compat.rs`) — the
-    /// only version-2 bytes left now that nothing writes the format.
-    const V2_FIXTURE: &[u8] = include_bytes!("../tests/fixtures/snapshot_v2.snap");
 
     #[test]
     fn round_trip_preserves_samples_and_header() {
@@ -1181,18 +973,6 @@ mod tests {
                 Err(SnapshotError::UnsupportedVersion(v)) if v == version
             ));
         }
-        // `upgrade` additionally reads version 2 — and nothing older.
-        assert!(matches!(
-            decode(V2_FIXTURE),
-            Err(SnapshotError::UnsupportedVersion(2))
-        ));
-        assert!(upgrade(V2_FIXTURE).is_ok());
-        let mut v1 = V2_FIXTURE.to_vec();
-        v1[7] = 1;
-        assert!(matches!(
-            upgrade(&restamp(v1)),
-            Err(SnapshotError::UnsupportedVersion(1))
-        ));
     }
 
     #[test]
@@ -1211,18 +991,6 @@ mod tests {
         ] {
             assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} accepted");
         }
-        for cut in [
-            8,
-            HEADER_LEN - 1,
-            HEADER_LEN,
-            V2_FIXTURE.len() / 2,
-            V2_FIXTURE.len() - 1,
-        ] {
-            assert!(
-                upgrade(&V2_FIXTURE[..cut]).is_err(),
-                "v2 cut at {cut} lifted"
-            );
-        }
     }
 
     #[test]
@@ -1233,11 +1001,6 @@ mod tests {
             let mut bad = bytes.clone();
             bad[at] ^= 0x40;
             assert!(decode(&bad).is_err(), "flip at {at} accepted");
-        }
-        for &at in &[8usize, 20, HEADER_LEN + 3, V2_FIXTURE.len() - 12] {
-            let mut bad = V2_FIXTURE.to_vec();
-            bad[at] ^= 0x40;
-            assert!(upgrade(&bad).is_err(), "v2 flip at {at} lifted");
         }
     }
 
@@ -1339,37 +1102,10 @@ mod tests {
 
     /// Reads section `i`'s (offset, byte_len) from a v3 file's table.
     fn v3_section(bytes: &[u8], i: usize) -> (usize, usize) {
-        let at = HEADER_LEN_V3 + i * 16;
+        let at = HEADER_LEN + i * 16;
         let off = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
         let len = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap());
         (off as usize, len as usize)
-    }
-
-    #[test]
-    fn corrupt_v2_fields_rejected_by_upgrade_with_fixed_checksum() {
-        // Version 2: the metadata block starts right after the header.
-        let bytes = V2_FIXTURE.to_vec();
-        // Out-of-range community id in the first sample.
-        let mut bad = bytes.clone();
-        bad[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            upgrade(&restamp(bad)),
-            Err(SnapshotError::Corrupt(_))
-        ));
-        // Zero threshold.
-        let mut bad = bytes.clone();
-        bad[HEADER_LEN + 4..HEADER_LEN + 8].copy_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(
-            upgrade(&restamp(bad)),
-            Err(SnapshotError::Corrupt(_))
-        ));
-        // Absurd sample count.
-        let mut bad = bytes.clone();
-        bad[48..56].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(
-            upgrade(&restamp(bad)),
-            Err(SnapshotError::Corrupt(_))
-        ));
     }
 
     #[test]
@@ -1410,7 +1146,7 @@ mod tests {
         // Non-canonical section offset.
         let mut bad = bytes.clone();
         let (off0, _) = v3_section(&bytes, 0);
-        bad[HEADER_LEN_V3..HEADER_LEN_V3 + 8].copy_from_slice(&((off0 + 8) as u64).to_le_bytes());
+        bad[HEADER_LEN..HEADER_LEN + 8].copy_from_slice(&((off0 + 8) as u64).to_le_bytes());
         assert!(matches!(
             decode(&restamp(bad)),
             Err(SnapshotError::Corrupt(_))
@@ -1510,8 +1246,7 @@ mod tests {
     #[test]
     fn v3_encode_is_a_decode_fixpoint() {
         // decode(encode(x)) re-encodes to the identical bytes: the basis of
-        // the fixture bitwise-stability guarantee and of `upgrade`'s
-        // idempotence.
+        // the fixture bitwise-stability guarantee.
         let (g, cs, col) = tiny_collection();
         let bytes = encode(&col, instance_fingerprint(&g, &cs), 4);
         let data = decode(&bytes).unwrap();

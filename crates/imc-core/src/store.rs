@@ -24,6 +24,7 @@ use crate::samples::{limbs_for_width, top_limb_mask, RicColumns, RicSamples};
 use crate::{CoverSet, CoverageState, RicSample, RicSampler};
 use imc_community::CommunityId;
 use imc_graph::NodeId;
+use imc_obs::families;
 use rand::Rng;
 
 /// Fixed number of deterministic sampling shards used by
@@ -591,7 +592,9 @@ impl RicStore {
     fn index_drawn(&mut self, first: usize, parts: usize) {
         let started = std::time::Instant::now();
         self.index_appended(first, parts);
-        crate::obs::ric_index_duration().observe_duration(started.elapsed());
+        families::RIC_INDEX_DURATION
+            .handle()
+            .observe_duration(started.elapsed());
     }
 
     /// Appends another store's arena (metadata, nodes, covers) without
@@ -761,7 +764,9 @@ impl RicStore {
         let draw_shard = |seed: u64, n: usize, into: &mut RicStore| {
             let start = std::time::Instant::now();
             into.draw_into_arena(sampler, n, &mut StdRng::seed_from_u64(seed));
-            crate::obs::ric_shard_duration().observe_duration(start.elapsed());
+            families::RIC_SHARD_DURATION
+                .handle()
+                .observe_duration(start.elapsed());
         };
 
         let workers = workers.clamp(1, plan.len().max(1));

@@ -1,6 +1,6 @@
 //! Compatibility checks against committed snapshot files.
 //!
-//! All three fixtures hold the same deterministic collection
+//! Both fixtures hold the same deterministic collection
 //! ([`fixture_store`], fingerprint of [`fixture_instance`], generation 3):
 //!
 //! * `fixtures/snapshot_v3.snap` was written by `encode` at the commit
@@ -8,19 +8,16 @@
 //!   version-3 bytes across commits: a changed section order, padding or
 //!   element type fails here even though every same-commit round trip
 //!   would still pass.
-//! * `fixtures/snapshot_v2.snap` was written by the columnar version-2
-//!   encoder (since deleted). Only `upgrade` still reads it, and must lift
-//!   it to exactly the v3 fixture's bytes.
 //! * `fixtures/snapshot_v1.snap` was written by the row-major version-1
 //!   encoder. Nothing reads it any more.
 //!
-//! Every reader other than `upgrade` answers v1 and v2 bytes with a typed
-//! `UnsupportedVersion`.
+//! Every reader answers v1 bytes, and v3 bytes stamped as version 2,
+//! with a typed `UnsupportedVersion`.
 
 use imc_community::CommunitySet;
 use imc_core::snapshot::{
-    decode, encode, instance_fingerprint, load, load_for_instance, upgrade, RicStoreView,
-    SnapshotBytes, SnapshotError,
+    decode, encode, instance_fingerprint, load, load_for_instance, RicStoreView, SnapshotBytes,
+    SnapshotError,
 };
 use imc_core::{ImcInstance, RicStore};
 use imc_graph::{GraphBuilder, NodeId};
@@ -89,12 +86,11 @@ fn v1_and_v2_bytes_are_unsupported_by_every_live_reader() {
     let instance = fixture_instance();
     let dir = std::env::temp_dir().join(format!("imc-compat-old-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for (name, version) in [("snapshot_v1.snap", 1u8), ("snapshot_v2.snap", 2u8)] {
-        let bytes = fixture(name);
-        assert_eq!(
-            bytes[7], version,
-            "{name} must remain a version-{version} file"
-        );
+    let v1 = fixture("snapshot_v1.snap");
+    assert_eq!(v1[7], 1, "snapshot_v1.snap must remain a version-1 file");
+    let mut v2 = fixture("snapshot_v3.snap");
+    v2[7] = 2;
+    for (name, version, bytes) in [("snapshot_v1.snap", 1u8, v1), ("v3 stamped as v2", 2, v2)] {
         let unsupported =
             |e: &SnapshotError| matches!(e, SnapshotError::UnsupportedVersion(v) if *v == version);
 
@@ -104,7 +100,7 @@ fn v1_and_v2_bytes_are_unsupported_by_every_live_reader() {
             unsupported(&RicStoreView::open(aligned.as_bytes()).unwrap_err()),
             "RicStoreView::open {name}"
         );
-        let path = dir.join(name);
+        let path = dir.join(format!("v{version}.snap"));
         std::fs::write(&path, &bytes).unwrap();
         assert!(unsupported(&load(&path).unwrap_err()), "load {name}");
         assert!(
@@ -112,30 +108,5 @@ fn v1_and_v2_bytes_are_unsupported_by_every_live_reader() {
             "load_for_instance {name}"
         );
     }
-    // Version 1 is not liftable either.
-    assert!(matches!(
-        upgrade(&fixture("snapshot_v1.snap")),
-        Err(SnapshotError::UnsupportedVersion(1))
-    ));
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn v2_fixture_upgrades_to_v3_bitwise_stably() {
-    let lifted = upgrade(&fixture("snapshot_v2.snap")).expect("v2 fixture upgrades");
-    // Same collection, fingerprint and generation → the pinned v3 bytes.
-    assert_eq!(lifted, fixture("snapshot_v3.snap"));
-
-    let (_, fp, fresh) = fixture_store();
-    let after = decode(&lifted).unwrap();
-    assert_eq!((after.fingerprint, after.generation), (fp, 3));
-    assert_eq!(after.collection, fresh);
-
-    // Bitwise stability: re-saving the upgraded snapshot changes nothing,
-    // so repeated load/save cycles cannot drift.
-    assert_eq!(
-        encode(&after.collection, after.fingerprint, after.generation),
-        lifted
-    );
-    assert_eq!(upgrade(&lifted).unwrap(), lifted);
 }

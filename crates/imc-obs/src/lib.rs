@@ -8,10 +8,10 @@
 //! Three pieces:
 //!
 //! * **Metrics** ([`Counter`], [`Gauge`], [`Histogram`]) behind a
-//!   [`Registry`]. Instruments are created once (cache the returned `Arc`
-//!   in a `OnceLock` near the hot path) and updated lock-free with relaxed
-//!   atomics; histogram sums use a CAS loop so concurrent totals are
-//!   *exact*, not approximate.
+//!   [`Registry`], updated lock-free with relaxed atomics; histogram sums
+//!   use a CAS loop so concurrent totals are *exact*, not approximate.
+//!   Every `imc_*` family is declared once in the metric table
+//!   ([`families`]), whose rows cache their instruments for hot paths.
 //! * **Exposition** ([`encode::to_prometheus`]) renders a registry in the
 //!   Prometheus text format 0.0.4 — the wire format behind
 //!   `GET /metrics`.
@@ -19,9 +19,9 @@
 //!   an optional global sink, plus RAII spans that both time a phase into
 //!   a histogram and emit a trace event.
 //!
-//! The process-wide registry is [`global()`]; libraries register their
-//! instruments there so one exposition pass sees the whole stack. Local
-//! [`Registry`] values exist for tests and embedding.
+//! The process-wide registry is [`global()`]; the table's rows record
+//! there so one exposition pass sees the whole stack. Local [`Registry`]
+//! values exist for tests and embedding.
 //!
 //! ```
 //! use imc_obs::{encode, Registry};
@@ -45,6 +45,7 @@
 #![deny(missing_docs)]
 
 pub mod encode;
+pub mod families;
 mod metrics;
 mod registry;
 pub mod span;

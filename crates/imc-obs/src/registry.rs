@@ -187,6 +187,13 @@ impl Registry {
         }
     }
 
+    /// Registers `spec`'s family without creating a child, so it is listed
+    /// (in registration order) before its first label values are known.
+    pub(crate) fn declare(&self, spec: &crate::families::Spec) {
+        let labels: Vec<(&str, &str)> = spec.labels.iter().map(|name| (*name, "")).collect();
+        self.family(spec.name, spec.help, spec.kind, &labels, spec.buckets);
+    }
+
     /// Registration-ordered snapshot of the families (for the encoder).
     pub(crate) fn families(&self) -> Vec<Arc<Family>> {
         self.inner.read().expect("registry lock").families.clone()

@@ -21,15 +21,9 @@
 //! (one per request of a pipelined fan) is taken off the stack with
 //! [`Span::park`].
 
-use crate::metrics::DEFAULT_DURATION_BUCKETS;
+use crate::families::SPAN_DURATION;
 use crate::trace::{self, TraceEvent};
 use std::time::Instant;
-
-/// Histogram family every span reports into, labeled by `span` (the span
-/// name) and `detail` (a free-form qualifier, empty for plain spans).
-pub const SPAN_DURATION_METRIC: &str = "imc_span_duration_seconds";
-
-const SPAN_DURATION_HELP: &str = "Duration of instrumented phases, labeled by span name.";
 
 /// A timed phase; records its duration when dropped.
 #[derive(Debug)]
@@ -99,14 +93,7 @@ impl Drop for Span {
         // parked span left the stack long ago; it borrows the current
         // slot for its parent while the event is built.
         let displaced = trace::swap_current_span(self.parent_span_id.take());
-        crate::global()
-            .histogram_with(
-                SPAN_DURATION_METRIC,
-                SPAN_DURATION_HELP,
-                DEFAULT_DURATION_BUCKETS,
-                &[("span", self.name), ("detail", &self.detail)],
-            )
-            .observe(secs);
+        SPAN_DURATION.with([self.name, &self.detail]).observe(secs);
         if trace::enabled() {
             let mut event = TraceEvent::new("span")
                 .field("span_id", self.span_id.as_str())
@@ -129,14 +116,7 @@ mod tests {
     use super::*;
 
     fn span_count(name: &str, detail: &str) -> u64 {
-        crate::global()
-            .histogram_with(
-                SPAN_DURATION_METRIC,
-                SPAN_DURATION_HELP,
-                DEFAULT_DURATION_BUCKETS,
-                &[("span", name), ("detail", detail)],
-            )
-            .count()
+        SPAN_DURATION.with([name, detail]).count()
     }
 
     #[test]

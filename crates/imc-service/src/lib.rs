@@ -32,6 +32,7 @@ pub mod server;
 
 use imc_core::snapshot::{self, SnapshotData, SnapshotError};
 use imc_core::{ImcInstance, RicStore};
+use imc_obs::families;
 use metrics::Metrics;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,12 +55,11 @@ impl ServiceState {
     /// Wraps an instance and an initial collection (possibly empty) as
     /// snapshot `generation`.
     ///
-    /// Also registers every metric family the daemon stack can export
-    /// (solver + service) in the global registry, so the first `/metrics`
-    /// scrape sees them at zero rather than absent.
+    /// Also registers every metric family of the table
+    /// ([`imc_obs::families::register`]) in the global registry, so the
+    /// first `/metrics` scrape sees them at zero rather than absent.
     pub fn new(instance: ImcInstance, collection: RicStore, generation: u64) -> Self {
-        imc_core::obs::register();
-        metrics::register();
+        families::register(imc_obs::global());
         let fingerprint = snapshot::instance_fingerprint(instance.graph(), instance.communities());
         let state = ServiceState {
             instance,
@@ -108,7 +108,9 @@ impl ServiceState {
     pub fn from_snapshot_path(instance: ImcInstance, path: &Path) -> Result<Self, SnapshotError> {
         let started = std::time::Instant::now();
         let data = snapshot::load_for_instance(path, &instance)?;
-        metrics::record_snapshot_load(started.elapsed());
+        families::SNAPSHOT_LOAD_DURATION
+            .handle()
+            .observe_duration(started.elapsed());
         ServiceState::from_snapshot(instance, data)
     }
 
@@ -155,20 +157,18 @@ impl ServiceState {
     /// before each exposition.
     pub fn refresh_gauges(&self) {
         let (collection, generation) = self.pinned();
-        let registry = imc_obs::global();
-        registry
-            .gauge(
-                "imc_collection_samples",
-                "RIC samples in the currently-published collection.",
-            )
+        families::COLLECTION_SAMPLES
+            .handle()
             .set(collection.len() as f64);
-        registry
-            .gauge(
-                "imc_collection_generation",
-                "Generation number of the currently-published collection.",
-            )
+        families::COLLECTION_GENERATION
+            .handle()
             .set(generation as f64);
-        imc_core::obs::set_ric_store_gauges(&collection);
+        families::RIC_STORE_ARENA_BYTES
+            .handle()
+            .set(collection.arena_bytes() as f64);
+        families::RIC_STORE_INDEX_ENTRIES
+            .handle()
+            .set(collection.index_entries() as f64);
     }
 
     /// Current snapshot generation.
@@ -258,33 +258,41 @@ mod tests {
         state.save_snapshot(&path).unwrap();
 
         let instance = state.instance().clone();
-        let loads_before = metrics::snapshot_loads_recorded();
+        let loads_before = families::SNAPSHOT_LOAD_DURATION.handle().count();
         let restored = ServiceState::from_snapshot_path(instance, &path).unwrap();
         assert_eq!(restored.generation(), 0);
         assert_eq!(*restored.collection(), *state.collection());
         // The cold-start load is observed in imc_snapshot_load_seconds.
-        assert!(metrics::snapshot_loads_recorded() > loads_before);
+        assert!(families::SNAPSHOT_LOAD_DURATION.handle().count() > loads_before);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn from_snapshot_path_refuses_pre_v3_files() {
-        // The committed legacy fixtures were sampled from `tiny_state`'s
-        // instance, so only their format version stands in the way.
+        // The committed fixtures were sampled from `tiny_state`'s
+        // instance, so only their format version stands in the way: the
+        // version-1 file, and the version-3 file restamped as version 2.
         let instance = tiny_state(1).instance().clone();
         let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("../imc-core/tests/fixtures");
-        for (name, version) in [("snapshot_v1.snap", 1), ("snapshot_v2.snap", 2)] {
+        let v3 = fixtures.join("snapshot_v3.snap");
+        let mut v2_bytes = std::fs::read(&v3).unwrap();
+        v2_bytes[7] = 2;
+        let dir = std::env::temp_dir().join(format!("imc-svc-pre-v3-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let v2 = dir.join("v2.snap");
+        std::fs::write(&v2, v2_bytes).unwrap();
+        for (path, version) in [(fixtures.join("snapshot_v1.snap"), 1), (v2, 2)] {
             assert!(
                 matches!(
-                    ServiceState::from_snapshot_path(instance.clone(), &fixtures.join(name)),
+                    ServiceState::from_snapshot_path(instance.clone(), &path),
                     Err(SnapshotError::UnsupportedVersion(v)) if v == version
                 ),
-                "{name}"
+                "{}",
+                path.display()
             );
         }
-        assert!(
-            ServiceState::from_snapshot_path(instance, &fixtures.join("snapshot_v3.snap")).is_ok()
-        );
+        assert!(ServiceState::from_snapshot_path(instance, &v3).is_ok());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

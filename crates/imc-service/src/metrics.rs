@@ -2,18 +2,17 @@
 //! from the shared `imc_request_duration_seconds` histogram.
 //!
 //! Every recorded request is mirrored into the process-wide
-//! [`imc_obs::global`] registry (`imc_requests_total{op}`,
-//! `imc_request_duration_seconds{op}`, `imc_samples_scanned_total`,
-//! `imc_deadline_misses_total`), so the daemon's `GET /metrics` exposition
-//! and the NDJSON `stats` op report from one source of truth. The `stats`
-//! percentiles are computed by merging the per-op duration-histogram
-//! buckets (all four children share [`DEFAULT_DURATION_BUCKETS`]) and
-//! interpolating with [`imc_obs::quantile_from_cumulative`] — no separate
-//! latency reservoir, so the two surfaces can never disagree.
+//! [`imc_obs::global`] registry through the metric table
+//! ([`imc_obs::families`]: `REQUESTS`, `REQUEST_DURATION`,
+//! `SAMPLES_SCANNED`, `DEADLINE_MISSES`), so the daemon's `GET /metrics`
+//! exposition and the NDJSON `stats` op report from one source of truth.
+//! The `stats` percentiles are computed by merging the per-op
+//! duration-histogram buckets (every child shares the family's layout)
+//! and interpolating with [`imc_obs::quantile_from_cumulative`] — no
+//! separate latency reservoir, so the two surfaces can never disagree.
 
-use imc_obs::{Counter, Histogram, DEFAULT_DURATION_BUCKETS};
+use imc_obs::families::{DEADLINE_MISSES, REQUESTS, REQUEST_DURATION, SAMPLES_SCANNED};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Lock-light metrics shared by every worker thread.
@@ -53,26 +52,24 @@ impl Metrics {
         .fetch_add(1, Ordering::Relaxed);
         self.samples_served
             .fetch_add(samples_scanned, Ordering::Relaxed);
-        let obs = obs_handles(kind);
-        obs.requests.inc();
+        REQUESTS.child(kind.as_str()).inc();
+        let duration = REQUEST_DURATION.child(kind.as_str());
         // Slow (top-bucket) observations pin the live request's trace id
         // as the histogram's exemplar, so a dashboard's tail bucket links
         // straight to an offending trace in the JSONL sink.
         match imc_obs::trace::current_trace_id() {
-            Some(trace_id) => obs
-                .duration
-                .observe_with_exemplar(latency.as_secs_f64(), &trace_id),
-            None => obs.duration.observe_duration(latency),
+            Some(trace_id) => duration.observe_with_exemplar(latency.as_secs_f64(), &trace_id),
+            None => duration.observe_duration(latency),
         }
-        samples_scanned_total().inc_by(samples_scanned);
+        SAMPLES_SCANNED.handle().inc_by(samples_scanned);
     }
 
     /// Records a request rejected because its deadline expired in queue.
     pub fn record_deadline_miss(&self) {
         self.deadline_misses.fetch_add(1, Ordering::Relaxed);
         self.error_requests.fetch_add(1, Ordering::Relaxed);
-        deadline_misses_total().inc();
-        obs_handles(OpKind::Error).requests.inc();
+        DEADLINE_MISSES.handle().inc();
+        REQUESTS.child(OpKind::Error.as_str()).inc();
     }
 
     /// A point-in-time snapshot of all counters and percentiles.
@@ -93,27 +90,21 @@ impl Metrics {
 }
 
 /// p50/p99 request latency in microseconds, interpolated from the merged
-/// cumulative buckets of the four per-op `imc_request_duration_seconds`
-/// children. All children are registered with the same bucket layout, so
+/// cumulative buckets of the per-op `imc_request_duration_seconds`
+/// children. All children share the family's bucket layout, so
 /// element-wise summation yields the all-ops distribution.
 fn latency_quantiles_us() -> (u64, u64) {
-    let kinds = [
-        OpKind::Solve,
-        OpKind::Estimate,
-        OpKind::Eval,
-        OpKind::Info,
-        OpKind::Error,
-    ];
-    let mut merged = vec![0u64; DEFAULT_DURATION_BUCKETS.len() + 1];
-    for kind in kinds {
-        let cumulative = obs_handles(kind).duration.cumulative_buckets();
+    let buckets = REQUEST_DURATION.spec.buckets;
+    let mut merged = vec![0u64; buckets.len() + 1];
+    for op in REQUEST_DURATION.spec.values {
+        let cumulative = REQUEST_DURATION.child(op).cumulative_buckets();
         debug_assert_eq!(cumulative.len(), merged.len());
         for (slot, c) in merged.iter_mut().zip(cumulative) {
             *slot += c;
         }
     }
     let to_us = |q: f64| {
-        let seconds = imc_obs::quantile_from_cumulative(DEFAULT_DURATION_BUCKETS, &merged, q);
+        let seconds = imc_obs::quantile_from_cumulative(buckets, &merged, q);
         (seconds * 1e6).round() as u64
     };
     (to_us(0.5), to_us(0.99))
@@ -145,103 +136,6 @@ impl OpKind {
             OpKind::Error => "error",
         }
     }
-}
-
-/// Per-op registry handles, cached so the request path never takes the
-/// registry lock.
-struct OpObs {
-    requests: Arc<Counter>,
-    duration: Arc<Histogram>,
-}
-
-fn make_op_obs(op: &'static str) -> OpObs {
-    let registry = imc_obs::global();
-    OpObs {
-        requests: registry.counter_with(
-            "imc_requests_total",
-            "Completed daemon requests by operation.",
-            &[("op", op)],
-        ),
-        duration: registry.histogram_with(
-            "imc_request_duration_seconds",
-            "Wall-clock daemon request latency by operation.",
-            DEFAULT_DURATION_BUCKETS,
-            &[("op", op)],
-        ),
-    }
-}
-
-fn obs_handles(kind: OpKind) -> &'static OpObs {
-    static SOLVE: OnceLock<OpObs> = OnceLock::new();
-    static ESTIMATE: OnceLock<OpObs> = OnceLock::new();
-    static EVAL: OnceLock<OpObs> = OnceLock::new();
-    static INFO: OnceLock<OpObs> = OnceLock::new();
-    static ERROR: OnceLock<OpObs> = OnceLock::new();
-    match kind {
-        OpKind::Solve => SOLVE.get_or_init(|| make_op_obs("solve")),
-        OpKind::Estimate => ESTIMATE.get_or_init(|| make_op_obs("estimate")),
-        OpKind::Eval => EVAL.get_or_init(|| make_op_obs("eval")),
-        OpKind::Info => INFO.get_or_init(|| make_op_obs("info")),
-        OpKind::Error => ERROR.get_or_init(|| make_op_obs("error")),
-    }
-}
-
-fn samples_scanned_total() -> &'static Arc<Counter> {
-    static H: OnceLock<Arc<Counter>> = OnceLock::new();
-    H.get_or_init(|| {
-        imc_obs::global().counter(
-            "imc_samples_scanned_total",
-            "RIC samples scanned on behalf of daemon requests.",
-        )
-    })
-}
-
-fn deadline_misses_total() -> &'static Arc<Counter> {
-    static H: OnceLock<Arc<Counter>> = OnceLock::new();
-    H.get_or_init(|| {
-        imc_obs::global().counter(
-            "imc_deadline_misses_total",
-            "Requests dropped because their deadline passed while queued.",
-        )
-    })
-}
-
-fn snapshot_load_seconds() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| {
-        imc_obs::global().histogram(
-            "imc_snapshot_load_seconds",
-            "Wall-clock time to load and validate a snapshot file at cold start.",
-            DEFAULT_DURATION_BUCKETS,
-        )
-    })
-}
-
-/// Records one snapshot cold-start load (read + decode + fingerprint
-/// check) into `imc_snapshot_load_seconds`. Called by
-/// `ServiceState::from_snapshot_path`; exposed so the cluster shard's own
-/// load path can report into the same family.
-pub fn record_snapshot_load(wall: Duration) {
-    snapshot_load_seconds().observe_duration(wall);
-}
-
-/// Cumulative count of recorded snapshot loads (test/diagnostic hook).
-pub fn snapshot_loads_recorded() -> u64 {
-    snapshot_load_seconds().count()
-}
-
-/// Forces registration of every daemon-side metric family (including the
-/// zero-valued children for each op label) so a fresh daemon's first
-/// scrape already lists them. Idempotent.
-pub fn register() {
-    let _ = obs_handles(OpKind::Solve);
-    let _ = obs_handles(OpKind::Estimate);
-    let _ = obs_handles(OpKind::Eval);
-    let _ = obs_handles(OpKind::Info);
-    let _ = obs_handles(OpKind::Error);
-    let _ = samples_scanned_total();
-    let _ = deadline_misses_total();
-    let _ = snapshot_load_seconds();
 }
 
 /// Plain-data view of [`Metrics`] at one instant.
@@ -317,15 +211,16 @@ mod tests {
         // bound for both percentiles. Pinned against the free function so
         // the process-global histogram shared with other tests can't
         // perturb it.
+        let buckets = REQUEST_DURATION.spec.buckets;
         let filled = 5; // bucket (2.56e-3, 1.024e-2]
-        let mut merged = vec![0u64; DEFAULT_DURATION_BUCKETS.len() + 1];
+        let mut merged = vec![0u64; buckets.len() + 1];
         for slot in merged.iter_mut().skip(filled) {
             *slot = 100;
         }
-        let lower = DEFAULT_DURATION_BUCKETS[filled - 1];
-        let upper = DEFAULT_DURATION_BUCKETS[filled];
-        let p50 = imc_obs::quantile_from_cumulative(DEFAULT_DURATION_BUCKETS, &merged, 0.5);
-        let p99 = imc_obs::quantile_from_cumulative(DEFAULT_DURATION_BUCKETS, &merged, 0.99);
+        let lower = buckets[filled - 1];
+        let upper = buckets[filled];
+        let p50 = imc_obs::quantile_from_cumulative(buckets, &merged, 0.5);
+        let p99 = imc_obs::quantile_from_cumulative(buckets, &merged, 0.99);
         assert!(
             (p50 - (lower + (upper - lower) * 0.5)).abs() < 1e-12,
             "p50 must be the bucket midpoint, got {p50}"
@@ -353,17 +248,19 @@ mod tests {
     fn record_mirrors_into_shared_registry() {
         // Delta-based: the global registry is shared across parallel
         // tests, so assert growth, not absolute values.
-        let before_count = obs_handles(OpKind::Solve).requests.get();
-        let before_hist = obs_handles(OpKind::Solve).duration.count();
-        let before_scanned = samples_scanned_total().get();
+        let before_count = REQUESTS.child("solve").get();
+        let before_hist = REQUEST_DURATION.child("solve").count();
+        let before_scanned = SAMPLES_SCANNED.handle().get();
         let m = Metrics::new();
         m.record(OpKind::Solve, Duration::from_micros(123), 42);
-        assert_eq!(obs_handles(OpKind::Solve).requests.get(), before_count + 1);
-        assert_eq!(obs_handles(OpKind::Solve).duration.count(), before_hist + 1);
-        assert_eq!(samples_scanned_total().get(), before_scanned + 42);
+        assert_eq!(REQUESTS.child("solve").get(), before_count + 1);
+        assert_eq!(REQUEST_DURATION.child("solve").count(), before_hist + 1);
+        assert_eq!(SAMPLES_SCANNED.handle().get(), before_scanned + 42);
 
-        let before_miss = deadline_misses_total().get();
+        let before_miss = DEADLINE_MISSES.handle().get();
+        let before_errors = REQUESTS.child("error").get();
         m.record_deadline_miss();
-        assert_eq!(deadline_misses_total().get(), before_miss + 1);
+        assert_eq!(DEADLINE_MISSES.handle().get(), before_miss + 1);
+        assert_eq!(REQUESTS.child("error").get(), before_errors + 1);
     }
 }

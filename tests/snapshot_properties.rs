@@ -40,33 +40,6 @@ fn sampled_collection(seed: u64, samples: usize) -> (u64, RicStore) {
     (fp, col)
 }
 
-/// The committed version-2 file and the instance it was sampled from (see
-/// `crates/imc-core/tests/snapshot_compat.rs`) — the only version-2 bytes
-/// left now that nothing writes the format.
-fn v2_fixture() -> (ImcInstance, Vec<u8>) {
-    let mut b = GraphBuilder::new(6);
-    b.add_edge(0, 1, 0.9).unwrap();
-    b.add_edge(1, 2, 0.5).unwrap();
-    b.add_edge(3, 4, 0.8).unwrap();
-    let communities = CommunitySet::from_parts(
-        6,
-        vec![
-            (vec![NodeId::new(1), NodeId::new(2)], 1, 2.0),
-            (vec![NodeId::new(4), NodeId::new(5)], 1, 3.0),
-        ],
-    )
-    .unwrap();
-    let instance = ImcInstance::new(b.build().unwrap(), communities).unwrap();
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/crates/imc-core/tests/fixtures/snapshot_v2.snap"
-    );
-    (
-        instance,
-        std::fs::read(path).expect("committed fixture present"),
-    )
-}
-
 /// Overwrites one byte per site — `(in_head, position fraction, value)`,
 /// `in_head` aiming at the first `head_len` bytes (header, section table or
 /// leading metadata) where a random hit would otherwise be rare — and
@@ -193,42 +166,6 @@ proptest! {
         if let Ok(view) = RicStoreView::open_verified(aligned.as_bytes()) {
             assert_safe_to_solve(&instance, &view);
         }
-        if let Ok(lifted) = snapshot::upgrade(&bad) {
-            let data = snapshot::decode(&lifted).expect("upgrade output decodes");
-            assert_safe_to_solve(&instance, &data.collection);
-        }
-    }
-
-    #[test]
-    fn hostile_v2_bytes_are_refused_or_lift_to_something_safe(
-        sites in prop::collection::vec((0u8..2, 0.0f64..1.0, 0u8..=255), 1..=8),
-    ) {
-        let (instance, fixture) = v2_fixture();
-        // 56-byte header, then 16 bytes of metadata per sample.
-        let bad = mutate_and_restamp(&fixture, 56 + 16 * 8, &sites);
-        prop_assert!(snapshot::decode(&bad).is_err(), "decode reads version 3 only");
-        if let Ok(lifted) = snapshot::upgrade(&bad) {
-            let data = snapshot::decode(&lifted).expect("upgrade output decodes");
-            assert_safe_to_solve(&instance, &data.collection);
-        }
-    }
-}
-
-#[test]
-fn v2_truncation_and_bit_flips_never_upgrade() {
-    let (_, fixture) = v2_fixture();
-    for cut in 0..fixture.len() {
-        assert!(
-            snapshot::upgrade(&fixture[..cut]).is_err(),
-            "cut at {cut} lifted"
-        );
-    }
-    for pos in (0..fixture.len()).step_by(7) {
-        let mut bad = fixture.clone();
-        bad[pos] ^= 1 << (pos % 8);
-        // FNV-1a catches any single-bit flip; a flipped version byte is
-        // refused before the checksum is even looked at.
-        assert!(snapshot::upgrade(&bad).is_err(), "flip at {pos} lifted");
     }
 }
 
