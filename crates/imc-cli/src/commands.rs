@@ -635,7 +635,7 @@ mod tests {
         assert!(!text.is_empty(), "trace file is empty");
         let mut kinds = std::collections::BTreeSet::new();
         for line in text.lines() {
-            let v = imc_service::json::parse(line)
+            let v = imc_obs::json::parse(line)
                 .unwrap_or_else(|e| panic!("invalid JSONL line `{line}`: {e}"));
             assert!(v.get("ts_us").and_then(|t| t.as_u64()).is_some(), "{line}");
             let kind = v.get("kind").unwrap().as_str().unwrap().to_string();

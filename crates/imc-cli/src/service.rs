@@ -14,8 +14,8 @@ use crate::commands::{build_instance, load_graph};
 use crate::{CliError, Result};
 use imc_core::snapshot::{self, SnapshotError};
 use imc_core::RicStore;
+use imc_obs::json::{self, ObjectBuilder};
 use imc_service::client::Client;
-use imc_service::json::{self, ObjectBuilder};
 use imc_service::{RefreshConfig, ServeConfig, Server, ServiceState};
 use std::io::Write;
 use std::path::Path;

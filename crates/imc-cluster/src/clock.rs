@@ -14,8 +14,8 @@
 use std::net::SocketAddr;
 use std::time::Duration;
 
+use imc_obs::json::Value;
 use imc_service::client::Client;
-use imc_service::json::Value;
 
 /// One shard's estimated clock offset relative to this process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -34,9 +34,9 @@ use imc_core::maxr::{Objective, Score, SolveBackend, UnionStats};
 use imc_core::{GreedyRun, ImcError, ImcInstance, MaxrAlgorithm, SolveReport, SolveRequest};
 use imc_graph::NodeId;
 use imc_obs::families;
+use imc_obs::json::{self, ObjectBuilder, Value};
 use imc_service::client::{ClientConfig, ClusterError, PeerClient, RetryPolicy};
-use imc_service::json::{self, ObjectBuilder, Value};
-use imc_service::protocol::{self, ErrorCode, Request};
+use imc_service::protocol::{self, ErrorCode, Request, RequestError};
 use imc_service::server::Shutdown;
 
 use crate::health::{self, HealthBoard, HealthMonitor, ShardState};
@@ -84,6 +84,15 @@ impl From<ClusterError> for CoordError {
 impl From<ImcError> for CoordError {
     fn from(e: ImcError) -> Self {
         CoordError::Solver(e)
+    }
+}
+
+impl From<CoordError> for RequestError {
+    fn from(e: CoordError) -> Self {
+        RequestError {
+            code: e.error_code(),
+            message: e.to_string(),
+        }
     }
 }
 
@@ -738,7 +747,8 @@ fn handle_request(
         .clone()
         .unwrap_or_else(imc_obs::trace::fresh_id);
     let _ctx = imc_obs::trace::TraceCtx::enter_remote(&trace_id, remote.parent_span_id.as_deref());
-    let (response, stop) = dispatch_request(line, instance, config, board, peers, start);
+    let (response, stop) = dispatch_request(line, instance, config, board, peers, start)
+        .unwrap_or_else(|e| (protocol::error_response(e.code, &e.message), false));
     // Echo the trace id so callers (and the smoke job) can find this
     // request's tree without parsing the coordinator's trace file.
     (
@@ -748,7 +758,8 @@ fn handle_request(
 }
 
 /// The op dispatch behind [`handle_request`], running inside the
-/// request's trace context.
+/// request's trace context. A refusal, of the line or of the request,
+/// comes back as the [`RequestError`] the caller answers.
 fn dispatch_request(
     line: &str,
     instance: &ImcInstance,
@@ -756,20 +767,14 @@ fn dispatch_request(
     board: &HealthBoard,
     kept: &mut [PeerClient],
     start: Instant,
-) -> (String, bool) {
-    let request = match protocol::parse_request(line) {
-        Ok(request) => request,
-        Err(e) => return (protocol::error_response(e.code, &e.message), false),
-    };
-    match request {
-        Request::Solve { imcaf: Some(_), .. } => (
-            protocol::error_response(
-                ErrorCode::InvalidParameter,
+) -> Result<(String, bool), RequestError> {
+    Ok(match protocol::parse_request(line)? {
+        Request::Solve { imcaf: Some(_), .. } => {
+            return Err(unsupported(
                 "the imcaf framework is not supported by the cluster coordinator \
                  (shards serve fixed snapshots)",
-            ),
-            false,
-        ),
+            ))
+        }
         Request::Solve {
             k,
             algo,
@@ -783,89 +788,62 @@ fn dispatch_request(
                 .with_seed(seed)
                 .with_depth(tuning.depth.unwrap_or(2));
             let _solve_span = imc_obs::Span::enter_with("cluster_solve", algo.name());
-            let outcome = run_resilient(config, board, kept, seed, |peers| {
+            let Outcome {
+                value: report,
+                lost,
+                participating,
+            } = run_resilient(config, board, kept, seed, |peers| {
                 cluster_solve(instance, peers, algo, &req)
-            });
-            match outcome {
-                Ok(Outcome {
-                    value: report,
-                    lost,
-                    participating,
-                }) => {
-                    let solve = &report.solve;
-                    let seeds: Vec<u32> = solve.seeds.iter().map(|v| v.raw()).collect();
-                    let lost_shards: Vec<String> = lost.iter().map(SocketAddr::to_string).collect();
-                    let mut body = ObjectBuilder::new()
-                        .field("seeds", seeds)
-                        .field("estimate", solve.estimate)
-                        .field("influenced_samples", solve.influenced_samples)
-                        .field("evaluations", solve.evaluations)
-                        .field("threads", 1u64)
-                        .field("samples", report.samples)
-                        .field("generation", report.generation)
-                        .field("shards", participating)
-                        .field("approximate", !lost.is_empty())
-                        .field("effective_samples", report.samples)
-                        .field("lost_shards", lost_shards)
-                        .field("elapsed_us", elapsed_us(start));
-                    if let Some(ratio) = solve.extras.sandwich_ratio() {
-                        body = body.field("sandwich_ratio", ratio);
-                    }
-                    (protocol::ok_response("solve", body), false)
-                }
-                Err(e) => (
-                    protocol::error_response(e.error_code(), &e.to_string()),
-                    false,
-                ),
+            })?;
+            let solve = &report.solve;
+            let seeds: Vec<u32> = solve.seeds.iter().map(|v| v.raw()).collect();
+            let lost_shards: Vec<String> = lost.iter().map(SocketAddr::to_string).collect();
+            let mut body = ObjectBuilder::new()
+                .field("seeds", seeds)
+                .field("estimate", solve.estimate)
+                .field("influenced_samples", solve.influenced_samples)
+                .field("evaluations", solve.evaluations)
+                .field("threads", 1u64)
+                .field("samples", report.samples)
+                .field("generation", report.generation)
+                .field("shards", participating)
+                .field("approximate", !lost.is_empty())
+                .field("effective_samples", report.samples)
+                .field("lost_shards", lost_shards)
+                .field("elapsed_us", elapsed_us(start));
+            if let Some(ratio) = solve.extras.sandwich_ratio() {
+                body = body.field("sandwich_ratio", ratio);
             }
+            (protocol::ok_response("solve", body), false)
         }
         Request::Estimate { seeds } => {
-            let node_count = instance.node_count();
-            if let Some(bad) = seeds.iter().find(|v| v.index() >= node_count) {
-                return (
-                    protocol::error_response(
-                        ErrorCode::OutOfRange,
-                        &format!(
-                            "seed {} out of range (graph has {node_count} nodes)",
-                            bad.raw()
-                        ),
-                    ),
-                    false,
-                );
+            for v in &seeds {
+                protocol::node_in_range("seed", v.raw(), instance.node_count())?;
             }
             let _estimate_span = imc_obs::Span::enter_with("cluster_estimate", "");
-            let outcome = run_resilient(config, board, kept, 0, |peers| {
+            let Outcome {
+                value: ShardTotals {
+                    score, generation, ..
+                },
+                lost,
+                participating,
+            } = run_resilient(config, board, kept, 0, |peers| {
                 Ok(shard_eval_totals(peers, &seeds, None)?)
-            });
-            match outcome {
-                Ok(Outcome {
-                    value:
-                        ShardTotals {
-                            score, generation, ..
-                        },
-                    lost,
-                    participating,
-                }) => {
-                    let lost_shards: Vec<String> = lost.iter().map(SocketAddr::to_string).collect();
-                    let b = instance.total_benefit();
-                    let body = ObjectBuilder::new()
-                        .field("estimate", score.estimate(b))
-                        .field("nu_estimate", score.nu_estimate(b))
-                        .field("influenced_samples", score.influenced)
-                        .field("samples", score.samples)
-                        .field("generation", generation)
-                        .field("shards", participating)
-                        .field("approximate", !lost.is_empty())
-                        .field("effective_samples", score.samples)
-                        .field("lost_shards", lost_shards)
-                        .field("elapsed_us", elapsed_us(start));
-                    (protocol::ok_response("estimate", body), false)
-                }
-                Err(e) => (
-                    protocol::error_response(e.error_code(), &e.to_string()),
-                    false,
-                ),
-            }
+            })?;
+            let lost_shards: Vec<String> = lost.iter().map(SocketAddr::to_string).collect();
+            let b = instance.total_benefit();
+            let body = ObjectBuilder::new()
+                .field("estimate", score.estimate(b))
+                .field("nu_estimate", score.nu_estimate(b))
+                .field("influenced_samples", score.influenced)
+                .field("samples", score.samples)
+                .field("generation", generation)
+                .field("shards", participating)
+                .field("approximate", !lost.is_empty())
+                .field("effective_samples", score.samples)
+                .field("lost_shards", lost_shards)
+                .field("elapsed_us", elapsed_us(start));
+            (protocol::ok_response("estimate", body), false)
         }
         Request::Health => {
             // Health never fails wholesale: every shard is probed (its
@@ -923,13 +901,19 @@ fn dispatch_request(
             protocol::ok_response("shutdown", ObjectBuilder::new()),
             true,
         ),
-        _ => (
-            protocol::error_response(
-                ErrorCode::InvalidParameter,
+        _ => {
+            return Err(unsupported(
                 "op not supported by the cluster coordinator \
                  (expected solve | estimate | metrics | health | ping | shutdown)",
-            ),
-            false,
-        ),
+            ))
+        }
+    })
+}
+
+/// The refusal of a request the coordinator does not serve.
+fn unsupported(message: &str) -> RequestError {
+    RequestError {
+        code: ErrorCode::InvalidParameter,
+        message: message.to_string(),
     }
 }

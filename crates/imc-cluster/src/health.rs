@@ -231,7 +231,7 @@ pub fn probe(addr: SocketAddr, timeout: Duration) -> bool {
         .and_then(|mut c| c.request(r#"{"op":"ping"}"#))
         .map(|v| {
             v.get("ok")
-                .and_then(imc_service::json::Value::as_bool)
+                .and_then(imc_obs::json::Value::as_bool)
                 .unwrap_or(false)
         })
         .unwrap_or(false);

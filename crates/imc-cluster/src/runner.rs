@@ -27,8 +27,8 @@ use imc_core::snapshot;
 use imc_core::{ImcInstance, MaxrAlgorithm, RicSampler, RicStore, SolveRequest};
 use imc_datasets::DatasetId;
 use imc_graph::WeightModel;
+use imc_obs::json::{self, ObjectBuilder, Value};
 use imc_service::client::{Client, RetryPolicy};
-use imc_service::json::{self, ObjectBuilder, Value};
 use imc_service::{ServeConfig, Server, ServerHandle, ServiceState};
 
 use crate::chaos::{ChaosFault, ChaosProxy, ChaosSpec};

@@ -24,8 +24,8 @@ use std::thread;
 use std::time::Instant;
 
 use imc_core::maxr::{GainSource, Objective};
+use imc_obs::json::{self, ObjectBuilder, Value};
 use imc_service::client::{ClusterError, PeerClient};
-use imc_service::json::{self, ObjectBuilder, Value};
 use imc_service::protocol::PROTOCOL_VERSION;
 
 use imc_obs::families;

@@ -22,9 +22,9 @@ use imc_cluster::{ChaosFault, ChaosProxy, Coordinator, CoordinatorConfig, Coordi
 use imc_community::CommunitySet;
 use imc_core::{ImcInstance, MaxrAlgorithm, RicStore, SolveRequest};
 use imc_graph::{generators::erdos_renyi, NodeId, WeightModel};
+use imc_obs::json::Value;
 use imc_service::client::Client;
 use imc_service::client::{ClientConfig, RetryPolicy};
-use imc_service::json::Value;
 use imc_service::{ServeConfig, Server, ServerHandle, ServiceState};
 use proptest::prelude::*;
 use rand::rngs::StdRng;

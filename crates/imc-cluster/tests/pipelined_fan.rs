@@ -19,8 +19,8 @@ use imc_cluster::{ChaosFault, ChaosProxy, Coordinator, CoordinatorConfig, Coordi
 use imc_community::CommunitySet;
 use imc_core::{ImcInstance, RicStore};
 use imc_graph::{generators::erdos_renyi, NodeId, WeightModel};
+use imc_obs::json::Value;
 use imc_service::client::{Client, ClientConfig, RetryPolicy};
-use imc_service::json::Value;
 use imc_service::{ServeConfig, Server, ServerHandle, ServiceState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -21,7 +21,7 @@ use imc_cluster::{ChaosFault, ChaosProxy, Coordinator, CoordinatorConfig, Coordi
 use imc_community::CommunitySet;
 use imc_core::{ImcInstance, RicStore};
 use imc_graph::{generators::erdos_renyi, NodeId, WeightModel};
-use imc_obs::timeline::{FlatValue, TraceSet};
+use imc_obs::timeline::TraceSet;
 use imc_service::client::{Client, ClientConfig, RetryPolicy};
 use imc_service::json::Value;
 use imc_service::{ServeConfig, Server, ServerHandle, ServiceState};
@@ -197,8 +197,10 @@ fn chaos_kill_solve_traces_the_full_fault_story() {
         );
     }
     let dead = tl.events.iter().find(|e| e.kind == "shard_dead").unwrap();
-    let dead_shard = imc_obs::timeline::get(&dead.fields, "shard")
-        .and_then(FlatValue::as_str)
+    let dead_shard = dead
+        .fields
+        .get("shard")
+        .and_then(Value::as_str)
         .expect("shard_dead names its shard");
     let rescatter = tl
         .events
@@ -206,12 +208,12 @@ fn chaos_kill_solve_traces_the_full_fault_story() {
         .find(|e| e.kind == "degraded_rescatter")
         .unwrap();
     assert_eq!(
-        imc_obs::timeline::get(&rescatter.fields, "lost").and_then(FlatValue::as_str),
+        rescatter.fields.get("lost").and_then(Value::as_str),
         Some(dead_shard),
         "degraded_rescatter must name the dead shard"
     );
     assert_eq!(
-        imc_obs::timeline::get(&rescatter.fields, "survivors").and_then(FlatValue::as_i64),
+        rescatter.fields.get("survivors").and_then(Value::as_i64),
         Some(1),
     );
 

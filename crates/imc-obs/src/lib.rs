@@ -5,7 +5,7 @@
 //! harness, in the same offline idiom as the `vendor/` dependency
 //! stand-ins: no external crates, no network, atomic hot paths.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * **Metrics** ([`Counter`], [`Gauge`], [`Histogram`]) behind a
 //!   [`Registry`], updated lock-free with relaxed atomics; histogram sums
@@ -17,7 +17,10 @@
 //!   `GET /metrics`.
 //! * **Tracing** ([`trace`], [`span::Span`]) — structured JSONL events to
 //!   an optional global sink, plus RAII spans that both time a phase into
-//!   a histogram and emit a trace event.
+//!   a histogram and emit a trace event; [`timeline`] stitches the files
+//!   back into span trees.
+//! * **JSON** ([`json`]) — the workspace's one JSON codec, shared by the
+//!   daemon's NDJSON wire protocol, the trace sink and the stitcher.
 //!
 //! The process-wide registry is [`global()`]; the table's rows record
 //! there so one exposition pass sees the whole stack. Local [`Registry`]
@@ -46,6 +49,7 @@
 
 pub mod encode;
 pub mod families;
+pub mod json;
 mod metrics;
 mod registry;
 pub mod span;
@@ -53,8 +57,7 @@ pub mod timeline;
 pub mod trace;
 
 pub use metrics::{
-    exponential_buckets, quantile_from_cumulative, Counter, Exemplar, Gauge, Histogram,
-    DEFAULT_DURATION_BUCKETS,
+    quantile_from_cumulative, Counter, Exemplar, Gauge, Histogram, DEFAULT_DURATION_BUCKETS,
 };
 pub use registry::{MetricKind, Registry};
 pub use span::Span;

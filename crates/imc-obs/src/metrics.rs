@@ -288,24 +288,6 @@ pub fn quantile_from_cumulative(bounds: &[f64], cumulative: &[u64], q: f64) -> f
     lower + (upper - lower) * ((rank - below as f64) / in_bucket as f64).clamp(0.0, 1.0)
 }
 
-/// `count` bucket bounds growing geometrically from `start` by `factor`.
-///
-/// # Panics
-///
-/// Panics when `start <= 0`, `factor <= 1`, or `count == 0`.
-pub fn exponential_buckets(start: f64, factor: f64, count: usize) -> Vec<f64> {
-    assert!(start > 0.0, "exponential buckets need a positive start");
-    assert!(factor > 1.0, "exponential buckets need a factor > 1");
-    assert!(count > 0, "exponential buckets need at least one bucket");
-    let mut bounds = Vec::with_capacity(count);
-    let mut b = start;
-    for _ in 0..count {
-        bounds.push(b);
-        b *= factor;
-    }
-    bounds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,11 +429,6 @@ mod tests {
     #[should_panic(expected = "cumulative buckets")]
     fn quantile_rejects_mismatched_layouts() {
         let _ = quantile_from_cumulative(&[1.0, 2.0], &[1, 2], 0.5);
-    }
-
-    #[test]
-    fn exponential_buckets_grow() {
-        assert_eq!(exponential_buckets(1.0, 2.0, 4), vec![1.0, 2.0, 4.0, 8.0]);
     }
 
     #[test]

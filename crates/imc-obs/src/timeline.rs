@@ -11,9 +11,10 @@
 //!
 //! Three steps:
 //!
-//! 1. **Parse** — a tolerant flat-JSON reader; lines that are truncated
-//!    (a process died mid-write) or not flat objects are counted and
-//!    skipped, never fatal.
+//! 1. **Parse** — each line goes through the workspace's JSON codec
+//!    ([`crate::json`]); lines that are truncated (a process died
+//!    mid-write), not JSON, or not an object of scalar values are counted
+//!    and skipped, never fatal.
 //! 2. **Align** — `clock_offset` events (emitted by the coordinator's
 //!    NTP-style ping probes) map a shard address to its clock offset;
 //!    each shard file is mapped to its address through the
@@ -26,189 +27,23 @@
 //!    compute/scatter-wait/reduce table naming the straggler shard, and
 //!    render a human report plus flamegraph-compatible folded stacks.
 
-use std::collections::HashMap;
+use crate::json::{self, Value};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
-/// One parsed scalar value from a flat trace line.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FlatValue {
-    /// A JSON number that parsed as an integer.
-    Int(i64),
-    /// A JSON number with a fraction or exponent.
-    Num(f64),
-    /// A JSON string (unescaped).
-    Str(String),
-    /// `true` / `false`.
-    Bool(bool),
-    /// `null`.
-    Null,
-}
-
-impl FlatValue {
-    /// The value as `i64`, when it is an integral number.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            FlatValue::Int(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as `f64` (integers widen).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            FlatValue::Int(n) => Some(*n as f64),
-            FlatValue::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            FlatValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// A parsed flat JSON object: ordered `(key, value)` pairs.
-pub type FlatObject = Vec<(String, FlatValue)>;
-
-/// Looks a key up in a [`FlatObject`] (first occurrence wins).
-pub fn get<'a>(obj: &'a FlatObject, key: &str) -> Option<&'a FlatValue> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-/// Parses one flat JSON object line. Returns `None` for anything that
-/// is not a complete single-level object of scalar values — truncated
-/// tails, nested containers, blank lines.
-pub fn parse_flat(line: &str) -> Option<FlatObject> {
-    let mut chars = line.trim().char_indices().peekable();
-    let s = line.trim();
-    if !s.starts_with('{') {
-        return None;
-    }
-    chars.next(); // consume '{'
-    let mut fields = FlatObject::new();
-    skip_ws(s, &mut chars);
-    if let Some(&(_, '}')) = chars.peek() {
-        chars.next();
-        return finishes_clean(s, &mut chars).then_some(fields);
-    }
-    loop {
-        skip_ws(s, &mut chars);
-        let key = parse_string(&mut chars)?;
-        skip_ws(s, &mut chars);
-        match chars.next() {
-            Some((_, ':')) => {}
-            _ => return None,
-        }
-        skip_ws(s, &mut chars);
-        let value = parse_value(s, &mut chars)?;
-        fields.push((key, value));
-        skip_ws(s, &mut chars);
-        match chars.next() {
-            Some((_, ',')) => continue,
-            Some((_, '}')) => break,
-            _ => return None,
-        }
-    }
-    finishes_clean(s, &mut chars).then_some(fields)
-}
-
-fn finishes_clean(s: &str, chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>) -> bool {
-    skip_ws(s, chars);
-    chars.next().is_none()
-}
-
-fn skip_ws(_s: &str, chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>) {
-    while matches!(chars.peek(), Some(&(_, c)) if c.is_ascii_whitespace()) {
-        chars.next();
-    }
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>) -> Option<String> {
-    match chars.next() {
-        Some((_, '"')) => {}
-        _ => return None,
-    }
-    let mut out = String::new();
-    loop {
-        let (_, c) = chars.next()?;
-        match c {
-            '"' => return Some(out),
-            '\\' => {
-                let (_, esc) = chars.next()?;
-                match esc {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    '/' => out.push('/'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'b' => out.push('\u{8}'),
-                    'f' => out.push('\u{c}'),
-                    'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let (_, h) = chars.next()?;
-                            code = code * 16 + h.to_digit(16)?;
-                        }
-                        out.push(char::from_u32(code)?);
-                    }
-                    _ => return None,
-                }
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn parse_value(
-    s: &str,
-    chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-) -> Option<FlatValue> {
-    match chars.peek().copied()? {
-        (_, '"') => parse_string(chars).map(FlatValue::Str),
-        (_, 't') => parse_keyword(s, chars, "true", FlatValue::Bool(true)),
-        (_, 'f') => parse_keyword(s, chars, "false", FlatValue::Bool(false)),
-        (_, 'n') => parse_keyword(s, chars, "null", FlatValue::Null),
-        (start, c) if c == '-' || c.is_ascii_digit() => {
-            let mut end = start;
-            while let Some(&(i, c)) = chars.peek() {
-                if c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E' || c.is_ascii_digit() {
-                    end = i + c.len_utf8();
-                    chars.next();
-                } else {
-                    break;
-                }
-            }
-            let text = &s[start..end];
-            if let Ok(n) = text.parse::<i64>() {
-                Some(FlatValue::Int(n))
-            } else {
-                text.parse::<f64>().ok().map(FlatValue::Num)
-            }
+/// A trace line the stitcher keeps: one JSON object whose values are all
+/// scalars. Anything else — a torn tail, a nested value, not JSON — is a
+/// skipped line.
+fn scalar_object(line: &str) -> Option<BTreeMap<String, Value>> {
+    match json::parse(line) {
+        Ok(Value::Object(obj))
+            if obj
+                .values()
+                .all(|v| !matches!(v, Value::Array(_) | Value::Object(_))) =>
+        {
+            Some(obj)
         }
         _ => None,
-    }
-}
-
-fn parse_keyword(
-    s: &str,
-    chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-    word: &str,
-    value: FlatValue,
-) -> Option<FlatValue> {
-    let start = chars.peek()?.0;
-    let end = start + word.len();
-    if s.len() >= end && &s[start..end] == word {
-        for _ in 0..word.chars().count() {
-            chars.next();
-        }
-        Some(value)
-    } else {
-        None
     }
 }
 
@@ -253,7 +88,7 @@ pub struct EventNode {
     /// Index of the source file the event came from.
     pub file: usize,
     /// All fields of the line (including the ones lifted above).
-    pub fields: FlatObject,
+    pub fields: BTreeMap<String, Value>,
 }
 
 /// One scatter round's wall-time attribution, decoded from a
@@ -291,15 +126,18 @@ pub struct OffsetRecord {
     pub rtt_us: i64,
 }
 
+/// One kept trace line: the index of its file and its fields.
+type Line = (usize, BTreeMap<String, Value>);
+
 /// Everything parsed from one set of trace files, grouped by trace id.
 #[derive(Debug, Default)]
 pub struct TraceSet {
     /// Span events per trace id (file index, raw object).
-    spans: HashMap<String, Vec<(usize, FlatObject)>>,
+    spans: HashMap<String, Vec<Line>>,
     /// Non-span events per trace id.
-    events: HashMap<String, Vec<(usize, FlatObject)>>,
+    events: HashMap<String, Vec<Line>>,
     /// Events with no trace id (clock offsets ride here too).
-    unattached: Vec<(usize, FlatObject)>,
+    unattached: Vec<Line>,
     /// Input file labels, index-aligned with the `file` fields.
     pub files: Vec<String>,
     /// Lines that failed to parse, per file.
@@ -320,25 +158,18 @@ impl TraceSet {
                 if line.trim().is_empty() {
                     continue;
                 }
-                let Some(obj) = parse_flat(line) else {
+                let Some(obj) = scalar_object(line) else {
                     set.skipped[file] += 1;
                     continue;
                 };
-                let kind = get(&obj, "kind").and_then(FlatValue::as_str).unwrap_or("");
-                let trace_id = get(&obj, "trace_id").and_then(FlatValue::as_str);
-                match (kind, trace_id) {
-                    ("span", Some(id)) => set
-                        .spans
-                        .entry(id.to_string())
-                        .or_default()
-                        .push((file, obj)),
-                    (_, Some(id)) => set
-                        .events
-                        .entry(id.to_string())
-                        .or_default()
-                        .push((file, obj)),
-                    (_, None) => set.unattached.push((file, obj)),
-                }
+                let kind = obj.get("kind").and_then(Value::as_str).unwrap_or("");
+                let trace_id = obj.get("trace_id").and_then(Value::as_str);
+                let lines = match (kind, trace_id) {
+                    ("span", Some(id)) => set.spans.entry(id.to_string()).or_default(),
+                    (_, Some(id)) => set.events.entry(id.to_string()).or_default(),
+                    (_, None) => &mut set.unattached,
+                };
+                lines.push((file, obj));
             }
         }
         set
@@ -361,19 +192,19 @@ impl TraceSet {
         let mut out = Vec::new();
         let all = self.unattached.iter().chain(self.events.values().flatten());
         for (_, obj) in all {
-            if get(obj, "kind").and_then(FlatValue::as_str) != Some("clock_offset") {
+            if obj.get("kind").and_then(Value::as_str) != Some("clock_offset") {
                 continue;
             }
             let (Some(shard), Some(offset_us)) = (
-                get(obj, "shard").and_then(FlatValue::as_str),
-                get(obj, "offset_us").and_then(FlatValue::as_i64),
+                obj.get("shard").and_then(Value::as_str),
+                obj.get("offset_us").and_then(Value::as_i64),
             ) else {
                 continue;
             };
             out.push(OffsetRecord {
                 shard: shard.to_string(),
                 offset_us,
-                rtt_us: get(obj, "rtt_us").and_then(FlatValue::as_i64).unwrap_or(0),
+                rtt_us: obj.get("rtt_us").and_then(Value::as_i64).unwrap_or(0),
             });
         }
         out
@@ -392,19 +223,19 @@ impl TraceSet {
         // ("<op> <addr>" — the address is the last token).
         let client_details: HashMap<&str, (usize, &str)> = raw_spans
             .iter()
-            .filter(|(_, obj)| get(obj, "span").and_then(FlatValue::as_str) == Some("rpc_client"))
+            .filter(|(_, obj)| obj.get("span").and_then(Value::as_str) == Some("rpc_client"))
             .filter_map(|(file, obj)| {
-                let id = get(obj, "span_id").and_then(FlatValue::as_str)?;
-                let detail = get(obj, "detail").and_then(FlatValue::as_str)?;
+                let id = obj.get("span_id").and_then(Value::as_str)?;
+                let detail = obj.get("detail").and_then(Value::as_str)?;
                 Some((id, (*file, detail)))
             })
             .collect();
         let mut file_addr: HashMap<usize, String> = HashMap::new();
         for (file, obj) in raw_spans {
-            if get(obj, "span").and_then(FlatValue::as_str) != Some("rpc_server") {
+            if obj.get("span").and_then(Value::as_str) != Some("rpc_server") {
                 continue;
             }
-            let Some(parent) = get(obj, "parent_span_id").and_then(FlatValue::as_str) else {
+            let Some(parent) = obj.get("parent_span_id").and_then(Value::as_str) else {
                 continue;
             };
             if let Some(&(client_file, detail)) = client_details.get(parent) {
@@ -427,19 +258,21 @@ impl TraceSet {
             .iter()
             .filter_map(|(file, obj)| {
                 let shift = shift_for(*file);
-                let start_us = get(obj, "start_us").and_then(FlatValue::as_i64)? + shift;
-                let end_us = get(obj, "ts_us").and_then(FlatValue::as_i64)? + shift;
+                let start_us = obj.get("start_us").and_then(Value::as_i64)? + shift;
+                let end_us = obj.get("ts_us").and_then(Value::as_i64)? + shift;
                 Some(SpanNode {
-                    span_id: get(obj, "span_id").and_then(FlatValue::as_str)?.to_string(),
-                    name: get(obj, "span").and_then(FlatValue::as_str)?.to_string(),
-                    detail: get(obj, "detail")
-                        .and_then(FlatValue::as_str)
+                    span_id: obj.get("span_id").and_then(Value::as_str)?.to_string(),
+                    name: obj.get("span").and_then(Value::as_str)?.to_string(),
+                    detail: obj
+                        .get("detail")
+                        .and_then(Value::as_str)
                         .unwrap_or("")
                         .to_string(),
                     start_us,
                     end_us: end_us.max(start_us),
-                    parent_span_id: get(obj, "parent_span_id")
-                        .and_then(FlatValue::as_str)
+                    parent_span_id: obj
+                        .get("parent_span_id")
+                        .and_then(Value::as_str)
                         .map(str::to_string),
                     file: *file,
                     children: Vec::new(),
@@ -471,10 +304,11 @@ impl TraceSet {
             .filter_map(|(file, obj)| {
                 let shift = shift_for(*file);
                 Some(EventNode {
-                    kind: get(obj, "kind").and_then(FlatValue::as_str)?.to_string(),
-                    ts_us: get(obj, "ts_us").and_then(FlatValue::as_i64)? + shift,
-                    parent_span_id: get(obj, "parent_span_id")
-                        .and_then(FlatValue::as_str)
+                    kind: obj.get("kind").and_then(Value::as_str)?.to_string(),
+                    ts_us: obj.get("ts_us").and_then(Value::as_i64)? + shift,
+                    parent_span_id: obj
+                        .get("parent_span_id")
+                        .and_then(Value::as_str)
                         .map(str::to_string),
                     file: *file,
                     fields: obj.clone(),
@@ -532,34 +366,21 @@ impl Timeline {
             .events
             .iter()
             .filter(|e| e.kind == "round_attribution")
-            .map(|e| Round {
-                objective: get(&e.fields, "objective")
-                    .and_then(FlatValue::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                batch: get(&e.fields, "batch")
-                    .and_then(FlatValue::as_i64)
-                    .unwrap_or(0) as u64,
-                shards: get(&e.fields, "shards")
-                    .and_then(FlatValue::as_i64)
-                    .unwrap_or(0) as u64,
-                scatter_s: get(&e.fields, "scatter_s")
-                    .and_then(FlatValue::as_f64)
-                    .unwrap_or(0.0),
-                reduce_s: get(&e.fields, "reduce_s")
-                    .and_then(FlatValue::as_f64)
-                    .unwrap_or(0.0),
-                straggler: get(&e.fields, "straggler")
-                    .and_then(FlatValue::as_str)
-                    .unwrap_or("")
-                    .to_string(),
-                straggler_s: get(&e.fields, "straggler_s")
-                    .and_then(FlatValue::as_f64)
-                    .unwrap_or(0.0),
-                fastest_s: get(&e.fields, "fastest_s")
-                    .and_then(FlatValue::as_f64)
-                    .unwrap_or(0.0),
-                ts_us: e.ts_us,
+            .map(|e| {
+                let text = |k: &str| e.fields.get(k).and_then(Value::as_str);
+                let count = |k: &str| e.fields.get(k).and_then(Value::as_i64).unwrap_or(0) as u64;
+                let secs = |k: &str| e.fields.get(k).and_then(Value::as_f64).unwrap_or(0.0);
+                Round {
+                    objective: text("objective").unwrap_or("?").to_string(),
+                    batch: count("batch"),
+                    shards: count("shards"),
+                    scatter_s: secs("scatter_s"),
+                    reduce_s: secs("reduce_s"),
+                    straggler: text("straggler").unwrap_or("").to_string(),
+                    straggler_s: secs("straggler_s"),
+                    fastest_s: secs("fastest_s"),
+                    ts_us: e.ts_us,
+                }
             })
             .collect();
         rounds.sort_by_key(|r| r.ts_us);
@@ -765,22 +586,23 @@ impl Timeline {
         if !faults.is_empty() {
             let _ = writeln!(out, "fault recovery ({} events):", faults.len());
             for e in &faults {
-                let shard = get(&e.fields, "shard")
-                    .or_else(|| get(&e.fields, "lost"))
-                    .and_then(FlatValue::as_str)
+                let shard = e
+                    .fields
+                    .get("shard")
+                    .or_else(|| e.fields.get("lost"))
+                    .and_then(Value::as_str)
                     .unwrap_or("?");
                 let extra = match e.kind.as_str() {
                     "retry_probe" => format!(
                         "attempt={} recovered={}",
-                        get(&e.fields, "attempt")
-                            .and_then(FlatValue::as_i64)
-                            .unwrap_or(0),
-                        matches!(get(&e.fields, "recovered"), Some(FlatValue::Bool(true))),
+                        e.fields.get("attempt").and_then(Value::as_i64).unwrap_or(0),
+                        matches!(e.fields.get("recovered"), Some(Value::Bool(true))),
                     ),
                     "degraded_rescatter" => format!(
                         "survivors={}",
-                        get(&e.fields, "survivors")
-                            .and_then(FlatValue::as_i64)
+                        e.fields
+                            .get("survivors")
+                            .and_then(Value::as_i64)
                             .unwrap_or(0)
                     ),
                     _ => String::new(),
@@ -816,35 +638,6 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn flat_parser_handles_scalars_and_escapes() {
-        let obj = parse_flat(
-            r#"{"ts_us":17,"kind":"span","ok":true,"off":-4,"x":0.5,"nil":null,"s":"a\"b\\c\nd"}"#,
-        )
-        .expect("parses");
-        assert_eq!(get(&obj, "ts_us").unwrap().as_i64(), Some(17));
-        assert_eq!(get(&obj, "kind").unwrap().as_str(), Some("span"));
-        assert_eq!(get(&obj, "off").unwrap().as_i64(), Some(-4));
-        assert_eq!(get(&obj, "x").unwrap().as_f64(), Some(0.5));
-        assert_eq!(get(&obj, "nil"), Some(&FlatValue::Null));
-        assert_eq!(get(&obj, "s").unwrap().as_str(), Some("a\"b\\c\nd"));
-        assert_eq!(get(&obj, "ok"), Some(&FlatValue::Bool(true)));
-        assert!(parse_flat("{}").is_some());
-    }
-
-    #[test]
-    fn flat_parser_rejects_truncated_and_nested_lines() {
-        assert!(parse_flat(r#"{"a":1"#).is_none(), "truncated object");
-        assert!(
-            parse_flat(r#"{"a":"unterminat"#).is_none(),
-            "truncated string"
-        );
-        assert!(parse_flat(r#"{"a":{"b":1}}"#).is_none(), "nested object");
-        assert!(parse_flat(r#"{"a":[1,2]}"#).is_none(), "array value");
-        assert!(parse_flat("").is_none());
-        assert!(parse_flat(r#"{"a":1} trailing"#).is_none());
-    }
 
     fn span_line(
         trace: &str,
@@ -997,6 +790,22 @@ mod tests {
         assert_eq!(tl.roots.len(), 1);
         assert_eq!(tl.spans[tl.roots[0]].name, "cluster_solve");
         drop(set);
+    }
+
+    #[test]
+    fn lines_that_are_not_scalar_objects_are_skipped() {
+        let lines = [
+            r#"{"a":{"b":1}}"#,
+            r#"{"a":[1,2]}"#,
+            r#"{"a":1"#,
+            r#"{"a":1} trailing"#,
+            "not json",
+            "[1]",
+            "{}",
+        ]
+        .join("\n");
+        let set = TraceSet::parse(&[("f".to_string(), lines)]);
+        assert_eq!(set.skipped, vec![6], "only the empty object is kept");
     }
 
     #[test]

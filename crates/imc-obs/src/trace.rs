@@ -1,7 +1,8 @@
 //! Structured JSONL trace events to an optional global sink.
 //!
 //! A trace event is one JSON object per line: `ts_us` (UNIX microseconds),
-//! `kind` (event type, e.g. `"imcaf_round"`), then arbitrary typed fields.
+//! `kind` (event type, e.g. `"imcaf_round"`), then arbitrary typed fields
+//! ([`json::Value`]s, written by the workspace's one codec).
 //! The sink is process-global and off by default; when no sink is
 //! installed, [`emit`] is a single relaxed atomic load and the event
 //! builder is never even constructed by well-behaved callers (guard with
@@ -20,8 +21,8 @@
 //! }
 //! ```
 
+use crate::json::{self, Value};
 use std::cell::RefCell;
-use std::fmt::Write as _;
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -116,13 +117,8 @@ pub fn fresh_id() -> String {
     use std::hash::{Hash, Hasher};
     static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    COUNTER.fetch_add(1, Ordering::Relaxed).hash(&mut hasher);
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_micros() as u64)
-        .unwrap_or(0)
-        .hash(&mut hasher);
-    std::process::id().hash(&mut hasher);
+    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+    (n, now_us(), std::process::id()).hash(&mut hasher);
     format!("{:016x}", hasher.finish())
 }
 
@@ -225,68 +221,11 @@ pub fn emit(event: TraceEvent) {
     };
 }
 
-/// A typed field value inside a trace event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FieldValue {
-    /// Unsigned integer.
-    U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Float; non-finite values serialize as JSON `null`.
-    F64(f64),
-    /// String (JSON-escaped on output).
-    Str(String),
-    /// Boolean.
-    Bool(bool),
-}
-
-impl From<u64> for FieldValue {
-    fn from(v: u64) -> Self {
-        FieldValue::U64(v)
-    }
-}
-impl From<usize> for FieldValue {
-    fn from(v: usize) -> Self {
-        FieldValue::U64(v as u64)
-    }
-}
-impl From<u32> for FieldValue {
-    fn from(v: u32) -> Self {
-        FieldValue::U64(u64::from(v))
-    }
-}
-impl From<i64> for FieldValue {
-    fn from(v: i64) -> Self {
-        FieldValue::I64(v)
-    }
-}
-impl From<f64> for FieldValue {
-    fn from(v: f64) -> Self {
-        FieldValue::F64(v)
-    }
-}
-impl From<&str> for FieldValue {
-    fn from(v: &str) -> Self {
-        FieldValue::Str(v.to_string())
-    }
-}
-impl From<String> for FieldValue {
-    fn from(v: String) -> Self {
-        FieldValue::Str(v)
-    }
-}
-impl From<bool> for FieldValue {
-    fn from(v: bool) -> Self {
-        FieldValue::Bool(v)
-    }
-}
-
 /// One structured trace event, built field-by-field then [`emit`]ted.
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
-    ts_us: u64,
-    kind: String,
-    fields: Vec<(String, FieldValue)>,
+    /// `ts_us` and `kind`, then the fields in insertion order.
+    fields: Vec<(String, Value)>,
 }
 
 impl TraceEvent {
@@ -297,81 +236,37 @@ impl TraceEvent {
     /// [`Span`](crate::Span) is open, a `parent_span_id` field nests the
     /// event under it.
     pub fn new(kind: &str) -> Self {
-        let ts_us = now_us();
-        let mut fields = Vec::new();
-        if let Some(id) = current_trace_id() {
-            fields.push(("trace_id".to_string(), FieldValue::Str(id)));
-        }
-        if let Some(id) = current_span_id() {
-            fields.push(("parent_span_id".to_string(), FieldValue::Str(id)));
-        }
-        TraceEvent {
-            ts_us,
-            kind: kind.to_string(),
-            fields,
+        let event = TraceEvent { fields: Vec::new() }
+            .field("ts_us", now_us())
+            .field("kind", kind);
+        let event = match current_trace_id() {
+            Some(id) => event.field("trace_id", id),
+            None => event,
+        };
+        match current_span_id() {
+            Some(id) => event.field("parent_span_id", id),
+            None => event,
         }
     }
 
     /// Appends one typed field (builder style).
-    pub fn field(mut self, key: &str, value: impl Into<FieldValue>) -> Self {
+    pub fn field(mut self, key: &str, value: impl Into<Value>) -> Self {
         self.fields.push((key.to_string(), value.into()));
         self
     }
 
-    /// Serializes the event as one JSON object (no trailing newline).
+    /// Serializes the event as one JSON object (no trailing newline),
+    /// every key and value spelled by the [`json`] codec.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64 + 24 * self.fields.len());
-        out.push_str("{\"ts_us\":");
-        let _ = write!(out, "{}", self.ts_us);
-        out.push_str(",\"kind\":\"");
-        escape_into(&mut out, &self.kind);
-        out.push('"');
-        for (k, v) in &self.fields {
-            out.push_str(",\"");
-            escape_into(&mut out, k);
-            out.push_str("\":");
-            match v {
-                FieldValue::U64(n) => {
-                    let _ = write!(out, "{n}");
-                }
-                FieldValue::I64(n) => {
-                    let _ = write!(out, "{n}");
-                }
-                FieldValue::F64(x) => {
-                    if x.is_finite() {
-                        let _ = write!(out, "{x}");
-                    } else {
-                        out.push_str("null");
-                    }
-                }
-                FieldValue::Str(s) => {
-                    out.push('"');
-                    escape_into(&mut out, s);
-                    out.push('"');
-                }
-                FieldValue::Bool(b) => {
-                    out.push_str(if *b { "true" } else { "false" });
-                }
-            }
+        for (i, (k, v)) in self.fields.iter().enumerate() {
+            out.push(if i == 0 { '{' } else { ',' });
+            json::write_str(k, &mut out);
+            out.push(':');
+            json::write(v, &mut out);
         }
         out.push('}');
         out
-    }
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 

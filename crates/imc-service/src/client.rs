@@ -20,7 +20,7 @@
 //! must surface to the coordinator, which degrades with a structured
 //! `shard_unavailable` error naming the dead shard.
 
-use crate::json::{self, Value};
+use imc_obs::json::{self, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;

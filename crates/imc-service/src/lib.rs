@@ -23,7 +23,10 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod json;
+// The codec lives in `imc_obs::json`; this re-export keeps the
+// `imc_service::json` path that the benchmark crate and the wire tests
+// import.
+pub use imc_obs::json;
 pub mod metrics;
 pub mod pool;
 pub mod protocol;

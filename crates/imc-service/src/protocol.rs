@@ -77,9 +77,9 @@
 //! The field is additive and ignorable: version-1 and version-2 clients
 //! that only read the documented fields are unaffected.
 
-use crate::json::{self, ObjectBuilder, Value};
 use imc_core::{ImcError, MaxrAlgorithm};
 use imc_graph::NodeId;
+use imc_obs::json::{self, ObjectBuilder, Value};
 
 /// Highest protocol version this daemon speaks.
 pub const PROTOCOL_VERSION: u64 = 3;
@@ -290,6 +290,31 @@ impl From<&str> for RequestError {
     }
 }
 
+impl From<ImcError> for RequestError {
+    fn from(e: ImcError) -> Self {
+        RequestError {
+            code: error_code_for(&e),
+            message: e.to_string(),
+        }
+    }
+}
+
+/// Refuses node `raw`, named `what` in the message, unless a graph of
+/// `node_count` nodes has it.
+///
+/// # Errors
+///
+/// An [`ErrorCode::OutOfRange`] refusal naming the node.
+pub fn node_in_range(what: &str, raw: u32, node_count: usize) -> Result<(), RequestError> {
+    if (raw as usize) < node_count {
+        return Ok(());
+    }
+    Err(RequestError {
+        code: ErrorCode::OutOfRange,
+        message: format!("{what} {raw} out of range (graph has {node_count} nodes)"),
+    })
+}
+
 /// Refuses the `carry` field protocol v3 removed from `eval_batch` and
 /// `shard_eval`, rather than ignore an accumulator the sender expects to
 /// be continued.
@@ -374,22 +399,13 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
             })
         }
         "estimate" => {
-            let arr = value
+            let seeds = value
                 .get("seeds")
                 .and_then(Value::as_array)
                 .ok_or("estimate requires an array field `seeds`")?;
-            let seeds = arr
-                .iter()
-                .map(|s| {
-                    s.as_u64()
-                        .filter(|&v| v <= u64::from(u32::MAX))
-                        .map(|v| NodeId::new(v as u32))
-                        .ok_or_else(|| {
-                            format!("invalid node id in `seeds`: {}", json::to_string(s))
-                        })
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Request::Estimate { seeds })
+            Ok(Request::Estimate {
+                seeds: node_ids(seeds, "seeds")?,
+            })
         }
         "eval_begin" => Ok(Request::EvalBegin {
             pivot: field_node(&value, "pivot")?,
@@ -511,14 +527,28 @@ pub fn inject_span_context(line: &str, trace_id: &str, parent_span_id: Option<&s
     out
 }
 
-/// Optional node-id field: a non-negative integer fitting in `u32`.
+/// A node id: a non-negative integer fitting in `u32`.
+fn node_id(value: &Value) -> Option<NodeId> {
+    let n = value.as_u64().filter(|&n| n <= u64::from(u32::MAX))?;
+    Some(NodeId::new(n as u32))
+}
+
+/// The node ids of array field `name`.
+fn node_ids(values: &[Value], name: &str) -> Result<Vec<NodeId>, String> {
+    values
+        .iter()
+        .map(|v| {
+            node_id(v).ok_or_else(|| format!("invalid node id in `{name}`: {}", json::to_string(v)))
+        })
+        .collect()
+}
+
+/// Optional node-id field.
 fn field_node(value: &Value, name: &str) -> Result<Option<NodeId>, String> {
     match value.get(name) {
         None => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .filter(|&n| n <= u64::from(u32::MAX))
-            .map(|n| Some(NodeId::new(n as u32)))
+        Some(v) => node_id(v)
+            .map(Some)
             .ok_or_else(|| format!("`{name}` must be a node id (u32)")),
     }
 }
@@ -528,20 +558,10 @@ fn field_node_array(value: &Value, name: &str) -> Result<Option<Vec<NodeId>>, St
     match value.get(name) {
         None => Ok(None),
         Some(v) => {
-            let arr = v
+            let values = v
                 .as_array()
                 .ok_or_else(|| format!("`{name}` must be an array of node ids"))?;
-            arr.iter()
-                .map(|s| {
-                    s.as_u64()
-                        .filter(|&n| n <= u64::from(u32::MAX))
-                        .map(|n| NodeId::new(n as u32))
-                        .ok_or_else(|| {
-                            format!("invalid node id in `{name}`: {}", json::to_string(s))
-                        })
-                })
-                .collect::<Result<Vec<_>, _>>()
-                .map(Some)
+            node_ids(values, name).map(Some)
         }
     }
 }

@@ -10,16 +10,16 @@
 //! wakes up; the acceptor then drains — dropping the pool joins workers
 //! after their queued connections finish.
 
-use crate::json::ObjectBuilder;
 use crate::metrics::OpKind;
 use crate::pool::ThreadPool;
-use crate::protocol::{self, ErrorCode, EvalKind, Request, SolveTuning};
+use crate::protocol::{self, ErrorCode, EvalKind, Request, RequestError, SolveTuning};
 use crate::refresher;
 use crate::ServiceState;
 use imc_core::maxr::{bt, Score};
 use imc_core::{
     imcaf, CoverageState, ImcafConfig, RicSamples, RicStore, SolveRequest, SolveStrategy,
 };
+use imc_obs::json::ObjectBuilder;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -486,21 +486,6 @@ fn resolve_threads(tuning: &SolveTuning, cap: usize) -> usize {
     tuning.threads.unwrap_or(1).clamp(1, cap.max(1))
 }
 
-/// Allocates a request trace id: 16 lowercase hex digits, unique within
-/// the process and effectively unique across daemon restarts (counter,
-/// wall-clock microseconds, and pid are hashed together).
-fn next_trace_id() -> String {
-    use std::hash::{Hash, Hasher};
-    static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let micros = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    (n, micros, std::process::id()).hash(&mut hasher);
-    format!("{:016x}", hasher.finish())
-}
-
 /// Splices `"trace_id"` into a serialized response object. Every response
 /// carries at least the `ok` field, so inserting before the final `}` is
 /// always valid JSON. The id is plain hex and needs no escaping.
@@ -582,7 +567,7 @@ fn dispatch_with(
     } else {
         protocol::SpanContext::default()
     };
-    let trace_id = remote.trace_id.unwrap_or_else(next_trace_id);
+    let trace_id = remote.trace_id.unwrap_or_else(imc_obs::trace::fresh_id);
     let _ctx = imc_obs::trace::TraceCtx::enter_remote(&trace_id, remote.parent_span_id.as_deref());
     let parsed = protocol::parse_request(line);
     let parse_us = elapsed_us(start);
@@ -590,8 +575,9 @@ fn dispatch_with(
     let execute_started = Instant::now();
     let (response, stop) = {
         let _rpc_span = imc_obs::Span::enter_with("rpc_server", op);
-        match parsed {
-            Ok(request) => execute(state, request, max_solve_threads, start, sessions),
+        match parsed.and_then(|request| execute(state, request, max_solve_threads, start, sessions))
+        {
+            Ok(reply) => reply,
             Err(e) => {
                 state.metrics().record(OpKind::Error, start.elapsed(), 0);
                 (protocol::error_response(e.code, &e.message), false)
@@ -638,15 +624,17 @@ fn log_slow_request(
 }
 
 /// Executes a parsed request. `start` is the dispatch start instant so the
-/// recorded latencies and `elapsed_us` fields cover parsing too.
+/// recorded latencies and `elapsed_us` fields cover parsing too. A refusal
+/// comes back as the [`RequestError`] [`dispatch_with`] records and
+/// answers, like a line that failed to parse.
 fn execute(
     state: &ServiceState,
     request: Request,
     max_solve_threads: usize,
     start: Instant,
     sessions: &mut SessionStore,
-) -> (String, bool) {
-    match request {
+) -> Result<(String, bool), RequestError> {
+    Ok(match request {
         Request::Solve {
             k,
             algo,
@@ -660,35 +648,25 @@ fn execute(
                 .with_depth(tuning.depth.unwrap_or(2))
                 .with_threads(threads);
             let (collection, generation) = state.pinned();
-            match algo.solve(state.instance(), &*collection, &req) {
-                Ok(report) => {
-                    let scanned = collection.len() as u64;
-                    state
-                        .metrics()
-                        .record(OpKind::Solve, start.elapsed(), scanned);
-                    let seeds: Vec<u32> = report.seeds.iter().map(|v| v.raw()).collect();
-                    let mut body = ObjectBuilder::new()
-                        .field("seeds", seeds)
-                        .field("estimate", report.estimate)
-                        .field("influenced_samples", report.influenced_samples)
-                        .field("evaluations", report.evaluations)
-                        .field("threads", threads)
-                        .field("samples", collection.len())
-                        .field("generation", generation)
-                        .field("elapsed_us", elapsed_us(start));
-                    if let Some(ratio) = report.extras.sandwich_ratio() {
-                        body = body.field("sandwich_ratio", ratio);
-                    }
-                    (protocol::ok_response("solve", body), false)
-                }
-                Err(e) => {
-                    state.metrics().record(OpKind::Error, start.elapsed(), 0);
-                    (
-                        protocol::error_response(protocol::error_code_for(&e), &e.to_string()),
-                        false,
-                    )
-                }
+            let report = algo.solve(state.instance(), &*collection, &req)?;
+            let scanned = collection.len() as u64;
+            state
+                .metrics()
+                .record(OpKind::Solve, start.elapsed(), scanned);
+            let seeds: Vec<u32> = report.seeds.iter().map(|v| v.raw()).collect();
+            let mut body = ObjectBuilder::new()
+                .field("seeds", seeds)
+                .field("estimate", report.estimate)
+                .field("influenced_samples", report.influenced_samples)
+                .field("evaluations", report.evaluations)
+                .field("threads", threads)
+                .field("samples", collection.len())
+                .field("generation", generation)
+                .field("elapsed_us", elapsed_us(start));
+            if let Some(ratio) = report.extras.sandwich_ratio() {
+                body = body.field("sandwich_ratio", ratio);
             }
+            (protocol::ok_response("solve", body), false)
         }
         Request::Solve {
             k,
@@ -705,47 +683,25 @@ fn execute(
                 max_samples: params.max_samples,
                 strategy: SolveStrategy::with_threads(threads),
             };
-            match imcaf(state.instance(), algo, &config, seed) {
-                Ok(result) => {
-                    state.metrics().record(
-                        OpKind::Solve,
-                        start.elapsed(),
-                        result.samples_used as u64,
-                    );
-                    let seeds: Vec<u32> = result.seeds.iter().map(|v| v.raw()).collect();
-                    let body = ObjectBuilder::new()
-                        .field("seeds", seeds)
-                        .field("estimate", result.estimate)
-                        .field("samples", result.samples_used)
-                        .field("rounds", result.rounds)
-                        .field("stop_reason", format!("{:?}", result.stop_reason))
-                        .field("threads", threads)
-                        .field("elapsed_us", elapsed_us(start));
-                    (protocol::ok_response("solve", body), false)
-                }
-                Err(e) => {
-                    state.metrics().record(OpKind::Error, start.elapsed(), 0);
-                    (
-                        protocol::error_response(protocol::error_code_for(&e), &e.to_string()),
-                        false,
-                    )
-                }
-            }
+            let result = imcaf(state.instance(), algo, &config, seed)?;
+            state
+                .metrics()
+                .record(OpKind::Solve, start.elapsed(), result.samples_used as u64);
+            let seeds: Vec<u32> = result.seeds.iter().map(|v| v.raw()).collect();
+            let body = ObjectBuilder::new()
+                .field("seeds", seeds)
+                .field("estimate", result.estimate)
+                .field("samples", result.samples_used)
+                .field("rounds", result.rounds)
+                .field("stop_reason", format!("{:?}", result.stop_reason))
+                .field("threads", threads)
+                .field("elapsed_us", elapsed_us(start));
+            (protocol::ok_response("solve", body), false)
         }
         Request::Estimate { seeds } => {
             let node_count = state.instance().node_count();
-            if let Some(bad) = seeds.iter().find(|v| v.index() >= node_count) {
-                state.metrics().record(OpKind::Error, start.elapsed(), 0);
-                return (
-                    protocol::error_response(
-                        ErrorCode::OutOfRange,
-                        &format!(
-                            "seed {} out of range (graph has {node_count} nodes)",
-                            bad.raw()
-                        ),
-                    ),
-                    false,
-                );
+            for v in &seeds {
+                protocol::node_in_range("seed", v.raw(), node_count)?;
             }
             let (collection, generation) = state.pinned();
             let score = Score::of(&*collection, &seeds);
@@ -764,33 +720,16 @@ fn execute(
         }
         Request::EvalBegin { pivot } => {
             if sessions.sessions.len() >= MAX_EVAL_SESSIONS {
-                state.metrics().record(OpKind::Error, start.elapsed(), 0);
-                return (
-                    protocol::error_response(
-                        ErrorCode::InvalidParameter,
-                        &format!("too many open eval sessions (max {MAX_EVAL_SESSIONS})"),
-                    ),
-                    false,
-                );
+                return Err(RequestError {
+                    code: ErrorCode::InvalidParameter,
+                    message: format!("too many open eval sessions (max {MAX_EVAL_SESSIONS})"),
+                });
             }
             let (collection, generation) = state.pinned();
             let store: Arc<RicStore> = match pivot {
                 None => collection,
                 Some(u) => {
-                    if u.index() >= state.instance().node_count() {
-                        state.metrics().record(OpKind::Error, start.elapsed(), 0);
-                        return (
-                            protocol::error_response(
-                                ErrorCode::OutOfRange,
-                                &format!(
-                                    "pivot {} out of range (graph has {} nodes)",
-                                    u.raw(),
-                                    state.instance().node_count()
-                                ),
-                            ),
-                            false,
-                        );
-                    }
+                    protocol::node_in_range("pivot", u.raw(), state.instance().node_count())?;
                     Arc::new(bt::reduce_for_pivot(&*collection, u))
                 }
             };
@@ -829,41 +768,24 @@ fn execute(
             kind,
             nodes,
         } => {
-            let Some(sess) = sessions.sessions.get(&session) else {
-                state.metrics().record(OpKind::Error, start.elapsed(), 0);
-                return (
-                    protocol::error_response(
-                        ErrorCode::InvalidParameter,
-                        &format!("unknown eval session {session}"),
-                    ),
-                    false,
-                );
-            };
+            let sess = sessions
+                .sessions
+                .get(&session)
+                .ok_or_else(|| unknown_session(session))?;
             let node_count = sess.state.collection().node_count();
             // No engine batch repeats a node, so a longer list is not a
             // solve: refuse it before it buys unbounded work with one line.
             if nodes.len() > node_count {
-                state.metrics().record(OpKind::Error, start.elapsed(), 0);
-                return (
-                    protocol::error_response(
-                        ErrorCode::InvalidParameter,
-                        &format!(
-                            "`nodes` lists {} nodes but the graph has {node_count}",
-                            nodes.len()
-                        ),
+                return Err(RequestError {
+                    code: ErrorCode::InvalidParameter,
+                    message: format!(
+                        "`nodes` lists {} nodes but the graph has {node_count}",
+                        nodes.len()
                     ),
-                    false,
-                );
+                });
             }
-            if let Some(&bad) = nodes.iter().find(|&&v| v as usize >= node_count) {
-                state.metrics().record(OpKind::Error, start.elapsed(), 0);
-                return (
-                    protocol::error_response(
-                        ErrorCode::OutOfRange,
-                        &format!("node {bad} out of range (graph has {node_count} nodes)"),
-                    ),
-                    false,
-                );
+            for &v in &nodes {
+                protocol::node_in_range("node", v, node_count)?;
             }
             let scanned = nodes.len() as u64;
             let body = match kind {
@@ -887,30 +809,11 @@ fn execute(
             )
         }
         Request::EvalSeed { session, node } => {
-            let Some(sess) = sessions.sessions.get_mut(&session) else {
-                state.metrics().record(OpKind::Error, start.elapsed(), 0);
-                return (
-                    protocol::error_response(
-                        ErrorCode::InvalidParameter,
-                        &format!("unknown eval session {session}"),
-                    ),
-                    false,
-                );
-            };
-            let node_count = sess.state.collection().node_count();
-            if node.index() >= node_count {
-                state.metrics().record(OpKind::Error, start.elapsed(), 0);
-                return (
-                    protocol::error_response(
-                        ErrorCode::OutOfRange,
-                        &format!(
-                            "node {} out of range (graph has {node_count} nodes)",
-                            node.raw()
-                        ),
-                    ),
-                    false,
-                );
-            }
+            let sess = sessions
+                .sessions
+                .get_mut(&session)
+                .ok_or_else(|| unknown_session(session))?;
+            protocol::node_in_range("node", node.raw(), sess.state.collection().node_count())?;
             sess.state.add_seed(node);
             state.metrics().record(OpKind::Eval, start.elapsed(), 0);
             let body = ObjectBuilder::new()
@@ -918,40 +821,22 @@ fn execute(
                 .field("elapsed_us", elapsed_us(start));
             (protocol::ok_response("eval_seed", body), false)
         }
-        Request::EvalEnd { session } => match sessions.sessions.remove(&session) {
-            Some(sess) => {
-                state.metrics().record(OpKind::Eval, start.elapsed(), 0);
-                let body = ObjectBuilder::new()
-                    .field("generation", sess.generation)
-                    .field("elapsed_us", elapsed_us(start));
-                (protocol::ok_response("eval_end", body), false)
-            }
-            None => {
-                state.metrics().record(OpKind::Error, start.elapsed(), 0);
-                (
-                    protocol::error_response(
-                        ErrorCode::InvalidParameter,
-                        &format!("unknown eval session {session}"),
-                    ),
-                    false,
-                )
-            }
-        },
+        Request::EvalEnd { session } => {
+            let sess = sessions
+                .sessions
+                .remove(&session)
+                .ok_or_else(|| unknown_session(session))?;
+            state.metrics().record(OpKind::Eval, start.elapsed(), 0);
+            let body = ObjectBuilder::new()
+                .field("generation", sess.generation)
+                .field("elapsed_us", elapsed_us(start));
+            (protocol::ok_response("eval_end", body), false)
+        }
         Request::ShardEval { seeds, pivot } => {
             let (collection, generation) = state.pinned();
             let node_count = collection.node_count();
-            if let Some(u) = pivot.filter(|u| u.index() >= node_count) {
-                state.metrics().record(OpKind::Error, start.elapsed(), 0);
-                return (
-                    protocol::error_response(
-                        ErrorCode::OutOfRange,
-                        &format!(
-                            "pivot {} out of range (graph has {node_count} nodes)",
-                            u.raw()
-                        ),
-                    ),
-                    false,
-                );
+            if let Some(u) = pivot {
+                protocol::node_in_range("pivot", u.raw(), node_count)?;
             }
             // Out-of-range seeds are skipped, not rejected (as in
             // RicStore::influenced_count), so a coordinator padding from
@@ -1055,6 +940,15 @@ fn execute(
                 true,
             )
         }
+    })
+}
+
+/// The refusal of an `eval_*` request naming a session this connection
+/// does not hold.
+fn unknown_session(session: u64) -> RequestError {
+    RequestError {
+        code: ErrorCode::InvalidParameter,
+        message: format!("unknown eval session {session}"),
     }
 }
 
