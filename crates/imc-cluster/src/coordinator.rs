@@ -23,7 +23,7 @@
 //! survives (or degraded mode is disabled) does the client see a
 //! `shard_unavailable` error naming the dead shard.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -36,7 +36,7 @@ use imc_graph::NodeId;
 use imc_obs::families;
 use imc_obs::json::{self, ObjectBuilder, Value};
 use imc_service::client::{ClientConfig, ClusterError, PeerClient, RetryPolicy};
-use imc_service::protocol::{self, ErrorCode, Request, RequestError};
+use imc_service::protocol::{self, ErrorCode, LineRead, Request, RequestError};
 use imc_service::server::Shutdown;
 
 use crate::health::{self, HealthBoard, HealthMonitor, ShardState};
@@ -668,7 +668,7 @@ fn serve_connection(
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
     // One peer per shard for the life of this client connection: a shard
     // connection is dialled by the first request that needs it and kept
@@ -679,16 +679,24 @@ fn serve_connection(
         .iter()
         .map(|&addr| PeerClient::new(addr, config.client, config.retry))
         .collect();
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let start = Instant::now();
-        let (response, stop) = handle_request(&line, instance, config, board, &mut peers);
-        families::CLUSTER_REQUEST_DURATION
-            .handle()
-            .observe(start.elapsed().as_secs_f64());
+    let mut line = Vec::new();
+    let limit = protocol::max_request_line(instance.node_count());
+    loop {
+        // No read timeout here, so a line is never continued across calls.
+        line.clear();
+        let (response, stop) = match protocol::read_request_line(&mut reader, &mut line, limit) {
+            Ok(LineRead::Line(text)) if text.trim().is_empty() => continue,
+            Ok(LineRead::Line(text)) => {
+                let start = Instant::now();
+                let reply = handle_request(text.trim_end(), instance, config, board, &mut peers);
+                families::CLUSTER_REQUEST_DURATION
+                    .handle()
+                    .observe(start.elapsed().as_secs_f64());
+                reply
+            }
+            Ok(LineRead::TooLong(response)) => (response, true),
+            Ok(LineRead::Eof) | Err(_) => break,
+        };
         if writer
             .write_all(response.as_bytes())
             .and_then(|()| writer.write_all(b"\n"))

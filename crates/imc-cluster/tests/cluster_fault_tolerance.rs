@@ -14,7 +14,8 @@
 //! * the same identity holds for **any** survivor subset of a 4-shard
 //!   topology (proptest over {1,2,3} lost shards).
 
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -251,6 +252,34 @@ fn coordinator_health_reports_per_shard_states() {
     for h in handles {
         h.stop_and_join();
     }
+}
+
+/// The coordinator caps a request line as a daemon does: one byte past
+/// the cap, never `\n`-terminated, is refused and the connection closed,
+/// and a fresh connection still answers `ping`.
+#[test]
+fn coordinator_refuses_a_request_line_past_the_cap() {
+    let instance = small_instance(24);
+    let coordinator = start_coordinator(&instance, Vec::new());
+    let limit = imc_service::protocol::max_request_line(instance.node_count());
+    let mut stream = TcpStream::connect(coordinator.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let bytes = vec![b'x'; limit + 1];
+    stream.write_all(&bytes[..limit / 2]).unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+    stream.write_all(&bytes[limit / 2..]).unwrap();
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    let resp = imc_obs::json::parse(reply.trim()).unwrap();
+    let code = resp.get("error").and_then(|e| e.get("code"));
+    assert_eq!(code.and_then(Value::as_str), Some("bad_request"));
+    let mut client = Client::connect(coordinator.addr(), Duration::from_secs(30)).unwrap();
+    let ping = client.request(r#"{"op":"ping"}"#).unwrap();
+    assert_eq!(ping.get("ok").and_then(Value::as_bool), Some(true));
+    drop(client);
+    coordinator.stop_and_join();
 }
 
 /// A shard that is dark for the whole test: `addr`'s daemon behind a

@@ -6,9 +6,12 @@ use crate::kernels;
 /// members* that node can reach (`R_g(·)` inverted). Community sizes are
 /// small after the paper's `s`-cap (default 8), so the common case is a
 /// single inline `u64`; larger communities fall back to a boxed limb array.
-/// All set operations used on the hot greedy path (union popcounts) are
-/// branch-light word ops; multi-limb counting delegates to the chunked
-/// popcount kernels in [`crate::kernels`].
+///
+/// This is how a cover is built by hand (test fixtures) and handed over
+/// (in a [`RicSample`](crate::RicSample)); a [`RicStore`](crate::RicStore)
+/// keeps covers as packed limbs in one arena ([`words`](Self::words) /
+/// [`from_words`](Self::from_words) convert), and every union and count
+/// the solvers do runs on those limbs through [`crate::kernels`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CoverSet {
     /// Communities with at most 64 members.
@@ -52,100 +55,12 @@ impl CoverSet {
         }
     }
 
-    /// In-place union.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two sets have different representations/widths.
-    #[inline]
-    pub fn or_assign(&mut self, other: &CoverSet) {
-        match (self, other) {
-            (CoverSet::Small(a), CoverSet::Small(b)) => *a |= b,
-            (CoverSet::Large(a), CoverSet::Large(b)) => {
-                assert_eq!(a.len(), b.len(), "cover set width mismatch");
-                for (x, y) in a.iter_mut().zip(b.iter()) {
-                    *x |= y;
-                }
-            }
-            _ => panic!("cover set representation mismatch"),
-        }
-    }
-
     /// Number of set bits.
     #[inline]
     pub fn count_ones(&self) -> u32 {
         match self {
             CoverSet::Small(w) => w.count_ones(),
             CoverSet::Large(limbs) => kernels::count_ones(limbs),
-        }
-    }
-
-    /// `|self ∪ other|` without materializing the union — the greedy inner
-    /// loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics on representation/width mismatch.
-    #[inline]
-    pub fn union_count(&self, other: &CoverSet) -> u32 {
-        match (self, other) {
-            (CoverSet::Small(a), CoverSet::Small(b)) => (a | b).count_ones(),
-            (CoverSet::Large(a), CoverSet::Large(b)) => {
-                assert_eq!(a.len(), b.len(), "cover set width mismatch");
-                kernels::union_count(a, b)
-            }
-            _ => panic!("cover set representation mismatch"),
-        }
-    }
-
-    /// `|self \ other|` — used by BT to count members *not* already covered
-    /// by the pivot node.
-    ///
-    /// # Panics
-    ///
-    /// Panics on representation/width mismatch.
-    #[inline]
-    pub fn and_not_count(&self, other: &CoverSet) -> u32 {
-        match (self, other) {
-            (CoverSet::Small(a), CoverSet::Small(b)) => (a & !b).count_ones(),
-            (CoverSet::Large(a), CoverSet::Large(b)) => {
-                assert_eq!(a.len(), b.len(), "cover set width mismatch");
-                kernels::and_not_count(a, b)
-            }
-            _ => panic!("cover set representation mismatch"),
-        }
-    }
-
-    /// The set difference `self \ other` as a new set.
-    pub fn difference(&self, other: &CoverSet) -> CoverSet {
-        match (self, other) {
-            (CoverSet::Small(a), CoverSet::Small(b)) => CoverSet::Small(a & !b),
-            (CoverSet::Large(a), CoverSet::Large(b)) => {
-                assert_eq!(a.len(), b.len(), "cover set width mismatch");
-                CoverSet::Large(a.iter().zip(b.iter()).map(|(x, y)| x & !y).collect())
-            }
-            _ => panic!("cover set representation mismatch"),
-        }
-    }
-
-    /// `true` when no bit is set.
-    #[inline]
-    pub fn is_zero(&self) -> bool {
-        match self {
-            CoverSet::Small(w) => *w == 0,
-            CoverSet::Large(limbs) => limbs.iter().all(|&l| l == 0),
-        }
-    }
-
-    /// `true` when the sets share a bit.
-    #[inline]
-    pub fn intersects(&self, other: &CoverSet) -> bool {
-        match (self, other) {
-            (CoverSet::Small(a), CoverSet::Small(b)) => a & b != 0,
-            (CoverSet::Large(a), CoverSet::Large(b)) => {
-                a.iter().zip(b.iter()).any(|(x, y)| x & y != 0)
-            }
-            _ => panic!("cover set representation mismatch"),
         }
     }
 
@@ -176,23 +91,6 @@ impl CoverSet {
             CoverSet::Large(words.to_vec().into_boxed_slice())
         }
     }
-
-    /// Iterator over set bit positions, ascending.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        let limbs: Box<dyn Iterator<Item = (usize, u64)> + '_> = match self {
-            CoverSet::Small(w) => Box::new(std::iter::once((0usize, *w))),
-            CoverSet::Large(ls) => Box::new(ls.iter().copied().enumerate()),
-        };
-        limbs.flat_map(|(li, mut word)| {
-            let mut out = Vec::new();
-            while word != 0 {
-                let b = word.trailing_zeros() as usize;
-                out.push(li * 64 + b);
-                word &= word - 1;
-            }
-            out
-        })
-    }
 }
 
 #[cfg(test)]
@@ -218,80 +116,6 @@ mod tests {
         s.set(129);
         assert!(s.get(0) && s.get(64) && s.get(129) && !s.get(128));
         assert_eq!(s.count_ones(), 3);
-    }
-
-    #[test]
-    fn union_operations() {
-        let mut a = CoverSet::new(10);
-        a.set(1);
-        a.set(2);
-        let mut b = CoverSet::new(10);
-        b.set(2);
-        b.set(3);
-        assert_eq!(a.union_count(&b), 3);
-        a.or_assign(&b);
-        assert_eq!(a.count_ones(), 3);
-        assert!(a.get(3));
-    }
-
-    #[test]
-    fn difference_operations() {
-        let mut a = CoverSet::new(10);
-        a.set(1);
-        a.set(2);
-        let mut b = CoverSet::new(10);
-        b.set(2);
-        assert_eq!(a.and_not_count(&b), 1);
-        let d = a.difference(&b);
-        assert!(d.get(1) && !d.get(2));
-    }
-
-    #[test]
-    fn intersects_and_zero() {
-        let mut a = CoverSet::new(5);
-        let b = CoverSet::new(5);
-        assert!(a.is_zero());
-        assert!(!a.intersects(&b));
-        a.set(4);
-        assert!(!a.is_zero());
-        let mut c = CoverSet::new(5);
-        c.set(4);
-        assert!(a.intersects(&c));
-    }
-
-    #[test]
-    fn large_union_count_across_limbs() {
-        let mut a = CoverSet::new(200);
-        let mut b = CoverSet::new(200);
-        a.set(10);
-        a.set(100);
-        b.set(100);
-        b.set(199);
-        assert_eq!(a.union_count(&b), 3);
-        assert_eq!(a.and_not_count(&b), 1);
-    }
-
-    #[test]
-    fn iter_ones_ascending() {
-        let mut s = CoverSet::new(70);
-        for i in [3usize, 64, 69] {
-            s.set(i);
-        }
-        let ones: Vec<usize> = s.iter_ones().collect();
-        assert_eq!(ones, vec![3, 64, 69]);
-
-        let mut small = CoverSet::new(8);
-        small.set(0);
-        small.set(5);
-        assert_eq!(small.iter_ones().collect::<Vec<_>>(), vec![0, 5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "mismatch")]
-    fn mixed_representation_panics() {
-        let a = CoverSet::new(8);
-        let b = CoverSet::new(200);
-        let _ = a.union_count(&b);
     }
 
     #[test]

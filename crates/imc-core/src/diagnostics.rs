@@ -100,32 +100,16 @@ pub fn probe_submodularity<C: RicSamples, R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CoverSet, RicSample, RicStore};
-    use imc_community::CommunityId;
+    use crate::maxr::testutil::sample;
+    use crate::RicStore;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    fn mk(width: usize, bits: &[usize]) -> CoverSet {
-        let mut c = CoverSet::new(width);
-        for &b in bits {
-            c.set(b);
-        }
-        c
-    }
 
     /// The paper's Lemma 2 instance: one sample, two members, each covered
     /// only by itself — the canonical supermodular trap.
     fn lemma2_collection() -> RicStore {
-        let mut col = RicStore::new(2, 1, 1.0);
-        col.push_sample(&RicSample {
-            community: CommunityId::new(0),
-            threshold: 2,
-            community_size: 2,
-            nodes: vec![NodeId::new(0), NodeId::new(1)],
-            covers: vec![mk(2, &[0]), mk(2, &[1])],
-        })
-        .unwrap();
-        col
+        let samples = [sample(0, 2, 2, &[(0, &[0]), (1, &[1])])];
+        RicStore::from_samples(2, 1, 1.0, &samples).unwrap()
     }
 
     #[test]
@@ -141,17 +125,10 @@ mod tests {
     fn unit_thresholds_are_submodular() {
         // All h = 1: coverage is a union — genuinely submodular, so no
         // violations can appear.
-        let mut col = RicStore::new(3, 1, 1.0);
-        for node in 0..3u32 {
-            col.push_sample(&RicSample {
-                community: CommunityId::new(0),
-                threshold: 1,
-                community_size: 1,
-                nodes: vec![NodeId::new(node)],
-                covers: vec![mk(1, &[0])],
-            })
-            .unwrap();
-        }
+        let samples: Vec<_> = (0..3)
+            .map(|node| sample(0, 1, 1, &[(node, &[0])]))
+            .collect();
+        let col = RicStore::from_samples(3, 1, 1.0, &samples).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let report = probe_submodularity(&col, 2, 2_000, &mut rng);
         assert!(!report.is_non_submodular(), "{report:?}");

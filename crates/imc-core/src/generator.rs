@@ -221,7 +221,8 @@ impl SampleBuf {
 
     /// Whether the buffered draw would be influenced by `seeds`: the union
     /// of the seeds' covers reaches at least `threshold` members. Matches
-    /// [`RicSample::influenced_by`] without materializing the sample: each
+    /// [`RicSamples::sample_influenced`](crate::RicSamples::sample_influenced)
+    /// on a store holding the draw, without materializing it: each
     /// seed is one read of the interning table, and the union is folded a
     /// limb at a time, so the call allocates nothing at any width.
     pub fn influenced_by(&self, seeds: &[NodeId]) -> bool {
@@ -447,7 +448,7 @@ pub enum LiveEdgeModel {
 ///
 /// ```
 /// use imc_community::CommunitySet;
-/// use imc_core::RicSampler;
+/// use imc_core::{RicSampler, RicStore};
 /// use imc_graph::{GraphBuilder, NodeId};
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
@@ -461,7 +462,9 @@ pub enum LiveEdgeModel {
 /// let s = sampler.sample(&mut StdRng::seed_from_u64(7));
 /// // The member and its certain in-neighbour are always in the sample.
 /// assert_eq!(s.nodes, vec![NodeId::new(0), NodeId::new(1)]);
-/// assert!(s.influenced_by(&[NodeId::new(0)]));
+/// // A store answers queries: seeding the in-neighbour influences it.
+/// let store = RicStore::from_samples(3, 1, 2.0, [&s])?;
+/// assert_eq!(store.influenced_count(&[NodeId::new(0)]), 1);
 /// # Ok(())
 /// # }
 /// ```
@@ -660,6 +663,7 @@ impl<'a> RicSampler<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{kernels, RicSamples, RicStore};
     use imc_graph::GraphBuilder;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -1032,6 +1036,22 @@ mod tests {
         }
     }
 
+    /// A drawn sample as a one-sample store of a `node_count`-node graph —
+    /// where its covers are read and its influence counted.
+    fn one_sample_store(s: &RicSample, node_count: usize) -> RicStore {
+        RicStore::from_samples(node_count, s.community.index() + 1, 1.0, [s]).unwrap()
+    }
+
+    /// The cover of `v` in a one-sample store's only sample.
+    fn cover(store: &RicStore, v: u32) -> &[u64] {
+        store.view(0).cover_of(NodeId::new(v)).unwrap()
+    }
+
+    /// Whether `v` is in the drawn sample `s`.
+    fn touches(s: &RicSample, v: u32) -> bool {
+        s.nodes.binary_search(&NodeId::new(v)).is_ok()
+    }
+
     fn single_community(node_count: u32, members: &[u32], h: u32) -> CommunitySet {
         CommunitySet::from_parts(
             node_count,
@@ -1048,9 +1068,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let s = sampler.sample(&mut rng);
         assert_eq!(s.nodes, vec![NodeId::new(1), NodeId::new(3)]);
-        assert_eq!(s.cover_of(NodeId::new(1)).unwrap().count_ones(), 1);
-        assert!(s.cover_of(NodeId::new(1)).unwrap().get(0)); // member index 0
-        assert!(s.cover_of(NodeId::new(3)).unwrap().get(1));
+        let store = one_sample_store(&s, 5);
+        assert_eq!(kernels::count_ones(cover(&store, 1)), 1);
+        assert_eq!(cover(&store, 1)[0] & 1, 1); // member index 0
+        assert_eq!(cover(&store, 3)[0] >> 1 & 1, 1);
     }
 
     #[test]
@@ -1076,10 +1097,11 @@ mod tests {
             ]
         );
         // Node 0 and node 4 reach both members.
-        assert_eq!(s.cover_of(NodeId::new(0)).unwrap().count_ones(), 2);
-        assert_eq!(s.cover_of(NodeId::new(4)).unwrap().count_ones(), 2);
-        assert!(s.influenced_by(&[NodeId::new(4)]));
-        assert!(!s.influenced_by(&[NodeId::new(1)]));
+        let store = one_sample_store(&s, 5);
+        assert_eq!(kernels::count_ones(cover(&store, 0)), 2);
+        assert_eq!(kernels::count_ones(cover(&store, 4)), 2);
+        assert_eq!(store.influenced_count(&[NodeId::new(4)]), 1);
+        assert_eq!(store.influenced_count(&[NodeId::new(1)]), 0);
     }
 
     #[test]
@@ -1108,7 +1130,7 @@ mod tests {
         let runs = 20_000;
         let mut hits = 0;
         for _ in 0..runs {
-            hits += usize::from(sampler.sample(&mut rng).touched_by(NodeId::new(0)));
+            hits += usize::from(touches(&sampler.sample(&mut rng), 0));
         }
         let rate = hits as f64 / runs as f64;
         assert!((rate - 0.4).abs() < 0.02, "rate={rate}");
@@ -1151,7 +1173,8 @@ mod tests {
         let sampler = RicSampler::new(&g, &cs);
         let mut rng = StdRng::seed_from_u64(2);
         let s = sampler.sample(&mut rng);
-        assert_eq!(s.cover_of(NodeId::new(0)).unwrap().count_ones(), 1);
+        let store = one_sample_store(&s, 4);
+        assert_eq!(kernels::count_ones(cover(&store, 0)), 1);
     }
 
     #[test]
@@ -1165,9 +1188,10 @@ mod tests {
         let sampler = RicSampler::new(&g, &cs);
         let mut rng = StdRng::seed_from_u64(4);
         let s = sampler.sample(&mut rng);
-        assert_eq!(s.len(), 3);
+        assert_eq!(s.nodes.len(), 3);
+        let store = one_sample_store(&s, 3);
         for v in 0..3u32 {
-            assert!(s.influenced_by(&[NodeId::new(v)]));
+            assert_eq!(store.influenced_count(&[NodeId::new(v)]), 1);
         }
     }
 
@@ -1186,7 +1210,7 @@ mod tests {
         let runs = 40_000;
         let mut hits = 0;
         for _ in 0..runs {
-            hits += usize::from(sampler.sample(&mut rng).touched_by(NodeId::new(0)));
+            hits += usize::from(touches(&sampler.sample(&mut rng), 0));
         }
         let rate = hits as f64 / runs as f64;
         assert!((rate - 0.3).abs() < 0.015, "rate={rate} expected 0.3");
@@ -1208,8 +1232,8 @@ mod tests {
         let runs = 10_000;
         for _ in 0..runs {
             let s = sampler.sample(&mut rng);
-            let has0 = s.touched_by(NodeId::new(0));
-            let has1 = s.touched_by(NodeId::new(1));
+            let has0 = touches(&s, 0);
+            let has1 = touches(&s, 1);
             assert!(!(has0 && has1), "LT sample kept two live in-edges");
             saw_zero += usize::from(has0);
             saw_one += usize::from(has1);
@@ -1235,7 +1259,7 @@ mod tests {
         let runs = 30_000;
         let mut hits = 0;
         for _ in 0..runs {
-            hits += usize::from(sampler.sample(&mut rng).touched_by(NodeId::new(0)));
+            hits += usize::from(touches(&sampler.sample(&mut rng), 0));
         }
         let ric_rate = hits as f64 / runs as f64;
         // Forward LT: node 1 activates iff θ₁ ≤ 0.5, then 2 iff θ₂ ≤ 0.6.
@@ -1288,13 +1312,14 @@ mod tests {
                 assert_eq!(buf.to_sample(), owned, "buffered draw diverged");
                 assert_eq!(buf.len(), owned.nodes.len());
                 assert_eq!(buf.is_empty(), owned.nodes.is_empty());
+                let one = RicStore::from_samples(n as usize, cs.len(), 1.0, [&owned]).unwrap();
                 // Seed sets of 0–5 ids, some of them beyond the graph: an
                 // id the sampler has no slot for is just not in the sample.
                 for _ in 0..8 {
                     let seeds: Vec<NodeId> = (0..rng_seeds.random_range(0..6u32))
                         .map(|_| NodeId::new(rng_seeds.random_range(0..n + 3)))
                         .collect();
-                    let expected = owned.influenced_by(&seeds);
+                    let expected = one.sample_influenced(0, &seeds);
                     assert_eq!(buf.influenced_by(&seeds), expected, "seeds {seeds:?}");
                     outcomes[usize::from(expected)] += 1;
                 }

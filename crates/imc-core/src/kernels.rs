@@ -15,8 +15,8 @@
 //!   obvious scalar loop on every input, for any slice length, including
 //!   ragged tails (`len % 8 != 0`) and empty slices.
 //! * Paired slices must have equal length; the kernels panic on mismatch
-//!   (this mirrors the width invariants of [`crate::CoverSet`]).
-//! * Fused variants (`union_count`, `and_not_count`, `or_assign_count`)
+//!   (two covers of one sample always have its limb count).
+//! * Fused variants (`union_count`, `or_assign_count`)
 //!   make one pass over their operands so a marginal-gain evaluation never
 //!   touches a limb twice.
 //!
@@ -69,32 +69,6 @@ pub fn union_count(a: &[u64], b: &[u64]) -> u32 {
     }
     for (x, y) in ac.remainder().iter().zip(bc.remainder()) {
         total += (x | y).count_ones();
-    }
-    total
-}
-
-/// Popcount of the elementwise difference: `Σ count_ones(a & !b)`.
-///
-/// # Panics
-///
-/// Panics when `a.len() != b.len()`.
-#[inline]
-pub fn and_not_count(a: &[u64], b: &[u64]) -> u32 {
-    assert_eq!(a.len(), b.len(), "kernel operand length mismatch");
-    let mut ac = a.chunks_exact(CHUNK);
-    let mut bc = b.chunks_exact(CHUNK);
-    let mut total = 0u32;
-    for (ca, cb) in (&mut ac).zip(&mut bc) {
-        let ca: &[u64; CHUNK] = ca.try_into().unwrap();
-        let cb: &[u64; CHUNK] = cb.try_into().unwrap();
-        let mut acc = 0u32;
-        for i in 0..CHUNK {
-            acc += (ca[i] & !cb[i]).count_ones();
-        }
-        total += acc;
-    }
-    for (x, y) in ac.remainder().iter().zip(bc.remainder()) {
-        total += (x & !y).count_ones();
     }
     total
 }
@@ -174,7 +148,6 @@ mod tests {
     fn empty_slices() {
         assert_eq!(count_ones(&[]), 0);
         assert_eq!(union_count(&[], &[]), 0);
-        assert_eq!(and_not_count(&[], &[]), 0);
         assert_eq!(or_assign_count(&mut [], &[]), 0);
     }
 
@@ -231,10 +204,6 @@ mod tests {
             prop_assert_eq!(
                 union_count(&a, &b),
                 a.iter().zip(&b).map(|(x, y)| (x | y).count_ones()).sum::<u32>()
-            );
-            prop_assert_eq!(
-                and_not_count(&a, &b),
-                a.iter().zip(&b).map(|(x, y)| (x & !y).count_ones()).sum::<u32>()
             );
             let mut acc = a.clone();
             let fused = or_assign_count(&mut acc, &b);

@@ -276,9 +276,9 @@ pub fn greedy_over<S: GainSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maxr::testutil::sample;
     use crate::objective::tests::{sample_strategy, snapshot_of, NODES};
-    use crate::{CoverSet, RicSample, RicStore};
-    use imc_community::CommunityId;
+    use crate::RicStore;
 
     /// Every value of the vestigial strategy argument.
     const STRATEGIES: [SolveStrategy; 4] = [
@@ -287,14 +287,6 @@ mod tests {
         SolveStrategy::Parallel { threads: 1 },
         SolveStrategy::Parallel { threads: 8 },
     ];
-
-    fn mk_cover(width: usize, bits: &[usize]) -> CoverSet {
-        let mut c = CoverSet::new(width);
-        for &b in bits {
-            c.set(b);
-        }
-        c
-    }
 
     /// A pseudo-random collection large and irregular enough to exercise
     /// ties, gains that rise as seeds land, and the padding path.
@@ -315,20 +307,12 @@ mod tests {
             let mut ids: Vec<u32> = (0..n).map(|_| next(u64::from(nodes)) as u32).collect();
             ids.sort_unstable();
             ids.dedup();
-            let entries: Vec<(NodeId, CoverSet)> = ids
+            const BIT: [&[usize]; 3] = [&[0], &[1], &[2]];
+            let entries: Vec<(u32, &[usize])> = ids
                 .iter()
-                .map(|&v| {
-                    let bit = next(width as u64) as usize;
-                    (NodeId::new(v), mk_cover(width, &[bit]))
-                })
+                .map(|&v| (v, BIT[next(width as u64) as usize]))
                 .collect();
-            drawn.push(RicSample {
-                community: CommunityId::new(next(3) as u32),
-                threshold,
-                community_size: width as u32,
-                nodes: entries.iter().map(|e| e.0).collect(),
-                covers: entries.into_iter().map(|e| e.1).collect(),
-            });
+            drawn.push(sample(next(3) as u32, threshold, width, &entries));
         }
         RicStore::from_samples(nodes as usize, 3, samples as f64, &drawn).unwrap()
     }
@@ -338,20 +322,8 @@ mod tests {
     /// sample.
     fn trap_collection() -> RicStore {
         let samples = [
-            RicSample {
-                community: CommunityId::new(0),
-                threshold: 2,
-                community_size: 2,
-                nodes: vec![NodeId::new(0), NodeId::new(1)],
-                covers: vec![mk_cover(2, &[0]), mk_cover(2, &[1])],
-            },
-            RicSample {
-                community: CommunityId::new(1),
-                threshold: 1,
-                community_size: 1,
-                nodes: vec![NodeId::new(2)],
-                covers: vec![mk_cover(1, &[0])],
-            },
+            sample(0, 2, 2, &[(0, &[0]), (1, &[1])]),
+            sample(1, 1, 1, &[(2, &[0])]),
         ];
         RicStore::from_samples(4, 2, 2.0, &samples).unwrap()
     }
@@ -462,7 +434,7 @@ mod tests {
     /// index walk — a stale table entry winning a round would show up here
     /// as a pick whose fresh gain is below some other candidate's.
     #[test]
-    fn celf_queue_never_returns_a_stale_gain() {
+    fn every_nu_pick_is_the_fresh_argmax() {
         for salt in [3u64, 9, 77] {
             let col = scrambled_collection(30, 90, salt);
             let run = greedy_nu_with(&col, 8, SolveStrategy::Lazy);
@@ -498,7 +470,7 @@ mod tests {
 
     /// Same soundness check for ĉ, whose gains can rise between rounds.
     #[test]
-    fn lazy_c_queue_never_returns_a_stale_gain() {
+    fn every_c_pick_is_the_fresh_argmax() {
         for salt in [3u64, 9, 77] {
             let col = scrambled_collection(30, 90, salt);
             let run = greedy_c_with(&col, 8, SolveStrategy::Lazy);

@@ -150,40 +150,19 @@ pub fn incremental_score<C: RicSamples>(collection: &C, seeds: &[NodeId]) -> usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CoverSet, RicSample, RicStore};
-    use imc_community::CommunityId;
-
-    fn mk(width: usize, bits: &[usize]) -> CoverSet {
-        let mut c = CoverSet::new(width);
-        for &b in bits {
-            c.set(b);
-        }
-        c
-    }
+    use crate::maxr::testutil::sample;
+    use crate::RicStore;
 
     fn trap_collection() -> RicStore {
         // Sample 0 (h=2) needs {0,1}; sample 1 (h=1) taken by 2; sample 2
         // (h=1) taken by 2.
-        let mut col = RicStore::new(4, 2, 3.0);
-        col.push_sample(&RicSample {
-            community: CommunityId::new(0),
-            threshold: 2,
-            community_size: 2,
-            nodes: vec![NodeId::new(0), NodeId::new(1)],
-            covers: vec![mk(2, &[0]), mk(2, &[1])],
-        })
-        .unwrap();
-        for _ in 0..2 {
-            col.push_sample(&RicSample {
-                community: CommunityId::new(1),
-                threshold: 1,
-                community_size: 1,
-                nodes: vec![NodeId::new(2)],
-                covers: vec![mk(1, &[0])],
-            })
-            .unwrap();
-        }
-        col
+        let taken_by_2 = sample(1, 1, 1, &[(2, &[0])]);
+        let samples = [
+            sample(0, 2, 2, &[(0, &[0]), (1, &[1])]),
+            taken_by_2.clone(),
+            taken_by_2,
+        ];
+        RicStore::from_samples(4, 2, 3.0, &samples).unwrap()
     }
 
     #[test]

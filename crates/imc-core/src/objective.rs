@@ -480,20 +480,15 @@ impl<C: RicSamples> CoverageState<C> {
     }
 }
 
-/// Reusable whole-seed-set evaluator of `ĉ_R` over any [`RicSamples`]
-/// backend.
+/// `ĉ_R` counts of many whole seed sets: one
+/// [`RicSamples::influenced_count`] per set.
 ///
-/// [`CoverageState::new`] zero-fills per-sample union buffers for the
-/// *entire* collection, which makes one-shot evaluations of many seed sets
-/// (benchmarks, baselines, the service's `estimate` op) `O(|R|)` per call
-/// regardless of how few samples the seeds touch. `CoverageEvaluator`
-/// allocates those buffers once and stamps each sample with an *epoch*:
-/// an evaluation bumps the epoch and lazily resets only the samples the
-/// seed set actually touches, so each call costs
-/// `O(Σ_v |touched_by(v)|)` — typically orders of magnitude below `|R|`.
-///
-/// Results are exactly [`RicSamples::influenced_count`] — integer popcount
-/// against integer thresholds, no floating point involved.
+/// Kept only for the benchmark's `objective.batched_evals_per_s` probe,
+/// until that probe is re-pointed (ROADMAP item 6). New code calls
+/// [`RicSamples::influenced_count`] or
+/// [`Score::of`](crate::maxr::Score::of) directly. A seed id at or past
+/// the collection's node count touches no sample and is skipped, as it is
+/// by both of those.
 ///
 /// ```
 /// use imc_core::{CoverSet, CoverageEvaluator, RicSample, RicStore};
@@ -511,346 +506,32 @@ impl<C: RicSamples> CoverageState<C> {
 /// };
 /// let store = RicStore::from_samples(4, 1, 1.0, [&sample]).unwrap();
 /// let mut eval = CoverageEvaluator::new(&store);
-/// let seeds = [NodeId::new(1)];
-/// assert_eq!(eval.influenced_count(&seeds), store.influenced_count(&seeds));
+/// let sets = [vec![NodeId::new(1)], vec![NodeId::new(2), NodeId::new(99)]];
+/// assert_eq!(eval.influenced_counts(&sets), vec![1, 0]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct CoverageEvaluator<C: RicSamples = RicStore> {
     collection: C,
-    union_offsets: Vec<usize>,
-    union_words: Vec<u64>,
-    counts: Vec<u32>,
-    epochs: Vec<u32>,
-    epoch: u32,
-    touched: Vec<u32>,
-    fused: FusedState,
-}
-
-/// Lazily-built fused index for batch evaluation (see
-/// [`CoverageEvaluator::influenced_counts`]). `Unsupported` is remembered
-/// so a multi-limb collection does not re-attempt the build per call.
-#[derive(Debug, Clone)]
-enum FusedState {
-    Unbuilt,
-    Unsupported,
-    Ready(FusedIndex),
-}
-
-/// A node-major copy of the inverted index with each entry's cover word
-/// inlined, for collections whose samples all fit one cover limb
-/// (community width ≤ 64 — every size-capped instance in the paper).
-///
-/// `samples[offsets[v] .. offsets[v+1]]` are the samples node `v`
-/// touches, ascending, and `covers[i]` is the cover word `v` contributes
-/// to `samples[i]` — so a batched evaluation streams `(sample, cover)`
-/// pairs sequentially and never chases a pointer into the cover arena.
-#[derive(Debug, Clone)]
-struct FusedIndex {
-    offsets: Vec<usize>,
-    samples: Vec<u32>,
-    covers: Vec<u64>,
-    /// Per-sample evaluation state; one 16-byte slot per sample keeps the
-    /// stamp checks and the union word on a single cache line.
-    slots: Vec<Slot>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    /// Set id that last reset this sample's union (u32::MAX = none).
-    started: u32,
-    /// The sample's threshold, copied in at build time so an entry
-    /// touches exactly one random cache line.
-    threshold: u32,
-    union: u64,
-}
-
-impl FusedIndex {
-    /// Builds the fused index with one sample-major sweep of the arena
-    /// (sequential reads) scattered through node-count cursors (cache
-    /// resident). Returns `None` when any sample needs more than one
-    /// cover limb.
-    fn build<C: RicSamples>(collection: &C) -> Option<FusedIndex> {
-        let s_len = collection.len();
-        let node_count = collection.node_count();
-        let mut offsets = vec![0usize; node_count + 1];
-        for si in 0..s_len {
-            if limbs_for_width(collection.sample_width(si)) > 1 {
-                return None;
-            }
-            for &v in collection.sample_nodes(si) {
-                offsets[v.index() + 1] += 1;
-            }
-        }
-        for i in 0..node_count {
-            offsets[i + 1] += offsets[i];
-        }
-        let total = offsets[node_count];
-        let mut cursor = offsets[..node_count].to_vec();
-        let mut samples = vec![0u32; total];
-        let mut covers = vec![0u64; total];
-        for si in 0..s_len {
-            for (pos, &v) in collection.sample_nodes(si).iter().enumerate() {
-                let at = cursor[v.index()];
-                cursor[v.index()] = at + 1;
-                samples[at] = si as u32;
-                covers[at] = collection
-                    .cover_words(si, pos)
-                    .first()
-                    .copied()
-                    .unwrap_or(0);
-            }
-        }
-        let slots = (0..s_len)
-            .map(|si| Slot {
-                started: u32::MAX,
-                threshold: collection.sample_threshold(si),
-                union: 0,
-            })
-            .collect();
-        Some(FusedIndex {
-            offsets,
-            samples,
-            covers,
-            slots,
-        })
-    }
 }
 
 impl<C: RicSamples> CoverageEvaluator<C> {
-    /// Builds an evaluator; the buffer layout mirrors
-    /// [`CoverageState::new`] but is paid once, not per evaluation.
+    /// An evaluator over `collection`.
     pub fn new(collection: C) -> Self {
-        let mut union_offsets = Vec::with_capacity(collection.len() + 1);
-        union_offsets.push(0usize);
-        for si in 0..collection.len() {
-            union_offsets.push(union_offsets[si] + limbs_for_width(collection.sample_width(si)));
-        }
-        let total_limbs = *union_offsets.last().unwrap_or(&0);
-        let len = collection.len();
-        CoverageEvaluator {
-            collection,
-            union_offsets,
-            union_words: vec![0u64; total_limbs],
-            counts: vec![0; len],
-            epochs: vec![0; len],
-            epoch: 0,
-            touched: Vec::new(),
-            fused: FusedState::Unbuilt,
-        }
+        CoverageEvaluator { collection }
     }
 
-    /// The collection being evaluated.
-    pub fn collection(&self) -> &C {
-        &self.collection
-    }
-
-    /// Number of samples influenced by `seeds` — identical to
-    /// [`RicSamples::influenced_count`], at lazy-reset cost.
-    pub fn influenced_count(&mut self, seeds: &[NodeId]) -> usize {
-        // A fresh epoch invalidates all per-sample state at once; on the
-        // (rare) wrap we pay one full reset to keep stamps unambiguous.
-        if self.epoch == u32::MAX {
-            self.epochs.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.touched.clear();
-        for &v in seeds {
-            for r in self.collection.touched_by(v) {
-                let si = r.sample as usize;
-                let lo = self.union_offsets[si];
-                let hi = self.union_offsets[si + 1];
-                let union = &mut self.union_words[lo..hi];
-                if self.epochs[si] != self.epoch {
-                    self.epochs[si] = self.epoch;
-                    self.touched.push(r.sample);
-                    union.fill(0);
-                }
-                let cover = self.collection.cover_words(si, r.pos as usize);
-                self.counts[si] = kernels::or_assign_count(union, cover);
-            }
-        }
-        let mut influenced = 0usize;
-        for &si in &self.touched {
-            let si = si as usize;
-            if self.counts[si] >= self.collection.sample_threshold(si) {
-                influenced += 1;
-            }
-        }
-        influenced
-    }
-
-    /// `ĉ_R(seeds)` — identical to [`RicSamples::estimate`].
-    pub fn estimate(&mut self, seeds: &[NodeId]) -> f64 {
-        if self.collection.is_empty() {
-            return 0.0;
-        }
-        let influenced = self.influenced_count(seeds);
-        self.collection.total_benefit() * influenced as f64 / self.collection.len() as f64
-    }
-
-    /// [`influenced_count`](Self::influenced_count) for many seed sets at
-    /// once: `result[i]` is the influenced count of `sets[i]`.
-    ///
-    /// Evaluating sets one at a time chases the inverted index into the
-    /// cover arena in *seed* order — for arenas larger than cache, every
-    /// entry is a dependent random DRAM load and latency dominates. This
-    /// method instead makes one pass over the index for a block of sets,
-    /// binning the packed `(set, sample, pos)` tuples by *sample-range
-    /// tile* (a few hundred cache-resident bin cursors), and then drains
-    /// one tile at a time: within a tile the cover rows, union buffers,
-    /// and stamps all fit in L2, so the per-entry cost is a handful of
-    /// cache hits instead of a DRAM round-trip.
-    ///
-    /// The arithmetic is untouched — per `(set, sample)` pair the cover
-    /// rows are OR-ed into that sample's union buffer and the popcount
-    /// compared against the threshold — so counts are exactly what the
-    /// scalar method returns for each set (`docs/KERNELS.md` has the
-    /// equivalence argument and the measurement).
-    ///
-    /// When every sample fits one cover limb (community width ≤ 64, true
-    /// for any size-capped instance), the first call builds a node-major
-    /// *fused* index with the cover words inlined next to the sample ids;
-    /// evaluation then streams `(sample, cover)` pairs sequentially with
-    /// no arena access at all. Wider samples fall back to the tiled
-    /// gather/drain path above. Both produce identical counts.
+    /// `result[i]` is the number of samples `sets[i]` influences.
     pub fn influenced_counts<S: AsRef<[NodeId]>>(&mut self, sets: &[S]) -> Vec<usize> {
-        if matches!(self.fused, FusedState::Unbuilt) {
-            self.fused = match FusedIndex::build(&self.collection) {
-                Some(f) => FusedState::Ready(f),
-                None => FusedState::Unsupported,
-            };
-        }
-        if let FusedState::Ready(fused) = &mut self.fused {
-            return fused_influenced_counts(fused, sets);
-        }
-        // 512 sets a block bounds the tuple scratch while amortising the
-        // per-block stamp resets over many sets.
-        self.influenced_counts_blocked(sets, 512)
+        sets.iter()
+            .map(|set| self.collection.influenced_count(set.as_ref()))
+            .collect()
     }
-
-    fn influenced_counts_blocked<S: AsRef<[NodeId]>>(
-        &mut self,
-        sets: &[S],
-        block_sets: usize,
-    ) -> Vec<usize> {
-        // Tuple layout: | set-in-block : 10 | sample-in-tile : 13 | pos : 32 |.
-        const POS_BITS: u32 = 32;
-        const TILE_BITS: u32 = 13;
-        let block_sets = block_sets.clamp(1, 1024);
-        let s_len = self.collection.len();
-        let mut results = vec![0usize; sets.len()];
-        if s_len == 0 || sets.is_empty() {
-            return results;
-        }
-        // Tile width: a power of two giving ~512 tiles, capped so the
-        // in-tile sample id fits its bit field.
-        let tile_shift = s_len
-            .div_ceil(512)
-            .next_power_of_two()
-            .trailing_zeros()
-            .min(TILE_BITS);
-        let tile_mask = (1usize << tile_shift) - 1;
-        let tiles = s_len.div_ceil(1 << tile_shift);
-        let mut bins: Vec<Vec<u64>> = vec![Vec::new(); tiles];
-        // `started[si]`/`done[si]` stamp which set of the current block
-        // last reset / already influenced sample `si`; refilled per block.
-        let mut started = vec![u32::MAX; s_len];
-        let mut done = vec![u32::MAX; s_len];
-        let CoverageEvaluator {
-            collection,
-            union_offsets,
-            union_words,
-            ..
-        } = self;
-        for (chunk, block) in sets.chunks(block_sets).enumerate() {
-            let base = chunk * block_sets;
-            for bin in &mut bins {
-                bin.clear();
-            }
-            started.fill(u32::MAX);
-            done.fill(u32::MAX);
-            // Gather: one sequential walk of the touched index slices,
-            // appending each entry to its tile's bin. Sets are visited in
-            // order, so each bin stays sorted by set id.
-            for (b, set) in block.iter().enumerate() {
-                let tag = (b as u64) << (POS_BITS + TILE_BITS);
-                for &v in set.as_ref() {
-                    for r in collection.touched_by(v) {
-                        let si = r.sample as usize;
-                        let local = ((si & tile_mask) as u64) << POS_BITS;
-                        bins[si >> tile_shift].push(tag | local | u64::from(r.pos));
-                    }
-                }
-            }
-            // Drain tile by tile; everything a tuple touches is hot.
-            for (tile, bin) in bins.iter().enumerate() {
-                let tile_base = tile << tile_shift;
-                for &tuple in bin {
-                    let b = (tuple >> (POS_BITS + TILE_BITS)) as u32;
-                    let si = tile_base + ((tuple >> POS_BITS) as usize & tile_mask);
-                    if done[si] == b {
-                        continue;
-                    }
-                    let union = &mut union_words[union_offsets[si]..union_offsets[si + 1]];
-                    if started[si] != b {
-                        started[si] = b;
-                        union.fill(0);
-                    }
-                    let pos = (tuple & u64::from(u32::MAX)) as usize;
-                    let count = kernels::or_assign_count(union, collection.cover_words(si, pos));
-                    if count >= collection.sample_threshold(si) {
-                        done[si] = b;
-                        results[base + b as usize] += 1;
-                    }
-                }
-            }
-        }
-        results
-    }
-}
-
-/// The single-limb batch kernel: one streaming pass over each seed's
-/// fused `(sample, cover)` entries per set. A sample's union accumulates
-/// in its [`Slot`]; the influenced counter bumps exactly once per
-/// `(set, sample)` pair, on the entry whose OR first lifts the popcount
-/// across the threshold — the union only ever grows, so the final
-/// verdict matches the scalar evaluation of the full set. (A threshold
-/// of zero counts on the first touch, like the scalar walk.)
-fn fused_influenced_counts<S: AsRef<[NodeId]>>(fused: &mut FusedIndex, sets: &[S]) -> Vec<usize> {
-    debug_assert!(sets.len() < u32::MAX as usize);
-    let mut results = vec![0usize; sets.len()];
-    for slot in &mut fused.slots {
-        slot.started = u32::MAX;
-        slot.union = 0;
-    }
-    for (b, set) in sets.iter().enumerate() {
-        let b = b as u32;
-        let mut influenced = 0usize;
-        for &v in set.as_ref() {
-            let lo = fused.offsets[v.index()];
-            let hi = fused.offsets[v.index() + 1];
-            for (&si, &cover) in fused.samples[lo..hi].iter().zip(&fused.covers[lo..hi]) {
-                let slot = &mut fused.slots[si as usize];
-                let fresh = slot.started != b;
-                let prev = if fresh { 0 } else { slot.union };
-                slot.started = b;
-                let union = prev | cover;
-                slot.union = union;
-                let threshold = slot.threshold;
-                influenced += usize::from(
-                    union.count_ones() >= threshold && (fresh || prev.count_ones() < threshold),
-                );
-            }
-        }
-        results[b as usize] = influenced;
-    }
-    results
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::maxr::testutil::sample;
     use crate::samples::top_limb_mask;
     use crate::snapshot::{encode, SnapshotBytes};
     use crate::{CoverSet, RicSample};
@@ -858,34 +539,14 @@ pub(crate) mod tests {
     use proptest::prelude::*;
 
     fn build_collection() -> RicStore {
-        let mut col = RicStore::new(6, 2, 4.0);
-        // Sample 0: community 0, h = 2, members {a, b} (width 2).
-        // node 1 covers a, node 2 covers b, node 3 covers both.
-        let mk = |bits: &[usize]| {
-            let mut c = CoverSet::new(2);
-            for &b in bits {
-                c.set(b);
-            }
-            c
-        };
-        col.push_sample(&RicSample {
-            community: CommunityId::new(0),
-            threshold: 2,
-            community_size: 2,
-            nodes: vec![NodeId::new(1), NodeId::new(2), NodeId::new(3)],
-            covers: vec![mk(&[0]), mk(&[1]), mk(&[0, 1])],
-        })
-        .unwrap();
-        // Sample 1: community 1, h = 1; node 2 covers member 0.
-        col.push_sample(&RicSample {
-            community: CommunityId::new(1),
-            threshold: 1,
-            community_size: 2,
-            nodes: vec![NodeId::new(2)],
-            covers: vec![mk(&[0])],
-        })
-        .unwrap();
-        col
+        let samples = [
+            // Community 0, h = 2, members {a, b}: node 1 covers a, node 2
+            // covers b, node 3 covers both.
+            sample(0, 2, 2, &[(1, &[0]), (2, &[1]), (3, &[0, 1])]),
+            // Community 1, h = 1: node 2 covers member 0.
+            sample(1, 1, 2, &[(2, &[0])]),
+        ];
+        RicStore::from_samples(6, 2, 4.0, &samples).unwrap()
     }
 
     /// Snapshot bytes of `store`; a `RicStoreView` over them answers
@@ -1039,30 +700,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn evaluator_matches_one_shot_state_across_seed_sets() {
-        let store = build_collection();
-        let mut eval = CoverageEvaluator::new(&store);
-        let sets: Vec<Vec<NodeId>> = vec![
-            vec![],
-            vec![NodeId::new(1)],
-            vec![NodeId::new(2), NodeId::new(3)],
-            vec![NodeId::new(1), NodeId::new(2), NodeId::new(3)],
-            vec![NodeId::new(5)],
-            vec![NodeId::new(3), NodeId::new(3)],
-        ];
-        for seeds in &sets {
-            assert_eq!(eval.influenced_count(seeds), store.influenced_count(seeds));
-            assert_eq!(eval.estimate(seeds), store.estimate(seeds));
-        }
-        // Reuse across epochs must not leak state between evaluations.
-        for _ in 0..3 {
-            for seeds in sets.iter().rev() {
-                assert_eq!(eval.influenced_count(seeds), store.influenced_count(seeds));
-            }
-        }
-    }
-
-    #[test]
     fn shard_evaluators_match_scalar_methods() {
         let col = build_collection();
         let mut st = CoverageState::new(&col);
@@ -1101,85 +738,6 @@ pub(crate) mod tests {
             assert_eq!(st_col.nu_estimate(), st_store.nu_estimate());
             assert_eq!(st_col.covered_counts(), st_store.covered_counts());
         }
-    }
-
-    #[test]
-    fn batched_counts_match_scalar_across_block_boundaries() {
-        let store = build_collection();
-        let mut eval = CoverageEvaluator::new(&store);
-        // Every subset of {1..4} plus duplicates and an empty set; block
-        // sizes below the set count force the chunked path to stitch
-        // results from several arena sweeps.
-        let sets: Vec<Vec<NodeId>> = vec![
-            vec![],
-            vec![NodeId::new(1)],
-            vec![NodeId::new(2)],
-            vec![NodeId::new(3)],
-            vec![NodeId::new(4)],
-            vec![NodeId::new(1), NodeId::new(2)],
-            vec![NodeId::new(1), NodeId::new(3)],
-            vec![NodeId::new(2), NodeId::new(3)],
-            vec![NodeId::new(1), NodeId::new(1)],
-            vec![NodeId::new(1), NodeId::new(2), NodeId::new(3)],
-        ];
-        let scalar: Vec<usize> = sets.iter().map(|s| eval.influenced_count(s)).collect();
-        for block in [1usize, 2, 3, 7, 512] {
-            let batched = eval.influenced_counts_blocked(&sets, block);
-            assert_eq!(batched, scalar, "block size {block}");
-        }
-        // The public entry point takes the fused single-limb path here
-        // (widths ≤ 64) and must agree with both.
-        assert_eq!(eval.influenced_counts(&sets), scalar);
-        assert!(matches!(eval.fused, FusedState::Ready(_)));
-        // The brute-force trait method agrees too.
-        let snapshot = snapshot_of(&store);
-        let naive = snapshot.view().unwrap();
-        for (set, &count) in sets.iter().zip(&scalar) {
-            assert_eq!(naive.influenced_count(set), count);
-        }
-    }
-
-    #[test]
-    fn batched_counts_fall_back_for_multi_limb_samples() {
-        // Width 70 needs two cover limbs, so the fused index refuses and
-        // the public API must route through the tiled path.
-        let mut store = RicStore::new(4, 1, 2.0);
-        let wide = |bits: &[usize]| {
-            let mut c = CoverSet::new(70);
-            for &b in bits {
-                c.set(b);
-            }
-            c
-        };
-        store
-            .push_sample(&RicSample {
-                community: CommunityId::new(0),
-                threshold: 2,
-                community_size: 70,
-                nodes: vec![NodeId::new(0), NodeId::new(2)],
-                covers: vec![wide(&[0, 69]), wide(&[69])],
-            })
-            .unwrap();
-        store
-            .push_sample(&RicSample {
-                community: CommunityId::new(0),
-                threshold: 1,
-                community_size: 70,
-                nodes: vec![NodeId::new(2)],
-                covers: vec![wide(&[65])],
-            })
-            .unwrap();
-        let mut eval = CoverageEvaluator::new(&store);
-        let sets: Vec<Vec<NodeId>> = vec![
-            vec![NodeId::new(0)],
-            vec![NodeId::new(2)],
-            vec![NodeId::new(0), NodeId::new(2)],
-            vec![NodeId::new(1)],
-        ];
-        let scalar: Vec<usize> = sets.iter().map(|s| eval.influenced_count(s)).collect();
-        assert_eq!(eval.influenced_counts(&sets), scalar);
-        assert!(matches!(eval.fused, FusedState::Unsupported));
-        assert_eq!(scalar, vec![1, 1, 2, 0]);
     }
 
     /// A state builds a gain table only for an objective it is asked
@@ -1397,7 +955,7 @@ pub(crate) mod tests {
         /// per-sample estimators of `RicSamples` compute, for index lists
         /// shorter than, as long as and longer than the prefetch distance,
         /// on 1-, 2- and 3-limb covers, with duplicate and out-of-range
-        /// seeds.
+        /// seeds; so is what [`CoverageEvaluator`] counts over either.
         #[test]
         fn a_score_equals_the_naive_estimators(
             samples in walk_collection(),
@@ -1414,6 +972,9 @@ pub(crate) mod tests {
             let b = store.total_benefit();
             prop_assert_eq!(score.samples, samples.len());
             prop_assert_eq!(score.influenced, RicSamples::influenced_count(&view, &seeds));
+            let sets = [&seeds[..]];
+            prop_assert_eq!(CoverageEvaluator::new(&store).influenced_counts(&sets), [score.influenced]);
+            prop_assert_eq!(CoverageEvaluator::new(&view).influenced_counts(&sets), [score.influenced]);
             prop_assert_eq!(
                 score.estimate(b).to_bits(),
                 RicSamples::estimate(&view, &seeds).to_bits()

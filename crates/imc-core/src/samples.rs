@@ -345,42 +345,17 @@ impl<T: RicSamples + ?Sized + Send> RicSamples for std::sync::Arc<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maxr::testutil::sample;
     use crate::snapshot::{encode, SnapshotBytes};
-    use crate::{CoverSet, RicSample, RicStore};
-
-    fn cover(width: usize, bits: &[usize]) -> CoverSet {
-        let mut c = CoverSet::new(width);
-        for &b in bits {
-            c.set(b);
-        }
-        c
-    }
+    use crate::RicStore;
 
     /// Two narrow samples plus one of width 300 — 5 limbs, past the 4-limb
     /// inline scratch of `sample_covered_members`, so the heap path runs.
     fn build() -> RicStore {
         let samples = [
-            RicSample {
-                community: CommunityId::new(0),
-                threshold: 2,
-                community_size: 2,
-                nodes: vec![NodeId::new(1), NodeId::new(2)],
-                covers: vec![cover(2, &[0]), cover(2, &[1])],
-            },
-            RicSample {
-                community: CommunityId::new(1),
-                threshold: 1,
-                community_size: 2,
-                nodes: vec![NodeId::new(2)],
-                covers: vec![cover(2, &[0])],
-            },
-            RicSample {
-                community: CommunityId::new(1),
-                threshold: 2,
-                community_size: 300,
-                nodes: vec![NodeId::new(1), NodeId::new(4)],
-                covers: vec![cover(300, &[0, 299]), cover(300, &[299])],
-            },
+            sample(0, 2, 2, &[(1, &[0]), (2, &[1])]),
+            sample(1, 1, 2, &[(2, &[0])]),
+            sample(1, 2, 300, &[(1, &[0, 299]), (4, &[299])]),
         ];
         RicStore::from_samples(6, 2, 4.0, &samples).unwrap()
     }

@@ -899,8 +899,9 @@ pub fn load_for_instance(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CoverSet, RicSample, RicSampler};
-    use imc_community::{CommunityId, CommunitySet};
+    use crate::maxr::testutil::sample;
+    use crate::RicSampler;
+    use imc_community::CommunitySet;
     use imc_graph::GraphBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1273,17 +1274,7 @@ mod tests {
     fn threshold_above_community_size_round_trips() {
         // `ThresholdPolicy::Constant` does not clamp, so a singleton
         // community with the default threshold 2 is a legal sample.
-        let mut col = RicStore::new(3, 1, 1.0);
-        let mut cover = CoverSet::new(1);
-        cover.set(0);
-        col.push_sample(&RicSample {
-            community: CommunityId::new(0),
-            threshold: 2,
-            community_size: 1,
-            nodes: vec![NodeId::new(2)],
-            covers: vec![cover],
-        })
-        .unwrap();
+        let col = RicStore::from_samples(3, 1, 1.0, [&sample(0, 2, 1, &[(2, &[0])])]).unwrap();
         let decoded = decode(&encode(&col, 7, 0)).unwrap();
         assert_eq!(decoded.collection, col);
     }
@@ -1291,22 +1282,8 @@ mod tests {
     #[test]
     fn large_cover_sets_round_trip() {
         // Hand-build a collection whose community is wider than 64 members.
-        let width = 130u32;
-        let mut col = RicStore::new(4, 1, 1.0);
-        let mut c0 = CoverSet::new(width as usize);
-        c0.set(0);
-        c0.set(64);
-        c0.set(129);
-        let mut c1 = CoverSet::new(width as usize);
-        c1.set(70);
-        col.push_sample(&RicSample {
-            community: CommunityId::new(0),
-            threshold: 2,
-            community_size: width,
-            nodes: vec![NodeId::new(1), NodeId::new(3)],
-            covers: vec![c0, c1],
-        })
-        .unwrap();
+        let wide = sample(0, 2, 130, &[(1, &[0, 64, 129]), (3, &[70])]);
+        let col = RicStore::from_samples(4, 1, 1.0, [&wide]).unwrap();
         let data = decode(&encode(&col, 42, 1)).unwrap();
         assert_eq!(data.collection, col);
     }

@@ -156,8 +156,9 @@ pub struct CollectionStats {
 
 /// Validation failure when feeding a sample into a [`RicStore`].
 ///
-/// The store enforces the invariants [`RicSample::cover_of`] silently
-/// assumes (sorted, duplicate-free node lists; covers shaped to the
+/// The store enforces the invariants its binary-searched lookups
+/// ([`RicSampleView::cover_of`], [`RicSamples::sample_covered_members`])
+/// assume (sorted, duplicate-free node lists; covers shaped to the
 /// sample's community width) and reports violations as typed errors
 /// instead of corrupting lookups downstream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -458,9 +459,10 @@ impl RicStore {
 
     /// Appends already-validated raw sample parts without touching the
     /// index. `words` is `nodes.len() × limbs(width)` limbs. Used by the
-    /// trusted in-crate producers (sampler output, BT pivot reductions,
-    /// the version-2 snapshot reader); callers must finish with
-    /// [`rebuild_index`](Self::rebuild_index).
+    /// trusted in-crate producers (sampler output, BT pivot reductions);
+    /// callers must then index what they appended
+    /// ([`index_appended`](Self::index_appended) or
+    /// [`rebuild_index`](Self::rebuild_index)).
     pub(crate) fn push_raw(
         &mut self,
         community: CommunityId,
@@ -1052,25 +1054,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// A sample of a 4-member community; `node_covers` lists `(node,
+    /// member positions it covers)`.
     fn manual_sample(community: u32, threshold: u32, node_covers: &[(u32, &[usize])]) -> RicSample {
-        let width = 4usize;
-        let mut nodes = Vec::new();
-        let mut covers = Vec::new();
-        for &(v, bits) in node_covers {
-            nodes.push(NodeId::new(v));
-            let mut c = CoverSet::new(width);
-            for &b in bits {
-                c.set(b);
-            }
-            covers.push(c);
-        }
-        RicSample {
-            community: CommunityId::new(community),
-            threshold,
-            community_size: width as u32,
-            nodes,
-            covers,
-        }
+        crate::maxr::testutil::sample(community, threshold, 4, node_covers)
     }
 
     fn fixture_samples() -> Vec<RicSample> {
@@ -1338,15 +1325,7 @@ mod tests {
     fn empty_sample_is_accepted() {
         // BT pivot reduction produces residual samples with no nodes.
         let mut store = RicStore::new(4, 1, 1.0);
-        store
-            .push_sample(&RicSample {
-                community: CommunityId::new(0),
-                threshold: 1,
-                community_size: 2,
-                nodes: vec![],
-                covers: vec![],
-            })
-            .unwrap();
+        store.push_sample(&manual_sample(0, 1, &[])).unwrap();
         assert_eq!(store.len(), 1);
         assert!(store.view(0).is_empty());
         assert_eq!(store.influenced_count(&[NodeId::new(0)]), 0);
@@ -1365,6 +1344,18 @@ mod tests {
             store.push_sample(&unsorted),
             Err(RicStoreError::NodesNotStrictlyAscending { sample: 0 })
         );
+        // A fully reversed row, and a duplicate at the front of a longer one.
+        let rows: [(u32, &[usize]); 4] = [(1, &[0]), (2, &[1]), (3, &[2]), (4, &[3])];
+        let mut reversed = rows;
+        reversed.reverse();
+        let mut duplicated = manual_sample(0, 3, &rows);
+        duplicated.nodes[1] = duplicated.nodes[0];
+        for sample in [manual_sample(0, 3, &reversed), duplicated] {
+            assert_eq!(
+                store.push_sample(&sample),
+                Err(RicStoreError::NodesNotStrictlyAscending { sample: 0 })
+            );
+        }
         assert!(store.is_empty(), "rejected samples must not be stored");
     }
 

@@ -80,6 +80,7 @@
 use imc_core::{ImcError, MaxrAlgorithm};
 use imc_graph::NodeId;
 use imc_obs::json::{self, ObjectBuilder, Value};
+use std::io::{self, BufRead, Read};
 
 /// Highest protocol version this daemon speaks.
 pub const PROTOCOL_VERSION: u64 = 3;
@@ -313,6 +314,56 @@ pub fn node_in_range(what: &str, raw: u32, node_count: usize) -> Result<(), Requ
         code: ErrorCode::OutOfRange,
         message: format!("{what} {raw} out of range (graph has {node_count} nodes)"),
     })
+}
+
+/// The longest request line (its `\n` aside) a daemon or coordinator of a
+/// `node_count`-node instance reads: 1 MiB plus 12 bytes a node, room for
+/// an `eval_batch` or `estimate` that lists every node.
+pub fn max_request_line(node_count: usize) -> usize {
+    (1 << 20) + 12 * node_count
+}
+
+/// What [`read_request_line`] read.
+#[derive(Debug, PartialEq, Eq)]
+pub enum LineRead<'a> {
+    /// One request line, with its `\n` if it had one.
+    Line(&'a str),
+    /// The peer closed the connection.
+    Eof,
+    /// The line ran past the limit with no `\n`: the `bad_request`
+    /// response to send before closing the connection.
+    TooLong(String),
+}
+
+/// Reads one request line into `line`, at most `limit` bytes of it
+/// ([`max_request_line`]), so a client that never sends `\n` cannot grow
+/// one buffer without bound. Bytes that arrive before a read timeout stay
+/// in `line` and the next call continues the line; clear `line` once a
+/// line is handled.
+///
+/// # Errors
+///
+/// The reader's error (a timeout included), or `InvalidData` for a line
+/// that is not UTF-8.
+pub fn read_request_line<'a>(
+    reader: &mut impl BufRead,
+    line: &'a mut Vec<u8>,
+    limit: usize,
+) -> io::Result<LineRead<'a>> {
+    let room = (limit + 1).saturating_sub(line.len()) as u64;
+    if reader.take(room).read_until(b'\n', line)? == 0 {
+        return Ok(LineRead::Eof);
+    }
+    if line.len() > limit && line.last() != Some(&b'\n') {
+        let message = format!("request line exceeds {limit} bytes");
+        return Ok(LineRead::TooLong(error_response(
+            ErrorCode::BadRequest,
+            &message,
+        )));
+    }
+    std::str::from_utf8(line)
+        .map(LineRead::Line)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// Refuses the `carry` field protocol v3 removed from `eval_batch` and
@@ -626,6 +677,21 @@ pub fn error_response(code: ErrorCode, message: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A line of exactly `limit` bytes (and its `\n`) is read, one byte
+    /// more is refused, and an unterminated last line is still a line.
+    #[test]
+    fn request_lines_are_read_up_to_the_limit() {
+        let read = |input: &[u8]| {
+            let (mut input, mut line) = (input, Vec::new());
+            let first = read_request_line(&mut input, &mut line, 4).unwrap();
+            format!("{first:?}")
+        };
+        assert_eq!(read(b"abcd\nz"), r#"Line("abcd\n")"#);
+        assert_eq!(read(b"abc"), r#"Line("abc")"#);
+        assert_eq!(read(b""), "Eof");
+        assert!(read(b"abcde\n").contains("request line exceeds 4 bytes"));
+    }
 
     #[test]
     fn parses_solve_defaults_and_overrides() {

@@ -12,7 +12,7 @@
 
 use crate::metrics::OpKind;
 use crate::pool::ThreadPool;
-use crate::protocol::{self, ErrorCode, EvalKind, Request, RequestError, SolveTuning};
+use crate::protocol::{self, ErrorCode, EvalKind, LineRead, Request, RequestError, SolveTuning};
 use crate::refresher;
 use crate::ServiceState;
 use imc_core::maxr::{bt, Score};
@@ -414,14 +414,20 @@ fn handle_connection(
     }
 
     let mut reader = BufReader::new(read_half);
-    let mut line = String::new();
+    let mut line = Vec::new();
+    let limit = protocol::max_request_line(state.instance().node_count());
     let mut idle_since = Instant::now();
     let mut sessions = SessionStore::default();
     loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => break, // EOF
-            Ok(_) => {
-                let trimmed = line.trim();
+        match protocol::read_request_line(&mut reader, &mut line, limit) {
+            Ok(LineRead::Eof) => break,
+            Ok(LineRead::TooLong(response)) => {
+                let _ = writeln!(writer, "{response}");
+                let _ = writer.flush();
+                break;
+            }
+            Ok(LineRead::Line(text)) => {
+                let trimmed = text.trim();
                 if !trimmed.is_empty() {
                     // HTTP-ish escape hatch: a scraper pointed at the main
                     // port sends `GET /metrics HTTP/1.x`; answer with one
@@ -484,22 +490,6 @@ fn handle_connection(
 /// absent means one.
 fn resolve_threads(tuning: &SolveTuning, cap: usize) -> usize {
     tuning.threads.unwrap_or(1).clamp(1, cap.max(1))
-}
-
-/// Splices `"trace_id"` into a serialized response object. Every response
-/// carries at least the `ok` field, so inserting before the final `}` is
-/// always valid JSON. The id is plain hex and needs no escaping.
-fn with_trace_id(mut response: String, trace_id: &str) -> String {
-    match response.rfind('}') {
-        Some(pos) => {
-            response.truncate(pos);
-            response.push_str(",\"trace_id\":\"");
-            response.push_str(trace_id);
-            response.push_str("\"}");
-            response
-        }
-        None => response,
-    }
 }
 
 /// The `op` label a parsed request logs under.
@@ -591,7 +581,10 @@ fn dispatch_with(
             log_slow_request(op, &trace_id, total, parse_us, execute_us, threshold);
         }
     }
-    (with_trace_id(response, &trace_id), stop)
+    (
+        protocol::inject_span_context(&response, &trace_id, None),
+        stop,
+    )
 }
 
 /// Emits the structured slow-request record: a `slow_request` trace event

@@ -6,6 +6,8 @@ use imc_core::{snapshot, ImcInstance, MaxrAlgorithm, RicStore, SolveRequest};
 use imc_graph::{GraphBuilder, NodeId};
 use imc_service::client::Client;
 use imc_service::{RefreshConfig, ServeConfig, Server, ServiceState};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -441,6 +443,33 @@ fn oversized_eval_batch_is_refused_and_the_session_survives() {
     let mut client = Client::connect(server.addr(), TIMEOUT).unwrap();
     let resp = client.request(r#"{"op":"health"}"#).unwrap();
     assert_eq!(resp.get("status").unwrap().as_str(), Some("ok"));
+    server.stop_and_join();
+}
+
+/// A client that never sends `\n` cannot grow the daemon's line buffer
+/// without bound: one byte past the cap, in two writes either side of the
+/// daemon's 100 ms read timeout, is refused and the connection closed, and
+/// the lone worker answers the next connection.
+#[test]
+fn a_request_line_past_the_cap_is_refused_and_the_worker_survives() {
+    let server = start(Arc::new(build_state(40)), 1);
+    let limit = imc_service::protocol::max_request_line(40);
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+    let bytes = vec![b'x'; limit + 1];
+    stream.write_all(&bytes[..limit / 2]).unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+    stream.write_all(&bytes[limit / 2..]).unwrap();
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    let resp = imc_service::json::parse(reply.trim()).unwrap();
+    let err = resp.get("error").unwrap();
+    assert_eq!(err.get("code").unwrap().as_str(), Some("bad_request"));
+    let message = format!("request line exceeds {limit} bytes");
+    assert_eq!(err.get("message").unwrap().as_str(), Some(&message[..]));
+    let mut client = Client::connect(server.addr(), TIMEOUT).unwrap();
+    let resp = client.request(r#"{"op":"ping"}"#).unwrap();
+    assert_eq!(resp.get("ok").unwrap().as_bool(), Some(true));
     server.stop_and_join();
 }
 

@@ -112,10 +112,14 @@ fn lt_live_edge_realizations_form_in_forests() {
     let mut ic_saw_pair = false;
     for _ in 0..4_000 {
         let s = lt.sample(&mut rng);
-        let leaves = (0..4).filter(|&l| s.touched_by(NodeId::new(l))).count();
+        let leaves = (0..4)
+            .filter(|&l| s.nodes.binary_search(&NodeId::new(l)).is_ok())
+            .count();
         assert!(leaves <= 1, "LT sample kept {leaves} live in-edges");
         let s = ic.sample(&mut rng);
-        let leaves = (0..4).filter(|&l| s.touched_by(NodeId::new(l))).count();
+        let leaves = (0..4)
+            .filter(|&l| s.nodes.binary_search(&NodeId::new(l)).is_ok())
+            .count();
         if leaves >= 2 {
             ic_saw_pair = true;
         }
