@@ -1,23 +1,32 @@
 //! Criterion bench: MAXR solver cost on a fixed RIC collection —
-//! the microscopic version of the paper's Fig. 7 runtime comparison.
+//! the microscopic version of the paper's Fig. 7 runtime comparison —
+//! over 1-limb covers (`maxr_solvers`, `bt`) and 2-limb ones
+//! (`maxr_solvers_wide`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use imc_community::{CommunitySet, ThresholdPolicy};
 use imc_core::maxr::engine::{greedy_c_with, greedy_nu_with};
-use imc_core::{ImcInstance, MaxrAlgorithm, RicStore, SolveRequest, SolveStrategy};
+use imc_core::{ImcInstance, MaxrAlgorithm, RicStore, SampleBuf, SolveRequest, SolveStrategy};
 use imc_datasets::DatasetId;
 use imc_graph::WeightModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
+/// The narrow fixture: communities split at 8 members with `h = 2`, so
+/// every cover is one limb.
 fn fixture() -> (ImcInstance, RicStore) {
+    fixture_split(8, ThresholdPolicy::Constant(2))
+}
+
+/// 3,000 samples over the Facebook analog split at `cap` members.
+fn fixture_split(cap: usize, threshold: ThresholdPolicy) -> (ImcInstance, RicStore) {
     let graph = imc_datasets::generate(DatasetId::Facebook, 0.5, 1)
         .reweighted(WeightModel::WeightedCascade);
     let communities = CommunitySet::builder(&graph)
         .louvain(7)
-        .split_larger_than(8)
-        .threshold(ThresholdPolicy::Constant(2))
+        .split_larger_than(cap)
+        .threshold(threshold)
         .build()
         .unwrap();
     let instance = ImcInstance::new(graph, communities).unwrap();
@@ -61,5 +70,36 @@ fn bench_solvers(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_solvers);
+/// The wide fixture: communities split at 128 members with
+/// `h = ⌈0.1·|C|⌉`, so most covers are two limbs — the fixed-width
+/// 2-limb arm of the gain-table sweeps and of the sampler's cover
+/// propagation (the narrow group above runs the 1-limb arm).
+fn bench_wide(c: &mut Criterion) {
+    let (instance, col) = fixture_split(128, ThresholdPolicy::Fraction(0.1));
+    let mut group = c.benchmark_group("maxr_solvers_wide");
+    group.sample_size(10);
+    let k = 20;
+    group.bench_function("greedy_c", |b| {
+        b.iter(|| black_box(greedy_c_with(&col, k, SolveStrategy::Lazy)));
+    });
+    group.bench_function("greedy_nu", |b| {
+        b.iter(|| black_box(greedy_nu_with(&col, k, SolveStrategy::Lazy)));
+    });
+    group.bench_function("ubg", |b| {
+        let req = SolveRequest::new(k);
+        b.iter(|| black_box(MaxrAlgorithm::Ubg.solve(&instance, &col, &req).unwrap()));
+    });
+    group.bench_function("draw", |b| {
+        let sampler = instance.sampler();
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut buf = SampleBuf::default();
+        b.iter(|| {
+            sampler.sample_into(&mut rng, &mut buf);
+            black_box(buf.len())
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_solvers, bench_wide);
 criterion_main!(benches);

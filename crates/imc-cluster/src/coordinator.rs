@@ -30,7 +30,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use imc_core::maxr::engine::greedy_over;
-use imc_core::maxr::{Objective, Score, SolveBackend, UnionStats};
+use imc_core::maxr::{EngineTelemetry, Objective, Score, SolveBackend, UnionStats};
 use imc_core::{GreedyRun, ImcError, ImcInstance, MaxrAlgorithm, SolveReport, SolveRequest};
 use imc_graph::NodeId;
 use imc_obs::families;
@@ -223,15 +223,15 @@ struct ClusterBackend<'a> {
 }
 
 impl ClusterBackend<'_> {
-    /// One full engine greedy over a fresh (pivot-reduced) cluster session;
-    /// fails if any shard dropped mid-run (the engine itself has no error
-    /// channel).
+    /// One full engine greedy over a fresh (pivot-reduced) cluster session,
+    /// with its telemetry unpublished; fails if any shard dropped mid-run
+    /// (the engine itself has no error channel).
     fn greedy_session(
         &mut self,
         pivot: Option<NodeId>,
         objective: Objective,
         k: usize,
-    ) -> Result<GreedyRun, CoordError> {
+    ) -> Result<(GreedyRun, EngineTelemetry), CoordError> {
         let mut src = ClusterSource::open(self.peers, pivot.map(NodeId::raw))?;
         let (run, telemetry) = greedy_over(&mut src, objective, k);
         let failure = src.take_error();
@@ -239,8 +239,7 @@ impl ClusterBackend<'_> {
         if let Some(e) = failure {
             return Err(CoordError::Shard(e));
         }
-        telemetry.publish();
-        Ok(run)
+        Ok((run, telemetry))
     }
 }
 
@@ -261,7 +260,9 @@ impl SolveBackend for ClusterBackend<'_> {
     }
 
     fn greedy(&mut self, objective: Objective, k: usize) -> Result<GreedyRun, CoordError> {
-        self.greedy_session(None, objective, k)
+        let (run, telemetry) = self.greedy_session(None, objective, k)?;
+        telemetry.publish();
+        Ok(run)
     }
 
     fn score(&mut self, seeds: &[NodeId]) -> Result<Score, CoordError> {
@@ -272,8 +273,14 @@ impl SolveBackend for ClusterBackend<'_> {
 
     /// Depth is 2 here (see [`cluster_solve`]), so the helpers are always
     /// the greedy over the pivot-reduced session.
-    fn helpers(&mut self, pivot: NodeId, k: usize, _depth: u32) -> Result<GreedyRun, CoordError> {
-        self.greedy_session(Some(pivot), Objective::C, k)
+    fn helpers(
+        &mut self,
+        pivot: NodeId,
+        k: usize,
+        _depth: u32,
+    ) -> Result<(GreedyRun, Vec<EngineTelemetry>), CoordError> {
+        let (run, telemetry) = self.greedy_session(Some(pivot), Objective::C, k)?;
+        Ok((run, vec![telemetry]))
     }
 
     fn pivot_score(&mut self, pivot: NodeId, kset: &[NodeId]) -> Result<usize, CoordError> {

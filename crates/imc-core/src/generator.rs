@@ -1,3 +1,4 @@
+use crate::kernels::{with_row_width, RowWidth};
 use crate::samples::limbs_for_width;
 use crate::{CoverSet, RicSample};
 use imc_community::{CommunityId, CommunitySet};
@@ -47,19 +48,12 @@ fn flip_coins<R: RngCore + ?Sized>(
 }
 
 /// One sweep of `cover[p] |= cover[l]` over the live edges `p → l`
-/// (`sources[e] = p`, `targets[e] = l`), `limbs` words a cover. Returns
-/// the OR of every bit it set, so `0` means every inclusion already held.
-fn sweep_covers(words: &mut [u64], limbs: usize, sources: &[u32], targets: &[u32]) -> u64 {
+/// (`sources[e] = p`, `targets[e] = l`), `w.limbs()` words a cover.
+/// Returns the OR of every bit it set, so `0` means every inclusion
+/// already held.
+fn sweep_covers<W: RowWidth>(w: W, words: &mut [u64], sources: &[u32], targets: &[u32]) -> u64 {
+    let limbs = w.limbs();
     let mut changed = 0u64;
-    if limbs == 1 {
-        for (&p, &l) in sources.iter().zip(targets) {
-            let had = words[p as usize];
-            let merged = had | words[l as usize];
-            words[p as usize] = merged;
-            changed |= merged ^ had;
-        }
-        return changed;
-    }
     for (&p, &l) in sources.iter().zip(targets) {
         let (p, l) = (p as usize * limbs, l as usize * limbs);
         for limb in 0..limbs {
@@ -331,12 +325,13 @@ impl SampleBuf {
         self.work.reserve(n + 1);
         self.queued.clear();
         self.queued.reserve(n);
-        for _ in 0..COVER_SWEEPS {
-            if sweep_covers(words, limbs, &self.live_adj, &self.live_dst) == 0 {
-                return;
-            }
+        let (sources, targets) = (&self.live_adj, &self.live_dst);
+        let settled = with_row_width!(limbs, w => {
+            (0..COVER_SWEEPS).any(|_| sweep_covers(w, words, sources, targets) == 0)
+        });
+        if !settled {
+            self.drain_worklist();
         }
-        self.drain_worklist();
     }
 
     /// Propagates covers to the fixed point with a FIFO worklist seeded
@@ -856,9 +851,12 @@ mod tests {
         for m in 0..buf.width as usize {
             words[m * limbs + m / 64] |= 1u64 << (m % 64);
         }
-        (1..)
-            .find(|_| sweep_covers(&mut words, limbs, &buf.live_adj, &buf.live_dst) == 0)
-            .unwrap()
+        let (sources, targets) = (&buf.live_adj, &buf.live_dst);
+        with_row_width!(limbs, w => {
+            (1..)
+                .find(|_| sweep_covers(w, &mut words, sources, targets) == 0)
+                .unwrap()
+        })
     }
 
     proptest! {
@@ -928,6 +926,37 @@ mod tests {
                     // (LT keeps one in-edge a node: no chain to walk.)
                     if std::ptr::eq(instance, &chained) && model == LiveEdgeModel::IndependentCascade {
                         prop_assert_eq!(sweeps_to_settle(&buf), chain.max(2));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every arm of the cover sweep — `Limbs<1>` at widths 1 and 64,
+    /// `Limbs<2>` at 65 and 128, `AnyLimbs` at 129 — draws what the
+    /// per-member walk draws from the same RNG stream, under both
+    /// live-edge models.
+    #[test]
+    fn every_row_width_arm_equals_the_per_member_walk() {
+        for width in [1usize, 64, 65, 128, 129] {
+            for seed in 0..6u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (graph, communities) = random_instance(width + 40, width, &mut rng);
+                for model in [
+                    LiveEdgeModel::IndependentCascade,
+                    LiveEdgeModel::LinearThreshold,
+                ] {
+                    let sampler = RicSampler::with_model(&graph, &communities, model);
+                    let mut buf = SampleBuf::default();
+                    let mut rng_new = StdRng::seed_from_u64(seed ^ 0x5EED);
+                    let mut rng_old = rng_new.clone();
+                    for _ in 0..4 {
+                        let cid = CommunityId::new(0);
+                        sampler.sample_rooted_into(cid, &mut rng_new, &mut buf);
+                        let (nodes, words) = per_member_walk(&sampler, cid, &mut rng_old);
+                        assert_eq!(buf.nodes(), &nodes[..], "width {width} seed {seed}");
+                        assert_eq!(buf.cover_words(), &words[..], "width {width} seed {seed}");
+                        assert_eq!(rng_new.random::<u64>(), rng_old.random::<u64>());
                     }
                 }
             }

@@ -62,7 +62,7 @@ pub struct ImcafConfig {
     pub max_samples: usize,
     /// Carries the worker-thread count the inner MAXR solves run BT's
     /// pivots on (see [`SolveStrategy`]); every answer is the same for any
-    /// value.
+    /// value. UBG's two greedies run on two threads whatever it carries.
     pub strategy: SolveStrategy,
 }
 

@@ -2,12 +2,17 @@
 //!
 //! Every solver iteration bottoms out in popcounts over packed `u64` cover
 //! bitsets (`ĉ_R`/`ν_R` marginal gains, Alg. 2/5). These kernels are the
-//! single implementation of that counting: fixed 8-limb chunks unrolled via
-//! [`slice::chunks_exact`] so the compiler autovectorizes the
-//! `count_ones` reduction (AVX2 `vpshufb`-popcount or NEON `cnt` on the
-//! respective targets) without any platform intrinsics. The one intrinsic
-//! in this module is [`prefetch_read`], a hint that computes nothing (see
-//! `docs/KERNELS.md`, *Index walks prefetch ahead*).
+//! single implementation of that counting, without platform intrinsics:
+//! fixed 8-limb chunks unrolled via [`slice::chunks_exact`], plus the
+//! `RowWidth` arms that compile a per-row loop for 1- and 2-limb rows.
+//! The shipped x86-64 build targets baseline x86-64 (`fxsr`/`sse`/`sse2`:
+//! no POPCNT, no AVX2), so every `count_ones` is a shift-and-mask
+//! sequence and nothing here is vectorized; on the 1- and 2-limb rows the
+//! benchmark's workloads are made of, a chunked kernel is all set-up and
+//! remainder loop, which is why those rows go through `Limbs`
+//! (`docs/KERNELS.md`, *Why chunks of 8, and fixed-width rows*). The one
+//! intrinsic in this module is [`prefetch_read`], a hint that computes
+//! nothing (see `docs/KERNELS.md`, *Index walks prefetch ahead*).
 //!
 //! Contract (see `docs/KERNELS.md` for the full statement):
 //!
@@ -20,9 +25,8 @@
 //!   make one pass over their operands so a marginal-gain evaluation never
 //!   touches a limb twice.
 //!
-//! Chunk size 8 is deliberate: 8×u64 = 64 bytes = one cache line on
-//! x86-64/aarch64, wide enough to fill a 256-bit vector unit twice per
-//! chunk while keeping the remainder loop at most 7 limbs.
+//! Chunk size 8 is one cache line (8×u64 = 64 bytes on x86-64/aarch64)
+//! and keeps the remainder loop at most 7 limbs.
 
 /// Limbs per unrolled chunk: 64 bytes, one cache line.
 pub const CHUNK: usize = 8;
@@ -105,6 +109,97 @@ pub fn or_assign_count(acc: &mut [u64], src: &[u64]) -> u32 {
     }
     total
 }
+
+/// The limb count of the cover rows a per-row loop walks, as that loop is
+/// compiled for it. [`Limbs<1>`] and [`Limbs<2>`] are widths the compiler
+/// knows, so a row is a few straight-line words with no chunk set-up and
+/// no remainder loop; [`AnyLimbs`] carries any width at run time and
+/// counts through the chunked kernels above. [`with_row_width!`] picks the
+/// one for a sample.
+pub(crate) trait RowWidth: Copy {
+    /// One row as the loop holds it: the words themselves at a fixed
+    /// width (in registers), a slice at a run-time one.
+    type Row<'a>: Copy;
+
+    /// Words per row.
+    fn limbs(self) -> usize;
+
+    /// `words`, which must be one row, as a [`Row`](Self::Row).
+    fn row(self, words: &[u64]) -> Self::Row<'_>;
+
+    /// [`union_count`] of two rows.
+    fn union_count(self, a: Self::Row<'_>, b: Self::Row<'_>) -> u32;
+}
+
+/// A row width fixed at compile time.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Limbs<const N: usize>;
+
+/// A row width read at run time.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AnyLimbs(pub(crate) usize);
+
+impl<const N: usize> RowWidth for Limbs<N> {
+    type Row<'a> = [u64; N];
+
+    #[inline(always)]
+    fn limbs(self) -> usize {
+        N
+    }
+
+    #[inline(always)]
+    fn row(self, words: &[u64]) -> [u64; N] {
+        *<&[u64; N]>::try_from(words).expect("kernel operand length mismatch")
+    }
+
+    #[inline(always)]
+    fn union_count(self, a: [u64; N], b: [u64; N]) -> u32 {
+        (0..N).map(|i| (a[i] | b[i]).count_ones()).sum()
+    }
+}
+
+impl RowWidth for AnyLimbs {
+    type Row<'a> = &'a [u64];
+
+    #[inline(always)]
+    fn limbs(self) -> usize {
+        self.0
+    }
+
+    #[inline(always)]
+    fn row(self, words: &[u64]) -> &[u64] {
+        words
+    }
+
+    #[inline(always)]
+    fn union_count(self, a: &[u64], b: &[u64]) -> u32 {
+        union_count(a, b)
+    }
+}
+
+/// Evaluates `$body` with `$w` bound to the [`RowWidth`] of `$limbs`-limb
+/// rows: [`Limbs<1>`], [`Limbs<2>`], or [`AnyLimbs`] from 3 limbs on. The
+/// body is compiled once per arm, so a row loop written once, generic over
+/// the width, gets a fixed-width copy for the two common widths.
+macro_rules! with_row_width {
+    ($limbs:expr, $w:ident => $body:expr) => {
+        match $limbs {
+            1 => {
+                let $w = $crate::kernels::Limbs::<1>;
+                $body
+            }
+            2 => {
+                let $w = $crate::kernels::Limbs::<2>;
+                $body
+            }
+            limbs => {
+                let $w = $crate::kernels::AnyLimbs(limbs);
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_row_width;
 
 /// Hints the CPU to start loading `slice[index]` into cache; returns at
 /// once, reads nothing and changes no value. An index walk whose every

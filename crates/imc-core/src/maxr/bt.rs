@@ -21,6 +21,7 @@
 
 use crate::maxr::pad_to_k;
 use crate::maxr::solver::{Selection, SolveBackend, SolverExtras};
+use crate::maxr::telemetry::EngineTelemetry;
 use crate::samples::limbs_for_width;
 use crate::{RicSamples, RicStore};
 use imc_graph::NodeId;
@@ -41,6 +42,21 @@ pub(crate) fn bt_over<B: SolveBackend>(
     candidate_limit: Option<usize>,
     threads: usize,
 ) -> Result<Selection, B::Error> {
+    let (selection, helper_runs) = bt_unpublished(backend, k, depth, candidate_limit, threads)?;
+    helper_runs.iter().for_each(EngineTelemetry::publish);
+    Ok(selection)
+}
+
+/// [`bt_over`] without publishing: the telemetry of every helper run
+/// comes back in pivot order, for the thread that holds the request's
+/// trace context (a `BT^(d)` helper search runs on a pivot worker).
+pub(crate) fn bt_unpublished<B: SolveBackend>(
+    backend: &mut B,
+    k: usize,
+    depth: u32,
+    candidate_limit: Option<usize>,
+    threads: usize,
+) -> Result<(Selection, Vec<EngineTelemetry>), B::Error> {
     let appearance = backend.stats()?.appearance;
     let k = k.min(appearance.len()).max(1);
     let candidates = pivot_candidates(&appearance, candidate_limit);
@@ -48,20 +64,22 @@ pub(crate) fn bt_over<B: SolveBackend>(
     let runs = backend.map_pivots(&candidates, threads, |backend, u| {
         // K(u): `{u}` plus `k − 1` helpers chosen on the reduced collection.
         let mut kset = vec![u];
-        let mut inner_evals = 0;
+        let (mut inner_evals, mut telemetry) = (0, Vec::new());
         if k > 1 {
-            let helpers = backend.helpers(u, k - 1, depth)?;
-            inner_evals = helpers.evaluations;
+            let (helpers, runs) = backend.helpers(u, k - 1, depth)?;
+            (inner_evals, telemetry) = (helpers.evaluations, runs);
             kset.extend(helpers.seeds.into_iter().filter(|&h| h != u).take(k - 1));
         }
         let score = backend.pivot_score(u, &kset)?;
-        Ok((score, kset, inner_evals))
+        Ok((score, kset, inner_evals, telemetry))
     })?;
 
     let mut evaluations = candidates.len() as u64;
+    let mut helper_runs = Vec::new();
     let mut best: Option<(usize, NodeId, Vec<NodeId>)> = None;
-    for (&u, (score, kset, inner_evals)) in candidates.iter().zip(runs) {
+    for (&u, (score, kset, inner_evals, telemetry)) in candidates.iter().zip(runs) {
         evaluations += inner_evals;
+        helper_runs.extend(telemetry);
         let better = match &best {
             None => true,
             Some((bs, bu, _)) => score > *bs || (score == *bs && u < *bu),
@@ -76,12 +94,13 @@ pub(crate) fn bt_over<B: SolveBackend>(
         None => (0, None, Vec::new()),
     };
     pad_to_k(&mut seeds, k, appearance.len(), |v| appearance[v as usize]);
-    Ok(Selection {
+    let selection = Selection {
         seeds,
         evaluations,
         score: None,
         extras: SolverExtras::Bt { pivot, pivot_score },
-    })
+    };
+    Ok((selection, helper_runs))
 }
 
 /// Nodes worth trying as pivots, most-appearing first.

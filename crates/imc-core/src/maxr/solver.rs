@@ -17,7 +17,8 @@
 //! The solver structs and `*Outcome` types this replaced were removed in
 //! 0.9.0 (old → new table in `docs/SOLVER_API.md`).
 
-use crate::maxr::engine::{self, shard_map, GreedyRun};
+use crate::maxr::engine::{self, greedy_over, shard_map, GreedyRun, LocalSource};
+use crate::maxr::telemetry::EngineTelemetry;
 use crate::maxr::{bt, maf, mb, ubg, MaxrAlgorithm};
 use crate::{CoverageState, ImcError, ImcInstance, RicSamples};
 use imc_graph::NodeId;
@@ -38,8 +39,11 @@ pub struct SolveRequest {
     /// pivots (paper-faithful behaviour is `None`: all nodes). Other
     /// solvers — including MB's BT half — ignore it.
     pub candidate_limit: Option<usize>,
-    /// Worker threads for BT's pivot loop (`≤ 1`: none). The greedy engine
-    /// is single-threaded and every answer is the same for any count.
+    /// Worker threads for BT's pivot loop (`≤ 1`: none). Each greedy run
+    /// is single-threaded; in-process UBG runs its two at once on two
+    /// threads whatever this says (a cluster coordinator runs them one
+    /// after the other: its client keeps one connection per shard). Every
+    /// answer is the same for any count.
     pub threads: usize,
 }
 
@@ -262,14 +266,33 @@ pub trait SolveBackend {
     /// collection.
     fn greedy(&mut self, objective: Objective, k: usize) -> Result<GreedyRun, Self::Error>;
 
+    /// UBG's two greedy runs (Alg. 2 lines 1–5), `[ν, ĉ]`. The two share
+    /// only the read-only collection, so a backend may run them at once;
+    /// this default runs them one after the other through
+    /// [`greedy`](Self::greedy).
+    fn greedy_pair(&mut self, k: usize) -> Result<[GreedyRun; 2], Self::Error> {
+        Ok([
+            self.greedy(Objective::Nu, k)?,
+            self.greedy(Objective::C, k)?,
+        ])
+    }
+
     /// Scores `seeds` against the whole collection.
     fn score(&mut self, seeds: &[NodeId]) -> Result<Score, Self::Error>;
 
     /// BT's `k` helpers for `pivot`: ĉ-greedy over a gain session on
     /// the pivot-reduced collection (Alg. 4 lines 2–8) or, when
     /// `depth > 2` leaves residual thresholds above 1, `BT^(depth−1)` on
-    /// it.
-    fn helpers(&mut self, pivot: NodeId, k: usize, depth: u32) -> Result<GreedyRun, Self::Error>;
+    /// it. Also returns the telemetry of every engine run that chose
+    /// them, unpublished: [`map_pivots`](Self::map_pivots) may call this
+    /// on a worker thread, where no request's trace context is live, so
+    /// BT publishes it from the calling thread.
+    fn helpers(
+        &mut self,
+        pivot: NodeId,
+        k: usize,
+        depth: u32,
+    ) -> Result<(GreedyRun, Vec<EngineTelemetry>), Self::Error>;
 
     /// `|D_R(K, u)|`: samples `pivot` touches that `kset` influences.
     fn pivot_score(&mut self, pivot: NodeId, kset: &[NodeId]) -> Result<usize, Self::Error>;
@@ -306,20 +329,45 @@ impl<C: RicSamples> SolveBackend for LocalBackend<'_, C> {
         Ok(engine::greedy_published(self.0, objective, k))
     }
 
+    /// The two runs on two scoped threads, each over its own
+    /// [`CoverageState`]. Their telemetry is published here after the
+    /// join, ν first: the request's trace context lives on this thread
+    /// only.
+    fn greedy_pair(&mut self, k: usize) -> crate::Result<[GreedyRun; 2]> {
+        let samples = self.0;
+        let greedy = |objective| greedy_over(&mut LocalSource::new(samples), objective, k);
+        let runs = std::thread::scope(|scope| {
+            let workers = [Objective::Nu, Objective::C].map(|o| scope.spawn(move || greedy(o)));
+            workers.map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+        });
+        Ok(runs.map(|(run, telemetry)| {
+            telemetry.publish();
+            run
+        }))
+    }
+
     fn score(&mut self, seeds: &[NodeId]) -> crate::Result<Score> {
         Ok(Score::of(self.0, seeds))
     }
 
-    fn helpers(&mut self, pivot: NodeId, k: usize, depth: u32) -> crate::Result<GreedyRun> {
+    fn helpers(
+        &mut self,
+        pivot: NodeId,
+        k: usize,
+        depth: u32,
+    ) -> crate::Result<(GreedyRun, Vec<EngineTelemetry>)> {
         let reduced = bt::reduce_for_pivot(self.0, pivot);
         if depth <= 2 || (0..reduced.len()).all(|si| reduced.sample_threshold(si) <= 1) {
-            return Ok(engine::greedy_published(&reduced, Objective::C, k));
+            let (run, telemetry) = greedy_over(&mut LocalSource::new(&reduced), Objective::C, k);
+            return Ok((run, vec![telemetry]));
         }
-        let sub = bt::bt_over(&mut LocalBackend(&reduced), k, depth - 1, None, 1)?;
-        Ok(GreedyRun {
+        let (sub, telemetry) =
+            bt::bt_unpublished(&mut LocalBackend(&reduced), k, depth - 1, None, 1)?;
+        let run = GreedyRun {
             seeds: sub.seeds,
             evaluations: sub.evaluations,
-        })
+        };
+        Ok((run, telemetry))
     }
 
     fn pivot_score(&mut self, pivot: NodeId, kset: &[NodeId]) -> crate::Result<usize> {

@@ -6,19 +6,20 @@
 //! data-dependent guarantee of `(ĉ_R(S_ν)/ν_R(S_ν))·(1 − 1/e)` — the ratio
 //! reported in the paper's Fig. 8.
 
-use crate::maxr::solver::{evaluate, Objective, Selection, SolveBackend, SolverExtras};
+use crate::maxr::solver::{evaluate, Selection, SolveBackend, SolverExtras};
 
 /// UBG (Alg. 2) over any [`SolveBackend`]. Both greedy passes route
 /// through the shared engine so the sandwich bound uses identical pick
-/// logic to every other consumer; the winner's score doubles as the
-/// report's. `total_benefit` scales the two estimators.
+/// logic to every other consumer — the backend's
+/// [`greedy_pair`](SolveBackend::greedy_pair) may run them at once; the
+/// winner's score doubles as the report's. `total_benefit` scales the two
+/// estimators.
 pub(crate) fn ubg_over<B: SolveBackend>(
     backend: &mut B,
     total_benefit: f64,
     k: usize,
 ) -> Result<Selection, B::Error> {
-    let nu_run = backend.greedy(Objective::Nu, k)?;
-    let c_run = backend.greedy(Objective::C, k)?;
+    let [nu_run, c_run] = backend.greedy_pair(k)?;
     let evaluations = nu_run.evaluations + c_run.evaluations;
     let (s_nu, s_c) = (nu_run.seeds, c_run.seeds);
     let score_nu = evaluate(backend, "UBG", &s_nu)?;
@@ -46,11 +47,16 @@ pub(crate) fn ubg_over<B: SolveBackend>(
 
 #[cfg(test)]
 mod tests {
+    use crate::maxr::engine::greedy_over;
     use crate::maxr::testutil::{instance, sample};
+    use crate::maxr::{Objective, Score};
+    use crate::objective::tests::{sample_of_width, NODES};
     use crate::{
-        ImcInstance, MaxrAlgorithm, RicSample, RicStore, SolveReport, SolveRequest, SolverExtras,
+        ImcInstance, LocalSource, MaxrAlgorithm, RicSample, RicStore, SolveReport, SolveRequest,
+        SolverExtras,
     };
     use imc_graph::NodeId;
+    use proptest::prelude::*;
 
     /// The UBG report plus its `(s_nu, s_c, chose_nu, sandwich_ratio)`.
     type Ubg = (SolveReport, Vec<NodeId>, Vec<NodeId>, bool, f64);
@@ -145,6 +151,39 @@ mod tests {
     fn seeds_have_requested_size() {
         let (report, s_nu, s_c, ..) = run(&sandwich_collection(), 3);
         assert_eq!((report.seeds.len(), s_nu.len(), s_c.len()), (3, 3, 3));
+    }
+
+    /// 1–11 samples of `width` members over the shared proptest nodes.
+    fn samples(width: std::ops::RangeInclusive<u32>) -> impl Strategy<Value = Vec<RicSample>> {
+        prop::collection::vec(sample_of_width(width), 1..12)
+    }
+
+    proptest! {
+        /// UBG is two engine greedies and one arbitration, whether or not
+        /// the backend runs the greedies at once: its `s_nu`, `s_c`,
+        /// evaluation count and sandwich ratio are what two direct
+        /// `greedy_over` runs give, on 1-, 2- and 3-limb stores.
+        #[test]
+        fn ubg_equals_two_direct_greedy_runs(
+            stores in (samples(1..=64), samples(65..=128), samples(129..=192)),
+            k in 1usize..6,
+        ) {
+            for samples in [stores.0, stores.1, stores.2] {
+                let store = RicStore::from_samples(NODES as usize, 1, 2.0, &samples).unwrap();
+                let case = (instance(NODES, &[(&[0], 1, 2.0)]), store);
+                let (report, s_nu, s_c, _, ratio) = run(&case, k);
+                let store = &case.1;
+                let (nu, _) = greedy_over(&mut LocalSource::new(store), Objective::Nu, k);
+                let (c, _) = greedy_over(&mut LocalSource::new(store), Objective::C, k);
+                prop_assert_eq!(report.evaluations, nu.evaluations + c.evaluations);
+                let score = Score::of(store, &nu.seeds);
+                let (c_of_nu, nu_of_nu) = (score.estimate(2.0), score.nu_estimate(2.0));
+                let expected = if nu_of_nu > 0.0 { c_of_nu / nu_of_nu } else { 1.0 };
+                prop_assert_eq!(ratio.to_bits(), expected.to_bits());
+                prop_assert_eq!(s_nu, nu.seeds);
+                prop_assert_eq!(s_c, c.seeds);
+            }
+        }
     }
 
     #[test]

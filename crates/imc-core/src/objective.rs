@@ -1,4 +1,4 @@
-use crate::kernels;
+use crate::kernels::{self, with_row_width, RowWidth};
 use crate::samples::{limbs_for_width, RicSamples};
 use crate::RicStore;
 use imc_graph::NodeId;
@@ -140,28 +140,26 @@ struct GainTables {
 
 impl GainTables {
     /// Adds (`open`) or removes the terms of one uninfluenced sample with
-    /// union `union`: one pass over its contiguous node and cover rows.
-    fn sweep(&mut self, nodes: &[NodeId], covers: &[u64], union: &[u64], h: u32, open: bool) {
-        for (&v, cover) in nodes.iter().zip(covers.chunks_exact(union.len())) {
-            let crosses = u32::from(kernels::union_count(union, cover) >= h);
-            let gain = &mut self.gain[v.index()];
+    /// union `union`.
+    fn sweep<W: RowWidth>(&mut self, rows: SampleRows<'_, W>, union: &[u64], open: bool) {
+        rows.for_each([union], |v, [count]| {
+            let crosses = u32::from(count >= rows.h);
+            let gain = &mut self.gain[v];
             *gain = if open {
                 *gain + crosses
             } else {
                 *gain - crosses
             };
-        }
+        });
     }
 
     /// A still-uninfluenced sample's union grew from `old` to `new`: every
     /// node that crosses `h` with the new union but did not with the old
     /// one gains the sample.
-    fn grow(&mut self, nodes: &[NodeId], covers: &[u64], old: &[u64], new: &[u64], h: u32) {
-        for (&v, cover) in nodes.iter().zip(covers.chunks_exact(new.len())) {
-            if kernels::union_count(new, cover) >= h && kernels::union_count(old, cover) < h {
-                self.gain[v.index()] += 1;
-            }
-        }
+    fn grow<W: RowWidth>(&mut self, rows: SampleRows<'_, W>, old: &[u64], new: &[u64]) {
+        rows.for_each([old, new], |v, [before, after]| {
+            self.gain[v] += u32::from((after >= rows.h) & (before < rows.h));
+        });
     }
 }
 
@@ -178,31 +176,59 @@ struct NuTable {
 }
 
 impl NuTable {
-    /// What each node of a sample with union `union` would add to the
-    /// sample's ν term, in node order.
-    fn terms<'a>(covers: &'a [u64], union: &'a [u64], h: u32) -> impl Iterator<Item = u64> + 'a {
-        let unit = NuUnit::of(h);
+    /// Adds (`open`) or removes the terms of one uninfluenced sample:
+    /// what each node would add to the sample's ν term under `union`.
+    fn sweep<W: RowWidth>(&mut self, rows: SampleRows<'_, W>, union: &[u64], open: bool) {
+        let unit = NuUnit::of(rows.h);
         let held = unit.term(kernels::count_ones(union));
-        covers
-            .chunks_exact(union.len())
-            .map(move |cover| unit.term(kernels::union_count(union, cover)) - held)
-    }
-
-    /// Adds (`open`) or removes the terms of one uninfluenced sample.
-    fn sweep(&mut self, nodes: &[NodeId], covers: &[u64], union: &[u64], h: u32, open: bool) {
-        for (&v, term) in nodes.iter().zip(Self::terms(covers, union, h)) {
-            let gain = &mut self.gain[v.index()];
+        rows.for_each([union], |v, [count]| {
+            let term = unit.term(count) - held;
+            let gain = &mut self.gain[v];
             *gain = if open { *gain + term } else { *gain - term };
-        }
+        });
     }
 
     /// A still-uninfluenced sample's union grew from `old` to `new`: every
     /// node trades its term against the old union for the (never larger)
-    /// one against the new.
-    fn grow(&mut self, nodes: &[NodeId], covers: &[u64], old: &[u64], new: &[u64], h: u32) {
-        let terms = Self::terms(covers, old, h).zip(Self::terms(covers, new, h));
-        for (&v, (before, after)) in nodes.iter().zip(terms) {
-            self.gain[v.index()] -= before - after;
+    /// one against the new, both read in one pass over its rows.
+    fn grow<W: RowWidth>(&mut self, rows: SampleRows<'_, W>, old: &[u64], new: &[u64]) {
+        let unit = NuUnit::of(rows.h);
+        let [held_old, held_new] = [old, new].map(|union| unit.term(kernels::count_ones(union)));
+        rows.for_each([old, new], |v, [before, after]| {
+            self.gain[v] -= (unit.term(before) - held_old) - (unit.term(after) - held_new);
+        });
+    }
+}
+
+/// One uninfluenced sample's contiguous node and cover rows and its
+/// threshold, at the row width its passes are compiled for
+/// ([`with_row_width!`] picks it per sample).
+#[derive(Clone, Copy)]
+struct SampleRows<'a, W> {
+    w: W,
+    nodes: &'a [NodeId],
+    covers: &'a [u64],
+    h: u32,
+}
+
+impl<W: RowWidth> SampleRows<'_, W> {
+    /// The one row loop of both gain tables: `visit(v, counts)` for every
+    /// node `v` of the sample, in node order, where `counts[i]` is
+    /// `|unions[i] ∪ cover_v|` — one union to sweep a sample in or out,
+    /// the old and the new one to grow it.
+    #[inline(always)]
+    fn for_each<const U: usize>(self, unions: [&[u64]; U], mut visit: impl FnMut(usize, [u32; U])) {
+        let unions = unions.map(|union| self.w.row(union));
+        for (&v, cover) in self
+            .nodes
+            .iter()
+            .zip(self.covers.chunks_exact(self.w.limbs()))
+        {
+            let cover = self.w.row(cover);
+            visit(
+                v.index(),
+                unions.map(|union| self.w.union_count(union, cover)),
+            );
         }
     }
 }
@@ -360,7 +386,9 @@ impl<C: RicSamples> CoverageState<C> {
             gain: vec![0; self.collection.node_count()],
         };
         self.sweep_open_samples(|nodes, covers, union, h| {
-            tables.sweep(nodes, covers, union, h, true);
+            with_row_width!(union.len(), w => {
+                tables.sweep(SampleRows { w, nodes, covers, h }, union, true);
+            });
         });
         tables
     }
@@ -370,7 +398,9 @@ impl<C: RicSamples> CoverageState<C> {
             gain: vec![0; self.collection.node_count()],
         };
         self.sweep_open_samples(|nodes, covers, union, h| {
-            table.sweep(nodes, covers, union, h, true);
+            with_row_width!(union.len(), w => {
+                table.sweep(SampleRows { w, nodes, covers, h }, union, true);
+            });
         });
         table
     }
@@ -456,22 +486,25 @@ impl<C: RicSamples> CoverageState<C> {
                 continue;
             }
             let (nodes, covers) = (cols.sample_nodes(si), cols.sample_words(si));
-            if let Some(tables) = tables.as_deref_mut() {
-                if closes {
-                    tables.sweep(nodes, covers, &old, h, false);
-                } else {
-                    tables.grow(nodes, covers, &old, union, h);
+            with_row_width!(union.len(), w => {
+                let rows = SampleRows { w, nodes, covers, h };
+                if let Some(tables) = tables.as_deref_mut() {
+                    if closes {
+                        tables.sweep(rows, &old, false);
+                    } else {
+                        tables.grow(rows, &old, union);
+                    }
+                    swept += nodes.len();
                 }
-                swept += nodes.len();
-            }
-            if let Some(table) = nu_table.as_deref_mut() {
-                if closes {
-                    table.sweep(nodes, covers, &old, h, false);
-                } else {
-                    table.grow(nodes, covers, &old, union, h);
+                if let Some(table) = nu_table.as_deref_mut() {
+                    if closes {
+                        table.sweep(rows, &old, false);
+                    } else {
+                        table.grow(rows, &old, union);
+                    }
+                    swept += nodes.len();
                 }
-                swept += nodes.len();
-            }
+            });
         }
         if maintained {
             families::TABLE_ENTRIES_SWEPT.handle().inc_by(swept as u64);
@@ -784,7 +817,9 @@ pub(crate) mod tests {
     }
 
     /// [`sample_strategy`] with the width drawn from `width`.
-    fn sample_of_width(width: impl Strategy<Value = u32>) -> impl Strategy<Value = RicSample> {
+    pub(crate) fn sample_of_width(
+        width: impl Strategy<Value = u32>,
+    ) -> impl Strategy<Value = RicSample> {
         let word = (0u64..=u64::MAX, 0u64..=u64::MAX).prop_map(|(a, b)| a & b);
         let row = (0..TOUCHING, prop::collection::vec(word, 4));
         (width, 0u32..=200, prop::collection::vec(row, 0..7)).prop_map(|(width, t, mut rows)| {
@@ -949,7 +984,54 @@ pub(crate) mod tests {
         })
     }
 
+    /// 1–11 samples, every one `width` members wide.
+    fn samples_of_width(width: u32) -> impl Strategy<Value = Vec<RicSample>> {
+        prop::collection::vec(sample_of_width(Just(width)), 1..12)
+    }
+
+    /// Both tables of one state, built before the first commit and kept
+    /// by every commit of `order`, equal the index walks after each.
+    fn assert_tables_track_every_commit<C: RicSamples>(collection: C, order: &[u32]) {
+        let all: Vec<u32> = (0..NODES).collect();
+        let check = |st: &CoverageState<C>| {
+            assert_tables_equal_walk(st, &all, false);
+            assert_tables_equal_walk(st, &all, true);
+        };
+        let mut st = CoverageState::new(collection);
+        check(&st);
+        for &v in order {
+            st.add_seed(NodeId::new(v));
+            check(&st);
+        }
+    }
+
     proptest! {
+        /// Every row-width arm of the table sweeps — `Limbs<1>` at widths
+        /// 1 and 64, `Limbs<2>` at 65 and 128, `AnyLimbs` at 129 — answers
+        /// what the index walks compute, after every commit, over the
+        /// store and over a view of its snapshot.
+        #[test]
+        fn gain_tables_equal_the_index_walk_at_every_row_width(
+            stores in (
+                samples_of_width(1),
+                samples_of_width(64),
+                samples_of_width(65),
+                samples_of_width(128),
+                samples_of_width(129),
+            ),
+            order in prop::collection::vec(0..NODES, 1..20),
+        ) {
+            let (s1, s64, s65, s128, s129) = stores;
+            for samples in [s1, s64, s65, s128, s129] {
+                let store =
+                    RicStore::from_samples(NODES as usize, 1, samples.len() as f64, &samples)
+                        .unwrap();
+                assert_tables_track_every_commit(&store, &order);
+                let snapshot = snapshot_of(&store);
+                assert_tables_track_every_commit(snapshot.view().unwrap(), &order);
+            }
+        }
+
         /// The prefetching walk changes no value: a whole-set score over
         /// the store and over a view of its snapshot is what the naive
         /// per-sample estimators of `RicSamples` compute, for index lists

@@ -101,7 +101,8 @@ pub struct ServeConfig {
     pub metrics_addr: Option<String>,
     /// Server-side cap on the per-request `threads` tuning knob: a solve
     /// asking for more runs with this many. Keeps one greedy client from
-    /// monopolizing the host under a concurrent worker pool.
+    /// monopolizing the host under a concurrent worker pool. (A UBG solve
+    /// runs its two greedies on two threads whatever the cap.)
     pub max_solve_threads: usize,
     /// Requests slower than this threshold emit one structured
     /// `slow_request` line on stderr (and a matching trace event when a
