@@ -5,9 +5,8 @@
 //! single implementation of that counting, without platform intrinsics:
 //! fixed 8-limb chunks unrolled via [`slice::chunks_exact`], plus the
 //! `RowWidth` arms that compile a per-row loop for 1- and 2-limb rows.
-//! The shipped x86-64 build targets baseline x86-64 (`fxsr`/`sse`/`sse2`:
-//! no POPCNT, no AVX2), so every `count_ones` is a shift-and-mask
-//! sequence and nothing here is vectorized; on the 1- and 2-limb rows the
+//! The repository builds x86-64 code for `x86-64-v2` (`.cargo/config.toml`),
+//! so every `count_ones` is one `popcnt`; on the 1- and 2-limb rows the
 //! benchmark's workloads are made of, a chunked kernel is all set-up and
 //! remainder loop, which is why those rows go through `Limbs`
 //! (`docs/KERNELS.md`, *Why chunks of 8, and fixed-width rows*). The one
@@ -127,8 +126,19 @@ pub(crate) trait RowWidth: Copy {
     /// `words`, which must be one row, as a [`Row`](Self::Row).
     fn row(self, words: &[u64]) -> Self::Row<'_>;
 
+    /// `words`, which must be one row, copied out so the copy outlives a
+    /// later write to them: into the row itself at a fixed width, into
+    /// `scratch` at a run-time one.
+    fn hold<'s>(self, words: &[u64], scratch: &'s mut Vec<u64>) -> Self::Row<'s>;
+
+    /// [`count_ones`] of a row.
+    fn count_ones(self, a: Self::Row<'_>) -> u32;
+
     /// [`union_count`] of two rows.
     fn union_count(self, a: Self::Row<'_>, b: Self::Row<'_>) -> u32;
+
+    /// [`or_assign_count`] of a row into `acc`, which must be one row.
+    fn or_assign_count(self, acc: &mut [u64], src: Self::Row<'_>) -> u32;
 }
 
 /// A row width fixed at compile time.
@@ -153,8 +163,29 @@ impl<const N: usize> RowWidth for Limbs<N> {
     }
 
     #[inline(always)]
+    fn hold(self, words: &[u64], _: &mut Vec<u64>) -> [u64; N] {
+        self.row(words)
+    }
+
+    #[inline(always)]
+    fn count_ones(self, a: [u64; N]) -> u32 {
+        a.iter().map(|w| w.count_ones()).sum()
+    }
+
+    #[inline(always)]
     fn union_count(self, a: [u64; N], b: [u64; N]) -> u32 {
         (0..N).map(|i| (a[i] | b[i]).count_ones()).sum()
+    }
+
+    #[inline(always)]
+    fn or_assign_count(self, acc: &mut [u64], src: [u64; N]) -> u32 {
+        let acc: &mut [u64; N] = acc.try_into().expect("kernel operand length mismatch");
+        (0..N)
+            .map(|i| {
+                acc[i] |= src[i];
+                acc[i].count_ones()
+            })
+            .sum()
     }
 }
 
@@ -172,8 +203,25 @@ impl RowWidth for AnyLimbs {
     }
 
     #[inline(always)]
+    fn hold<'s>(self, words: &[u64], scratch: &'s mut Vec<u64>) -> &'s [u64] {
+        scratch.clear();
+        scratch.extend_from_slice(words);
+        scratch
+    }
+
+    #[inline(always)]
+    fn count_ones(self, a: &[u64]) -> u32 {
+        count_ones(a)
+    }
+
+    #[inline(always)]
     fn union_count(self, a: &[u64], b: &[u64]) -> u32 {
         union_count(a, b)
+    }
+
+    #[inline(always)]
+    fn or_assign_count(self, acc: &mut [u64], src: &[u64]) -> u32 {
+        or_assign_count(acc, src)
     }
 }
 
@@ -288,7 +336,29 @@ mod tests {
         let _ = union_count(&[0], &[0, 0]);
     }
 
+    /// The arm `w` over the first `w.limbs()` words of `a` and `b`
+    /// answers what the scalar loops do, and the row it holds of the
+    /// union before the update is the union before the update.
+    fn row_width_matches_scalar<W: RowWidth>(w: W, a: &[u64], b: &[u64]) {
+        let (a, b) = (&a[..w.limbs()], &b[..w.limbs()]);
+        assert_eq!(w.count_ones(w.row(a)), scalar_count(a));
+        let expected: Vec<u64> = a.iter().zip(b).map(|(x, y)| x | y).collect();
+        assert_eq!(w.union_count(w.row(a), w.row(b)), scalar_count(&expected));
+        let mut acc = a.to_vec();
+        let mut scratch = Vec::new();
+        let held = w.hold(&acc, &mut scratch);
+        let fused = w.or_assign_count(&mut acc, w.row(b));
+        assert_eq!(&acc, &expected);
+        assert_eq!(fused, scalar_count(&expected));
+        let mut copy = vec![0; a.len()];
+        w.or_assign_count(&mut copy, held);
+        assert_eq!(copy, a);
+    }
+
     proptest! {
+        /// The chunked kernels, and the union update of every
+        /// [`RowWidth`] arm (`Limbs<1>`, `Limbs<2>`, `AnyLimbs` at the
+        /// full length), equal the scalar loops.
         #[test]
         fn kernels_match_scalar(
             pairs in proptest::collection::vec((0u64..=u64::MAX, 0u64..=u64::MAX), 0..40)
@@ -305,6 +375,13 @@ mod tests {
             let expected: Vec<u64> = a.iter().zip(&b).map(|(x, y)| x | y).collect();
             prop_assert_eq!(&acc, &expected);
             prop_assert_eq!(fused, scalar_count(&expected));
+            if !a.is_empty() {
+                row_width_matches_scalar(Limbs::<1>, &a, &b);
+            }
+            if a.len() >= 2 {
+                row_width_matches_scalar(Limbs::<2>, &a, &b);
+            }
+            row_width_matches_scalar(AnyLimbs(a.len()), &a, &b);
         }
     }
 }

@@ -54,9 +54,17 @@ impl NuUnit {
         NuUnit(u64::from(u32::MAX / h) + 1)
     }
 
+    /// `min(count · unit, 2³²)`, in arithmetic: written as a `min`, the
+    /// cap compiles to a branch inside the gain tables' row loops at
+    /// `x86-64-v2`, which no predictor gets right, and the ν table sweep
+    /// ran slower than in the baseline x86-64 build (docs/KERNELS.md,
+    /// *The x86-64-v2 baseline*).
     #[inline]
     fn term(self, count: u32) -> u64 {
-        (u64::from(count) * self.0).min(NU_ONE)
+        let product = u64::from(count) * self.0;
+        // 1 iff `product ≥ 2³²`: `product >> 32` is below 2³².
+        let over = ((product >> 32) + u64::from(u32::MAX)) >> 32;
+        product - product.wrapping_sub(NU_ONE) * over
     }
 }
 
@@ -141,7 +149,7 @@ struct GainTables {
 impl GainTables {
     /// Adds (`open`) or removes the terms of one uninfluenced sample with
     /// union `union`.
-    fn sweep<W: RowWidth>(&mut self, rows: SampleRows<'_, W>, union: &[u64], open: bool) {
+    fn sweep<W: RowWidth>(&mut self, rows: SampleRows<'_, W>, union: W::Row<'_>, open: bool) {
         rows.for_each([union], |v, [count]| {
             let crosses = u32::from(count >= rows.h);
             let gain = &mut self.gain[v];
@@ -156,7 +164,7 @@ impl GainTables {
     /// A still-uninfluenced sample's union grew from `old` to `new`: every
     /// node that crosses `h` with the new union but did not with the old
     /// one gains the sample.
-    fn grow<W: RowWidth>(&mut self, rows: SampleRows<'_, W>, old: &[u64], new: &[u64]) {
+    fn grow<'u, W: RowWidth>(&mut self, rows: SampleRows<'_, W>, old: W::Row<'u>, new: W::Row<'u>) {
         rows.for_each([old, new], |v, [before, after]| {
             self.gain[v] += u32::from((after >= rows.h) & (before < rows.h));
         });
@@ -178,9 +186,9 @@ struct NuTable {
 impl NuTable {
     /// Adds (`open`) or removes the terms of one uninfluenced sample:
     /// what each node would add to the sample's ν term under `union`.
-    fn sweep<W: RowWidth>(&mut self, rows: SampleRows<'_, W>, union: &[u64], open: bool) {
+    fn sweep<W: RowWidth>(&mut self, rows: SampleRows<'_, W>, union: W::Row<'_>, open: bool) {
         let unit = NuUnit::of(rows.h);
-        let held = unit.term(kernels::count_ones(union));
+        let held = unit.term(rows.w.count_ones(union));
         rows.for_each([union], |v, [count]| {
             let term = unit.term(count) - held;
             let gain = &mut self.gain[v];
@@ -191,9 +199,9 @@ impl NuTable {
     /// A still-uninfluenced sample's union grew from `old` to `new`: every
     /// node trades its term against the old union for the (never larger)
     /// one against the new, both read in one pass over its rows.
-    fn grow<W: RowWidth>(&mut self, rows: SampleRows<'_, W>, old: &[u64], new: &[u64]) {
+    fn grow<'u, W: RowWidth>(&mut self, rows: SampleRows<'_, W>, old: W::Row<'u>, new: W::Row<'u>) {
         let unit = NuUnit::of(rows.h);
-        let [held_old, held_new] = [old, new].map(|union| unit.term(kernels::count_ones(union)));
+        let [held_old, held_new] = [old, new].map(|union| unit.term(rows.w.count_ones(union)));
         rows.for_each([old, new], |v, [before, after]| {
             self.gain[v] -= (unit.term(before) - held_old) - (unit.term(after) - held_new);
         });
@@ -217,8 +225,11 @@ impl<W: RowWidth> SampleRows<'_, W> {
     /// `|unions[i] ∪ cover_v|` — one union to sweep a sample in or out,
     /// the old and the new one to grow it.
     #[inline(always)]
-    fn for_each<const U: usize>(self, unions: [&[u64]; U], mut visit: impl FnMut(usize, [u32; U])) {
-        let unions = unions.map(|union| self.w.row(union));
+    fn for_each<const U: usize>(
+        self,
+        unions: [W::Row<'_>; U],
+        mut visit: impl FnMut(usize, [u32; U]),
+    ) {
         for (&v, cover) in self
             .nodes
             .iter()
@@ -243,11 +254,14 @@ const PREFETCH_AHEAD: usize = 16;
 impl<C: RicSamples> CoverageState<C> {
     /// Fresh state with no seeds.
     pub fn new(collection: C) -> Self {
-        let mut union_offsets = Vec::with_capacity(collection.len() + 1);
+        let widths = collection.columns().widths;
+        let mut union_offsets = Vec::with_capacity(widths.len() + 1);
         union_offsets.push(0usize);
-        for si in 0..collection.len() {
-            union_offsets.push(union_offsets[si] + limbs_for_width(collection.sample_width(si)));
-        }
+        let mut end = 0;
+        union_offsets.extend(widths.iter().map(|&width| {
+            end += limbs_for_width(width);
+            end
+        }));
         let total_limbs = *union_offsets.last().unwrap_or(&0);
         let len = collection.len();
         assert!(
@@ -387,7 +401,7 @@ impl<C: RicSamples> CoverageState<C> {
         };
         self.sweep_open_samples(|nodes, covers, union, h| {
             with_row_width!(union.len(), w => {
-                tables.sweep(SampleRows { w, nodes, covers, h }, union, true);
+                tables.sweep(SampleRows { w, nodes, covers, h }, w.row(union), true);
             });
         });
         tables
@@ -399,7 +413,7 @@ impl<C: RicSamples> CoverageState<C> {
         };
         self.sweep_open_samples(|nodes, covers, union, h| {
             with_row_width!(union.len(), w => {
-                table.sweep(SampleRows { w, nodes, covers, h }, union, true);
+                table.sweep(SampleRows { w, nodes, covers, h }, w.row(union), true);
             });
         });
         table
@@ -449,7 +463,9 @@ impl<C: RicSamples> CoverageState<C> {
         let mut tables = self.tables.get_mut();
         let mut nu_table = self.nu_table.get_mut();
         let maintained = tables.is_some() || nu_table.is_some();
-        let mut old = Vec::new();
+        // Where the `AnyLimbs` arm holds a sample's old union; the fixed
+        // widths hold it in registers.
+        let mut scratch = Vec::new();
         let mut swept = 0;
         let entries = cols.touched_by(v);
         for (i, r) in entries.iter().enumerate() {
@@ -467,42 +483,44 @@ impl<C: RicSamples> CoverageState<C> {
             let cover = cols.cover_words(si, r.pos as usize);
             let h = cols.thresholds[si];
             let lo = self.union_offsets[si];
-            let union = &mut self.union_words[lo..lo + cover.len()];
             let was_open = !self.influenced[si];
-            if was_open && maintained {
-                old.clear();
-                old.extend_from_slice(union);
-            }
-            let count = kernels::or_assign_count(union, cover);
-            // A union only gains bits, so it changed iff its popcount rose.
-            let grew = count != self.counts[si];
-            self.counts[si] = count;
-            let closes = was_open && count >= h;
-            if closes {
-                self.influenced[si] = true;
-                self.influenced_count += 1;
-            }
-            if !(was_open && grew && maintained) {
-                continue;
-            }
-            let (nodes, covers) = (cols.sample_nodes(si), cols.sample_words(si));
-            with_row_width!(union.len(), w => {
-                let rows = SampleRows { w, nodes, covers, h };
+            with_row_width!(cover.len(), w => {
+                let union = &mut self.union_words[lo..lo + w.limbs()];
+                let old = (was_open && maintained).then(|| w.hold(union, &mut scratch));
+                let count = w.or_assign_count(union, w.row(cover));
+                // A union only gains bits, so it changed iff its popcount rose.
+                let grew = count != self.counts[si];
+                self.counts[si] = count;
+                let closes = was_open && count >= h;
+                if closes {
+                    self.influenced[si] = true;
+                    self.influenced_count += 1;
+                }
+                let Some(old) = old.filter(|_| grew) else {
+                    continue;
+                };
+                let rows = SampleRows {
+                    w,
+                    nodes: cols.sample_nodes(si),
+                    covers: cols.sample_words(si),
+                    h,
+                };
+                let new = w.row(union);
                 if let Some(tables) = tables.as_deref_mut() {
                     if closes {
-                        tables.sweep(rows, &old, false);
+                        tables.sweep(rows, old, false);
                     } else {
-                        tables.grow(rows, &old, union);
+                        tables.grow(rows, old, new);
                     }
-                    swept += nodes.len();
+                    swept += rows.nodes.len();
                 }
                 if let Some(table) = nu_table.as_deref_mut() {
                     if closes {
-                        table.sweep(rows, &old, false);
+                        table.sweep(rows, old, false);
                     } else {
-                        table.grow(rows, &old, union);
+                        table.grow(rows, old, new);
                     }
-                    swept += nodes.len();
+                    swept += rows.nodes.len();
                 }
             });
         }
@@ -606,6 +624,38 @@ pub(crate) mod tests {
                 let next = nu_term(c + 1, h) - q;
                 assert!(next <= step, "not concave at c={c} h={h}");
                 step = next;
+            }
+        }
+        // The arithmetic cap is `min` wherever the product can fall,
+        // `2⁶⁴ − 2³²` included.
+        for h in [
+            1,
+            2,
+            3,
+            7,
+            128,
+            65_535,
+            65_536,
+            65_537,
+            u32::MAX - 1,
+            u32::MAX,
+        ] {
+            let unit = NuUnit::of(h).0;
+            for c in [
+                0,
+                1,
+                h / 2,
+                h - 1,
+                h,
+                h.saturating_add(1),
+                u32::MAX - 1,
+                u32::MAX,
+            ] {
+                assert_eq!(
+                    nu_term(c, h),
+                    (u64::from(c) * unit).min(NU_ONE),
+                    "c={c} h={h}"
+                );
             }
         }
     }
@@ -1005,6 +1055,37 @@ pub(crate) mod tests {
         }
     }
 
+    /// [`a_score_equals_the_naive_estimators`] for one collection.
+    fn assert_score_equals_the_naive_estimators(samples: &[RicSample], seeds: &[NodeId]) {
+        use crate::maxr::Score;
+        let store =
+            RicStore::from_samples(NODES as usize, 1, samples.len() as f64, samples).unwrap();
+        let snapshot = snapshot_of(&store);
+        let view = snapshot.view().unwrap();
+        let score = Score::of(&store, seeds);
+        assert_eq!(score, Score::of(&view, seeds));
+        let b = store.total_benefit();
+        assert_eq!(score.samples, samples.len());
+        assert_eq!(score.influenced, RicSamples::influenced_count(&view, seeds));
+        let sets = [seeds];
+        assert_eq!(
+            CoverageEvaluator::new(&store).influenced_counts(&sets),
+            [score.influenced]
+        );
+        assert_eq!(
+            CoverageEvaluator::new(&view).influenced_counts(&sets),
+            [score.influenced]
+        );
+        assert_eq!(
+            score.estimate(b).to_bits(),
+            RicSamples::estimate(&view, seeds).to_bits()
+        );
+        assert_eq!(
+            score.nu_estimate(b).to_bits(),
+            RicSamples::nu_estimate(&view, seeds).to_bits()
+        );
+    }
+
     proptest! {
         /// Every row-width arm of the table sweeps — `Limbs<1>` at widths
         /// 1 and 64, `Limbs<2>` at 65 and 128, `AnyLimbs` at 129 — answers
@@ -1036,35 +1117,30 @@ pub(crate) mod tests {
         /// the store and over a view of its snapshot is what the naive
         /// per-sample estimators of `RicSamples` compute, for index lists
         /// shorter than, as long as and longer than the prefetch distance,
-        /// on 1-, 2- and 3-limb covers, with duplicate and out-of-range
-        /// seeds; so is what [`CoverageEvaluator`] counts over either.
+        /// on 1-, 2- and 3-limb covers, and at every row-width arm of the
+        /// walk's union update (`Limbs<1>` at widths 1 and 64, `Limbs<2>`
+        /// at 65 and 128, `AnyLimbs` at 129), with duplicate and
+        /// out-of-range seeds; so is what [`CoverageEvaluator`] counts
+        /// over either.
         #[test]
         fn a_score_equals_the_naive_estimators(
             samples in walk_collection(),
+            stores in (
+                samples_of_width(1),
+                samples_of_width(64),
+                samples_of_width(65),
+                samples_of_width(128),
+                samples_of_width(129),
+            ),
             seeds in prop::collection::vec((0..NODES + 3).prop_map(NodeId::new), 0..10),
         ) {
-            use crate::maxr::Score;
             let store =
                 RicStore::from_samples(NODES as usize, 1, samples.len() as f64, &samples).unwrap();
             prop_assert_eq!(store.touched_by(NodeId::new(0)).len(), samples.len());
-            let snapshot = snapshot_of(&store);
-            let view = snapshot.view().unwrap();
-            let score = Score::of(&store, &seeds);
-            prop_assert_eq!(score, Score::of(&view, &seeds));
-            let b = store.total_benefit();
-            prop_assert_eq!(score.samples, samples.len());
-            prop_assert_eq!(score.influenced, RicSamples::influenced_count(&view, &seeds));
-            let sets = [&seeds[..]];
-            prop_assert_eq!(CoverageEvaluator::new(&store).influenced_counts(&sets), [score.influenced]);
-            prop_assert_eq!(CoverageEvaluator::new(&view).influenced_counts(&sets), [score.influenced]);
-            prop_assert_eq!(
-                score.estimate(b).to_bits(),
-                RicSamples::estimate(&view, &seeds).to_bits()
-            );
-            prop_assert_eq!(
-                score.nu_estimate(b).to_bits(),
-                RicSamples::nu_estimate(&view, &seeds).to_bits()
-            );
+            let (s1, s64, s65, s128, s129) = stores;
+            for samples in [samples, s1, s64, s65, s128, s129] {
+                assert_score_equals_the_naive_estimators(&samples, &seeds);
+            }
         }
 
         /// The tentpole contract: whatever interleaving of seed commits
