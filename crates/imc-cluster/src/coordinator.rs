@@ -39,7 +39,7 @@ use imc_service::client::{ClientConfig, ClusterError, PeerClient, RetryPolicy};
 use imc_service::protocol::{self, ErrorCode, LineRead, Request, RequestError};
 use imc_service::server::Shutdown;
 
-use crate::health::{self, HealthBoard, HealthMonitor, ShardState};
+use crate::health::{self, HealthBoard, ShardState};
 use crate::source::{field_u64, ClusterSource};
 
 /// A failure of a cluster solve.
@@ -357,9 +357,6 @@ pub struct CoordinatorConfig {
     pub retry: RetryPolicy,
     /// Cap on one health-probe (`ping`) round-trip.
     pub probe_timeout: Duration,
-    /// Period of the background health prober; `None` disables it
-    /// (shards are still probed on demand when requests fail).
-    pub probe_interval: Option<Duration>,
     /// When `true` (the default), a solve survives a dead shard by
     /// rerunning over the survivors and flagging the answer
     /// `approximate`. When `false`, a dead shard fails the request with
@@ -375,16 +372,15 @@ impl Default for CoordinatorConfig {
             client: ClientConfig::default(),
             retry: RetryPolicy::default(),
             probe_timeout: Duration::from_millis(500),
-            probe_interval: None,
             degrade: true,
         }
     }
 }
 
-/// Consecutive probe/RPC failures that move a shard Suspect → Dead on
-/// the background prober's account. On-demand (mid-solve) declarations
-/// go through [`HealthBoard::mark_dead`] directly once the retry budget
-/// and a confirmation probe are both exhausted.
+/// Consecutive failed RPCs (requests and `health` fan-outs) that move a
+/// shard Suspect → Dead. Mid-solve declarations go through
+/// [`HealthBoard::mark_dead`] directly once the retry budget and a
+/// confirmation probe are both exhausted.
 const DEAD_THRESHOLD: u32 = 2;
 
 /// A successful request outcome plus its degradation coordinates.
@@ -574,7 +570,6 @@ pub struct CoordinatorHandle {
     addr: SocketAddr,
     shutdown: Arc<Shutdown>,
     acceptor: Option<JoinHandle<()>>,
-    monitor: Option<HealthMonitor>,
     board: Arc<HealthBoard>,
 }
 
@@ -595,13 +590,9 @@ impl CoordinatorHandle {
         let _ = TcpStream::connect(self.addr);
     }
 
-    /// Stops the coordinator and joins the acceptor and health-probe
-    /// threads.
+    /// Stops the coordinator and joins the acceptor thread.
     pub fn stop_and_join(mut self) {
         self.stop();
-        if let Some(monitor) = self.monitor.take() {
-            monitor.stop_and_join();
-        }
         if let Some(handle) = self.acceptor.take() {
             let _ = handle.join();
         }
@@ -611,8 +602,7 @@ impl CoordinatorHandle {
 impl Coordinator {
     /// Binds the listener and spawns the accept loop. Each connection is
     /// served by its own thread; all connections share one
-    /// [`HealthBoard`], fed by request outcomes and (when
-    /// `probe_interval` is set) a background [`HealthMonitor`].
+    /// [`HealthBoard`], fed by request outcomes and on-demand probes.
     ///
     /// # Errors
     ///
@@ -634,9 +624,6 @@ impl Coordinator {
             .handle()
             .set(config.shards.len() as f64);
         let board = Arc::new(HealthBoard::new(&config.shards, DEAD_THRESHOLD));
-        let monitor = config.probe_interval.map(|interval| {
-            HealthMonitor::start(Arc::clone(&board), interval, config.probe_timeout)
-        });
         let shutdown = Arc::new(Shutdown::new());
         let acceptor_shutdown = Arc::clone(&shutdown);
         let acceptor_board = Arc::clone(&board);
@@ -656,7 +643,6 @@ impl Coordinator {
             addr,
             shutdown,
             acceptor: Some(acceptor),
-            monitor,
             board,
         })
     }

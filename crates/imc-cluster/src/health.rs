@@ -26,14 +26,12 @@
 //!
 //! The probe itself is the `{"op":"ping"}` fast path added to
 //! imc-service: no collection pin, no session state, just proof the
-//! worker loop answers. [`HealthMonitor`] runs probes periodically in a
-//! background thread; the coordinator also probes on demand before
-//! declaring a shard dead mid-solve.
+//! worker loop answers. The coordinator probes on demand: before
+//! declaring a shard dead mid-solve, and each dead shard once before
+//! every request.
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use imc_service::client::Client;
@@ -92,10 +90,9 @@ struct ShardHealth {
 
 /// Shared scoreboard of per-shard health, keyed by shard address.
 ///
-/// One board is shared by every coordinator connection and the
-/// background [`HealthMonitor`]; all methods take `&self` and lock a
-/// single mutex, so updates from a probe thread and a solve thread
-/// never race.
+/// One board is shared by every coordinator connection; all methods
+/// take `&self` and lock a single mutex, so updates from two
+/// connections' threads never race.
 #[derive(Debug)]
 pub struct HealthBoard {
     shards: Vec<SocketAddr>,
@@ -239,69 +236,6 @@ pub fn probe(addr: SocketAddr, timeout: Duration) -> bool {
         families::CLUSTER_PROBE_FAILURES.handle().inc();
     }
     ok
-}
-
-/// A background thread probing every tracked shard on a fixed period,
-/// feeding results into the shared [`HealthBoard`].
-#[derive(Debug)]
-pub struct HealthMonitor {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl HealthMonitor {
-    /// Starts probing each shard on `board` every `interval`, with each
-    /// probe capped at `timeout`.
-    pub fn start(board: Arc<HealthBoard>, interval: Duration, timeout: Duration) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("imc-health-probe".to_string())
-            .spawn(move || {
-                while !stop_flag.load(Ordering::SeqCst) {
-                    for &addr in board.shards() {
-                        if stop_flag.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        if probe(addr, timeout) {
-                            board.record_ok(addr);
-                        } else {
-                            board.record_failure(addr);
-                        }
-                    }
-                    // Sleep in small slices so stop() returns promptly.
-                    let mut remaining = interval;
-                    let slice = Duration::from_millis(25);
-                    while remaining > Duration::ZERO && !stop_flag.load(Ordering::SeqCst) {
-                        let step = remaining.min(slice);
-                        std::thread::sleep(step);
-                        remaining = remaining.saturating_sub(step);
-                    }
-                }
-            })
-            .expect("spawn health monitor");
-        HealthMonitor {
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    /// Signals the probe loop to stop and joins the thread.
-    pub fn stop_and_join(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for HealthMonitor {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
 }
 
 #[cfg(test)]

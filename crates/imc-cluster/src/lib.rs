@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
-pub mod clock;
 pub mod coordinator;
 pub mod health;
 pub mod runner;
@@ -40,11 +39,10 @@ pub mod source;
 pub mod topology;
 
 pub use chaos::{ChaosFault, ChaosProxy, ChaosSpec};
-pub use clock::ClockOffset;
 pub use coordinator::{
     cluster_solve, ClusterReport, CoordError, Coordinator, CoordinatorConfig, CoordinatorHandle,
 };
-pub use health::{HealthBoard, HealthMonitor, ShardState};
+pub use health::{HealthBoard, ShardState};
 pub use runner::{run, RunnerOptions, RunnerReport, SMOKE_SCHEMA};
 pub use source::ClusterSource;
 pub use topology::Topology;

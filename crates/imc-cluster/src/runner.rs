@@ -325,8 +325,6 @@ fn coordinator_config(topo: &Topology, shards: Vec<SocketAddr>) -> CoordinatorCo
             jitter: topo.retry_jitter,
         },
         probe_timeout: Duration::from_millis(topo.probe_timeout_ms),
-        probe_interval: (topo.probe_interval_ms > 0)
-            .then(|| Duration::from_millis(topo.probe_interval_ms)),
         degrade: topo.degrade,
         ..CoordinatorConfig::default()
     }
@@ -533,19 +531,6 @@ pub fn run(options: &RunnerOptions) -> Result<RunnerReport, RunnerError> {
         options.chaos.as_ref(),
         &log,
     )?;
-    if options.trace.is_some() {
-        // Per-shard clock offsets, emitted as `clock_offset` trace
-        // events so the stitcher can translate shard timestamps onto
-        // this process's clock. Probes go to the daemons directly
-        // (never through a chaos proxy, whose trigger they would
-        // consume).
-        for est in crate::clock::align(&cluster.daemon_addrs, 4, Duration::from_secs(2)) {
-            log(&format!(
-                "clock: shard {} offset {}us (min rtt {}us over {} probes)",
-                est.addr, est.offset_us, est.rtt_us, est.probes
-            ));
-        }
-    }
     let result = run_against(&cluster, &instance, topo, options.chaos.as_ref(), &log);
     cluster.stop();
     let (mut report, cluster_seeds) = result?;

@@ -6,8 +6,9 @@
 //! cluster runner needs, and it keeps the crate std-only (the container
 //! image has no TOML crate and the repo policy forbids adding one).
 //! Validation is strict: a key no field consumes (a typo, a mistyped
-//! section, a section this version no longer has) is an error naming
-//! it, never a silent default.
+//! section, a key or section this version no longer has) is an error
+//! naming it, never a silent default; so is an integer too large for
+//! its field.
 //!
 //! ```toml
 //! [cluster]
@@ -160,6 +161,13 @@ impl Table {
         }
     }
 
+    fn u32(&mut self, key: &str, default: u32) -> Result<u32, TopologyError> {
+        let value = self.u64(key, u64::from(default))?;
+        u32::try_from(value).map_err(|_| {
+            TopologyError::new(format!("{key} must be at most {}, got {value}", u32::MAX))
+        })
+    }
+
     fn f64(&mut self, key: &str, default: f64) -> Result<f64, TopologyError> {
         match self.entries.remove(key) {
             None => Ok(default),
@@ -230,9 +238,6 @@ pub struct Topology {
     pub retry_jitter: f64,
     /// Cap on one health-probe (`ping`) round-trip, in milliseconds.
     pub probe_timeout_ms: u64,
-    /// Background health-probe period in milliseconds; 0 disables the
-    /// periodic prober (shards are still probed on demand).
-    pub probe_interval_ms: u64,
     /// Whether the coordinator degrades (answers `approximate` over the
     /// surviving shards) instead of failing when a shard dies.
     pub degrade: bool,
@@ -247,19 +252,18 @@ impl Topology {
             workers: table.u64("cluster.workers", 2)? as usize,
             base_seed: table.u64("cluster.base_seed", 1234)?,
             samples: table.u64("cluster.samples", 40_000)? as usize,
-            k: table.u64("cluster.k", 25)? as u32,
+            k: table.u32("cluster.k", 25)?,
             dataset: table.string("instance.dataset", "wiki-vote")?,
             scale: table.f64("instance.scale", 0.3)?,
             size_cap: table.u64("instance.size_cap", 8)? as usize,
-            threshold: table.u64("instance.threshold", 2)? as u32,
+            threshold: table.u32("instance.threshold", 2)?,
             instance_seed: table.u64("instance.seed", 1)?,
             snapshot_dir: table.string("cluster.snapshot_dir", "")?,
-            retry_attempts: table.u64("fault.retry_attempts", 3)? as u32,
+            retry_attempts: table.u32("fault.retry_attempts", 3)?,
             retry_base_ms: table.u64("fault.retry_base_ms", 50)?,
             retry_cap_ms: table.u64("fault.retry_cap_ms", 2_000)?,
             retry_jitter: table.f64("fault.retry_jitter", 0.2)?,
             probe_timeout_ms: table.u64("fault.probe_timeout_ms", 500)?,
-            probe_interval_ms: table.u64("fault.probe_interval_ms", 0)?,
             degrade: table.bool("fault.degrade", true)?,
         };
         if let Some(key) = table.entries.keys().next() {
@@ -365,7 +369,6 @@ mod tests {
             retry_cap_ms = 100
             retry_jitter = 0.1
             probe_timeout_ms = 250
-            probe_interval_ms = 1000
             degrade = false
         "#;
         let topo = Topology::parse(text).unwrap();
@@ -385,7 +388,6 @@ mod tests {
         assert_eq!(topo.retry_cap_ms, 100);
         assert!((topo.retry_jitter - 0.1).abs() < 1e-12);
         assert_eq!(topo.probe_timeout_ms, 250);
-        assert_eq!(topo.probe_interval_ms, 1000);
         assert!(!topo.degrade);
     }
 
@@ -400,7 +402,6 @@ mod tests {
         assert_eq!(topo.retry_base_ms, 50);
         assert_eq!(topo.retry_cap_ms, 2_000);
         assert_eq!(topo.probe_timeout_ms, 500);
-        assert_eq!(topo.probe_interval_ms, 0, "periodic prober off by default");
         assert!(topo.degrade, "degraded answers on by default");
     }
 
@@ -454,6 +455,38 @@ mod tests {
         assert!(bare.contains(r#"unknown key "shards""#), "{bare}");
         let load = error("[cluster]\nshards = 2\n[load]\nrequests = 10\nconnections = 4\n");
         assert!(load.contains(r#"unknown key "load.connections""#), "{load}");
+        // And a key removed in 0.24.0 with the background prober.
+        let prober = error("[fault]\nprobe_interval_ms = 1000\n");
+        assert!(
+            prober.contains(r#"unknown key "fault.probe_interval_ms""#),
+            "{prober}"
+        );
+    }
+
+    #[test]
+    fn integers_too_large_for_their_field_are_errors_naming_them() {
+        let error = |text: &str| Topology::parse(text).unwrap_err().to_string();
+        // A `u32` field past `u32::MAX` must not keep its low 32 bits.
+        for (text, key) in [
+            ("[cluster]\nk = 4294967297\n", "cluster.k"),
+            ("[instance]\nthreshold = 4294967298\n", "instance.threshold"),
+            (
+                "[fault]\nretry_attempts = 4294967296\n",
+                "fault.retry_attempts",
+            ),
+        ] {
+            let message = error(text);
+            assert!(
+                message.contains(&format!("{key} must be at most 4294967295")),
+                "{message}"
+            );
+        }
+        let topo = Topology::parse("[cluster]\nk = 4294967295\n").unwrap();
+        assert_eq!(topo.k, u32::MAX);
+        // `workers` is a `usize` and keeps every bit (parse level only:
+        // a runner would start that many threads).
+        let topo = Topology::parse("[cluster]\nworkers = 4294967297\n").unwrap();
+        assert_eq!(topo.workers as u64, 4_294_967_297);
     }
 
     #[test]

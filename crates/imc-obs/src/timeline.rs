@@ -2,30 +2,29 @@
 //!
 //! The trace sink ([`crate::trace`]) writes flat JSON objects — span
 //! events (`kind":"span"`, emitted when a [`crate::Span`] closes) and
-//! free-form events (`round_attribution`, `retry_probe`,
-//! `clock_offset`, …). This module stitches one or more such files —
-//! typically the coordinator's plus one per shard daemon — back into a
-//! per-solve span tree and answers the operator's questions: where did
-//! the wall time go, which shard was the straggler each round, and what
-//! did the fault-recovery machinery do.
+//! free-form events (`round_attribution`, `retry_probe`, …). This
+//! module stitches one or more such files — typically the coordinator's
+//! plus one per shard daemon — back into a per-solve span tree and
+//! answers the operator's questions: where did the wall time go, which
+//! shard was the straggler each round, and what did the fault-recovery
+//! machinery do.
 //!
-//! Three steps:
+//! Two steps:
 //!
 //! 1. **Parse** — each line goes through the workspace's JSON codec
 //!    ([`crate::json`]); lines that are truncated (a process died
 //!    mid-write), not JSON, or not an object of scalar values are counted
 //!    and skipped, never fatal.
-//! 2. **Align** — `clock_offset` events (emitted by the coordinator's
-//!    NTP-style ping probes) map a shard address to its clock offset;
-//!    each shard file is mapped to its address through the
-//!    `rpc_server` → `rpc_client` parent link (the client span's
-//!    `detail` carries `"<op> <addr>"`) and all its timestamps are
-//!    translated onto the coordinator's clock.
-//! 3. **Analyze** — build the span tree per `trace_id`, compute the
-//!    critical path (at every level, the child that finishes last),
-//!    fold the per-round `round_attribution` events into a
-//!    compute/scatter-wait/reduce table naming the straggler shard, and
-//!    render a human report plus flamegraph-compatible folded stacks.
+//! 2. **Analyze** — build the span tree per `trace_id` (a shard file's
+//!    `rpc_server` spans nest under the coordinator's `rpc_client` spans
+//!    through `parent_span_id`), compute the critical path (at every
+//!    level, the child that finishes last), fold the per-round
+//!    `round_attribution` events into a compute/scatter-wait/reduce
+//!    table naming the straggler shard, and render a human report plus
+//!    flamegraph-compatible folded stacks.
+//!
+//! Timestamps are kept exactly as written: every coordinator and shard
+//! daemon this workspace starts runs in one process, on one clock.
 
 use crate::json::{self, Value};
 use std::collections::{BTreeMap, HashMap};
@@ -47,8 +46,7 @@ fn scalar_object(line: &str) -> Option<BTreeMap<String, Value>> {
     }
 }
 
-/// One span reconstructed from a `kind":"span"` event, timestamps
-/// already translated onto the coordinator's clock.
+/// One span reconstructed from a `kind":"span"` event.
 #[derive(Debug, Clone)]
 pub struct SpanNode {
     /// The span's own id.
@@ -57,9 +55,9 @@ pub struct SpanNode {
     pub name: String,
     /// The qualifier the span was opened with (may be empty).
     pub detail: String,
-    /// Start, microseconds on the coordinator's clock.
+    /// Start, UNIX microseconds.
     pub start_us: i64,
-    /// End, microseconds on the coordinator's clock.
+    /// End, UNIX microseconds.
     pub end_us: i64,
     /// Parent span id, when the span was nested.
     pub parent_span_id: Option<String>,
@@ -76,12 +74,12 @@ impl SpanNode {
     }
 }
 
-/// One non-span event, timestamp translated onto the coordinator clock.
+/// One non-span event.
 #[derive(Debug, Clone)]
 pub struct EventNode {
     /// The event's `kind` field.
     pub kind: String,
-    /// Timestamp, microseconds on the coordinator's clock.
+    /// Timestamp, UNIX microseconds.
     pub ts_us: i64,
     /// Enclosing span id at emit time, when a span was open.
     pub parent_span_id: Option<String>,
@@ -111,19 +109,8 @@ pub struct Round {
     pub straggler_s: f64,
     /// The fastest shard's RPC seconds (the straggler's headroom).
     pub fastest_s: f64,
-    /// Event timestamp (coordinator clock, µs).
+    /// Event timestamp, UNIX microseconds.
     pub ts_us: i64,
-}
-
-/// A shard clock offset decoded from a `clock_offset` event.
-#[derive(Debug, Clone)]
-pub struct OffsetRecord {
-    /// Shard address.
-    pub shard: String,
-    /// `shard_clock − coordinator_clock`, µs.
-    pub offset_us: i64,
-    /// Minimum observed probe round-trip, µs.
-    pub rtt_us: i64,
 }
 
 /// One kept trace line: the index of its file and its fields.
@@ -134,10 +121,9 @@ type Line = (usize, BTreeMap<String, Value>);
 pub struct TraceSet {
     /// Span events per trace id (file index, raw object).
     spans: HashMap<String, Vec<Line>>,
-    /// Non-span events per trace id.
+    /// Non-span events per trace id; events with no trace id are
+    /// dropped.
     events: HashMap<String, Vec<Line>>,
-    /// Events with no trace id (clock offsets ride here too).
-    unattached: Vec<Line>,
     /// Input file labels, index-aligned with the `file` fields.
     pub files: Vec<String>,
     /// Lines that failed to parse, per file.
@@ -162,12 +148,13 @@ impl TraceSet {
                     set.skipped[file] += 1;
                     continue;
                 };
-                let kind = obj.get("kind").and_then(Value::as_str).unwrap_or("");
-                let trace_id = obj.get("trace_id").and_then(Value::as_str);
-                let lines = match (kind, trace_id) {
-                    ("span", Some(id)) => set.spans.entry(id.to_string()).or_default(),
-                    (_, Some(id)) => set.events.entry(id.to_string()).or_default(),
-                    (_, None) => &mut set.unattached,
+                let Some(id) = obj.get("trace_id").and_then(Value::as_str) else {
+                    continue;
+                };
+                let lines = if obj.get("kind").and_then(Value::as_str) == Some("span") {
+                    set.spans.entry(id.to_string()).or_default()
+                } else {
+                    set.events.entry(id.to_string()).or_default()
                 };
                 lines.push((file, obj));
             }
@@ -186,80 +173,16 @@ impl TraceSet {
         ids.into_iter().map(|(_, id)| id).collect()
     }
 
-    /// Shard clock offsets harvested from every `clock_offset` event in
-    /// the inputs (attached to a trace or not).
-    pub fn clock_offsets(&self) -> Vec<OffsetRecord> {
-        let mut out = Vec::new();
-        let all = self.unattached.iter().chain(self.events.values().flatten());
-        for (_, obj) in all {
-            if obj.get("kind").and_then(Value::as_str) != Some("clock_offset") {
-                continue;
-            }
-            let (Some(shard), Some(offset_us)) = (
-                obj.get("shard").and_then(Value::as_str),
-                obj.get("offset_us").and_then(Value::as_i64),
-            ) else {
-                continue;
-            };
-            out.push(OffsetRecord {
-                shard: shard.to_string(),
-                offset_us,
-                rtt_us: obj.get("rtt_us").and_then(Value::as_i64).unwrap_or(0),
-            });
-        }
-        out
-    }
-
-    /// Stitches one trace id into a [`Timeline`]: aligns per-file
-    /// clocks, builds the span tree, attaches events.
+    /// Stitches one trace id into a [`Timeline`]: builds the span tree
+    /// and attaches events.
     pub fn timeline(&self, trace_id: &str) -> Option<Timeline> {
         let raw_spans = self.spans.get(trace_id)?;
-        let raw_events = self.events.get(trace_id).cloned().unwrap_or_default();
-        let offsets = self.clock_offsets();
-
-        // Map file index → shard address: a file owning an `rpc_server`
-        // span whose parent is an `rpc_client` span in another file
-        // takes the address out of the client span's detail
-        // ("<op> <addr>" — the address is the last token).
-        let client_details: HashMap<&str, (usize, &str)> = raw_spans
-            .iter()
-            .filter(|(_, obj)| obj.get("span").and_then(Value::as_str) == Some("rpc_client"))
-            .filter_map(|(file, obj)| {
-                let id = obj.get("span_id").and_then(Value::as_str)?;
-                let detail = obj.get("detail").and_then(Value::as_str)?;
-                Some((id, (*file, detail)))
-            })
-            .collect();
-        let mut file_addr: HashMap<usize, String> = HashMap::new();
-        for (file, obj) in raw_spans {
-            if obj.get("span").and_then(Value::as_str) != Some("rpc_server") {
-                continue;
-            }
-            let Some(parent) = obj.get("parent_span_id").and_then(Value::as_str) else {
-                continue;
-            };
-            if let Some(&(client_file, detail)) = client_details.get(parent) {
-                if client_file != *file {
-                    if let Some(addr) = detail.rsplit(' ').next() {
-                        file_addr.entry(*file).or_insert_with(|| addr.to_string());
-                    }
-                }
-            }
-        }
-        let shift_for = |file: usize| -> i64 {
-            file_addr
-                .get(&file)
-                .and_then(|addr| offsets.iter().find(|o| &o.shard == addr))
-                .map(|o| -o.offset_us)
-                .unwrap_or(0)
-        };
-
+        let raw_events = self.events.get(trace_id).map_or(&[][..], Vec::as_slice);
         let mut spans: Vec<SpanNode> = raw_spans
             .iter()
             .filter_map(|(file, obj)| {
-                let shift = shift_for(*file);
-                let start_us = obj.get("start_us").and_then(Value::as_i64)? + shift;
-                let end_us = obj.get("ts_us").and_then(Value::as_i64)? + shift;
+                let start_us = obj.get("start_us").and_then(Value::as_i64)?;
+                let end_us = obj.get("ts_us").and_then(Value::as_i64)?;
                 Some(SpanNode {
                     span_id: obj.get("span_id").and_then(Value::as_str)?.to_string(),
                     name: obj.get("span").and_then(Value::as_str)?.to_string(),
@@ -302,10 +225,9 @@ impl TraceSet {
         let events: Vec<EventNode> = raw_events
             .iter()
             .filter_map(|(file, obj)| {
-                let shift = shift_for(*file);
                 Some(EventNode {
                     kind: obj.get("kind").and_then(Value::as_str)?.to_string(),
-                    ts_us: obj.get("ts_us").and_then(Value::as_i64)? + shift,
+                    ts_us: obj.get("ts_us").and_then(Value::as_i64)?,
                     parent_span_id: obj
                         .get("parent_span_id")
                         .and_then(Value::as_str)
@@ -321,7 +243,6 @@ impl TraceSet {
             spans,
             roots,
             events,
-            offsets,
             files: self.files.clone(),
             skipped: self.skipped.clone(),
         })
@@ -338,8 +259,7 @@ impl TraceSet {
     }
 }
 
-/// One stitched trace: the span tree plus its attached events, all on
-/// the coordinator's clock.
+/// One stitched trace: the span tree plus its attached events.
 #[derive(Debug, Clone)]
 pub struct Timeline {
     /// The stitched trace id.
@@ -350,8 +270,6 @@ pub struct Timeline {
     pub roots: Vec<usize>,
     /// Non-span events of this trace.
     pub events: Vec<EventNode>,
-    /// Clock offsets that were applied.
-    pub offsets: Vec<OffsetRecord>,
     /// Input file labels.
     pub files: Vec<String>,
     /// Unparsable line count per input file.
@@ -464,13 +382,6 @@ impl Timeline {
                 self.spans.iter().filter(|s| s.file == file).count(),
                 self.events.iter().filter(|e| e.file == file).count(),
                 self.skipped.get(file).copied().unwrap_or(0),
-            );
-        }
-        for o in &self.offsets {
-            let _ = writeln!(
-                out,
-                "  clock {}: offset {:+}us (min rtt {}us)",
-                o.shard, o.offset_us, o.rtt_us
             );
         }
         if let Some(&root) = self.roots.first() {
@@ -662,10 +573,10 @@ mod tests {
         )
     }
 
-    /// A two-file fixture: coordinator (solve → round → rpc_client) and
-    /// one shard (rpc_server) whose clock runs 1s ahead.
-    fn fixture() -> TraceSet {
-        let coord = [
+    /// The coordinator's lines: solve → round → rpc_client, plus the
+    /// round's attribution event.
+    fn coordinator_lines() -> Vec<String> {
+        vec![
             span_line("t1", "c1", None, "cluster_solve", 1_000_000, 2_000_000, "GREEDY"),
             span_line("t1", "r1", Some("c1"), "scatter_round", 1_100_000, 1_600_000, "c"),
             span_line("t1", "p1", Some("r1"), "rpc_client", 1_100_000, 1_500_000, "eval_batch 127.0.0.1:9001"),
@@ -674,34 +585,39 @@ mod tests {
                 r#""shards":1,"scatter_s":0.4,"reduce_s":0.01,"straggler":"127.0.0.1:9001","straggler_s":0.4,"fastest_s":0.4}"#
             )
             .to_string(),
-            r#"{"ts_us":900000,"kind":"clock_offset","shard":"127.0.0.1:9001","offset_us":1000000,"rtt_us":200,"probes":4}"#.to_string(),
         ]
-        .join("\n");
-        // Shard timestamps are +1s relative to the coordinator.
+    }
+
+    /// Two files: `coord` and one shard (rpc_server), on the same clock.
+    fn with_shard(coord: &[String]) -> TraceSet {
         let shard = span_line(
             "t1",
             "s1",
             Some("p1"),
             "rpc_server",
-            2_150_000,
-            2_450_000,
+            1_150_000,
+            1_450_000,
             "eval_batch",
         );
         TraceSet::parse(&[
-            ("coord.jsonl".to_string(), coord),
+            ("coord.jsonl".to_string(), coord.join("\n")),
             ("shard.jsonl".to_string(), shard),
         ])
     }
 
+    fn fixture() -> TraceSet {
+        with_shard(&coordinator_lines())
+    }
+
     #[test]
-    fn stitches_across_files_and_aligns_clocks() {
+    fn stitches_across_files() {
         let set = fixture();
         let tl = set.solve_timeline().expect("timeline");
         assert_eq!(tl.trace_id, "t1");
         assert_eq!(tl.spans.len(), 4);
         assert_eq!(tl.roots.len(), 1);
-        // The shard's rpc_server span is shifted back onto the
-        // coordinator clock (−1s) and nests inside rpc_client.
+        // The shard's rpc_server span keeps its timestamps and nests
+        // inside rpc_client.
         let server = tl.spans.iter().find(|s| s.name == "rpc_server").unwrap();
         assert_eq!(server.start_us, 1_150_000);
         assert_eq!(server.end_us, 1_450_000);
@@ -758,7 +674,31 @@ mod tests {
         assert!(report.contains("straggler=127.0.0.1:9001"));
         assert!(report.contains("straggler verdict: 127.0.0.1:9001 slowest in 1/1 rounds"));
         assert!(report.contains("critical path:"));
-        assert!(report.contains("clock 127.0.0.1:9001: offset +1000000us"));
+    }
+
+    #[test]
+    fn an_old_clock_offset_line_changes_nothing() {
+        // Trace files written before 0.24.0 hold one `clock_offset`
+        // event per shard. It shifts no timestamp and adds no report
+        // line.
+        let mut coord = coordinator_lines();
+        coord.push(
+            r#"{"ts_us":900000,"kind":"clock_offset","shard":"127.0.0.1:9001","offset_us":1000000,"rtt_us":200,"probes":4}"#
+                .to_string(),
+        );
+        let old = with_shard(&coord).solve_timeline().unwrap();
+        let new = fixture().solve_timeline().unwrap();
+        let times = |tl: &Timeline| -> Vec<(String, i64, i64)> {
+            tl.spans
+                .iter()
+                .map(|s| (s.span_id.clone(), s.start_us, s.end_us))
+                .collect()
+        };
+        assert_eq!(times(&old), times(&new));
+        assert_eq!(old.report(), new.report());
+        assert!(!old.report().contains("clock"));
+        assert_eq!(old.folded_stacks(), new.folded_stacks());
+        assert_eq!(old.skipped, vec![0, 0]);
     }
 
     #[test]

@@ -11,8 +11,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::time::{Duration, Instant};
 
-/// Valid trace lines: two as the tracer writes them, a span and a clock
-/// offset as the stitcher's fixtures spell them.
+/// Valid trace lines: two as the tracer writes them, a span as the
+/// stitcher's fixtures spell it, and a clock offset as older trace files
+/// hold it.
 fn trace_lines() -> [String; 4] {
     [
         TraceEvent::new("imcaf_round")

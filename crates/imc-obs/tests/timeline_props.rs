@@ -6,9 +6,9 @@
 //! * **line order is irrelevant** — spans arrive interleaved across
 //!   threads and processes, so any permutation of the same lines must
 //!   stitch to the same tree;
-//! * **clock skew is corrected exactly** — a shard file linked through
-//!   an `rpc_client`/`rpc_server` pair plus a `clock_offset` event is
-//!   shifted by precisely `-offset_us`;
+//! * **files link, timestamps stay** — a shard file linked through
+//!   `rpc_client`/`rpc_server` pairs stitches into the coordinator's
+//!   tree, and every timestamp comes out exactly as written;
 //! * **truncated streams never panic** — a kill -9 mid-write leaves a
 //!   torn final line; every prefix of a valid file must parse to a
 //!   subset of the full timeline with at most one skipped line.
@@ -164,47 +164,52 @@ proptest! {
         prop_assert!(tl.report().contains("t-prop"));
     }
 
-    /// A shard file linked by an `rpc_client`/`rpc_server` pair and a
-    /// `clock_offset` event is shifted by exactly `-offset_us`,
-    /// whatever the skew's sign or magnitude.
+    /// A shard file whose `rpc_server` spans name coordinator spans as
+    /// parents stitches into the coordinator's forest: each server span
+    /// is its parent's child, the roots are the coordinator's, and every
+    /// start and end is the one written, whatever the two files' times.
     #[test]
-    fn clock_skewed_shard_file_is_aligned_exactly(
-        raw_offset in 0u64..20_000_000,
-        rtt_us in 0u64..50_000,
-        server_start in 1_000_000u64..2_000_000,
-        server_dur in 0u64..500_000,
+    fn linked_shard_file_stitches_with_timestamps_as_written(
+        forest in forest(),
+        servers in prop::collection::vec((0usize..40, 0u64..10_000_000, 0u64..500_000), 1..8),
     ) {
-        let offset_us = raw_offset as i64 - 10_000_000; // skew in ±10s
-        let server_start = server_start as i64;
-        let server_dur = server_dur as i64;
-        let coordinator = format!(
-            concat!(
-                r#"{{"ts_us":3000000,"kind":"span","trace_id":"t","span_id":"c1","span":"rpc_client","start_us":1000000,"seconds":2.0,"detail":"eval_batch 127.0.0.1:9101"}}"#,
-                "\n",
-                r#"{{"ts_us":500000,"kind":"clock_offset","shard":"127.0.0.1:9101","offset_us":{offset},"rtt_us":{rtt},"probes":4}}"#,
-            ),
-            offset = offset_us,
-            rtt = rtt_us,
-        );
-        let shard = format!(
-            r#"{{"ts_us":{end},"kind":"span","trace_id":"t","parent_span_id":"c1","span_id":"srv1","span":"rpc_server","start_us":{start},"seconds":{secs:.6}}}"#,
-            end = server_start + offset_us + server_dur,
-            start = server_start + offset_us,
-            secs = server_dur as f64 / 1e6,
-        );
+        let coordinator = serialize(&forest, "t").join("\n");
+        let shard: Vec<String> = servers
+            .iter()
+            .enumerate()
+            .map(|(i, &(parent, start, dur))| {
+                format!(
+                    r#"{{"ts_us":{},"kind":"span","trace_id":"t","parent_span_id":"s{}","span_id":"srv{i}","span":"rpc_server","start_us":{start},"seconds":{:.6}}}"#,
+                    start + dur,
+                    parent % forest.len(),
+                    dur as f64 / 1e6,
+                )
+            })
+            .collect();
         let set = TraceSet::parse(&[
             ("coordinator".to_string(), coordinator),
-            ("shard".to_string(), shard),
+            ("shard".to_string(), shard.join("\n")),
         ]);
         let tl = set.timeline("t").expect("trace t stitches");
-        let srv = tl.spans.iter().find(|s| s.name == "rpc_server").unwrap();
-        prop_assert_eq!(srv.start_us, server_start);
-        prop_assert_eq!(srv.end_us, server_start + server_dur);
-        let client = tl.spans.iter().position(|s| s.span_id == "c1").unwrap();
-        let srv_at = tl.spans.iter().position(|s| s.span_id == "srv1").unwrap();
-        prop_assert!(tl.spans[client].children.contains(&srv_at));
-        prop_assert_eq!(tl.offsets.len(), 1);
-        prop_assert_eq!(tl.offsets[0].offset_us, offset_us);
+        prop_assert_eq!(tl.spans.len(), forest.len() + servers.len());
+        let by_id = |id: &str| tl.spans.iter().position(|s| s.span_id == id).unwrap();
+        for (i, raw) in forest.iter().enumerate() {
+            let at = by_id(&format!("s{i}"));
+            prop_assert_eq!(tl.spans[at].start_us, raw.start_us);
+            prop_assert_eq!(tl.spans[at].end_us, raw.start_us + raw.dur_us);
+            prop_assert_eq!(tl.spans[at].file, 0);
+            prop_assert_eq!(tl.roots.contains(&at), raw.parent.is_none());
+        }
+        for (i, &(parent, start, dur)) in servers.iter().enumerate() {
+            let at = by_id(&format!("srv{i}"));
+            prop_assert_eq!(tl.spans[at].start_us, start as i64);
+            prop_assert_eq!(tl.spans[at].end_us, (start + dur) as i64);
+            prop_assert_eq!(tl.spans[at].file, 1);
+            let parent = by_id(&format!("s{}", parent % forest.len()));
+            prop_assert!(tl.spans[parent].children.contains(&at));
+        }
+        let roots = forest.iter().filter(|s| s.parent.is_none()).count();
+        prop_assert_eq!(tl.roots.len(), roots);
     }
 
     /// Every byte-prefix of a valid trace file parses without panicking

@@ -910,20 +910,10 @@ fn execute(
             // The health-probe fast path: no collection pin, no session
             // access — just proof the worker loop is alive, plus the
             // generation so a prober can watch refreshes land.
-            //
-            // `srv_recv_us`/`srv_send_us` are this server's wall clock at
-            // request receipt and response construction: the t1/t2 of an
-            // NTP-style exchange, letting a coordinator estimate this
-            // shard's clock offset as ((t1-t0)+(t2-t3))/2 from its own
-            // send/receive times (see imc-cluster's clock alignment).
             state.metrics().record(OpKind::Info, start.elapsed(), 0);
-            let srv_send_us = imc_obs::trace::now_us();
-            let srv_recv_us = srv_send_us.saturating_sub(elapsed_us(start));
             let body = ObjectBuilder::new()
                 .field("status", "ok")
                 .field("generation", state.generation())
-                .field("srv_recv_us", srv_recv_us)
-                .field("srv_send_us", srv_send_us)
                 .field("elapsed_us", elapsed_us(start));
             (protocol::ok_response("ping", body), false)
         }

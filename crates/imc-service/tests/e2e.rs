@@ -470,6 +470,17 @@ fn a_request_line_past_the_cap_is_refused_and_the_worker_survives() {
     let mut client = Client::connect(server.addr(), TIMEOUT).unwrap();
     let resp = client.request(r#"{"op":"ping"}"#).unwrap();
     assert_eq!(resp.get("ok").unwrap().as_bool(), Some(true));
+    // The ping answer is liveness only: no clock readings ride it.
+    let keys: Vec<&str> = resp
+        .as_object()
+        .unwrap()
+        .keys()
+        .map(String::as_str)
+        .collect();
+    assert_eq!(
+        keys,
+        ["elapsed_us", "generation", "ok", "op", "status", "trace_id"]
+    );
     server.stop_and_join();
 }
 
